@@ -542,6 +542,121 @@ def solve_multilateration_batch(
 # ---------------------------------------------------------------------------
 # Batched LSS (Section 4.2)
 # ---------------------------------------------------------------------------
+#
+# Each LSS family has one fused body that returns the objective and its
+# gradient from a single gather of the edge and constraint endpoints and
+# a single ``hypot`` pass.  The descent loops evaluate it once per epoch,
+# at the candidate, and keep an accepted candidate's gradient for the
+# next epoch.  Every objective sum and every gradient bin adds the same
+# terms in the same order as the two-pass formulation (gradient at the
+# current point, objective at the candidate, sequential ``add.at``
+# scatter), so the outputs are bytewise that formulation's.
+
+
+def _has_constraints(constraint_pairs, min_spacing_m) -> bool:
+    """Whether the soft minimum-spacing penalty has any pair to act on."""
+    return (
+        min_spacing_m is not None
+        and constraint_pairs is not None
+        and np.asarray(constraint_pairs).size > 0
+    )
+
+
+class _SharedEdgeLss:
+    """Fused LSS objective and gradient for one shared edge list.
+
+    Works on the node-major ``(n_nodes, B, 2)`` layout, where gathering
+    edge endpoints indexes the leading axis directly.  Everything that
+    depends only on the edge list is built once per descent call: the
+    gather indices, ``2 w``, and the scatter bins.
+
+    The gradient is one ``np.bincount`` over the concatenated
+    ``[i, j, ci, cj]`` endpoints with one bin per ``(node, config,
+    coordinate)``.  ``bincount`` adds its weights in input order, so
+    every bin receives the same terms in the same order as sequential
+    ``add.at`` calls on ``i``, ``j``, ``ci`` and ``cj`` would give it.
+    """
+
+    def __init__(
+        self,
+        edges,
+        constraint_pairs: Optional[np.ndarray],
+        min_spacing_m: Optional[float],
+        constraint_weight: float,
+        n_nodes: int,
+        n_batch: int,
+    ) -> None:
+        i_idx = edges.pairs[:, 0]
+        j_idx = edges.pairs[:, 1]
+        self.n_edges = i_idx.shape[0]
+        self.dists = edges.distances[:, None]
+        self.weights = edges.weights[:, None]
+        self.weights2 = 2.0 * self.weights
+        self.constrained = _has_constraints(constraint_pairs, min_spacing_m)
+        heads, tails, scatter_order = [i_idx], [j_idx], [i_idx, j_idx]
+        if self.constrained:
+            ci, cj = constraint_pairs[:, 0], constraint_pairs[:, 1]
+            heads.append(ci)
+            tails.append(cj)
+            scatter_order += [ci, cj]
+            self.min_spacing_m = min_spacing_m
+            self.constraint_weight = constraint_weight
+        # Gather order: every edge and constraint head, then every tail.
+        self.ends = np.concatenate(heads + tails)
+        self.n_pairs = self.ends.shape[0] // 2
+        cells = np.arange(2 * n_batch).reshape(n_batch, 2)
+        self.scatter = (
+            np.concatenate(scatter_order)[:, None, None] * (2 * n_batch) + cells
+        ).ravel()
+        self.shape = (n_nodes, n_batch, 2)
+        self.n_bins = 2 * n_nodes * n_batch
+
+    def value_and_grad(self, pts_t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Objective ``(B,)`` and gradient ``(n_nodes, B, 2)`` at *pts_t*."""
+        n_edges = self.n_edges
+        ends = np.take(pts_t, self.ends, axis=0)
+        diff = ends[: self.n_pairs] - ends[self.n_pairs :]
+        comp = np.hypot(diff[..., 0], diff[..., 1])
+        resid = comp[:n_edges] - self.dists
+        value = (self.weights * resid**2).sum(axis=0)
+        safe = np.maximum(comp, 1e-12)
+        coeff = self.weights2 * resid / safe[:n_edges]
+        contrib = coeff[..., None] * diff[:n_edges]
+        terms = [contrib, -contrib]
+        if self.constrained:
+            d_min = self.min_spacing_m
+            ccomp = comp[n_edges:]
+            violation = np.minimum(ccomp, d_min) - d_min
+            value = value + self.constraint_weight * (violation**2).sum(axis=0)
+            vcomp = safe[n_edges:]
+            vcoeff = 2.0 * self.constraint_weight * (vcomp - d_min) / vcomp
+            # Only violated pairs (estimate closer than d_min) exert force.
+            vcoeff = np.where(ccomp < d_min, vcoeff, 0.0)
+            vcontrib = vcoeff[..., None] * diff[n_edges:]
+            terms += [vcontrib, -vcontrib]
+        grad = np.bincount(
+            self.scatter,
+            weights=np.concatenate(terms).ravel(),
+            minlength=self.n_bins,
+        )
+        return value, grad.reshape(self.shape)
+
+
+def _shared_edge_value_and_grad(
+    configs,
+    edges,
+    constraint_pairs: Optional[np.ndarray],
+    min_spacing_m: Optional[float],
+    constraint_weight: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Fused body on the public batch-major ``(B, n_nodes, 2)`` layout."""
+    pts_t = np.asarray(configs, dtype=float).transpose(1, 0, 2)
+    n_nodes, n_batch = pts_t.shape[:2]
+    lss = _SharedEdgeLss(
+        edges, constraint_pairs, min_spacing_m, constraint_weight, n_nodes, n_batch
+    )
+    value, grad_t = lss.value_and_grad(pts_t)
+    return value, grad_t.transpose(1, 0, 2)
 
 
 def batch_lss_error(
@@ -564,27 +679,9 @@ def batch_lss_error(
         return xp_kernels.lss_error_xp(
             be, pts, edges, constraint_pairs, min_spacing_m, constraint_weight
         )
-    return _lss_error_t(pts.transpose(1, 0, 2), edges, constraint_pairs,
-                        min_spacing_m, constraint_weight)
-
-
-def _lss_error_t(
-    pts_t: np.ndarray,
-    edges,
-    constraint_pairs: Optional[np.ndarray],
-    min_spacing_m: Optional[float],
-    constraint_weight: float,
-) -> np.ndarray:
-    """Objective on the internal node-major ``(n_nodes, B, 2)`` layout."""
-    diff = pts_t[edges.pairs[:, 0]] - pts_t[edges.pairs[:, 1]]
-    comp = np.hypot(diff[..., 0], diff[..., 1])
-    value = np.sum(edges.weights[:, None] * (comp - edges.distances[:, None]) ** 2, axis=0)
-    if min_spacing_m is not None and constraint_pairs is not None and constraint_pairs.size:
-        cdiff = pts_t[constraint_pairs[:, 0]] - pts_t[constraint_pairs[:, 1]]
-        ccomp = np.hypot(cdiff[..., 0], cdiff[..., 1])
-        violation = np.minimum(ccomp, min_spacing_m) - min_spacing_m
-        value = value + constraint_weight * np.sum(violation**2, axis=0)
-    return value
+    return _shared_edge_value_and_grad(
+        pts, edges, constraint_pairs, min_spacing_m, constraint_weight
+    )[0]
 
 
 def batch_lss_gradient(
@@ -608,44 +705,9 @@ def batch_lss_gradient(
         return xp_kernels.lss_gradient_xp(
             be, pts, edges, constraint_pairs, min_spacing_m, constraint_weight
         )
-    grad_t = _lss_gradient_t(pts.transpose(1, 0, 2), edges, constraint_pairs,
-                             min_spacing_m, constraint_weight)
-    return grad_t.transpose(1, 0, 2)
-
-
-def _lss_gradient_t(
-    pts_t: np.ndarray,
-    edges,
-    constraint_pairs: Optional[np.ndarray],
-    min_spacing_m: Optional[float],
-    constraint_weight: float,
-) -> np.ndarray:
-    """Gradient on the internal node-major ``(n_nodes, B, 2)`` layout."""
-    grad_t = np.zeros(pts_t.shape)
-
-    i_idx = edges.pairs[:, 0]
-    j_idx = edges.pairs[:, 1]
-    diff = pts_t[i_idx] - pts_t[j_idx]
-    comp = np.hypot(diff[..., 0], diff[..., 1])
-    safe = np.maximum(comp, 1e-12)
-    coeff = (2.0 * edges.weights[:, None]) * (comp - edges.distances[:, None]) / safe
-    contrib = coeff[..., None] * diff
-    np.add.at(grad_t, i_idx, contrib)
-    np.add.at(grad_t, j_idx, -contrib)
-
-    if min_spacing_m is not None and constraint_pairs is not None and constraint_pairs.size:
-        ci = constraint_pairs[:, 0]
-        cj = constraint_pairs[:, 1]
-        cdiff = pts_t[ci] - pts_t[cj]
-        ccomp = np.hypot(cdiff[..., 0], cdiff[..., 1])
-        vcomp = np.maximum(ccomp, 1e-12)
-        vcoeff = 2.0 * constraint_weight * (vcomp - min_spacing_m) / vcomp
-        # Only violated pairs (estimate closer than d_min) exert force.
-        vcoeff = np.where(ccomp < min_spacing_m, vcoeff, 0.0)
-        vcontrib = vcoeff[..., None] * cdiff
-        np.add.at(grad_t, ci, vcontrib)
-        np.add.at(grad_t, cj, -vcontrib)
-    return grad_t
+    return _shared_edge_value_and_grad(
+        pts, edges, constraint_pairs, min_spacing_m, constraint_weight
+    )[1]
 
 
 def batch_lss_descend(
@@ -672,9 +734,22 @@ def batch_lss_descend(
     *patience* stalled epochs or when the step underflows.  Finished
     configurations freeze while the rest keep descending.
 
+    Per epoch the objective and gradient are evaluated together at the
+    candidate, from one gather of the edge and constraint endpoints and
+    one ``hypot`` pass.  An accepted candidate's gradient is kept for the
+    next epoch: it is exactly the gradient that epoch would recompute at
+    the new point, and a rejected epoch leaves both point and gradient
+    as they were.  The gradient scatter is one order-preserving
+    ``np.bincount`` that adds every bin's terms in the order of
+    sequential ``add.at`` calls, so trajectories, traces and epoch
+    counts are bytewise those of a two-pass kernel that recomputes the
+    gradient at the current point each epoch.  The padded family is a
+    separate kernel for now; :func:`batch_lss_descend_padded` says why.
+
     Parameters
     ----------
     configs : ndarray of shape (B, n_nodes, 2)
+        Starting configurations; not modified.
     free_mask : ndarray of bool, shape (n_nodes,)
         Nodes free to move (False rows are pinned).
     traces : list of B lists, optional
@@ -702,14 +777,13 @@ def batch_lss_descend(
         )
         _count_kernel("lss", pts.shape[0], epochs)
         return pts, current, converged
-    # Node-major (n_nodes, B, 2) layout: fancy-indexing edge endpoints
-    # and np.add.at scatter both address the leading axis directly.
-    pts_t = np.ascontiguousarray(
-        np.asarray(configs, dtype=float).transpose(1, 0, 2)
+    pts_t = np.asarray(configs, dtype=float).transpose(1, 0, 2).copy()
+    n_nodes, n_batch = pts_t.shape[:2]
+    lss = _SharedEdgeLss(
+        edges, constraint_pairs, min_spacing_m, constraint_weight, n_nodes, n_batch
     )
-    n_batch = pts_t.shape[1]
-    frozen = ~free_mask
-    current = _lss_error_t(pts_t, edges, constraint_pairs, min_spacing_m, constraint_weight)
+    pinned = np.flatnonzero(~np.asarray(free_mask, dtype=bool))
+    current, grad = lss.value_and_grad(pts_t)
     alpha = np.full(n_batch, float(step_size))
     velocity = np.zeros_like(pts_t)
     stall = np.zeros(n_batch, dtype=np.int64)
@@ -719,16 +793,17 @@ def batch_lss_descend(
 
     for _ in range(max_epochs):
         epochs_run += 1
-        grad = _lss_gradient_t(pts_t, edges, constraint_pairs, min_spacing_m, constraint_weight)
-        grad[frozen] = 0.0
+        grad[pinned] = 0.0
         velocity_new = momentum * velocity - alpha[None, :, None] * grad
         candidate = pts_t + velocity_new
-        value = _lss_error_t(candidate, edges, constraint_pairs, min_spacing_m, constraint_weight)
+        value, candidate_grad = lss.value_and_grad(candidate)
         improvement = (current - value) / np.maximum(current, 1e-12)
         improved = active & (value < current)
         rejected = active & ~improved
 
-        np.copyto(pts_t, candidate, where=improved[None, :, None])
+        accepted = improved[None, :, None]
+        np.copyto(pts_t, candidate, where=accepted)
+        np.copyto(grad, candidate_grad, where=accepted)
         np.copyto(current, value, where=improved)
         # Overshoot kills the momentum (scalar rule); frozen problems'
         # velocities are junk but can never touch pts_t again.
@@ -778,8 +853,8 @@ def _flat_endpoints(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Flatten ``(B, E, 2)`` endpoint pairs into ``(B*N)``-space indices.
 
-    Gathering through one flat advanced index on the ``(B*N, 2)`` view
-    of the configuration stack is measurably cheaper per epoch than a
+    Gathering through one flat index on the ``(B*N, 2)`` view of the
+    configuration stack is measurably cheaper per epoch than a
     broadcasted two-axis fancy index, and the same flat indices drive
     the bincount scatter.
     """
@@ -787,67 +862,132 @@ def _flat_endpoints(
     return base + index_pairs[..., 0], base + index_pairs[..., 1]
 
 
-def _lss_error_flat(
-    flat_pts: np.ndarray,
-    fi: np.ndarray,
-    fj: np.ndarray,
-    dists: np.ndarray,
-    weights: np.ndarray,
-    cfi: Optional[np.ndarray],
-    cfj: Optional[np.ndarray],
-    constraint_valid: Optional[np.ndarray],
-    min_spacing_m: Optional[float],
-    constraint_weight: float,
-) -> np.ndarray:
-    """Objective on the flat ``(B*N, 2)`` view; ``fi``/``fj`` are (B, E)."""
-    diff = flat_pts[fi] - flat_pts[fj]
-    comp = np.hypot(diff[..., 0], diff[..., 1])
-    value = np.sum(weights * (comp - dists) ** 2, axis=1)
-    if cfi is not None:
-        cdiff = flat_pts[cfi] - flat_pts[cfj]
-        ccomp = np.hypot(cdiff[..., 0], cdiff[..., 1])
-        violation = np.minimum(ccomp, min_spacing_m) - min_spacing_m
-        # Padded constraint slots reference node 0 twice (distance 0 =
-        # maximal "violation"), so they MUST be masked out explicitly.
-        violation = np.where(constraint_valid, violation, 0.0)
-        value = value + constraint_weight * np.sum(violation**2, axis=1)
-    return value
+def _coordinate_bins(flat_i: np.ndarray, flat_j: np.ndarray) -> np.ndarray:
+    """Bincount indices for ``[+terms, -terms]`` rows at ``i`` then ``j``.
+
+    One bin per ``(flat row, coordinate)``, so a single ``np.bincount``
+    accumulates both coordinates, each bin in input order.
+    """
+    rows = np.concatenate([flat_i.ravel(), flat_j.ravel()])
+    return (2 * rows[:, None] + np.arange(2)).ravel()
 
 
-def _lss_error_padded(
-    pts: np.ndarray,
-    pairs: np.ndarray,
-    dists: np.ndarray,
-    weights: np.ndarray,
-    constraint_pairs: Optional[np.ndarray],
-    constraint_valid: Optional[np.ndarray],
+def _scatter_rows(bins: np.ndarray, contrib: np.ndarray, n_rows: int) -> np.ndarray:
+    """``(n_rows, 2)`` sums of ``[+contrib, -contrib]`` rows over *bins*."""
+    flat = contrib.reshape(-1, 2)
+    signed = np.concatenate([flat, -flat]).ravel()
+    return np.bincount(bins, weights=signed, minlength=2 * n_rows).reshape(n_rows, 2)
+
+
+class _PaddedLss:
+    """Fused LSS objective and gradient for a padded heterogeneous stack.
+
+    Works on the flat ``(B*N, 2)`` view of a ``(B, N, 2)`` stack.  The
+    flat endpoint indices, ``2 w`` and the scatter bins depend only on
+    the edge and constraint stacks, so they are built once per call and
+    again only when :meth:`compact` drops finished problems.
+
+    Edges and constraints are gathered together and share one ``hypot``
+    pass.  The gradient scatters the edge terms with one bincount and
+    the constraint terms with another, then adds the two, which is the
+    order of the per-coordinate edges-then-constraints scatter.
+    """
+
+    def __init__(
+        self,
+        pairs: np.ndarray,
+        dists: np.ndarray,
+        weights: np.ndarray,
+        constraint_pairs: Optional[np.ndarray],
+        constraint_valid: Optional[np.ndarray],
+        min_spacing_m: Optional[float],
+        constraint_weight: float,
+        n_nodes: int,
+    ) -> None:
+        self.pairs = pairs = np.asarray(pairs)
+        self.dists = np.asarray(dists, dtype=float)
+        self.weights = np.asarray(weights, dtype=float)
+        self.weights2 = 2.0 * self.weights
+        self.n_nodes = n_nodes
+        self.n_rows = pairs.shape[0] * n_nodes
+        self.n_edges = pairs.shape[1]
+        self.min_spacing_m = min_spacing_m
+        self.constraint_weight = constraint_weight
+        fi, fj = _flat_endpoints(pairs, n_nodes)
+        self.edge_bins = _coordinate_bins(fi, fj)
+        self.constrained = _has_constraints(constraint_pairs, min_spacing_m)
+        if self.constrained:
+            self.constraint_pairs = np.asarray(constraint_pairs)
+            self.constraint_valid = np.asarray(constraint_valid)
+            cfi, cfj = _flat_endpoints(self.constraint_pairs, n_nodes)
+            self.constraint_bins = _coordinate_bins(cfi, cfj)
+            fi = np.concatenate([fi, cfi], axis=1)
+            fj = np.concatenate([fj, cfj], axis=1)
+        # Gather order: every head row, then every tail row.
+        self.ends = np.stack([fi, fj])
+
+    def compact(self, keep: np.ndarray) -> "_PaddedLss":
+        """The same body restricted to the problems where *keep* is set."""
+        return _PaddedLss(
+            self.pairs[keep],
+            self.dists[keep],
+            self.weights[keep],
+            self.constraint_pairs[keep] if self.constrained else None,
+            self.constraint_valid[keep] if self.constrained else None,
+            self.min_spacing_m,
+            self.constraint_weight,
+            self.n_nodes,
+        )
+
+    def value_and_grad(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Objective ``(B,)`` and gradient ``(B, N, 2)`` at the stack *pts*."""
+        n_edges = self.n_edges
+        flat_pts = pts.reshape(-1, 2)
+        ends = np.take(flat_pts, self.ends, axis=0)
+        diff = ends[0] - ends[1]
+        comp = np.hypot(diff[..., 0], diff[..., 1])
+        resid = comp[:, :n_edges] - self.dists
+        value = (self.weights * resid**2).sum(axis=1)
+        safe = np.maximum(comp, 1e-12)
+        coeff = self.weights2 * resid / safe[:, :n_edges]
+        grad = _scatter_rows(
+            self.edge_bins, coeff[..., None] * diff[:, :n_edges], self.n_rows
+        )
+        if self.constrained:
+            d_min = self.min_spacing_m
+            ccomp = comp[:, n_edges:]
+            violation = np.minimum(ccomp, d_min) - d_min
+            # Padded constraint slots reference node 0 twice (distance 0 =
+            # maximal "violation"), so they MUST be masked out explicitly.
+            violation = np.where(self.constraint_valid, violation, 0.0)
+            value = value + self.constraint_weight * (violation**2).sum(axis=1)
+            vcomp = safe[:, n_edges:]
+            vcoeff = 2.0 * self.constraint_weight * (vcomp - d_min) / vcomp
+            # Only violated real pairs exert force; padded slots are masked.
+            vcoeff = np.where((ccomp < d_min) & self.constraint_valid, vcoeff, 0.0)
+            grad = grad + _scatter_rows(
+                self.constraint_bins, vcoeff[..., None] * diff[:, n_edges:], self.n_rows
+            )
+        return value, grad.reshape(pts.shape)
+
+
+def _padded_value_and_grad(
+    configs,
+    pairs,
+    dists,
+    weights,
+    constraint_pairs,
+    constraint_valid,
     min_spacing_m: Optional[float],
     constraint_weight: float,
-) -> np.ndarray:
-    """Objective on the padded batch-major ``(B, N, 2)`` layout."""
-    n_nodes = pts.shape[1]
-    fi, fj = _flat_endpoints(pairs, n_nodes)
-    cfi = cfj = None
-    if (
-        min_spacing_m is not None
-        and constraint_pairs is not None
-        and constraint_pairs.size
-    ):
-        cfi, cfj = _flat_endpoints(constraint_pairs, n_nodes)
-    else:
-        constraint_valid = None
-    return _lss_error_flat(
-        np.ascontiguousarray(pts).reshape(-1, 2),
-        fi,
-        fj,
-        dists,
-        weights,
-        cfi,
-        cfj,
-        constraint_valid,
-        min_spacing_m,
-        constraint_weight,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Fused padded body for the public error and gradient kernels."""
+    pts = np.ascontiguousarray(configs, dtype=float)
+    lss = _PaddedLss(
+        pairs, dists, weights, constraint_pairs, constraint_valid,
+        min_spacing_m, constraint_weight, pts.shape[1],
     )
+    return lss.value_and_grad(pts)
 
 
 def batch_lss_error_padded(
@@ -895,117 +1035,10 @@ def batch_lss_error_padded(
             np.asarray(weights, dtype=float),
             constraint_pairs, constraint_valid, min_spacing_m, constraint_weight,
         )
-    return _lss_error_padded(
-        pts,
-        np.asarray(pairs),
-        np.asarray(dists, dtype=float),
-        np.asarray(weights, dtype=float),
-        constraint_pairs,
-        constraint_valid,
-        min_spacing_m,
-        constraint_weight,
-    )
-
-
-def _scatter_flat(
-    flat_grad: np.ndarray,
-    scatter_idx: np.ndarray,
-    contrib: np.ndarray,
-) -> None:
-    """Accumulate ``[+contrib, -contrib]`` rows at flat *scatter_idx*.
-
-    ``scatter_idx`` is the precomputed concatenation of the ``i`` and
-    ``j`` flat endpoints; a ``np.bincount`` per coordinate is
-    substantially faster than ``np.add.at`` on the many-small-problems
-    stacks this layout exists for.
-    """
-    size = flat_grad.shape[0]
-    flat_contrib = contrib.reshape(-1, 2)
-    signed_x = np.concatenate([flat_contrib[:, 0], -flat_contrib[:, 0]])
-    signed_y = np.concatenate([flat_contrib[:, 1], -flat_contrib[:, 1]])
-    flat_grad[:, 0] += np.bincount(scatter_idx, weights=signed_x, minlength=size)
-    flat_grad[:, 1] += np.bincount(scatter_idx, weights=signed_y, minlength=size)
-
-
-def _lss_gradient_flat(
-    flat_pts: np.ndarray,
-    fi: np.ndarray,
-    fj: np.ndarray,
-    edge_scatter: np.ndarray,
-    dists: np.ndarray,
-    weights: np.ndarray,
-    cfi: Optional[np.ndarray],
-    cfj: Optional[np.ndarray],
-    constraint_scatter: Optional[np.ndarray],
-    constraint_valid: Optional[np.ndarray],
-    min_spacing_m: Optional[float],
-    constraint_weight: float,
-) -> np.ndarray:
-    """Gradient on the flat ``(B*N, 2)`` view.
-
-    ``edge_scatter``/``constraint_scatter`` are the precomputed
-    ``concatenate([fi.ravel(), fj.ravel()])`` index vectors (rebuilt
-    only when the working batch is compacted).
-    """
-    grad = np.zeros_like(flat_pts)
-    diff = flat_pts[fi] - flat_pts[fj]
-    comp = np.hypot(diff[..., 0], diff[..., 1])
-    safe = np.maximum(comp, 1e-12)
-    coeff = (2.0 * weights) * (comp - dists) / safe
-    _scatter_flat(grad, edge_scatter, coeff[..., None] * diff)
-
-    if cfi is not None:
-        cdiff = flat_pts[cfi] - flat_pts[cfj]
-        ccomp = np.hypot(cdiff[..., 0], cdiff[..., 1])
-        vcomp = np.maximum(ccomp, 1e-12)
-        vcoeff = 2.0 * constraint_weight * (vcomp - min_spacing_m) / vcomp
-        # Only violated real pairs exert force; padded slots are masked.
-        active = (ccomp < min_spacing_m) & constraint_valid
-        vcoeff = np.where(active, vcoeff, 0.0)
-        _scatter_flat(grad, constraint_scatter, vcoeff[..., None] * cdiff)
-    return grad
-
-
-def _lss_gradient_padded(
-    pts: np.ndarray,
-    pairs: np.ndarray,
-    dists: np.ndarray,
-    weights: np.ndarray,
-    constraint_pairs: Optional[np.ndarray],
-    constraint_valid: Optional[np.ndarray],
-    min_spacing_m: Optional[float],
-    constraint_weight: float,
-) -> np.ndarray:
-    """Gradient on the padded batch-major ``(B, N, 2)`` layout."""
-    shape = pts.shape
-    n_nodes = shape[1]
-    fi, fj = _flat_endpoints(pairs, n_nodes)
-    edge_scatter = np.concatenate([fi.ravel(), fj.ravel()])
-    cfi = cfj = constraint_scatter = None
-    if (
-        min_spacing_m is not None
-        and constraint_pairs is not None
-        and constraint_pairs.size
-    ):
-        cfi, cfj = _flat_endpoints(constraint_pairs, n_nodes)
-        constraint_scatter = np.concatenate([cfi.ravel(), cfj.ravel()])
-    else:
-        constraint_valid = None
-    flat_grad = _lss_gradient_flat(
-        np.ascontiguousarray(pts).reshape(-1, 2),
-        fi,
-        fj,
-        edge_scatter,
-        dists,
-        weights,
-        cfi,
-        cfj,
-        constraint_scatter,
-        constraint_valid,
-        min_spacing_m,
-        constraint_weight,
-    )
-    return flat_grad.reshape(shape)
+    return _padded_value_and_grad(
+        pts, pairs, dists, weights, constraint_pairs, constraint_valid,
+        min_spacing_m, constraint_weight,
+    )[0]
 
 
 def batch_lss_gradient_padded(
@@ -1035,16 +1068,10 @@ def batch_lss_gradient_padded(
             np.asarray(weights, dtype=float),
             constraint_pairs, constraint_valid, min_spacing_m, constraint_weight,
         )
-    return _lss_gradient_padded(
-        pts,
-        np.asarray(pairs),
-        np.asarray(dists, dtype=float),
-        np.asarray(weights, dtype=float),
-        constraint_pairs,
-        constraint_valid,
-        min_spacing_m,
-        constraint_weight,
-    )
+    return _padded_value_and_grad(
+        pts, pairs, dists, weights, constraint_pairs, constraint_valid,
+        min_spacing_m, constraint_weight,
+    )[1]
 
 
 def batch_lss_descend_padded(
@@ -1073,14 +1100,25 @@ def batch_lss_descend_padded(
     stalled epochs or step underflow) on its own adaptive step size.
     Finished problems freeze while the rest keep descending.
 
+    Per epoch the objective and gradient are evaluated together at the
+    candidate (one gather, one ``hypot`` pass) and an accepted
+    candidate's gradient is reused by the next epoch, as in
+    :func:`batch_lss_descend`.  The edge terms and then the constraint
+    terms are scattered by order-preserving bincounts, so the outputs are
+    bytewise those of the two-pass kernel.  This family is not merged
+    with the shared-edge one because their objective sums run in
+    different orders (sequential over the node-major ``axis=0`` there,
+    pairwise over the flat ``axis=1`` here): merging would move the last
+    bits of one family's results.
+
     Returns ``(configs (B, N, 2), errors (B,), converged (B,))``.
     Finished problems are compacted out of the working batch (the same
     straggler treatment as :func:`batch_gradient_descent`), so a few
     slow neighborhoods do not drag the whole stack's per-epoch cost.
     """
+    _require_constraint_mask(constraint_pairs, constraint_valid)
     be = resolve_backend(backend)
     if not be.is_native_numpy:
-        _require_constraint_mask(constraint_pairs, constraint_valid)
         out_pts, out_err, out_conv, epochs = xp_kernels.lss_descend_padded_xp(
             be,
             np.asarray(configs, dtype=float),
@@ -1107,30 +1145,12 @@ def batch_lss_descend_padded(
     if total == 0:
         return pts_out, err_out, conv_out
 
-    _require_constraint_mask(constraint_pairs, constraint_valid)
-    has_constraints = (
-        min_spacing_m is not None
-        and constraint_pairs is not None
-        and np.asarray(constraint_pairs).size
+    lss = _PaddedLss(
+        pairs, dists, weights, constraint_pairs, constraint_valid,
+        min_spacing_m, constraint_weight, n_nodes,
     )
-    cpairs = np.asarray(constraint_pairs) if has_constraints else None
-    cvalid = np.asarray(constraint_valid) if has_constraints else None
-
-    def flatten(pair_stack):
-        fi, fj = _flat_endpoints(pair_stack, n_nodes)
-        return fi, fj, np.concatenate([fi.ravel(), fj.ravel()])
-
-    fi, fj, edge_scatter = flatten(pairs)
-    cfi = cfj = constraint_scatter = None
-    if has_constraints:
-        cfi, cfj, constraint_scatter = flatten(cpairs)
-
     remaining = np.arange(total)
-    flat_pts = pts.reshape(-1, 2)
-    current = _lss_error_flat(
-        flat_pts, fi, fj, dists, weights, cfi, cfj, cvalid,
-        min_spacing_m, constraint_weight,
-    )
+    current, grad = lss.value_and_grad(pts)
     err_out[:] = current
     alpha = np.full(total, float(step_size))
     velocity = np.zeros_like(pts)
@@ -1140,24 +1160,16 @@ def batch_lss_descend_padded(
 
     for _ in range(max_epochs):
         epochs_run += 1
-        flat_grad = _lss_gradient_flat(
-            flat_pts, fi, fj, edge_scatter, dists, weights,
-            cfi, cfj, constraint_scatter, cvalid,
-            min_spacing_m, constraint_weight,
-        )
-        velocity = momentum * velocity - alpha[:, None, None] * flat_grad.reshape(
-            pts.shape
-        )
+        velocity = momentum * velocity - alpha[:, None, None] * grad
         candidate = pts + velocity
-        value = _lss_error_flat(
-            candidate.reshape(-1, 2), fi, fj, dists, weights, cfi, cfj, cvalid,
-            min_spacing_m, constraint_weight,
-        )
+        value, candidate_grad = lss.value_and_grad(candidate)
         improvement = (current - value) / np.maximum(current, 1e-12)
         improved = value < current
         rejected = ~improved
 
-        np.copyto(pts, candidate, where=improved[:, None, None])
+        accepted = improved[:, None, None]
+        np.copyto(pts, candidate, where=accepted)
+        np.copyto(grad, candidate_grad, where=accepted)
         np.copyto(current, value, where=improved)
         # Overshoot kills the momentum (scalar rule).
         np.copyto(velocity, 0.0, where=rejected[:, None, None])
@@ -1177,20 +1189,13 @@ def batch_lss_descend_padded(
                 _count_kernel("lss_padded", total, epochs_run, compactions)
                 return pts_out, err_out, conv_out
             remaining = remaining[keep]
-            pts = np.ascontiguousarray(pts[keep])
+            pts = pts[keep]
+            grad = grad[keep]
             current = current[keep]
             alpha = alpha[keep]
-            velocity = np.ascontiguousarray(velocity[keep])
+            velocity = velocity[keep]
             stall = stall[keep]
-            pairs = pairs[keep]
-            dists = dists[keep]
-            weights = weights[keep]
-            fi, fj, edge_scatter = flatten(pairs)
-            if has_constraints:
-                cpairs = cpairs[keep]
-                cvalid = cvalid[keep]
-                cfi, cfj, constraint_scatter = flatten(cpairs)
-        flat_pts = pts.reshape(-1, 2)
+            lss = lss.compact(keep)
 
     pts_out[remaining] = pts
     err_out[remaining] = current

@@ -11,6 +11,8 @@ multilateration (``localize_network``), LSS (``lss_localize`` /
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import LssConfig, dv_distance_localize, dv_hop_localize, localize_network, lss_localize
 from repro.core.multilateration import intersection_consistency_filter
@@ -25,6 +27,8 @@ from repro.engine.batch import (
 )
 from repro.errors import ValidationError
 from repro.ranging import gaussian_ranges
+
+from _backend_fixtures import sha256_bytes
 
 
 def _layout(kind: str, rng):
@@ -432,7 +436,8 @@ class TestPaddedLssKernels:
                 solution.positions, expected.positions, atol=1e-3
             )
 
-    def test_constraint_pairs_without_mask_rejected(self):
+    @pytest.mark.parametrize("n_problems", [2, 0])
+    def test_constraint_pairs_without_mask_rejected(self, n_problems):
         from repro.engine.batch import (
             batch_lss_descend_padded,
             batch_lss_error_padded,
@@ -441,7 +446,9 @@ class TestPaddedLssKernels:
 
         rng = np.random.default_rng(2)
         problems = self._random_problems(rng, n_problems=2)
-        pts, pairs, dists, weights, cpairs, _ = self._pad(problems, min_spacing_m=6.0)
+        stacks = self._pad(problems, min_spacing_m=6.0)[:5]
+        # An empty stack is validated too, not returned early.
+        pts, pairs, dists, weights, cpairs = (a[:n_problems] for a in stacks)
         for kernel in (
             batch_lss_error_padded,
             batch_lss_gradient_padded,
@@ -467,3 +474,249 @@ class TestPaddedLssKernels:
         )
         with pytest.raises(ValidationError):
             solve_local_lss_stack([bad], rng=0)
+
+
+class TestLssDescentBytePins:
+    """SHA-256 pins of descent paths the golden parity pins do not reach.
+
+    Frozen from the two-pass kernels (separate gradient and objective
+    passes, ``np.add.at`` scatter in the shared-edge family).  Any
+    kernel rewrite must reproduce them byte for byte: trajectories,
+    per-epoch traces and epoch/compaction counts included.
+    """
+
+    #: Constrained shared-edge descent with traces and a pinned node;
+    #: B=1 is the ``town-lss`` path, B=4 the multistart path.
+    SHARED_EDGE_PINS = {
+        1: "f7a0bf9c71f6be7887bbd8f33b93212c2198742d8831c64a2e0adfe723fb3edb",
+        4: "1b653a2d00e7fa43a077440d0be541f32337a2a7d235f24e0e12bb38b7c8e33a",
+    }
+    #: Constrained padded descent whose problems finish at different
+    #: epochs, so the working batch is compacted several times.
+    PADDED_PIN = "bdb8730e806a3e7f3704193bf8c090abd8f4076847eefb73e44af96d75ecd8a0"
+    PADDED_COMPACTIONS = 7
+
+    @staticmethod
+    def _constrained_network():
+        from repro.core.lss import _constraint_pairs, _prepare_edges
+
+        rng = np.random.default_rng(2005)
+        n_nodes = 14
+        positions = rng.uniform(0.0, 30.0, size=(n_nodes, 2))
+        edges = _prepare_edges(
+            gaussian_ranges(positions, max_range_m=14.0, sigma_m=0.33, rng=rng),
+            n_nodes,
+        )
+        return n_nodes, edges, _constraint_pairs(n_nodes, edges.pairs)
+
+    @pytest.mark.parametrize("n_configs", [1, 4])
+    def test_constrained_shared_edge_descent_pin(self, n_configs):
+        from repro.engine.batch import batch_lss_descend
+
+        n_nodes, edges, constraints = self._constrained_network()
+        assert constraints.shape[0] > 0
+        configs = np.random.default_rng(n_configs).uniform(
+            0.0, 30.0, size=(n_configs, n_nodes, 2)
+        )
+        start = configs.copy()
+        free_mask = np.ones(n_nodes, dtype=bool)
+        free_mask[3] = False
+        traces = [[] for _ in range(n_configs)]
+        pts, err, conv = batch_lss_descend(
+            configs,
+            edges,
+            constraints,
+            min_spacing_m=8.0,
+            constraint_weight=10.0,
+            step_size=0.02,
+            max_epochs=400,
+            tolerance=1e-7,
+            free_mask=free_mask,
+            traces=traces,
+        )
+        # The pinned row never moves, and the input stack is not written.
+        np.testing.assert_array_equal(pts[:, 3], start[:, 3])
+        np.testing.assert_array_equal(configs, start)
+        digest = sha256_bytes(
+            pts,
+            err,
+            conv,
+            np.array([len(t) for t in traces]),
+            np.concatenate([np.asarray(t, dtype=float) for t in traces]),
+        )
+        assert digest == self.SHARED_EDGE_PINS[n_configs]
+
+    def test_padded_descent_with_compactions_pin(self):
+        from repro import telemetry
+        from repro.engine.batch import batch_lss_descend_padded
+
+        rng = np.random.default_rng(17)
+        problems = TestPaddedLssKernels._random_problems(rng, n_problems=7)
+        pts, pairs, dists, weights, cpairs, cvalid = TestPaddedLssKernels._pad(
+            problems, min_spacing_m=6.0
+        )
+        with telemetry.recording() as rec:
+            out, errors, converged = batch_lss_descend_padded(
+                pts, pairs, dists, weights,
+                constraint_pairs=cpairs, constraint_valid=cvalid,
+                min_spacing_m=6.0, step_size=0.02, max_epochs=2000,
+                tolerance=1e-7,
+            )
+        epochs = rec.counters["engine.batch.lss_padded_iterations"]
+        compactions = rec.counters["engine.batch.lss_padded_compactions"]
+        assert compactions == self.PADDED_COMPACTIONS
+        assert sha256_bytes(out, errors, converged, np.array([epochs])) == self.PADDED_PIN
+
+
+def _two_pass_shared_edge(pts_t, edges, constraint_pairs, min_spacing_m, constraint_weight):
+    """Reference: objective and gradient as two separate passes, the
+    gradient scattered by sequential ``np.add.at`` calls on ``i``, ``j``,
+    ``ci`` and ``cj`` (node-major ``(n_nodes, B, 2)`` layout)."""
+    i_idx, j_idx = edges.pairs[:, 0], edges.pairs[:, 1]
+    diff = pts_t[i_idx] - pts_t[j_idx]
+    comp = np.hypot(diff[..., 0], diff[..., 1])
+    value = np.sum(edges.weights[:, None] * (comp - edges.distances[:, None]) ** 2, axis=0)
+    grad_t = np.zeros(pts_t.shape)
+    safe = np.maximum(comp, 1e-12)
+    coeff = (2.0 * edges.weights[:, None]) * (comp - edges.distances[:, None]) / safe
+    contrib = coeff[..., None] * diff
+    np.add.at(grad_t, i_idx, contrib)
+    np.add.at(grad_t, j_idx, -contrib)
+    if min_spacing_m is not None and constraint_pairs is not None and constraint_pairs.size:
+        ci, cj = constraint_pairs[:, 0], constraint_pairs[:, 1]
+        cdiff = pts_t[ci] - pts_t[cj]
+        ccomp = np.hypot(cdiff[..., 0], cdiff[..., 1])
+        violation = np.minimum(ccomp, min_spacing_m) - min_spacing_m
+        value = value + constraint_weight * np.sum(violation**2, axis=0)
+        vcomp = np.maximum(ccomp, 1e-12)
+        vcoeff = 2.0 * constraint_weight * (vcomp - min_spacing_m) / vcomp
+        vcoeff = np.where(ccomp < min_spacing_m, vcoeff, 0.0)
+        vcontrib = vcoeff[..., None] * cdiff
+        np.add.at(grad_t, ci, vcontrib)
+        np.add.at(grad_t, cj, -vcontrib)
+    return value, grad_t
+
+
+def _random_pairs(rng, n_nodes, count):
+    """``count`` pairs of distinct nodes; endpoints and whole pairs repeat."""
+    first = rng.integers(0, n_nodes, count)
+    second = (first + rng.integers(1, n_nodes, count)) % n_nodes
+    return np.stack([first, second], axis=1).astype(np.int64)
+
+
+class TestFusedLssScatterOrder:
+    """The fused body's ordered-bincount scatter adds every gradient
+    bin's terms in the order of sequential ``np.add.at`` calls, so it is
+    bytewise the two-pass reference."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_nodes=st.integers(2, 9),
+        n_configs=st.integers(1, 8),
+        n_edges=st.integers(1, 30),
+        n_constraints=st.integers(0, 20),
+        min_spacing_m=st.sampled_from([None, 0.5, 8.0, 40.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shared_edge_fused_body_is_bytewise_two_pass(
+        self, seed, n_nodes, n_configs, n_edges, n_constraints, min_spacing_m
+    ):
+        from repro.core.measurements import EdgeList
+        from repro.engine.batch import _SharedEdgeLss
+
+        rng = np.random.default_rng(seed)
+        # Few nodes and many pairs: endpoints repeat within and across
+        # the edge and constraint lists.
+        edges = EdgeList(
+            pairs=_random_pairs(rng, n_nodes, n_edges),
+            distances=rng.uniform(0.0, 20.0, n_edges),
+            weights=rng.choice([0.5, 1.0, 2.0], n_edges),
+        )
+        constraints = _random_pairs(rng, n_nodes, n_constraints)
+        configs = rng.uniform(0.0, 20.0, size=(n_configs, n_nodes, 2))
+        pts_t = np.ascontiguousarray(configs.transpose(1, 0, 2))
+        # A spacing of 0.5 m is rarely violated, one of 40 m always is.
+        fused = _SharedEdgeLss(
+            edges, constraints, min_spacing_m, 10.0, n_nodes, n_configs
+        )
+        value, grad_t = fused.value_and_grad(pts_t)
+        ref_value, ref_grad_t = _two_pass_shared_edge(
+            pts_t, edges, constraints, min_spacing_m, 10.0
+        )
+        assert value.tobytes() == ref_value.tobytes()
+        assert grad_t.tobytes() == ref_grad_t.tobytes()
+
+        kwargs = dict(constraint_pairs=constraints, min_spacing_m=min_spacing_m)
+        error = batch_lss_error(configs, edges, **kwargs)
+        grad = batch_lss_gradient(configs, edges, **kwargs)
+        assert error.tobytes() == value.tobytes()
+        assert np.ascontiguousarray(grad.transpose(1, 0, 2)).tobytes() == grad_t.tobytes()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_problems=st.integers(1, 8),
+        min_spacing_m=st.sampled_from([None, 0.5, 8.0, 40.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_padded_fused_body_is_bytewise_two_pass(self, seed, n_problems, min_spacing_m):
+        """Padded family: edge terms then constraint terms, each scattered
+        per coordinate in input order, as the two-pass kernel did."""
+        from repro.engine.batch import (
+            _PaddedLss,
+            batch_lss_error_padded,
+            batch_lss_gradient_padded,
+        )
+
+        rng = np.random.default_rng(seed)
+        n_nodes, n_edges, n_constraints = 6, 12, 8
+        pts = rng.uniform(0.0, 20.0, size=(n_problems, n_nodes, 2))
+        pairs = np.stack([_random_pairs(rng, n_nodes, n_edges) for _ in range(n_problems)])
+        dists = rng.uniform(0.0, 20.0, size=(n_problems, n_edges))
+        weights = rng.choice([0.0, 0.5, 1.0], size=(n_problems, n_edges))
+        cpairs = np.stack([_random_pairs(rng, n_nodes, n_constraints) for _ in range(n_problems)])
+        cvalid = rng.random((n_problems, n_constraints)) < 0.7
+
+        base = np.arange(n_problems)[:, None] * n_nodes
+        flat_pts = pts.reshape(-1, 2)
+        fi, fj = base + pairs[..., 0], base + pairs[..., 1]
+        diff = flat_pts[fi] - flat_pts[fj]
+        comp = np.hypot(diff[..., 0], diff[..., 1])
+        ref_value = np.sum(weights * (comp - dists) ** 2, axis=1)
+        coeff = (2.0 * weights) * (comp - dists) / np.maximum(comp, 1e-12)
+        terms = [(np.concatenate([fi.ravel(), fj.ravel()]), coeff[..., None] * diff)]
+        if min_spacing_m is not None:
+            cfi, cfj = base + cpairs[..., 0], base + cpairs[..., 1]
+            cdiff = flat_pts[cfi] - flat_pts[cfj]
+            ccomp = np.hypot(cdiff[..., 0], cdiff[..., 1])
+            violation = np.where(cvalid, np.minimum(ccomp, min_spacing_m) - min_spacing_m, 0.0)
+            ref_value = ref_value + 10.0 * np.sum(violation**2, axis=1)
+            vcomp = np.maximum(ccomp, 1e-12)
+            vcoeff = 2.0 * 10.0 * (vcomp - min_spacing_m) / vcomp
+            vcoeff = np.where((ccomp < min_spacing_m) & cvalid, vcoeff, 0.0)
+            terms.append((np.concatenate([cfi.ravel(), cfj.ravel()]), vcoeff[..., None] * cdiff))
+        ref_grad = np.zeros_like(flat_pts)
+        for scatter, contrib in terms:
+            flat = contrib.reshape(-1, 2)
+            for axis in range(2):
+                signed = np.concatenate([flat[:, axis], -flat[:, axis]])
+                ref_grad[:, axis] += np.bincount(
+                    scatter, weights=signed, minlength=flat_pts.shape[0]
+                )
+
+        constrained = min_spacing_m is not None
+        fused = _PaddedLss(
+            pairs, dists, weights,
+            cpairs if constrained else None, cvalid if constrained else None,
+            min_spacing_m, 10.0, n_nodes,
+        )
+        value, grad = fused.value_and_grad(pts)
+        assert value.tobytes() == ref_value.tobytes()
+        assert grad.tobytes() == ref_grad.reshape(pts.shape).tobytes()
+
+        kwargs = dict(
+            constraint_pairs=cpairs if constrained else None,
+            constraint_valid=cvalid if constrained else None,
+            min_spacing_m=min_spacing_m,
+        )
+        assert batch_lss_error_padded(pts, pairs, dists, weights, **kwargs).tobytes() == value.tobytes()
+        assert batch_lss_gradient_padded(pts, pairs, dists, weights, **kwargs).tobytes() == grad.tobytes()
