@@ -11,10 +11,7 @@ Subcommands
     (``--store DIR`` / ``--no-store`` / ``--no-cache``), optional
     adaptive early stopping (``--adaptive``), and cross-host sharding
     (``--shard K/N``).  Experiment runs accept only ``--seed``; passing
-    a scenario-only flag with an experiment id is an error.  Both kinds
-    honor ``--array-backend`` (or ``REPRO_ARRAY_BACKEND``) to route the
-    engine kernels through an alternate array namespace; the default
-    ``numpy`` is the byte-exact reference path.
+    a scenario-only flag with an experiment id is an error.
 ``merge <id>``
     Merge an N-shard campaign's published shard entries into the
     canonical full-campaign store entry.
@@ -28,8 +25,8 @@ Subcommands
     filesystem layout, a ``.sqlite``/``.db`` path the SQLite backend.
 ``lint [PATHS...]``
     Statically check source against the repo's invariant rules
-    (global-RNG use, Array-API kernel purity, wall-clock reads, and the
-    rest of RPL001-RPL008 — see ``docs/linting.md``).  With no paths it
+    (global-RNG use, wall-clock reads, unsorted store walks, and the
+    rest of the RPL rules — see ``docs/linting.md``).  With no paths it
     lints the installed ``repro`` package; ``--json`` emits a versioned
     machine-readable report; exit 1 means findings.
 ``trace <subcommand>``
@@ -86,7 +83,6 @@ import sys
 from typing import Optional
 
 from . import telemetry
-from .engine.backend import ARRAY_BACKEND_ENV_VAR, BACKEND_NAMES, get_backend, use_backend
 from .engine.campaign import CampaignResult
 from .engine.scheduler import ConfidenceStop, ScheduledCampaignResult
 from .engine.sharding import ShardSpec
@@ -201,14 +197,6 @@ def _build_parser():
         metavar="PATH",
         help="write a JSONL telemetry trace of this run to PATH (also "
         f"via ${TRACE_ENV_VAR}; inspect with `repro trace summarize`)",
-    )
-    run.add_argument(
-        "--array-backend",
-        default=None,
-        metavar="NAME",
-        help="array namespace for the engine kernels: "
-        f"{', '.join(BACKEND_NAMES)} (also via ${ARRAY_BACKEND_ENV_VAR}; "
-        "default numpy, which is the byte-exact reference path)",
     )
 
     trace = sub.add_parser(
@@ -422,7 +410,7 @@ def _build_parser():
     lint = sub.add_parser(
         "lint",
         help="statically check the repro tree against its invariant rules "
-        "(RPL001-RPL008; see docs/linting.md)",
+        "(RPL rules; see docs/linting.md)",
     )
     lint.add_argument(
         "paths",
@@ -760,35 +748,18 @@ def _resolve_trace_path(args) -> Optional[str]:
     return configured or None
 
 
-def _resolve_array_backend(args) -> Optional[str]:
-    """``--array-backend NAME``, else ``$REPRO_ARRAY_BACKEND`` (empty
-    means unset).  Validated eagerly — an unknown or unavailable name
-    raises :class:`ValidationError` (→ exit 2 via the ``main``
-    backstop) *before* any trial runs, instead of a traceback from the
-    first kernel call deep inside a campaign."""
-    name = getattr(args, "array_backend", None)
-    if name is None:
-        name = os.environ.get(ARRAY_BACKEND_ENV_VAR, "").strip() or None
-    if name is not None:
-        get_backend(name)
-    return name
-
-
 def _cmd_run(args, run_parser) -> int:
-    # The backend scope covers the trace write too: the manifest is
-    # snapshot at write time and must record the run's actual backend.
-    with use_backend(_resolve_array_backend(args)):
-        trace_path = _resolve_trace_path(args)
-        if trace_path is None:
-            return _cmd_run_inner(args, run_parser)
-        with telemetry.recording() as recorder:
-            recorder.set_manifest(
-                argv=["run", args.id], code_version=default_code_version()
-            )
-            code = _cmd_run_inner(args, run_parser)
-            written = recorder.write(trace_path)
-        print(f"trace: {written} records -> {trace_path}")
-        return code
+    trace_path = _resolve_trace_path(args)
+    if trace_path is None:
+        return _cmd_run_inner(args, run_parser)
+    with telemetry.recording() as recorder:
+        recorder.set_manifest(
+            argv=["run", args.id], code_version=default_code_version()
+        )
+        code = _cmd_run_inner(args, run_parser)
+        written = recorder.write(trace_path)
+    print(f"trace: {written} records -> {trace_path}")
+    return code
 
 
 def _cmd_run_inner(args, run_parser) -> int:

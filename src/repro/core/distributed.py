@@ -110,12 +110,6 @@ class DistributedConfig:
         small neighborhood a single uncorroborated garbage range can
         warp the whole local frame; this is the local analogue of the
         paper's cross-node consistency checks.  ``None`` disables.
-    array_backend : str or None
-        Array namespace for the batched kernels (see
-        :mod:`repro.engine.backend`): ``None`` defers to the process
-        default (``repro run --array-backend`` / ``REPRO_ARRAY_BACKEND``
-        / NumPy).  An execution knob like ``solver`` — it never changes
-        results on the NumPy path (determinism guarantee #9).
     """
 
     local_lss: LssConfig = field(
@@ -127,7 +121,6 @@ class DistributedConfig:
     min_spacing_m: Optional[float] = None
     residual_trim_m: Optional[float] = 3.0
     solver: str = "batched"
-    array_backend: Optional[str] = None
 
     def __post_init__(self):
         if self.transform_method not in ("closed_form", "minimize"):
@@ -138,14 +131,6 @@ class DistributedConfig:
             raise ValidationError("tree must be 'bfs' or 'best'")
         if self.solver not in ("batched", "scalar"):
             raise ValidationError("solver must be 'batched' or 'scalar'")
-        if self.array_backend is not None:
-            from ..engine.backend import BACKEND_NAMES
-
-            if self.array_backend not in BACKEND_NAMES:
-                raise ValidationError(
-                    f"array_backend must be one of {BACKEND_NAMES} or None; "
-                    f"got {self.array_backend!r}"
-                )
 
     @property
     def effective_local_lss(self) -> LssConfig:
@@ -347,9 +332,7 @@ def _solve_local_maps_batched(
         )
         for _, members, local_edges in problems
     ]
-    solutions = solve_local_lss_stack(
-        stack, config=lss_config, rng=rng, backend=config.array_backend
-    )
+    solutions = solve_local_lss_stack(stack, config=lss_config, rng=rng)
     positions = [solution.positions for solution in solutions]
 
     if config.residual_trim_m is not None:
@@ -367,9 +350,7 @@ def _solve_local_maps_batched(
                     )
                 )
         if refit_stack:
-            refits = solve_local_lss_stack(
-                refit_stack, config=lss_config, rng=rng, backend=config.array_backend
-            )
+            refits = solve_local_lss_stack(refit_stack, config=lss_config, rng=rng)
             for k, solution in zip(refit_indices, refits):
                 positions[k] = solution.positions
     return positions
@@ -504,9 +485,7 @@ def build_transforms(
             sources[2 * t + 1, :n_shared] = target_a
             targets[2 * t + 1, :n_shared] = source_b
             valid[2 * t : 2 * t + 2, :n_shared] = True
-        estimates = batch_estimator(
-            sources, targets, valid, backend=config.array_backend
-        )
+        estimates = batch_estimator(sources, targets, valid)
         for t, (a, b, _, _) in enumerate(tasks):
             transforms[(a, b)] = estimates[2 * t]
             transforms[(b, a)] = estimates[2 * t + 1]

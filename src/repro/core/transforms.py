@@ -291,8 +291,6 @@ def estimate_transforms_closed_form_batch(
     sources: np.ndarray,
     targets: np.ndarray,
     valid: Optional[np.ndarray] = None,
-    *,
-    backend=None,
 ) -> list:
     """Closed-form transform estimation over a stack of problems.
 
@@ -311,31 +309,13 @@ def estimate_transforms_closed_form_batch(
     keeps the least-error combination; masked statistics (sums over
     valid slots divided by the count) replace the scalar ``np.mean``,
     so results agree with the scalar estimator to floating-point
-    reduction tolerance.  On the default NumPy *backend* the loop below
-    runs unchanged (the pre-seam code path); any other backend
-    dispatches the candidate evaluation to the portable Array-API twin
-    and composes the matrices host-side.  Returns one
-    :class:`TransformEstimate` per problem, in order.
+    reduction tolerance.  Returns one :class:`TransformEstimate` per
+    problem, in order.
     """
     src, tgt, valid, counts = _validate_transform_stacks(sources, targets, valid)
     n_problems = src.shape[0]
     if n_problems == 0:
         return []
-
-    from ..engine.backend import resolve_backend
-
-    be = resolve_backend(backend)
-    if not be.is_native_numpy:
-        from ..engine.xp_kernels import transforms_closed_form_xp
-
-        best_rot, best_theta, best_error, best_reflect = transforms_closed_form_xp(
-            be, src, tgt, valid
-        )
-        cnt = counts.astype(float)
-        mu_src, mu_tgt = _masked_centroids(src, tgt, valid, cnt)
-        return _compose_batch_results(
-            best_rot, best_theta, best_error, best_reflect, mu_src, mu_tgt, counts
-        )
 
     cnt = counts.astype(float)
     vmask = valid[..., None]
@@ -395,7 +375,6 @@ def estimate_transforms_minimize_batch(
     valid: Optional[np.ndarray] = None,
     *,
     newton_steps: int = 3,
-    backend=None,
 ) -> list:
     """Numerical-minimization transform estimation over a stack of problems.
 
@@ -415,84 +394,64 @@ def estimate_transforms_minimize_batch(
     seeding arithmetic.  Per problem the better reflection branch wins,
     matching the scalar Nelder-Mead reference to its convergence
     tolerance (``xatol=1e-10``) — pinned by
-    ``tests/test_backend_parity.py``.
-
-    Runs on any array backend; the arithmetic below is Array-API
-    portable and dispatches through *backend* like the engine kernels.
+    ``tests/test_kernel_pins.py``.
     """
     src, tgt, valid, counts = _validate_transform_stacks(sources, targets, valid)
     n_problems = src.shape[0]
     if n_problems == 0:
         return []
 
-    from ..engine.backend import resolve_backend
-
-    be = resolve_backend(backend)
-    xp = be.xp
-    atan2 = getattr(xp, "atan2", None) or xp.arctan2
-
-    cnt_host = counts.astype(float)
-    mu_src, mu_tgt = _masked_centroids(src, tgt, valid, cnt_host)
-    u_host = np.where(valid, src[..., 0] - mu_src[:, 0:1], 0.0)
-    v_host = np.where(valid, src[..., 1] - mu_src[:, 1:2], 0.0)
-    x_host = np.where(valid, tgt[..., 0] - mu_tgt[:, 0:1], 0.0)
-    y_host = np.where(valid, tgt[..., 1] - mu_tgt[:, 1:2], 0.0)
-    u = be.asarray(u_host)
-    v = be.asarray(v_host)
-    x = be.asarray(x_host)
-    y = be.asarray(y_host)
+    cnt = counts.astype(float)
+    mu_src, mu_tgt = _masked_centroids(src, tgt, valid, cnt)
+    u = np.where(valid, src[..., 0] - mu_src[:, 0:1], 0.0)
+    v = np.where(valid, src[..., 1] - mu_src[:, 1:2], 0.0)
+    x = np.where(valid, tgt[..., 0] - mu_tgt[:, 0:1], 0.0)
+    y = np.where(valid, tgt[..., 1] - mu_tgt[:, 1:2], 0.0)
     # Squared norms of the centered sets: the theta-independent term.
-    const = xp.sum(u * u + v * v + x * x + y * y, axis=1)
+    const = np.sum(u * u + v * v + x * x + y * y, axis=1)
 
-    inf = xp.full(const.shape, float("inf"), dtype=xp.float64)
-    best_error = inf
-    best_theta = xp.zeros(const.shape, dtype=xp.float64)
-    best_reflect = xp.zeros(const.shape, dtype=xp.float64)
+    best_error = np.full(n_problems, np.inf)
+    best_theta = np.zeros(n_problems)
+    best_reflect = np.zeros(n_problems, dtype=bool)
 
     for reflect in (False, True):
         v_eff = -v if reflect else v
-        p_coef = xp.sum(x * u + y * v_eff, axis=1)
-        q_coef = xp.sum(x * v_eff - y * u, axis=1)
-        theta = atan2(q_coef, p_coef)
+        p_coef = np.sum(x * u + y * v_eff, axis=1)
+        q_coef = np.sum(x * v_eff - y * u, axis=1)
+        theta = np.arctan2(q_coef, p_coef)
         for _ in range(max(0, int(newton_steps))):
             # dE/dtheta = 2 (P sin - Q cos); d2E/dtheta2 = 2 (P cos + Q sin).
-            d1 = p_coef * xp.sin(theta) - q_coef * xp.cos(theta)
-            d2 = p_coef * xp.cos(theta) + q_coef * xp.sin(theta)
-            safe = xp.where(
-                xp.abs(d2) > 1e-300, d2, xp.full(d2.shape, 1.0, dtype=d2.dtype)
-            )
+            d1 = p_coef * np.sin(theta) - q_coef * np.cos(theta)
+            d2 = p_coef * np.cos(theta) + q_coef * np.sin(theta)
+            safe = np.where(np.abs(d2) > 1e-300, d2, 1.0)
             theta = theta - d1 / safe
-        error = const - 2.0 * (p_coef * xp.cos(theta) + q_coef * xp.sin(theta))
+        error = const - 2.0 * (p_coef * np.cos(theta) + q_coef * np.sin(theta))
         better = error < best_error
-        best_error = xp.where(better, error, best_error)
-        best_theta = xp.where(better, theta, best_theta)
-        best_reflect = xp.where(
-            better, xp.full(const.shape, 1.0 if reflect else 0.0), best_reflect
-        )
+        best_error = np.where(better, error, best_error)
+        best_theta = np.where(better, theta, best_theta)
+        best_reflect = np.where(better, reflect, best_reflect)
 
-    theta_host = be.to_numpy(best_theta)
-    reflect_host = be.to_numpy(best_reflect) > 0.5
     # Rebuild the winning rotation blocks and the *exact* residual error
-    # host-side (the sinusoid form above is algebraically equal but
-    # accumulates differently; reporting the literal residual keeps the
-    # scalar path's error semantics).
-    c = np.cos(theta_host)
-    s = np.sin(theta_host)
-    f = np.where(reflect_host, -1.0, 1.0)
+    # (the sinusoid form above is algebraically equal but accumulates
+    # differently; reporting the literal residual keeps the scalar
+    # path's error semantics).
+    c = np.cos(best_theta)
+    s = np.sin(best_theta)
+    f = np.where(best_reflect, -1.0, 1.0)
     best_rot = np.empty((n_problems, 2, 2))
     best_rot[:, 0, 0] = c
     best_rot[:, 0, 1] = -s
     best_rot[:, 1, 0] = f * s
     best_rot[:, 1, 1] = f * c
-    centered = np.stack([u_host, v_host], axis=-1)
+    centered = np.stack([u, v], axis=-1)
     mapped = np.einsum("psi,pij->psj", centered, best_rot)
     residual = np.where(
         valid[..., None], mapped + mu_tgt[:, None, :] - tgt, 0.0
     )
-    best_error_host = np.einsum("psi,psi->p", residual, residual)
+    residual_error = np.einsum("psi,psi->p", residual, residual)
 
     return _compose_batch_results(
-        best_rot, theta_host, best_error_host, reflect_host, mu_src, mu_tgt, counts
+        best_rot, best_theta, residual_error, best_reflect, mu_src, mu_tgt, counts
     )
 
 

@@ -28,9 +28,6 @@ This subsystem provides the batched substrate those campaigns run on:
     master seed, and per-metric statistics are aggregated in trial
     order so results are reproducible bit-for-bit regardless of worker
     count.
-:mod:`repro.engine.trials`
-    Ready-made, picklable trial functions (multilateration, LSS, APS)
-    for campaigns.
 :mod:`repro.engine.scheduler`
     The adaptive sibling of the campaign runner: trial chunks stream
     through the pool and the campaign stops early once a
@@ -67,16 +64,6 @@ solver tolerance instead (``tests/test_distributed.py``).  The scalar
 paths stay in the tree precisely to keep these contracts testable.
 """
 
-from .backend import (
-    ARRAY_BACKEND_ENV_VAR,
-    ArrayBackend,
-    available_backends,
-    default_backend_name,
-    get_backend,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
 from .batch import (
     batch_gradient_descent,
     batch_lss_descend,
@@ -107,14 +94,6 @@ from .sharding import (
 )
 
 __all__ = [
-    "ARRAY_BACKEND_ENV_VAR",
-    "ArrayBackend",
-    "available_backends",
-    "default_backend_name",
-    "get_backend",
-    "resolve_backend",
-    "set_default_backend",
-    "use_backend",
     "batch_gradient_descent",
     "batch_lss_descend",
     "batch_lss_descend_padded",

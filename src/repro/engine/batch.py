@@ -35,13 +35,10 @@ equivalence tests in ``tests/test_engine_batch.py`` and
 from the scalar one only by floating-point reduction error, never by
 algorithm.
 
-Every public kernel takes a ``backend`` argument (a name, an
-:class:`~repro.engine.backend.ArrayBackend`, or ``None`` for the
-process default).  On the default NumPy backend the kernel body below
-runs unchanged — the exact pre-seam code path, byte-identical outputs
-(determinism guarantee #9).  Any other backend dispatches to the
-portable Array-API twins in :mod:`repro.engine.xp_kernels`, which
-agree to floating-point tolerance (``tests/test_backend_parity.py``).
+There is one body per kernel, and it is NumPy.  The scalar references
+above survive only as test oracles; the golden SHA-256 pins in
+``tests/test_kernel_pins.py`` and ``tests/test_engine_batch.py`` freeze
+the kernels' output bytes.
 """
 
 from __future__ import annotations
@@ -54,8 +51,6 @@ import numpy as np
 
 from .. import telemetry
 from ..errors import ValidationError
-from . import xp_kernels
-from .backend import resolve_backend
 
 __all__ = [
     "batch_gradient_descent",
@@ -206,7 +201,6 @@ def batch_gradient_descent(
     step_size: float = 0.1,
     max_iterations: int = 2000,
     tolerance: float = 1e-9,
-    backend=None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Adaptive gradient descent over a batch of multilateration problems.
 
@@ -228,21 +222,6 @@ def batch_gradient_descent(
     or step < 1e-12) on its own adaptive step size; finished problems
     are compacted out of the working batch.
     """
-    be = resolve_backend(backend)
-    if not be.is_native_numpy:
-        pos, res, iterations = xp_kernels.gd_descent_xp(
-            be,
-            np.asarray(anchors, dtype=float),
-            np.asarray(dists, dtype=float),
-            np.asarray(weights, dtype=float),
-            np.asarray(valid, dtype=bool),
-            np.asarray(initial, dtype=float),
-            step_size=step_size,
-            max_iterations=max_iterations,
-            tolerance=tolerance,
-        )
-        _count_kernel("gd", pos.shape[0], iterations, 0)
-        return pos, res
     total = anchors.shape[0]
     pos_out = np.empty((total, 2))
     res_out = np.empty(total)
@@ -450,7 +429,6 @@ def solve_multilateration_batch(
     step_size: float = 0.1,
     max_iterations: int = 2000,
     tolerance: float = 1e-9,
-    backend=None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve a batch of heterogeneous multilateration problems at once.
 
@@ -519,9 +497,6 @@ def solve_multilateration_batch(
         (totals > 0)[:, None], weighted / np.maximum(totals, 1e-300)[:, None], plain_mean
     )
 
-    # Stacking, the consistency filter, collinearity rejection, and the
-    # centroid init are one-shot setup and stay host-side NumPy for
-    # every backend; only the descent loop dispatches.
     pos, res = batch_gradient_descent(
         sub_anchors,
         sub_dists,
@@ -531,7 +506,6 @@ def solve_multilateration_batch(
         step_size=step_size,
         max_iterations=max_iterations,
         tolerance=tolerance,
-        backend=backend,
     )
     positions[solvable] = pos
     residuals[solvable] = res
@@ -666,7 +640,6 @@ def batch_lss_error(
     constraint_pairs: Optional[np.ndarray] = None,
     min_spacing_m: Optional[float] = None,
     constraint_weight: float = 10.0,
-    backend=None,
 ) -> np.ndarray:
     """LSS objective ``E`` for stacked configurations, shape (B,).
 
@@ -674,11 +647,6 @@ def batch_lss_error(
     the same reduction as :func:`repro.core.lss.lss_error`.
     """
     pts = np.asarray(configs, dtype=float)
-    be = resolve_backend(backend)
-    if not be.is_native_numpy:
-        return xp_kernels.lss_error_xp(
-            be, pts, edges, constraint_pairs, min_spacing_m, constraint_weight
-        )
     return _shared_edge_value_and_grad(
         pts, edges, constraint_pairs, min_spacing_m, constraint_weight
     )[0]
@@ -691,7 +659,6 @@ def batch_lss_gradient(
     constraint_pairs: Optional[np.ndarray] = None,
     min_spacing_m: Optional[float] = None,
     constraint_weight: float = 10.0,
-    backend=None,
 ) -> np.ndarray:
     """Gradient of the LSS objective for stacked configurations.
 
@@ -700,11 +667,6 @@ def batch_lss_gradient(
     :func:`repro.core.lss.lss_gradient`.
     """
     pts = np.asarray(configs, dtype=float)
-    be = resolve_backend(backend)
-    if not be.is_native_numpy:
-        return xp_kernels.lss_gradient_xp(
-            be, pts, edges, constraint_pairs, min_spacing_m, constraint_weight
-        )
     return _shared_edge_value_and_grad(
         pts, edges, constraint_pairs, min_spacing_m, constraint_weight
     )[1]
@@ -724,7 +686,6 @@ def batch_lss_descend(
     traces: Optional[List[List[float]]] = None,
     momentum: float = 0.9,
     patience: int = 50,
-    backend=None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One momentum-gradient-descent round over stacked configurations.
 
@@ -758,25 +719,6 @@ def batch_lss_descend(
 
     Returns ``(configs (B, n, 2), errors (B,), converged (B,))``.
     """
-    be = resolve_backend(backend)
-    if not be.is_native_numpy:
-        pts, current, converged, epochs = xp_kernels.lss_descend_xp(
-            be,
-            np.asarray(configs, dtype=float),
-            edges,
-            constraint_pairs,
-            min_spacing_m=min_spacing_m,
-            constraint_weight=constraint_weight,
-            step_size=step_size,
-            max_epochs=max_epochs,
-            tolerance=tolerance,
-            free_mask=np.asarray(free_mask, dtype=bool),
-            traces=traces,
-            momentum=momentum,
-            patience=patience,
-        )
-        _count_kernel("lss", pts.shape[0], epochs)
-        return pts, current, converged
     pts_t = np.asarray(configs, dtype=float).transpose(1, 0, 2).copy()
     n_nodes, n_batch = pts_t.shape[:2]
     lss = _SharedEdgeLss(
@@ -1000,7 +942,6 @@ def batch_lss_error_padded(
     constraint_valid: Optional[np.ndarray] = None,
     min_spacing_m: Optional[float] = None,
     constraint_weight: float = 10.0,
-    backend=None,
 ) -> np.ndarray:
     """LSS objective for a batch of *heterogeneous* problems, shape (B,).
 
@@ -1028,13 +969,6 @@ def batch_lss_error_padded(
     """
     pts = np.asarray(configs, dtype=float)
     _require_constraint_mask(constraint_pairs, constraint_valid)
-    be = resolve_backend(backend)
-    if not be.is_native_numpy:
-        return xp_kernels.lss_error_padded_xp(
-            be, pts, np.asarray(pairs), np.asarray(dists, dtype=float),
-            np.asarray(weights, dtype=float),
-            constraint_pairs, constraint_valid, min_spacing_m, constraint_weight,
-        )
     return _padded_value_and_grad(
         pts, pairs, dists, weights, constraint_pairs, constraint_valid,
         min_spacing_m, constraint_weight,
@@ -1051,7 +985,6 @@ def batch_lss_gradient_padded(
     constraint_valid: Optional[np.ndarray] = None,
     min_spacing_m: Optional[float] = None,
     constraint_weight: float = 10.0,
-    backend=None,
 ) -> np.ndarray:
     """Gradient of the heterogeneous LSS objective, shape (B, N, 2).
 
@@ -1061,13 +994,6 @@ def batch_lss_gradient_padded(
     """
     pts = np.asarray(configs, dtype=float)
     _require_constraint_mask(constraint_pairs, constraint_valid)
-    be = resolve_backend(backend)
-    if not be.is_native_numpy:
-        return xp_kernels.lss_gradient_padded_xp(
-            be, pts, np.asarray(pairs), np.asarray(dists, dtype=float),
-            np.asarray(weights, dtype=float),
-            constraint_pairs, constraint_valid, min_spacing_m, constraint_weight,
-        )
     return _padded_value_and_grad(
         pts, pairs, dists, weights, constraint_pairs, constraint_valid,
         min_spacing_m, constraint_weight,
@@ -1089,7 +1015,6 @@ def batch_lss_descend_padded(
     tolerance: float = 1e-7,
     momentum: float = 0.9,
     patience: int = 50,
-    backend=None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One momentum-descent round over a batch of heterogeneous problems.
 
@@ -1117,26 +1042,6 @@ def batch_lss_descend_padded(
     slow neighborhoods do not drag the whole stack's per-epoch cost.
     """
     _require_constraint_mask(constraint_pairs, constraint_valid)
-    be = resolve_backend(backend)
-    if not be.is_native_numpy:
-        out_pts, out_err, out_conv, epochs = xp_kernels.lss_descend_padded_xp(
-            be,
-            np.asarray(configs, dtype=float),
-            np.asarray(pairs),
-            np.asarray(dists, dtype=float),
-            np.asarray(weights, dtype=float),
-            constraint_pairs=constraint_pairs,
-            constraint_valid=constraint_valid,
-            min_spacing_m=min_spacing_m,
-            constraint_weight=constraint_weight,
-            step_size=step_size,
-            max_epochs=max_epochs,
-            tolerance=tolerance,
-            momentum=momentum,
-            patience=patience,
-        )
-        _count_kernel("lss_padded", out_pts.shape[0], epochs, 0)
-        return out_pts, out_err, out_conv
     pts = np.array(configs, dtype=float)
     total, n_nodes = pts.shape[:2]
     pts_out = pts.copy()
@@ -1211,7 +1116,6 @@ def lss_localize_multistart(
     seeds: Sequence,
     initial: Optional[np.ndarray] = None,
     fixed_positions: Optional[Dict[int, Sequence[float]]] = None,
-    backend=None,
 ) -> list:
     """Run independent seeded LSS minimizations in vectorized lockstep.
 
@@ -1284,7 +1188,7 @@ def lss_localize_multistart(
     traces: List[List[float]] = [[] for _ in range(n_batch)]
     boundaries: List[List[int]] = [[] for _ in range(n_batch)]
     best_pts = pts.copy()
-    best_error = batch_lss_error(pts, edges, backend=backend, **kwargs)
+    best_error = batch_lss_error(pts, edges, **kwargs)
     converged = np.zeros(n_batch, dtype=bool)
     for round_index in range(config.restarts):
         for b in range(n_batch):
@@ -1310,7 +1214,6 @@ def lss_localize_multistart(
             tolerance=config.tolerance,
             free_mask=free_mask,
             traces=traces,
-            backend=backend,
         )
         better = out_error < best_error
         best_pts = np.where(better[:, None, None], out_pts, best_pts)

@@ -20,7 +20,8 @@ that shape of workload:
 
 Trial functions must be module-level callables (picklable for the
 pool) with signature ``trial_fn(rng, **trial_kwargs) -> Mapping[str,
-float]``; :mod:`repro.engine.trials` ships ready-made ones.
+float]``; :func:`repro.scenarios.scenario_trial` is the one every
+registered scenario runs through.
 """
 
 from __future__ import annotations

@@ -84,7 +84,6 @@ def solve_local_lss_stack(
     *,
     config=None,
     rng=None,
-    backend=None,
 ) -> List[LocalLssSolution]:
     """Solve a batch of variable-size LSS problems in lockstep.
 
@@ -95,11 +94,6 @@ def solve_local_lss_stack(
     :mod:`repro.engine.batch`).  All problems advance through
     ``config.restarts`` perturbation rounds together; per round the
     whole stack runs one :func:`batch_lss_descend_padded` call.
-
-    *backend* selects the array namespace for the stacked descent
-    (name, :class:`~repro.engine.backend.ArrayBackend`, or ``None`` for
-    the process default); RNG consumption, padding, and solution
-    selection stay host-side and backend-independent.
 
     Returns one :class:`LocalLssSolution` per problem, in order.
     """
@@ -197,9 +191,7 @@ def solve_local_lss_stack(
     best = np.zeros((n_problems, max_nodes, 2))
     for k, init in enumerate(initials):
         best[k, : sizes[k]] = init
-    best_error = batch_lss_error_padded(
-        best, pairs, dists, weights, backend=backend, **kwargs
-    )
+    best_error = batch_lss_error_padded(best, pairs, dists, weights, **kwargs)
     converged = np.zeros(n_problems, dtype=bool)
     for round_index in range(config.restarts):
         if round_index == 0:
@@ -216,7 +208,6 @@ def solve_local_lss_stack(
             step_size=config.step_size,
             max_epochs=config.max_epochs,
             tolerance=config.tolerance,
-            backend=backend,
             **kwargs,
         )
         better = out_error < best_error
@@ -226,7 +217,7 @@ def solve_local_lss_stack(
     telemetry.count("engine.localmaps.stacks", 1)
     telemetry.count("engine.localmaps.problems", n_problems)
     telemetry.count("engine.localmaps.rounds", config.restarts)
-    stress = batch_lss_error_padded(best, pairs, dists, weights, backend=backend)
+    stress = batch_lss_error_padded(best, pairs, dists, weights)
     return [
         LocalLssSolution(
             positions=best[k, : sizes[k]].copy(),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import PurePosixPath
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 __all__ = ["RawFinding", "LintRule", "RULES", "register"]
 
@@ -115,17 +115,6 @@ def _path_has_dir(relpath: str, directory: str) -> bool:
     return directory in PurePosixPath(relpath).parts[:-1]
 
 
-def _filename(relpath: str) -> str:
-    return PurePosixPath(relpath).name
-
-
-def _subscript_root(node: ast.AST) -> Optional[str]:
-    """The root Name of a ``a[i][j]``/``a.b[i]`` chain."""
-    while isinstance(node, (ast.Subscript, ast.Attribute)):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
-
-
 # ---------------------------------------------------------------------------
 # RPL001 — no global-RNG APIs
 # ---------------------------------------------------------------------------
@@ -215,186 +204,6 @@ class GlobalRNGRule(LintRule):
                                 "RNG; thread a Generator/SeedSequence",
                             )
                         )
-        return findings
-
-
-# ---------------------------------------------------------------------------
-# RPL002 — Array-API kernel purity
-# ---------------------------------------------------------------------------
-
-
-class _XpTaintVisitor:
-    """Function-local taint: names bound to arrays produced by the
-    ``xp``/``backend`` namespace.  Mutating such a name in place breaks
-    the portable-kernel contract (immutable-array namespaces like JAX,
-    guarantee #9)."""
-
-    #: Backend attributes whose result is a *host* numpy array again.
-    _HOST_TRANSFER = {"to_host"}
-
-    def __init__(self) -> None:
-        self.findings: List[RawFinding] = []
-
-    def run(self, body: Sequence[ast.stmt]) -> None:
-        self._block(body, set())
-
-    # -- taint of an expression ----------------------------------------
-
-    def _tainted(self, node: ast.AST, tainted: Set[str]) -> bool:
-        if isinstance(node, ast.Name):
-            return node.id in tainted
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute):
-                root = _subscript_root(func)
-                if root in ("xp",) or root in tainted:
-                    return True
-                if root == "backend" and func.attr not in self._HOST_TRANSFER:
-                    return True
-            return any(self._tainted(arg, tainted) for arg in node.args)
-        if isinstance(node, ast.Attribute):
-            if isinstance(node.value, ast.Name) and node.value.id == "backend":
-                return True  # e.g. `xp = backend.xp`
-            return self._tainted(node.value, tainted)
-        if isinstance(node, ast.BinOp):
-            return self._tainted(node.left, tainted) or self._tainted(
-                node.right, tainted
-            )
-        if isinstance(node, ast.UnaryOp):
-            return self._tainted(node.operand, tainted)
-        if isinstance(node, (ast.Compare,)):
-            return self._tainted(node.left, tainted) or any(
-                self._tainted(c, tainted) for c in node.comparators
-            )
-        if isinstance(node, ast.BoolOp):
-            return any(self._tainted(v, tainted) for v in node.values)
-        if isinstance(node, ast.IfExp):
-            return self._tainted(node.body, tainted) or self._tainted(
-                node.orelse, tainted
-            )
-        if isinstance(node, ast.Subscript):
-            return self._tainted(node.value, tainted)
-        if isinstance(node, ast.Starred):
-            return self._tainted(node.value, tainted)
-        # Container literals (dict/list/tuple/set) do NOT propagate:
-        # staging a tainted array inside a dict is host bookkeeping.
-        return False
-
-    # -- statement walk ------------------------------------------------
-
-    def _taint_targets(self, target: ast.AST, tainted: Set[str]) -> None:
-        if isinstance(target, ast.Name):
-            tainted.add(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._taint_targets(element, tainted)
-
-    def _block(self, body: Sequence[ast.stmt], tainted: Set[str]) -> None:
-        for stmt in body:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Subscript):
-                        root = _subscript_root(target)
-                        if root is not None and root in tainted:
-                            self.findings.append(
-                                RawFinding(
-                                    stmt.lineno,
-                                    stmt.col_offset,
-                                    f"in-place subscript assignment to Array-API "
-                                    f"array {root!r}; use xp.where(...) selection",
-                                )
-                            )
-                if self._tainted(stmt.value, tainted):
-                    for target in stmt.targets:
-                        self._taint_targets(target, tainted)
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                if self._tainted(stmt.value, tainted):
-                    self._taint_targets(stmt.target, tainted)
-            elif isinstance(stmt, ast.AugAssign):
-                target = stmt.target
-                root = (
-                    target.id
-                    if isinstance(target, ast.Name)
-                    else _subscript_root(target)
-                )
-                if root is not None and root in tainted:
-                    self.findings.append(
-                        RawFinding(
-                            stmt.lineno,
-                            stmt.col_offset,
-                            f"augmented assignment mutates Array-API array "
-                            f"{root!r} in place; rebind via xp ops instead",
-                        )
-                    )
-            elif isinstance(stmt, ast.For):
-                if self._tainted(stmt.iter, tainted):
-                    self._taint_targets(stmt.target, tainted)
-                self._block(stmt.body, tainted)
-                self._block(stmt.orelse, tainted)
-            elif isinstance(stmt, ast.While):
-                self._block(stmt.body, tainted)
-                self._block(stmt.orelse, tainted)
-            elif isinstance(stmt, ast.If):
-                self._block(stmt.body, tainted)
-                self._block(stmt.orelse, tainted)
-            elif isinstance(stmt, ast.With):
-                self._block(stmt.body, tainted)
-            elif isinstance(stmt, ast.Try):
-                self._block(stmt.body, tainted)
-                for handler in stmt.handlers:
-                    self._block(handler.body, tainted)
-                self._block(stmt.orelse, tainted)
-                self._block(stmt.finalbody, tainted)
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._block(stmt.body, set(tainted))
-
-
-@register
-class XpKernelPurityRule(LintRule):
-    """Guarantee #9: the portable kernels in ``engine/xp_kernels.py``
-    stay on the Array-API standard surface — no direct numpy imports
-    (host staging excepted via an inline suppression that says so) and
-    no in-place mutation of arrays produced by the ``xp`` namespace."""
-
-    code = "RPL002"
-    name = "xp-kernel-purity"
-    summary = (
-        "xp_kernels.py: no direct numpy import, no in-place mutation "
-        "of xp-namespace arrays"
-    )
-
-    def applies_to(self, relpath: str) -> bool:
-        return _filename(relpath) == "xp_kernels.py"
-
-    def check(self, tree, source, relpath):
-        findings: List[RawFinding] = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "numpy" or alias.name.startswith("numpy."):
-                        findings.append(
-                            RawFinding(
-                                node.lineno,
-                                node.col_offset,
-                                "Array-API kernels must not import numpy "
-                                "directly; compute through the xp namespace",
-                            )
-                        )
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                if node.module and (
-                    node.module == "numpy" or node.module.startswith("numpy.")
-                ):
-                    findings.append(
-                        RawFinding(
-                            node.lineno,
-                            node.col_offset,
-                            "Array-API kernels must not import numpy "
-                            "directly; compute through the xp namespace",
-                        )
-                    )
-        visitor = _XpTaintVisitor()
-        visitor.run(tree.body)
-        findings.extend(visitor.findings)
         return findings
 
 

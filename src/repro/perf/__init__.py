@@ -14,8 +14,8 @@ This package closes the loop:
   ``full``) reusing the scenario runner and experiment drivers.
 - :mod:`repro.perf.bench` — the harness: store-isolated
   median-of-k timings plus key telemetry counters per workload,
-  serialized with the run manifest (host, python, array backend, code
-  version, spec hashes) embedded.
+  serialized with the run manifest (host, python, code version, spec
+  hashes) embedded.
 - :mod:`repro.perf.history` — append/list bench records in a history
   directory, with a per-workload trajectory rendering.
 - :mod:`repro.perf.regression` — noise-aware baseline comparison with

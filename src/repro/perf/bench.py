@@ -150,7 +150,7 @@ def run_suite(
 
     The record label defaults to the suite name.  The embedded manifest
     carries the environment fields (host, python, numpy, repro version,
-    array backend, code version) plus the suite name, repeat count, and
+    code version) plus the suite name, repeat count, and
     the spec hash of every scenario workload — so a regression check
     can tell "the code got slower" apart from "the workload changed".
     """

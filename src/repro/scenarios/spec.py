@@ -69,10 +69,7 @@ __all__ = [
 #: pin assume exactly these fields are cosmetic.  The lint rule RPL006
 #: cross-checks this registry against the pops in ``canonical()`` so
 #: neither side can drift alone.
-HASH_EXCLUDED_FIELDS = (
-    "scenario_id",
-    "solver.array_backend",
-)
+HASH_EXCLUDED_FIELDS = ("scenario_id",)
 
 #: Deployment generators a :class:`DeploymentSpec` may name.
 DEPLOYMENT_KINDS = ("uniform", "grid", "paper-grid", "town", "parking-lot")
@@ -205,13 +202,6 @@ class SolverSpec:
     "distributed-lss" maps it to the engine's "batched" path, with
     "scalar" selecting the per-problem reference), so two specs
     describing the same physics always hash identically.
-
-    ``array_backend`` picks the array namespace the engine kernels
-    compute with (:mod:`repro.engine.backend`; ``None`` defers to the
-    process default).  It is an *execution* knob like ``workers`` —
-    never physics — so it is excluded from the canonical form and the
-    spec hash: a CuPy run and a NumPy run of the same scenario share
-    one store entry (tolerance-parity results, guarantee #9).
     """
 
     algorithm: str = "multilateration"
@@ -220,7 +210,6 @@ class SolverSpec:
     constraint_weight: float = 10.0
     restarts: int = 4
     max_epochs: int = 800
-    array_backend: Optional[str] = None
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -241,14 +230,6 @@ class SolverSpec:
             raise ValidationError("restarts must be >= 1")
         if self.max_epochs < 1:
             raise ValidationError("max_epochs must be >= 1")
-        if self.array_backend is not None:
-            from ..engine.backend import BACKEND_NAMES
-
-            if self.array_backend not in BACKEND_NAMES:
-                raise ValidationError(
-                    f"array_backend must be one of {BACKEND_NAMES} or None; "
-                    f"got {self.array_backend!r}"
-                )
 
 
 @dataclass(frozen=True)
@@ -289,16 +270,9 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
 
     def canonical(self) -> Dict[str, Any]:
-        """Nested plain-dict form with the cosmetic id stripped.
-
-        ``solver.array_backend`` is stripped too: like worker count it
-        only chooses *where* the arithmetic runs, so it must not move
-        the content address (store entries and shard keys stay shared
-        across backends).
-        """
+        """Nested plain-dict form with the cosmetic id stripped."""
         payload = dataclasses.asdict(self)
         payload.pop("scenario_id")
-        payload["solver"].pop("array_backend")
         return payload
 
     def canonical_json(self) -> str:

@@ -30,7 +30,6 @@ from ..core import (
     lss_localize,
 )
 from ..core.aps import dv_hop_localize
-from ..engine.backend import use_backend
 from ..errors import GraphDisconnectedError, InsufficientDataError
 from ..deploy import (
     boundary_anchors,
@@ -140,7 +139,6 @@ def _distributed_lss_trial(positions, ranges, spec: ScenarioSpec, rng) -> Dict[s
         ),
         min_spacing_m=spec.solver.min_spacing_m,
         solver=spec.solver.backend,
-        array_backend=spec.solver.array_backend,
     )
     centroid = positions.mean(axis=0)
     root = int(np.argmin(np.hypot(*(positions - centroid).T)))
@@ -169,21 +167,10 @@ def scenario_trial(rng, *, spec: ScenarioSpec) -> Dict[str, float]:
 
     Returns at least ``fraction_localized`` / ``mean_error_m`` /
     ``median_error_m`` (nan on degenerate draws — no edges, nothing to
-    localize — so campaigns aggregate rather than crash), plus
+    localize, too few reachable anchors for DV-hop — so campaigns
+    aggregate rather than crash), plus
     algorithm-specific extras.
-
-    The spec's ``solver.array_backend`` is installed as the process
-    default for the duration of the trial (``use_backend``), so the
-    knob rides the picklable spec into campaign workers and every
-    engine kernel the solve touches dispatches accordingly; ``None``
-    leaves the ambient default (CLI flag / ``REPRO_ARRAY_BACKEND`` /
-    NumPy) in place.
     """
-    with use_backend(spec.solver.array_backend):
-        return _scenario_trial_impl(rng, spec=spec)
-
-
-def _scenario_trial_impl(rng, *, spec: ScenarioSpec) -> Dict[str, float]:
     positions = draw_deployment(spec.deployment, rng)
     ranges = draw_ranges(spec.ranging, positions, rng)
     anchor_idx = select_anchors(spec.anchors, positions, rng)
@@ -218,9 +205,14 @@ def _scenario_trial_impl(rng, *, spec: ScenarioSpec) -> Dict[str, float]:
             ranges, anchor_positions, n_nodes, solver=spec.solver.backend
         )
     else:  # dv-hop
-        result = dv_hop_localize(
-            ranges, anchor_positions, n_nodes, solver=spec.solver.backend
-        )
+        try:
+            result = dv_hop_localize(
+                ranges, anchor_positions, n_nodes, solver=spec.solver.backend
+            )
+        except InsufficientDataError:
+            # Fewer than three anchors, or no anchor reaches another:
+            # DV-hop cannot calibrate its hop length on this draw.
+            return _nan_metrics()
     non_anchor = ~result.is_anchor
     localized = result.localized & non_anchor
     report = evaluate_localization(result.positions[localized], positions[localized])

@@ -29,7 +29,6 @@ def base_manifest(now: Optional[float] = None) -> Dict[str, Any]:
     import numpy
 
     from .. import __version__
-    from ..engine.backend import default_backend_name
 
     return {
         "created_unix": time.time() if now is None else float(now),
@@ -39,8 +38,4 @@ def base_manifest(now: Optional[float] = None) -> Dict[str, Any]:
         "numpy": numpy.__version__,
         "repro_version": __version__,
         "pid": os.getpid(),
-        # Which array namespace did the arithmetic (guarantee #9):
-        # manifests are snapshot at write time, inside the CLI's
-        # use_backend scope, so this reflects the run's actual backend.
-        "array_backend": default_backend_name(),
     }

@@ -1,12 +1,12 @@
-"""Seeded kernel inputs shared by the backend parity harness.
+"""Seeded kernel inputs shared by the golden byte pins.
 
-The differential tests in ``tests/test_backend_parity.py`` and the
-pre-seam golden byte pins both need the *same* deterministic problem
+The pins in ``tests/test_kernel_pins.py`` and the LSS descent byte pins
+in ``tests/test_engine_batch.py`` need the *same* deterministic problem
 stacks: each builder here derives every array from a fixed
 ``numpy.random.default_rng`` seed, so the inputs are bit-identical
 across processes, test runs, and the pin-generation script that froze
-the pre-seam hashes.  Keep these builders pure (no global state, no
-time, no platform queries) — the byte pins depend on it.
+the hashes.  Keep these builders pure (no global state, no time, no
+platform queries) — the byte pins depend on it.
 """
 
 from __future__ import annotations

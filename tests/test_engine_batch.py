@@ -28,7 +28,7 @@ from repro.engine.batch import (
 from repro.errors import ValidationError
 from repro.ranging import gaussian_ranges
 
-from _backend_fixtures import sha256_bytes
+from _kernel_fixtures import sha256_bytes
 
 
 def _layout(kind: str, rng):

@@ -37,8 +37,8 @@ def check(source, relpath="module.py", config=STRICT):
 
 
 class TestRegistry:
-    def test_ships_the_eight_documented_rules(self):
-        assert sorted(RULES) == [f"RPL00{i}" for i in range(1, 9)]
+    def test_ships_the_seven_documented_rules(self):
+        assert sorted(RULES) == [f"RPL00{i}" for i in (1, 3, 4, 5, 6, 7, 8)]
 
     def test_every_rule_has_name_and_summary(self):
         for code, rule in RULES.items():
@@ -76,59 +76,6 @@ class TestRPL001GlobalRNG:
     def test_resolves_import_alias(self):
         bad = "import numpy\nx = numpy.random.uniform()\n"
         assert codes(check(bad)) == ["RPL001"]
-
-
-class TestRPL002XpKernelPurity:
-    RELPATH = "engine/xp_kernels.py"
-
-    def test_flags_numpy_import_in_kernels_module(self):
-        assert codes(check("import numpy as np\n", self.RELPATH)) == ["RPL002"]
-        assert codes(check("from numpy import hypot\n", self.RELPATH)) == ["RPL002"]
-
-    def test_flags_inplace_augassign_on_xp_array(self):
-        bad = (
-            "def kernel(xp, a):\n"
-            "    pos = xp.zeros((4, 2))\n"
-            "    pos += a\n"
-            "    return pos\n"
-        )
-        assert codes(check(bad, self.RELPATH)) == ["RPL002"]
-
-    def test_flags_subscript_assignment_on_xp_array(self):
-        bad = (
-            "def kernel(xp):\n"
-            "    pos = xp.zeros((4, 2))\n"
-            "    pos[0] = 1.0\n"
-            "    return pos\n"
-        )
-        assert codes(check(bad, self.RELPATH)) == ["RPL002"]
-
-    def test_taint_propagates_through_rebinding(self):
-        bad = (
-            "def kernel(xp):\n"
-            "    a = xp.ones((3,))\n"
-            "    b = a * 2.0\n"
-            "    b += 1.0\n"
-            "    return b\n"
-        )
-        assert codes(check(bad, self.RELPATH)) == ["RPL002"]
-
-    def test_host_side_dict_and_scalar_work_is_clean(self):
-        good = (
-            "def kernel(xp, backend):\n"
-            "    state = {}\n"
-            "    state['ci'] = backend.asarray([1.0])\n"
-            "    host = backend.to_host(state['ci'])\n"
-            "    host += 1.0\n"
-            "    count = 0\n"
-            "    count += 1\n"
-            "    return state, host, count\n"
-        )
-        assert codes(check(good, self.RELPATH)) == []
-
-    def test_rule_is_scoped_to_the_kernels_module(self):
-        source = "import numpy as np\n"
-        assert codes(check(source, "engine/batch.py")) == []
 
 
 class TestRPL003WallClockEntropy:
@@ -460,8 +407,6 @@ class TestRealTree:
     def test_known_discharges_are_visible_not_silent(self):
         package_dir = Path(repro.__file__).resolve().parent
         report = lint_paths([package_dir])
-        suppressed = {(f.path, f.code) for f in report.suppressed}
-        assert ("engine/xp_kernels.py", "RPL002") in suppressed
         allowed = {(f.path, f.code) for f in report.allowed}
         assert ("telemetry/manifest.py", "RPL003") in allowed
         assert ("store/gc.py", "RPL003") in allowed

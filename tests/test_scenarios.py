@@ -205,6 +205,32 @@ class TestScenarioTrial:
         metrics = scenario_trial(np.random.default_rng(4), spec=spec)
         assert np.isnan(metrics["fraction_localized"])
 
+    def test_dv_hop_too_few_anchors_yields_nan_campaign(self):
+        # Two anchors: DV-hop cannot calibrate.  Every trial reports
+        # nan metrics instead of aborting the whole campaign.
+        spec = ScenarioSpec(
+            "x",
+            deployment=DeploymentSpec(kind="uniform", n_nodes=10),
+            anchors=AnchorSpec(strategy="random", fraction=0.2),
+            solver=SolverSpec(algorithm="dv-hop"),
+            n_trials=4,
+        )
+        result = run_scenario(spec)
+        assert result.n_trials == 4
+        assert result.aggregate()["mean_error_m"]["n"] == 0.0
+
+    def test_dv_hop_unreachable_anchors_yields_nan(self):
+        # Three anchors, but no anchor has a multi-hop path to another.
+        spec = ScenarioSpec(
+            "dv-hop-unreachable",
+            deployment=DeploymentSpec(kind="town", n_nodes=8),
+            anchors=AnchorSpec(strategy="random", fraction=0.34),
+            solver=SolverSpec(algorithm="dv-hop"),
+            n_trials=1,
+        )
+        metrics = scenario_trial(np.random.default_rng(0), spec=spec)
+        assert np.isnan(metrics["mean_error_m"])
+
     def test_lss_trial_path(self):
         spec = ScenarioSpec(
             scenario_id="lss-small",
