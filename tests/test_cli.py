@@ -138,6 +138,42 @@ class TestExperimentFlagValidation:
         assert "PASS" in capsys.readouterr().out
 
 
+class TestNoArrayBackendFlag:
+    """The array-namespace selector is gone from the CLI: the flag is an
+    argparse error and a leftover environment variable is ignored."""
+
+    def test_flag_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "fig11", "--array-backend", "numpy"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --array-backend" in capsys.readouterr().err
+
+    def test_leftover_env_var_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_ARRAY_BACKEND", "bogus")
+        args = ["run", "uniform-multilateration", "--trials", "2", "--no-store"]
+        assert main(args) == 0
+        assert "2 trials" in capsys.readouterr().out
+
+    def test_trace_manifest_has_no_backend_field(self, tmp_path, capsys):
+        import json
+
+        trace = tmp_path / "trace.jsonl"
+        args = [
+            "run",
+            "uniform-multilateration",
+            "--trials",
+            "2",
+            "--no-store",
+            "--trace",
+            str(trace),
+        ]
+        assert main(args) == 0
+        capsys.readouterr()
+        manifest = json.loads(trace.read_text().splitlines()[0])
+        assert "numpy" in manifest
+        assert "array_backend" not in manifest
+
+
 class TestStoreCommands:
     """The `repro store` maintenance group (stats/ls; gc and sync/migrate
     have their own suites in test_store_gc.py / test_store_sync.py)."""

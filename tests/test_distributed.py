@@ -37,6 +37,11 @@ class TestDistributedConfig:
         with pytest.raises(ValidationError):
             DistributedConfig(tree="dfs")
 
+    def test_no_array_backend_field(self):
+        # Every kernel has one NumPy body; the namespace knob is gone.
+        with pytest.raises(TypeError):
+            DistributedConfig(array_backend="numpy")
+
     def test_effective_local_lss_injects_spacing(self):
         config = DistributedConfig(min_spacing_m=9.0)
         assert config.effective_local_lss.min_spacing_m == 9.0

@@ -1,6 +1,7 @@
 """Public-API surface tests."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -81,3 +82,51 @@ def test_quickstart_docstring_example_runs():
     )
     report = core.evaluate_localization(result.positions, positions, align=True)
     assert report.average_error < 2.0
+
+
+class TestSingleNumpyKernelSurface:
+    """Each batched kernel has one NumPy body: no array-namespace
+    selector survives in a signature, a module or an export."""
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.engine", "batch_gradient_descent"),
+            ("repro.engine", "batch_lss_descend"),
+            ("repro.engine", "batch_lss_descend_padded"),
+            ("repro.engine", "batch_lss_error"),
+            ("repro.engine", "batch_lss_error_padded"),
+            ("repro.engine", "batch_lss_gradient"),
+            ("repro.engine", "batch_lss_gradient_padded"),
+            ("repro.engine", "lss_localize_multistart"),
+            ("repro.engine", "solve_multilateration_batch"),
+            ("repro.engine", "solve_local_lss_stack"),
+            ("repro.core.transforms", "estimate_transforms_closed_form_batch"),
+            ("repro.core.transforms", "estimate_transforms_minimize_batch"),
+        ],
+    )
+    def test_kernel_takes_no_backend_argument(self, module, name):
+        fn = getattr(importlib.import_module(module), name)
+        assert "backend" not in inspect.signature(fn).parameters
+
+    @pytest.mark.parametrize(
+        "module",
+        ["repro.engine.backend", "repro.engine.xp_kernels", "repro.engine.trials"],
+    )
+    def test_deleted_module_is_not_importable(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    def test_engine_exports_no_backend_selection(self):
+        import repro.engine as engine
+
+        for name in (
+            "available_backends",
+            "default_backend_name",
+            "get_backend",
+            "resolve_backend",
+            "set_default_backend",
+            "use_backend",
+        ):
+            assert not hasattr(engine, name), name
+            assert name not in engine.__all__

@@ -164,6 +164,26 @@ class TestOverridesAndGrid:
             _base_spec().grid({"n_trials": []})
 
 
+class TestArrayBackendFieldRemoved:
+    """``solver.array_backend`` is gone with no shim: naming it fails the
+    same way as any other unknown field, and the hash registry holds only
+    the cosmetic id."""
+
+    def test_override_names_unknown_spec_field(self):
+        with pytest.raises(ValidationError, match="unknown spec field 'array_backend'"):
+            _base_spec(**{"solver.array_backend": "numpy"})
+
+    def test_solver_spec_rejects_the_keyword(self):
+        with pytest.raises(TypeError):
+            SolverSpec(algorithm="multilateration", array_backend="numpy")
+
+    def test_only_the_scenario_id_is_hash_excluded(self):
+        from repro.scenarios.spec import HASH_EXCLUDED_FIELDS
+
+        assert HASH_EXCLUDED_FIELDS == ("scenario_id",)
+        assert "array_backend" not in _base_spec().canonical()["solver"]
+
+
 class TestRegistry:
     def test_builtins_present_and_valid(self):
         scenarios = all_scenarios()
@@ -230,6 +250,44 @@ class TestScenarioTrial:
         )
         metrics = scenario_trial(np.random.default_rng(0), spec=spec)
         assert np.isnan(metrics["mean_error_m"])
+
+    @pytest.mark.parametrize(
+        "kind,n_nodes",
+        [("uniform", 5), ("uniform", 12), ("town", 9), ("paper-grid", 7)],
+    )
+    def test_dv_hop_small_layout_campaign_completes(self, kind, n_nodes):
+        # Three anchors on a sparse layout: some draws leave every anchor
+        # out of reach of the others, which used to abort the campaign.
+        spec = ScenarioSpec(
+            f"dv-hop-{kind}-{n_nodes}",
+            deployment=DeploymentSpec(kind=kind, n_nodes=n_nodes),
+            anchors=AnchorSpec(strategy="random", count=3),
+            solver=SolverSpec(algorithm="dv-hop"),
+            n_trials=4,
+        )
+        result = run_scenario(spec)
+        assert result.n_trials == 4
+        errors = [r.metrics["mean_error_m"] for r in result.records]
+        assert any(np.isnan(e) for e in errors)
+        assert result.aggregate()["mean_error_m"]["n"] == sum(
+            not np.isnan(e) for e in errors
+        )
+
+    def test_dv_hop_nan_campaign_is_stored_and_recalled(self, tmp_path):
+        store = ResultStore(tmp_path, code_version="v1")
+        spec = ScenarioSpec(
+            "dv-hop-town-9",
+            deployment=DeploymentSpec(kind="town", n_nodes=9),
+            anchors=AnchorSpec(strategy="random", count=3),
+            solver=SolverSpec(algorithm="dv-hop"),
+            n_trials=4,
+        )
+        cold = run_scenario(spec, master_seed=0, store=store)
+        warm = run_scenario(spec, master_seed=0, store=store)
+        assert store.stats.hits == 1 and store.stats.misses == 1
+        np.testing.assert_equal(
+            [r.metrics for r in warm.records], [r.metrics for r in cold.records]
+        )
 
     def test_lss_trial_path(self):
         spec = ScenarioSpec(
