@@ -180,6 +180,66 @@ def _constraint_pairs(n_nodes: int, measured_pairs: np.ndarray) -> np.ndarray:
     return np.asarray(unmeasured, dtype=np.int64)
 
 
+@dataclass
+class _LssSetup:
+    """A validated LSS problem, before any random draw."""
+
+    edges: EdgeList
+    constraint_pairs: Optional[np.ndarray]
+    span: float
+    free_mask: np.ndarray
+    pins: Dict[int, np.ndarray]
+    initial: Optional[np.ndarray]
+
+    def pin(self, pts: np.ndarray) -> np.ndarray:
+        """Write the fixed positions into *pts* (``(..., n, 2)``) in place."""
+        for node_id, arr in self.pins.items():
+            pts[..., node_id, :] = arr
+        return pts
+
+
+def _setup(
+    measurements,
+    n_nodes: int,
+    config: LssConfig,
+    initial,
+    fixed_positions: Optional[Dict[int, Sequence[float]]],
+) -> _LssSetup:
+    """Edge list, constraint pairs, init span, pins and starting
+    configuration shared by :func:`lss_localize` and
+    :func:`repro.engine.batch.lss_localize_multistart`."""
+    edges = _prepare_edges(measurements, n_nodes)
+
+    constraint_pairs = None
+    if config.min_spacing_m is not None:
+        constraint_pairs = _constraint_pairs(n_nodes, edges.pairs)
+
+    span = config.init_span_m
+    if span is None:
+        # A square comfortably containing a configuration whose edges
+        # have the measured lengths.
+        span = max(1.0, float(np.median(edges.distances)) * math.sqrt(n_nodes))
+
+    free_mask = np.ones(n_nodes, dtype=bool)
+    pins: Dict[int, np.ndarray] = {}
+    if fixed_positions:
+        for node_id, pos in fixed_positions.items():
+            node_id = int(node_id)
+            if not 0 <= node_id < n_nodes:
+                raise ValidationError(f"fixed node id {node_id} outside [0, {n_nodes})")
+            arr = np.asarray(pos, dtype=float)
+            if arr.shape != (2,):
+                raise ValidationError("fixed positions must be (x, y) pairs")
+            pins[node_id] = arr
+            free_mask[node_id] = False
+
+    if initial is not None:
+        initial = as_positions(initial, "initial").copy()
+        if initial.shape != (n_nodes, 2):
+            raise ValidationError(f"initial must have shape ({n_nodes}, 2)")
+    return _LssSetup(edges, constraint_pairs, span, free_mask, pins, initial)
+
+
 def lss_error(
     positions,
     edges: EdgeList,
@@ -293,7 +353,8 @@ def _descend_scalar(
 
     The pre-engine scalar implementation, kept verbatim as the
     reference path for the batched/scalar parity contract
-    (``backend="gd-scalar"``).
+    (``backend="gd-scalar"``); the ``"gd"`` backend reproduces it byte
+    for byte.
     """
     kwargs = dict(
         constraint_pairs=constraint_pairs,
@@ -406,39 +467,13 @@ def lss_localize(
     """
     config = config if config is not None else LssConfig()
     rng = ensure_rng(rng)
-    edges = _prepare_edges(measurements, n_nodes)
-
-    constraint_pairs = None
-    if config.min_spacing_m is not None:
-        constraint_pairs = _constraint_pairs(n_nodes, edges.pairs)
-
-    span = config.init_span_m
-    if span is None:
-        # A square comfortably containing a configuration whose edges
-        # have the measured lengths.
-        span = max(1.0, float(np.median(edges.distances)) * math.sqrt(n_nodes))
-
-    free_mask = np.ones(n_nodes, dtype=bool)
-    pins: Dict[int, np.ndarray] = {}
-    if fixed_positions:
-        for node_id, pos in fixed_positions.items():
-            node_id = int(node_id)
-            if not 0 <= node_id < n_nodes:
-                raise ValidationError(f"fixed node id {node_id} outside [0, {n_nodes})")
-            arr = np.asarray(pos, dtype=float)
-            if arr.shape != (2,):
-                raise ValidationError("fixed positions must be (x, y) pairs")
-            pins[node_id] = arr
-            free_mask[node_id] = False
-
-    if initial is not None:
-        pts = as_positions(initial, "initial").copy()
-        if pts.shape != (n_nodes, 2):
-            raise ValidationError(f"initial must have shape ({n_nodes}, 2)")
+    setup = _setup(measurements, n_nodes, config, initial, fixed_positions)
+    edges, constraint_pairs = setup.edges, setup.constraint_pairs
+    if setup.initial is not None:
+        pts = setup.initial
     else:
-        pts = rng.uniform(0.0, span, size=(n_nodes, 2))
-    for node_id, arr in pins.items():
-        pts[node_id] = arr
+        pts = rng.uniform(0.0, setup.span, size=(n_nodes, 2))
+    setup.pin(pts)
 
     if config.backend == "gd":
         descend = _descend
@@ -462,11 +497,11 @@ def lss_localize(
         if round_index == 0:
             seed = best_pts
         else:
-            seed = best_pts + rng.normal(0.0, config.perturbation_m, size=(n_nodes, 2))
-            for node_id, arr in pins.items():
-                seed[node_id] = arr
+            seed = setup.pin(
+                best_pts + rng.normal(0.0, config.perturbation_m, size=(n_nodes, 2))
+            )
         out_pts, out_error, converged = descend(
-            seed, edges, constraint_pairs, config, trace, free_mask
+            seed, edges, constraint_pairs, config, trace, setup.free_mask
         )
         if out_error < best_error:
             best_pts = out_pts

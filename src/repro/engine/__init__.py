@@ -14,7 +14,8 @@ This subsystem provides the batched substrate those campaigns run on:
     configurations, so independent restarts or seeds advance in
     lockstep.  The ``*_padded`` variants stack *heterogeneous* LSS
     problems (per-problem node counts, edge lists, and constraint sets,
-    padded with exact-zero slots) for the distributed pipeline.
+    padded with exact-zero slots) for the distributed pipeline; both
+    layouts run one LSS body and one descent loop.
 :mod:`repro.engine.localmaps`
     The distributed-LSS local-map solver: every node's one-hop
     neighborhood problem of a refinement round advances through its
@@ -54,9 +55,12 @@ as the scalar reference path (``repro.core.multilateration`` with
 ``solver="scalar"``; ``repro.core.lss`` with ``backend="gd-scalar"``;
 ``repro.core.distributed`` with ``solver="scalar"``).  Batched and
 scalar runs from the same seed must therefore agree to floating-point
-reduction tolerance; ``tests/test_engine_batch.py`` enforces this on
-fixed-seed grid, random, and sparse networks.  The one deliberate
-exception is the distributed pipeline's *multi-problem* orchestration:
+reduction tolerance, and unpadded LSS stacks go further: their
+objective, gradient and descent add every term in the scalar order, so
+``backend="gd"`` and ``lss_localize_multistart`` are bytewise the
+scalar oracle.  ``tests/test_engine_batch.py`` enforces this on
+fixed-seed grid, random, and sparse networks and on random stacks.
+The one deliberate exception is the distributed pipeline's *multi-problem* orchestration:
 its batched path phases residual-trim refits after all first fits
 instead of interleaving them per map, so it consumes perturbation
 randomness in a different order and agrees with the scalar loop to

@@ -16,24 +16,29 @@ batched kernel                        scalar reference
 :func:`batch_lss_descend_padded`      ``lss._descend_scalar`` (per problem)
 ====================================  =====================================
 
-Two stacking layouts coexist.  The *shared-edge* kernels
-(:func:`batch_lss_error` et al.) advance ``(n_configs, n_nodes, 2)``
-configurations of **one** problem — the same node count and edge list
-for every batch entry — and back multi-seed/multi-restart campaigns.
-The *padded* kernels (``*_padded``) stack **heterogeneous** problems:
-each batch entry has its own node count, edge list, and constraint set,
+All LSS kernels run one fused value-and-gradient body and one
+momentum-descent loop on a ``(B, N, 2)`` stack of problems.  The
+*padded* kernels (``*_padded``) stack **heterogeneous** problems: each
+batch entry has its own node count, edge list, and constraint set,
 padded to the batch maxima with zero-weight edge slots and masked
 constraint slots, so every padded slot contributes exact zeros to the
 objective and gradient.  This is the layout the distributed-LSS
 pipeline (paper Section 4.3, Figures 24/25) uses to solve every node's
-local-map problem for a refinement round in one descent loop.
+local-map problem for a refinement round in one descent loop.  The
+*shared-edge* kernels (:func:`batch_lss_error` et al.) advance
+configurations of **one** problem — multi-seed/multi-restart campaigns
+and centralized LSS — and are the special case with no padding: the
+one edge list is broadcast over the stack.
 
-The parity contract (same per-problem operations, in the same order,
-with padded slots contributing exact zeros) is what makes the
-equivalence tests in ``tests/test_engine_batch.py`` and
-``tests/test_distributed.py`` meaningful: a batched result may differ
-from the scalar one only by floating-point reduction error, never by
-algorithm.
+The LSS body adds every objective and gradient term in the order of
+the scalar ``lss_error``/``lss_gradient``, so an unpadded stack is
+bytewise the scalar oracle and :func:`batch_lss_descend` is bytewise
+``lss._descend_scalar`` per configuration.  Padded stacks keep the
+gradient bytes; their objectives agree to reduction tolerance, because
+zero-valued padding slots can regroup the pairwise sum.  The
+multilateration kernels follow the same per-problem operations as
+their references and agree to floating-point reduction tolerance
+(``tests/test_engine_batch.py``, ``tests/test_distributed.py``).
 
 There is one body per kernel, and it is NumPy.  The scalar references
 above survive only as test oracles; the golden SHA-256 pins in
@@ -43,7 +48,6 @@ the kernels' output bytes.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -514,17 +518,12 @@ def solve_multilateration_batch(
 
 
 # ---------------------------------------------------------------------------
-# Batched LSS (Section 4.2)
+# Batched LSS (Sections 4.2 and 4.3)
 # ---------------------------------------------------------------------------
 #
-# Each LSS family has one fused body that returns the objective and its
-# gradient from a single gather of the edge and constraint endpoints and
-# a single ``hypot`` pass.  The descent loops evaluate it once per epoch,
-# at the candidate, and keep an accepted candidate's gradient for the
-# next epoch.  Every objective sum and every gradient bin adds the same
-# terms in the same order as the two-pass formulation (gradient at the
-# current point, objective at the candidate, sequential ``add.at``
-# scatter), so the outputs are bytewise that formulation's.
+# One fused body (:class:`_Lss`) and one descent loop (:func:`_descend`)
+# serve every LSS kernel: the shared-edge kernels broadcast their one
+# edge list over the stack, the padded kernels pass per-problem stacks.
 
 
 def _has_constraints(constraint_pairs, min_spacing_m) -> bool:
@@ -536,101 +535,276 @@ def _has_constraints(constraint_pairs, min_spacing_m) -> bool:
     )
 
 
-class _SharedEdgeLss:
-    """Fused LSS objective and gradient for one shared edge list.
+def _require_constraint_mask(constraint_pairs, constraint_valid) -> None:
+    """Padded constraint stacks are meaningless without their mask.
 
-    Works on the node-major ``(n_nodes, B, 2)`` layout, where gathering
-    edge endpoints indexes the leading axis directly.  Everything that
-    depends only on the edge list is built once per descent call: the
-    gather indices, ``2 w``, and the scatter bins.
+    A padded ``(0, 0)`` constraint pair has distance zero — a maximal
+    "violation" — so silently treating an omitted mask as all-valid (or
+    worse, as all-invalid) would corrupt the objective.  Force callers
+    to be explicit.
+    """
+    if constraint_pairs is not None and constraint_valid is None:
+        raise ValidationError(
+            "constraint_valid is required when constraint_pairs are given "
+            "(padded slots must be masked explicitly)"
+        )
 
-    The gradient is one ``np.bincount`` over the concatenated
-    ``[i, j, ci, cj]`` endpoints with one bin per ``(node, config,
-    coordinate)``.  ``bincount`` adds its weights in input order, so
-    every bin receives the same terms in the same order as sequential
-    ``add.at`` calls on ``i``, ``j``, ``ci`` and ``cj`` would give it.
+
+class _Lss:
+    """Fused LSS objective and gradient for a ``(B, N, 2)`` problem stack.
+
+    Problem ``b`` has its own edge list ``pairs[b]`` (``(B, E, 2)``, with
+    ``dists`` and ``weights`` of shape ``(B, E)``) and optional
+    constraint pairs ``(B, C, 2)``; ``constraint_valid`` masks padded
+    constraint slots (``None``: every slot is real).  Zero-weight edge
+    slots and masked constraint slots contribute exact zeros.
+
+    The body works on the flat ``(B*N, 2)`` view of the stack.  Flat
+    endpoint indices, ``2 w`` and the scatter bins depend only on the
+    edge and constraint stacks, so they are built once per call and
+    again only when :meth:`compact` drops finished problems.
+
+    The objective is a per-row pairwise ``sum(axis=1)``, the reduction
+    of :func:`repro.core.lss.lss_error`.  The gradient is one
+    ``np.bincount`` over ``[edge i, edge j, constraint i, constraint j]``
+    with one bin per ``(flat row, coordinate)``; ``bincount`` adds its
+    weights in input order, so every bin receives the terms of
+    :func:`repro.core.lss.lss_gradient`'s sequential ``add.at`` calls in
+    their order (non-violated constraints add exact zeros).
     """
 
     def __init__(
         self,
-        edges,
+        pairs: np.ndarray,
+        dists: np.ndarray,
+        weights: np.ndarray,
         constraint_pairs: Optional[np.ndarray],
+        constraint_valid: Optional[np.ndarray],
         min_spacing_m: Optional[float],
         constraint_weight: float,
         n_nodes: int,
-        n_batch: int,
     ) -> None:
-        i_idx = edges.pairs[:, 0]
-        j_idx = edges.pairs[:, 1]
-        self.n_edges = i_idx.shape[0]
-        self.dists = edges.distances[:, None]
-        self.weights = edges.weights[:, None]
+        self.pairs = np.asarray(pairs)
+        self.dists = np.asarray(dists, dtype=float)
+        self.weights = np.asarray(weights, dtype=float)
         self.weights2 = 2.0 * self.weights
+        self.n_nodes = n_nodes
+        self.n_edges = n_edges = self.pairs.shape[1]
+        self.min_spacing_m = min_spacing_m
+        self.constraint_weight = constraint_weight
         self.constrained = _has_constraints(constraint_pairs, min_spacing_m)
-        heads, tails, scatter_order = [i_idx], [j_idx], [i_idx, j_idx]
+        self.constraint_pairs = self.constraint_valid = None
+        index_pairs = self.pairs
         if self.constrained:
-            ci, cj = constraint_pairs[:, 0], constraint_pairs[:, 1]
-            heads.append(ci)
-            tails.append(cj)
-            scatter_order += [ci, cj]
-            self.min_spacing_m = min_spacing_m
-            self.constraint_weight = constraint_weight
-        # Gather order: every edge and constraint head, then every tail.
-        self.ends = np.concatenate(heads + tails)
-        self.n_pairs = self.ends.shape[0] // 2
-        cells = np.arange(2 * n_batch).reshape(n_batch, 2)
-        self.scatter = (
-            np.concatenate(scatter_order)[:, None, None] * (2 * n_batch) + cells
-        ).ravel()
-        self.shape = (n_nodes, n_batch, 2)
-        self.n_bins = 2 * n_nodes * n_batch
+            self.constraint_pairs = np.asarray(constraint_pairs)
+            if constraint_valid is not None:
+                self.constraint_valid = np.asarray(constraint_valid, dtype=bool)
+            index_pairs = np.concatenate([self.pairs, self.constraint_pairs], axis=1)
+        n_batch = index_pairs.shape[0]
+        self.n_bins = 2 * n_batch * n_nodes
+        flat = np.arange(n_batch, dtype=np.int64)[:, None, None] * n_nodes + index_pairs
+        # Gather order: every head row, then every tail row.
+        self.ends = np.stack([flat[..., 0], flat[..., 1]])
+        # Scatter order per problem: edge heads, edge tails, constraint
+        # heads, constraint tails (``lss_gradient``'s ``add.at`` order).
+        edge, con = flat[:, :n_edges], flat[:, n_edges:]
+        rows = np.concatenate([edge[..., 0], edge[..., 1], con[..., 0], con[..., 1]], axis=1)
+        self.bins = (2 * rows[..., None] + np.arange(2)).ravel()
 
-    def value_and_grad(self, pts_t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Objective ``(B,)`` and gradient ``(n_nodes, B, 2)`` at *pts_t*."""
+    def compact(self, keep: np.ndarray) -> "_Lss":
+        """The same body restricted to the problems where *keep* is set."""
+        return _Lss(
+            self.pairs[keep],
+            self.dists[keep],
+            self.weights[keep],
+            self.constraint_pairs[keep] if self.constrained else None,
+            None if self.constraint_valid is None else self.constraint_valid[keep],
+            self.min_spacing_m,
+            self.constraint_weight,
+            self.n_nodes,
+        )
+
+    def value_and_grad(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Objective ``(B,)`` and gradient ``(B, N, 2)`` at the stack *pts*."""
         n_edges = self.n_edges
-        ends = np.take(pts_t, self.ends, axis=0)
-        diff = ends[: self.n_pairs] - ends[self.n_pairs :]
+        ends = np.take(pts.reshape(-1, 2), self.ends, axis=0)
+        diff = ends[0] - ends[1]
         comp = np.hypot(diff[..., 0], diff[..., 1])
-        resid = comp[:n_edges] - self.dists
-        value = (self.weights * resid**2).sum(axis=0)
+        resid = comp[:, :n_edges] - self.dists
+        value = (self.weights * resid**2).sum(axis=1)
         safe = np.maximum(comp, 1e-12)
-        coeff = self.weights2 * resid / safe[:n_edges]
-        contrib = coeff[..., None] * diff[:n_edges]
+        coeff = self.weights2 * resid / safe[:, :n_edges]
+        contrib = coeff[..., None] * diff[:, :n_edges]
         terms = [contrib, -contrib]
         if self.constrained:
             d_min = self.min_spacing_m
-            ccomp = comp[n_edges:]
+            ccomp = comp[:, n_edges:]
             violation = np.minimum(ccomp, d_min) - d_min
-            value = value + self.constraint_weight * (violation**2).sum(axis=0)
-            vcomp = safe[n_edges:]
-            vcoeff = 2.0 * self.constraint_weight * (vcomp - d_min) / vcomp
             # Only violated pairs (estimate closer than d_min) exert force.
-            vcoeff = np.where(ccomp < d_min, vcoeff, 0.0)
-            vcontrib = vcoeff[..., None] * diff[n_edges:]
+            force = ccomp < d_min
+            if self.constraint_valid is not None:
+                # Padded slots reference node 0 twice (distance 0 = maximal
+                # "violation"), so they MUST be masked out explicitly.
+                violation = np.where(self.constraint_valid, violation, 0.0)
+                force &= self.constraint_valid
+            value = value + self.constraint_weight * (violation**2).sum(axis=1)
+            vcomp = safe[:, n_edges:]
+            vcoeff = 2.0 * self.constraint_weight * (vcomp - d_min) / vcomp
+            vcontrib = np.where(force, vcoeff, 0.0)[..., None] * diff[:, n_edges:]
             terms += [vcontrib, -vcontrib]
         grad = np.bincount(
-            self.scatter,
-            weights=np.concatenate(terms).ravel(),
+            self.bins,
+            weights=np.concatenate(terms, axis=1).ravel(),
             minlength=self.n_bins,
         )
-        return value, grad.reshape(self.shape)
+        return value, grad.reshape(pts.shape)
 
 
-def _shared_edge_value_and_grad(
-    configs,
+def _shared_edge_body(
+    configs: np.ndarray,
     edges,
     constraint_pairs: Optional[np.ndarray],
     min_spacing_m: Optional[float],
     constraint_weight: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fused body on the public batch-major ``(B, n_nodes, 2)`` layout."""
-    pts_t = np.asarray(configs, dtype=float).transpose(1, 0, 2)
-    n_nodes, n_batch = pts_t.shape[:2]
-    lss = _SharedEdgeLss(
-        edges, constraint_pairs, min_spacing_m, constraint_weight, n_nodes, n_batch
+) -> _Lss:
+    """The body for one edge list and constraint set shared by every
+    configuration of *configs*: the broadcast special case of a stack."""
+    n_batch, n_nodes = configs.shape[:2]
+
+    def stack(a):
+        return np.broadcast_to(a, (n_batch,) + np.shape(a))
+
+    if constraint_pairs is not None:
+        constraint_pairs = stack(constraint_pairs)
+    return _Lss(
+        stack(edges.pairs),
+        stack(edges.distances),
+        stack(edges.weights),
+        constraint_pairs,
+        None,
+        min_spacing_m,
+        constraint_weight,
+        n_nodes,
     )
-    value, grad_t = lss.value_and_grad(pts_t)
-    return value, grad_t.transpose(1, 0, 2)
+
+
+def _padded_body(
+    configs: np.ndarray,
+    pairs,
+    dists,
+    weights,
+    constraint_pairs,
+    constraint_valid,
+    min_spacing_m: Optional[float],
+    constraint_weight: float,
+) -> _Lss:
+    """The body for per-problem (padded) edge and constraint stacks."""
+    _require_constraint_mask(constraint_pairs, constraint_valid)
+    return _Lss(
+        pairs,
+        dists,
+        weights,
+        constraint_pairs,
+        constraint_valid,
+        min_spacing_m,
+        constraint_weight,
+        configs.shape[1],
+    )
+
+
+def _descend(
+    lss: _Lss,
+    pts: np.ndarray,
+    *,
+    step_size: float,
+    max_epochs: int,
+    tolerance: float,
+    momentum: float,
+    patience: int,
+    pinned: Optional[np.ndarray] = None,
+    traces: Optional[List[List[float]]] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """One momentum-descent round over the stack *pts* (overwritten).
+
+    Each problem follows the accept/reject schedule of the scalar round
+    (``repro.core.lss._descend_scalar``): x1.05 step on improvement, /2
+    with momentum reset on overshoot, early stop after *patience*
+    stalled epochs or when the step underflows, each problem on its own
+    step size.
+
+    Per epoch the objective and gradient are evaluated together at the
+    candidate.  An accepted candidate's gradient is kept for the next
+    epoch: it is exactly the gradient that epoch would recompute at the
+    new point, and a rejected epoch leaves point and gradient as they
+    were.  Gradient rows of the *pinned* node indices are zeroed before
+    every step, so those nodes never move.  *traces* (one list per
+    problem) get the problem's error appended every epoch it is still
+    descending.
+
+    Finished problems are compacted out of the working stack (the same
+    straggler treatment as :func:`batch_gradient_descent`), so a few
+    slow problems do not drag the whole stack's per-epoch cost.
+
+    Returns ``(configs, errors, converged, epochs_run, compactions)``.
+    """
+    total = pts.shape[0]
+    pts_out = pts.copy()
+    err_out = np.empty(total)
+    conv_out = np.zeros(total, dtype=bool)
+    remaining = np.arange(total)
+    current, grad = lss.value_and_grad(pts)
+    alpha = np.full(total, float(step_size))
+    velocity = np.zeros_like(pts)
+    stall = np.zeros(total, dtype=np.int64)
+    epochs_run = 0
+    compactions = 0
+
+    for _ in range(max_epochs):
+        epochs_run += 1
+        if pinned is not None:
+            grad[:, pinned] = 0.0
+        velocity = momentum * velocity - alpha[:, None, None] * grad
+        candidate = pts + velocity
+        value, candidate_grad = lss.value_and_grad(candidate)
+        improvement = (current - value) / np.maximum(current, 1e-12)
+        improved = value < current
+        rejected = ~improved
+
+        accepted = improved[:, None, None]
+        np.copyto(pts, candidate, where=accepted)
+        np.copyto(grad, candidate_grad, where=accepted)
+        np.copyto(current, value, where=improved)
+        # Overshoot kills the momentum (scalar rule).
+        np.copyto(velocity, 0.0, where=rejected[:, None, None])
+        alpha *= np.where(improved, 1.05, 0.5)
+        stall += rejected | (improved & (improvement < tolerance))
+        np.copyto(stall, 0, where=improved & (improvement >= tolerance))
+        if traces is not None:
+            for b, error in zip(remaining.tolist(), current.tolist()):
+                traces[b].append(error)
+
+        finished = (rejected & (alpha < 1e-14)) | (stall >= patience)
+        if finished.any():
+            compactions += 1
+            done = remaining[finished]
+            pts_out[done] = pts[finished]
+            err_out[done] = current[finished]
+            conv_out[done] = True
+            keep = ~finished
+            if not keep.any():
+                return pts_out, err_out, conv_out, epochs_run, compactions
+            remaining = remaining[keep]
+            pts = pts[keep]
+            grad = grad[keep]
+            current = current[keep]
+            alpha = alpha[keep]
+            velocity = velocity[keep]
+            stall = stall[keep]
+            lss = lss.compact(keep)
+
+    pts_out[remaining] = pts
+    err_out[remaining] = current
+    return pts_out, err_out, conv_out, epochs_run, compactions
 
 
 def batch_lss_error(
@@ -643,13 +817,12 @@ def batch_lss_error(
 ) -> np.ndarray:
     """LSS objective ``E`` for stacked configurations, shape (B,).
 
-    ``configs`` has shape ``(B, n_nodes, 2)``; per configuration this is
-    the same reduction as :func:`repro.core.lss.lss_error`.
+    ``configs`` has shape ``(B, n_nodes, 2)``; per configuration the
+    result is bytewise :func:`repro.core.lss.lss_error`.
     """
     pts = np.asarray(configs, dtype=float)
-    return _shared_edge_value_and_grad(
-        pts, edges, constraint_pairs, min_spacing_m, constraint_weight
-    )[0]
+    lss = _shared_edge_body(pts, edges, constraint_pairs, min_spacing_m, constraint_weight)
+    return lss.value_and_grad(pts)[0]
 
 
 def batch_lss_gradient(
@@ -662,14 +835,12 @@ def batch_lss_gradient(
 ) -> np.ndarray:
     """Gradient of the LSS objective for stacked configurations.
 
-    Shape ``(B, n_nodes, 2)``; the scatter-accumulation runs in edge
-    order per configuration, mirroring the scalar
+    Shape ``(B, n_nodes, 2)``; per configuration the result is bytewise
     :func:`repro.core.lss.lss_gradient`.
     """
     pts = np.asarray(configs, dtype=float)
-    return _shared_edge_value_and_grad(
-        pts, edges, constraint_pairs, min_spacing_m, constraint_weight
-    )[1]
+    lss = _shared_edge_body(pts, edges, constraint_pairs, min_spacing_m, constraint_weight)
+    return lss.value_and_grad(pts)[1]
 
 
 def batch_lss_descend(
@@ -689,23 +860,11 @@ def batch_lss_descend(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One momentum-gradient-descent round over stacked configurations.
 
-    Each configuration follows the identical accept/reject schedule of
-    the scalar round (``repro.core.lss._descend_scalar``): x1.05 step on
-    improvement, /2 with momentum reset on overshoot, early stop after
-    *patience* stalled epochs or when the step underflows.  Finished
-    configurations freeze while the rest keep descending.
-
-    Per epoch the objective and gradient are evaluated together at the
-    candidate, from one gather of the edge and constraint endpoints and
-    one ``hypot`` pass.  An accepted candidate's gradient is kept for the
-    next epoch: it is exactly the gradient that epoch would recompute at
-    the new point, and a rejected epoch leaves both point and gradient
-    as they were.  The gradient scatter is one order-preserving
-    ``np.bincount`` that adds every bin's terms in the order of
-    sequential ``add.at`` calls, so trajectories, traces and epoch
-    counts are bytewise those of a two-pass kernel that recomputes the
-    gradient at the current point each epoch.  The padded family is a
-    separate kernel for now; :func:`batch_lss_descend_padded` says why.
+    Per configuration this is bytewise ``repro.core.lss._descend_scalar``
+    (points, error, converged flag and trace): the stack shares one edge
+    list, so it runs the padded kernels' body and descent loop with no
+    padding at all.  Finished configurations leave the working stack
+    while the rest keep descending.
 
     Parameters
     ----------
@@ -719,217 +878,22 @@ def batch_lss_descend(
 
     Returns ``(configs (B, n, 2), errors (B,), converged (B,))``.
     """
-    pts_t = np.asarray(configs, dtype=float).transpose(1, 0, 2).copy()
-    n_nodes, n_batch = pts_t.shape[:2]
-    lss = _SharedEdgeLss(
-        edges, constraint_pairs, min_spacing_m, constraint_weight, n_nodes, n_batch
-    )
+    pts = np.array(configs, dtype=float)
+    lss = _shared_edge_body(pts, edges, constraint_pairs, min_spacing_m, constraint_weight)
     pinned = np.flatnonzero(~np.asarray(free_mask, dtype=bool))
-    current, grad = lss.value_and_grad(pts_t)
-    alpha = np.full(n_batch, float(step_size))
-    velocity = np.zeros_like(pts_t)
-    stall = np.zeros(n_batch, dtype=np.int64)
-    active = np.ones(n_batch, dtype=bool)
-    converged = np.zeros(n_batch, dtype=bool)
-    epochs_run = 0
-
-    for _ in range(max_epochs):
-        epochs_run += 1
-        grad[pinned] = 0.0
-        velocity_new = momentum * velocity - alpha[None, :, None] * grad
-        candidate = pts_t + velocity_new
-        value, candidate_grad = lss.value_and_grad(candidate)
-        improvement = (current - value) / np.maximum(current, 1e-12)
-        improved = active & (value < current)
-        rejected = active & ~improved
-
-        accepted = improved[None, :, None]
-        np.copyto(pts_t, candidate, where=accepted)
-        np.copyto(grad, candidate_grad, where=accepted)
-        np.copyto(current, value, where=improved)
-        # Overshoot kills the momentum (scalar rule); frozen problems'
-        # velocities are junk but can never touch pts_t again.
-        np.copyto(velocity_new, 0.0, where=rejected[None, :, None])
-        velocity = velocity_new
-        alpha *= np.where(improved, 1.05, np.where(rejected, 0.5, 1.0))
-        stall += rejected | (improved & (improvement < tolerance))
-        np.copyto(stall, 0, where=improved & (improvement >= tolerance))
-
-        if traces is not None:
-            for b in np.nonzero(active)[0]:
-                traces[b].append(float(current[b]))
-
-        underflow = rejected & (alpha < 1e-14)
-        exhausted = active & (stall >= patience) & ~underflow
-        newly_done = underflow | exhausted
-        converged |= newly_done
-        active &= ~newly_done
-        if not active.any():
-            break
-    _count_kernel("lss", n_batch, epochs_run)
-    return pts_t.transpose(1, 0, 2), current, converged
-
-
-# ---------------------------------------------------------------------------
-# Padded heterogeneous LSS (Section 4.3's local maps)
-# ---------------------------------------------------------------------------
-
-
-def _require_constraint_mask(constraint_pairs, constraint_valid) -> None:
-    """Padded constraint stacks are meaningless without their mask.
-
-    A padded ``(0, 0)`` constraint pair has distance zero — a maximal
-    "violation" — so silently treating an omitted mask as all-valid (or
-    worse, as all-invalid) would corrupt the objective.  Force callers
-    to be explicit.
-    """
-    if constraint_pairs is not None and constraint_valid is None:
-        raise ValidationError(
-            "constraint_valid is required when constraint_pairs are given "
-            "(padded slots must be masked explicitly)"
-        )
-
-
-def _flat_endpoints(
-    index_pairs: np.ndarray, n_nodes: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Flatten ``(B, E, 2)`` endpoint pairs into ``(B*N)``-space indices.
-
-    Gathering through one flat index on the ``(B*N, 2)`` view of the
-    configuration stack is measurably cheaper per epoch than a
-    broadcasted two-axis fancy index, and the same flat indices drive
-    the bincount scatter.
-    """
-    base = np.arange(index_pairs.shape[0], dtype=np.int64)[:, None] * n_nodes
-    return base + index_pairs[..., 0], base + index_pairs[..., 1]
-
-
-def _coordinate_bins(flat_i: np.ndarray, flat_j: np.ndarray) -> np.ndarray:
-    """Bincount indices for ``[+terms, -terms]`` rows at ``i`` then ``j``.
-
-    One bin per ``(flat row, coordinate)``, so a single ``np.bincount``
-    accumulates both coordinates, each bin in input order.
-    """
-    rows = np.concatenate([flat_i.ravel(), flat_j.ravel()])
-    return (2 * rows[:, None] + np.arange(2)).ravel()
-
-
-def _scatter_rows(bins: np.ndarray, contrib: np.ndarray, n_rows: int) -> np.ndarray:
-    """``(n_rows, 2)`` sums of ``[+contrib, -contrib]`` rows over *bins*."""
-    flat = contrib.reshape(-1, 2)
-    signed = np.concatenate([flat, -flat]).ravel()
-    return np.bincount(bins, weights=signed, minlength=2 * n_rows).reshape(n_rows, 2)
-
-
-class _PaddedLss:
-    """Fused LSS objective and gradient for a padded heterogeneous stack.
-
-    Works on the flat ``(B*N, 2)`` view of a ``(B, N, 2)`` stack.  The
-    flat endpoint indices, ``2 w`` and the scatter bins depend only on
-    the edge and constraint stacks, so they are built once per call and
-    again only when :meth:`compact` drops finished problems.
-
-    Edges and constraints are gathered together and share one ``hypot``
-    pass.  The gradient scatters the edge terms with one bincount and
-    the constraint terms with another, then adds the two, which is the
-    order of the per-coordinate edges-then-constraints scatter.
-    """
-
-    def __init__(
-        self,
-        pairs: np.ndarray,
-        dists: np.ndarray,
-        weights: np.ndarray,
-        constraint_pairs: Optional[np.ndarray],
-        constraint_valid: Optional[np.ndarray],
-        min_spacing_m: Optional[float],
-        constraint_weight: float,
-        n_nodes: int,
-    ) -> None:
-        self.pairs = pairs = np.asarray(pairs)
-        self.dists = np.asarray(dists, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
-        self.weights2 = 2.0 * self.weights
-        self.n_nodes = n_nodes
-        self.n_rows = pairs.shape[0] * n_nodes
-        self.n_edges = pairs.shape[1]
-        self.min_spacing_m = min_spacing_m
-        self.constraint_weight = constraint_weight
-        fi, fj = _flat_endpoints(pairs, n_nodes)
-        self.edge_bins = _coordinate_bins(fi, fj)
-        self.constrained = _has_constraints(constraint_pairs, min_spacing_m)
-        if self.constrained:
-            self.constraint_pairs = np.asarray(constraint_pairs)
-            self.constraint_valid = np.asarray(constraint_valid)
-            cfi, cfj = _flat_endpoints(self.constraint_pairs, n_nodes)
-            self.constraint_bins = _coordinate_bins(cfi, cfj)
-            fi = np.concatenate([fi, cfi], axis=1)
-            fj = np.concatenate([fj, cfj], axis=1)
-        # Gather order: every head row, then every tail row.
-        self.ends = np.stack([fi, fj])
-
-    def compact(self, keep: np.ndarray) -> "_PaddedLss":
-        """The same body restricted to the problems where *keep* is set."""
-        return _PaddedLss(
-            self.pairs[keep],
-            self.dists[keep],
-            self.weights[keep],
-            self.constraint_pairs[keep] if self.constrained else None,
-            self.constraint_valid[keep] if self.constrained else None,
-            self.min_spacing_m,
-            self.constraint_weight,
-            self.n_nodes,
-        )
-
-    def value_and_grad(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Objective ``(B,)`` and gradient ``(B, N, 2)`` at the stack *pts*."""
-        n_edges = self.n_edges
-        flat_pts = pts.reshape(-1, 2)
-        ends = np.take(flat_pts, self.ends, axis=0)
-        diff = ends[0] - ends[1]
-        comp = np.hypot(diff[..., 0], diff[..., 1])
-        resid = comp[:, :n_edges] - self.dists
-        value = (self.weights * resid**2).sum(axis=1)
-        safe = np.maximum(comp, 1e-12)
-        coeff = self.weights2 * resid / safe[:, :n_edges]
-        grad = _scatter_rows(
-            self.edge_bins, coeff[..., None] * diff[:, :n_edges], self.n_rows
-        )
-        if self.constrained:
-            d_min = self.min_spacing_m
-            ccomp = comp[:, n_edges:]
-            violation = np.minimum(ccomp, d_min) - d_min
-            # Padded constraint slots reference node 0 twice (distance 0 =
-            # maximal "violation"), so they MUST be masked out explicitly.
-            violation = np.where(self.constraint_valid, violation, 0.0)
-            value = value + self.constraint_weight * (violation**2).sum(axis=1)
-            vcomp = safe[:, n_edges:]
-            vcoeff = 2.0 * self.constraint_weight * (vcomp - d_min) / vcomp
-            # Only violated real pairs exert force; padded slots are masked.
-            vcoeff = np.where((ccomp < d_min) & self.constraint_valid, vcoeff, 0.0)
-            grad = grad + _scatter_rows(
-                self.constraint_bins, vcoeff[..., None] * diff[:, n_edges:], self.n_rows
-            )
-        return value, grad.reshape(pts.shape)
-
-
-def _padded_value_and_grad(
-    configs,
-    pairs,
-    dists,
-    weights,
-    constraint_pairs,
-    constraint_valid,
-    min_spacing_m: Optional[float],
-    constraint_weight: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fused padded body for the public error and gradient kernels."""
-    pts = np.ascontiguousarray(configs, dtype=float)
-    lss = _PaddedLss(
-        pairs, dists, weights, constraint_pairs, constraint_valid,
-        min_spacing_m, constraint_weight, pts.shape[1],
+    out, errors, converged, epochs_run, _ = _descend(
+        lss,
+        pts,
+        step_size=step_size,
+        max_epochs=max_epochs,
+        tolerance=tolerance,
+        momentum=momentum,
+        patience=patience,
+        pinned=pinned if pinned.size else None,
+        traces=traces,
     )
-    return lss.value_and_grad(pts)
+    _count_kernel("lss", pts.shape[0], epochs_run)
+    return out, errors, converged
 
 
 def batch_lss_error_padded(
@@ -964,15 +928,16 @@ def batch_lss_error_padded(
         padded, because a padded ``(0, 0)`` pair has distance zero and
         would otherwise register as a maximal violation.
 
-    Per problem this is the same reduction as
-    :func:`repro.core.lss.lss_error` on the unpadded edge list.
+    Per problem this is :func:`repro.core.lss.lss_error` on the unpadded
+    edge list, up to reduction order: zero-valued padding slots can
+    regroup the pairwise sum.
     """
     pts = np.asarray(configs, dtype=float)
-    _require_constraint_mask(constraint_pairs, constraint_valid)
-    return _padded_value_and_grad(
+    lss = _padded_body(
         pts, pairs, dists, weights, constraint_pairs, constraint_valid,
         min_spacing_m, constraint_weight,
-    )[0]
+    )
+    return lss.value_and_grad(pts)[0]
 
 
 def batch_lss_gradient_padded(
@@ -988,16 +953,17 @@ def batch_lss_gradient_padded(
 ) -> np.ndarray:
     """Gradient of the heterogeneous LSS objective, shape (B, N, 2).
 
-    See :func:`batch_lss_error_padded` for the layout.  Padded edge
-    slots carry zero weight, so rows beyond each problem's real node
+    See :func:`batch_lss_error_padded` for the layout.  Per problem the
+    real rows are bytewise :func:`repro.core.lss.lss_gradient` (padded
+    slots add exact zeros), and rows beyond each problem's real node
     count receive an exact zero gradient and never move.
     """
     pts = np.asarray(configs, dtype=float)
-    _require_constraint_mask(constraint_pairs, constraint_valid)
-    return _padded_value_and_grad(
+    lss = _padded_body(
         pts, pairs, dists, weights, constraint_pairs, constraint_valid,
         min_spacing_m, constraint_weight,
-    )[1]
+    )
+    return lss.value_and_grad(pts)[1]
 
 
 def batch_lss_descend_padded(
@@ -1018,94 +984,32 @@ def batch_lss_descend_padded(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One momentum-descent round over a batch of heterogeneous problems.
 
-    The padded sibling of :func:`batch_lss_descend`: each problem
-    follows the identical accept/reject schedule of the scalar round
-    (``repro.core.lss._descend_scalar``: x1.05 step on improvement, /2
-    with momentum reset on overshoot, early stop after *patience*
-    stalled epochs or step underflow) on its own adaptive step size.
-    Finished problems freeze while the rest keep descending.
-
-    Per epoch the objective and gradient are evaluated together at the
-    candidate (one gather, one ``hypot`` pass) and an accepted
-    candidate's gradient is reused by the next epoch, as in
-    :func:`batch_lss_descend`.  The edge terms and then the constraint
-    terms are scattered by order-preserving bincounts, so the outputs are
-    bytewise those of the two-pass kernel.  This family is not merged
-    with the shared-edge one because their objective sums run in
-    different orders (sequential over the node-major ``axis=0`` there,
-    pairwise over the flat ``axis=1`` here): merging would move the last
-    bits of one family's results.
+    The padded sibling of :func:`batch_lss_descend`, on the same body
+    and descent loop: each problem follows the scalar round's
+    accept/reject schedule on its own adaptive step size, and finished
+    problems are compacted out of the working stack.  See
+    :func:`batch_lss_error_padded` for the layout.
 
     Returns ``(configs (B, N, 2), errors (B,), converged (B,))``.
-    Finished problems are compacted out of the working batch (the same
-    straggler treatment as :func:`batch_gradient_descent`), so a few
-    slow neighborhoods do not drag the whole stack's per-epoch cost.
     """
-    _require_constraint_mask(constraint_pairs, constraint_valid)
     pts = np.array(configs, dtype=float)
-    total, n_nodes = pts.shape[:2]
-    pts_out = pts.copy()
-    err_out = np.empty(total)
-    conv_out = np.zeros(total, dtype=bool)
-    if total == 0:
-        return pts_out, err_out, conv_out
-
-    lss = _PaddedLss(
-        pairs, dists, weights, constraint_pairs, constraint_valid,
-        min_spacing_m, constraint_weight, n_nodes,
+    lss = _padded_body(
+        pts, pairs, dists, weights, constraint_pairs, constraint_valid,
+        min_spacing_m, constraint_weight,
     )
-    remaining = np.arange(total)
-    current, grad = lss.value_and_grad(pts)
-    err_out[:] = current
-    alpha = np.full(total, float(step_size))
-    velocity = np.zeros_like(pts)
-    stall = np.zeros(total, dtype=np.int64)
-    epochs_run = 0
-    compactions = 0
-
-    for _ in range(max_epochs):
-        epochs_run += 1
-        velocity = momentum * velocity - alpha[:, None, None] * grad
-        candidate = pts + velocity
-        value, candidate_grad = lss.value_and_grad(candidate)
-        improvement = (current - value) / np.maximum(current, 1e-12)
-        improved = value < current
-        rejected = ~improved
-
-        accepted = improved[:, None, None]
-        np.copyto(pts, candidate, where=accepted)
-        np.copyto(grad, candidate_grad, where=accepted)
-        np.copyto(current, value, where=improved)
-        # Overshoot kills the momentum (scalar rule).
-        np.copyto(velocity, 0.0, where=rejected[:, None, None])
-        alpha *= np.where(improved, 1.05, 0.5)
-        stall += rejected | (improved & (improvement < tolerance))
-        np.copyto(stall, 0, where=improved & (improvement >= tolerance))
-
-        finished = (rejected & (alpha < 1e-14)) | (stall >= patience)
-        if finished.any():
-            compactions += 1
-            done_idx = remaining[finished]
-            pts_out[done_idx] = pts[finished]
-            err_out[done_idx] = current[finished]
-            conv_out[done_idx] = True
-            keep = ~finished
-            if not keep.any():
-                _count_kernel("lss_padded", total, epochs_run, compactions)
-                return pts_out, err_out, conv_out
-            remaining = remaining[keep]
-            pts = pts[keep]
-            grad = grad[keep]
-            current = current[keep]
-            alpha = alpha[keep]
-            velocity = velocity[keep]
-            stall = stall[keep]
-            lss = lss.compact(keep)
-
-    pts_out[remaining] = pts
-    err_out[remaining] = current
-    _count_kernel("lss_padded", total, epochs_run, compactions)
-    return pts_out, err_out, conv_out
+    if pts.shape[0] == 0:
+        return pts, np.empty(0), np.zeros(0, dtype=bool)
+    out, errors, converged, epochs_run, compactions = _descend(
+        lss,
+        pts,
+        step_size=step_size,
+        max_epochs=max_epochs,
+        tolerance=tolerance,
+        momentum=momentum,
+        patience=patience,
+    )
+    _count_kernel("lss_padded", pts.shape[0], epochs_run, compactions)
+    return out, errors, converged
 
 
 def lss_localize_multistart(
@@ -1119,21 +1023,16 @@ def lss_localize_multistart(
 ) -> list:
     """Run independent seeded LSS minimizations in vectorized lockstep.
 
-    Semantically identical to calling :func:`repro.core.lss.lss_localize`
-    once per entry of *seeds* (each seed drives its own initialization
-    and perturbation-restart stream), but all configurations advance
+    Bytewise identical to calling :func:`repro.core.lss.lss_localize`
+    once per entry of *seeds* (positions, errors, traces and round
+    boundaries; each seed drives its own initialization and
+    perturbation-restart stream), but all configurations advance
     through each restart round in one stacked
     :func:`batch_lss_descend` call.  Returns one ``LssResult`` per seed,
     in order.
     """
-    from ..core.lss import (
-        LssConfig,
-        LssResult,
-        _constraint_pairs,
-        _prepare_edges,
-        lss_error,
-    )
-    from .._validation import as_positions, ensure_rng
+    from ..core.lss import LssConfig, LssResult, _setup, lss_error
+    from .._validation import ensure_rng
 
     config = config if config is not None else LssConfig()
     if config.backend != "gd":
@@ -1145,50 +1044,27 @@ def lss_localize_multistart(
         raise ValidationError("seeds must contain at least one entry")
     rngs = [ensure_rng(seed) for seed in seeds]
     n_batch = len(rngs)
-    edges = _prepare_edges(measurements, n_nodes)
-
-    constraint_pairs = None
-    if config.min_spacing_m is not None:
-        constraint_pairs = _constraint_pairs(n_nodes, edges.pairs)
-
-    span = config.init_span_m
-    if span is None:
-        span = max(1.0, float(np.median(edges.distances)) * math.sqrt(n_nodes))
-
-    free_mask = np.ones(n_nodes, dtype=bool)
-    pins: Dict[int, np.ndarray] = {}
-    if fixed_positions:
-        for node_id, pos in fixed_positions.items():
-            node_id = int(node_id)
-            if not 0 <= node_id < n_nodes:
-                raise ValidationError(f"fixed node id {node_id} outside [0, {n_nodes})")
-            arr = np.asarray(pos, dtype=float)
-            if arr.shape != (2,):
-                raise ValidationError("fixed positions must be (x, y) pairs")
-            pins[node_id] = arr
-            free_mask[node_id] = False
+    setup = _setup(measurements, n_nodes, config, initial, fixed_positions)
+    edges, constraint_pairs = setup.edges, setup.constraint_pairs
 
     pts = np.empty((n_batch, n_nodes, 2))
-    if initial is not None:
-        start = as_positions(initial, "initial").copy()
-        if start.shape != (n_nodes, 2):
-            raise ValidationError(f"initial must have shape ({n_nodes}, 2)")
-        pts[:] = start
+    if setup.initial is not None:
+        pts[:] = setup.initial
     else:
         for b, rng in enumerate(rngs):
-            pts[b] = rng.uniform(0.0, span, size=(n_nodes, 2))
-    for node_id, arr in pins.items():
-        pts[:, node_id] = arr
+            pts[b] = rng.uniform(0.0, setup.span, size=(n_nodes, 2))
+    setup.pin(pts)
 
-    kwargs = dict(
+    traces: List[List[float]] = [[] for _ in range(n_batch)]
+    boundaries: List[List[int]] = [[] for _ in range(n_batch)]
+    best_pts = pts.copy()
+    best_error = batch_lss_error(
+        pts,
+        edges,
         constraint_pairs=constraint_pairs,
         min_spacing_m=config.min_spacing_m,
         constraint_weight=config.constraint_weight,
     )
-    traces: List[List[float]] = [[] for _ in range(n_batch)]
-    boundaries: List[List[int]] = [[] for _ in range(n_batch)]
-    best_pts = pts.copy()
-    best_error = batch_lss_error(pts, edges, **kwargs)
     converged = np.zeros(n_batch, dtype=bool)
     for round_index in range(config.restarts):
         for b in range(n_batch):
@@ -1201,8 +1077,7 @@ def lss_localize_multistart(
                 seed_pts[b] = best_pts[b] + rng.normal(
                     0.0, config.perturbation_m, size=(n_nodes, 2)
                 )
-            for node_id, arr in pins.items():
-                seed_pts[:, node_id] = arr
+            setup.pin(seed_pts)
         out_pts, out_error, converged = batch_lss_descend(
             seed_pts,
             edges,
@@ -1212,7 +1087,7 @@ def lss_localize_multistart(
             step_size=config.step_size,
             max_epochs=config.max_epochs,
             tolerance=config.tolerance,
-            free_mask=free_mask,
+            free_mask=setup.free_mask,
             traces=traces,
         )
         better = out_error < best_error

@@ -2,11 +2,12 @@
 
 The engine's parity contract (see ``repro/engine/__init__.py``) says a
 batched solve and the scalar reference solve of the same problem follow
-identical per-problem update rules, so their results may differ only by
-floating-point reduction error.  These tests pin that contract on
-fixed-seed networks across grid, random, and sparse layouts for
-multilateration (``localize_network``), LSS (``lss_localize`` /
-``lss_localize_multistart``), and the APS baselines.
+identical per-problem update rules.  Unpadded LSS stacks are bytewise
+the scalar oracle; multilateration, the APS baselines and padded LSS
+objectives may differ only by floating-point reduction error.  These
+tests pin that contract on fixed-seed networks across grid, random, and
+sparse layouts for multilateration (``localize_network``), LSS
+(``lss_localize`` / ``lss_localize_multistart``), and the APS baselines.
 """
 
 import numpy as np
@@ -174,6 +175,21 @@ class TestConsistencyFilterParity:
         assert list(fast) == list(reference)
 
 
+def _f64_bytes(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _assert_same_lss_result(result, reference):
+    """Two ``LssResult``s are the same bytes, trace and rounds included."""
+    assert result.positions.tobytes() == reference.positions.tobytes()
+    assert _f64_bytes(result.error) == _f64_bytes(reference.error)
+    assert _f64_bytes(result.stress) == _f64_bytes(reference.stress)
+    assert result.error_trace.tobytes() == reference.error_trace.tobytes()
+    assert result.round_boundaries == reference.round_boundaries
+    assert result.epochs_run == reference.epochs_run
+    assert result.converged == reference.converged
+
+
 class TestLssParity:
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_gd_backend_matches_gd_scalar(self, layout):
@@ -186,12 +202,7 @@ class TestLssParity:
         )
         batched = lss_localize(ranges, n, config=batched_cfg, rng=11)
         scalar = lss_localize(ranges, n, config=scalar_cfg, rng=11)
-        assert batched.error == pytest.approx(scalar.error, rel=1e-9)
-        assert batched.positions == pytest.approx(scalar.positions, abs=1e-7)
-        assert batched.epochs_run == scalar.epochs_run
-        assert np.asarray(batched.error_trace) == pytest.approx(
-            np.asarray(scalar.error_trace), rel=1e-9
-        )
+        _assert_same_lss_result(batched, scalar)
 
     def test_batch_objective_and_gradient_match_scalar(self):
         from repro.core.lss import _constraint_pairs, lss_error, lss_gradient
@@ -209,17 +220,14 @@ class TestLssParity:
             configs, edges, constraint_pairs=pairs, min_spacing_m=6.0
         )
         for b in range(4):
-            assert errors[b] == pytest.approx(
-                lss_error(configs[b], edges, constraint_pairs=pairs, min_spacing_m=6.0),
-                rel=1e-12,
+            expected_error = lss_error(
+                configs[b], edges, constraint_pairs=pairs, min_spacing_m=6.0
             )
-            assert grads[b] == pytest.approx(
-                lss_gradient(
-                    configs[b], edges, constraint_pairs=pairs, min_spacing_m=6.0
-                ),
-                rel=1e-9,
-                abs=1e-9,
+            expected_grad = lss_gradient(
+                configs[b], edges, constraint_pairs=pairs, min_spacing_m=6.0
             )
+            assert errors[b].tobytes() == _f64_bytes(expected_error)
+            assert grads[b].tobytes() == expected_grad.tobytes()
 
     def test_multistart_matches_sequential_runs(self):
         rng = np.random.default_rng(4)
@@ -230,10 +238,7 @@ class TestLssParity:
         stacked = lss_localize_multistart(ranges, n, config=config, seeds=seeds)
         for result, seed in zip(stacked, seeds):
             reference = lss_localize(ranges, n, config=config, rng=seed)
-            assert result.error == pytest.approx(reference.error, rel=1e-9)
-            assert result.positions == pytest.approx(reference.positions, abs=1e-6)
-            assert result.round_boundaries == reference.round_boundaries
-            assert result.epochs_run == reference.epochs_run
+            _assert_same_lss_result(result, reference)
 
     def test_multistart_validates_inputs(self):
         rng = np.random.default_rng(4)
@@ -255,9 +260,13 @@ class TestLssParity:
         results = lss_localize_multistart(
             ranges, n, config=config, seeds=[5, 6], fixed_positions=fixed
         )
-        for result in results:
+        for result, seed in zip(results, [5, 6]):
             assert np.allclose(result.positions[0], positions[0])
             assert np.allclose(result.positions[1], positions[1])
+            reference = lss_localize(
+                ranges, n, config=config, rng=seed, fixed_positions=fixed
+            )
+            _assert_same_lss_result(result, reference)
 
 
 class TestApsParity:
@@ -385,8 +394,10 @@ class TestPaddedLssKernels:
                 initial, edges,
                 constraint_pairs=constraints, min_spacing_m=min_spacing_m,
             )
+            # Zero-valued padding can regroup the pairwise objective sum;
+            # the gradient bins add exact zeros for it.
             assert errors[b] == pytest.approx(expected_error, rel=1e-12)
-            np.testing.assert_allclose(grads[b, :n], expected_grad, atol=1e-9)
+            assert grads[b, :n].tobytes() == expected_grad.tobytes()
             # Padded node rows beyond each problem feel zero force.
             assert np.all(grads[b, n:] == 0.0)
 
@@ -479,21 +490,22 @@ class TestPaddedLssKernels:
 class TestLssDescentBytePins:
     """SHA-256 pins of descent paths the golden parity pins do not reach.
 
-    Frozen from the two-pass kernels (separate gradient and objective
-    passes, ``np.add.at`` scatter in the shared-edge family).  Any
-    kernel rewrite must reproduce them byte for byte: trajectories,
-    per-epoch traces and epoch/compaction counts included.
+    The shared-edge pins are the bytes of ``lss._descend_scalar`` per
+    configuration; the padded pin's gradient bins add their terms in
+    ``lss_gradient``'s order.  Any kernel rewrite must reproduce them
+    byte for byte: trajectories, per-epoch traces and epoch/compaction
+    counts included.
     """
 
     #: Constrained shared-edge descent with traces and a pinned node;
     #: B=1 is the ``town-lss`` path, B=4 the multistart path.
     SHARED_EDGE_PINS = {
         1: "f7a0bf9c71f6be7887bbd8f33b93212c2198742d8831c64a2e0adfe723fb3edb",
-        4: "1b653a2d00e7fa43a077440d0be541f32337a2a7d235f24e0e12bb38b7c8e33a",
+        4: "39afd236f3c8ac3482b641db537814f398e55ca97020cc76d53f1302579904ca",
     }
     #: Constrained padded descent whose problems finish at different
     #: epochs, so the working batch is compacted several times.
-    PADDED_PIN = "bdb8730e806a3e7f3704193bf8c090abd8f4076847eefb73e44af96d75ecd8a0"
+    PADDED_PIN = "7ec083c8937e59ac5a5b4b748c73fe9f738eb4e6a9438b1dd1aad700fd476337"
     PADDED_COMPACTIONS = 7
 
     @staticmethod
@@ -568,35 +580,6 @@ class TestLssDescentBytePins:
         assert sha256_bytes(out, errors, converged, np.array([epochs])) == self.PADDED_PIN
 
 
-def _two_pass_shared_edge(pts_t, edges, constraint_pairs, min_spacing_m, constraint_weight):
-    """Reference: objective and gradient as two separate passes, the
-    gradient scattered by sequential ``np.add.at`` calls on ``i``, ``j``,
-    ``ci`` and ``cj`` (node-major ``(n_nodes, B, 2)`` layout)."""
-    i_idx, j_idx = edges.pairs[:, 0], edges.pairs[:, 1]
-    diff = pts_t[i_idx] - pts_t[j_idx]
-    comp = np.hypot(diff[..., 0], diff[..., 1])
-    value = np.sum(edges.weights[:, None] * (comp - edges.distances[:, None]) ** 2, axis=0)
-    grad_t = np.zeros(pts_t.shape)
-    safe = np.maximum(comp, 1e-12)
-    coeff = (2.0 * edges.weights[:, None]) * (comp - edges.distances[:, None]) / safe
-    contrib = coeff[..., None] * diff
-    np.add.at(grad_t, i_idx, contrib)
-    np.add.at(grad_t, j_idx, -contrib)
-    if min_spacing_m is not None and constraint_pairs is not None and constraint_pairs.size:
-        ci, cj = constraint_pairs[:, 0], constraint_pairs[:, 1]
-        cdiff = pts_t[ci] - pts_t[cj]
-        ccomp = np.hypot(cdiff[..., 0], cdiff[..., 1])
-        violation = np.minimum(ccomp, min_spacing_m) - min_spacing_m
-        value = value + constraint_weight * np.sum(violation**2, axis=0)
-        vcomp = np.maximum(ccomp, 1e-12)
-        vcoeff = 2.0 * constraint_weight * (vcomp - min_spacing_m) / vcomp
-        vcoeff = np.where(ccomp < min_spacing_m, vcoeff, 0.0)
-        vcontrib = vcoeff[..., None] * cdiff
-        np.add.at(grad_t, ci, vcontrib)
-        np.add.at(grad_t, cj, -vcontrib)
-    return value, grad_t
-
-
 def _random_pairs(rng, n_nodes, count):
     """``count`` pairs of distinct nodes; endpoints and whole pairs repeat."""
     first = rng.integers(0, n_nodes, count)
@@ -604,10 +587,23 @@ def _random_pairs(rng, n_nodes, count):
     return np.stack([first, second], axis=1).astype(np.int64)
 
 
-class TestFusedLssScatterOrder:
-    """The fused body's ordered-bincount scatter adds every gradient
-    bin's terms in the order of sequential ``np.add.at`` calls, so it is
-    bytewise the two-pass reference."""
+def _random_edges(rng, n_nodes, n_edges):
+    from repro.core.measurements import EdgeList
+
+    return EdgeList(
+        pairs=_random_pairs(rng, n_nodes, n_edges),
+        distances=rng.uniform(0.0, 20.0, n_edges),
+        weights=rng.choice([0.5, 1.0, 2.0], n_edges),
+    )
+
+
+class TestLssKernelsAreTheScalarOracle:
+    """The LSS body sums the objective per row in ``lss_error``'s order
+    and scatters the gradient in ``lss_gradient``'s ``add.at`` order, so
+    without padding the batched kernels are the scalar oracle byte for
+    byte.  Few nodes and many pairs make endpoints repeat within and
+    across the edge and constraint lists; a spacing of 0.5 m is rarely
+    violated, one of 40 m always is."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -618,39 +614,21 @@ class TestFusedLssScatterOrder:
         min_spacing_m=st.sampled_from([None, 0.5, 8.0, 40.0]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_shared_edge_fused_body_is_bytewise_two_pass(
+    def test_shared_edge_objective_and_gradient_are_the_oracle(
         self, seed, n_nodes, n_configs, n_edges, n_constraints, min_spacing_m
     ):
-        from repro.core.measurements import EdgeList
-        from repro.engine.batch import _SharedEdgeLss
+        from repro.core.lss import lss_error, lss_gradient
 
         rng = np.random.default_rng(seed)
-        # Few nodes and many pairs: endpoints repeat within and across
-        # the edge and constraint lists.
-        edges = EdgeList(
-            pairs=_random_pairs(rng, n_nodes, n_edges),
-            distances=rng.uniform(0.0, 20.0, n_edges),
-            weights=rng.choice([0.5, 1.0, 2.0], n_edges),
-        )
+        edges = _random_edges(rng, n_nodes, n_edges)
         constraints = _random_pairs(rng, n_nodes, n_constraints)
         configs = rng.uniform(0.0, 20.0, size=(n_configs, n_nodes, 2))
-        pts_t = np.ascontiguousarray(configs.transpose(1, 0, 2))
-        # A spacing of 0.5 m is rarely violated, one of 40 m always is.
-        fused = _SharedEdgeLss(
-            edges, constraints, min_spacing_m, 10.0, n_nodes, n_configs
-        )
-        value, grad_t = fused.value_and_grad(pts_t)
-        ref_value, ref_grad_t = _two_pass_shared_edge(
-            pts_t, edges, constraints, min_spacing_m, 10.0
-        )
-        assert value.tobytes() == ref_value.tobytes()
-        assert grad_t.tobytes() == ref_grad_t.tobytes()
-
         kwargs = dict(constraint_pairs=constraints, min_spacing_m=min_spacing_m)
-        error = batch_lss_error(configs, edges, **kwargs)
-        grad = batch_lss_gradient(configs, edges, **kwargs)
-        assert error.tobytes() == value.tobytes()
-        assert np.ascontiguousarray(grad.transpose(1, 0, 2)).tobytes() == grad_t.tobytes()
+        errors = batch_lss_error(configs, edges, **kwargs)
+        grads = batch_lss_gradient(configs, edges, **kwargs)
+        for b in range(n_configs):
+            assert errors[b].tobytes() == _f64_bytes(lss_error(configs[b], edges, **kwargs))
+            assert grads[b].tobytes() == lss_gradient(configs[b], edges, **kwargs).tobytes()
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -658,65 +636,77 @@ class TestFusedLssScatterOrder:
         min_spacing_m=st.sampled_from([None, 0.5, 8.0, 40.0]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_padded_fused_body_is_bytewise_two_pass(self, seed, n_problems, min_spacing_m):
-        """Padded family: edge terms then constraint terms, each scattered
-        per coordinate in input order, as the two-pass kernel did."""
-        from repro.engine.batch import (
-            _PaddedLss,
-            batch_lss_error_padded,
-            batch_lss_gradient_padded,
-        )
+    def test_padded_gradient_is_the_oracle(self, seed, n_problems, min_spacing_m):
+        """Padding adds exact zeros to the gradient bins, so the gradient
+        stays bytewise; zero-valued padding slots can regroup the pairwise
+        objective sum, so the objective agrees to reduction tolerance."""
+        from repro.core.lss import _constraint_pairs, lss_error, lss_gradient
+        from repro.engine.batch import batch_lss_error_padded, batch_lss_gradient_padded
 
         rng = np.random.default_rng(seed)
-        n_nodes, n_edges, n_constraints = 6, 12, 8
-        pts = rng.uniform(0.0, 20.0, size=(n_problems, n_nodes, 2))
-        pairs = np.stack([_random_pairs(rng, n_nodes, n_edges) for _ in range(n_problems)])
-        dists = rng.uniform(0.0, 20.0, size=(n_problems, n_edges))
-        weights = rng.choice([0.0, 0.5, 1.0], size=(n_problems, n_edges))
-        cpairs = np.stack([_random_pairs(rng, n_nodes, n_constraints) for _ in range(n_problems)])
-        cvalid = rng.random((n_problems, n_constraints)) < 0.7
-
-        base = np.arange(n_problems)[:, None] * n_nodes
-        flat_pts = pts.reshape(-1, 2)
-        fi, fj = base + pairs[..., 0], base + pairs[..., 1]
-        diff = flat_pts[fi] - flat_pts[fj]
-        comp = np.hypot(diff[..., 0], diff[..., 1])
-        ref_value = np.sum(weights * (comp - dists) ** 2, axis=1)
-        coeff = (2.0 * weights) * (comp - dists) / np.maximum(comp, 1e-12)
-        terms = [(np.concatenate([fi.ravel(), fj.ravel()]), coeff[..., None] * diff)]
-        if min_spacing_m is not None:
-            cfi, cfj = base + cpairs[..., 0], base + cpairs[..., 1]
-            cdiff = flat_pts[cfi] - flat_pts[cfj]
-            ccomp = np.hypot(cdiff[..., 0], cdiff[..., 1])
-            violation = np.where(cvalid, np.minimum(ccomp, min_spacing_m) - min_spacing_m, 0.0)
-            ref_value = ref_value + 10.0 * np.sum(violation**2, axis=1)
-            vcomp = np.maximum(ccomp, 1e-12)
-            vcoeff = 2.0 * 10.0 * (vcomp - min_spacing_m) / vcomp
-            vcoeff = np.where((ccomp < min_spacing_m) & cvalid, vcoeff, 0.0)
-            terms.append((np.concatenate([cfi.ravel(), cfj.ravel()]), vcoeff[..., None] * cdiff))
-        ref_grad = np.zeros_like(flat_pts)
-        for scatter, contrib in terms:
-            flat = contrib.reshape(-1, 2)
-            for axis in range(2):
-                signed = np.concatenate([flat[:, axis], -flat[:, axis]])
-                ref_grad[:, axis] += np.bincount(
-                    scatter, weights=signed, minlength=flat_pts.shape[0]
-                )
-
-        constrained = min_spacing_m is not None
-        fused = _PaddedLss(
-            pairs, dists, weights,
-            cpairs if constrained else None, cvalid if constrained else None,
-            min_spacing_m, 10.0, n_nodes,
+        problems = TestPaddedLssKernels._random_problems(rng, n_problems)
+        pts, pairs, dists, weights, cpairs, cvalid = TestPaddedLssKernels._pad(
+            problems, min_spacing_m
         )
-        value, grad = fused.value_and_grad(pts)
-        assert value.tobytes() == ref_value.tobytes()
-        assert grad.tobytes() == ref_grad.reshape(pts.shape).tobytes()
+        padded = dict(
+            constraint_pairs=cpairs, constraint_valid=cvalid, min_spacing_m=min_spacing_m
+        )
+        errors = batch_lss_error_padded(pts, pairs, dists, weights, **padded)
+        grads = batch_lss_gradient_padded(pts, pairs, dists, weights, **padded)
+        for b, (n, edges, initial) in enumerate(problems):
+            constraints = (
+                _constraint_pairs(n, edges.pairs) if min_spacing_m is not None else None
+            )
+            kwargs = dict(constraint_pairs=constraints, min_spacing_m=min_spacing_m)
+            assert grads[b, :n].tobytes() == lss_gradient(initial, edges, **kwargs).tobytes()
+            assert np.all(grads[b, n:] == 0.0)
+            assert errors[b] == pytest.approx(lss_error(initial, edges, **kwargs), rel=1e-12)
 
-        kwargs = dict(
-            constraint_pairs=cpairs if constrained else None,
-            constraint_valid=cvalid if constrained else None,
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_nodes=st.integers(3, 9),
+        n_configs=st.integers(1, 4),
+        n_edges=st.integers(3, 25),
+        n_constraints=st.integers(0, 20),
+        min_spacing_m=st.sampled_from([None, 0.5, 8.0, 40.0]),
+        pinned=st.integers(0, 8),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_shared_edge_descent_is_the_scalar_round(
+        self, seed, n_nodes, n_configs, n_edges, n_constraints, min_spacing_m, pinned
+    ):
+        """Points, error, converged flag and trace of every configuration
+        are those of ``_descend_scalar``, with a pinned row, while the
+        stack compacts configurations that finish at different epochs."""
+        from repro.core.lss import _descend_scalar
+        from repro.engine.batch import batch_lss_descend
+
+        rng = np.random.default_rng(seed)
+        edges = _random_edges(rng, n_nodes, n_edges)
+        constraints = _random_pairs(rng, n_nodes, n_constraints)
+        configs = rng.uniform(0.0, 20.0, size=(n_configs, n_nodes, 2))
+        config = LssConfig(min_spacing_m=min_spacing_m, max_epochs=150)
+        free_mask = np.ones(n_nodes, dtype=bool)
+        free_mask[pinned % n_nodes] = False
+        traces = [[] for _ in range(n_configs)]
+        pts, errors, converged = batch_lss_descend(
+            configs,
+            edges,
+            constraints,
             min_spacing_m=min_spacing_m,
+            constraint_weight=config.constraint_weight,
+            step_size=config.step_size,
+            max_epochs=config.max_epochs,
+            tolerance=config.tolerance,
+            free_mask=free_mask,
+            traces=traces,
         )
-        assert batch_lss_error_padded(pts, pairs, dists, weights, **kwargs).tobytes() == value.tobytes()
-        assert batch_lss_gradient_padded(pts, pairs, dists, weights, **kwargs).tobytes() == grad.tobytes()
+        for b in range(n_configs):
+            trace = []
+            ref_pts, ref_error, ref_converged = _descend_scalar(
+                configs[b].copy(), edges, constraints, config, trace, free_mask
+            )
+            assert pts[b].tobytes() == ref_pts.tobytes()
+            assert errors[b].tobytes() == _f64_bytes(ref_error)
+            assert bool(converged[b]) == ref_converged
+            assert np.asarray(traces[b]).tobytes() == np.asarray(trace, dtype=float).tobytes()

@@ -37,11 +37,14 @@ from repro.engine import (
 )
 from repro.engine.localmaps import LocalLssProblem
 
+#: The shared-edge ``batch_lss_error``/``batch_lss_descend`` pins (a B=5
+#: stack) hold the scalar oracle's bytes: the objective is summed per
+#: configuration in ``lss_error``'s pairwise order.
 GOLDEN_PINS = {
     "solve_multilateration_batch": "dc6ac928c2665b073a5cbcbda3b3669bff8aa0d83acaf9c4e98b2b20cb179410",
-    "batch_lss_error": "0d60c673a5fa6682b060bdbbb9bd10b239ea58d60a7e5b9bb2c42161e211b23c",
+    "batch_lss_error": "3137e75df6a302fe3cc34bc60ddb19560351928386e010badbcb33e245031ccb",
     "batch_lss_gradient": "5a59e8d691bcaa653d5778752a1334903f10c39ba88a808428db28986cb08af8",
-    "batch_lss_descend": "bca7202ccac7fc6b027646e3145f9b56ca28c02a92e09884d4b121040bebaa40",
+    "batch_lss_descend": "023c59a1a3cadd01b83a8de4a55dbc8ce33dc13915ec0fc9ca3cc7e8f75490ca",
     "batch_lss_error_padded": "64911a43bd5f65ff91b76b64a33d46faa5fa0384a66d6514e047f18c93ae1dd6",
     "batch_lss_gradient_padded": "69df36262dc245c209a3cb583c8ecd808e85b80b396be6b22b7fe698da2fc027",
     "batch_lss_descend_padded": "2217390fc11f4d46e35c0086ae817c108ce1312f8791733e55794ecff1e8156c",
