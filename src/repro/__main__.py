@@ -906,7 +906,10 @@ def _cmd_bench_run(args) -> int:
     print(f"bench suite {args.suite!r} (median of {args.repeats}):")
     for result in record["results"]:
         throughput = result["metrics"].get("trials_per_s")
+        per_epoch = result["metrics"].get("us_per_epoch")
         suffix = f"  {throughput:>8.1f} trials/s" if throughput else ""
+        if per_epoch:
+            suffix = f"  {per_epoch:>8.1f} us/epoch"
         print(
             f"  {result['id']:<{width}}  median {result['median_s']:>9.4f} s"
             f"  min {result['min_s']:>9.4f} s{suffix}"

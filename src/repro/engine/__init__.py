@@ -15,7 +15,11 @@ This subsystem provides the batched substrate those campaigns run on:
     lockstep.  The ``*_padded`` variants stack *heterogeneous* LSS
     problems (per-problem node counts, edge lists, and constraint sets,
     padded with exact-zero slots) for the distributed pipeline; both
-    layouts run one LSS body and one descent loop.
+    layouts run one LSS body and one descent loop.  The body evaluates
+    only real edge slots and the constraint pairs of a Verlet candidate
+    list (pairs within ``1.5 d_min``, rebuilt once a node has moved
+    ``d_min / 4``); every term it leaves out is an exact zero, so the
+    results are the bytes of evaluating every slot.
 :mod:`repro.engine.localmaps`
     The distributed-LSS local-map solver: every node's one-hop
     neighborhood problem of a refinement round advances through its
@@ -58,7 +62,9 @@ scalar runs from the same seed must therefore agree to floating-point
 reduction tolerance, and unpadded LSS stacks go further: their
 objective, gradient and descent add every term in the scalar order, so
 ``backend="gd"`` and ``lss_localize_multistart`` are bytewise the
-scalar oracle.  ``tests/test_engine_batch.py`` enforces this on
+scalar oracle.  The LSS body's sparse and dense paths (chosen per
+call from how many constraint pairs its candidate list leaves out) give
+identical bytes.  ``tests/test_engine_batch.py`` enforces this on
 fixed-seed grid, random, and sparse networks and on random stacks.
 The one deliberate exception is the distributed pipeline's *multi-problem* orchestration:
 its batched path phases residual-trim refits after all first fits

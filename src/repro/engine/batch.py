@@ -35,8 +35,11 @@ the scalar ``lss_error``/``lss_gradient``, so an unpadded stack is
 bytewise the scalar oracle and :func:`batch_lss_descend` is bytewise
 ``lss._descend_scalar`` per configuration.  Padded stacks keep the
 gradient bytes; their objectives agree to reduction tolerance, because
-zero-valued padding slots can regroup the pairwise sum.  The
-multilateration kernels follow the same per-problem operations as
+zero-valued padding slots can regroup the pairwise sum.  The body
+evaluates only the terms that can be nonzero — real edge slots and a
+Verlet candidate list of constraint pairs — and leaves out exact zeros
+only, so its results are the bytes of evaluating every slot (see
+:class:`_Lss`).  The multilateration kernels follow the same per-problem operations as
 their references and agree to floating-point reduction tolerance
 (``tests/test_engine_batch.py``, ``tests/test_distributed.py``).
 
@@ -49,7 +52,7 @@ the kernels' output bytes.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,7 +172,7 @@ def _finish_scalar(
 
 
 @lru_cache(maxsize=None)
-def _kernel_counter_names(name: str) -> Tuple[str, str, str, str]:
+def _kernel_counter_names(name: str) -> Tuple[str, ...]:
     """Counter names for one kernel, formatted once per process: the
     disabled-telemetry path must not pay f-string rendering per solve
     (lint rule RPL008)."""
@@ -179,20 +182,33 @@ def _kernel_counter_names(name: str) -> Tuple[str, str, str, str]:
         f"{prefix}_problems",
         f"{prefix}_iterations",
         f"{prefix}_compactions",
+        f"{prefix}_rebuilds",
+        f"{prefix}_terms",
     )
 
 
 def _count_kernel(
-    name: str, n_problems: int, iterations: int, compactions: Optional[int] = None
+    name: str,
+    n_problems: int,
+    iterations: int,
+    compactions: Optional[int] = None,
+    rebuilds: Optional[int] = None,
+    terms: Optional[int] = None,
 ) -> None:
     """One counter bundle per kernel *call* (never per epoch), so the
-    disabled-telemetry path stays a handful of no-op calls per solve."""
-    solves, problems, iters, compact = _kernel_counter_names(name)
+    disabled-telemetry path stays a handful of no-op calls per solve.
+    The LSS kernels add their candidate-list builds (*rebuilds*) and the
+    term slots their body evaluated, summed over its evaluations: the
+    start point and one candidate per epoch (*terms*)."""
+    solves, problems, iters, compact, builds, evaluated = _kernel_counter_names(name)
     telemetry.count(solves, 1)
     telemetry.count(problems, n_problems)
     telemetry.count(iters, iterations)
     if compactions is not None:
         telemetry.count(compact, compactions)
+    if rebuilds is not None:
+        telemetry.count(builds, rebuilds)
+        telemetry.count(evaluated, terms)
 
 
 def batch_gradient_descent(
@@ -527,9 +543,11 @@ def solve_multilateration_batch(
 
 
 def _has_constraints(constraint_pairs, min_spacing_m) -> bool:
-    """Whether the soft minimum-spacing penalty has any pair to act on."""
+    """Whether the soft minimum-spacing penalty has any pair to act on
+    (no pair is ever closer than a spacing ``<= 0``)."""
     return (
         min_spacing_m is not None
+        and min_spacing_m > 0.0
         and constraint_pairs is not None
         and np.asarray(constraint_pairs).size > 0
     )
@@ -550,27 +568,88 @@ def _require_constraint_mask(constraint_pairs, constraint_valid) -> None:
         )
 
 
+#: Verlet skin, as a fraction of ``d_min``: a candidate list keeps the
+#: constraint pairs closer than ``d_min * (1 + _SKIN)``.
+_SKIN = 0.5
+
+#: Relative slack under the ``skin / 2`` rebuild displacement.  Every
+#: distance here is a correctly rounded difference followed by ``hypot``,
+#: so rounding is relative (a few ulps); this margin dwarfs it.
+_REBUILD_SLACK = 1e-9
+
+#: The fewest valid constraint pairs a non-empty candidate list must
+#: leave out to be used (see :func:`_use_candidates`).
+_VERLET_MIN_DROPPED = 400
+
+
+def _use_candidates(n_valid: int, n_near: int) -> bool:
+    """Dense or sparse: whether a build that kept *n_near* of *n_valid*
+    constraint pairs should evaluate its candidate list.
+
+    A list that leaves nothing out is never worth checking.  An empty one
+    skips the constraint terms outright, which always pays.  Otherwise
+    the per-epoch displacement check and the rebuilds must be paid for
+    by the pairs left out.  Timed per epoch with each path forced on the
+    same B=1 stacks, the list ran 1% faster to 5% slower with 185-250
+    pairs left out, 1-6% faster with about 400, and 9-21% faster from
+    900 up.  The town workloads' builds leave out either at most about
+    260 (town-lss, B=1) or, with a non-empty list, 1,300 and more
+    (fig21, B=3).  The local-map stacks (B=49) mostly build empty lists,
+    and their trial time does not move with this constant.
+    """
+    dropped = n_valid - n_near
+    return dropped > 0 and (n_near == 0 or dropped >= _VERLET_MIN_DROPPED)
+
+
+def _row_sums(terms: np.ndarray, slots: Optional[np.ndarray], shape) -> np.ndarray:
+    """Per-row pairwise sums of *terms* laid out on the dense *shape*.
+
+    *slots* are the flat dense positions of *terms* (``None``: every
+    slot, in order).  Left-out slots read exact ``+0.0``, so the sum is
+    the dense ``sum(axis=1)`` of the same values, grouping included.
+    """
+    if slots is None:
+        return terms.reshape(shape).sum(axis=1)
+    dense = np.zeros(shape[0] * shape[1])
+    dense[slots] = terms
+    return dense.reshape(shape).sum(axis=1)
+
+
 class _Lss:
     """Fused LSS objective and gradient for a ``(B, N, 2)`` problem stack.
 
     Problem ``b`` has its own edge list ``pairs[b]`` (``(B, E, 2)``, with
     ``dists`` and ``weights`` of shape ``(B, E)``) and optional
     constraint pairs ``(B, C, 2)``; ``constraint_valid`` masks padded
-    constraint slots (``None``: every slot is real).  Zero-weight edge
-    slots and masked constraint slots contribute exact zeros.
+    constraint slots (``None``: every slot is real).
 
-    The body works on the flat ``(B*N, 2)`` view of the stack.  Flat
-    endpoint indices, ``2 w`` and the scatter bins depend only on the
-    edge and constraint stacks, so they are built once per call and
-    again only when :meth:`compact` drops finished problems.
+    The body evaluates only terms that can be nonzero.  Zero-weight edge
+    slots and masked constraint slots are left out for good; the valid
+    constraint pairs are narrowed to a Verlet candidate list (L. Verlet,
+    Phys. Rev. 159, 98, 1967): the pairs closer than ``d_min + skin``
+    with ``skin = d_min / 2``.  The list is rebuilt once any node has
+    moved ``skin / 2`` (less a rounding slack) since it was built: two
+    nodes then close in by less than ``skin``, so a pair left out stays
+    at least ``d_min`` apart until the next build.  Dense or sparse is
+    chosen at each build from what it finds (:func:`_use_candidates`);
+    a dense build keeps every valid pair and stops checking displacements
+    until the next compaction.
 
-    The objective is a per-row pairwise ``sum(axis=1)``, the reduction
-    of :func:`repro.core.lss.lss_error`.  The gradient is one
-    ``np.bincount`` over ``[edge i, edge j, constraint i, constraint j]``
-    with one bin per ``(flat row, coordinate)``; ``bincount`` adds its
-    weights in input order, so every bin receives the terms of
-    :func:`repro.core.lss.lss_gradient`'s sequential ``add.at`` calls in
-    their order (non-violated constraints add exact zeros).
+    Every left-out term is an exact zero: a zero weight makes ``+0.0``
+    and ``±0.0`` terms, and a pair at distance ``>= d_min`` has
+    violation ``0.0`` and no force.  The gradient is one ``np.bincount``
+    over ``[edge i, edge j, constraint i, constraint j]`` with one bin
+    per ``(flat row, coordinate)``; ``bincount`` starts every bin at
+    ``+0.0`` and adds its weights in input order, so every bin receives
+    the nonzero terms of :func:`repro.core.lss.lss_gradient`'s
+    sequential ``add.at`` calls in their order, and ``x + ±0.0 == x``
+    makes the left-out ones immaterial.  The objective is the per-row
+    pairwise ``sum(axis=1)`` of :func:`repro.core.lss.lss_error` over the
+    dense ``(B, E)`` and ``(B, C)`` layouts (:func:`_row_sums`).
+
+    Index arrays are built once per call, again at each :meth:`compact`,
+    and the constraint part at each candidate-list build.  ``rebuilds``
+    and ``terms`` count list builds and the term slots evaluated.
     """
 
     def __init__(
@@ -587,33 +666,51 @@ class _Lss:
         self.pairs = np.asarray(pairs)
         self.dists = np.asarray(dists, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
-        self.weights2 = 2.0 * self.weights
         self.n_nodes = n_nodes
-        self.n_edges = n_edges = self.pairs.shape[1]
         self.min_spacing_m = min_spacing_m
         self.constraint_weight = constraint_weight
         self.constrained = _has_constraints(constraint_pairs, min_spacing_m)
         self.constraint_pairs = self.constraint_valid = None
-        index_pairs = self.pairs
+        self.rebuilds = self.terms = 0
+        self._ref = None
+        n_batch = self.weights.shape[0]
+        self.n_bins = 2 * n_batch * n_nodes
+        rows = np.arange(n_batch, dtype=np.int64)[:, None, None] * n_nodes
+
+        self._edge_shape = self.weights.shape
+        real = np.flatnonzero(self.weights)
+        self._edge_slots = None if real.size == self.weights.size else real
+        self._edge_ends = (rows + self.pairs).reshape(-1, 2)[real]
+        self._edge_dists = self.dists.ravel()[real]
+        self._edge_weights = self.weights.ravel()[real]
+        self._edge_weights2 = 2.0 * self._edge_weights
+
+        self._con_ends = np.zeros((0, 2), dtype=np.int64)
+        self._con_slots = None
         if self.constrained:
             self.constraint_pairs = np.asarray(constraint_pairs)
-            if constraint_valid is not None:
-                self.constraint_valid = np.asarray(constraint_valid, dtype=bool)
-            index_pairs = np.concatenate([self.pairs, self.constraint_pairs], axis=1)
-        n_batch = index_pairs.shape[0]
-        self.n_bins = 2 * n_batch * n_nodes
-        flat = np.arange(n_batch, dtype=np.int64)[:, None, None] * n_nodes + index_pairs
-        # Gather order: every head row, then every tail row.
-        self.ends = np.stack([flat[..., 0], flat[..., 1]])
-        # Scatter order per problem: edge heads, edge tails, constraint
-        # heads, constraint tails (``lss_gradient``'s ``add.at`` order).
-        edge, con = flat[:, :n_edges], flat[:, n_edges:]
-        rows = np.concatenate([edge[..., 0], edge[..., 1], con[..., 0], con[..., 1]], axis=1)
-        self.bins = (2 * rows[..., None] + np.arange(2)).ravel()
+            if constraint_valid is None:
+                valid = np.ones(self.constraint_pairs.shape[:2], dtype=bool)
+            else:
+                valid = self.constraint_valid = np.asarray(constraint_valid, dtype=bool)
+            self._con_shape = valid.shape
+            # Padded slots reference node 0 twice (distance 0 = maximal
+            # "violation"), so only the masked-in slots are ever read.
+            self._valid_slots = np.flatnonzero(valid)
+            self._valid_ends = (rows + self.constraint_pairs).reshape(-1, 2)[
+                self._valid_slots
+            ]
+            self._cutoff = min_spacing_m * (1.0 + _SKIN)
+            self._limit = 0.5 * _SKIN * min_spacing_m * (1.0 - _REBUILD_SLACK)
+        # A constrained body builds its candidate list at its first
+        # evaluation, where the positions are known.
+        self._built = not self.constrained
+        if self._built:
+            self._select(None)
 
     def compact(self, keep: np.ndarray) -> "_Lss":
         """The same body restricted to the problems where *keep* is set."""
-        return _Lss(
+        body = _Lss(
             self.pairs[keep],
             self.dists[keep],
             self.weights[keep],
@@ -623,38 +720,78 @@ class _Lss:
             self.constraint_weight,
             self.n_nodes,
         )
+        body.rebuilds, body.terms = self.rebuilds, self.terms
+        return body
+
+    def _select(self, near: Optional[np.ndarray]) -> None:
+        """Gather indices and scatter bins for the real edges plus the
+        valid constraint pairs at *near* (``None``: every valid pair)."""
+        if self.constrained:
+            slots = self._valid_slots
+            self._con_ends = self._valid_ends
+            if near is not None:
+                slots = slots[near]
+                self._con_ends = self._con_ends[near]
+            dense = slots.size == self._con_shape[0] * self._con_shape[1]
+            self._con_slots = None if dense else slots
+        edge, con = self._edge_ends, self._con_ends
+        self._ends = np.concatenate([edge, con]).T.copy()
+        rows = np.concatenate([edge[:, 0], edge[:, 1], con[:, 0], con[:, 1]])
+        self._bins = (2 * rows[:, None] + np.arange(2)).ravel()
+
+    def _stale(self, pts: np.ndarray) -> bool:
+        """Whether the candidate list must be (re)built before *pts*."""
+        if self._ref is None:
+            return not self._built
+        moved = pts - self._ref
+        # ``not <`` so that a NaN displacement rebuilds too.
+        return not np.hypot(moved[..., 0], moved[..., 1]).max() < self._limit
+
+    def _build(self, pts: np.ndarray) -> None:
+        """Build the Verlet candidate list at the stack *pts*."""
+        self.rebuilds += 1
+        self._built = True
+        flat = pts.reshape(-1, 2)
+        ends = self._valid_ends
+        diff = flat[ends[:, 0]] - flat[ends[:, 1]]
+        near = np.flatnonzero(~(np.hypot(diff[:, 0], diff[:, 1]) >= self._cutoff))
+        if _use_candidates(ends.shape[0], near.size):
+            self._ref = pts.copy()
+            self._select(near)
+        else:
+            self._ref = None
+            self._select(None)
 
     def value_and_grad(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Objective ``(B,)`` and gradient ``(B, N, 2)`` at the stack *pts*."""
-        n_edges = self.n_edges
-        ends = np.take(pts.reshape(-1, 2), self.ends, axis=0)
+        if self._stale(pts):
+            self._build(pts)
+        n_edges = self._edge_ends.shape[0]
+        ends = np.take(pts.reshape(-1, 2), self._ends, axis=0)
         diff = ends[0] - ends[1]
-        comp = np.hypot(diff[..., 0], diff[..., 1])
-        resid = comp[:, :n_edges] - self.dists
-        value = (self.weights * resid**2).sum(axis=1)
+        comp = np.hypot(diff[:, 0], diff[:, 1])
+        self.terms += comp.size
+        resid = comp[:n_edges] - self._edge_dists
+        value = _row_sums(self._edge_weights * resid**2, self._edge_slots, self._edge_shape)
         safe = np.maximum(comp, 1e-12)
-        coeff = self.weights2 * resid / safe[:, :n_edges]
-        contrib = coeff[..., None] * diff[:, :n_edges]
-        terms = [contrib, -contrib]
-        if self.constrained:
+        coeff = self._edge_weights2 * resid / safe[:n_edges]
+        contrib = coeff[:, None] * diff[:n_edges]
+        scatter = [contrib, -contrib]
+        if self._con_ends.shape[0]:
             d_min = self.min_spacing_m
-            ccomp = comp[:, n_edges:]
+            ccomp = comp[n_edges:]
             violation = np.minimum(ccomp, d_min) - d_min
-            # Only violated pairs (estimate closer than d_min) exert force.
-            force = ccomp < d_min
-            if self.constraint_valid is not None:
-                # Padded slots reference node 0 twice (distance 0 = maximal
-                # "violation"), so they MUST be masked out explicitly.
-                violation = np.where(self.constraint_valid, violation, 0.0)
-                force &= self.constraint_valid
-            value = value + self.constraint_weight * (violation**2).sum(axis=1)
-            vcomp = safe[:, n_edges:]
+            value = value + self.constraint_weight * _row_sums(
+                violation**2, self._con_slots, self._con_shape
+            )
+            vcomp = safe[n_edges:]
             vcoeff = 2.0 * self.constraint_weight * (vcomp - d_min) / vcomp
-            vcontrib = np.where(force, vcoeff, 0.0)[..., None] * diff[:, n_edges:]
-            terms += [vcontrib, -vcontrib]
+            # Only violated pairs (estimate closer than d_min) exert force.
+            vcontrib = np.where(ccomp < d_min, vcoeff, 0.0)[:, None] * diff[n_edges:]
+            scatter += [vcontrib, -vcontrib]
         grad = np.bincount(
-            self.bins,
-            weights=np.concatenate(terms, axis=1).ravel(),
+            self._bins,
+            weights=np.concatenate(scatter).ravel(),
             minlength=self.n_bins,
         )
         return value, grad.reshape(pts.shape)
@@ -712,6 +849,18 @@ def _padded_body(
     )
 
 
+class _Descent(NamedTuple):
+    """What one :func:`_descend` round returns."""
+
+    configs: np.ndarray
+    errors: np.ndarray
+    converged: np.ndarray
+    epochs_run: int
+    compactions: int
+    rebuilds: int
+    terms: int
+
+
 def _descend(
     lss: _Lss,
     pts: np.ndarray,
@@ -723,7 +872,7 @@ def _descend(
     patience: int,
     pinned: Optional[np.ndarray] = None,
     traces: Optional[List[List[float]]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+) -> _Descent:
     """One momentum-descent round over the stack *pts* (overwritten).
 
     Each problem follows the accept/reject schedule of the scalar round
@@ -745,12 +894,16 @@ def _descend(
     straggler treatment as :func:`batch_gradient_descent`), so a few
     slow problems do not drag the whole stack's per-epoch cost.
 
-    Returns ``(configs, errors, converged, epochs_run, compactions)``.
+    Returns a :class:`_Descent`: the configurations, errors, converged
+    flags, epochs run, compactions, and the body's candidate-list builds
+    and evaluated term slots.  An empty stack returns at once.
     """
     total = pts.shape[0]
     pts_out = pts.copy()
     err_out = np.empty(total)
     conv_out = np.zeros(total, dtype=bool)
+    if total == 0:
+        return _Descent(pts_out, err_out, conv_out, 0, 0, 0, 0)
     remaining = np.arange(total)
     current, grad = lss.value_and_grad(pts)
     alpha = np.full(total, float(step_size))
@@ -792,7 +945,10 @@ def _descend(
             conv_out[done] = True
             keep = ~finished
             if not keep.any():
-                return pts_out, err_out, conv_out, epochs_run, compactions
+                return _Descent(
+                    pts_out, err_out, conv_out, epochs_run, compactions,
+                    lss.rebuilds, lss.terms,
+                )
             remaining = remaining[keep]
             pts = pts[keep]
             grad = grad[keep]
@@ -804,7 +960,9 @@ def _descend(
 
     pts_out[remaining] = pts
     err_out[remaining] = current
-    return pts_out, err_out, conv_out, epochs_run, compactions
+    return _Descent(
+        pts_out, err_out, conv_out, epochs_run, compactions, lss.rebuilds, lss.terms
+    )
 
 
 def batch_lss_error(
@@ -881,7 +1039,7 @@ def batch_lss_descend(
     pts = np.array(configs, dtype=float)
     lss = _shared_edge_body(pts, edges, constraint_pairs, min_spacing_m, constraint_weight)
     pinned = np.flatnonzero(~np.asarray(free_mask, dtype=bool))
-    out, errors, converged, epochs_run, _ = _descend(
+    run = _descend(
         lss,
         pts,
         step_size=step_size,
@@ -892,8 +1050,8 @@ def batch_lss_descend(
         pinned=pinned if pinned.size else None,
         traces=traces,
     )
-    _count_kernel("lss", pts.shape[0], epochs_run)
-    return out, errors, converged
+    _count_kernel("lss", pts.shape[0], run.epochs_run, None, run.rebuilds, run.terms)
+    return run.configs, run.errors, run.converged
 
 
 def batch_lss_error_padded(
@@ -997,9 +1155,7 @@ def batch_lss_descend_padded(
         pts, pairs, dists, weights, constraint_pairs, constraint_valid,
         min_spacing_m, constraint_weight,
     )
-    if pts.shape[0] == 0:
-        return pts, np.empty(0), np.zeros(0, dtype=bool)
-    out, errors, converged, epochs_run, compactions = _descend(
+    run = _descend(
         lss,
         pts,
         step_size=step_size,
@@ -1008,8 +1164,10 @@ def batch_lss_descend_padded(
         momentum=momentum,
         patience=patience,
     )
-    _count_kernel("lss_padded", pts.shape[0], epochs_run, compactions)
-    return out, errors, converged
+    _count_kernel(
+        "lss_padded", pts.shape[0], run.epochs_run, run.compactions, run.rebuilds, run.terms
+    )
+    return run.configs, run.errors, run.converged
 
 
 def lss_localize_multistart(

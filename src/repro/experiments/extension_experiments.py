@@ -34,6 +34,7 @@ import time
 
 import numpy as np
 
+from .. import telemetry
 from .._validation import ensure_rng
 from ..acoustics import get_environment
 from ..core import (
@@ -204,23 +205,35 @@ def ext_scaling(seed: int = DEFAULT_SEED) -> ExperimentResult:
     """Centralized cost grows with n; distributed work stays local.
 
     "As more nodes are added, the number of terms in the error function
-    increases, as does the number of local minima" — we measure the
-    per-epoch cost of centralized LSS at two network sizes, and the
-    size of the largest problem any single node solves in the
-    distributed pipeline.
+    increases, as does the number of local minima" — we count the terms
+    of the error function the centralized LSS kernel evaluates per epoch
+    at two network sizes (checked, read from the kernel's
+    ``engine.batch.lss_terms`` / ``lss_iterations`` counters), time it
+    per epoch at both (reported only: wall-clock ratios of runs this
+    short swing with machine load), and measure the size of the largest
+    problem any single node solves in the distributed pipeline.
     """
     rng = ensure_rng(seed)
     sizes = (16, 64)
     per_epoch = {}
+    terms = {}
+    outer = telemetry.current()
     for size in sizes:
         side = int(np.sqrt(size))
         positions = square_grid(side, side, spacing_m=10.0)
         ranges = gaussian_ranges(positions, max_range_m=16.0, sigma_m=0.33, rng=rng)
         config = LssConfig(min_spacing_m=10.0, restarts=1, max_epochs=300)
         start = time.perf_counter()
-        result = lss_localize(ranges, size, config=config, rng=seed)
+        with telemetry.capture() as recorder:
+            result = lss_localize(ranges, size, config=config, rng=seed)
         elapsed = time.perf_counter() - start
+        # The run's own trace goes on to any enclosing trace.
+        outer.merge_worker(recorder.worker_data())
         per_epoch[size] = elapsed / max(result.epochs_run, 1)
+        counters = recorder.counters
+        terms[size] = counters.get("engine.batch.lss_terms", 0) / max(
+            counters.get("engine.batch.lss_iterations", 0), 1
+        )
 
     positions = square_grid(8, 8, spacing_m=10.0)
     ranges = gaussian_ranges(positions, max_range_m=16.0, sigma_m=0.33, rng=rng)
@@ -230,6 +243,7 @@ def ext_scaling(seed: int = DEFAULT_SEED) -> ExperimentResult:
     largest_local = max(len(m.members) for m in maps.values())
 
     growth = per_epoch[64] / max(per_epoch[16], 1e-12)
+    term_growth = terms[64] / max(terms[16], 1e-12)
     return ExperimentResult(
         experiment_id="ext-scaling",
         title="Centralized epoch cost vs distributed local problem size",
@@ -238,13 +252,17 @@ def ext_scaling(seed: int = DEFAULT_SEED) -> ExperimentResult:
             "epoch_cost_16_nodes_s": per_epoch[16],
             "epoch_cost_64_nodes_s": per_epoch[64],
             "epoch_cost_growth_16_to_64": growth,
+            "terms_per_epoch_16_nodes": float(terms[16]),
+            "terms_per_epoch_64_nodes": float(terms[64]),
+            "terms_per_epoch_growth_16_to_64": term_growth,
             "largest_local_problem_nodes": float(largest_local),
         },
         checks=[
             ShapeCheck(
-                "centralized per-epoch cost grows with network size",
-                growth > 1.5,
-                f"{growth:.1f}x from 16 to 64 nodes",
+                "centralized terms evaluated per epoch grow with network size",
+                term_growth > 1.5,
+                f"{term_growth:.1f}x terms per epoch from 16 to 64 nodes "
+                f"(per-epoch wall time {growth:.1f}x)",
             ),
             ShapeCheck(
                 "distributed nodes solve only neighborhood-sized problems",

@@ -13,6 +13,9 @@
   into the record without perturbing any ambient recorder;
 - is timed with ``time.perf_counter`` around the whole workload call.
 
+A ``kernel`` workload captures its pinned stack once, untimed, and each
+repeat times one descent on it; its record adds ``us_per_epoch``.
+
 The record keeps the raw per-repeat timings (the regression checker
 derives its noise floor from their spread), the median and min, the
 final repeat's counters (identical across repeats — the work is
@@ -102,6 +105,11 @@ def run_workload(
         raise ValidationError(f"repeats must be >= 1; got {repeats}")
     timings: List[float] = []
     counters: Dict[str, float] = {}
+    descend = None
+    if workload.kind == "kernel":
+        from .kernels import kernel_descent
+
+        descend = kernel_descent(workload.target_id, workload.seed)
     for _ in range(repeats):
         with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
             rep_store = store
@@ -113,7 +121,10 @@ def run_workload(
             with _store_env(env_root):
                 with telemetry.recording() as recorder:
                     start = perf_counter()
-                    _execute(workload, rep_store)
+                    if descend is not None:
+                        descend()
+                    else:
+                        _execute(workload, rep_store)
                     timings.append(perf_counter() - start)
         # Last repeat wins: the counters are deterministic functions of
         # (workload, seed), so any repeat reports the same values.
@@ -130,6 +141,11 @@ def run_workload(
     )
     if solves:
         metrics["solves_per_s"] = solves / median
+    if workload.kind == "kernel":
+        epochs = counters.get("engine.batch.lss_iterations", 0) + counters.get(
+            "engine.batch.lss_padded_iterations", 0
+        )
+        metrics["us_per_epoch"] = median * 1e6 / max(epochs, 1)
     return make_workload_result(
         workload_id=workload.workload_id,
         kind=workload.kind,

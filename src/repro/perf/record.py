@@ -52,7 +52,7 @@ _NUMBER = (int, float)
 
 #: Workload kinds the harness knows how to execute; bench records may
 #: also carry ``pytest-benchmark`` entries from the conftest hook.
-RESULT_KINDS = ("scenario", "experiment", "pytest-benchmark")
+RESULT_KINDS = ("scenario", "experiment", "kernel", "pytest-benchmark")
 
 
 def bench_filename(label: str) -> str:

@@ -2,17 +2,21 @@
 
 A :class:`Workload` names one unit the harness knows how to execute —
 a scenario campaign (through :func:`repro.scenarios.run_scenario`,
-store-isolated) or an experiment driver (through
-:func:`repro.experiments.get_experiment`) — with the seed and trial
-budget pinned so every run of the suite does the same work.
+store-isolated), an experiment driver (through
+:func:`repro.experiments.get_experiment`) or one LSS descent on a
+pinned kernel stack (:mod:`repro.perf.kernels`) — with the seed and
+trial budget pinned so every run of the suite does the same work.
 
-Two suites ship by default:
+Three suites ship by default:
 
 - ``smoke`` — seconds-scale, one workload per solver family plus one
   figure driver; the CI perf gate (``tools/check_perf.py``) runs it on
   every push.
 - ``full`` — the smoke workloads at larger trial budgets plus the
   remaining solver families; for local before/after comparisons.
+- ``kernels`` — one LSS descent per pinned stack (B=1, 3 and 49), timed
+  per epoch (``us_per_epoch``); shows where the kernel's cost moved
+  without the rest of a trial around it.
 
 :func:`register_suite` is the extension point (mirrors
 ``scenarios/registry.py``); suite names share the bench-label alphabet
@@ -29,7 +33,7 @@ from .record import _LABEL_RE
 
 __all__ = ["Workload", "register_suite", "get_suite", "all_suites"]
 
-_WORKLOAD_KINDS = ("scenario", "experiment")
+_WORKLOAD_KINDS = ("scenario", "experiment", "kernel")
 
 
 @dataclass(frozen=True)
@@ -38,8 +42,9 @@ class Workload:
 
     ``workload_id`` is the stable identity bench records key results on
     (regression checks match baseline to current by it); ``target_id``
-    is the scenario or experiment registry id to execute.  ``n_trials``
-    applies to scenario campaigns only (experiments own their budgets).
+    is the scenario or experiment registry id, or the kernel stack id,
+    to execute.  ``n_trials`` applies to scenario campaigns only
+    (experiments own their budgets, a kernel runs one descent).
     """
 
     workload_id: str
@@ -58,6 +63,14 @@ class Workload:
             raise ValidationError(
                 f"scenario workload {self.workload_id!r} needs n_trials >= 1"
             )
+        if self.kind == "kernel":
+            from .kernels import KERNEL_STACKS
+
+            if self.target_id not in KERNEL_STACKS:
+                raise ValidationError(
+                    f"kernel workload {self.workload_id!r}: unknown stack "
+                    f"{self.target_id!r}; known stacks: {', '.join(sorted(KERNEL_STACKS))}"
+                )
 
 
 _SUITES: Dict[str, Tuple[Workload, ...]] = {}
@@ -176,6 +189,24 @@ register_suite(
             kind="experiment",
             target_id="fig16",
             seed=2005,
+        ),
+    ),
+)
+
+# One descent per pinned stack, on both sides of the LSS body's
+# dense/sparse choice: B=1 stays dense, the B=3 and B=49 stacks leave
+# most constraint pairs (and, at B=49, most padded slots) out.
+register_suite(
+    "kernels",
+    (
+        Workload(workload_id="town-lss-b1", kind="kernel", target_id="town-lss-b1"),
+        Workload(
+            workload_id="fig21-b3", kind="kernel", target_id="fig21-b3", seed=2005
+        ),
+        Workload(
+            workload_id="town-distributed-lss-b49",
+            kind="kernel",
+            target_id="town-distributed-lss-b49",
         ),
     ),
 )

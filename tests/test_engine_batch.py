@@ -10,6 +10,8 @@ sparse layouts for multilateration (``localize_network``), LSS
 (``lss_localize`` / ``lss_localize_multistart``), and the APS baselines.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -710,3 +712,285 @@ class TestLssKernelsAreTheScalarOracle:
             assert errors[b].tobytes() == _f64_bytes(ref_error)
             assert bool(converged[b]) == ref_converged
             assert np.asarray(traces[b]).tobytes() == np.asarray(trace, dtype=float).tobytes()
+
+
+def _lss_path(path):
+    """A scope forcing the LSS body's dense/sparse choice: ``"dense"``
+    keeps every valid constraint pair, ``"sparse"`` always evaluates the
+    Verlet candidate list."""
+    from repro.engine import batch
+
+    return mock.patch.object(batch, "_use_candidates", lambda n_valid, n_near: path == "sparse")
+
+
+def _boundary_problems(rng, n_problems, d_min):
+    """Random problems whose node pairs sit at ``d_min`` and at the
+    candidate cutoff ``d_min + skin`` to within a few ulps, or at a
+    random distance around them (``skin = d_min / 2``)."""
+    from repro.core.measurements import EdgeList
+
+    problems = []
+    for _ in range(n_problems):
+        n = int(rng.integers(3, 9))
+        positions = np.zeros((n, 2))
+        positions[0] = rng.uniform(0.0, 3.0 * d_min, 2)
+        for k in range(1, n):
+            anchor = positions[rng.integers(0, k)]
+            scale = rng.choice([1.0, 1.5, rng.uniform(0.3, 2.5)])
+            length = d_min * scale * (1.0 + int(rng.integers(-4, 5)) * 2.0**-52)
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            positions[k] = anchor + length * np.array([np.cos(angle), np.sin(angle)])
+        pairs = np.stack(np.triu_indices(n, k=1), axis=1)
+        keep = rng.random(pairs.shape[0]) < 0.4
+        keep[0] = True
+        pairs = pairs[keep]
+        diff = positions[pairs[:, 0]] - positions[pairs[:, 1]]
+        dists = np.hypot(diff[:, 0], diff[:, 1]) + rng.normal(0.0, 0.5, len(pairs))
+        edges = EdgeList(
+            pairs=pairs.astype(np.int64),
+            distances=dists,
+            weights=rng.choice([0.5, 1.0, 2.0], size=len(pairs)),
+        )
+        problems.append((n, edges, positions))
+    return problems
+
+
+def _approach(rng, pts, d_min):
+    """Move every node toward a random other node of its problem by a
+    distance drawn from around the ``skin / 2`` rebuild boundary."""
+    half_skin = 0.25 * d_min
+    step = half_skin * rng.choice(
+        [0.0, 0.5, 1.0 - 1e-6, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-6, 1.5],
+        size=pts.shape[:2],
+    )
+    partner = pts[:, rng.integers(0, pts.shape[1], pts.shape[1])]
+    toward = partner - pts
+    norm = np.maximum(np.hypot(toward[..., 0], toward[..., 1]), 1e-12)
+    return pts + (step / norm)[..., None] * toward
+
+
+class TestSparseTermsAreTheDenseBody:
+    """The body may leave out zero-weight edge slots and constraint pairs
+    outside its Verlet candidate list only because each is an exact zero.
+    The dense path (every valid pair) and the sparse path (the list) must
+    therefore agree byte for byte, on stacks whose pairs sit at ``d_min``
+    and at the list cutoff and whose nodes move by about the ``skin / 2``
+    rebuild distance."""
+
+    D_MIN = 4.0
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_problems=st.integers(1, 6),
+        n_moves=st.integers(1, 5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sparse_body_is_the_dense_body(self, seed, n_problems, n_moves):
+        from repro.engine.batch import _padded_body
+
+        rng = np.random.default_rng(seed)
+        problems = _boundary_problems(rng, n_problems, self.D_MIN)
+        pts, pairs, dists, weights, cpairs, cvalid = TestPaddedLssKernels._pad(
+            problems, self.D_MIN
+        )
+        args = (pairs, dists, weights, cpairs, cvalid, self.D_MIN, 10.0)
+        with _lss_path("dense"):
+            dense = _padded_body(pts, *args)
+        with _lss_path("sparse"):
+            sparse = _padded_body(pts, *args)
+        for step in range(n_moves + 1):
+            if step:
+                pts = _approach(rng, pts, self.D_MIN)
+            with _lss_path("dense"):
+                value, grad = dense.value_and_grad(pts)
+            with _lss_path("sparse"):
+                sparse_value, sparse_grad = sparse.value_and_grad(pts)
+            assert sparse_value.tobytes() == value.tobytes()
+            assert sparse_grad.tobytes() == grad.tobytes()
+        assert sparse.terms <= dense.terms
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_problems=st.integers(1, 6),
+        shared=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_sparse_descent_is_the_dense_descent(self, seed, n_problems, shared):
+        """Points, errors, converged flags, epochs, compactions and
+        traces of ``_descend`` agree on both paths."""
+        from repro.core.lss import _constraint_pairs
+        from repro.engine.batch import _descend, _padded_body, _shared_edge_body
+
+        rng = np.random.default_rng(seed)
+        problems = _boundary_problems(rng, n_problems, self.D_MIN)
+        if shared:
+            n, edges, positions = problems[0]
+            pts = positions + rng.normal(0.0, 0.5, size=(n_problems, n, 2))
+            constraints = _constraint_pairs(n, edges.pairs)
+
+            def body():
+                return _shared_edge_body(pts, edges, constraints, self.D_MIN, 10.0)
+        else:
+            pts, *stacks = TestPaddedLssKernels._pad(problems, self.D_MIN)
+
+            def body():
+                return _padded_body(pts, *stacks, self.D_MIN, 10.0)
+
+        runs = {}
+        for path in ("dense", "sparse"):
+            traces = [[] for _ in range(pts.shape[0])]
+            with _lss_path(path):
+                run = _descend(
+                    body(), pts.copy(), step_size=0.02, max_epochs=150,
+                    tolerance=1e-7, momentum=0.9, patience=50, traces=traces,
+                )
+            runs[path] = run, traces
+        (dense, dense_traces), (sparse, sparse_traces) = runs["dense"], runs["sparse"]
+        for name in ("configs", "errors", "converged"):
+            assert getattr(sparse, name).tobytes() == getattr(dense, name).tobytes()
+        assert (sparse.epochs_run, sparse.compactions) == (dense.epochs_run, dense.compactions)
+        for ours, theirs in zip(sparse_traces, dense_traces):
+            assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
+        assert sparse.terms <= dense.terms
+
+    @staticmethod
+    def _crossing_body():
+        """Nodes 0 and 1 form the only constraint pair; the one edge
+        joins nodes 2 and 3, so rows 0 and 1 feel only that pair."""
+        from repro.engine.batch import _padded_body
+
+        pairs = np.array([[[2, 3]]])
+        stack = np.zeros((1, 4, 2))
+        return _padded_body(
+            stack, pairs, np.array([[1.0]]), np.array([[1.0]]),
+            np.array([[[0, 1]]]), np.array([[True]]), 4.0, 10.0,
+        )
+
+    def test_pair_driven_inside_feels_force_in_the_epoch_it_crosses(self):
+        """A pair starting just outside ``d_min + skin`` (4 + 2 m) closes
+        in by ``skin / 4`` per epoch, both nodes moving.  The list is
+        rebuilt when each node has moved ``skin / 2``, so the pair is
+        listed before it crosses ``d_min`` and pushes back at once.
+        Waiting for a displacement of ``skin`` would miss it."""
+        start = 6.0 + 1e-9
+        dense, sparse = self._crossing_body(), self._crossing_body()
+        forces = []
+        for epoch in range(7):
+            shift = 0.25 * epoch
+            pts = np.array(
+                [[[-start / 2 + shift, 0.0], [start / 2 - shift, 0.0], [10.0, 0.0], [10.0, 1.0]]]
+            )
+            with _lss_path("dense"):
+                value, grad = dense.value_and_grad(pts)
+            with _lss_path("sparse"):
+                sparse_value, sparse_grad = sparse.value_and_grad(pts)
+            assert sparse_value.tobytes() == value.tobytes()
+            assert sparse_grad.tobytes() == grad.tobytes()
+            distance = pts[0, 1, 0] - pts[0, 0, 0]
+            forces.append((distance < 4.0, bool(np.any(grad[0, :2] != 0.0))))
+        # The pair crosses d_min in epoch 5 and pushes from that epoch on.
+        assert forces == [(False, False)] * 5 + [(True, True)] * 2
+        # Built at epoch 0, rebuilt when the nodes have moved 1 m (epoch 4).
+        assert sparse.rebuilds == 2
+
+    @pytest.mark.parametrize("overshoot", [-1e-7, 5e-7])
+    def test_rebuild_displacement_is_not_above_half_skin(self, overshoot):
+        """A pair exactly at the cutoff is not listed.  If both nodes move
+        ``skin / 2 + x`` toward each other, it lands ``2x`` inside
+        ``d_min`` for x > 0 and must push back on that very evaluation."""
+        dense, sparse = self._crossing_body(), self._crossing_body()
+        half = 1.0 + overshoot
+        for shift in (0.0, half):
+            pts = np.array(
+                [[[-3.0 + shift, 0.0], [3.0 - shift, 0.0], [10.0, 0.0], [10.0, 1.0]]]
+            )
+            with _lss_path("dense"):
+                value, grad = dense.value_and_grad(pts)
+            with _lss_path("sparse"):
+                sparse_value, sparse_grad = sparse.value_and_grad(pts)
+            assert sparse_value.tobytes() == value.tobytes()
+            assert sparse_grad.tobytes() == grad.tobytes()
+        assert bool(np.any(grad[0, :2] != 0.0)) == (overshoot > 0)
+
+    def test_pair_driven_inside_by_descent(self):
+        """The same pair pulled together by a zero-length measurement:
+        every epoch of the descent, trace included, is the dense one."""
+        from repro.engine.batch import _descend, _padded_body
+
+        pts = np.array([[[0.0, 0.0], [6.0 + 1e-9, 0.0]]])
+        args = (
+            np.array([[[0, 1]]]), np.array([[0.0]]), np.array([[1.0]]),
+            np.array([[[0, 1]]]), np.array([[True]]), 4.0, 10.0,
+        )
+        runs = {}
+        for path in ("dense", "sparse"):
+            traces = [[]]
+            with _lss_path(path):
+                run = _descend(
+                    _padded_body(pts, *args), pts.copy(), step_size=0.02,
+                    max_epochs=300, tolerance=1e-7, momentum=0.9, patience=50,
+                    traces=traces,
+                )
+            runs[path] = run, traces
+        (dense, dense_trace), (sparse, sparse_trace) = runs["dense"], runs["sparse"]
+        assert sparse.configs.tobytes() == dense.configs.tobytes()
+        assert np.asarray(sparse_trace).tobytes() == np.asarray(dense_trace).tobytes()
+        gap = sparse.configs[0, 1, 0] - sparse.configs[0, 0, 0]
+        assert gap < 4.0 and sparse.rebuilds > 1
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_empty_stack_returns_at_once(self, padded):
+        from repro import telemetry
+        from repro.engine.batch import batch_lss_descend, batch_lss_descend_padded
+
+        edges = _random_edges(np.random.default_rng(0), 5, 4)
+        configs = np.zeros((0, 5, 2))
+        with telemetry.recording() as rec:
+            if padded:
+                pts, errors, converged = batch_lss_descend_padded(
+                    configs, np.zeros((0, 3, 2), dtype=np.int64), np.zeros((0, 3)),
+                    np.zeros((0, 3)), max_epochs=2000,
+                )
+                name = "lss_padded"
+            else:
+                pts, errors, converged = batch_lss_descend(
+                    configs, edges, None, min_spacing_m=None, constraint_weight=10.0,
+                    step_size=0.02, max_epochs=2000, tolerance=1e-7,
+                    free_mask=np.ones(5, dtype=bool),
+                )
+                name = "lss"
+        assert pts.shape == (0, 5, 2)
+        assert errors.shape == (0,) and converged.shape == (0,)
+        assert converged.dtype == bool
+        assert rec.counters[f"engine.batch.{name}_iterations"] == 0
+        assert rec.counters[f"engine.batch.{name}_terms"] == 0
+
+    def test_counters_show_the_terms_left_out(self):
+        """Per call, the kernel counts its list builds and the term slots
+        its body evaluated; the sparse path evaluates fewer."""
+        from repro import telemetry
+        from repro.engine.batch import batch_lss_descend_padded
+
+        rng = np.random.default_rng(17)
+        problems = TestPaddedLssKernels._random_problems(rng, n_problems=7)
+        pts, pairs, dists, weights, cpairs, cvalid = TestPaddedLssKernels._pad(
+            problems, min_spacing_m=6.0
+        )
+        counters = {}
+        for path in ("dense", "sparse"):
+            with _lss_path(path), telemetry.recording() as rec:
+                batch_lss_descend_padded(
+                    pts, pairs, dists, weights,
+                    constraint_pairs=cpairs, constraint_valid=cvalid,
+                    min_spacing_m=6.0, step_size=0.02, max_epochs=2000,
+                    tolerance=1e-7,
+                )
+            counters[path] = rec.counters
+        prefix = "engine.batch.lss_padded"
+        dense, sparse = counters["dense"], counters["sparse"]
+        assert dense[f"{prefix}_iterations"] == sparse[f"{prefix}_iterations"]
+        # One build per body: the call's, then one after each compaction
+        # that leaves problems to descend.
+        assert dense[f"{prefix}_rebuilds"] == dense[f"{prefix}_compactions"]
+        assert sparse[f"{prefix}_rebuilds"] >= dense[f"{prefix}_rebuilds"]
+        assert 0 < sparse[f"{prefix}_terms"] < dense[f"{prefix}_terms"]

@@ -56,3 +56,19 @@ def test_experiments_record_paper_values():
         assert result.paper, f"{experiment_id} records no paper values"
         assert result.measured, f"{experiment_id} records no measurements"
         assert result.checks, f"{experiment_id} has no shape checks"
+
+
+def test_ext_scaling_reads_its_term_counts_from_the_kernel():
+    from repro import telemetry
+
+    with telemetry.recording() as recorder:
+        result = run_experiment("ext-scaling")
+    measured = result.measured
+    small, large = measured["terms_per_epoch_16_nodes"], measured["terms_per_epoch_64_nodes"]
+    # At least every measured edge is evaluated each epoch: 42 edges on
+    # the 4x4 grid, 210 on the 8x8 one (range 16 m, spacing 10 m).
+    assert small >= 42 and large >= 210
+    assert measured["terms_per_epoch_growth_16_to_64"] == pytest.approx(large / small)
+    # The counted runs still reach an enclosing trace.
+    assert recorder.counters["engine.batch.lss_solves"] == 2
+    assert recorder.counters["engine.batch.lss_terms"] > 0

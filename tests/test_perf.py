@@ -138,6 +138,52 @@ class TestSuites:
         with pytest.raises(ValidationError, match="kind"):
             Workload(workload_id="w", kind="mystery", target_id="x")
 
+    def test_kernel_workload_names_a_pinned_stack(self):
+        with pytest.raises(ValidationError, match="town-lss-b1"):
+            Workload(workload_id="w", kind="kernel", target_id="nope")
+
+    def test_kernels_suite_covers_both_sides_of_the_lss_choice(self):
+        suite = get_suite("kernels")
+        assert {w.kind for w in suite} == {"kernel"}
+        assert [w.target_id for w in suite] == [
+            "town-lss-b1", "fig21-b3", "town-distributed-lss-b49",
+        ]
+
+
+class TestKernelStacks:
+    """Each pinned stack is the first descent call of its workload, with
+    the stack size its id names."""
+
+    @pytest.mark.parametrize(
+        "target_id, seed, batch, kernel_name",
+        [
+            ("town-lss-b1", 0, 1, "batch_lss_descend"),
+            ("fig21-b3", 2005, 3, "batch_lss_descend"),
+            ("town-distributed-lss-b49", 0, 49, "batch_lss_descend_padded"),
+        ],
+    )
+    def test_capture(self, target_id, seed, batch, kernel_name):
+        from repro.perf.kernels import capture_stack
+
+        kernel, args, kwargs = capture_stack(target_id, seed)
+        assert kernel.__name__ == kernel_name
+        assert args[0].shape[0] == batch
+        assert kwargs["min_spacing_m"] is not None
+
+    def test_kernel_workload_record(self):
+        workload = Workload(workload_id="k", kind="kernel", target_id="town-lss-b1")
+        result = run_workload(workload, repeats=2)
+        assert result["kind"] == "kernel" and result["repeats"] == 2
+        counters = result["counters"]
+        # One descent per repeat; the counters are the last repeat's.
+        assert counters["engine.batch.lss_solves"] == 1
+        assert counters["engine.batch.lss_rebuilds"] >= 1
+        assert counters["engine.batch.lss_terms"] > 0
+        epochs = counters["engine.batch.lss_iterations"]
+        assert result["metrics"]["us_per_epoch"] == pytest.approx(
+            result["median_s"] * 1e6 / epochs
+        )
+
 
 # -- harness -------------------------------------------------------------
 
