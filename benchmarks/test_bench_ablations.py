@@ -3,12 +3,13 @@
 Each ablation compares two implementations of the same stage on
 identical inputs and prints the accuracy/cost trade-off:
 
-* LSS minimizer backend: the paper's gradient descent vs L-BFGS.
 * Pairwise transform estimator: closed-form (mote-tractable) vs full
   minimization.
 * Alignment tree: the paper's plain flood (BFS) vs the minimum-residual
   tree extension.
 * Soft-constraint weight ``w_D``: the paper fixed 10; sweep it.
+
+It also times the paper's LSS gradient descent on the 47-node grid.
 """
 
 import numpy as np
@@ -36,26 +37,22 @@ def grid_ranges():
     return positions, ranges
 
 
-def test_lss_backend_ablation(benchmark, grid_ranges):
-    """Gradient descent (paper) vs L-BFGS: same optimum, different cost."""
+def test_lss_gradient_descent(benchmark, grid_ranges):
+    """Cost of the paper's gradient descent on the 47-node grid.
+
+    Its agreement with an L-BFGS oracle on the same problem is checked
+    in ``tests/test_lss.py``.
+    """
     positions, ranges = grid_ranges
     n = len(positions)
 
     def run_gd():
-        return lss_localize(
-            ranges, n, config=LssConfig(min_spacing_m=9.0, backend="gd"), rng=7
-        )
+        return lss_localize(ranges, n, config=LssConfig(min_spacing_m=9.0), rng=7)
 
     gd = benchmark.pedantic(run_gd, rounds=1, iterations=1)
-    lbfgs = lss_localize(
-        ranges, n, config=LssConfig(min_spacing_m=9.0, backend="lbfgs"), rng=7
-    )
     err_gd = evaluate_localization(gd.positions, positions, align=True).average_error
-    err_lb = evaluate_localization(lbfgs.positions, positions, align=True).average_error
-    print(f"\n  gd:    avg error {err_gd:.3f} m, objective {gd.error:.2f}")
-    print(f"  lbfgs: avg error {err_lb:.3f} m, objective {lbfgs.error:.2f}")
-    assert err_gd < 1.0 and err_lb < 1.0
-    assert abs(err_gd - err_lb) < 0.5
+    print(f"\n  gd: avg error {err_gd:.3f} m, objective {gd.error:.2f}")
+    assert err_gd < 1.0
 
 
 def test_transform_method_ablation(benchmark):

@@ -58,7 +58,6 @@ from .multilateration import (
 )
 from .transforms import (
     TransformEstimate,
-    estimate_transform,
     estimate_transform_closed_form,
     estimate_transform_minimize,
     transform_residual,
@@ -86,7 +85,6 @@ __all__ = [
     # transforms
     "TransformEstimate",
     "transform_residual",
-    "estimate_transform",
     "estimate_transform_closed_form",
     "estimate_transform_minimize",
     # evaluation

@@ -9,9 +9,8 @@ Three steps, each implemented as a separately testable stage:
    extended-measurement recovery is Figure 25).
 2. **Pairwise transforms** — for each pair of neighboring nodes, a
    rigid transform between their local frames is estimated from their
-   shared neighbors (:func:`build_transforms`), using either the paper's
-   closed-form center-of-mass method (Section 4.3.1) or the heavier
-   minimization.
+   shared neighbors (:func:`build_transforms`), using the paper's
+   closed-form center-of-mass method (Section 4.3.1).
 3. **Alignment** — the root's frame is flooded through the network;
    each node composes the received frame with its pairwise transform
    and forwards it, ending with every reachable node knowing its
@@ -59,7 +58,11 @@ from .geometry import apply_transform, compose_transforms
 from .lss import LssConfig, lss_localize
 from .mds import mds_map
 from .measurements import EdgeList, MeasurementSet
-from .transforms import TransformEstimate, estimate_transform
+from .transforms import (
+    TransformEstimate,
+    estimate_transform_closed_form,
+    estimate_transforms_closed_form_batch,
+)
 
 __all__ = [
     "DistributedConfig",
@@ -79,10 +82,11 @@ class DistributedConfig:
     ----------
     local_lss : LssConfig
         Configuration for the per-node local LSS runs (smaller budgets
-        than the centralized runs — neighborhoods are tiny).
-    transform_method : {"closed_form", "minimize"}
-        Pairwise transform estimator; the paper's mote-friendly
-        closed-form method is the default.
+        than the centralized runs — neighborhoods are tiny).  Pairwise
+        transforms always use the paper's mote-friendly closed-form
+        estimator; the heavier Nelder-Mead minimization
+        (:func:`repro.core.transforms.estimate_transform_minimize`) is
+        kept only as a reference for tests and the ablation benchmark.
     min_shared : int
         Minimum shared-map points required to trust a pairwise
         transform (2 is the geometric minimum; 3 rejects more bad
@@ -115,7 +119,6 @@ class DistributedConfig:
     local_lss: LssConfig = field(
         default_factory=lambda: LssConfig(max_epochs=800, restarts=6, perturbation_m=2.0)
     )
-    transform_method: str = "closed_form"
     min_shared: int = 2
     tree: str = "bfs"
     min_spacing_m: Optional[float] = None
@@ -123,8 +126,6 @@ class DistributedConfig:
     solver: str = "batched"
 
     def __post_init__(self):
-        if self.transform_method not in ("closed_form", "minimize"):
-            raise ValidationError("transform_method must be 'closed_form' or 'minimize'")
         if self.min_shared < 2:
             raise ValidationError("min_shared must be >= 2")
         if self.tree not in ("bfs", "best"):
@@ -372,17 +373,15 @@ def build_local_maps(
     With ``config.solver == "batched"`` (the default) every
     neighborhood problem of the round — padded to the largest
     neighborhood — advances through its perturbation-restart rounds in
-    one stacked engine descent; ``"scalar"`` solves them one at a time.
-    Non-gradient local backends (``LssConfig(backend="lbfgs")``) only
-    exist as scalar implementations, so they always take the per-map
-    path regardless of ``config.solver``.
+    one stacked engine descent; ``"scalar"`` solves them one at a time
+    through :func:`repro.core.lss.lss_localize`.  Both run the same
+    gradient descent.
     """
     config = config if config is not None else DistributedConfig()
     rng = ensure_rng(rng)
     edges = _as_edges(measurements, n_nodes)
     problems = _neighborhood_problems(edges, n_nodes)
-    batchable = config.effective_local_lss.backend in ("gd", "gd-scalar")
-    if config.solver == "scalar" or not batchable:
+    if config.solver == "scalar":
         positions = _solve_local_maps_scalar(problems, config, rng)
     else:
         positions = _solve_local_maps_batched(problems, config, rng)
@@ -433,14 +432,12 @@ def build_transforms(
     stored.  Pairs whose maps share fewer than ``config.min_shared``
     nodes are omitted.
 
-    With ``config.solver == "batched"`` (the default), all pairs' fits
-    — two directed problems per pair — are stacked into one batched
-    estimator call:
+    Every fit uses the paper's closed-form estimator.  With
+    ``config.solver == "batched"`` (the default), all pairs' fits — two
+    directed problems per pair — are stacked into one
     :func:`repro.core.transforms.estimate_transforms_closed_form_batch`
-    for the closed-form method,
-    :func:`repro.core.transforms.estimate_transforms_minimize_batch`
-    for ``"minimize"`` (previously one ``scipy.optimize.minimize`` per
-    pair).  ``solver="scalar"`` keeps the per-pair reference path.
+    call; ``solver="scalar"`` keeps the per-pair reference path
+    (:func:`repro.core.transforms.estimate_transform_closed_form`).
     """
     config = config if config is not None else DistributedConfig()
     transforms: Dict[Tuple[int, int], TransformEstimate] = {}
@@ -462,16 +459,6 @@ def build_transforms(
         return transforms
 
     if config.solver == "batched":
-        from .transforms import (
-            estimate_transforms_closed_form_batch,
-            estimate_transforms_minimize_batch,
-        )
-
-        batch_estimator = (
-            estimate_transforms_closed_form_batch
-            if config.transform_method == "closed_form"
-            else estimate_transforms_minimize_batch
-        )
         # Two directed problems per pair: (b -> a) then (a -> b).
         max_shared = max(task[2].shape[0] for task in tasks)
         n_problems = 2 * len(tasks)
@@ -485,7 +472,7 @@ def build_transforms(
             sources[2 * t + 1, :n_shared] = target_a
             targets[2 * t + 1, :n_shared] = source_b
             valid[2 * t : 2 * t + 2, :n_shared] = True
-        estimates = batch_estimator(sources, targets, valid)
+        estimates = estimate_transforms_closed_form_batch(sources, targets, valid)
         for t, (a, b, _, _) in enumerate(tasks):
             transforms[(a, b)] = estimates[2 * t]
             transforms[(b, a)] = estimates[2 * t + 1]
@@ -493,12 +480,8 @@ def build_transforms(
 
     for a, b, source_b, target_a in tasks:
         try:
-            into_a = estimate_transform(
-                source_b, target_a, method=config.transform_method
-            )
-            into_b = estimate_transform(
-                target_a, source_b, method=config.transform_method
-            )
+            into_a = estimate_transform_closed_form(source_b, target_a)
+            into_b = estimate_transform_closed_form(target_a, source_b)
         except InsufficientDataError:
             continue
         transforms[(a, b)] = into_a

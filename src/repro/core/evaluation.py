@@ -18,7 +18,7 @@ import numpy as np
 
 from .._validation import as_positions
 from ..errors import ValidationError
-from .transforms import TransformEstimate, estimate_transform_minimize, estimate_transform_closed_form
+from .transforms import estimate_transform_closed_form
 
 __all__ = [
     "align_to_reference",
@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-def align_to_reference(estimated, actual, *, method: str = "closed_form") -> np.ndarray:
+def align_to_reference(estimated, actual) -> np.ndarray:
     """Rigidly align *estimated* coordinates onto *actual* coordinates.
 
     Finds the translation + rotation + optional reflection minimizing the
@@ -44,11 +44,7 @@ def align_to_reference(estimated, actual, *, method: str = "closed_form") -> np.
         raise ValidationError(
             f"estimated and actual must match in shape; got {est.shape} vs {act.shape}"
         )
-    if method == "minimize":
-        fit = estimate_transform_minimize(est, act)
-    else:
-        fit = estimate_transform_closed_form(est, act)
-    return fit.apply(est)
+    return estimate_transform_closed_form(est, act).apply(est)
 
 
 def localization_errors(estimated, actual) -> np.ndarray:

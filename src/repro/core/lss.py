@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .._validation import as_positions, check_non_negative, check_positive, ensure_rng
 from ..errors import InsufficientDataError, ValidationError
@@ -78,13 +77,12 @@ class LssConfig:
     init_span_m : float or None
         Random initial positions are drawn uniformly in a square of
         this side; ``None`` derives it from the measured distances.
-    backend : {"gd", "gd-scalar", "lbfgs"}
-        ``"gd"`` is the paper's gradient descent, executed through the
-        batched engine kernel (:func:`repro.engine.batch.batch_lss_descend`
-        with a batch of one); ``"gd-scalar"`` is the pre-engine scalar
-        implementation, kept as the reference path for the
-        batched/scalar parity tests; ``"lbfgs"`` is a scipy cross-check
-        backend used by the ablation benchmarks.
+
+    Gradient descent is the only solver: every round runs through the
+    engine's batched kernel (:func:`repro.engine.batch.batch_lss_descend`
+    with a batch of one).  The scalar ``_descend_scalar`` and a scipy
+    L-BFGS-B run over :func:`lss_error`/:func:`lss_gradient` survive
+    only as oracles in the test suite.
     """
 
     min_spacing_m: Optional[float] = None
@@ -95,7 +93,6 @@ class LssConfig:
     step_size: float = 0.02
     tolerance: float = 1e-7
     init_span_m: Optional[float] = None
-    backend: str = "gd"
 
     def __post_init__(self):
         if self.min_spacing_m is not None:
@@ -110,8 +107,6 @@ class LssConfig:
         check_non_negative(self.tolerance, "tolerance")
         if self.init_span_m is not None:
             check_positive(self.init_span_m, "init_span_m")
-        if self.backend not in ("gd", "gd-scalar", "lbfgs"):
-            raise ValidationError("backend must be 'gd', 'gd-scalar' or 'lbfgs'")
 
 
 @dataclass
@@ -351,10 +346,11 @@ def _descend_scalar(
 ) -> Tuple[np.ndarray, float, bool]:
     """One gradient-descent round from *pts*; returns (best, error, converged).
 
-    The pre-engine scalar implementation, kept verbatim as the
-    reference path for the batched/scalar parity contract
-    (``backend="gd-scalar"``); the ``"gd"`` backend reproduces it byte
-    for byte.
+    The pre-engine scalar implementation, kept verbatim as the test
+    oracle of the batched/scalar parity contract: :func:`_descend`
+    reproduces it byte for byte, and tests substitute it for
+    :func:`_descend` (which :func:`lss_localize` looks up at call time)
+    to run the reference path end to end.
     """
     kwargs = dict(
         constraint_pairs=constraint_pairs,
@@ -397,44 +393,6 @@ def _descend_scalar(
     return pts, current, converged
 
 
-def _lbfgs_round(
-    pts: np.ndarray,
-    edges: EdgeList,
-    constraint_pairs: Optional[np.ndarray],
-    config: LssConfig,
-    trace: List[float],
-    free_mask: np.ndarray,
-) -> Tuple[np.ndarray, float, bool]:
-    """Cross-check backend: scipy L-BFGS-B on the same objective."""
-    n = pts.shape[0]
-    kwargs = dict(
-        constraint_pairs=constraint_pairs,
-        min_spacing_m=config.min_spacing_m,
-        constraint_weight=config.constraint_weight,
-    )
-    frozen = pts.copy()
-
-    def fun(flat):
-        p = flat.reshape(n, 2).copy()
-        p[~free_mask] = frozen[~free_mask]
-        value = lss_error(p, edges, **kwargs)
-        grad = lss_gradient(p, edges, **kwargs)
-        grad[~free_mask] = 0.0
-        trace.append(value)
-        return value, grad.ravel()
-
-    result = _scipy_minimize(
-        fun,
-        pts.ravel(),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": config.max_epochs},
-    )
-    out = result.x.reshape(n, 2).copy()
-    out[~free_mask] = frozen[~free_mask]
-    return out, float(result.fun), bool(result.success)
-
-
 def lss_localize(
     measurements,
     n_nodes: int,
@@ -475,13 +433,6 @@ def lss_localize(
         pts = rng.uniform(0.0, setup.span, size=(n_nodes, 2))
     setup.pin(pts)
 
-    if config.backend == "gd":
-        descend = _descend
-    elif config.backend == "gd-scalar":
-        descend = _descend_scalar
-    else:
-        descend = _lbfgs_round
-
     kwargs = dict(
         constraint_pairs=constraint_pairs,
         min_spacing_m=config.min_spacing_m,
@@ -500,7 +451,7 @@ def lss_localize(
             seed = setup.pin(
                 best_pts + rng.normal(0.0, config.perturbation_m, size=(n_nodes, 2))
             )
-        out_pts, out_error, converged = descend(
+        out_pts, out_error, converged = _descend(
             seed, edges, constraint_pairs, config, trace, setup.free_mask
         )
         if out_error < best_error:

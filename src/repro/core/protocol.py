@@ -43,7 +43,7 @@ from ..network.simulator import NetworkSimulator
 from .distributed import DistributedConfig, LocalMap, build_local_maps
 from .geometry import apply_transform, compose_transforms
 from .measurements import EdgeList, MeasurementSet
-from .transforms import estimate_transform
+from .transforms import estimate_transform_closed_form
 
 __all__ = ["ProtocolResult", "run_distributed_protocol"]
 
@@ -188,9 +188,7 @@ def run_distributed_protocol(
             source = np.asarray([coords[m] for m in shared])
             target = own.coords_for(shared)
             try:
-                estimate = estimate_transform(
-                    source, target, method=config.transform_method
-                )
+                estimate = estimate_transform_closed_form(source, target)
             except InsufficientDataError:
                 continue
             transforms_into[node][sender] = estimate.matrix

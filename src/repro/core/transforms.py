@@ -5,18 +5,22 @@ must map one node's local relative coordinate system onto a neighbor's,
 using the coordinates of their *shared* neighbors as correspondences.
 The paper presents two estimators, both implemented here:
 
+``estimate_transform_closed_form``
+    The paper's lightweight estimator and the only one the pipeline
+    uses: translate both point sets to their centers of mass, then
+    solve for the rotation angle from the cross-covariances via
+    ``(C_xu + C_yv) sin(theta) + (C_xv - C_yu) cos(theta) = 0``, trying
+    both roots (theta, theta + pi) and both reflection factors, keeping
+    the combination with least error.
+
 ``estimate_transform_minimize``
     The "straightforward" 4-parameter minimization of the squared
     correspondence error over ``(theta, tx, ty)`` for each reflection
     factor ``f in {+1, -1}``, keeping the better of the two.  Accurate
-    but, as the paper notes, too heavy for mote-class hardware.
-
-``estimate_transform_closed_form``
-    The paper's lightweight alternative: translate both point sets to
-    their centers of mass, then solve for the rotation angle from the
-    cross-covariances via ``(C_xu + C_yv) sin(theta) + (C_xv - C_yu)
-    cos(theta) = 0``, trying both roots (theta, theta + pi) and both
-    reflection factors, keeping the combination with least error.
+    but, as the paper notes, too heavy for mote-class hardware; no
+    production path calls it.  It is kept as the reference that tests
+    and the transform ablation benchmark compare the closed form
+    against (the paper's "slightly less accurate" claim).
 
 Both return a :class:`TransformEstimate` carrying the homogeneous matrix
 (the paper's row-vector convention), the residual error, and the chosen
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -51,8 +55,6 @@ __all__ = [
     "estimate_transform_minimize",
     "estimate_transform_closed_form",
     "estimate_transforms_closed_form_batch",
-    "estimate_transforms_minimize_batch",
-    "estimate_transform",
 ]
 
 
@@ -223,7 +225,7 @@ def estimate_transform_closed_form(source, target) -> TransformEstimate:
 def _validate_transform_stacks(
     sources, targets, valid
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared validation for the batched estimators.
+    """Validation for the batched estimator.
 
     Returns ``(src, tgt, valid, counts)`` with padding-safe dtypes.
     """
@@ -367,107 +369,3 @@ def estimate_transforms_closed_form_batch(
     return _compose_batch_results(
         best_rot, best_theta, best_error, best_reflect, mu_src, mu_tgt, counts
     )
-
-
-def estimate_transforms_minimize_batch(
-    sources: np.ndarray,
-    targets: np.ndarray,
-    valid: Optional[np.ndarray] = None,
-    *,
-    newton_steps: int = 3,
-) -> list:
-    """Numerical-minimization transform estimation over a stack of problems.
-
-    The batched form of :func:`estimate_transform_minimize` (the PR 3
-    leftover: that path previously ran one ``scipy.optimize.minimize``
-    per neighboring-map pair).  For centered correspondences the
-    4-parameter objective reduces per reflection branch to a sinusoid
-    in ``theta``::
-
-        E_f(theta) = C - 2 (P cos(theta) + Q sin(theta))
-
-    with ``P = sum(x u + y v_eff)`` and ``Q = sum(x v_eff - y u)``, the
-    translation fixed at the centroid offset.  Each branch is therefore
-    minimized exactly at ``theta* = atan2(Q, P)``; a short vectorized
-    Newton polish on ``dE/dtheta = 0`` (*newton_steps* iterations)
-    mirrors the scalar path's numerical refinement and washes out the
-    seeding arithmetic.  Per problem the better reflection branch wins,
-    matching the scalar Nelder-Mead reference to its convergence
-    tolerance (``xatol=1e-10``) — pinned by
-    ``tests/test_kernel_pins.py``.
-    """
-    src, tgt, valid, counts = _validate_transform_stacks(sources, targets, valid)
-    n_problems = src.shape[0]
-    if n_problems == 0:
-        return []
-
-    cnt = counts.astype(float)
-    mu_src, mu_tgt = _masked_centroids(src, tgt, valid, cnt)
-    u = np.where(valid, src[..., 0] - mu_src[:, 0:1], 0.0)
-    v = np.where(valid, src[..., 1] - mu_src[:, 1:2], 0.0)
-    x = np.where(valid, tgt[..., 0] - mu_tgt[:, 0:1], 0.0)
-    y = np.where(valid, tgt[..., 1] - mu_tgt[:, 1:2], 0.0)
-    # Squared norms of the centered sets: the theta-independent term.
-    const = np.sum(u * u + v * v + x * x + y * y, axis=1)
-
-    best_error = np.full(n_problems, np.inf)
-    best_theta = np.zeros(n_problems)
-    best_reflect = np.zeros(n_problems, dtype=bool)
-
-    for reflect in (False, True):
-        v_eff = -v if reflect else v
-        p_coef = np.sum(x * u + y * v_eff, axis=1)
-        q_coef = np.sum(x * v_eff - y * u, axis=1)
-        theta = np.arctan2(q_coef, p_coef)
-        for _ in range(max(0, int(newton_steps))):
-            # dE/dtheta = 2 (P sin - Q cos); d2E/dtheta2 = 2 (P cos + Q sin).
-            d1 = p_coef * np.sin(theta) - q_coef * np.cos(theta)
-            d2 = p_coef * np.cos(theta) + q_coef * np.sin(theta)
-            safe = np.where(np.abs(d2) > 1e-300, d2, 1.0)
-            theta = theta - d1 / safe
-        error = const - 2.0 * (p_coef * np.cos(theta) + q_coef * np.sin(theta))
-        better = error < best_error
-        best_error = np.where(better, error, best_error)
-        best_theta = np.where(better, theta, best_theta)
-        best_reflect = np.where(better, reflect, best_reflect)
-
-    # Rebuild the winning rotation blocks and the *exact* residual error
-    # (the sinusoid form above is algebraically equal but accumulates
-    # differently; reporting the literal residual keeps the scalar
-    # path's error semantics).
-    c = np.cos(best_theta)
-    s = np.sin(best_theta)
-    f = np.where(best_reflect, -1.0, 1.0)
-    best_rot = np.empty((n_problems, 2, 2))
-    best_rot[:, 0, 0] = c
-    best_rot[:, 0, 1] = -s
-    best_rot[:, 1, 0] = f * s
-    best_rot[:, 1, 1] = f * c
-    centered = np.stack([u, v], axis=-1)
-    mapped = np.einsum("psi,pij->psj", centered, best_rot)
-    residual = np.where(
-        valid[..., None], mapped + mu_tgt[:, None, :] - tgt, 0.0
-    )
-    residual_error = np.einsum("psi,psi->p", residual, residual)
-
-    return _compose_batch_results(
-        best_rot, best_theta, residual_error, best_reflect, mu_src, mu_tgt, counts
-    )
-
-
-def estimate_transform(source, target, method: str = "closed_form") -> TransformEstimate:
-    """Dispatch to a transform estimator by name.
-
-    Parameters
-    ----------
-    source, target : array-like of shape (n, 2)
-        Corresponding point coordinates in the two frames.
-    method : {"closed_form", "minimize"}
-        ``"closed_form"`` is the paper's mote-friendly estimator (the
-        default); ``"minimize"`` is the heavier reference method.
-    """
-    if method == "closed_form":
-        return estimate_transform_closed_form(source, target)
-    if method == "minimize":
-        return estimate_transform_minimize(source, target)
-    raise ValidationError(f"unknown transform method {method!r}")

@@ -56,12 +56,13 @@ Scalar/batched parity contract
 For every batched kernel the per-problem update rule, acceptance test,
 and termination condition are *the same operations in the same order*
 as the scalar reference path (``repro.core.multilateration`` with
-``solver="scalar"``; ``repro.core.lss`` with ``backend="gd-scalar"``;
+``solver="scalar"``; ``repro.core.lss._descend_scalar``, the
+oracle that tests substitute for ``lss._descend``;
 ``repro.core.distributed`` with ``solver="scalar"``).  Batched and
 scalar runs from the same seed must therefore agree to floating-point
 reduction tolerance, and unpadded LSS stacks go further: their
 objective, gradient and descent add every term in the scalar order, so
-``backend="gd"`` and ``lss_localize_multistart`` are bytewise the
+``lss_localize`` and ``lss_localize_multistart`` are bytewise the
 scalar oracle.  The LSS body's sparse and dense paths (chosen per
 call from how many constraint pairs its candidate list leaves out) give
 identical bytes.  ``tests/test_engine_batch.py`` enforces this on

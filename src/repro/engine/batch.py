@@ -1193,11 +1193,6 @@ def lss_localize_multistart(
     from .._validation import ensure_rng
 
     config = config if config is not None else LssConfig()
-    if config.backend != "gd":
-        raise ValidationError(
-            "lss_localize_multistart supports only the 'gd' backend; "
-            f"got {config.backend!r}"
-        )
     if len(seeds) == 0:
         raise ValidationError("seeds must contain at least one entry")
     rngs = [ensure_rng(seed) for seed in seeds]

@@ -12,8 +12,8 @@ padded into the ``(n_problems, max_nodes, 2)`` masked stacks of
 advance through each perturbation-restart round in one vectorized
 descent loop.
 
-Semantics per problem mirror :func:`repro.core.lss.lss_localize` with
-the ``"gd"`` backend: multiplicative step adaptation with heavy-ball
+Semantics per problem mirror :func:`repro.core.lss.lss_localize`'s
+gradient descent: multiplicative step adaptation with heavy-ball
 momentum, Gaussian perturbation restarts from the best configuration so
 far, and the paper's soft minimum-spacing constraint over unmeasured
 pairs.  Randomness is consumed from the supplied generator in
@@ -100,11 +100,6 @@ def solve_local_lss_stack(
     from ..core.lss import LssConfig, _constraint_pairs
 
     config = config if config is not None else LssConfig()
-    if config.backend not in ("gd", "gd-scalar"):
-        raise ValidationError(
-            "solve_local_lss_stack supports only gradient-descent backends; "
-            f"got {config.backend!r}"
-        )
     rng = ensure_rng(rng)
     n_problems = len(problems)
     if n_problems == 0:

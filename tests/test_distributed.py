@@ -26,12 +26,9 @@ def grid_scenario():
 class TestDistributedConfig:
     def test_defaults(self):
         config = DistributedConfig()
-        assert config.transform_method == "closed_form"
         assert config.tree == "bfs"
 
     def test_invalid_values(self):
-        with pytest.raises(ValidationError):
-            DistributedConfig(transform_method="guess")
         with pytest.raises(ValidationError):
             DistributedConfig(min_shared=1)
         with pytest.raises(ValidationError):
@@ -229,19 +226,6 @@ class TestBatchedScalarParity:
     def test_solver_validation(self):
         with pytest.raises(ValidationError):
             DistributedConfig(solver="vectorized")
-
-    def test_lbfgs_local_backend_falls_back_to_scalar_path(self, grid_scenario):
-        # Non-gradient local backends only exist as scalar
-        # implementations; the batched default must route around them
-        # instead of crashing in the engine.
-        from repro.core.lss import LssConfig
-
-        positions, ranges = grid_scenario
-        config = DistributedConfig(
-            local_lss=LssConfig(backend="lbfgs", restarts=2, max_epochs=200)
-        )
-        maps = build_local_maps(ranges, len(positions), config=config, rng=1)
-        assert set(maps) == set(range(len(positions)))
 
     def test_local_maps_agree(self, grid_scenario):
         positions, ranges = grid_scenario

@@ -194,16 +194,16 @@ def _assert_same_lss_result(result, reference):
 
 class TestLssParity:
     @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_gd_backend_matches_gd_scalar(self, layout):
+    def test_gd_matches_scalar_oracle(self, layout, monkeypatch):
+        from repro.core import lss
+
         rng = np.random.default_rng(2)
         positions, ranges = _layout(layout, rng)
         n = len(positions)
-        batched_cfg = LssConfig(min_spacing_m=8.0, restarts=2, max_epochs=400)
-        scalar_cfg = LssConfig(
-            min_spacing_m=8.0, restarts=2, max_epochs=400, backend="gd-scalar"
-        )
-        batched = lss_localize(ranges, n, config=batched_cfg, rng=11)
-        scalar = lss_localize(ranges, n, config=scalar_cfg, rng=11)
+        config = LssConfig(min_spacing_m=8.0, restarts=2, max_epochs=400)
+        batched = lss_localize(ranges, n, config=config, rng=11)
+        monkeypatch.setattr(lss, "_descend", lss._descend_scalar)
+        scalar = lss_localize(ranges, n, config=config, rng=11)
         _assert_same_lss_result(batched, scalar)
 
     def test_batch_objective_and_gradient_match_scalar(self):
@@ -248,10 +248,6 @@ class TestLssParity:
         n = len(positions)
         with pytest.raises(ValidationError):
             lss_localize_multistart(ranges, n, seeds=[])
-        with pytest.raises(ValidationError):
-            lss_localize_multistart(
-                ranges, n, config=LssConfig(backend="lbfgs"), seeds=[1]
-            )
 
     def test_multistart_respects_pins(self):
         rng = np.random.default_rng(4)

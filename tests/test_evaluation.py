@@ -40,12 +40,6 @@ class TestAlignToReference:
         errors = localization_errors(aligned, square)
         assert errors.mean() > 1.0
 
-    def test_minimize_method(self, square):
-        t = rigid_transform_matrix(-0.4, 2.0, 2.0)
-        moved = apply_transform(square, t)
-        aligned = align_to_reference(moved, square, method="minimize")
-        assert np.allclose(aligned, square, atol=1e-4)
-
     def test_shape_mismatch(self, square):
         with pytest.raises(ValidationError):
             align_to_reference(square, square[:3])

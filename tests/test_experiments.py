@@ -17,8 +17,11 @@ EXPERIMENT_IDS = sorted(all_experiments())
 
 @pytest.mark.parametrize("experiment_id", EXPERIMENT_IDS)
 def test_experiment_shape_checks(experiment_id):
-    result = run_experiment(experiment_id)
+    result = run_experiment(experiment_id, DEFAULT_SEED)
     assert isinstance(result, ExperimentResult)
+    assert result.paper, f"{experiment_id} records no paper values"
+    assert result.measured, f"{experiment_id} records no measurements"
+    assert result.checks, f"{experiment_id} has no shape checks"
     failed = [c for c in result.checks if not c.passed]
     detail = "; ".join(f"{c.name} ({c.detail})" for c in failed)
     assert result.passed, f"{experiment_id} failed: {detail}"
@@ -47,15 +50,6 @@ def test_summary_renders():
     assert "text-sync" in text
     assert "paper=" in text and "measured=" in text
     assert "PASS" in text
-
-
-def test_experiments_record_paper_values():
-    for experiment_id in EXPERIMENT_IDS:
-        driver = get_experiment(experiment_id)
-        result = driver(DEFAULT_SEED)
-        assert result.paper, f"{experiment_id} records no paper values"
-        assert result.measured, f"{experiment_id} records no measurements"
-        assert result.checks, f"{experiment_id} has no shape checks"
 
 
 def test_ext_scaling_reads_its_term_counts_from_the_kernel():

@@ -3,8 +3,7 @@
 Each kernel runs on the seeded fixture stacks in
 ``tests/_kernel_fixtures.py`` and its outputs are hashed; any drift in a
 kernel, however small, fails here.  A deliberate numeric change re-pins
-these literals and says why.  The batched transform minimizer is pinned
-too, and also checked against the scalar Nelder-Mead path it replaces.
+these literals and says why.
 """
 
 import numpy as np
@@ -20,11 +19,7 @@ from _kernel_fixtures import (
     transform_stacks,
 )
 from repro.core.measurements import EdgeList
-from repro.core.transforms import (
-    estimate_transform_minimize,
-    estimate_transforms_closed_form_batch,
-    estimate_transforms_minimize_batch,
-)
+from repro.core.transforms import estimate_transforms_closed_form_batch
 from repro.engine import (
     batch_lss_descend,
     batch_lss_descend_padded,
@@ -128,40 +123,3 @@ class TestGoldenPins:
             np.array([e.error for e in estimates]),
         )
         assert digest == GOLDEN_PINS["estimate_transforms_closed_form_batch"]
-
-
-#: ``estimate_transforms_minimize_batch`` on the transform fixture stacks,
-#: keyed by ``newton_steps``: 0 is the analytic seed alone, 3 the default
-#: polish (one step already reaches the fixed point on these stacks).
-MINIMIZE_BATCH_PINS = {
-    0: "49127683a133ac7962b8afdf6dc873f3fb998bf1ad57ae9aa288e994ca7c131c",
-    3: "48ab2c3d1f08604e1226ff3e9c3bddbe554dcd8594e08409e5aecdea74e1f4f8",
-}
-
-
-@pytest.mark.parametrize("newton_steps", sorted(MINIMIZE_BATCH_PINS))
-def test_minimize_batch_pin(newton_steps):
-    sources, targets, valid = transform_stacks()
-    estimates = estimate_transforms_minimize_batch(
-        sources, targets, valid, newton_steps=newton_steps
-    )
-    digest = sha256_bytes(
-        np.stack([e.matrix for e in estimates]),
-        np.array([e.error for e in estimates]),
-    )
-    assert digest == MINIMIZE_BATCH_PINS[newton_steps]
-
-
-class TestMinimizeBatchMatchesScalar:
-    """The batched analytic-argmin minimizer must agree with the scalar
-    Nelder-Mead path it replaces (the per-pair ``scipy.optimize`` call)."""
-
-    def test_against_scalar_minimize(self):
-        sources, targets, valid = transform_stacks()
-        batch = estimate_transforms_minimize_batch(sources, targets, valid)
-        for p, est in enumerate(batch):
-            pts = valid[p]
-            scalar = estimate_transform_minimize(sources[p][pts], targets[p][pts])
-            assert est.error == pytest.approx(scalar.error, rel=1e-7, abs=1e-9)
-            if int(pts.sum()) >= 3:
-                np.testing.assert_allclose(est.matrix, scalar.matrix, atol=1e-6)

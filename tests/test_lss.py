@@ -1,11 +1,19 @@
 """Tests for repro.core.lss (centralized least squares scaling)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
-from repro.core.evaluation import align_to_reference, localization_errors
+from repro.core import lss
+from repro.core.evaluation import (
+    align_to_reference,
+    evaluate_localization,
+    localization_errors,
+)
 from repro.core.lss import (
     LssConfig,
     lss_error,
@@ -14,7 +22,9 @@ from repro.core.lss import (
     lss_localize_robust,
 )
 from repro.core.measurements import EdgeList, MeasurementSet
+from repro.deploy import paper_grid
 from repro.errors import InsufficientDataError, ValidationError
+from repro.ranging import gaussian_ranges
 
 
 def square_edges(side=10.0, with_diagonals=True):
@@ -33,6 +43,48 @@ def square_edges(side=10.0, with_diagonals=True):
     return positions, edges
 
 
+def lbfgs_localize(measurements, n_nodes, *, config, rng):
+    """L-BFGS cross-check oracle for the gradient-descent solver.
+
+    Runs :func:`lss_localize`'s own initialization and
+    restart/perturbation rounds, but minimizes each round with scipy
+    L-BFGS-B over :func:`lss_error` / :func:`lss_gradient` instead of
+    the engine's descent (substituted for ``lss._descend``).
+    """
+
+    def lbfgs_round(pts, edges, constraint_pairs, config, trace, free_mask):
+        n = pts.shape[0]
+        frozen = pts.copy()
+        kwargs = dict(
+            constraint_pairs=constraint_pairs,
+            min_spacing_m=config.min_spacing_m,
+            constraint_weight=config.constraint_weight,
+        )
+
+        def fun(flat):
+            p = flat.reshape(n, 2).copy()
+            p[~free_mask] = frozen[~free_mask]
+            value = lss_error(p, edges, **kwargs)
+            grad = lss_gradient(p, edges, **kwargs)
+            grad[~free_mask] = 0.0
+            trace.append(value)
+            return value, grad.ravel()
+
+        result = minimize(
+            fun,
+            pts.ravel(),
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": config.max_epochs},
+        )
+        out = result.x.reshape(n, 2).copy()
+        out[~free_mask] = frozen[~free_mask]
+        return out, float(result.fun), bool(result.success)
+
+    with mock.patch.object(lss, "_descend", lbfgs_round):
+        return lss_localize(measurements, n_nodes, config=config, rng=rng)
+
+
 class TestLssConfig:
     def test_defaults(self):
         config = LssConfig()
@@ -48,8 +100,6 @@ class TestLssConfig:
             LssConfig(restarts=0)
         with pytest.raises(ValidationError):
             LssConfig(step_size=0.0)
-        with pytest.raises(ValidationError):
-            LssConfig(backend="adam")
 
 
 class TestErrorAndGradient:
@@ -210,12 +260,25 @@ class TestLssLocalize:
         with pytest.raises(ValidationError):
             lss_localize(edges, 4, fixed_positions={0: (0, 0, 0)})
 
-    def test_lbfgs_backend_agrees(self):
+    def test_lbfgs_oracle_agrees(self):
         positions, edges = square_edges()
-        config = LssConfig(backend="lbfgs", restarts=8)
-        result = lss_localize(edges, 4, config=config, rng=0)
+        result = lbfgs_localize(edges, 4, config=LssConfig(restarts=8), rng=0)
         aligned = align_to_reference(result.positions, positions)
         assert localization_errors(aligned, positions).max() < 0.05
+
+    def test_gd_agrees_with_lbfgs_oracle_on_paper_grid(self):
+        """Gradient descent (paper) and L-BFGS reach the same optimum
+        on the 47-node grid."""
+        positions = paper_grid(47)
+        ranges = gaussian_ranges(positions, max_range_m=22.0, sigma_m=0.33, rng=7)
+        n = len(positions)
+        config = LssConfig(min_spacing_m=9.0)
+        gd = lss_localize(ranges, n, config=config, rng=7)
+        lbfgs = lbfgs_localize(ranges, n, config=config, rng=7)
+        err_gd = evaluate_localization(gd.positions, positions, align=True).average_error
+        err_lb = evaluate_localization(lbfgs.positions, positions, align=True).average_error
+        assert err_gd < 1.0 and err_lb < 1.0
+        assert abs(err_gd - err_lb) < 0.5
 
     def test_stress_excludes_constraint(self):
         positions, edges = square_edges()

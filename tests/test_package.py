@@ -102,7 +102,6 @@ class TestSingleNumpyKernelSurface:
             ("repro.engine", "solve_multilateration_batch"),
             ("repro.engine", "solve_local_lss_stack"),
             ("repro.core.transforms", "estimate_transforms_closed_form_batch"),
-            ("repro.core.transforms", "estimate_transforms_minimize_batch"),
         ],
     )
     def test_kernel_takes_no_backend_argument(self, module, name):
@@ -130,3 +129,53 @@ class TestSingleNumpyKernelSurface:
         ):
             assert not hasattr(engine, name), name
             assert name not in engine.__all__
+
+
+class TestSingleSolverSurface:
+    """LSS has one solver (gradient descent) and map stitching one
+    transform estimator (the closed form): no selector survives.  The
+    reference implementations still import, as test oracles."""
+
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("LssConfig", {"backend": "gd"}),
+            ("DistributedConfig", {"transform_method": "closed_form"}),
+        ],
+    )
+    def test_removed_config_field(self, name, kwargs):
+        import repro.core as core
+
+        with pytest.raises(TypeError):
+            getattr(core, name)(**kwargs)
+
+    def test_align_to_reference_takes_no_method(self):
+        from repro.core import align_to_reference
+
+        square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+        with pytest.raises(TypeError):
+            align_to_reference(square, square, method="closed_form")
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.core", "estimate_transform"),
+            ("repro.core.transforms", "estimate_transform"),
+            ("repro.core.transforms", "estimate_transforms_minimize_batch"),
+            ("repro.core.lss", "_lbfgs_round"),
+        ],
+    )
+    def test_removed_name_is_gone(self, module, name):
+        mod = importlib.import_module(module)
+        assert not hasattr(mod, name)
+        assert name not in getattr(mod, "__all__", ())
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.core.lss", "_descend_scalar"),
+            ("repro.core.transforms", "estimate_transform_minimize"),
+        ],
+    )
+    def test_oracle_still_imports(self, module, name):
+        assert callable(getattr(importlib.import_module(module), name))

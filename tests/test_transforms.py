@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.core.geometry import apply_transform, pairwise_distances, rigid_transform_matrix
 from repro.core.transforms import (
-    estimate_transform,
     estimate_transform_closed_form,
     estimate_transform_minimize,
     transform_residual,
@@ -125,27 +124,6 @@ class TestMinimize:
         cf = estimate_transform_closed_form(src, tgt)
         mn = estimate_transform_minimize(src, tgt)
         assert mn.error <= cf.error * 1.0001
-
-
-class TestDispatch:
-    def test_closed_form_default(self, rng):
-        src = _random_points(rng)
-        t = rigid_transform_matrix(0.2, 1.0, 1.0)
-        tgt = apply_transform(src, t)
-        est = estimate_transform(src, tgt)
-        assert est.rmse < 1e-8
-
-    def test_minimize_dispatch(self, rng):
-        src = _random_points(rng)
-        t = rigid_transform_matrix(0.2, 1.0, 1.0)
-        tgt = apply_transform(src, t)
-        est = estimate_transform(src, tgt, method="minimize")
-        assert est.rmse < 1e-5
-
-    def test_unknown_method(self, rng):
-        src = _random_points(rng)
-        with pytest.raises(ValidationError):
-            estimate_transform(src, src, method="magic")
 
 
 class TestTransformResidual:
