@@ -1,7 +1,7 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the pipeline's design choices.
 
 Each ablation compares two implementations of the same stage on
-identical inputs and prints the accuracy/cost trade-off:
+identical inputs and prints the accuracy trade-off:
 
 * Pairwise transform estimator: closed-form (mote-tractable) vs full
   minimization.
@@ -9,7 +9,7 @@ identical inputs and prints the accuracy/cost trade-off:
   tree extension.
 * Soft-constraint weight ``w_D``: the paper fixed 10; sweep it.
 
-It also times the paper's LSS gradient descent on the 47-node grid.
+It also checks the paper's LSS gradient descent on the 47-node grid.
 """
 
 import numpy as np
@@ -37,25 +37,21 @@ def grid_ranges():
     return positions, ranges
 
 
-def test_lss_gradient_descent(benchmark, grid_ranges):
-    """Cost of the paper's gradient descent on the 47-node grid.
+def test_lss_gradient_descent(grid_ranges):
+    """Accuracy of the paper's gradient descent on the 47-node grid.
 
     Its agreement with an L-BFGS oracle on the same problem is checked
     in ``tests/test_lss.py``.
     """
     positions, ranges = grid_ranges
     n = len(positions)
-
-    def run_gd():
-        return lss_localize(ranges, n, config=LssConfig(min_spacing_m=9.0), rng=7)
-
-    gd = benchmark.pedantic(run_gd, rounds=1, iterations=1)
+    gd = lss_localize(ranges, n, config=LssConfig(min_spacing_m=9.0), rng=7)
     err_gd = evaluate_localization(gd.positions, positions, align=True).average_error
     print(f"\n  gd: avg error {err_gd:.3f} m, objective {gd.error:.2f}")
     assert err_gd < 1.0
 
 
-def test_transform_method_ablation(benchmark):
+def test_transform_method_ablation():
     """Closed-form vs minimization transform estimation accuracy."""
     rng = np.random.default_rng(0)
     cases = []
@@ -67,10 +63,7 @@ def test_transform_method_ablation(benchmark):
         tgt = apply_transform(src, t) + rng.normal(0, 0.2, (6, 2))
         cases.append((src, tgt))
 
-    def run_closed_form():
-        return [estimate_transform_closed_form(s, t).rmse for s, t in cases]
-
-    closed = benchmark.pedantic(run_closed_form, rounds=1, iterations=1)
+    closed = [estimate_transform_closed_form(s, t).rmse for s, t in cases]
     minimized = [estimate_transform_minimize(s, t).rmse for s, t in cases]
     print(f"\n  closed-form rmse: median {np.median(closed):.4f}")
     print(f"  minimize    rmse: median {np.median(minimized):.4f}")
@@ -78,7 +71,7 @@ def test_transform_method_ablation(benchmark):
     assert np.median(closed) <= 1.5 * np.median(minimized) + 1e-6
 
 
-def test_alignment_tree_ablation(benchmark):
+def test_alignment_tree_ablation():
     """BFS flood (paper) vs minimum-residual alignment tree."""
     positions = np.asarray(grid_positions(47))
     _, edges = grass_campaign_edges(n_nodes=47, seed=DEFAULT_SEED)
@@ -87,12 +80,8 @@ def test_alignment_tree_ablation(benchmark):
         edges, positions, max_range_m=22.0, sigma_m=0.33, n_extra=370, rng=rng
     )
     n = len(positions)
-
-    def run_bfs():
-        config = DistributedConfig(min_spacing_m=9.14, tree="bfs")
-        return distributed_localize(extended, n, root=24, config=config, rng=5)
-
-    bfs = benchmark.pedantic(run_bfs, rounds=1, iterations=1)
+    bfs_cfg = DistributedConfig(min_spacing_m=9.14, tree="bfs")
+    bfs = distributed_localize(extended, n, root=24, config=bfs_cfg, rng=5)
     best_cfg = DistributedConfig(min_spacing_m=9.14, tree="best")
     best = distributed_localize(extended, n, root=24, config=best_cfg, rng=5)
     err_bfs = evaluate_localization(
@@ -106,23 +95,16 @@ def test_alignment_tree_ablation(benchmark):
     assert err_best <= 2.0 * err_bfs + 0.5
 
 
-def test_constraint_weight_sweep(benchmark, grid_ranges):
+def test_constraint_weight_sweep(grid_ranges):
     """Sweep w_D around the paper's value of 10."""
     positions, ranges = grid_ranges
     n = len(positions)
     results = {}
-
-    def sweep():
-        for weight in (1.0, 10.0, 100.0):
-            config = LssConfig(
-                min_spacing_m=9.0, constraint_weight=weight, restarts=4
-            )
-            res = lss_localize(ranges, n, config=config, rng=7)
-            report = evaluate_localization(res.positions, positions, align=True)
-            results[weight] = report.average_error
-        return results
-
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
+    for weight in (1.0, 10.0, 100.0):
+        config = LssConfig(min_spacing_m=9.0, constraint_weight=weight, restarts=4)
+        res = lss_localize(ranges, n, config=config, rng=7)
+        report = evaluate_localization(res.positions, positions, align=True)
+        results[weight] = report.average_error
     print()
     for weight, err in results.items():
         print(f"  w_D = {weight:>6.1f}: avg error {err:.3f} m")

@@ -10,9 +10,6 @@ tolerance.  Run with ``pytest benchmarks/test_bench_distributed.py -s``
 to see the measured ratio.
 """
 
-import os
-import time
-
 import numpy as np
 import pytest
 
@@ -20,46 +17,42 @@ from repro.core import DistributedConfig, distributed_localize, evaluate_localiz
 from repro.deploy import town_layout
 from repro.ranging import gaussian_ranges
 
-SPEEDUP_FLOOR = 4.0
+from _timing import best_of, quiet_machine_only
 
-#: Wall-clock ratio assertions need a machine that isn't fighting other
-#: tenants; on shared CI runners the measured ratio is noise-bound.
-quiet_machine_only = pytest.mark.skipif(
-    bool(os.environ.get("CI")),
-    reason="wall-clock speedup assertions are unreliable on shared CI runners",
-)
+SPEEDUP_FLOOR = 4.0
 
 
 @pytest.fixture(scope="module")
-def town_problem():
-    """A town-scale deployment with the paper's synthetic ranging model."""
+def town_runs():
+    """Both pipelines on a town-scale deployment with the paper's
+    synthetic ranging model, run once for the whole module.
+
+    Returns ``(positions, batched, batched_s, scalar, scalar_s)``; the
+    batched time is the best of two runs, the scalar time a single run.
+    """
     positions = town_layout(59, min_separation_m=6.0, rng=7)
     ranges = gaussian_ranges(positions, max_range_m=22.0, sigma_m=0.33, rng=8)
     centroid = positions.mean(axis=0)
     root = int(np.argmin(np.hypot(*(positions - centroid).T)))
-    return positions, ranges, root
-
-
-def _run(ranges, n, root, solver, repeats):
-    config = DistributedConfig(min_spacing_m=6.0, solver=solver)
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = distributed_localize(ranges, n, root, config=config, rng=2)
-        best = min(best, time.perf_counter() - start)
-    return result, best
-
-
-@quiet_machine_only
-def test_distributed_speedup_on_town(town_problem):
-    positions, ranges, root = town_problem
     n = len(positions)
 
-    batched, batched_t = _run(ranges, n, root, "batched", repeats=2)
-    scalar, scalar_t = _run(ranges, n, root, "scalar", repeats=1)
+    def timed(solver, repeats):
+        config = DistributedConfig(min_spacing_m=6.0, solver=solver)
+        results = []
+        seconds = best_of(
+            lambda: results.append(
+                distributed_localize(ranges, n, root, config=config, rng=2)
+            ),
+            repeats=repeats,
+        )
+        return results[-1], seconds
 
-    # Parity first: the speedup claim is meaningless if results differ.
+    batched, batched_s = timed("batched", repeats=2)
+    scalar, scalar_s = timed("scalar", repeats=1)
+    return positions, batched, batched_s, scalar, scalar_s
+
+
+def _assert_parity(positions, batched, scalar):
     assert np.array_equal(batched.localized, scalar.localized)
     rep_b = evaluate_localization(
         batched.positions, positions, localized_mask=batched.localized, align=True
@@ -68,6 +61,14 @@ def test_distributed_speedup_on_town(town_problem):
         scalar.positions, positions, localized_mask=scalar.localized, align=True
     )
     assert abs(rep_b.average_error - rep_s.average_error) < 0.75
+
+
+@quiet_machine_only
+def test_distributed_speedup_on_town(town_runs):
+    positions, batched, batched_t, scalar, scalar_t = town_runs
+
+    # Parity first: the speedup claim is meaningless if results differ.
+    _assert_parity(positions, batched, scalar)
 
     ratio = scalar_t / batched_t
     print(
@@ -80,36 +81,12 @@ def test_distributed_speedup_on_town(town_problem):
     )
 
 
-def test_batched_distributed_parity_pinned(town_problem):
+def test_batched_distributed_parity_pinned(town_runs):
     """Batched/scalar local-map agreement, independent of wall clock.
 
     This is the tolerance-parity half of the acceptance bar, kept
     un-skipped on CI: both paths must localize the identical node set
     and agree on town-scale accuracy to solver tolerance.
     """
-    positions, ranges, root = town_problem
-    n = len(positions)
-    batched, _ = _run(ranges, n, root, "batched", repeats=1)
-    scalar, _ = _run(ranges, n, root, "scalar", repeats=1)
-    assert np.array_equal(batched.localized, scalar.localized)
-    rep_b = evaluate_localization(
-        batched.positions, positions, localized_mask=batched.localized, align=True
-    )
-    rep_s = evaluate_localization(
-        scalar.positions, positions, localized_mask=scalar.localized, align=True
-    )
-    assert abs(rep_b.average_error - rep_s.average_error) < 0.75
-
-
-def test_batched_distributed_speed(town_problem, benchmark):
-    """pytest-benchmark row for the batched path (regression tracking)."""
-    positions, ranges, root = town_problem
-    config = DistributedConfig(min_spacing_m=6.0)
-    result = benchmark.pedantic(
-        distributed_localize,
-        args=(ranges, len(positions), root),
-        kwargs={"config": config, "rng": 2},
-        rounds=1,
-        iterations=1,
-    )
-    assert result.localized.any()
+    positions, batched, _, scalar, _ = town_runs
+    _assert_parity(positions, batched, scalar)

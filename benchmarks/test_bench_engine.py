@@ -7,9 +7,6 @@ producing the same result.  Run with ``pytest
 benchmarks/test_bench_engine.py -s`` to see the measured ratio.
 """
 
-import os
-import time
-
 import numpy as np
 import pytest
 
@@ -20,14 +17,9 @@ from repro.experiments import DEFAULT_SEED
 from repro.experiments.localization_experiments import _grid_setup
 from repro.ranging import augment_with_gaussian_ranges
 
-SPEEDUP_FLOOR = 5.0
+from _timing import best_of, quiet_machine_only
 
-#: Wall-clock ratio assertions need a machine that isn't fighting other
-#: tenants; on shared CI runners the measured ratio is noise-bound.
-quiet_machine_only = pytest.mark.skipif(
-    bool(os.environ.get("CI")),
-    reason="wall-clock speedup assertions are unreliable on shared CI runners",
-)
+SPEEDUP_FLOOR = 5.0
 
 
 @pytest.fixture(scope="module")
@@ -42,15 +34,6 @@ def fig16_problem():
         edges, positions, max_range_m=22.0, sigma_m=0.33, rng=rng
     )
     return extended, anchors, n
-
-
-def _best_of(fn, repeats=5):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 @quiet_machine_only
@@ -70,8 +53,8 @@ def test_engine_speedup_on_fig16(fig16_problem):
     mask = b.localized & ~b.is_anchor
     np.testing.assert_allclose(b.positions[mask], s.positions[mask], atol=1e-5)
 
-    batched_t = _best_of(batched)
-    scalar_t = _best_of(scalar)
+    batched_t = best_of(batched, repeats=5)
+    scalar_t = best_of(scalar, repeats=5)
     ratio = scalar_t / batched_t
     print(
         f"\nfig16 localize_network: scalar {scalar_t * 1000:.1f} ms, "
@@ -81,13 +64,6 @@ def test_engine_speedup_on_fig16(fig16_problem):
         f"batched engine only {ratio:.2f}x faster than scalar "
         f"(need >= {SPEEDUP_FLOOR}x)"
     )
-
-
-def test_batched_localize_network_speed(fig16_problem, benchmark):
-    """pytest-benchmark row for the engine path (regression tracking)."""
-    measurements, anchors, n = fig16_problem
-    result = benchmark(localize_network, measurements, anchors, n)
-    assert result.localized.any()
 
 
 @quiet_machine_only
@@ -104,11 +80,11 @@ def test_multistart_lss_faster_than_sequential():
     config = LssConfig(min_spacing_m=10.0, restarts=2, max_epochs=400)
     seeds = [10, 11, 12, 13]
 
-    stacked_t = _best_of(
+    stacked_t = best_of(
         lambda: lss_localize_multistart(ranges, n, config=config, seeds=seeds),
         repeats=3,
     )
-    sequential_t = _best_of(
+    sequential_t = best_of(
         lambda: [lss_localize(ranges, n, config=config, rng=s) for s in seeds],
         repeats=3,
     )

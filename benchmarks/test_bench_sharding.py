@@ -10,10 +10,7 @@ the byte-identity of the merged entry.  Run with ``pytest
 benchmarks/test_bench_sharding.py -s`` to see the measured split.
 """
 
-import os
 import time
-
-import pytest
 
 from repro.engine.sharding import ShardSpec
 from repro.scenarios import (
@@ -24,6 +21,8 @@ from repro.scenarios import (
 )
 from repro.store import ResultStore
 
+from _timing import quiet_machine_only
+
 N_SHARDS = 3
 N_TRIALS = 24
 
@@ -31,13 +30,6 @@ N_TRIALS = 24
 #: trial costs vary by deployment draw, so the slowest shard legally
 #: carries somewhat more than 1/N of the work.
 SPEEDUP_FLOOR = N_SHARDS / 1.6
-
-#: Wall-clock ratio assertions need a machine that isn't fighting other
-#: tenants; on shared CI runners the measured ratio is noise-bound.
-quiet_machine_only = pytest.mark.skipif(
-    bool(os.environ.get("CI")),
-    reason="wall-clock speedup assertions are unreliable on shared CI runners",
-)
 
 
 @quiet_machine_only

@@ -7,22 +7,14 @@ with ``pytest benchmarks/test_bench_store.py -s`` to see the measured
 speedup.
 """
 
-import os
 import time
-
-import pytest
 
 from repro.scenarios import get_scenario, run_scenario
 from repro.store import ResultStore
 
-SPEEDUP_FLOOR = 20.0
+from _timing import quiet_machine_only
 
-#: Wall-clock ratio assertions need a machine that isn't fighting other
-#: tenants; on shared CI runners the measured ratio is noise-bound.
-quiet_machine_only = pytest.mark.skipif(
-    bool(os.environ.get("CI")),
-    reason="wall-clock speedup assertions are unreliable on shared CI runners",
-)
+SPEEDUP_FLOOR = 20.0
 
 
 @quiet_machine_only

@@ -10,26 +10,16 @@ with ``pytest benchmarks/test_bench_store_backends.py -s`` to see the
 measured ratios.
 """
 
-import os
-import time
-
-import pytest
-
 from repro.engine.campaign import TrialRecord
 from repro.engine.sharding import ShardCampaignResult, ShardSpec
 from repro.store import ResultStore, shard_to_payload
+
+from _timing import best_of, quiet_machine_only
 
 LISTING_SPEEDUP_FLOOR = 5.0
 WARM_GET_RATIO_CEILING = 1.5
 N_ENTRIES = 1000
 N_RECORDS = 100
-
-#: Wall-clock ratio assertions need a machine that isn't fighting other
-#: tenants; on shared CI runners the measured ratio is noise-bound.
-quiet_machine_only = pytest.mark.skipif(
-    bool(os.environ.get("CI")),
-    reason="wall-clock ratio assertions are unreliable on shared CI runners",
-)
 
 
 def _shard_payload(i):
@@ -61,15 +51,6 @@ def _populate(store, n_entries):
         store.put(store.key_for(("bench-entry", i)), _shard_payload(i))
 
 
-def _best_of(fn, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 @quiet_machine_only
 def test_sqlite_indexed_listing_speedup(tmp_path):
     fs = ResultStore(tmp_path / "fs", code_version="bench")
@@ -77,13 +58,13 @@ def test_sqlite_indexed_listing_speedup(tmp_path):
     _populate(fs, N_ENTRIES)
     _populate(sq, N_ENTRIES)
 
-    fs_listing = _best_of(fs.list_shards)
-    sq_listing = _best_of(sq.list_shards)
+    fs_listing = best_of(fs.list_shards)
+    sq_listing = best_of(sq.list_shards)
     assert len(fs.list_shards()) == len(sq.list_shards()) == N_ENTRIES
 
     # len() rides the same index (COUNT vs directory walk).
-    fs_len = _best_of(lambda: len(fs))
-    sq_len = _best_of(lambda: len(sq))
+    fs_len = best_of(lambda: len(fs))
+    sq_len = best_of(lambda: len(sq))
 
     speedup = fs_listing / sq_listing
     print(
@@ -110,8 +91,8 @@ def test_sqlite_warm_get_stays_close_to_filesystem(tmp_path):
 
         return run
 
-    fs_get = _best_of(read_all(fs), repeats=5)
-    sq_get = _best_of(read_all(sq), repeats=5)
+    fs_get = best_of(read_all(fs), repeats=5)
+    sq_get = best_of(read_all(sq), repeats=5)
     ratio = sq_get / fs_get
     print(
         f"\nwarm get x50: filesystem {fs_get * 1e3:.2f} ms, sqlite "

@@ -8,33 +8,16 @@ stay under 5% of the run's wall time.  Run with ``pytest
 benchmarks/test_bench_telemetry.py -s`` to see the measured margin.
 """
 
-import os
 import time
-
-import pytest
 
 from repro import telemetry
 from repro.experiments import DEFAULT_SEED, get_experiment
 
+from _timing import best_of, quiet_machine_only
+
 #: The acceptance ceiling: projected instrumentation overhead as a
 #: fraction of the uninstrumented Fig. 16 wall time.
 OVERHEAD_CEILING = 0.05
-
-#: Wall-clock ratio assertions need a machine that isn't fighting other
-#: tenants; on shared CI runners the measured ratio is noise-bound.
-quiet_machine_only = pytest.mark.skipif(
-    bool(os.environ.get("CI")),
-    reason="wall-clock overhead assertions are unreliable on shared CI runners",
-)
-
-
-def _best_of(fn, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _null_path_cost_per_call(iterations=200_000):
@@ -61,7 +44,7 @@ def _null_path_cost_per_call(iterations=200_000):
 def test_disabled_telemetry_overhead_on_fig16():
     driver = get_experiment("fig16")
 
-    baseline_s = _best_of(lambda: driver(DEFAULT_SEED))
+    baseline_s = best_of(lambda: driver(DEFAULT_SEED))
 
     # One traced run counts how many instrumentation calls the same
     # workload actually routes through the recorder.

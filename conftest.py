@@ -1,12 +1,13 @@
-"""Shared test configuration.
+"""Shared pytest configuration for ``tests/`` and ``benchmarks/``.
 
 Test runs must be hermetic with respect to the content-addressed result
 store: reading the user's persistent ``~/.cache/repro/store`` could mask
 a regression behind a stale entry written by different code under the
-same version string, and writing there pollutes the developer's real
-cache.  Point the default store at a per-session temporary directory
-instead; individual tests that exercise store behavior still override
-``REPRO_STORE_DIR`` themselves via ``monkeypatch``.
+same version string (and would let a benchmark time a warm hit instead
+of real simulation work), and writing there pollutes the developer's
+real cache.  Point the default store at a per-session temporary
+directory instead; individual tests that exercise store behavior still
+override ``REPRO_STORE_DIR`` themselves via ``monkeypatch``.
 """
 
 import os

@@ -1,9 +1,9 @@
 """Regenerate every table and figure of the paper in one run.
 
-Executes all 26 experiment drivers (19 figures, 3 quantitative in-text
-claims, 4 extension claims) and prints the paper-vs-measured comparison
-with the qualitative shape checks.  This is the same code the benchmark
-suite runs; expect a minute or so of compute.
+Executes all 29 experiment drivers (19 figures, 3 quantitative in-text
+claims, 7 extension claims) and prints the paper-vs-measured comparison
+with the qualitative shape checks.  This is the same code the ``paper``
+bench suite times; expect a minute or so of compute.
 
 Run:  python examples/reproduce_paper.py [seed]
       python examples/reproduce_paper.py --markdown > EXPERIMENTS.md
@@ -32,8 +32,7 @@ PREAMBLE = [
     "Absolute numbers are not expected to match — the substrate is a",
     "calibrated simulation, not the authors' MICA2 field testbed — but every",
     "**shape check** (who wins, by what factor, where the transitions fall)",
-    "must hold; the test suite (`tests/test_experiments.py`) and the",
-    "benchmark suite assert them.",
+    "must hold; the test suite (`tests/test_experiments.py`) asserts them.",
     "",
     "Regenerate this table with `python examples/reproduce_paper.py --markdown`.",
 ]

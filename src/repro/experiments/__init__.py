@@ -7,7 +7,7 @@ Importing this package populates the experiment registry; use
 
 from typing import Dict, Optional
 
-from . import extension_experiments, localization_experiments, ranging_experiments  # noqa: F401 (registry)
+from . import common, extension_experiments, localization_experiments, ranging_experiments  # noqa: F401 (registry)
 from .base import ExperimentResult, ShapeCheck, all_experiments, get_experiment
 from .report import render_markdown, render_text, summary_counts
 from .common import DEFAULT_SEED
@@ -58,6 +58,15 @@ def run_all(seed: int = DEFAULT_SEED) -> Dict[str, ExperimentResult]:
     return {eid: fn(seed) for eid, fn in sorted(all_experiments().items())}
 
 
+def clear_caches() -> None:
+    """Drop the drivers' process-lifetime memos (the grass ranging
+    service, the field campaign and the town LSS runs), so the next
+    driver call recomputes them or reads them from the result store."""
+    common.grass_service.cache_clear()
+    common._campaign_cached.cache_clear()
+    localization_experiments._town_lss_cached.cache_clear()
+
+
 __all__ = [
     "ExperimentResult",
     "ShapeCheck",
@@ -66,6 +75,7 @@ __all__ = [
     "get_experiment",
     "run_experiment",
     "run_all",
+    "clear_caches",
     "render_markdown",
     "render_text",
     "summary_counts",

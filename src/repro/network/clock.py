@@ -6,8 +6,8 @@ relying on the MAC-layer timestamping of the Flooding Time
 Synchronization Protocol (Section 3.1).  The paper bounds the residual
 clock-rate difference at 50 microseconds per second, which translates to
 at most ~0.15 cm ranging error over 30 m — negligible.  We model it
-anyway so that claim is *verified* by the benchmark suite instead of
-assumed (see ``benchmarks/test_bench_text_clock_sync.py``).
+anyway so that claim is *verified* by the ``text-sync`` experiment
+driver instead of assumed.
 """
 
 from __future__ import annotations

@@ -1,17 +1,14 @@
 """repro.perf — performance history and trace analytics.
 
-The repo's perf story used to be write-only: the ``benchmarks/``
-suite asserts floors and prints tables, but nothing emitted
-machine-readable results, so the benchmark trajectory across PRs was
-invisible and regressions surfaced only when a hard floor tripped.
-This package closes the loop:
+This is the repo's one timing system: the ``benchmarks/`` tests assert
+speedup floors, while everything that records timings goes through
+this package and its machine-readable bench records:
 
 - :mod:`repro.perf.record` — the versioned ``BENCH_<label>.json``
-  bench-record schema (one writer shared by ``repro bench run`` and
-  the ``REPRO_BENCH_JSON`` pytest-benchmark hook in
-  ``benchmarks/conftest.py``).
+  bench-record schema and its one writer.
 - :mod:`repro.perf.suites` — registered workload suites (``smoke``,
-  ``full``) reusing the scenario runner and experiment drivers.
+  ``full``, ``kernels``, ``paper``) reusing the scenario runner, the
+  experiment drivers and the pinned LSS kernel stacks.
 - :mod:`repro.perf.bench` — the harness: store-isolated
   median-of-k timings plus key telemetry counters per workload,
   serialized with the run manifest (host, python, code version, spec

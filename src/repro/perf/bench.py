@@ -4,10 +4,13 @@
 (:mod:`repro.perf.suites`) and assembles one versioned bench record
 (:mod:`repro.perf.record`).  Per workload, each of the *k* repeats:
 
-- runs **store-isolated** (the same rule as ``benchmarks/conftest.py``):
-  a fresh throwaway store root per repeat, so timings always measure
-  real simulation work, never a warm hit from the user's persistent
-  store — and the user's store is never touched;
+- runs **store-isolated** (the same rule as the test suite's
+  ``conftest.py``): a fresh throwaway store root per repeat, so timings
+  always measure real simulation work, never a warm hit from the
+  user's persistent store — and the user's store is never touched;
+- for an ``experiment`` workload, starts from cold experiment caches
+  (:func:`repro.experiments.clear_caches`), so no repeat or later
+  workload times work an earlier one already memoized in-process;
 - runs under its own :func:`repro.telemetry.recording` scope, so the
   run's counters (solves, cache misses/puts, committed trials) ride
   into the record without perturbing any ambient recorder;
@@ -118,6 +121,10 @@ def run_workload(
 
                 rep_store = ResultStore(os.path.join(tmp, "store"))
             env_root = str(rep_store.root) if rep_store is not None else tmp
+            if workload.kind == "experiment":
+                from ..experiments import clear_caches
+
+                clear_caches()
             with _store_env(env_root):
                 with telemetry.recording() as recorder:
                     start = perf_counter()

@@ -2,17 +2,15 @@
 
 A bench record is a single JSON object (conventionally stored as
 ``BENCH_<label>.json``) describing one benchmark session: the run
-**manifest** (host, platform, python, numpy, repro version, array
-backend, code version — the same environment fields a telemetry trace
-manifest carries) plus one **result** entry per workload with the raw
-repeat timings, their median/min, the key telemetry counters of the
-run, and derived throughput metrics.
+**manifest** (host, platform, python, numpy, repro version, code
+version — the same environment fields a telemetry trace manifest
+carries) plus one **result** entry per workload with the raw repeat
+timings, their median/min, the key telemetry counters of the run, and
+derived throughput metrics.
 
-Both producers — the ``repro bench run`` harness
-(:mod:`repro.perf.bench`) and the opt-in ``REPRO_BENCH_JSON``
-pytest-benchmark hook in ``benchmarks/conftest.py`` — build records
-through :func:`make_bench_record` and serialize through
-:func:`write_bench_record`, so the schema cannot fork.  Validation is
+The ``repro bench run`` harness (:mod:`repro.perf.bench`) builds
+records through :func:`make_bench_record` and serializes them through
+:func:`write_bench_record`, the one writer of the schema.  Validation is
 hand-rolled (no external JSON-schema dependency), mirrors
 :mod:`repro.telemetry.schema`, and raises
 :class:`repro.errors.ValidationError` with a field-level message;
@@ -49,10 +47,6 @@ BENCH_SCHEMA_VERSION = 1
 _LABEL_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 _NUMBER = (int, float)
-
-#: Workload kinds the harness knows how to execute; bench records may
-#: also carry ``pytest-benchmark`` entries from the conftest hook.
-RESULT_KINDS = ("scenario", "experiment", "kernel", "pytest-benchmark")
 
 
 def bench_filename(label: str) -> str:

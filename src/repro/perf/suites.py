@@ -7,7 +7,7 @@ store-isolated), an experiment driver (through
 pinned kernel stack (:mod:`repro.perf.kernels`) — with the seed and
 trial budget pinned so every run of the suite does the same work.
 
-Three suites ship by default:
+Four suites ship by default:
 
 - ``smoke`` — seconds-scale, one workload per solver family plus one
   figure driver; the CI perf gate (``tools/check_perf.py``) runs it on
@@ -17,6 +17,9 @@ Three suites ship by default:
 - ``kernels`` — one LSS descent per pinned stack (B=1, 3 and 49), timed
   per epoch (``us_per_epoch``); shows where the kernel's cost moved
   without the rest of a trial around it.
+- ``paper`` — every registered experiment driver (each paper figure,
+  in-text claim and extension claim) at ``DEFAULT_SEED``, one workload
+  per registry id.
 
 :func:`register_suite` is the extension point (mirrors
 ``scenarios/registry.py``); suite names share the bench-label alphabet
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..errors import ValidationError
+from ..experiments import DEFAULT_SEED, all_experiments
 from .record import _LABEL_RE
 
 __all__ = ["Workload", "register_suite", "get_suite", "all_suites"]
@@ -208,5 +212,18 @@ register_suite(
             kind="kernel",
             target_id="town-distributed-lss-b49",
         ),
+    ),
+)
+
+register_suite(
+    "paper",
+    tuple(
+        Workload(
+            workload_id=experiment_id,
+            kind="experiment",
+            target_id=experiment_id,
+            seed=DEFAULT_SEED,
+        )
+        for experiment_id in sorted(all_experiments())
     ),
 )

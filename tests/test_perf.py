@@ -10,6 +10,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.errors import ValidationError
+from repro.experiments import DEFAULT_SEED, all_experiments
 from repro.perf import (
     BENCH_SCHEMA_VERSION,
     Workload,
@@ -116,11 +117,18 @@ class TestBenchRecordSchema:
 class TestSuites:
     def test_shipped_suites_registered(self):
         suites = all_suites()
-        assert "smoke" in suites and "full" in suites
+        assert {"smoke", "full", "kernels", "paper"} <= set(suites)
         smoke_ids = [w.workload_id for w in get_suite("smoke")]
         assert len(smoke_ids) == len(set(smoke_ids))
         # One figure driver rides along so experiment timing is covered.
         assert any(w.kind == "experiment" for w in get_suite("smoke"))
+        # `paper` times every registered driver exactly once, at the
+        # seed the figures are reported at.
+        paper = get_suite("paper")
+        assert sorted(w.target_id for w in paper) == sorted(all_experiments())
+        assert all(
+            w.kind == "experiment" and w.seed == DEFAULT_SEED for w in paper
+        )
 
     def test_unknown_suite_names_alternatives(self):
         with pytest.raises(ValidationError, match="smoke"):
@@ -208,6 +216,17 @@ class TestRunWorkload:
         assert entry["counters"]["store.filesystem.put"] == 1
         assert "store.filesystem.hit" not in entry["counters"]
         assert entry["metrics"]["trials_per_s"] > 0
+
+    def test_experiment_repeats_start_from_cold_caches(self):
+        """fig8 memoizes the field campaign in-process; every repeat must
+        still simulate it, so the last repeat's counters show its store
+        miss and put in that repeat's fresh store."""
+        fig8 = Workload(
+            workload_id="fig8", kind="experiment", target_id="fig8", seed=DEFAULT_SEED
+        )
+        entry = run_workload(fig8, repeats=2)
+        assert entry["counters"]["store.filesystem.miss"] == 1
+        assert entry["counters"]["store.filesystem.put"] == 1
 
     def test_repeats_must_be_positive(self):
         with pytest.raises(ValidationError, match="repeats"):
