@@ -90,3 +90,11 @@ def test_batched_distributed_parity_pinned(town_runs):
     """
     positions, batched, _, scalar, _ = town_runs
     _assert_parity(positions, batched, scalar)
+
+
+def test_default_distributed_pipeline_localizes_town(town_runs):
+    """The default configuration takes the batched path, and that path
+    localizes most of the town."""
+    positions, batched, _, _, _ = town_runs
+    assert DistributedConfig(min_spacing_m=6.0).solver == "batched"
+    assert batched.localized.sum() > len(positions) // 2
