@@ -314,7 +314,10 @@ def _descend(
     """One gradient-descent round through the engine's batched kernel.
 
     Runs :func:`repro.engine.batch.batch_lss_descend` with a batch of
-    one — the same code path multi-seed campaigns batch over — so a
+    one.  The kernel's descent loop runs a stack of one on its
+    single-problem tail from the first epoch, under the same rules and
+    over the same body as the stacked rounds of multi-seed campaigns
+    (whose last straggler takes the same tail), so a
     single-configuration round and a stacked round follow identical
     per-configuration trajectories.
     """

@@ -589,11 +589,15 @@ def _use_candidates(n_valid: int, n_near: int) -> bool:
     A list that leaves nothing out is never worth checking.  An empty one
     skips the constraint terms outright, which always pays.  Otherwise
     the per-epoch displacement check and the rebuilds must be paid for
-    by the pairs left out.  Timed per epoch with each path forced on the
-    same B=1 stacks, the list ran 1% faster to 5% slower with 185-250
-    pairs left out, 1-6% faster with about 400, and 9-21% faster from
-    900 up.  The town workloads' builds leave out either at most about
-    260 (town-lss, B=1) or, with a non-empty list, 1,300 and more
+    by the pairs left out, and the break-even moves with the rebuild
+    rate.  Timed per epoch on the single-problem loop with each path
+    forced on the same B=1 stacks: the captured town-lss stacks (about
+    250 pairs left out, lists of 9-15) ran 2% faster to 10% slower on
+    the list; grids started 6 m off their layout (a build every 9-12
+    epochs) ran 27% faster from about 220 left out; grids from a random
+    start (a build every 4-7 epochs) broke even only between about 950
+    and 1,300.  The town workloads' builds leave out either at most
+    about 260 (town-lss, B=1) or, with a non-empty list, 1,300 and more
     (fig21, B=3).  The local-map stacks (B=49) mostly build empty lists,
     and their trial time does not move with this constant.
     """
@@ -873,7 +877,7 @@ def _descend(
     pinned: Optional[np.ndarray] = None,
     traces: Optional[List[List[float]]] = None,
 ) -> _Descent:
-    """One momentum-descent round over the stack *pts* (overwritten).
+    """One momentum-descent round over the stack *pts* (may be overwritten).
 
     Each problem follows the accept/reject schedule of the scalar round
     (``repro.core.lss._descend_scalar``): x1.05 step on improvement, /2
@@ -892,7 +896,10 @@ def _descend(
 
     Finished problems are compacted out of the working stack (the same
     straggler treatment as :func:`batch_gradient_descent`), so a few
-    slow problems do not drag the whole stack's per-epoch cost.
+    slow problems do not drag the whole stack's per-epoch cost.  Once a
+    single problem is left to descend (a stack of one from the start,
+    or the last straggler), :func:`_descend_one` runs its remaining
+    epochs on the same body and rules with scalar step state.
 
     Returns a :class:`_Descent`: the configurations, errors, converged
     flags, epochs run, compactions, and the body's candidate-list builds
@@ -912,7 +919,7 @@ def _descend(
     epochs_run = 0
     compactions = 0
 
-    for _ in range(max_epochs):
+    while remaining.size > 1 and epochs_run < max_epochs:
         epochs_run += 1
         if pinned is not None:
             grad[:, pinned] = 0.0
@@ -958,11 +965,75 @@ def _descend(
             stall = stall[keep]
             lss = lss.compact(keep)
 
+    if remaining.size == 1:
+        b = remaining[0]
+        pts, current, converged, epochs = _descend_one(
+            lss, pts, grad, float(current[0]), float(alpha[0]), velocity, int(stall[0]),
+            epochs=max_epochs - epochs_run, tolerance=tolerance, momentum=momentum,
+            patience=patience, pinned=pinned,
+            trace=None if traces is None else traces[b],
+        )
+        epochs_run += epochs
+        compactions += converged
+        conv_out[b] = converged
     pts_out[remaining] = pts
     err_out[remaining] = current
     return _Descent(
         pts_out, err_out, conv_out, epochs_run, compactions, lss.rebuilds, lss.terms
     )
+
+
+def _descend_one(
+    lss: _Lss,
+    pts: np.ndarray,
+    grad: np.ndarray,
+    current: float,
+    alpha: float,
+    velocity: np.ndarray,
+    stall: int,
+    *,
+    epochs: int,
+    tolerance: float,
+    momentum: float,
+    patience: int,
+    pinned: Optional[np.ndarray],
+    trace: Optional[List[float]],
+) -> Tuple[np.ndarray, float, bool, int]:
+    """At most *epochs* epochs of :func:`_descend` on a stack of one.
+
+    The same momentum, accept/reject, step-size, stall, patience and
+    pinned-row rules over the same body, with the objective, step size
+    and stall count held as Python scalars: no masks, no per-problem
+    bookkeeping.  Returns ``(pts, error, converged, epochs run)``.
+    """
+    epoch = 0
+    for epoch in range(1, epochs + 1):
+        if pinned is not None:
+            grad[:, pinned] = 0.0
+        velocity = momentum * velocity - alpha * grad
+        candidate = pts + velocity
+        value, candidate_grad = lss.value_and_grad(candidate)
+        value = float(value[0])
+        rejected = not value < current
+        if rejected:
+            # Overshoot kills the momentum (scalar rule).
+            velocity[...] = 0.0
+            alpha *= 0.5
+            stall += 1
+        else:
+            improvement = (current - value) / max(current, 1e-12)
+            pts, grad, current = candidate, candidate_grad, value
+            alpha *= 1.05
+            # A NaN improvement leaves the count alone, as in the stack.
+            if improvement < tolerance:
+                stall += 1
+            elif improvement >= tolerance:
+                stall = 0
+        if trace is not None:
+            trace.append(current)
+        if (rejected and alpha < 1e-14) or stall >= patience:
+            return pts, current, True, epoch
+    return pts, current, False, epoch
 
 
 def batch_lss_error(

@@ -135,6 +135,12 @@ register_suite(
             n_trials=4,
         ),
         Workload(
+            workload_id="town-lss-2",
+            kind="scenario",
+            target_id="town-lss",
+            n_trials=2,
+        ),
+        Workload(
             workload_id="town-distributed-lss-2",
             kind="scenario",
             target_id="town-distributed-lss",

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import LssConfig, dv_distance_localize, dv_hop_localize, localize_network, lss_localize
@@ -990,3 +990,152 @@ class TestSparseTermsAreTheDenseBody:
         assert dense[f"{prefix}_rebuilds"] == dense[f"{prefix}_compactions"]
         assert sparse[f"{prefix}_rebuilds"] >= dense[f"{prefix}_rebuilds"]
         assert 0 < sparse[f"{prefix}_terms"] < dense[f"{prefix}_terms"]
+
+
+class TestSingleProblemTail:
+    """Once one problem is left to descend, ``_descend`` runs it on
+    scalar step state.  That tail must be the stacked loop byte for
+    byte: from a stack of one, after the last compaction, and when the
+    epoch budget runs out inside it."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_nodes=st.integers(3, 8),
+        still=st.lists(st.booleans(), min_size=1, max_size=5),
+        shared=st.booleans(),
+        n_edges=st.integers(3, 20),
+        n_constraints=st.integers(0, 12),
+        min_spacing_m=st.sampled_from([None, 0.5, 8.0]),
+        step_size=st.sampled_from([0.002, 0.02, 0.2]),
+        tolerance=st.sampled_from([1e-7, 1e-3, 1.0]),
+        max_epochs=st.integers(1, 60),
+        pinned=st.one_of(st.none(), st.integers(0, 7)),
+    )
+    # Fixed cases for each way into and out of the tail: a stack of one
+    # that finishes, a straggler that finishes and one that runs out of
+    # epochs, and a stack compacted twice with no tail at all.
+    @example(
+        seed=1, n_nodes=6, still=[True], shared=True, n_edges=12, n_constraints=6,
+        min_spacing_m=0.5, step_size=0.02, tolerance=1e-7, max_epochs=60, pinned=None,
+    )
+    @example(
+        seed=1, n_nodes=6, still=[True, False], shared=True, n_edges=12, n_constraints=6,
+        min_spacing_m=0.5, step_size=0.02, tolerance=1.0, max_epochs=60, pinned=2,
+    )
+    @example(
+        seed=1, n_nodes=6, still=[False, True], shared=False, n_edges=12, n_constraints=6,
+        min_spacing_m=0.5, step_size=0.02, tolerance=1e-7, max_epochs=45, pinned=None,
+    )
+    @example(
+        seed=1, n_nodes=6, still=[True, False, True, False], shared=False, n_edges=12,
+        n_constraints=6, min_spacing_m=0.5, step_size=0.02, tolerance=1.0, max_epochs=60,
+        pinned=None,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tail_is_the_scalar_round(
+        self, seed, n_nodes, still, shared, n_edges, n_constraints,
+        min_spacing_m, step_size, tolerance, max_epochs, pinned,
+    ):
+        """Per problem, points, error, converged flag and trace are those
+        of ``_descend_scalar``; epochs and compactions count the stack.
+
+        A *still* problem starts on a translate of the layout its edges
+        measured exactly.  Unless a constraint pair is violated, every
+        step it takes is rejected and it stops at epoch 38, 41 or 45 (by
+        step size), while a tolerance of 1 stalls the others out at epoch
+        50.  Problems therefore finish at different epochs, on either side
+        of the epoch budget.  Coordinates lie on a 1/16 m grid, so
+        translates keep every difference, and so every distance, exact."""
+        from repro.core.lss import _descend_scalar
+        from repro.core.measurements import EdgeList
+        from repro.engine.batch import _descend, _padded_body, _shared_edge_body
+
+        rng = np.random.default_rng(seed)
+        n_problems = len(still)
+
+        def grid(shape):
+            return rng.integers(0, 320, size=shape) / 16.0
+
+        problems, layouts = [], []
+        for _ in range(1 if shared else n_problems):
+            layout = grid((n_nodes, 2))
+            edges = _random_edges(rng, n_nodes, n_edges)
+            diff = layout[edges.pairs[:, 0]] - layout[edges.pairs[:, 1]]
+            edges = EdgeList(edges.pairs, np.hypot(diff[:, 0], diff[:, 1]), edges.weights)
+            problems.append((edges, _random_pairs(rng, n_nodes, n_constraints)))
+            layouts.append(layout)
+        starts = np.stack([
+            layouts[0 if shared else b] + rng.integers(-50, 50, size=2) if s
+            else grid((n_nodes, 2))
+            for b, s in enumerate(still)
+        ])
+        if shared:
+            edges, constraints = problems[0]
+            problems *= n_problems
+            lss = _shared_edge_body(starts, edges, constraints, min_spacing_m, 10.0)
+        else:
+            lss = _padded_body(
+                starts,
+                np.stack([e.pairs for e, _ in problems]),
+                np.stack([e.distances for e, _ in problems]),
+                np.stack([e.weights for e, _ in problems]),
+                np.stack([c for _, c in problems]),
+                np.ones((n_problems, n_constraints), dtype=bool),
+                min_spacing_m,
+                10.0,
+            )
+        free_mask = np.ones(n_nodes, dtype=bool)
+        if pinned is not None:
+            free_mask[pinned % n_nodes] = False
+        traces = [[] for _ in range(n_problems)]
+        run = _descend(
+            lss, starts.copy(), step_size=step_size, max_epochs=max_epochs,
+            tolerance=tolerance, momentum=0.9, patience=50,
+            pinned=np.flatnonzero(~free_mask) if pinned is not None else None,
+            traces=traces,
+        )
+        config = LssConfig(
+            min_spacing_m=min_spacing_m, max_epochs=max_epochs,
+            step_size=step_size, tolerance=tolerance,
+        )
+        for b, (edges, constraints) in enumerate(problems):
+            trace = []
+            ref_pts, ref_error, ref_converged = _descend_scalar(
+                starts[b].copy(), edges, constraints, config, trace, free_mask
+            )
+            assert run.configs[b].tobytes() == ref_pts.tobytes()
+            assert run.errors[b].tobytes() == _f64_bytes(ref_error)
+            assert bool(run.converged[b]) == ref_converged
+            assert np.asarray(traces[b]).tobytes() == np.asarray(trace, dtype=float).tobytes()
+        assert run.epochs_run == max(len(t) for t in traces)
+        finished = {len(t) for t, c in zip(traces, run.converged) if c}
+        assert run.compactions == len(finished)
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_nan_start_rejects_every_epoch_until_the_step_underflows(self, padded):
+        """A NaN coordinate makes every objective NaN, so no candidate is
+        ever accepted: the step halves from 0.02 until it drops below
+        1e-14 at epoch 41, which finishes the problem."""
+        from repro.engine.batch import _descend, _padded_body, _shared_edge_body
+
+        rng = np.random.default_rng(3)
+        edges = _random_edges(rng, 6, 10)
+        constraints = _random_pairs(rng, 6, 8)
+        pts = rng.uniform(0.0, 20.0, size=(1, 6, 2))
+        pts[0, 2, 1] = np.nan
+        if padded:
+            lss = _padded_body(
+                pts, edges.pairs[None], edges.distances[None], edges.weights[None],
+                constraints[None], np.ones((1, 8), dtype=bool), 4.0, 10.0,
+            )
+        else:
+            lss = _shared_edge_body(pts, edges, constraints, 4.0, 10.0)
+        traces = [[]]
+        run = _descend(
+            lss, pts.copy(), step_size=0.02, max_epochs=2000, tolerance=1e-7,
+            momentum=0.9, patience=50, traces=traces,
+        )
+        assert (run.epochs_run, run.compactions) == (41, 1)
+        assert bool(run.converged[0])
+        assert np.isnan(run.errors[0])
+        assert len(traces[0]) == 41 and np.all(np.isnan(traces[0]))
