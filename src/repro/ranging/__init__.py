@@ -20,6 +20,7 @@ from .synthetic import (
     StatisticalErrorModel,
     augment_with_gaussian_ranges,
     eligible_pairs,
+    gaussian_edges,
     gaussian_ranges,
     statistical_campaign,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "consistency_pipeline",
     "StatisticalErrorModel",
     "eligible_pairs",
+    "gaussian_edges",
     "gaussian_ranges",
     "augment_with_gaussian_ranges",
     "statistical_campaign",

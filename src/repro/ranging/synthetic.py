@@ -30,6 +30,7 @@ from ..errors import ValidationError
 
 __all__ = [
     "eligible_pairs",
+    "gaussian_edges",
     "gaussian_ranges",
     "augment_with_gaussian_ranges",
     "StatisticalErrorModel",
@@ -48,6 +49,45 @@ def eligible_pairs(positions, max_range_m: float) -> np.ndarray:
     return np.stack([iu[0][mask], iu[1][mask]], axis=1).astype(np.int64)
 
 
+def _draw_gaussian(pts, max_range_m, sigma_m, pairs, rng):
+    """``(pairs, truths, noisy)`` of one Gaussian draw, in pair order."""
+    check_non_negative(sigma_m, "sigma_m")
+    rng = ensure_rng(rng)
+    if pairs is None:
+        pairs = eligible_pairs(pts, max_range_m)
+    else:
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        if np.any(pairs < 0) or np.any(pairs >= pts.shape[0]):
+            raise ValidationError(f"pairs must index the {pts.shape[0]} positions")
+        if np.any(pairs[:, 0] == pairs[:, 1]):
+            raise ValidationError("pairs must join two different nodes")
+    offsets = pts[pairs[:, 0]] - pts[pairs[:, 1]]
+    truths = np.hypot(offsets[:, 0], offsets[:, 1])
+    noisy = np.maximum(0.0, truths + rng.normal(0.0, sigma_m, size=truths.size))
+    return pairs, truths, noisy
+
+
+def gaussian_edges(
+    positions,
+    *,
+    max_range_m: float = 22.0,
+    sigma_m: float = 0.33,
+    pairs: Optional[np.ndarray] = None,
+    rng=None,
+) -> EdgeList:
+    """The paper's synthetic generator, drawn straight into an edge list.
+
+    Each pair gets truth + N(0, sigma), clamped at zero, with weight 1.
+    The pairs default to :func:`eligible_pairs`.  One normal draw is
+    taken per pair, in pair order, so the generator advances exactly as
+    in :func:`gaussian_ranges` and the edges are the bytes of
+    ``gaussian_ranges(...).to_edge_list()``.
+    """
+    pts = as_positions(positions, "positions")
+    pairs, _, noisy = _draw_gaussian(pts, max_range_m, sigma_m, pairs, rng)
+    return EdgeList.from_directed(pairs[:, 0], pairs[:, 1], noisy)
+
+
 def gaussian_ranges(
     positions,
     *,
@@ -59,21 +99,13 @@ def gaussian_ranges(
     """The paper's synthetic generator: truth + N(0, sigma), pairs <= max range.
 
     Negative draws are clamped at zero (a ranging service cannot report
-    a negative distance).  Returns one directed measurement per pair.
+    a negative distance).  Returns one directed measurement per pair,
+    with its true distance.  The draw is the one of
+    :func:`gaussian_edges`; use that when only the edge list is needed.
     """
     pts = as_positions(positions, "positions")
-    check_non_negative(sigma_m, "sigma_m")
-    rng = ensure_rng(rng)
-    if pairs is None:
-        pairs = eligible_pairs(pts, max_range_m)
-    else:
-        pairs = np.asarray(pairs, dtype=np.int64)
-    out = MeasurementSet()
-    for i, j in pairs:
-        truth = float(np.hypot(*(pts[i] - pts[j])))
-        noisy = max(0.0, truth + float(rng.normal(0.0, sigma_m)))
-        out.add_distance(int(i), int(j), noisy, true_distance=truth)
-    return out
+    pairs, truths, noisy = _draw_gaussian(pts, max_range_m, sigma_m, pairs, rng)
+    return MeasurementSet.from_edge_arrays(pairs, noisy, true_distances=truths)
 
 
 def augment_with_gaussian_ranges(
@@ -121,16 +153,15 @@ def augment_with_gaussian_ranges(
         n_extra = min(n_extra, len(candidates))
         chosen_idx = rng.choice(len(candidates), size=n_extra, replace=False)
         candidates = [candidates[k] for k in np.sort(chosen_idx)]
-    extra = gaussian_ranges(
-        pts,
+    draw = dict(
         max_range_m=max_range_m,
         sigma_m=sigma_m,
         pairs=np.asarray(candidates, dtype=np.int64).reshape(-1, 2),
         rng=rng,
     )
     if isinstance(measurements, MeasurementSet):
-        return measurements.merge(extra)
-    extra_edges = extra.to_edge_list()
+        return measurements.merge(gaussian_ranges(pts, **draw))
+    extra_edges = gaussian_edges(pts, **draw)
     return EdgeList(
         pairs=np.vstack([measurements.pairs, extra_edges.pairs]),
         distances=np.concatenate([measurements.distances, extra_edges.distances]),

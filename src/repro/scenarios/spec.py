@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from .._canonical import canonical_json, sha256_hex
+from .._validation import check_non_negative, check_positive
 from ..errors import ValidationError
 
 __all__ = [
@@ -185,10 +186,8 @@ class RangingSpec:
             raise ValidationError(
                 f"unknown ranging model {self.model!r}; known: {RANGING_MODELS}"
             )
-        if self.max_range_m <= 0:
-            raise ValidationError("max_range_m must be positive")
-        if self.sigma_m < 0:
-            raise ValidationError("sigma_m must be non-negative")
+        check_positive(self.max_range_m, "max_range_m")
+        check_non_negative(self.sigma_m, "sigma_m")
         if self.rounds < 1:
             raise ValidationError("rounds must be >= 1")
 
@@ -226,6 +225,11 @@ class SolverSpec:
                     "distributed-lss backend must be 'batched' or 'scalar'; "
                     f"got {self.backend!r}"
                 )
+        # The rules LssConfig applies at trial time, checked here so a
+        # campaign cannot start on a spec whose every trial would fail.
+        if self.min_spacing_m is not None:
+            check_positive(self.min_spacing_m, "min_spacing_m")
+        check_non_negative(self.constraint_weight, "constraint_weight")
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
         if self.max_epochs < 1:

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..core import (
     DistributedConfig,
+    EdgeList,
     LssConfig,
     distributed_localize,
     evaluate_localization,
@@ -41,7 +42,7 @@ from ..deploy import (
     town_layout,
     uniform_random_layout,
 )
-from ..ranging import gaussian_ranges
+from ..ranging import gaussian_edges
 from .spec import DeploymentSpec, AnchorSpec, RangingSpec, ScenarioSpec
 
 __all__ = ["scenario_trial", "draw_deployment", "draw_ranges", "select_anchors"]
@@ -69,10 +70,18 @@ def draw_deployment(spec: DeploymentSpec, rng) -> np.ndarray:
     raise AssertionError(f"unreachable deployment kind {spec.kind!r}")
 
 
-def draw_ranges(spec: RangingSpec, positions, rng):
-    """Measure inter-node ranges for one trial under *spec*'s model."""
+def draw_ranges(spec: RangingSpec, positions, rng) -> EdgeList:
+    """Measure inter-node ranges for one trial under *spec*'s model.
+
+    Both models return an :class:`~repro.core.measurements.EdgeList`.
+    The Gaussian model draws one normal per eligible pair, in pair
+    order, straight into the edge arrays (:func:`gaussian_edges`).  That
+    is the draw order of :func:`~repro.ranging.gaussian_ranges` too, so
+    both leave the generator in the same state and seeded trials do not
+    depend on which one a caller uses.
+    """
     if spec.model == "gaussian":
-        return gaussian_ranges(
+        return gaussian_edges(
             positions, max_range_m=spec.max_range_m, sigma_m=spec.sigma_m, rng=rng
         )
     # Full signal-level acoustic campaign (Section 3): calibrate a

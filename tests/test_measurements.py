@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _edge_oracle import assert_same_edges, per_pair_edge_list
 from repro.core.measurements import EdgeList, MeasurementSet, RangeMeasurement
 from repro.errors import ValidationError
 
@@ -278,3 +279,71 @@ def test_symmetrized_between_direction_medians(forward, backward):
     lo = min(np.median(forward), np.median(backward))
     hi = max(np.median(forward), np.median(backward))
     assert lo - 1e-9 <= value <= hi + 1e-9
+
+
+# A few repeated values make ties (and equal middle values) common.
+_distance = st.one_of(
+    st.sampled_from([0.0, 1.5, 7.25, 22.0]),
+    st.floats(0.0, 60.0, allow_nan=False),
+)
+
+
+@st.composite
+def _measurement_sets(draw):
+    """Multi-round sets over up to six nodes.
+
+    Each pair gets 0-4 estimates per direction, so the sets mix one-way
+    and bidirectional pairs and even and odd group sizes; insertion
+    order is shuffled so the export cannot rely on it.
+    """
+    n_nodes = draw(st.integers(2, 6))
+    rows = []
+    for i in range(n_nodes):
+        for j in range(i + 1, n_nodes):
+            for source, receiver in ((i, j), (j, i)):
+                for value in draw(st.lists(_distance, max_size=4)):
+                    rows.append((source, receiver, value))
+    rows = draw(st.permutations(rows))
+    ms = MeasurementSet()
+    for round_index, (source, receiver, value) in enumerate(rows):
+        ms.add_distance(source, receiver, value, round_index=round_index % 3)
+    return ms
+
+
+@given(ms=_measurement_sets(), weighted=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_grouped_edge_list_matches_per_pair_oracle(ms, weighted):
+    weight_fn = (lambda d: 1.0 / (1.0 + d)) if weighted else None
+    assert_same_edges(
+        ms.to_edge_list(weight_fn=weight_fn), per_pair_edge_list(ms, weight_fn=weight_fn)
+    )
+
+
+class TestGroupedEdgeList:
+    """Hand-built cases the property covers only by chance."""
+
+    def test_even_group_takes_mean_of_middle_values(self):
+        ms = MeasurementSet()
+        for d in (9.0, 1.0, 4.0, 2.0):
+            ms.add_distance(3, 1, d)
+        edges = ms.to_edge_list()
+        assert edges.pairs.tolist() == [[1, 3]]
+        assert edges.distances[0] == 3.0  # (2 + 4) / 2
+
+    def test_directions_average_their_medians(self):
+        ms = MeasurementSet()
+        for d in (5.0, 6.0, 100.0):
+            ms.add_distance(0, 1, d)
+        for d in (8.0, 7.0):
+            ms.add_distance(1, 0, d)
+        assert_same_edges(ms.to_edge_list(), per_pair_edge_list(ms))
+        assert ms.to_edge_list().distances[0] == (6.0 + 7.5) / 2
+
+    def test_from_directed_rejects_ragged_arrays(self):
+        with pytest.raises(ValidationError):
+            EdgeList.from_directed([0, 1], [1], [2.0, 3.0])
+
+    def test_from_directed_empty_is_int64_pairs(self):
+        edges = EdgeList.from_directed([], [], [])
+        assert edges.pairs.shape == (0, 2) and edges.pairs.dtype == np.int64
+        assert len(edges.distances) == len(edges.weights) == 0

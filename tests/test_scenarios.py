@@ -86,6 +86,40 @@ class TestSpecValidation:
             solver=SolverSpec(algorithm="lss"),
         )
 
+    # The five specs below used to construct, then abort every lss /
+    # distributed-lss campaign with ValidationError at its first trial.
+    @pytest.mark.parametrize("spacing", [0.0, -1.0])
+    def test_non_positive_min_spacing_rejected(self, spacing):
+        with pytest.raises(ValidationError, match="min_spacing_m"):
+            SolverSpec(algorithm="lss", min_spacing_m=spacing)
+
+    def test_nan_min_spacing_rejected(self):
+        with pytest.raises(ValidationError, match="min_spacing_m"):
+            SolverSpec(algorithm="distributed-lss", min_spacing_m=float("nan"))
+
+    def test_negative_constraint_weight_rejected(self):
+        with pytest.raises(ValidationError, match="constraint_weight"):
+            SolverSpec(algorithm="lss", constraint_weight=-0.5)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValidationError, match="sigma_m"):
+            RangingSpec(sigma_m=sigma)
+        with pytest.raises(ValidationError, match="sigma_m"):
+            _base_spec(**{"ranging.sigma_m": sigma})
+
+    @pytest.mark.parametrize("max_range", [float("nan"), float("inf")])
+    def test_non_finite_max_range_rejected(self, max_range):
+        with pytest.raises(ValidationError, match="max_range_m"):
+            RangingSpec(max_range_m=max_range)
+        with pytest.raises(ValidationError, match="max_range_m"):
+            _base_spec(**{"ranging.max_range_m": max_range})
+
+    def test_lss_knobs_at_their_bounds_accepted(self):
+        SolverSpec(algorithm="lss", min_spacing_m=None, constraint_weight=0.0)
+        SolverSpec(algorithm="lss", min_spacing_m=1e-6)
+        RangingSpec(sigma_m=0.0)
+
     def test_anchored_algorithms_need_anchors(self):
         with pytest.raises(ValidationError):
             ScenarioSpec(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _edge_oracle import assert_same_edges, per_pair_edge_list, per_pair_gaussian_ranges
 from repro.core.measurements import EdgeList, MeasurementSet
 from repro.deploy import square_grid
 from repro.errors import ValidationError
@@ -12,8 +13,18 @@ from repro.ranging.synthetic import (
     StatisticalErrorModel,
     augment_with_gaussian_ranges,
     eligible_pairs,
+    gaussian_edges,
     gaussian_ranges,
     statistical_campaign,
+)
+from repro.scenarios import (
+    AnchorSpec,
+    DeploymentSpec,
+    RangingSpec,
+    ScenarioSpec,
+    SolverSpec,
+    draw_ranges,
+    scenario_trial,
 )
 
 
@@ -198,3 +209,117 @@ def test_gaussian_ranges_never_negative(sigma, seed):
     grid = square_grid(2, 2, spacing_m=3.0)
     ms = gaussian_ranges(grid, max_range_m=10.0, sigma_m=sigma, rng=seed)
     assert all(m.distance >= 0 for m in ms)
+
+
+@st.composite
+def _draws(draw):
+    """A layout, a range, a sigma (often exactly 0) and optional pairs.
+
+    Explicit pairs may come in either order and repeat, so the export
+    has bidirectional and multi-estimate pairs to collapse.
+    """
+    n_nodes = draw(st.integers(1, 10))
+    coordinate = st.floats(0.0, 30.0, allow_nan=False)
+    positions = np.array(
+        draw(st.lists(st.tuples(coordinate, coordinate), min_size=n_nodes, max_size=n_nodes)),
+        dtype=float,
+    )
+    max_range = draw(st.floats(0.5, 45.0))
+    sigma = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+    pairs = None
+    if n_nodes >= 2 and draw(st.booleans()):
+        pair = st.tuples(st.integers(0, n_nodes - 1), st.integers(0, n_nodes - 1))
+        pairs = np.array(
+            [p for p in draw(st.lists(pair, max_size=12)) if p[0] != p[1]], dtype=np.int64
+        ).reshape(-1, 2)
+    return positions, max_range, sigma, pairs, draw(st.integers(0, 2**32 - 1))
+
+
+@given(case=_draws())
+@settings(max_examples=200, deadline=None)
+def test_columnar_draw_matches_per_measurement_draw(case):
+    positions, max_range, sigma, pairs, seed = case
+    kwargs = dict(max_range_m=max_range, sigma_m=sigma, pairs=pairs)
+    rng_edges = np.random.default_rng(seed)
+    edges = gaussian_edges(positions, rng=rng_edges, **kwargs)
+
+    rng_set = np.random.default_rng(seed)
+    assert_same_edges(edges, gaussian_ranges(positions, rng=rng_set, **kwargs).to_edge_list())
+    assert rng_edges.bit_generator.state == rng_set.bit_generator.state
+
+    rng_loop = np.random.default_rng(seed)
+    loop_pairs = eligible_pairs(positions, max_range) if pairs is None else pairs
+    oracle = per_pair_gaussian_ranges(positions, loop_pairs, sigma, rng_loop)
+    assert_same_edges(edges, per_pair_edge_list(oracle))
+    assert rng_edges.bit_generator.state == rng_loop.bit_generator.state
+
+    if pairs is None:
+        rng_trial = np.random.default_rng(seed)
+        spec = RangingSpec(model="gaussian", max_range_m=max_range, sigma_m=sigma)
+        assert_same_edges(draw_ranges(spec, positions, rng_trial), edges)
+        assert rng_trial.bit_generator.state == rng_edges.bit_generator.state
+
+
+class TestGaussianEdges:
+    def test_zero_sigma_is_the_truth(self, grid):
+        edges = gaussian_edges(grid, max_range_m=10.5, sigma_m=0.0, rng=0)
+        truth = np.hypot(*(grid[edges.pairs[:, 0]] - grid[edges.pairs[:, 1]]).T)
+        assert np.array_equal(edges.distances, truth)
+        assert np.all(edges.weights == 1.0)
+
+    def test_explicit_pairs_collapse_like_the_set(self, grid):
+        pairs = np.array([[2, 0], [0, 2], [5, 1], [0, 2], [3, 4]])
+        edges = gaussian_edges(grid, pairs=pairs, rng=3)
+        assert edges.pairs.tolist() == [[0, 2], [1, 5], [3, 4]]
+        ms = gaussian_ranges(grid, pairs=pairs, rng=3)
+        assert_same_edges(edges, per_pair_edge_list(ms))
+
+    def test_no_pair_in_range_draws_nothing(self, grid):
+        rng = np.random.default_rng(11)
+        before = rng.bit_generator.state
+        edges = gaussian_edges(grid, max_range_m=1.0, rng=rng)
+        assert edges.pairs.shape == (0, 2) and edges.pairs.dtype == np.int64
+        assert edges.distances.shape == edges.weights.shape == (0,)
+        assert rng.bit_generator.state == before
+        spec = RangingSpec(max_range_m=1.0)
+        assert_same_edges(draw_ranges(spec, grid, np.random.default_rng(11)), edges)
+
+    @pytest.mark.parametrize("algorithm", ["multilateration", "lss", "distributed-lss"])
+    def test_trial_without_edges_reports_nan(self, algorithm):
+        anchor_free = algorithm != "multilateration"
+        spec = ScenarioSpec(
+            "no-edges",
+            deployment=DeploymentSpec(kind="grid", n_nodes=9, spacing_m=10.0),
+            anchors=AnchorSpec(strategy="none", fraction=None)
+            if anchor_free
+            else AnchorSpec(strategy="random", fraction=None, count=3),
+            ranging=RangingSpec(max_range_m=5.0),
+            solver=SolverSpec(algorithm=algorithm),
+            n_trials=1,
+        )
+        metrics = scenario_trial(np.random.default_rng(0), spec=spec)
+        for key in ("fraction_localized", "mean_error_m", "median_error_m"):
+            assert np.isnan(metrics[key])
+
+    @pytest.mark.parametrize("bad", [[[0, 16]], [[-1, 2]], [[3, 3]]])
+    def test_bad_explicit_pairs_rejected(self, grid, bad):
+        with pytest.raises(ValidationError):
+            gaussian_edges(grid, pairs=np.array(bad), rng=0)
+        with pytest.raises(ValidationError):
+            gaussian_ranges(grid, pairs=np.array(bad), rng=0)
+
+    def test_augmented_edge_list_is_the_set_export(self, grid):
+        measured = EdgeList(
+            pairs=np.array([[0, 1]]), distances=np.array([10.0]), weights=np.array([1.0])
+        )
+        out = augment_with_gaussian_ranges(measured, grid, max_range_m=10.5, n_extra=9, rng=4)
+        via_set = augment_with_gaussian_ranges(
+            MeasurementSet.from_edge_arrays(measured.pairs, measured.distances),
+            grid,
+            max_range_m=10.5,
+            n_extra=9,
+            rng=4,
+        ).to_edge_list()
+        order = np.lexsort((out.pairs[:, 1], out.pairs[:, 0]))
+        assert np.array_equal(out.pairs[order], via_set.pairs)
+        assert out.distances[order].tobytes() == via_set.distances.tobytes()
