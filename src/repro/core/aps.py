@@ -17,7 +17,9 @@ rather than cited:
   (no per-hop calibration needed; still biased long on bent paths).
 
 Both reduce to shortest-path computations over the measurement graph,
-followed by the library's standard multilateration.
+followed by the library's standard multilateration: the paper's
+gradient descent, batched through the engine (``solver="scalar"``
+solves node by node, as the engine's reference).
 """
 
 from __future__ import annotations
@@ -48,6 +50,14 @@ def _edges_of(measurements, n_nodes: int) -> EdgeList:
         raise InsufficientDataError("no measurements supplied")
     if np.any(edges.pairs < 0) or np.any(edges.pairs >= n_nodes):
         raise ValidationError("edge indices outside [0, n_nodes)")
+    # The CSR graph sums repeated entries, so a pair listed twice (in
+    # either order) would silently double its hop count or distance.
+    lo = edges.pairs.min(axis=1)
+    hi = edges.pairs.max(axis=1)
+    if np.any(lo == hi):
+        raise ValidationError("self-loop edge: a node cannot measure itself")
+    if np.unique(lo * n_nodes + hi).size != len(edges):
+        raise ValidationError("duplicate edge: each undirected pair may appear once")
     return edges
 
 
@@ -87,12 +97,13 @@ def _aps_localize(
 ) -> NetworkLocalization:
     """Common multilateration stage over anchor-distance estimates.
 
-    ``solver="gradient"`` stacks every node's anchor-distance problem
-    into one masked batch and solves it through the engine; ``"scalar"``
-    (per-node gradient descent) and ``"lm"`` (per-node scipy LM) are
-    the per-node reference paths.
+    Every non-anchor with at least *min_anchors* finite anchor distances
+    is one problem.  ``solver="gradient"`` solves them all in one masked
+    batch through the engine; ``"scalar"`` solves them one at a time
+    with :func:`multilaterate`, the reference the engine is tested
+    against.
     """
-    if solver not in ("gradient", "scalar", "lm"):
+    if solver not in ("gradient", "scalar"):
         raise ValidationError(f"unknown solver {solver!r}")
     if min_anchors < 3:
         raise ValidationError("min_anchors must be >= 3 for planar localization")
@@ -104,56 +115,47 @@ def _aps_localize(
     for a in anchor_ids:
         positions[a] = anchors[a]
         is_anchor[a] = True
+
+    prob_nodes = []
+    anchor_sets = []
+    dist_sets = []
+    for node in range(n_nodes):
+        if is_anchor[node]:
+            continue
+        dists = distances_to_anchors[node]
+        usable = np.isfinite(dists)
+        anchors_per_node[node] = usable.sum()
+        if usable.sum() < min_anchors:
+            continue
+        prob_nodes.append(node)
+        anchor_sets.append(anchor_xy[usable])
+        dist_sets.append(dists[usable])
+
     if solver == "gradient":
         from ..engine.batch import solve_multilateration_batch
 
-        prob_nodes = []
-        anchor_sets = []
-        dist_sets = []
-        for node in range(n_nodes):
-            if is_anchor[node]:
-                continue
-            dists = distances_to_anchors[node]
-            usable = np.isfinite(dists)
-            anchors_per_node[node] = usable.sum()
-            if usable.sum() < min_anchors:
-                continue
-            prob_nodes.append(node)
-            anchor_sets.append(anchor_xy[usable])
-            dist_sets.append(dists[usable])
-        if prob_nodes:
-            weight_sets = [np.ones(d.shape[0]) for d in dist_sets]
-            solved_pos, solved, _ = solve_multilateration_batch(
-                anchor_sets,
-                dist_sets,
-                weight_sets,
-                min_anchors=min_anchors,
-                consistency_check=False,
-            )
-            for node, pos, ok in zip(prob_nodes, solved_pos, solved):
-                if ok:
-                    positions[node] = pos
+        solved_pos, solved, _ = solve_multilateration_batch(
+            anchor_sets,
+            dist_sets,
+            [np.ones(d.shape[0]) for d in dist_sets],
+            min_anchors=min_anchors,
+            consistency_check=False,
+        )
     else:
-        per_node_solver = "gradient" if solver == "scalar" else solver
-        for node in range(n_nodes):
-            if is_anchor[node]:
-                continue
-            dists = distances_to_anchors[node]
-            usable = np.isfinite(dists)
-            anchors_per_node[node] = usable.sum()
-            if usable.sum() < min_anchors:
-                continue
+        solved_pos = np.full((len(prob_nodes), 2), np.nan)
+        solved = np.zeros(len(prob_nodes), dtype=bool)
+        for b, (anchor_set, dists) in enumerate(zip(anchor_sets, dist_sets)):
             try:
                 result = multilaterate(
-                    anchor_xy[usable],
-                    dists[usable],
-                    consistency_check=False,
-                    solver=per_node_solver,
-                    min_anchors=min_anchors,
+                    anchor_set, dists, consistency_check=False, min_anchors=min_anchors
                 )
             except InsufficientDataError:
                 continue
-            positions[node] = result.position
+            solved_pos[b] = result.position
+            solved[b] = True
+    for node, pos, ok in zip(prob_nodes, solved_pos, solved):
+        if ok:
+            positions[node] = pos
     localized = np.all(np.isfinite(positions), axis=1)
     return NetworkLocalization(
         positions=positions,
@@ -169,7 +171,7 @@ def dv_hop_localize(
     n_nodes: int,
     *,
     min_anchors: int = 3,
-    solver: str = "lm",
+    solver: str = "gradient",
 ) -> NetworkLocalization:
     """DV-hop localization over the measurement connectivity graph.
 
@@ -182,12 +184,10 @@ def dv_hop_localize(
         Node id -> known (x, y); at least three anchors.
     n_nodes : int
         Total node count.
-    solver : {"lm", "gradient", "scalar"}
-        Multilateration backend (Levenberg-Marquardt default — DV-hop's
-        coarse distances benefit from the more robust solver).
-        ``"gradient"`` batches every node's problem through the engine
-        in one masked-array solve; ``"scalar"`` is its per-node
-        reference path.
+    solver : {"gradient", "scalar"}
+        ``"gradient"`` (default) batches every node's problem through
+        the engine in one masked-array solve; ``"scalar"`` is its
+        per-node reference path.
     """
     edges = _edges_of(measurements, n_nodes)
     anchors = _check_anchors(anchor_positions, n_nodes)
@@ -237,7 +237,7 @@ def dv_distance_localize(
     n_nodes: int,
     *,
     min_anchors: int = 3,
-    solver: str = "lm",
+    solver: str = "gradient",
 ) -> NetworkLocalization:
     """DV-distance localization: propagate summed measured distances.
 

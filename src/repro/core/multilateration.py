@@ -7,10 +7,10 @@ three non-collinear *anchors* by least-squares error minimization::
 
 The paper minimizes with gradient descent and observes its
 vulnerability: nodes "victims of the gradient descent falling into a
-local minimum" (Figure 16).  Both the paper's gradient-descent solver
-and a Levenberg-Marquardt cross-check solver are provided; the
-intersection consistency check of Section 4.1.2 can pre-filter anchors
-with inconsistent range circles.
+local minimum" (Figure 16).  That gradient descent is the only solver:
+reproducing the figure depends on its local minima.  The intersection
+consistency check of Section 4.1.2 can pre-filter anchors with
+inconsistent range circles.
 
 Network-level drivers localize every non-anchor that has enough anchor
 measurements, with an optional *progressive* mode in which localized
@@ -18,7 +18,8 @@ nodes are promoted to anchors for the remaining nodes (Section 4.1.1's
 proposed modification).  By default :func:`localize_network` solves all
 of a round's nodes in one stacked masked-array descent through
 :mod:`repro.engine.batch`; the per-node seed implementation remains
-available as the ``solver="scalar"`` reference path.
+available as the ``solver="scalar"`` reference path, the oracle the
+engine is tested against.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .._validation import as_positions, check_positive, ensure_rng
 from ..errors import InsufficientDataError, ValidationError
@@ -173,7 +173,6 @@ def multilaterate(
     initial=None,
     consistency_check: bool = True,
     cluster_radius_m: float = 1.0,
-    solver: str = "gradient",
     min_anchors: int = 3,
 ) -> MultilaterationResult:
     """Localize one node from anchor distances.
@@ -192,13 +191,6 @@ def multilaterate(
         anchor centroid.
     consistency_check : bool
         Apply the intersection consistency filter first.
-    solver : {"gradient", "scalar", "lm"}
-        ``"gradient"`` is the paper's gradient descent (default);
-        ``"scalar"`` is accepted as an alias for it (matching the
-        network-level solver names, where "gradient" selects the
-        batched engine and "scalar" the per-node reference —
-        a single-node call is the scalar reference by construction);
-        ``"lm"`` uses scipy's Levenberg-Marquardt for cross-checking.
     min_anchors : int
         Minimum surviving anchors required (3 for an unambiguous planar
         fix).
@@ -255,22 +247,9 @@ def multilaterate(
         if start.shape != (2,):
             raise ValidationError("initial must have shape (2,)")
 
-    if solver in ("gradient", "scalar"):
-        position, residual = _gradient_descent_solve(
-            sel_anchors, sel_dists, sel_weights, start
-        )
-    elif solver == "lm":
-        result = least_squares(
-            _objective_terms,
-            x0=start,
-            args=(sel_anchors, sel_dists, sel_weights),
-            method="lm",
-        )
-        position = result.x
-        residual = float(2.0 * result.cost)
-    else:
-        raise ValidationError(f"unknown solver {solver!r}")
-
+    position, residual = _gradient_descent_solve(
+        sel_anchors, sel_dists, sel_weights, start
+    )
     return MultilaterationResult(
         position=position,
         residual=residual,
@@ -338,13 +317,12 @@ def localize_network(
         Promote localized nodes to anchors and iterate (Section 4.1.1's
         progressive localization).  The paper's reported experiments
         keep this off.
-    solver : {"gradient", "scalar", "lm"}
+    solver : {"gradient", "scalar"}
         ``"gradient"`` (default) solves every node of a refinement
         round in one batched masked-array step through
         :mod:`repro.engine.batch`; ``"scalar"`` is the per-node
-        reference path (the seed implementation, kept for the
-        batched/scalar parity contract); ``"lm"`` solves per node with
-        scipy's Levenberg-Marquardt.  In progressive mode the batched
+        reference path (the seed implementation, kept as the oracle of
+        the batched/scalar parity contract).  In progressive mode the batched
         engine promotes a whole round's solutions at once (Jacobi
         sweeps), while the scalar path promotes within the round
         (Gauss-Seidel); a promotion chain therefore needs one round per
@@ -364,7 +342,7 @@ def localize_network(
         )
     if n_nodes < 1:
         raise ValidationError("n_nodes must be >= 1")
-    if solver not in ("gradient", "scalar", "lm"):
+    if solver not in ("gradient", "scalar"):
         raise ValidationError(f"unknown solver {solver!r}")
     if min_anchors < 3:
         raise ValidationError("min_anchors must be >= 3 for planar localization")
@@ -435,7 +413,6 @@ def localize_network(
                         known[node] = pos
                         progress = True
         else:
-            per_node_solver = "gradient" if solver == "scalar" else solver
             for node in range(n_nodes):
                 if node in known:
                     continue
@@ -457,7 +434,6 @@ def localize_network(
                         weights=weights,
                         consistency_check=consistency_check,
                         cluster_radius_m=cluster_radius_m,
-                        solver=per_node_solver,
                         min_anchors=min_anchors,
                     )
                 except InsufficientDataError:

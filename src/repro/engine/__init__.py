@@ -55,8 +55,9 @@ Scalar/batched parity contract
 ------------------------------
 For every batched kernel the per-problem update rule, acceptance test,
 and termination condition are *the same operations in the same order*
-as the scalar reference path (``repro.core.multilateration`` with
-``solver="scalar"``; ``repro.core.lss._descend_scalar``, the
+as the scalar reference path (``repro.core.multilateration`` and
+``repro.core.aps`` with ``solver="scalar"``;
+``repro.core.lss._descend_scalar``, the
 oracle that tests substitute for ``lss._descend``;
 ``repro.core.distributed`` with ``solver="scalar"``).  Batched and
 scalar runs from the same seed must therefore agree to floating-point
@@ -66,7 +67,11 @@ objective, gradient and descent add every term in the scalar order, so
 scalar oracle.  The LSS body's sparse and dense paths (chosen per
 call from how many constraint pairs its candidate list leaves out) give
 identical bytes.  ``tests/test_engine_batch.py`` enforces this on
-fixed-seed grid, random, and sparse networks and on random stacks.
+fixed-seed grid, random, and sparse networks, on random stacks, and
+on random APS deployments.  An exactly mirror-symmetric multilateration
+problem (DV-hop on a grid can pose one) is outside the tolerance: its
+start lies on the symmetry axis, and reduction error decides which way,
+if at all, the descent leaves it.
 The one deliberate exception is the distributed pipeline's *multi-problem* orchestration:
 its batched path phases residual-trim refits after all first fits
 instead of interleaving them per map, so it consumes perturbation

@@ -454,8 +454,8 @@ def solve_multilateration_batch(
 
     Each problem ``b`` is (anchor_sets[b] of shape (k_b, 2),
     dist_sets[b], weight_sets[b]).  Per problem this applies the same
-    pipeline as :func:`repro.core.multilaterate` with the gradient
-    solver: intersection consistency filter (falling back to the full
+    pipeline as :func:`repro.core.multilaterate`: intersection
+    consistency filter (falling back to the full
     anchor set when fewer than *min_anchors* survive), collinearity
     rejection, weighted-centroid initialization, adaptive gradient
     descent.

@@ -182,7 +182,7 @@ register_scenario(
         deployment=DeploymentSpec(kind="uniform", n_nodes=36),
         anchors=AnchorSpec(strategy="random", count=8),
         ranging=RangingSpec(model="gaussian", max_range_m=14.0, sigma_m=0.33),
-        solver=SolverSpec(algorithm="dv-hop", backend="lm"),
+        solver=SolverSpec(algorithm="dv-hop"),
         n_trials=12,
     )
 )

@@ -82,8 +82,16 @@ ANCHOR_STRATEGIES = ("random", "spread", "boundary", "none")
 #: full signal-level acoustic ranging campaign of Section 3.
 RANGING_MODELS = ("gaussian", "acoustic")
 
-#: Localization algorithms a :class:`SolverSpec` may name.
-ALGORITHMS = ("multilateration", "lss", "distributed-lss", "dv-hop")
+#: Localization algorithms a :class:`SolverSpec` may name, each with
+#: the backends it accepts: the production path first, then its scalar
+#: reference (LSS has one solver and nothing to select).
+_BACKENDS = {
+    "multilateration": ("gradient", "scalar"),
+    "lss": ("gradient",),
+    "distributed-lss": ("batched", "scalar"),
+    "dv-hop": ("gradient", "scalar"),
+}
+ALGORITHMS = tuple(_BACKENDS)
 
 #: Algorithms that run without anchors (relative-coordinate output).
 ANCHOR_FREE_ALGORITHMS = ("lss", "distributed-lss")
@@ -196,11 +204,15 @@ class RangingSpec:
 class SolverSpec:
     """Which localization algorithm runs, and how.
 
-    ``backend`` is normalized per algorithm at construction ("dv-hop"
-    maps the generic "gradient" default to its native "lm" solver;
-    "distributed-lss" maps it to the engine's "batched" path, with
-    "scalar" selecting the per-problem reference), so two specs
-    describing the same physics always hash identically.
+    ``backend`` is checked per algorithm at construction.
+    "multilateration" and "dv-hop" run the paper's gradient descent
+    through the engine ("gradient") or node by node as its reference
+    ("scalar"); "lss" has one solver and accepts only "gradient";
+    "distributed-lss" maps the generic "gradient" default to the
+    engine's "batched" path, with "scalar" selecting the per-problem
+    reference.  So two specs describing the same physics always hash
+    identically, and a backend no trial could run is rejected here
+    instead of failing every trial.
     """
 
     algorithm: str = "multilateration"
@@ -215,16 +227,13 @@ class SolverSpec:
             raise ValidationError(
                 f"unknown algorithm {self.algorithm!r}; known: {ALGORITHMS}"
             )
-        if self.algorithm == "dv-hop" and self.backend == "gradient":
-            object.__setattr__(self, "backend", "lm")
-        if self.algorithm == "distributed-lss":
-            if self.backend == "gradient":
-                object.__setattr__(self, "backend", "batched")
-            if self.backend not in ("batched", "scalar"):
-                raise ValidationError(
-                    "distributed-lss backend must be 'batched' or 'scalar'; "
-                    f"got {self.backend!r}"
-                )
+        if self.algorithm == "distributed-lss" and self.backend == "gradient":
+            object.__setattr__(self, "backend", "batched")
+        if self.backend not in _BACKENDS[self.algorithm]:
+            raise ValidationError(
+                f"{self.algorithm} backend must be one of "
+                f"{_BACKENDS[self.algorithm]}; got {self.backend!r}"
+            )
         # The rules LssConfig applies at trial time, checked here so a
         # campaign cannot start on a spec whose every trial would fail.
         if self.min_spacing_m is not None:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import evaluate_localization
 from repro.core.aps import dv_distance_localize, dv_hop_localize
-from repro.core.measurements import MeasurementSet
+from repro.core.measurements import EdgeList, MeasurementSet
 from repro.deploy import spread_anchors, square_grid
 from repro.errors import InsufficientDataError, ValidationError
 from repro.ranging import gaussian_ranges
@@ -108,6 +108,47 @@ class TestDvDistance:
         positions, _, anchors = grid_scenario
         with pytest.raises(ValidationError):
             dv_distance_localize([(0, 1, 5.0)], anchors, len(positions))
+
+
+class TestEdgeValidation:
+    """The hop/distance graph is a CSR matrix, which sums repeated
+    entries: a pair listed twice would double its hop count or path
+    distance without a word, so such edge lists are refused."""
+
+    POSITIONS = np.array(
+        [[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0], [20.0, 10.0]]
+    )
+    PAIRS = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (1, 4)]
+    ANCHORS = {0: (0.0, 0.0), 1: (10.0, 0.0), 2: (0.0, 10.0)}
+
+    def _edges(self, pairs):
+        pairs = np.asarray(pairs, dtype=np.int64)
+        dists = np.hypot(*(self.POSITIONS[pairs[:, 0]] - self.POSITIONS[pairs[:, 1]]).T)
+        return EdgeList(pairs=pairs, distances=dists, weights=np.ones(len(pairs)))
+
+    @pytest.mark.parametrize("localizer", [dv_hop_localize, dv_distance_localize])
+    def test_distinct_pairs_accepted(self, localizer):
+        result = localizer(self._edges(self.PAIRS), self.ANCHORS, 5)
+        assert result.localized.all()
+
+    @pytest.mark.parametrize("localizer", [dv_hop_localize, dv_distance_localize])
+    @pytest.mark.parametrize(
+        "extra", [(2, 3), (3, 2)], ids=["same-order", "reversed"]
+    )
+    def test_duplicate_pair_rejected(self, localizer, extra):
+        with pytest.raises(ValidationError, match="duplicate edge"):
+            localizer(self._edges(self.PAIRS + [extra]), self.ANCHORS, 5)
+
+    @pytest.mark.parametrize("localizer", [dv_hop_localize, dv_distance_localize])
+    def test_self_loop_rejected(self, localizer):
+        pairs = np.asarray(self.PAIRS + [(3, 3)], dtype=np.int64)
+        edges = EdgeList(
+            pairs=pairs,
+            distances=np.append(self._edges(self.PAIRS).distances, 0.0),
+            weights=np.ones(len(pairs)),
+        )
+        with pytest.raises(ValidationError, match="self-loop"):
+            localizer(edges, self.ANCHORS, 5)
 
 
 class TestAnisotropyClaim:

@@ -101,3 +101,28 @@ class TestFig16Golden:
             scalar.positions[localized], positions[localized]
         )
         assert report.average_error == pytest.approx(3.278568236725, abs=ERROR_TOL)
+
+
+class TestUniformDvHopGolden:
+    """The registered DV-hop baseline, 6 trials at master seed 0, on the
+    engine (its production path) and on the per-node scalar reference.
+    Trial 4 localizes 13 of 28 non-anchors, so the coverage pin is not
+    the trivial 1.0."""
+
+    FRACTION_LOCALIZED = 0.8988095238095238
+    MEAN_ERROR_M = 9.750100891997
+
+    @pytest.mark.parametrize("backend", ["gradient", "scalar"])
+    def test_campaign_aggregates(self, backend):
+        from repro.scenarios import get_scenario, run_scenario
+
+        spec = get_scenario("uniform-dv-hop").with_overrides(
+            **{"solver.backend": backend}
+        )
+        result = run_scenario(spec, master_seed=0, n_trials=6)
+        aggregate = result.aggregate()
+        assert result.n_nan_trials == 0
+        assert aggregate["fraction_localized"]["mean"] == self.FRACTION_LOCALIZED
+        assert aggregate["mean_error_m"]["mean"] == pytest.approx(
+            self.MEAN_ERROR_M, abs=ERROR_TOL
+        )

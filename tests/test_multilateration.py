@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from repro.core.measurements import MeasurementSet
 from repro.core.multilateration import (
@@ -22,13 +23,32 @@ def distances_to(anchors, target):
     return np.hypot(anchors[:, 0] - target[0], anchors[:, 1] - target[1])
 
 
+def gradient_fit(anchors, distances):
+    result = multilaterate(anchors, distances)
+    return result.position, result.residual
+
+
+def lm_fit(anchors, distances):
+    """Levenberg-Marquardt cross-check oracle for the gradient-descent
+    solver: scipy's ``least_squares`` on the same unit-weight objective,
+    from the same anchor-centroid start."""
+    anchors = np.asarray(anchors, dtype=float)
+
+    def residuals(position):
+        diff = anchors - position
+        return np.hypot(diff[:, 0], diff[:, 1]) - distances
+
+    result = least_squares(residuals, x0=anchors.mean(axis=0), method="lm")
+    return result.x, float(2.0 * result.cost)
+
+
 class TestMultilaterate:
-    @pytest.mark.parametrize("solver", ["gradient", "lm"])
-    def test_exact_recovery(self, anchors, solver):
+    @pytest.mark.parametrize("fit", [gradient_fit, lm_fit], ids=["gradient", "lm"])
+    def test_exact_recovery(self, anchors, fit):
         target = [7.0, 11.0]
-        result = multilaterate(anchors, distances_to(anchors, target), solver=solver)
-        assert result.position == pytest.approx(target, abs=1e-4)
-        assert result.residual < 1e-6
+        position, residual = fit(anchors, distances_to(anchors, target))
+        assert position == pytest.approx(target, abs=1e-4)
+        assert residual < 1e-6
 
     def test_noisy_recovery(self, anchors):
         rng = np.random.default_rng(0)
@@ -86,7 +106,8 @@ class TestMultilaterate:
             multilaterate(anchors, distances_to(anchors, [5, 5]), initial=[1.0])
 
     def test_unknown_solver(self, anchors):
-        with pytest.raises(ValidationError):
+        # A single-node fit has one solver: there is nothing to select.
+        with pytest.raises(TypeError):
             multilaterate(anchors, distances_to(anchors, [5, 5]), solver="sgd")
 
     def test_min_anchors_below_three_rejected(self, anchors):

@@ -3,9 +3,11 @@
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 import repro
+from repro.errors import ValidationError
 
 
 class TestTopLevelApi:
@@ -179,3 +181,44 @@ class TestSingleSolverSurface:
     )
     def test_oracle_still_imports(self, module, name):
         assert callable(getattr(importlib.import_module(module), name))
+
+
+class TestOneMultilaterationSolver:
+    """Multilateration and the APS baselines have one solver, the
+    paper's gradient descent: the Levenberg-Marquardt path is gone, and
+    only the engine/scalar-reference selection survives."""
+
+    ANCHORS = [[0.0, 0.0], [20.0, 0.0], [0.0, 20.0], [20.0, 20.0]]
+
+    @pytest.mark.parametrize("solver", ["gradient", "scalar", "lm"])
+    def test_multilaterate_takes_no_solver(self, solver):
+        from repro.core import multilaterate
+
+        with pytest.raises(TypeError):
+            multilaterate(self.ANCHORS, [10.0, 10.0, 10.0, 10.0], solver=solver)
+
+    @pytest.mark.parametrize(
+        "localizer", ["localize_network", "dv_hop_localize", "dv_distance_localize"]
+    )
+    def test_lm_solver_rejected(self, localizer):
+        import repro.core as core
+        from repro.core.measurements import EdgeList
+
+        edges = EdgeList(
+            pairs=np.array([[0, 3], [1, 3], [2, 3], [0, 1]]),
+            distances=np.array([14.0, 14.0, 14.0, 20.0]),
+            weights=np.ones(4),
+        )
+        anchors = {i: self.ANCHORS[i] for i in range(3)}
+        with pytest.raises(ValidationError, match="unknown solver"):
+            getattr(core, localizer)(edges, anchors, 4, solver="lm")
+
+    def test_dv_hop_spec_rejects_lm(self):
+        from repro.scenarios import SolverSpec
+
+        with pytest.raises(ValidationError):
+            SolverSpec(algorithm="dv-hop", backend="lm")
+
+    def test_multilateration_imports_no_optimizer(self):
+        module = importlib.import_module("repro.core.multilateration")
+        assert not hasattr(module, "least_squares")

@@ -74,8 +74,31 @@ class TestSpecValidation:
 
     def test_dv_hop_backend_normalized_into_hash(self):
         default = SolverSpec(algorithm="dv-hop")
-        explicit = SolverSpec(algorithm="dv-hop", backend="lm")
+        explicit = SolverSpec(algorithm="dv-hop", backend="gradient")
         assert default == explicit  # same physics, same hash
+        assert default.backend == "gradient"
+
+    @pytest.mark.parametrize(
+        "algorithm, backend",
+        [
+            ("multilateration", "batched"),
+            ("multilateration", "lm"),
+            ("dv-hop", "lm"),
+            ("dv-hop", "batched"),
+            ("lss", "scalar"),
+            ("lss", "batched"),
+            ("distributed-lss", "lm"),
+        ],
+    )
+    def test_backend_no_trial_can_run_rejected(self, algorithm, backend):
+        # Refused at construction: a backend its trial cannot run, or
+        # (lss) one that runs the same solver under a different hash.
+        with pytest.raises(ValidationError, match="backend"):
+            SolverSpec(algorithm=algorithm, backend=backend)
+
+    def test_backend_rejected_through_overrides(self):
+        with pytest.raises(ValidationError, match="backend"):
+            get_scenario("town-lss").with_overrides(**{"solver.backend": "scalar"})
 
     def test_lss_must_be_anchor_free(self):
         with pytest.raises(ValidationError):

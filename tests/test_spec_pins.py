@@ -26,7 +26,7 @@ SPEC_HASHES = {
     "uniform-dense-multilateration": "bc44f42e5f4f1cd96fb4991f07bbbcef452ce091910c41da3038c02a9c893a1d",
     "uniform-noisy-multilateration": "ae0fddf61f01ed5bde6482ac041153b6538f15d570a2db6473d0b4b2948d062e",
     "paper-grid-multilateration": "ab5df684cdc39504d88cab41a81ee96f993468c3bb144010d37ca6f0913baa45",
-    "uniform-dv-hop": "44815fa6c24a0030c15ba0aeb5b98f6422091efdc17cc0ece3cb9cca67318446",
+    "uniform-dv-hop": "d5de0843e6c846f96bd00f3c29b562a9a6dd813f30bae24443c5c942478b7391",
     "acoustic-grass-grid": "5f537183b5374a5a8a3ba81320b1536481afe977268391e6c77f0be27d4bf492",
     "acoustic-urban-grid": "b6680078b31c0aeb8146e90a5dd54c333bf723e7d8633ba634665893aa8993ac",
 }
