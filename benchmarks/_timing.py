@@ -21,3 +21,20 @@ def best_of(fn, repeats=3):
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def interleaved_best_of(fns, repeats=5):
+    """The fastest timed call of each of *fns*, taking them in turn.
+
+    Each of *repeats* rounds times every function once, in order.  A
+    slow stretch of the host (another process on the same cores) then
+    lands on both sides of a ratio, where timing all repeats of one
+    side before the other can put it on one side only.
+    """
+    best = [float("inf")] * len(fns)
+    for _ in range(repeats):
+        for k, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[k] = min(best[k], time.perf_counter() - start)
+    return best

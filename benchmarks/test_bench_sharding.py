@@ -25,6 +25,9 @@ from _timing import quiet_machine_only
 
 N_SHARDS = 3
 N_TRIALS = 24
+#: Interleaved repeats: each times the single-host run and then every
+#: shard, on fresh stores, and the best time of each side is compared.
+REPEATS = 3
 
 #: Per-host speedup floor for the N-way split.  Perfect scaling is N x;
 #: trial costs vary by deployment draw, so the slowest shard legally
@@ -32,48 +35,57 @@ N_TRIALS = 24
 SPEEDUP_FLOOR = N_SHARDS / 1.6
 
 
+def _timed(fn):
+    start = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - start
+
+
 @quiet_machine_only
 def test_shard_scaling_near_linear(tmp_path):
     spec = get_scenario("town-multilateration")
-    single_store = ResultStore(tmp_path / "single", code_version="bench")
-    shard_store = ResultStore(tmp_path / "sharded", code_version="bench")
-
-    start = time.perf_counter()
-    full = run_scenario(spec, master_seed=0, n_trials=N_TRIALS, store=single_store)
-    single_s = time.perf_counter() - start
-
-    shard_times = []
-    merged = None
-    for k in range(N_SHARDS):
-        start = time.perf_counter()
-        _, merged = run_scenario_shard(
-            spec,
-            ShardSpec(index=k, n_shards=N_SHARDS),
-            master_seed=0,
-            n_trials=N_TRIALS,
-            store=shard_store,
+    key_parts = scenario_run_key(spec, master_seed=0, n_trials=N_TRIALS)
+    single_times = []
+    shard_times = [[] for _ in range(N_SHARDS)]
+    for repeat in range(REPEATS):
+        single_store = ResultStore(tmp_path / f"single-{repeat}", code_version="bench")
+        shard_store = ResultStore(tmp_path / f"sharded-{repeat}", code_version="bench")
+        full, seconds = _timed(
+            lambda: run_scenario(spec, master_seed=0, n_trials=N_TRIALS, store=single_store)
         )
-        shard_times.append(time.perf_counter() - start)
+        single_times.append(seconds)
+        merged = None
+        for k in range(N_SHARDS):
+            (_, merged), seconds = _timed(
+                lambda: run_scenario_shard(
+                    spec,
+                    ShardSpec(index=k, n_shards=N_SHARDS),
+                    master_seed=0,
+                    n_trials=N_TRIALS,
+                    store=shard_store,
+                )
+            )
+            shard_times[k].append(seconds)
+
+        assert merged is not None
+        assert merged.records == full.records
+        key = shard_store.key_for(key_parts)
+        assert (
+            shard_store.path_for(key).read_bytes()
+            == single_store.path_for(key).read_bytes()
+        )
 
     # A simulated multi-host run's wall clock is its slowest host (the
     # last shard also pays the auto-merge, which must stay negligible).
-    slowest_s = max(shard_times)
+    single_s = min(single_times)
+    best_shards = [min(times) for times in shard_times]
+    slowest_s = max(best_shards)
     speedup = single_s / slowest_s
     print(
-        f"\nsharding: single-host {single_s * 1e3:.0f} ms; "
+        f"\nsharding (best of {REPEATS}): single-host {single_s * 1e3:.0f} ms; "
         f"{N_SHARDS} shards "
-        f"{', '.join(f'{t * 1e3:.0f}' for t in shard_times)} ms; "
+        f"{', '.join(f'{t * 1e3:.0f}' for t in best_shards)} ms; "
         f"slowest-host speedup {speedup:.2f}x "
         f"(floor {SPEEDUP_FLOOR:.2f}x, perfect {N_SHARDS}x)"
-    )
-
-    assert merged is not None
-    assert merged.records == full.records
-    key = shard_store.key_for(
-        scenario_run_key(spec, master_seed=0, n_trials=N_TRIALS)
-    )
-    assert (
-        shard_store.path_for(key).read_bytes()
-        == single_store.path_for(key).read_bytes()
     )
     assert speedup >= SPEEDUP_FLOOR

@@ -14,7 +14,7 @@ from repro.engine.campaign import TrialRecord
 from repro.engine.sharding import ShardCampaignResult, ShardSpec
 from repro.store import ResultStore, shard_to_payload
 
-from _timing import best_of, quiet_machine_only
+from _timing import best_of, interleaved_best_of, quiet_machine_only
 
 LISTING_SPEEDUP_FLOOR = 5.0
 WARM_GET_RATIO_CEILING = 1.5
@@ -91,8 +91,7 @@ def test_sqlite_warm_get_stays_close_to_filesystem(tmp_path):
 
         return run
 
-    fs_get = best_of(read_all(fs), repeats=5)
-    sq_get = best_of(read_all(sq), repeats=5)
+    fs_get, sq_get = interleaved_best_of([read_all(fs), read_all(sq)], repeats=5)
     ratio = sq_get / fs_get
     print(
         f"\nwarm get x50: filesystem {fs_get * 1e3:.2f} ms, sqlite "

@@ -31,33 +31,17 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from ..errors import InsufficientDataError, ValidationError
-from .measurements import EdgeList, MeasurementSet
+from .measurements import EdgeList, as_edge_list, check_graph_edges
 from .multilateration import NetworkLocalization, multilaterate
 
 __all__ = ["dv_hop_localize", "dv_distance_localize"]
 
 
 def _edges_of(measurements, n_nodes: int) -> EdgeList:
-    if isinstance(measurements, MeasurementSet):
-        edges = measurements.to_edge_list()
-    elif isinstance(measurements, EdgeList):
-        edges = measurements
-    else:
-        raise ValidationError(
-            f"measurements must be a MeasurementSet or EdgeList; got {type(measurements)!r}"
-        )
+    edges = as_edge_list(measurements)
     if len(edges) == 0:
         raise InsufficientDataError("no measurements supplied")
-    if np.any(edges.pairs < 0) or np.any(edges.pairs >= n_nodes):
-        raise ValidationError("edge indices outside [0, n_nodes)")
-    # The CSR graph sums repeated entries, so a pair listed twice (in
-    # either order) would silently double its hop count or distance.
-    lo = edges.pairs.min(axis=1)
-    hi = edges.pairs.max(axis=1)
-    if np.any(lo == hi):
-        raise ValidationError("self-loop edge: a node cannot measure itself")
-    if np.unique(lo * n_nodes + hi).size != len(edges):
-        raise ValidationError("duplicate edge: each undirected pair may appear once")
+    check_graph_edges(edges.pairs, n_nodes)
     return edges
 
 

@@ -30,10 +30,12 @@ In the simulator this pipeline is embarrassingly batchable: a
 deployment's local maps are many small independent LSS problems, and
 its pairwise transforms many small independent closed-form fits.  With
 the default ``DistributedConfig(solver="batched")`` steps 1 and 2 run
-through the engine's stacked kernels — all local maps advance through
-their perturbation-restart rounds in lockstep
-(:func:`repro.engine.localmaps.solve_local_lss_stack`) and all pairwise
-transforms are estimated in one vectorized pass
+through the engine's stacked kernels — the local maps' MDS-MAP seeds
+are computed stacked by neighborhood size
+(:func:`repro.core.mds.mds_map_stack`, bytewise the scalar seeds), all
+local maps advance through their perturbation-restart rounds in
+lockstep (:func:`repro.engine.localmaps.solve_local_lss_stack`) and all
+pairwise transforms are estimated in one vectorized pass
 (:func:`repro.core.transforms.estimate_transforms_closed_form_batch`).
 ``solver="scalar"`` keeps the one-problem-at-a-time reference path; the
 two paths consume perturbation randomness in different orders (batched
@@ -52,12 +54,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from .. import telemetry
 from .._validation import ensure_rng
 from ..errors import GraphDisconnectedError, InsufficientDataError, ValidationError
 from .geometry import apply_transform, compose_transforms
 from .lss import LssConfig, lss_localize
-from .mds import mds_map
-from .measurements import EdgeList, MeasurementSet
+from .mds import mds_map, mds_map_stack
+from .measurements import EdgeList, as_edge_list, check_graph_edges
 from .transforms import (
     TransformEstimate,
     estimate_transform_closed_form,
@@ -192,18 +195,10 @@ class DistributedResult:
 
 
 def _as_edges(measurements, n_nodes: int) -> EdgeList:
-    if isinstance(measurements, MeasurementSet):
-        edges = measurements.to_edge_list()
-    elif isinstance(measurements, EdgeList):
-        edges = measurements
-    else:
-        raise ValidationError(
-            f"measurements must be a MeasurementSet or EdgeList; got {type(measurements)!r}"
-        )
+    edges = as_edge_list(measurements)
     if len(edges) == 0:
         raise InsufficientDataError("no distance measurements supplied")
-    if np.any(edges.pairs < 0) or np.any(edges.pairs >= n_nodes):
-        raise ValidationError("edge indices outside [0, n_nodes)")
+    check_graph_edges(edges.pairs, n_nodes)
     return edges
 
 
@@ -254,6 +249,20 @@ def _neighborhood_problems(
     return problems
 
 
+#: Corroboration weights the MDS-MAP seed tries, in order: corroborated
+#: edges only, then every edge.
+_SEED_MIN_WEIGHTS = (0.5, 0.0)
+
+
+def _edges_at_least(edges: EdgeList, min_weight: float) -> EdgeList:
+    keep = edges.weights >= min_weight
+    return EdgeList(
+        pairs=edges.pairs[keep],
+        distances=edges.distances[keep],
+        weights=edges.weights[keep],
+    )
+
+
 def _mds_initial(local_edges: EdgeList, n_members: int) -> Optional[np.ndarray]:
     """MDS-MAP seed for one local minimization (None when impossible).
 
@@ -263,20 +272,54 @@ def _mds_initial(local_edges: EdgeList, n_members: int) -> Optional[np.ndarray]:
     corroborated edges only — shortest-path completion amplifies a
     single garbage underestimate into many wrong entries, so
     uncorroborated ranges are excluded here (they still participate,
-    down-weighted, in the refinement).
+    down-weighted, in the refinement).  When the corroborated edges do
+    not connect the neighborhood, every edge is tried.
     """
-    for min_weight in (0.5, 0.0):
-        confident = local_edges.weights >= min_weight
-        candidate_edges = EdgeList(
-            pairs=local_edges.pairs[confident],
-            distances=local_edges.distances[confident],
-            weights=local_edges.weights[confident],
-        )
+    for min_weight in _SEED_MIN_WEIGHTS:
         try:
-            return mds_map(candidate_edges, n_members)
+            return mds_map(_edges_at_least(local_edges, min_weight), n_members)
         except (GraphDisconnectedError, InsufficientDataError):
             continue
     return None
+
+
+def _mds_initials(
+    problems: List[Tuple[int, List[int], EdgeList]],
+) -> List[Optional[np.ndarray]]:
+    """:func:`_mds_initial` for every problem, stacked by node count.
+
+    Each neighborhood size is one :func:`repro.core.mds.mds_map_stack`
+    call per corroboration weight; the all-edges call takes only the
+    problems the corroborated one left disconnected.  The seeds are
+    bytewise :func:`_mds_initial`'s.  Counts each seed's outcome under
+    ``core.distributed.seeds.{corroborated,all_edges,random}`` (random:
+    no seed, the map starts from a uniform draw).
+    """
+    by_size: Dict[int, List[int]] = {}
+    for k, (_, members, _) in enumerate(problems):
+        by_size.setdefault(len(members), []).append(k)
+    seeds: List[Optional[np.ndarray]] = [None] * len(problems)
+    seeded = [0] * len(_SEED_MIN_WEIGHTS)
+    for n_members, pending in by_size.items():
+        for level, min_weight in enumerate(_SEED_MIN_WEIGHTS):
+            if not pending:
+                break
+            coordinates, connected = mds_map_stack(
+                [_edges_at_least(problems[k][2], min_weight) for k in pending],
+                n_members,
+            )
+            for k, coords, ok in zip(pending, coordinates, connected):
+                if ok:
+                    seeds[k] = coords
+            seeded[level] += int(np.count_nonzero(connected))
+            pending = [k for k, ok in zip(pending, connected) if not ok]
+    corroborated, all_edges = seeded
+    telemetry.count("core.distributed.seeds.corroborated", corroborated)
+    telemetry.count("core.distributed.seeds.all_edges", all_edges)
+    telemetry.count(
+        "core.distributed.seeds.random", len(problems) - corroborated - all_edges
+    )
+    return seeds
 
 
 def _solve_local_maps_scalar(
@@ -317,7 +360,9 @@ def _solve_local_maps_batched(
 ) -> List[np.ndarray]:
     """Batched path: all maps descend in lockstep through the engine.
 
-    Phase 1 stacks every neighborhood's multistart LSS into one
+    The MDS-MAP seeds are computed stacked by neighborhood size
+    (:func:`_mds_initials`, bytewise :func:`_mds_initial`).  Phase 1
+    stacks every neighborhood's multistart LSS into one
     :func:`repro.engine.localmaps.solve_local_lss_stack` call; phase 2
     re-runs the subset whose residual trim dropped edges, again as one
     stack seeded from the phase-1 configurations.
@@ -326,12 +371,8 @@ def _solve_local_maps_batched(
 
     lss_config = config.effective_local_lss
     stack = [
-        LocalLssProblem(
-            n_nodes=len(members),
-            edges=local_edges,
-            initial=_mds_initial(local_edges, len(members)),
-        )
-        for _, members, local_edges in problems
+        LocalLssProblem(n_nodes=len(members), edges=local_edges, initial=initial)
+        for (_, members, local_edges), initial in zip(problems, _mds_initials(problems))
     ]
     solutions = solve_local_lss_stack(stack, config=lss_config, rng=rng)
     positions = [solution.positions for solution in solutions]

@@ -11,11 +11,14 @@ Shang & Ruml's MDS-based localization [18, 19]):
   shortest-path distances over the measurement graph.
 * :func:`mds_map` — the MDS-MAP baseline: shortest-path completion +
   classical MDS, producing relative coordinates from sparse data.
+* :func:`mds_map_stack` — :func:`mds_map` for many problems of one
+  node count at once, bytewise equal per problem; it seeds the
+  distributed pipeline's local maps.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -23,9 +26,9 @@ from scipy.sparse.csgraph import shortest_path
 
 from .._validation import as_finite_array
 from ..errors import GraphDisconnectedError, InsufficientDataError, ValidationError
-from .measurements import EdgeList, MeasurementSet
+from .measurements import EdgeList, as_edge_list, check_graph_edges
 
-__all__ = ["classical_mds", "complete_distances", "mds_map"]
+__all__ = ["classical_mds", "complete_distances", "mds_map", "mds_map_stack"]
 
 
 def classical_mds(distance_matrix, n_components: int = 2) -> np.ndarray:
@@ -64,6 +67,14 @@ def classical_mds(distance_matrix, n_components: int = 2) -> np.ndarray:
     return eigenvectors[:, order] * np.sqrt(top_values)
 
 
+def _check_distances(distances: np.ndarray) -> None:
+    # Shortest paths need finite, non-negative lengths: scipy's Dijkstra
+    # does not stop on a negative edge, and min-plus relaxation has no
+    # fixed point on one.
+    if not np.all(np.isfinite(distances)) or np.any(distances < 0):
+        raise ValidationError("edge distances must be finite and >= 0")
+
+
 def complete_distances(measurements, n_nodes: int) -> np.ndarray:
     """Complete a sparse measurement set via graph shortest paths.
 
@@ -71,18 +82,13 @@ def complete_distances(measurements, n_nodes: int) -> np.ndarray:
     does not connect all *n_nodes* nodes (shortest-path completion is
     then impossible for some pairs).
     """
-    if isinstance(measurements, MeasurementSet):
-        edges = measurements.to_edge_list()
-    elif isinstance(measurements, EdgeList):
-        edges = measurements
-    else:
-        raise ValidationError(
-            f"measurements must be a MeasurementSet or EdgeList; got {type(measurements)!r}"
-        )
+    edges = as_edge_list(measurements)
     if len(edges) == 0:
         raise InsufficientDataError("no measurements to complete")
     if n_nodes < 2:
         raise ValidationError("n_nodes must be >= 2")
+    check_graph_edges(edges.pairs, n_nodes)
+    _check_distances(edges.distances)
     rows = np.concatenate([edges.pairs[:, 0], edges.pairs[:, 1]])
     cols = np.concatenate([edges.pairs[:, 1], edges.pairs[:, 0]])
     vals = np.concatenate([edges.distances, edges.distances])
@@ -103,3 +109,74 @@ def mds_map(measurements, n_nodes: int, n_components: int = 2) -> np.ndarray:
     """
     full = complete_distances(measurements, n_nodes)
     return classical_mds(full, n_components=n_components)
+
+
+def mds_map_stack(
+    edge_lists: Sequence[EdgeList], n_nodes: int, n_components: int = 2
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`mds_map` for a stack of problems with *n_nodes* nodes each.
+
+    Returns ``(coordinates, connected)``: coordinates of shape
+    ``(B, n_nodes, n_components)`` and a ``(B,)`` mask of the problems
+    whose graph connects all nodes.  A connected problem's coordinates
+    are bytewise those of ``mds_map(edge_lists[b], n_nodes)``; a
+    disconnected one's (where :func:`mds_map` raises) are NaN.
+
+    The completion is all-sources min-plus relaxation of one
+    ``(B, n, n)`` weight stack, ``D[b, i, j] <- min_k D[b, i, k] +
+    W[b, k, j]``, run to its fixed point.  Each update extends a path
+    from source ``i`` by one edge on the right, so row ``i`` holds the
+    smallest left-associated path sums from ``i``.  Rounding is
+    monotone (``a <= b`` implies ``fl(a + w) <= fl(b + w)``) and adding
+    a length ``w >= 0`` never decreases a sum, so those are exactly the
+    values Dijkstra reaches from source ``i``.  Squaring the distance
+    matrix in the min-plus sense (``D <- D (+) D``) would sum the same
+    paths in a different order and move the last bits.  The double
+    centering and one stacked ``eigh`` then repeat
+    :func:`classical_mds` operation for operation.
+    """
+    n_problems = len(edge_lists)
+    if n_nodes < 2:
+        raise ValidationError("n_nodes must be >= 2")
+    if not 1 <= n_components <= n_nodes:
+        raise ValidationError("n_components must be in [1, n]")
+    coordinates = np.full((n_problems, n_nodes, n_components), np.nan)
+    if n_problems == 0:
+        return coordinates, np.zeros(0, dtype=bool)
+    pairs = np.concatenate([edges.pairs for edges in edge_lists]).reshape(-1, 2)
+    distances = np.concatenate([edges.distances for edges in edge_lists])
+    problem = np.repeat(
+        np.arange(n_problems), [len(edges) for edges in edge_lists]
+    )
+    if np.any(pairs < 0) or np.any(pairs >= n_nodes):
+        raise ValidationError("edge indices outside [0, n_nodes)")
+    # Problem b's node i is node b * n_nodes + i of one disjoint union,
+    # so a repeat within a problem is a repeat in the union.
+    check_graph_edges(pairs + (problem * n_nodes)[:, None], n_problems * n_nodes)
+    _check_distances(distances)
+
+    weights = np.full((n_problems, n_nodes, n_nodes), np.inf)
+    diagonal = np.arange(n_nodes)
+    weights[:, diagonal, diagonal] = 0.0
+    weights[problem, pairs[:, 0], pairs[:, 1]] = distances
+    weights[problem, pairs[:, 1], pairs[:, 0]] = distances
+    full = weights
+    for _ in range(n_nodes - 1):
+        relaxed = np.min(full[:, :, :, None] + weights[:, None, :, :], axis=2)
+        if np.array_equal(relaxed, full):
+            break
+        full = relaxed
+    connected = np.all(np.isfinite(full), axis=(1, 2))
+    if not np.any(connected):
+        return coordinates, connected
+
+    sq = full[connected] ** 2
+    centering = np.eye(n_nodes) - np.ones((n_nodes, n_nodes)) / n_nodes
+    b = -0.5 * centering @ sq @ centering
+    eigenvalues, eigenvectors = np.linalg.eigh(b)
+    order = np.argsort(eigenvalues, axis=-1)[:, ::-1][:, :n_components]
+    top_values = np.maximum(np.take_along_axis(eigenvalues, order, axis=-1), 0.0)
+    coordinates[connected] = np.take_along_axis(
+        eigenvectors, order[:, None, :], axis=-1
+    ) * np.sqrt(top_values)[:, None, :]
+    return coordinates, connected

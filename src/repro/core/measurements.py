@@ -23,7 +23,13 @@ import numpy as np
 from .._validation import check_non_negative
 from ..errors import ValidationError
 
-__all__ = ["RangeMeasurement", "EdgeList", "MeasurementSet"]
+__all__ = [
+    "RangeMeasurement",
+    "EdgeList",
+    "MeasurementSet",
+    "as_edge_list",
+    "check_graph_edges",
+]
 
 
 @dataclass(frozen=True)
@@ -369,6 +375,42 @@ class MeasurementSet:
                 int(pairs[k, 0]), int(pairs[k, 1]), float(distances[k]), true_distance=truth
             )
         return out
+
+
+def as_edge_list(measurements) -> EdgeList:
+    """*measurements* as an :class:`EdgeList`.
+
+    A :class:`MeasurementSet` collapses through
+    :meth:`MeasurementSet.to_edge_list`; an :class:`EdgeList` passes
+    through unchanged.
+    """
+    if isinstance(measurements, MeasurementSet):
+        return measurements.to_edge_list()
+    if isinstance(measurements, EdgeList):
+        return measurements
+    raise ValidationError(
+        f"measurements must be a MeasurementSet or EdgeList; got {type(measurements)!r}"
+    )
+
+
+def check_graph_edges(pairs: np.ndarray, n_nodes: int) -> None:
+    """Reject edge pairs that a graph over *n_nodes* nodes would misread.
+
+    Every graph builder (a scipy CSR matrix, a dense weight stack, a
+    pair-keyed lookup) needs node ids in ``[0, n_nodes)``, no self-loops
+    and each undirected pair at most once.  They disagree on what a
+    repeated pair means: CSR construction sums the entries, a dict keeps
+    the last and a dense stack the last write.  So a repeat, in either
+    order, is an error rather than a choice.
+    """
+    if np.any(pairs < 0) or np.any(pairs >= n_nodes):
+        raise ValidationError("edge indices outside [0, n_nodes)")
+    lo = pairs.min(axis=1)
+    hi = pairs.max(axis=1)
+    if np.any(lo == hi):
+        raise ValidationError("self-loop edge: a node cannot measure itself")
+    if np.unique(lo * n_nodes + hi).size != lo.size:
+        raise ValidationError("duplicate edge: each undirected pair may appear once")
 
 
 def _binned_mode(values: np.ndarray, bin_width: float = 0.5) -> float:

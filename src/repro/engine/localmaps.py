@@ -10,7 +10,12 @@ module is the batched twin: every local map of a refinement round is
 padded into the ``(n_problems, max_nodes, 2)`` masked stacks of
 :func:`repro.engine.batch.batch_lss_descend_padded` and all problems
 advance through each perturbation-restart round in one vectorized
-descent loop.
+descent loop.  The caller supplies each problem's starting
+configuration: :func:`repro.core.distributed.build_local_maps` seeds
+them with MDS-MAP, stacked by node count through
+:func:`repro.core.mds.mds_map_stack` (bytewise the scalar
+:func:`repro.core.mds.mds_map` seeds), and a problem without a seed
+starts from a uniform random draw taken here.
 
 Semantics per problem mirror :func:`repro.core.lss.lss_localize`'s
 gradient descent: multiplicative step adaptation with heavy-ball

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -107,6 +108,11 @@ class DeploymentSpec:
     square), "paper-grid" is the paper's 7x7 offset grid minus failed
     nodes, "town" places nodes along the streets of a block grid, and
     "parking-lot" is the small-scale 25x25 m experiment's layout.
+
+    Construction rejects what no draw can place: a "uniform" field needs
+    a finite positive size and a finite ``min_separation_m >= 0``, with
+    ``n_nodes`` within the packing bound of :func:`_packing_bound`; a
+    "grid" needs a finite positive ``spacing_m``.
     """
 
     kind: str = "uniform"
@@ -129,8 +135,36 @@ class DeploymentSpec:
                 raise ValidationError(
                     f"grid deployments need a square n_nodes; got {self.n_nodes}"
                 )
+        if self.kind == "grid":
+            check_positive(self.spacing_m, "spacing_m")
         if self.kind == "paper-grid" and self.n_nodes > 49:
             raise ValidationError("paper-grid supports at most 49 nodes")
+        if self.kind == "uniform":
+            check_positive(self.width_m, "width_m")
+            check_positive(self.height_m, "height_m")
+            check_non_negative(self.min_separation_m, "min_separation_m")
+            if self.min_separation_m > 0:
+                bound = _packing_bound(self.width_m, self.height_m, self.min_separation_m)
+                if self.n_nodes > bound:
+                    raise ValidationError(
+                        f"{self.n_nodes} nodes cannot be {self.min_separation_m} m "
+                        f"apart in a {self.width_m} x {self.height_m} m field "
+                        f"(at most {int(bound)} fit)"
+                    )
+
+
+def _packing_bound(width_m: float, height_m: float, separation_m: float) -> float:
+    """Most points at least *separation_m* apart in a rectangle.
+
+    Groemer's bound for a convex domain of area A and perimeter P at unit
+    separation is ``2A / sqrt(3) + P / 2 + 1`` (H. Groemer, Math. Z. 73,
+    1960); scaled to *separation_m*.  It is proven, so a spec above it is
+    infeasible, never just unlucky.  The relative slack keeps rounding in
+    the sum from rejecting a count exactly at the bound.
+    """
+    s = separation_m
+    bound = 2.0 * width_m * height_m / (math.sqrt(3.0) * s * s) + (width_m + height_m) / s + 1.0
+    return bound * (1.0 + 1e-12)
 
 
 @dataclass(frozen=True)

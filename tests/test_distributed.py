@@ -86,6 +86,26 @@ class TestBuildLocalMaps:
         with pytest.raises(InsufficientDataError):
             build_local_maps(MeasurementSet(), 4)
 
+    @pytest.mark.parametrize("solver", ["batched", "scalar"])
+    def test_duplicate_pair_rejected(self, solver):
+        # The pair lookup would keep the last entry: a 0-1 distance of 9.
+        edges = EdgeList(
+            pairs=np.array([[0, 1], [1, 2], [0, 2], [1, 0]]),
+            distances=np.array([3.0, 4.0, 5.0, 9.0]),
+            weights=np.ones(4),
+        )
+        with pytest.raises(ValidationError, match="duplicate edge"):
+            build_local_maps(edges, 3, config=DistributedConfig(solver=solver), rng=0)
+
+    def test_self_loop_rejected(self):
+        edges = EdgeList(
+            pairs=np.array([[0, 1], [1, 2], [0, 2], [2, 2]]),
+            distances=np.array([3.0, 4.0, 5.0, 0.0]),
+            weights=np.ones(4),
+        )
+        with pytest.raises(ValidationError, match="self-loop"):
+            build_local_maps(edges, 3, rng=0)
+
 
 class TestBuildTransforms:
     def test_symmetric_keys(self, grid_scenario):
@@ -333,3 +353,33 @@ class TestPaddingEdgeCases:
         assert result.localized.all()
         report = evaluate_localization(result.positions, positions, align=True)
         assert report.average_error < 0.5
+
+
+class TestSeedCounters:
+    def test_seed_outcomes_sum_to_the_phase_one_stack(self, monkeypatch):
+        from repro import telemetry
+        from repro.engine import localmaps
+        from repro.scenarios import get_scenario, scenario_trial
+
+        stacks = []
+        solve = localmaps.solve_local_lss_stack
+
+        def spy(problems, **kwargs):
+            stacks.append(len(problems))
+            return solve(problems, **kwargs)
+
+        monkeypatch.setattr(localmaps, "solve_local_lss_stack", spy)
+        spec = get_scenario("town-distributed-lss")
+        with telemetry.recording() as rec:
+            scenario_trial(np.random.default_rng(0), spec=spec)
+        counters = rec.counters
+        seeds = {
+            outcome: counters.get(f"core.distributed.seeds.{outcome}", 0)
+            for outcome in ("corroborated", "all_edges", "random")
+        }
+        # One build_local_maps call: its first stack is phase 1, any
+        # second one the residual-trim refits.
+        assert 1 <= len(stacks) <= 2
+        assert counters["engine.localmaps.problems"] == sum(stacks)
+        assert sum(seeds.values()) == stacks[0]
+        assert seeds["corroborated"] > 0

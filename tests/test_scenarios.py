@@ -55,6 +55,38 @@ class TestSpecValidation:
             DeploymentSpec(kind="grid", n_nodes=15)
         DeploymentSpec(kind="grid", n_nodes=16)
 
+    @pytest.mark.parametrize("field", ["width_m", "height_m"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -5.0])
+    def test_uniform_field_must_be_finite_positive(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            DeploymentSpec(kind="uniform", n_nodes=10, **{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_uniform_separation_must_be_finite_non_negative(self, value):
+        with pytest.raises(ValidationError, match="min_separation_m"):
+            DeploymentSpec(kind="uniform", n_nodes=10, min_separation_m=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -10.0])
+    def test_grid_spacing_must_be_finite_positive(self, value):
+        with pytest.raises(ValidationError, match="spacing_m"):
+            DeploymentSpec(kind="grid", n_nodes=16, spacing_m=value)
+
+    def test_uniform_packing_bound(self):
+        # A 10 x 10 m field at 5 m separation: Groemer's bound is
+        # 2*100/(sqrt(3)*25) + 20/5 + 1 = 9.62, and the 3 x 3 grid with
+        # 5 m spacing places nine.
+        DeploymentSpec(kind="uniform", n_nodes=9, width_m=10.0, height_m=10.0, min_separation_m=5.0)
+        with pytest.raises(ValidationError, match="at most 9 fit"):
+            DeploymentSpec(
+                kind="uniform", n_nodes=10, width_m=10.0, height_m=10.0, min_separation_m=5.0
+            )
+        # No separation, no bound.
+        DeploymentSpec(kind="uniform", n_nodes=10_000, width_m=1.0, height_m=1.0, min_separation_m=0.0)
+
+    def test_uniform_checks_only_uniform_fields(self):
+        DeploymentSpec(kind="grid", n_nodes=16, width_m=-1.0, min_separation_m=float("nan"))
+        DeploymentSpec(kind="town", n_nodes=12, width_m=0.0, spacing_m=-1.0)
+
     def test_anchor_spec_exclusive_fields(self):
         with pytest.raises(ValidationError):
             AnchorSpec(strategy="random", fraction=0.2, count=5)
