@@ -17,7 +17,7 @@ from repro.experiments import DEFAULT_SEED
 from repro.experiments.localization_experiments import _grid_setup
 from repro.ranging import augment_with_gaussian_ranges
 
-from _timing import best_of, interleaved_best_of, quiet_machine_only
+from _timing import best_of, quiet_machine_only
 
 SPEEDUP_FLOOR = 5.0
 
@@ -102,11 +102,12 @@ def test_multistart_lss_faster_than_sequential():
     config = LssConfig(min_spacing_m=10.0, restarts=2, max_epochs=400)
     seeds = [10, 11, 12, 13]
 
-    stacked_t, sequential_t = interleaved_best_of(
-        [
-            lambda: lss_localize_multistart(ranges, n, config=config, seeds=seeds),
-            lambda: [lss_localize(ranges, n, config=config, rng=s) for s in seeds],
-        ],
+    stacked_t = best_of(
+        lambda: lss_localize_multistart(ranges, n, config=config, seeds=seeds),
+        repeats=3,
+    )
+    sequential_t = best_of(
+        lambda: [lss_localize(ranges, n, config=config, rng=s) for s in seeds],
         repeats=3,
     )
     ratio = sequential_t / stacked_t

@@ -27,7 +27,7 @@ N_SHARDS = 3
 N_TRIALS = 24
 #: Interleaved repeats: each times the single-host run and then every
 #: shard, on fresh stores, and the best time of each side is compared.
-REPEATS = 3
+REPEATS = 2
 
 #: Per-host speedup floor for the N-way split.  Perfect scaling is N x;
 #: trial costs vary by deployment draw, so the slowest shard legally

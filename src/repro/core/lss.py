@@ -36,7 +36,7 @@ import numpy as np
 
 from .._validation import as_positions, check_non_negative, check_positive, ensure_rng
 from ..errors import InsufficientDataError, ValidationError
-from .measurements import EdgeList, MeasurementSet
+from .measurements import EdgeList, as_edge_list
 
 __all__ = [
     "LssConfig",
@@ -145,15 +145,7 @@ class LssResult:
 
 
 def _prepare_edges(measurements, n_nodes: int) -> EdgeList:
-    if isinstance(measurements, MeasurementSet):
-        edges = measurements.to_edge_list()
-    elif isinstance(measurements, EdgeList):
-        edges = measurements
-    else:
-        raise ValidationError(
-            "measurements must be a MeasurementSet or EdgeList; "
-            f"got {type(measurements)!r}"
-        )
+    edges = as_edge_list(measurements)
     if len(edges) == 0:
         raise InsufficientDataError("no distance measurements supplied")
     if np.any(edges.pairs < 0) or np.any(edges.pairs >= n_nodes):

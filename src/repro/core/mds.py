@@ -112,12 +112,12 @@ def mds_map(measurements, n_nodes: int, n_components: int = 2) -> np.ndarray:
 
 
 def mds_map_stack(
-    edge_lists: Sequence[EdgeList], n_nodes: int, n_components: int = 2
+    edge_lists: Sequence[EdgeList], n_nodes: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`mds_map` for a stack of problems with *n_nodes* nodes each.
 
-    Returns ``(coordinates, connected)``: coordinates of shape
-    ``(B, n_nodes, n_components)`` and a ``(B,)`` mask of the problems
+    Returns ``(coordinates, connected)``: planar coordinates of shape
+    ``(B, n_nodes, 2)`` and a ``(B,)`` mask of the problems
     whose graph connects all nodes.  A connected problem's coordinates
     are bytewise those of ``mds_map(edge_lists[b], n_nodes)``; a
     disconnected one's (where :func:`mds_map` raises) are NaN.
@@ -134,13 +134,17 @@ def mds_map_stack(
     paths in a different order and move the last bits.  The double
     centering and one stacked ``eigh`` then repeat
     :func:`classical_mds` operation for operation.
+
+    One scipy Dijkstra call over the disjoint union of the B graphs
+    would give the same values by construction, but it fills a dense
+    ``(B n, B n)`` result and builds a CSR matrix per call: on the
+    local maps of six ``town-distributed-lss`` trials (53 stacks of
+    4-13 nodes) it took 0.044 s against the relaxation's 0.022 s.
     """
     n_problems = len(edge_lists)
     if n_nodes < 2:
         raise ValidationError("n_nodes must be >= 2")
-    if not 1 <= n_components <= n_nodes:
-        raise ValidationError("n_components must be in [1, n]")
-    coordinates = np.full((n_problems, n_nodes, n_components), np.nan)
+    coordinates = np.full((n_problems, n_nodes, 2), np.nan)
     if n_problems == 0:
         return coordinates, np.zeros(0, dtype=bool)
     pairs = np.concatenate([edges.pairs for edges in edge_lists]).reshape(-1, 2)
@@ -174,7 +178,7 @@ def mds_map_stack(
     centering = np.eye(n_nodes) - np.ones((n_nodes, n_nodes)) / n_nodes
     b = -0.5 * centering @ sq @ centering
     eigenvalues, eigenvectors = np.linalg.eigh(b)
-    order = np.argsort(eigenvalues, axis=-1)[:, ::-1][:, :n_components]
+    order = np.argsort(eigenvalues, axis=-1)[:, ::-1][:, :2]
     top_values = np.maximum(np.take_along_axis(eigenvalues, order, axis=-1), 0.0)
     coordinates[connected] = np.take_along_axis(
         eigenvectors, order[:, None, :], axis=-1

@@ -33,7 +33,7 @@ import numpy as np
 from .._validation import as_positions, check_positive, ensure_rng
 from ..errors import InsufficientDataError, ValidationError
 from .geometry import all_pairs_circle_intersections, is_collinear
-from .measurements import EdgeList, MeasurementSet
+from .measurements import as_edge_list
 
 __all__ = [
     "MultilaterationResult",
@@ -331,15 +331,7 @@ def localize_network(
         intermediate estimates flip a collinearity or consistency
         verdict) the two paths' coverage can differ at the margin.
     """
-    if isinstance(measurements, MeasurementSet):
-        edges = measurements.to_edge_list()
-    elif isinstance(measurements, EdgeList):
-        edges = measurements
-    else:
-        raise ValidationError(
-            "measurements must be a MeasurementSet or EdgeList; "
-            f"got {type(measurements)!r}"
-        )
+    edges = as_edge_list(measurements)
     if n_nodes < 1:
         raise ValidationError("n_nodes must be >= 1")
     if solver not in ("gradient", "scalar"):

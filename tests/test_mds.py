@@ -226,11 +226,6 @@ class TestMdsMapStack:
                 continue
             assert ok and _same_bytes(row, expected)
 
-    def test_requested_components(self, config_points):
-        edges = self._dense(config_points, max_range=np.inf)
-        coords, _ = mds_map_stack([edges], 8, n_components=3)
-        assert _same_bytes(coords[0], mds_map(edges, 8, n_components=3))
-
     def test_disconnected_and_empty_problems(self):
         chain = _edges([(0, 1), (1, 2)], [3.0, 4.0])
         split = _edges([(0, 1)], [3.0])
@@ -286,8 +281,6 @@ class TestMdsMapStack:
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValidationError):
             mds_map_stack([], 1)
-        with pytest.raises(ValidationError):
-            mds_map_stack([], 3, n_components=4)
 
 
 #: Range values that make exact ties (small integers) and sums whose
@@ -338,7 +331,7 @@ def _assert_seeds_match_scalar(problems):
 
 
 @given(problems=st.lists(_local_problem(), min_size=1, max_size=8))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=100, deadline=None)
 @example(
     problems=[
         (0, [0, 1, 2, 3], _edges([(0, 1), (1, 2), (2, 3), (3, 0)], [1.0] * 4, [0.25] * 4)),
