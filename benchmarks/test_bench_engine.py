@@ -17,7 +17,7 @@ from repro.experiments import DEFAULT_SEED
 from repro.experiments.localization_experiments import _grid_setup
 from repro.ranging import augment_with_gaussian_ranges
 
-from _timing import best_of, quiet_machine_only
+from _timing import interleaved_best_of, quiet_machine_only
 
 SPEEDUP_FLOOR = 5.0
 
@@ -75,8 +75,7 @@ def test_engine_speedup_on_fig16(fig16_pipelines):
     # Parity first: the speedup claim is meaningless if results differ.
     _assert_parity(b, s)
 
-    batched_t = best_of(batched, repeats=5)
-    scalar_t = best_of(scalar, repeats=5)
+    batched_t, scalar_t = interleaved_best_of([batched, scalar], repeats=5)
     ratio = scalar_t / batched_t
     print(
         f"\nfig16 localize_network: scalar {scalar_t * 1000:.1f} ms, "
@@ -102,12 +101,11 @@ def test_multistart_lss_faster_than_sequential():
     config = LssConfig(min_spacing_m=10.0, restarts=2, max_epochs=400)
     seeds = [10, 11, 12, 13]
 
-    stacked_t = best_of(
-        lambda: lss_localize_multistart(ranges, n, config=config, seeds=seeds),
-        repeats=3,
-    )
-    sequential_t = best_of(
-        lambda: [lss_localize(ranges, n, config=config, rng=s) for s in seeds],
+    stacked_t, sequential_t = interleaved_best_of(
+        [
+            lambda: lss_localize_multistart(ranges, n, config=config, seeds=seeds),
+            lambda: [lss_localize(ranges, n, config=config, rng=s) for s in seeds],
+        ],
         repeats=3,
     )
     ratio = sequential_t / stacked_t

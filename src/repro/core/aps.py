@@ -31,7 +31,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from ..errors import InsufficientDataError, ValidationError
-from .measurements import EdgeList, as_edge_list, check_graph_edges
+from .measurements import EdgeList, as_edge_list, check_edge_distances, check_graph_edges
 from .multilateration import NetworkLocalization, multilaterate
 
 __all__ = ["dv_hop_localize", "dv_distance_localize"]
@@ -231,6 +231,7 @@ def dv_distance_localize(
     bend), which is exactly the anisotropy failure mode.
     """
     edges = _edges_of(measurements, n_nodes)
+    check_edge_distances(edges.distances)
     anchors = _check_anchors(anchor_positions, n_nodes)
     anchor_ids = sorted(anchors)
     dist_graph = _graph_matrix(edges, n_nodes, unit_weights=False)

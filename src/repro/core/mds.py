@@ -26,7 +26,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from .._validation import as_finite_array
 from ..errors import GraphDisconnectedError, InsufficientDataError, ValidationError
-from .measurements import EdgeList, as_edge_list, check_graph_edges
+from .measurements import EdgeList, as_edge_list, check_edge_distances, check_graph_edges
 
 __all__ = ["classical_mds", "complete_distances", "mds_map", "mds_map_stack"]
 
@@ -67,14 +67,6 @@ def classical_mds(distance_matrix, n_components: int = 2) -> np.ndarray:
     return eigenvectors[:, order] * np.sqrt(top_values)
 
 
-def _check_distances(distances: np.ndarray) -> None:
-    # Shortest paths need finite, non-negative lengths: scipy's Dijkstra
-    # does not stop on a negative edge, and min-plus relaxation has no
-    # fixed point on one.
-    if not np.all(np.isfinite(distances)) or np.any(distances < 0):
-        raise ValidationError("edge distances must be finite and >= 0")
-
-
 def complete_distances(measurements, n_nodes: int) -> np.ndarray:
     """Complete a sparse measurement set via graph shortest paths.
 
@@ -88,7 +80,7 @@ def complete_distances(measurements, n_nodes: int) -> np.ndarray:
     if n_nodes < 2:
         raise ValidationError("n_nodes must be >= 2")
     check_graph_edges(edges.pairs, n_nodes)
-    _check_distances(edges.distances)
+    check_edge_distances(edges.distances)
     rows = np.concatenate([edges.pairs[:, 0], edges.pairs[:, 1]])
     cols = np.concatenate([edges.pairs[:, 1], edges.pairs[:, 0]])
     vals = np.concatenate([edges.distances, edges.distances])
@@ -157,7 +149,7 @@ def mds_map_stack(
     # Problem b's node i is node b * n_nodes + i of one disjoint union,
     # so a repeat within a problem is a repeat in the union.
     check_graph_edges(pairs + (problem * n_nodes)[:, None], n_problems * n_nodes)
-    _check_distances(distances)
+    check_edge_distances(distances)
 
     weights = np.full((n_problems, n_nodes, n_nodes), np.inf)
     diagonal = np.arange(n_nodes)

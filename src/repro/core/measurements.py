@@ -28,6 +28,7 @@ __all__ = [
     "EdgeList",
     "MeasurementSet",
     "as_edge_list",
+    "check_edge_distances",
     "check_graph_edges",
 ]
 
@@ -412,6 +413,17 @@ def check_graph_edges(pairs: np.ndarray, n_nodes: int) -> None:
     if np.unique(lo * n_nodes + hi).size != lo.size:
         raise ValidationError("duplicate edge: each undirected pair may appear once")
 
+
+
+def check_edge_distances(distances: np.ndarray) -> None:
+    """Reject edge lengths a shortest-path search cannot use.
+
+    Shortest paths need finite, non-negative lengths: scipy's Dijkstra
+    does not stop on a negative edge (it keeps allocating), and min-plus
+    relaxation has no fixed point on one.
+    """
+    if not np.all(np.isfinite(distances)) or np.any(distances < 0):
+        raise ValidationError("edge distances must be finite and >= 0")
 
 def _binned_mode(values: np.ndarray, bin_width: float = 0.5) -> float:
     """Mode of *values* by densest 0.5 m bin, as used by the paper's

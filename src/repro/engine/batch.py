@@ -349,9 +349,35 @@ def _batch_collinear(
     return collinear
 
 
-#: Cap on elements per (chunk, 2P, 2P) point-distance matrix in the
-#: batched consistency filter (~64 MB of float64 per temporary).
+#: Cap on elements per (chunk, 2P, 2P) point-distance block of one
+#: anchor-count group in the consistency filter (~64 MB of float64 per
+#: temporary).
 _FILTER_CHUNK_ELEMENTS = 8_000_000
+
+
+def _count_consistency(n_problems: int, n_groups: int, n_candidates: int) -> None:
+    """One counter bundle per consistency-filter call: the problems, the
+    anchor-count groups solved, and the point pairs that passed the box
+    test (constant names, lint rule RPL008)."""
+    telemetry.count("engine.batch.consistency_problems", n_problems)
+    telemetry.count("engine.batch.consistency_groups", n_groups)
+    telemetry.count("engine.batch.consistency_candidates", n_candidates)
+
+
+@lru_cache(maxsize=32)
+def _slot_pairs(n_slots: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``triu_indices(n_slots, k=1)``, built once per slot count."""
+    return np.triu_indices(n_slots, k=1)
+
+
+@lru_cache(maxsize=32)
+def _later_pair(k: int) -> np.ndarray:
+    """``(2P, 2P)`` mask over the intersection points of a *k*-anchor
+    problem (point ``t`` belongs to circle pair ``t // 2``): True where
+    the second point's pair comes after the first's.  Each unordered
+    pair of points from different circle pairs appears once."""
+    owner = np.arange(k * (k - 1)) // 2
+    return owner[:, None] < owner[None, :]
 
 
 def _batch_consistency_keep(
@@ -371,36 +397,55 @@ def _batch_consistency_keep(
     the scalar path stores it once — a duplicate of the same pair can
     never vouch for itself, so the consistent sets are identical.
 
-    The point-cluster check materializes ``(chunk, 2P, 2P)`` distance
-    matrices with ``P = K(K-1)/2``; the batch is processed in chunks
-    sized to keep those temporaries bounded, so one densely-anchored
-    problem cannot balloon the whole round's memory footprint.
+    **Exact anchor counts.**  No problem is padded to the batch's
+    largest anchor count.  The circle pairs of every problem with
+    ``k >= 3`` valid anchors are listed once, flat, with rows ordered by
+    ``k`` (a stable sort) and each problem's valid slots taken in slot
+    order, so a prefix mask needs no gather; the intersection points of
+    those ``k(k-1)/2`` pairs are computed elementwise with the same
+    operations as before.  Problems with ``k < 3`` keep their valid set.
+
+    **Vouching.**  Each anchor-count group checks its ``2P = k(k-1)``
+    points pairwise in ``(chunk, 2P, 2P)`` blocks, each unordered pair
+    of points from different circle pairs once (the test is symmetric:
+    ``x_p - x_q`` is exactly ``-(x_q - x_p)``).  Points of a pair that
+    does not intersect are NaN, so no validity mask is broadcast.  A box
+    test, ``fmax(|dx|, |dy|) <= r``, selects candidates, and the
+    reference's exact ``hypot(dx, dy) <= r`` runs on those only.  The
+    box cannot change a verdict: a (faithfully rounded) ``hypot`` is
+    never below ``|dx|`` or ``|dy|``, and ``fmax`` ignores one NaN
+    side, which passes ``hypot(inf, nan) = inf`` through when *r* is
+    infinite.  A NaN point has two NaN coordinates, so it never passes.
+
+    **Memory.**  Each group runs in chunks of problems sized so that a
+    ``(chunk, 2P, 2P)`` temporary holds at most
+    ``_FILTER_CHUNK_ELEMENTS`` elements, so one densely-anchored
+    problem cannot balloon the whole round's memory footprint.  The
+    flat pair arrays hold ``sum_b k_b(k_b-1)/2`` entries.
     """
     n_problems, max_k = dists.shape
-    if max_k < 2:
-        return valid.copy()
-    n_points = max_k * (max_k - 1)  # 2P point slots per problem
-    chunk = max(1, _FILTER_CHUNK_ELEMENTS // (n_points * n_points))
-    if chunk < n_problems:
-        out = np.empty_like(valid)
-        for start in range(0, n_problems, chunk):
-            stop = start + chunk
-            out[start:stop] = _batch_consistency_keep(
-                anchors[start:stop], dists[start:stop], valid[start:stop],
-                cluster_radius_m,
-            )
-        return out
-    i_idx, j_idx = np.triu_indices(max_k, k=1)
-    ca = anchors[:, i_idx]
-    cb = anchors[:, j_idx]
-    ra = dists[:, i_idx]
-    rb = dists[:, j_idx]
+    counts = valid.sum(axis=1)
+    order = np.argsort(counts, kind="stable")
+    order = order[counts[order] >= 3]
+    ks = counts[order]
+    first_i, second_i = _slot_pairs(max_k)
+    row, pair = np.nonzero(second_i < ks[:, None])
+    prob = order[row]
+    si = first_i[pair]
+    sj = second_i[pair]
+    if not np.array_equal(valid, np.arange(max_k) < counts[:, None]):
+        slots = np.argsort(~valid, axis=1, kind="stable")
+        si = slots[prob, si]
+        sj = slots[prob, sj]
+
+    ca = anchors[prob, si]
+    cb = anchors[prob, sj]
+    ra = dists[prob, si]
+    rb = dists[prob, sj]
     ab = cb - ca
     dd = np.hypot(ab[..., 0], ab[..., 1])
     pair_ok = (
-        valid[:, i_idx]
-        & valid[:, j_idx]
-        & (dd > 0.0)
+        (dd > 0.0)
         & (ra > 0.0)
         & (rb > 0.0)
         & (dd <= ra + rb)
@@ -412,30 +457,51 @@ def _batch_consistency_keep(
     mid = ca + (along / safe_d)[..., None] * ab
     perp = np.stack([-ab[..., 1], ab[..., 0]], axis=-1) / safe_d[..., None]
     offset = h[..., None] * perp
-    # (B, 2P, 2): the two intersection points of every pair.
-    points = np.concatenate([mid + offset, mid - offset], axis=1)
-    point_ok = np.concatenate([pair_ok, pair_ok], axis=1)
+    # (N, 2, 2): the two intersection points of every pair.
+    points = np.stack([mid + offset, mid - offset], axis=1)
+    points[~pair_ok] = np.nan
+    # (N, 2) each: point coordinates, so a block of m problems with P
+    # pairs each reshapes to (m, 2P) without a copy.
+    xs, ys = np.moveaxis(points, 2, 0).copy()
 
-    n_pairs = i_idx.shape[0]
-    pair_id = np.concatenate([np.arange(n_pairs), np.arange(n_pairs)])
-    same_pair = pair_id[:, None] == pair_id[None, :]
-    membership = np.zeros((2 * n_pairs, max_k))
-    membership[np.arange(2 * n_pairs), np.concatenate([i_idx, i_idx])] = 1.0
-    membership[np.arange(2 * n_pairs), np.concatenate([j_idx, j_idx])] = 1.0
+    # vouched[t]: a point of circle pair t lies within the radius of a
+    # point from another pair.  Rows are sorted by k, so each group's
+    # pairs are one contiguous run of the flat arrays, starting at lo.
+    vouched = np.zeros(pair.size, dtype=bool)
+    n_candidates = 0
+    group_ks, group_sizes = np.unique(ks, return_counts=True)
+    lo = 0
+    for k, m in zip(group_ks.tolist(), group_sizes.tolist()):
+        n_pairs = k * (k - 1) // 2
+        n_points = 2 * n_pairs
+        later = _later_pair(k)
+        chunk = max(1, _FILTER_CHUNK_ELEMENTS // (n_points * n_points))
+        for start in range(0, m, chunk):
+            c = min(chunk, m - start)
+            hi = lo + c * n_pairs
+            x = xs[lo:hi].reshape(c, n_points)
+            y = ys[lo:hi].reshape(c, n_points)
+            dx = x[:, :, None] - x[:, None, :]
+            dy = y[:, :, None] - y[:, None, :]
+            np.abs(dx, out=dx)
+            np.abs(dy, out=dy)
+            np.fmax(dx, dy, out=dx)
+            box = dx <= cluster_radius_m
+            box &= later
+            b, p, q = np.nonzero(box)
+            n_candidates += b.size
+            close = np.hypot(x[b, p] - x[b, q], y[b, p] - y[b, q]) <= cluster_radius_m
+            base = lo + b[close] * n_pairs
+            vouched[base + p[close] // 2] = True
+            vouched[base + q[close] // 2] = True
+            lo = hi
 
-    dx = points[..., 0][:, :, None] - points[..., 0][:, None, :]
-    dy = points[..., 1][:, :, None] - points[..., 1][:, None, :]
-    close = np.hypot(dx, dy) <= cluster_radius_m
-    vouch = (
-        close
-        & ~same_pair[None, :, :]
-        & point_ok[:, :, None]
-        & point_ok[:, None, :]
-    )
-    vouched = vouch.any(axis=2)
-    consistent = (vouched.astype(float) @ membership) > 0.0
-    counts = consistent.sum(axis=1)
-    return np.where((counts >= 3)[:, None], consistent, valid)
+    consistent = np.zeros_like(valid)
+    consistent[prob[vouched], si[vouched]] = True
+    consistent[prob[vouched], sj[vouched]] = True
+    n_consistent = consistent.sum(axis=1)
+    _count_consistency(n_problems, group_ks.size, n_candidates)
+    return np.where((n_consistent >= 3)[:, None], consistent, valid)
 
 
 def solve_multilateration_batch(

@@ -151,6 +151,39 @@ class TestEdgeValidation:
             localizer(edges, self.ANCHORS, 5)
 
 
+class TestEdgeDistanceValidation:
+    """DV-distance sums measured lengths with scipy's Dijkstra, which does
+    not stop on a negative edge (it keeps allocating), so such lengths
+    are refused before the search.  DV-hop counts hops and reads none."""
+
+    POSITIONS = TestEdgeValidation.POSITIONS
+    ANCHORS = TestEdgeValidation.ANCHORS
+
+    def _edges(self, bad):
+        edges = TestEdgeValidation()._edges(TestEdgeValidation.PAIRS)
+        distances = edges.distances.copy()
+        distances[2] = bad
+        return EdgeList(pairs=edges.pairs, distances=distances, weights=edges.weights)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+    def test_dv_distance_rejects_before_the_search(self, bad, monkeypatch):
+        from repro.core import aps
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("shortest_path reached with an unusable length")
+
+        monkeypatch.setattr(aps, "shortest_path", no_search)
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            dv_distance_localize(self._edges(bad), self.ANCHORS, 5)
+
+    def test_dv_hop_ignores_lengths(self):
+        edges = TestEdgeValidation()._edges(TestEdgeValidation.PAIRS)
+        expected = dv_hop_localize(edges, self.ANCHORS, 5)
+        result = dv_hop_localize(self._edges(-1.0), self.ANCHORS, 5)
+        assert result.positions.tobytes() == expected.positions.tobytes()
+        assert (result.localized == expected.localized).all()
+
+
 class TestAnisotropyClaim:
     def test_dv_hop_degrades_on_bent_topology(self):
         """Section 2's claim: DV-hop suffers on anisotropic layouts."""

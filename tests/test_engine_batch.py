@@ -16,10 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core import LssConfig, dv_distance_localize, dv_hop_localize, localize_network, lss_localize
 from repro.core.multilateration import intersection_consistency_filter
 from repro.deploy import random_anchors, square_grid, uniform_random_layout
+from repro.engine import batch as engine_batch
 from repro.engine.batch import (
     batch_gradient_descent,
     batch_lss_error,
@@ -31,6 +33,7 @@ from repro.engine.batch import (
 from repro.errors import InsufficientDataError, ValidationError
 from repro.ranging import gaussian_edges, gaussian_ranges
 
+from _filter_oracle import padded_consistency_keep
 from _kernel_fixtures import sha256_bytes
 
 
@@ -165,7 +168,7 @@ class TestConsistencyFilterParity:
     @pytest.mark.parametrize("seed", range(12))
     def test_fast_filter_matches_reference(self, seed):
         rng = np.random.default_rng(seed)
-        k = int(rng.integers(3, 8))
+        k = int(rng.integers(3, 15))
         anchors = rng.uniform(0, 30, (k, 2))
         target = rng.uniform(5, 25, 2)
         dists = np.hypot(*(anchors - target).T) + rng.normal(0, 0.3, k)
@@ -175,6 +178,101 @@ class TestConsistencyFilterParity:
         reference = intersection_consistency_filter(anchors, dists)
         fast = consistency_filter_fast(anchors, dists)
         assert list(fast) == list(reference)
+
+
+@st.composite
+def _filter_batches(draw):
+    """Padded consistency-filter batches on an integer grid: 1-30
+    problems, anchor counts 0-14, prefix or arbitrary valid masks.  The
+    grid gives exact ties at the cluster radius, tangent circle pairs,
+    coincident anchors and zero distances."""
+    n_problems = draw(st.integers(1, 30))
+    width = draw(st.integers(0, 14))
+    grid = st.integers(0, 8)
+    anchors = draw(hnp.arrays(np.int64, (n_problems, width, 2), elements=grid, fill=st.nothing()))
+    dists = draw(hnp.arrays(np.int64, (n_problems, width), elements=grid, fill=st.nothing()))
+    if draw(st.booleans()):
+        counts = draw(hnp.arrays(np.int64, n_problems, elements=st.integers(0, width)))
+        valid = np.arange(width) < counts[:, None]
+    else:
+        valid = draw(hnp.arrays(bool, (n_problems, width)))
+    radius = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    return anchors.astype(float), dists.astype(float), valid, radius
+
+
+def _axis_tie(anchors, dists, *, valid=None):
+    """A batch of one grid problem whose keep mask hinges on two
+    intersection points exactly 1 m apart along one axis: a strict box
+    test (``<`` for ``<=``) drops that point pair."""
+    dists = np.asarray(dists, dtype=float)
+    valid = np.ones(dists.shape, dtype=bool) if valid is None else np.asarray(valid)
+    return np.asarray(anchors, dtype=float)[None], dists[None], valid[None], 1.0
+
+
+class TestConsistencyFilterIsThePaddedOracle:
+    """The filter groups problems by anchor count and evaluates ``hypot``
+    on box-test candidates only; its keep masks are bytewise those of
+    the padded body it replaced (``tests/_filter_oracle.py``)."""
+
+    @given(batch=_filter_batches(), chunk_elements=st.sampled_from([None, 1, 100, 5000]))
+    @example(
+        batch=_axis_tie([[1, 4], [2, 1], [2, 4], [3, 1]], [2, 5, 4, 5]),
+        chunk_elements=None,
+    )
+    @example(
+        batch=_axis_tie(
+            [[2, 7], [0, 0], [7, 7], [7, 7], [4, 3], [5, 5], [6, 7]],
+            [4, 3, 4, 6, 5, 2, 6],
+            valid=[True, False, True, True, True, False, True],
+        ),
+        chunk_elements=100,
+    )
+    @example(
+        batch=_axis_tie([[3, 4], [1, 6], [1, 0], [1, 0], [1, 6]], [2, 3, 2, 3, 2]),
+        chunk_elements=1,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_keep_mask_is_the_padded_oracle(self, batch, chunk_elements):
+        anchors, dists, valid, radius = batch
+        expected = padded_consistency_keep(anchors, dists, valid, radius)
+        limit = chunk_elements or engine_batch._FILTER_CHUNK_ELEMENTS
+        with mock.patch.object(engine_batch, "_FILTER_CHUNK_ELEMENTS", limit):
+            keep = engine_batch._batch_consistency_keep(anchors, dists, valid, radius)
+        assert keep.dtype == expected.dtype and keep.shape == expected.shape
+        assert keep.tobytes() == expected.tobytes()
+
+    def test_counters_show_the_padding_is_gone(self):
+        """One counter bundle per filter call: the problems, the
+        anchor-count groups solved, and the point pairs that passed the
+        box test, far fewer than the padded point-pair matrices held."""
+        from repro import telemetry
+        from repro.scenarios import get_scenario, scenario_trial
+
+        # The benchmark sweep's densest cell: a 22 m range and 40%
+        # anchors give nodes up to eight anchors in reach.
+        spec = get_scenario("uniform-sparse-multilateration").with_overrides(
+            **{"ranging.max_range_m": 22.0, "anchors.fraction": 0.4}
+        )
+        calls = []
+        original = engine_batch._batch_consistency_keep
+
+        def recorded(anchors, dists, valid, radius):
+            calls.append(valid.copy())
+            return original(anchors, dists, valid, radius)
+
+        with mock.patch.object(engine_batch, "_batch_consistency_keep", recorded):
+            with telemetry.recording() as rec:
+                scenario_trial(np.random.default_rng(2), spec=spec)
+        assert calls
+        counters = rec.counters
+        prefix = "engine.batch.consistency"
+        assert counters[f"{prefix}_problems"] == sum(v.shape[0] for v in calls)
+        groups = {
+            (i, int(k)) for i, v in enumerate(calls) for k in set(v.sum(axis=1)) if k >= 3
+        }
+        assert counters[f"{prefix}_groups"] == len(groups) > 1
+        padded = sum(v.shape[0] * (v.shape[1] * (v.shape[1] - 1)) ** 2 for v in calls)
+        assert 0 < counters[f"{prefix}_candidates"] < padded / 10
 
 
 def _f64_bytes(value) -> bytes:
