@@ -1,23 +1,27 @@
-"""Benchmarks the batched distributed-LSS pipeline against the scalar path.
+"""Benchmarks the batched distributed-LSS pipeline against the scalar oracle.
 
 The acceptance bar for the distributed-pipeline refactor:
 ``distributed_localize`` on a town-scale deployment (the
 ``town-distributed-lss`` scenario's geometry at its default size class)
-must run at least 4x faster through the engine's stacked local-map and
-transform kernels than through the per-problem scalar path, while
-producing the same node coverage and the same accuracy to solver
-tolerance.  Run with ``pytest benchmarks/test_bench_distributed.py -s``
-to see the measured ratio.
+must run at least 4x faster through the engine's stacked local-map
+kernels than with the one-map-at-a-time oracle
+(``distributed._solve_local_maps_scalar``) substituted for the batched
+solve, while producing the same node coverage and the same accuracy to
+solver tolerance.  Both sides fit the pairwise transforms in one
+vectorized pass.  Run with ``pytest benchmarks/test_bench_distributed.py
+-s`` to see the measured ratio.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.core import DistributedConfig, distributed_localize, evaluate_localization
+from repro.core import DistributedConfig, distributed, distributed_localize, evaluate_localization
 from repro.deploy import town_layout
 from repro.ranging import gaussian_ranges
 
-from _timing import best_of, quiet_machine_only
+from _timing import interleaved_best_of, quiet_machine_only
 
 SPEEDUP_FLOOR = 4.0
 
@@ -25,31 +29,30 @@ SPEEDUP_FLOOR = 4.0
 @pytest.fixture(scope="module")
 def town_runs():
     """Both pipelines on a town-scale deployment with the paper's
-    synthetic ranging model, run once for the whole module.
+    synthetic ranging model, timed once for the whole module.
 
-    Returns ``(positions, batched, batched_s, scalar, scalar_s)``; the
-    batched time is the best of two runs, the scalar time a single run.
+    Returns ``(positions, batched, batched_s, scalar, scalar_s)``; each
+    time is the best of three runs taken in turn with the other side's.
     """
     positions = town_layout(59, min_separation_m=6.0, rng=7)
     ranges = gaussian_ranges(positions, max_range_m=22.0, sigma_m=0.33, rng=8)
     centroid = positions.mean(axis=0)
     root = int(np.argmin(np.hypot(*(positions - centroid).T)))
     n = len(positions)
+    config = DistributedConfig(min_spacing_m=6.0)
+    results = {}
 
-    def timed(solver, repeats):
-        config = DistributedConfig(min_spacing_m=6.0, solver=solver)
-        results = []
-        seconds = best_of(
-            lambda: results.append(
-                distributed_localize(ranges, n, root, config=config, rng=2)
-            ),
-            repeats=repeats,
-        )
-        return results[-1], seconds
+    def batched():
+        results["batched"] = distributed_localize(ranges, n, root, config=config, rng=2)
 
-    batched, batched_s = timed("batched", repeats=2)
-    scalar, scalar_s = timed("scalar", repeats=1)
-    return positions, batched, batched_s, scalar, scalar_s
+    def scalar():
+        with mock.patch.object(
+            distributed, "_solve_local_maps_batched", distributed._solve_local_maps_scalar
+        ):
+            results["scalar"] = distributed_localize(ranges, n, root, config=config, rng=2)
+
+    batched_s, scalar_s = interleaved_best_of([batched, scalar], repeats=3)
+    return positions, results["batched"], batched_s, results["scalar"], scalar_s
 
 
 def _assert_parity(positions, batched, scalar):
@@ -82,7 +85,7 @@ def test_distributed_speedup_on_town(town_runs):
 
 
 def test_batched_distributed_parity_pinned(town_runs):
-    """Batched/scalar local-map agreement, independent of wall clock.
+    """Batched/oracle local-map agreement, independent of wall clock.
 
     This is the tolerance-parity half of the acceptance bar, kept
     un-skipped on CI: both paths must localize the identical node set
@@ -93,8 +96,6 @@ def test_batched_distributed_parity_pinned(town_runs):
 
 
 def test_default_distributed_pipeline_localizes_town(town_runs):
-    """The default configuration takes the batched path, and that path
-    localizes most of the town."""
+    """The production (batched) path localizes most of the town."""
     positions, batched, _, _, _ = town_runs
-    assert DistributedConfig(min_spacing_m=6.0).solver == "batched"
     assert batched.localized.sum() > len(positions) // 2

@@ -4,11 +4,9 @@ The centralized algorithm needs every measurement at one node; the
 distributed variant runs LSS per neighborhood, stitches the local
 coordinate systems with rigid transforms estimated from shared
 neighbors, and floods the root's frame through the network.  In the
-simulator both heavy steps run through the engine's batched kernels by
-default (``DistributedConfig(solver="batched")``): every local map of
-the round descends in one stacked minimization and every pairwise
-transform is fitted in one vectorized pass, with ``solver="scalar"``
-keeping the per-problem reference path.
+simulator both heavy steps run through the engine's batched kernels:
+every local map of the round descends in one stacked minimization and
+every pairwise transform is fitted in one vectorized pass.
 
 This example reproduces the paper's finding end-to-end:
 
@@ -64,7 +62,7 @@ def main(quick: bool = False):
 
     # ------------------------------------------------------------------
     # Step-by-step: local maps and transforms, through the batched
-    # engine kernels (config.solver defaults to "batched").
+    # engine kernels.
     # ------------------------------------------------------------------
     maps = core.build_local_maps(edges, n, config=config, rng=seed)
     transforms = core.build_transforms(maps, config=config)

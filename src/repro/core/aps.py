@@ -18,8 +18,7 @@ rather than cited:
 
 Both reduce to shortest-path computations over the measurement graph,
 followed by the library's standard multilateration: the paper's
-gradient descent, batched through the engine (``solver="scalar"``
-solves node by node, as the engine's reference).
+gradient descent, batched through the engine.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from ..errors import InsufficientDataError, ValidationError
 from .measurements import EdgeList, as_edge_list, check_edge_distances, check_graph_edges
-from .multilateration import NetworkLocalization, multilaterate
+from .multilateration import NetworkLocalization
 
 __all__ = ["dv_hop_localize", "dv_distance_localize"]
 
@@ -77,18 +76,15 @@ def _aps_localize(
     anchors: Dict[int, np.ndarray],
     n_nodes: int,
     min_anchors: int,
-    solver: str,
 ) -> NetworkLocalization:
     """Common multilateration stage over anchor-distance estimates.
 
     Every non-anchor with at least *min_anchors* finite anchor distances
-    is one problem.  ``solver="gradient"`` solves them all in one masked
-    batch through the engine; ``"scalar"`` solves them one at a time
-    with :func:`multilaterate`, the reference the engine is tested
-    against.
+    is one problem; all of them are solved in one masked batch through
+    :func:`repro.engine.batch.solve_multilateration_batch`.
     """
-    if solver not in ("gradient", "scalar"):
-        raise ValidationError(f"unknown solver {solver!r}")
+    from ..engine.batch import solve_multilateration_batch
+
     if min_anchors < 3:
         raise ValidationError("min_anchors must be >= 3 for planar localization")
     anchor_ids = sorted(anchors)
@@ -115,28 +111,13 @@ def _aps_localize(
         anchor_sets.append(anchor_xy[usable])
         dist_sets.append(dists[usable])
 
-    if solver == "gradient":
-        from ..engine.batch import solve_multilateration_batch
-
-        solved_pos, solved, _ = solve_multilateration_batch(
-            anchor_sets,
-            dist_sets,
-            [np.ones(d.shape[0]) for d in dist_sets],
-            min_anchors=min_anchors,
-            consistency_check=False,
-        )
-    else:
-        solved_pos = np.full((len(prob_nodes), 2), np.nan)
-        solved = np.zeros(len(prob_nodes), dtype=bool)
-        for b, (anchor_set, dists) in enumerate(zip(anchor_sets, dist_sets)):
-            try:
-                result = multilaterate(
-                    anchor_set, dists, consistency_check=False, min_anchors=min_anchors
-                )
-            except InsufficientDataError:
-                continue
-            solved_pos[b] = result.position
-            solved[b] = True
+    solved_pos, solved, _ = solve_multilateration_batch(
+        anchor_sets,
+        dist_sets,
+        [np.ones(d.shape[0]) for d in dist_sets],
+        min_anchors=min_anchors,
+        consistency_check=False,
+    )
     for node, pos, ok in zip(prob_nodes, solved_pos, solved):
         if ok:
             positions[node] = pos
@@ -155,7 +136,6 @@ def dv_hop_localize(
     n_nodes: int,
     *,
     min_anchors: int = 3,
-    solver: str = "gradient",
 ) -> NetworkLocalization:
     """DV-hop localization over the measurement connectivity graph.
 
@@ -168,10 +148,6 @@ def dv_hop_localize(
         Node id -> known (x, y); at least three anchors.
     n_nodes : int
         Total node count.
-    solver : {"gradient", "scalar"}
-        ``"gradient"`` (default) batches every node's problem through
-        the engine in one masked-array solve; ``"scalar"`` is its
-        per-node reference path.
     """
     edges = _edges_of(measurements, n_nodes)
     anchors = _check_anchors(anchor_positions, n_nodes)
@@ -212,7 +188,7 @@ def dv_hop_localize(
         nearest = int(np.nanargmin(node_hops))
         correction = meters_per_hop[nearest]
         distances[node, finite] = node_hops[finite] * correction
-    return _aps_localize(distances, anchors, n_nodes, min_anchors, solver)
+    return _aps_localize(distances, anchors, n_nodes, min_anchors)
 
 
 def dv_distance_localize(
@@ -221,7 +197,6 @@ def dv_distance_localize(
     n_nodes: int,
     *,
     min_anchors: int = 3,
-    solver: str = "gradient",
 ) -> NetworkLocalization:
     """DV-distance localization: propagate summed measured distances.
 
@@ -239,4 +214,4 @@ def dv_distance_localize(
         dist_graph, method="D", directed=False, indices=anchor_ids
     )
     distances = np.where(np.isfinite(path_dist.T), path_dist.T, np.nan)
-    return _aps_localize(distances, anchors, n_nodes, min_anchors, solver)
+    return _aps_localize(distances, anchors, n_nodes, min_anchors)

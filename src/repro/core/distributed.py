@@ -28,21 +28,22 @@ Execution paths
 ---------------
 In the simulator this pipeline is embarrassingly batchable: a
 deployment's local maps are many small independent LSS problems, and
-its pairwise transforms many small independent closed-form fits.  With
-the default ``DistributedConfig(solver="batched")`` steps 1 and 2 run
-through the engine's stacked kernels — the local maps' MDS-MAP seeds
+its pairwise transforms many small independent closed-form fits, so
+steps 1 and 2 run through the engine's stacked kernels — the local maps' MDS-MAP seeds
 are computed stacked by neighborhood size
 (:func:`repro.core.mds.mds_map_stack`, bytewise the scalar seeds), all
 local maps advance through their perturbation-restart rounds in
 lockstep (:func:`repro.engine.localmaps.solve_local_lss_stack`) and all
 pairwise transforms are estimated in one vectorized pass
 (:func:`repro.core.transforms.estimate_transforms_closed_form_batch`).
-``solver="scalar"`` keeps the one-problem-at-a-time reference path; the
-two paths consume perturbation randomness in different orders (batched
-phases fits before trim-refits; scalar interleaves them per map), so
-they agree to solver tolerance rather than bit-for-bit —
-``tests/test_distributed.py`` and ``benchmarks/test_bench_distributed.py``
-pin the agreement and the speedup.
+:func:`_solve_local_maps_scalar` is the one-map-at-a-time reference of
+step 1, a test oracle that no production path calls: tests substitute
+it for :func:`_solve_local_maps_batched`.  The two consume perturbation
+randomness in different orders (batched phases fits before trim-refits;
+the reference interleaves them per map), so they agree to solver
+tolerance rather than bit-for-bit — ``tests/test_distributed.py`` and
+``benchmarks/test_bench_distributed.py`` pin the agreement and the
+speedup.
 """
 
 from __future__ import annotations
@@ -61,11 +62,7 @@ from .geometry import apply_transform, compose_transforms
 from .lss import LssConfig, lss_localize
 from .mds import mds_map, mds_map_stack
 from .measurements import EdgeList, as_edge_list, check_graph_edges
-from .transforms import (
-    TransformEstimate,
-    estimate_transform_closed_form,
-    estimate_transforms_closed_form_batch,
-)
+from .transforms import TransformEstimate, estimate_transforms_closed_form_batch
 
 __all__ = [
     "DistributedConfig",
@@ -98,14 +95,6 @@ class DistributedConfig:
         Alignment-tree construction: ``"bfs"`` is the paper's plain
         flood (first frame heard wins); ``"best"`` builds a
         minimum-residual tree over transform quality (extension).
-    solver : {"batched", "scalar"}
-        Execution path for steps 1 and 2: ``"batched"`` (default)
-        stacks every local-map LSS problem and every pairwise transform
-        fit through the engine's vectorized kernels; ``"scalar"`` is
-        the per-problem reference path, kept selectable for the
-        batched/scalar parity tests.  Both paths implement the same
-        algorithm; they differ only in perturbation-noise ordering and
-        floating-point reduction order.
     min_spacing_m : float or None
         Deployment minimum node spacing; when set, it is applied as the
         soft constraint of every *local* LSS run (local neighborhoods
@@ -126,15 +115,12 @@ class DistributedConfig:
     tree: str = "bfs"
     min_spacing_m: Optional[float] = None
     residual_trim_m: Optional[float] = 3.0
-    solver: str = "batched"
 
     def __post_init__(self):
         if self.min_shared < 2:
             raise ValidationError("min_shared must be >= 2")
         if self.tree not in ("bfs", "best"):
             raise ValidationError("tree must be 'bfs' or 'best'")
-        if self.solver not in ("batched", "scalar"):
-            raise ValidationError("solver must be 'batched' or 'scalar'")
 
     @property
     def effective_local_lss(self) -> LssConfig:
@@ -327,7 +313,12 @@ def _solve_local_maps_scalar(
     config: DistributedConfig,
     rng,
 ) -> List[np.ndarray]:
-    """Reference path: one LSS run (plus optional trim-refit) per map."""
+    """Reference of :func:`_solve_local_maps_batched`, a test oracle only.
+
+    One LSS run (plus optional trim-refit) per map through
+    :func:`repro.core.lss.lss_localize`; tests substitute it for the
+    batched solve to check the engine against it.
+    """
     positions: List[np.ndarray] = []
     for owner, members, local_edges in problems:
         result = lss_localize(
@@ -411,21 +402,15 @@ def build_local_maps(
     and are skipped (they may still be localized if they appear in
     neighbors' maps — but have no frame of their own to align).
 
-    With ``config.solver == "batched"`` (the default) every
-    neighborhood problem of the round — padded to the largest
-    neighborhood — advances through its perturbation-restart rounds in
-    one stacked engine descent; ``"scalar"`` solves them one at a time
-    through :func:`repro.core.lss.lss_localize`.  Both run the same
-    gradient descent.
+    Every neighborhood problem — padded to the largest neighborhood —
+    advances through its perturbation-restart rounds in one stacked
+    engine descent (:func:`_solve_local_maps_batched`).
     """
     config = config if config is not None else DistributedConfig()
     rng = ensure_rng(rng)
     edges = _as_edges(measurements, n_nodes)
     problems = _neighborhood_problems(edges, n_nodes)
-    if config.solver == "scalar":
-        positions = _solve_local_maps_scalar(problems, config, rng)
-    else:
-        positions = _solve_local_maps_batched(problems, config, rng)
+    positions = _solve_local_maps_batched(problems, config, rng)
 
     maps: Dict[int, LocalMap] = {}
     for (owner, members, _), pts in zip(problems, positions):
@@ -473,12 +458,10 @@ def build_transforms(
     stored.  Pairs whose maps share fewer than ``config.min_shared``
     nodes are omitted.
 
-    Every fit uses the paper's closed-form estimator.  With
-    ``config.solver == "batched"`` (the default), all pairs' fits — two
-    directed problems per pair — are stacked into one
+    Every fit uses the paper's closed-form estimator; all pairs' fits —
+    two directed problems per pair — are stacked into one
     :func:`repro.core.transforms.estimate_transforms_closed_form_batch`
-    call; ``solver="scalar"`` keeps the per-pair reference path
-    (:func:`repro.core.transforms.estimate_transform_closed_form`).
+    call.
     """
     config = config if config is not None else DistributedConfig()
     transforms: Dict[Tuple[int, int], TransformEstimate] = {}
@@ -499,34 +482,23 @@ def build_transforms(
     if not tasks:
         return transforms
 
-    if config.solver == "batched":
-        # Two directed problems per pair: (b -> a) then (a -> b).
-        max_shared = max(task[2].shape[0] for task in tasks)
-        n_problems = 2 * len(tasks)
-        sources = np.zeros((n_problems, max_shared, 2))
-        targets = np.zeros((n_problems, max_shared, 2))
-        valid = np.zeros((n_problems, max_shared), dtype=bool)
-        for t, (_, _, source_b, target_a) in enumerate(tasks):
-            n_shared = source_b.shape[0]
-            sources[2 * t, :n_shared] = source_b
-            targets[2 * t, :n_shared] = target_a
-            sources[2 * t + 1, :n_shared] = target_a
-            targets[2 * t + 1, :n_shared] = source_b
-            valid[2 * t : 2 * t + 2, :n_shared] = True
-        estimates = estimate_transforms_closed_form_batch(sources, targets, valid)
-        for t, (a, b, _, _) in enumerate(tasks):
-            transforms[(a, b)] = estimates[2 * t]
-            transforms[(b, a)] = estimates[2 * t + 1]
-        return transforms
-
-    for a, b, source_b, target_a in tasks:
-        try:
-            into_a = estimate_transform_closed_form(source_b, target_a)
-            into_b = estimate_transform_closed_form(target_a, source_b)
-        except InsufficientDataError:
-            continue
-        transforms[(a, b)] = into_a
-        transforms[(b, a)] = into_b
+    # Two directed problems per pair: (b -> a) then (a -> b).
+    max_shared = max(task[2].shape[0] for task in tasks)
+    n_problems = 2 * len(tasks)
+    sources = np.zeros((n_problems, max_shared, 2))
+    targets = np.zeros((n_problems, max_shared, 2))
+    valid = np.zeros((n_problems, max_shared), dtype=bool)
+    for t, (_, _, source_b, target_a) in enumerate(tasks):
+        n_shared = source_b.shape[0]
+        sources[2 * t, :n_shared] = source_b
+        targets[2 * t, :n_shared] = target_a
+        sources[2 * t + 1, :n_shared] = target_a
+        targets[2 * t + 1, :n_shared] = source_b
+        valid[2 * t : 2 * t + 2, :n_shared] = True
+    estimates = estimate_transforms_closed_form_batch(sources, targets, valid)
+    for t, (a, b, _, _) in enumerate(tasks):
+        transforms[(a, b)] = estimates[2 * t]
+        transforms[(b, a)] = estimates[2 * t + 1]
     return transforms
 
 

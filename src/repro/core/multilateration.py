@@ -15,11 +15,11 @@ inconsistent range circles.
 Network-level drivers localize every non-anchor that has enough anchor
 measurements, with an optional *progressive* mode in which localized
 nodes are promoted to anchors for the remaining nodes (Section 4.1.1's
-proposed modification).  By default :func:`localize_network` solves all
-of a round's nodes in one stacked masked-array descent through
-:mod:`repro.engine.batch`; the per-node seed implementation remains
-available as the ``solver="scalar"`` reference path, the oracle the
-engine is tested against.
+proposed modification).  :func:`localize_network` solves all of a
+round's nodes in one stacked masked-array descent through
+:mod:`repro.engine.batch`.  :func:`_solve_batch_scalar` is that
+function's per-node reference, a test oracle only: tests substitute it
+for ``repro.engine.batch.solve_multilateration_batch``.
 """
 
 from __future__ import annotations
@@ -290,6 +290,46 @@ class NetworkLocalization:
         return float(self.anchors_per_node[non_anchor].mean())
 
 
+def _solve_batch_scalar(
+    anchor_sets: Sequence[np.ndarray],
+    dist_sets: Sequence[np.ndarray],
+    weight_sets: Sequence[np.ndarray],
+    *,
+    min_anchors: int = 3,
+    consistency_check: bool = True,
+    cluster_radius_m: float = 1.0,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-node reference of ``engine.batch.solve_multilateration_batch``.
+
+    Loops :func:`multilaterate` over the problems and returns the same
+    ``(positions, solved, residuals)`` triple, nan where a problem is
+    unsolvable.  The descent runs at :func:`multilaterate`'s step size,
+    iteration cap and tolerance, which are the engine's defaults and the
+    only ones its callers use.  No production code calls this; tests
+    substitute it for the engine function to check the batched path.
+    """
+    n_problems = len(anchor_sets)
+    positions = np.full((n_problems, 2), np.nan)
+    residuals = np.full(n_problems, np.nan)
+    solved = np.zeros(n_problems, dtype=bool)
+    for b, (anchors, dists, weights) in enumerate(zip(anchor_sets, dist_sets, weight_sets)):
+        try:
+            result = multilaterate(
+                anchors,
+                dists,
+                weights=weights,
+                consistency_check=consistency_check,
+                cluster_radius_m=cluster_radius_m,
+                min_anchors=min_anchors,
+            )
+        except InsufficientDataError:
+            continue
+        positions[b] = result.position
+        residuals[b] = result.residual
+        solved[b] = True
+    return positions, solved, residuals
+
+
 def localize_network(
     measurements,
     anchor_positions: Dict[int, Sequence[float]],
@@ -298,11 +338,14 @@ def localize_network(
     progressive: bool = False,
     consistency_check: bool = True,
     cluster_radius_m: float = 1.0,
-    solver: str = "gradient",
     min_anchors: int = 3,
     max_progressive_rounds: int = 10,
 ) -> NetworkLocalization:
     """Localize all non-anchor nodes from a measurement set.
+
+    Each refinement round gathers every pending node's anchor problem
+    and solves the round in one stacked masked-array descent through
+    :func:`repro.engine.batch.solve_multilateration_batch`.
 
     Parameters
     ----------
@@ -315,27 +358,16 @@ def localize_network(
         Total node count; ids run 0..n_nodes-1.
     progressive : bool
         Promote localized nodes to anchors and iterate (Section 4.1.1's
-        progressive localization).  The paper's reported experiments
-        keep this off.
-    solver : {"gradient", "scalar"}
-        ``"gradient"`` (default) solves every node of a refinement
-        round in one batched masked-array step through
-        :mod:`repro.engine.batch`; ``"scalar"`` is the per-node
-        reference path (the seed implementation, kept as the oracle of
-        the batched/scalar parity contract).  In progressive mode the batched
-        engine promotes a whole round's solutions at once (Jacobi
-        sweeps), while the scalar path promotes within the round
-        (Gauss-Seidel); a promotion chain therefore needs one round per
-        link under the engine, so with a tight *max_progressive_rounds*
-        budget (or near-degenerate geometry, where slightly different
-        intermediate estimates flip a collinearity or consistency
-        verdict) the two paths' coverage can differ at the margin.
+        progressive localization).  A round's solutions are promoted
+        together (Jacobi sweeps), so a promotion chain needs one round
+        per link within the *max_progressive_rounds* budget.  The
+        paper's reported experiments keep this off.
     """
+    from ..engine.batch import solve_multilateration_batch
+
     edges = as_edge_list(measurements)
     if n_nodes < 1:
         raise ValidationError("n_nodes must be >= 1")
-    if solver not in ("gradient", "scalar"):
-        raise ValidationError(f"unknown solver {solver!r}")
     if min_anchors < 3:
         raise ValidationError("min_anchors must be >= 3 for planar localization")
     for node_id in anchor_positions:
@@ -363,76 +395,40 @@ def localize_network(
     rounds = max_progressive_rounds if progressive else 1
     for _ in range(rounds):
         progress = False
-        if solver == "gradient":
-            # Batched engine path: gather every pending node's anchor
-            # problem, solve the whole refinement round in one stacked
-            # masked-array descent, then promote (progressive) en bloc.
-            from ..engine.batch import solve_multilateration_batch
-
-            prob_nodes: List[int] = []
-            anchor_sets: List[np.ndarray] = []
-            dist_sets: List[np.ndarray] = []
-            weight_sets: List[np.ndarray] = []
-            for node in range(n_nodes):
-                if node in known:
+        prob_nodes: List[int] = []
+        anchor_sets: List[np.ndarray] = []
+        dist_sets: List[np.ndarray] = []
+        weight_sets: List[np.ndarray] = []
+        for node in range(n_nodes):
+            if node in known:
+                continue
+            anchor_links = [
+                (partner, d, w)
+                for partner, d, w in adjacency[node]
+                if partner in known
+            ]
+            anchors_per_node[node] = len(anchor_links)
+            if len(anchor_links) < min_anchors:
+                continue
+            prob_nodes.append(node)
+            anchor_sets.append(np.asarray([known[p] for p, _, _ in anchor_links]))
+            dist_sets.append(np.asarray([d for _, d, _ in anchor_links]))
+            weight_sets.append(np.asarray([w for _, _, w in anchor_links]))
+        if prob_nodes:
+            solved_pos, solved, _ = solve_multilateration_batch(
+                anchor_sets,
+                dist_sets,
+                weight_sets,
+                min_anchors=min_anchors,
+                consistency_check=consistency_check,
+                cluster_radius_m=cluster_radius_m,
+            )
+            for node, pos, ok in zip(prob_nodes, solved_pos, solved):
+                if not ok:
                     continue
-                anchor_links = [
-                    (partner, d, w)
-                    for partner, d, w in adjacency[node]
-                    if partner in known
-                ]
-                anchors_per_node[node] = len(anchor_links)
-                if len(anchor_links) < min_anchors:
-                    continue
-                prob_nodes.append(node)
-                anchor_sets.append(np.asarray([known[p] for p, _, _ in anchor_links]))
-                dist_sets.append(np.asarray([d for _, d, _ in anchor_links]))
-                weight_sets.append(np.asarray([w for _, _, w in anchor_links]))
-            if prob_nodes:
-                solved_pos, solved, _ = solve_multilateration_batch(
-                    anchor_sets,
-                    dist_sets,
-                    weight_sets,
-                    min_anchors=min_anchors,
-                    consistency_check=consistency_check,
-                    cluster_radius_m=cluster_radius_m,
-                )
-                for node, pos, ok in zip(prob_nodes, solved_pos, solved):
-                    if not ok:
-                        continue
-                    positions[node] = pos
-                    if progressive:
-                        known[node] = pos
-                        progress = True
-        else:
-            for node in range(n_nodes):
-                if node in known:
-                    continue
-                anchor_links = [
-                    (partner, d, w)
-                    for partner, d, w in adjacency[node]
-                    if partner in known
-                ]
-                anchors_per_node[node] = len(anchor_links)
-                if len(anchor_links) < min_anchors:
-                    continue
-                anchor_xy = np.asarray([known[p] for p, _, _ in anchor_links])
-                dists = np.asarray([d for _, d, _ in anchor_links])
-                weights = np.asarray([w for _, _, w in anchor_links])
-                try:
-                    result = multilaterate(
-                        anchor_xy,
-                        dists,
-                        weights=weights,
-                        consistency_check=consistency_check,
-                        cluster_radius_m=cluster_radius_m,
-                        min_anchors=min_anchors,
-                    )
-                except InsufficientDataError:
-                    continue
-                positions[node] = result.position
+                positions[node] = pos
                 if progressive:
-                    known[node] = result.position
+                    known[node] = pos
                     progress = True
         if not progressive or not progress:
             break

@@ -55,11 +55,14 @@ Scalar/batched parity contract
 ------------------------------
 For every batched kernel the per-problem update rule, acceptance test,
 and termination condition are *the same operations in the same order*
-as the scalar reference path (``repro.core.multilateration`` and
-``repro.core.aps`` with ``solver="scalar"``;
-``repro.core.lss._descend_scalar``, the
-oracle that tests substitute for ``lss._descend``;
-``repro.core.distributed`` with ``solver="scalar"``).  Batched and
+as the scalar reference.  Each reference is a private test oracle that
+tests substitute for the production function, and no production path
+calls it: ``repro.core.multilateration._solve_batch_scalar`` for
+:func:`repro.engine.batch.solve_multilateration_batch` (the
+multilateration and APS callers), ``repro.core.lss._descend_scalar``
+for ``lss._descend``, and
+``repro.core.distributed._solve_local_maps_scalar`` for
+``_solve_local_maps_batched``.  Batched and
 scalar runs from the same seed must therefore agree to floating-point
 reduction tolerance, and unpadded LSS stacks go further: their
 objective, gradient and descent add every term in the scalar order, so
@@ -77,7 +80,7 @@ its batched path phases residual-trim refits after all first fits
 instead of interleaving them per map, so it consumes perturbation
 randomness in a different order and agrees with the scalar loop to
 solver tolerance instead (``tests/test_distributed.py``).  The scalar
-paths stay in the tree precisely to keep these contracts testable.
+oracles stay in the tree precisely to keep these contracts testable.
 """
 
 from .batch import (

@@ -8,6 +8,7 @@ batched kernel                        scalar reference
 ====================================  =====================================
 :func:`batch_gradient_descent`        ``multilateration._gradient_descent_solve``
 :func:`consistency_filter_fast`       ``multilateration.intersection_consistency_filter``
+:func:`solve_multilateration_batch`   ``multilateration._solve_batch_scalar``
 :func:`batch_lss_error`               ``lss.lss_error``
 :func:`batch_lss_gradient`            ``lss.lss_gradient``
 :func:`batch_lss_descend`             ``lss._descend_scalar``
@@ -380,6 +381,36 @@ def _later_pair(k: int) -> np.ndarray:
     return owner[:, None] < owner[None, :]
 
 
+def _vouch_block(
+    x: np.ndarray,
+    y: np.ndarray,
+    row0: int,
+    later: np.ndarray,
+    cluster_radius_m: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Close point pairs among rows ``row0 .. row0 + len(later)`` of a
+    ``(c, 2P)`` block of intersection points.
+
+    Returns the problem, row and column indices of every pair within
+    *cluster_radius_m* (rows offset by *row0*), and how many pairs the
+    box test passed.  *later* masks the ``(rows, 2P)`` block to each
+    unordered pair of points from different circle pairs once.
+    """
+    rows = slice(row0, row0 + later.shape[0])
+    dx = x[:, rows, None] - x[:, None, :]
+    dy = y[:, rows, None] - y[:, None, :]
+    np.abs(dx, out=dx)
+    np.abs(dy, out=dy)
+    np.fmax(dx, dy, out=dx)
+    box = dx <= cluster_radius_m
+    del dx, dy
+    box &= later
+    b, p, q = np.nonzero(box)
+    p += row0
+    close = np.hypot(x[b, p] - x[b, q], y[b, p] - y[b, q]) <= cluster_radius_m
+    return b[close], p[close], q[close], b.size
+
+
 def _batch_consistency_keep(
     anchors: np.ndarray,
     dists: np.ndarray,
@@ -420,8 +451,11 @@ def _batch_consistency_keep(
     **Memory.**  Each group runs in chunks of problems sized so that a
     ``(chunk, 2P, 2P)`` temporary holds at most
     ``_FILTER_CHUNK_ELEMENTS`` elements, so one densely-anchored
-    problem cannot balloon the whole round's memory footprint.  The
-    flat pair arrays hold ``sum_b k_b(k_b-1)/2`` entries.
+    problem cannot balloon the whole round's memory footprint.  Where a
+    single problem's ``(2P, 2P)`` block is over the bound (from
+    ``k = 54`` anchors at the default), its rows run in ``(rows, 2P)``
+    tiles under the same bound instead.  The flat pair arrays hold
+    ``sum_b k_b(k_b-1)/2`` entries.
     """
     n_problems, max_k = dists.shape
     counts = valid.sum(axis=1)
@@ -474,26 +508,31 @@ def _batch_consistency_keep(
     for k, m in zip(group_ks.tolist(), group_sizes.tolist()):
         n_pairs = k * (k - 1) // 2
         n_points = 2 * n_pairs
-        later = _later_pair(k)
-        chunk = max(1, _FILTER_CHUNK_ELEMENTS // (n_points * n_points))
+        if n_points * n_points <= _FILTER_CHUNK_ELEMENTS:
+            chunk, tiles = _FILTER_CHUNK_ELEMENTS // (n_points * n_points), None
+        else:
+            # One problem's block alone is over the bound: take the
+            # problems one at a time and their point rows in tiles.
+            chunk, tiles = 1, max(1, _FILTER_CHUNK_ELEMENTS // n_points)
         for start in range(0, m, chunk):
             c = min(chunk, m - start)
             hi = lo + c * n_pairs
             x = xs[lo:hi].reshape(c, n_points)
             y = ys[lo:hi].reshape(c, n_points)
-            dx = x[:, :, None] - x[:, None, :]
-            dy = y[:, :, None] - y[:, None, :]
-            np.abs(dx, out=dx)
-            np.abs(dy, out=dy)
-            np.fmax(dx, dy, out=dx)
-            box = dx <= cluster_radius_m
-            box &= later
-            b, p, q = np.nonzero(box)
-            n_candidates += b.size
-            close = np.hypot(x[b, p] - x[b, q], y[b, p] - y[b, q]) <= cluster_radius_m
-            base = lo + b[close] * n_pairs
-            vouched[base + p[close] // 2] = True
-            vouched[base + q[close] // 2] = True
+            if tiles is None:
+                blocks = [(0, _later_pair(k))]
+            else:
+                owner = np.arange(n_points) // 2
+                blocks = (
+                    (r0, owner[r0 : r0 + tiles, None] < owner[None, :])
+                    for r0 in range(0, n_points, tiles)
+                )
+            for row0, later in blocks:
+                b, p, q, n_box = _vouch_block(x, y, row0, later, cluster_radius_m)
+                n_candidates += n_box
+                base = lo + b * n_pairs
+                vouched[base + p // 2] = True
+                vouched[base + q // 2] = True
             lo = hi
 
     consistent = np.zeros_like(valid)

@@ -3,10 +3,10 @@
 The distributed localization pipeline (paper Section 4.3) runs one
 small LSS minimization per node — its one-hop neighborhood in local
 relative coordinates — and then stitches the resulting local maps with
-rigid transforms.  The scalar reference path
-(:func:`repro.core.distributed.build_local_maps` with
-``solver="scalar"``) solves those neighborhoods one at a time; this
-module is the batched twin: every local map of a refinement round is
+rigid transforms.  The scalar reference
+(:func:`repro.core.distributed._solve_local_maps_scalar`, a test
+oracle) solves those neighborhoods one at a time; this module is the
+production path: every local map of a refinement round is
 padded into the ``(n_problems, max_nodes, 2)`` masked stacks of
 :func:`repro.engine.batch.batch_lss_descend_padded` and all problems
 advance through each perturbation-restart round in one vectorized
@@ -25,7 +25,7 @@ pairs.  Randomness is consumed from the supplied generator in
 *problem-major* order (problem 0's initialization and all of its
 restart perturbations are drawn before problem 1's), the same order the
 scalar loop consumes it, so a batched run is deterministic given the
-generator state.  Because the scalar path interleaves each map's
+generator state.  Because the scalar oracle interleaves each map's
 residual-trim refit draws with the next map's fit draws while the
 batched path phases them (all fits, then all refits), the two paths see
 different perturbation noise and agree to solver tolerance rather than

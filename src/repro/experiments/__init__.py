@@ -14,7 +14,6 @@ from .common import DEFAULT_SEED
 from .extension_experiments import (
     ext_aps_baselines,
     ext_campaign_statistics,
-    ext_distributed_batched,
     ext_protocol_cost,
     ext_scaling,
     ext_sweep,
@@ -106,6 +105,5 @@ __all__ = [
     "ext_scaling",
     "ext_aps_baselines",
     "ext_campaign_statistics",
-    "ext_distributed_batched",
     "ext_sweep",
 ]

@@ -20,16 +20,10 @@ ext-sweep    — a density x noise x anchor-fraction scenario sweep run
                cells stop early on a confidence-interval criterion and
                their records are a bit-identical prefix of the
                fixed-count campaign.
-ext-distributed — the batched distributed-LSS pipeline (Section 4.3
-               through the engine's stacked local-map and transform
-               kernels) against the per-problem scalar reference:
-               same-tolerance town-scale accuracy at a fraction of the
-               wall-clock.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -41,12 +35,11 @@ from ..core import (
     DistributedConfig,
     LssConfig,
     build_local_maps,
-    distributed_localize,
     evaluate_localization,
     lss_localize,
     run_distributed_protocol,
 )
-from ..deploy import square_grid, town_layout
+from ..deploy import square_grid
 from ..ranging import RangingService, TdoaConfig, XsmRangingService, gaussian_ranges
 from .base import ExperimentResult, ShapeCheck, register
 from .common import DEFAULT_SEED
@@ -542,74 +535,3 @@ def ext_sweep(seed: int = DEFAULT_SEED, store=None) -> ExperimentResult:
         extras={"results": results, "specs": specs},
     )
 
-
-@register("ext-distributed")
-def ext_distributed_batched(seed: int = DEFAULT_SEED) -> ExperimentResult:
-    """Batched distributed-LSS: the scalar pipeline's results, faster.
-
-    The distributed algorithm (Section 4.3) is embarrassingly batchable
-    in the simulator: a deployment's local maps are many small
-    independent LSS problems and its pairwise transforms many small
-    independent closed-form fits.  This driver runs the same town-scale
-    deployment through the engine's stacked kernels
-    (``solver="batched"``, the default) and through the per-problem
-    scalar reference (``solver="scalar"``), and verifies the batched
-    path is a faithful drop-in: every node localized, the same accuracy
-    to solver tolerance, and a clear wall-clock win.
-    """
-    positions = town_layout(49, min_separation_m=6.0, rng=seed)
-    ranges = gaussian_ranges(positions, max_range_m=22.0, sigma_m=0.33, rng=seed + 1)
-    n = len(positions)
-    centroid = positions.mean(axis=0)
-    root = int(np.argmin(np.hypot(*(positions - centroid).T)))
-    local_lss = LssConfig(restarts=3, max_epochs=400, perturbation_m=2.0)
-
-    reports = {}
-    timings = {}
-    for solver in ("batched", "scalar"):
-        config = DistributedConfig(
-            local_lss=local_lss, min_spacing_m=6.0, solver=solver
-        )
-        start = time.perf_counter()
-        result = distributed_localize(ranges, n, root, config=config, rng=seed)
-        timings[solver] = time.perf_counter() - start
-        reports[solver] = evaluate_localization(
-            result.positions, positions, localized_mask=result.localized, align=True
-        )
-
-    batched, scalar = reports["batched"], reports["scalar"]
-    speedup = timings["scalar"] / max(timings["batched"], 1e-9)
-    error_gap = abs(batched.average_error - scalar.average_error)
-    return ExperimentResult(
-        experiment_id="ext-distributed",
-        title="Batched vs scalar distributed-LSS pipeline (town scale)",
-        paper={"distributed_algorithm_is_a_faithful_dropin": "yes"},
-        measured={
-            "batched_error_m": batched.average_error,
-            "scalar_error_m": scalar.average_error,
-            "batched_time_s": timings["batched"],
-            "scalar_time_s": timings["scalar"],
-            "speedup": speedup,
-        },
-        checks=[
-            ShapeCheck(
-                "both paths localize the same, near-complete node set",
-                batched.n_localized == scalar.n_localized
-                and batched.n_localized >= 0.9 * n,
-                f"{batched.n_localized}/{n} batched, {scalar.n_localized}/{n} scalar",
-            ),
-            ShapeCheck(
-                "batched accuracy matches scalar within tolerance",
-                error_gap < 0.75,
-                f"{batched.average_error:.2f} vs {scalar.average_error:.2f} m",
-            ),
-            # Wall-clock ratios are noise-bound on shared CI runners
-            # (same policy as the benchmark speedup floors): the timing
-            # check is informational there and enforced everywhere else.
-            ShapeCheck(
-                "batched path is clearly faster",
-                speedup >= 1.5 or bool(os.environ.get("CI")),
-                f"{speedup:.1f}x ({timings['scalar']:.2f} s -> {timings['batched']:.2f} s)",
-            ),
-        ],
-    )

@@ -83,16 +83,8 @@ ANCHOR_STRATEGIES = ("random", "spread", "boundary", "none")
 #: full signal-level acoustic ranging campaign of Section 3.
 RANGING_MODELS = ("gaussian", "acoustic")
 
-#: Localization algorithms a :class:`SolverSpec` may name, each with
-#: the backends it accepts: the production path first, then its scalar
-#: reference (LSS has one solver and nothing to select).
-_BACKENDS = {
-    "multilateration": ("gradient", "scalar"),
-    "lss": ("gradient",),
-    "distributed-lss": ("batched", "scalar"),
-    "dv-hop": ("gradient", "scalar"),
-}
-ALGORITHMS = tuple(_BACKENDS)
+#: Localization algorithms a :class:`SolverSpec` may name.
+ALGORITHMS = ("multilateration", "lss", "distributed-lss", "dv-hop")
 
 #: Algorithms that run without anchors (relative-coordinate output).
 ANCHOR_FREE_ALGORITHMS = ("lss", "distributed-lss")
@@ -112,7 +104,8 @@ class DeploymentSpec:
     Construction rejects what no draw can place: a "uniform" field needs
     a finite positive size and a finite ``min_separation_m >= 0``, with
     ``n_nodes`` within the packing bound of :func:`_packing_bound`; a
-    "grid" needs a finite positive ``spacing_m``.
+    "town" needs the same finite ``min_separation_m >= 0``; a "grid"
+    needs a finite positive ``spacing_m``.
     """
 
     kind: str = "uniform"
@@ -139,10 +132,11 @@ class DeploymentSpec:
             check_positive(self.spacing_m, "spacing_m")
         if self.kind == "paper-grid" and self.n_nodes > 49:
             raise ValidationError("paper-grid supports at most 49 nodes")
+        if self.kind in ("uniform", "town"):
+            check_non_negative(self.min_separation_m, "min_separation_m")
         if self.kind == "uniform":
             check_positive(self.width_m, "width_m")
             check_positive(self.height_m, "height_m")
-            check_non_negative(self.min_separation_m, "min_separation_m")
             if self.min_separation_m > 0:
                 bound = _packing_bound(self.width_m, self.height_m, self.min_separation_m)
                 if self.n_nodes > bound:
@@ -238,19 +232,11 @@ class RangingSpec:
 class SolverSpec:
     """Which localization algorithm runs, and how.
 
-    ``backend`` is checked per algorithm at construction.
-    "multilateration" and "dv-hop" run the paper's gradient descent
-    through the engine ("gradient") or node by node as its reference
-    ("scalar"); "lss" has one solver and accepts only "gradient";
-    "distributed-lss" maps the generic "gradient" default to the
-    engine's "batched" path, with "scalar" selecting the per-problem
-    reference.  So two specs describing the same physics always hash
-    identically, and a backend no trial could run is rejected here
-    instead of failing every trial.
+    Each algorithm has one production solver, so the spec names the
+    algorithm and its LSS knobs and nothing selects between code paths.
     """
 
     algorithm: str = "multilateration"
-    backend: str = "gradient"
     min_spacing_m: Optional[float] = None
     constraint_weight: float = 10.0
     restarts: int = 4
@@ -260,13 +246,6 @@ class SolverSpec:
         if self.algorithm not in ALGORITHMS:
             raise ValidationError(
                 f"unknown algorithm {self.algorithm!r}; known: {ALGORITHMS}"
-            )
-        if self.algorithm == "distributed-lss" and self.backend == "gradient":
-            object.__setattr__(self, "backend", "batched")
-        if self.backend not in _BACKENDS[self.algorithm]:
-            raise ValidationError(
-                f"{self.algorithm} backend must be one of "
-                f"{_BACKENDS[self.algorithm]}; got {self.backend!r}"
             )
         # The rules LssConfig applies at trial time, checked here so a
         # campaign cannot start on a spec whose every trial would fail.

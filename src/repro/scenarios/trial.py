@@ -147,7 +147,6 @@ def _distributed_lss_trial(positions, ranges, spec: ScenarioSpec, rng) -> Dict[s
             perturbation_m=2.0,
         ),
         min_spacing_m=spec.solver.min_spacing_m,
-        solver=spec.solver.backend,
     )
     centroid = positions.mean(axis=0)
     root = int(np.argmin(np.hypot(*(positions - centroid).T)))
@@ -210,14 +209,10 @@ def scenario_trial(rng, *, spec: ScenarioSpec) -> Dict[str, float]:
 
     anchor_positions = {int(i): positions[i] for i in anchor_idx}
     if algorithm == "multilateration":
-        result = localize_network(
-            ranges, anchor_positions, n_nodes, solver=spec.solver.backend
-        )
+        result = localize_network(ranges, anchor_positions, n_nodes)
     else:  # dv-hop
         try:
-            result = dv_hop_localize(
-                ranges, anchor_positions, n_nodes, solver=spec.solver.backend
-            )
+            result = dv_hop_localize(ranges, anchor_positions, n_nodes)
         except InsufficientDataError:
             # Fewer than three anchors, or no anchor reaches another:
             # DV-hop cannot calibrate its hop length on this draw.

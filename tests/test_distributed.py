@@ -1,8 +1,12 @@
 """Tests for repro.core.distributed (distributed LSS pipeline)."""
 
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.core import distributed
 from repro.core.distributed import (
     DistributedConfig,
     build_local_maps,
@@ -11,6 +15,7 @@ from repro.core.distributed import (
 )
 from repro.core.evaluation import align_to_reference, evaluate_localization
 from repro.core.measurements import EdgeList, MeasurementSet
+from repro.core.transforms import estimate_transform_closed_form
 from repro.deploy import square_grid
 from repro.errors import InsufficientDataError, ValidationError
 from repro.ranging import gaussian_ranges
@@ -21,6 +26,40 @@ def grid_scenario():
     positions = square_grid(4, 4, spacing_m=10.0)
     ranges = gaussian_ranges(positions, max_range_m=16.0, sigma_m=0.05, rng=3)
     return positions, ranges
+
+
+def _scalar_local_maps():
+    """Substitute the one-map-at-a-time oracle for the batched solve."""
+    return mock.patch.object(
+        distributed, "_solve_local_maps_batched", distributed._solve_local_maps_scalar
+    )
+
+
+def _solver(name):
+    """The context that runs step 1 on the named path."""
+    return _scalar_local_maps() if name == "scalar" else nullcontext()
+
+
+def _closed_form_transforms(local_maps, min_shared=2):
+    """Per-pair closed-form fits: the reference of ``build_transforms``."""
+    transforms = {}
+    for a in sorted(local_maps):
+        for b in local_maps[a].members:
+            if b <= a or b not in local_maps:
+                continue
+            shared = sorted(set(local_maps[a].members) & set(local_maps[b].members))
+            if len(shared) < min_shared:
+                continue
+            source_b = local_maps[b].coords_for(shared)
+            target_a = local_maps[a].coords_for(shared)
+            try:
+                into_a = estimate_transform_closed_form(source_b, target_a)
+                into_b = estimate_transform_closed_form(target_a, source_b)
+            except InsufficientDataError:
+                continue
+            transforms[(a, b)] = into_a
+            transforms[(b, a)] = into_b
+    return transforms
 
 
 class TestDistributedConfig:
@@ -94,8 +133,8 @@ class TestBuildLocalMaps:
             distances=np.array([3.0, 4.0, 5.0, 9.0]),
             weights=np.ones(4),
         )
-        with pytest.raises(ValidationError, match="duplicate edge"):
-            build_local_maps(edges, 3, config=DistributedConfig(solver=solver), rng=0)
+        with _solver(solver), pytest.raises(ValidationError, match="duplicate edge"):
+            build_local_maps(edges, 3, rng=0)
 
     def test_self_loop_rejected(self):
         edges = EdgeList(
@@ -236,23 +275,21 @@ class TestDistributedLocalize:
 
 
 class TestBatchedScalarParity:
-    """The acceptance contract: batched and scalar paths agree.
+    """The acceptance contract: the batched path agrees with the scalar
+    oracles (``_solve_local_maps_scalar`` substituted for the batched
+    solve, per-pair closed-form transform fits).
 
     The batched path consumes perturbation randomness in a different
     order than the scalar loop (fits are phased before trim-refits), so
     agreement is pinned to solver tolerance, not bit-for-bit.
     """
 
-    def test_solver_validation(self):
-        with pytest.raises(ValidationError):
-            DistributedConfig(solver="vectorized")
-
     def test_local_maps_agree(self, grid_scenario):
         positions, ranges = grid_scenario
-        scalar_cfg = DistributedConfig(min_spacing_m=10.0, solver="scalar")
-        batched_cfg = DistributedConfig(min_spacing_m=10.0, solver="batched")
-        scalar_maps = build_local_maps(ranges, len(positions), config=scalar_cfg, rng=1)
-        batched_maps = build_local_maps(ranges, len(positions), config=batched_cfg, rng=1)
+        config = DistributedConfig(min_spacing_m=10.0)
+        with _scalar_local_maps():
+            scalar_maps = build_local_maps(ranges, len(positions), config=config, rng=1)
+        batched_maps = build_local_maps(ranges, len(positions), config=config, rng=1)
         assert set(scalar_maps) == set(batched_maps)
         for owner in scalar_maps:
             s, b = scalar_maps[owner], batched_maps[owner]
@@ -262,11 +299,10 @@ class TestBatchedScalarParity:
 
     def test_transforms_agree(self, grid_scenario):
         positions, ranges = grid_scenario
-        scalar_cfg = DistributedConfig(solver="scalar")
-        batched_cfg = DistributedConfig(solver="batched")
-        maps = build_local_maps(ranges, len(positions), config=scalar_cfg, rng=1)
-        scalar_t = build_transforms(maps, config=scalar_cfg)
-        batched_t = build_transforms(maps, config=batched_cfg)
+        with _scalar_local_maps():
+            maps = build_local_maps(ranges, len(positions), rng=1)
+        scalar_t = _closed_form_transforms(maps)
+        batched_t = build_transforms(maps)
         assert set(scalar_t) == set(batched_t)
         for key in scalar_t:
             np.testing.assert_allclose(
@@ -279,11 +315,12 @@ class TestBatchedScalarParity:
     def test_full_pipeline_agrees(self, grid_scenario):
         positions, ranges = grid_scenario
         reports = {}
+        cfg = DistributedConfig(min_spacing_m=10.0)
         for solver in ("scalar", "batched"):
-            cfg = DistributedConfig(min_spacing_m=10.0, solver=solver)
-            result = distributed_localize(
-                ranges, len(positions), root=5, config=cfg, rng=2
-            )
+            with _solver(solver):
+                result = distributed_localize(
+                    ranges, len(positions), root=5, config=cfg, rng=2
+                )
             assert result.localized.all()
             reports[solver] = evaluate_localization(
                 result.positions, positions, localized_mask=result.localized, align=True
@@ -314,9 +351,8 @@ class TestPaddingEdgeCases:
         pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4)]
         ms = self._measurements(positions, pairs)
         for solver in ("batched", "scalar"):
-            maps = build_local_maps(
-                ms, 5, config=DistributedConfig(solver=solver), rng=0
-            )
+            with _solver(solver):
+                maps = build_local_maps(ms, 5, rng=0)
             assert set(maps) == {0, 1, 2, 3, 4}
             assert maps[4].members == [1, 3, 4]
             est = maps[4].coords_for([1, 3])
@@ -328,16 +364,14 @@ class TestPaddingEdgeCases:
         # still appears in the triangle owners' maps.
         positions = np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 8.0], [5.0, -9.0]])
         ms = self._measurements(positions, [(0, 1), (0, 2), (1, 2), (0, 3)])
-        maps = build_local_maps(ms, 4, config=DistributedConfig(solver="batched"), rng=0)
+        maps = build_local_maps(ms, 4, rng=0)
         assert 3 not in maps
         assert 3 in maps[0].coordinates
 
     def test_fully_disconnected_node(self):
         positions = np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 8.0], [40.0, 40.0]])
         ms = self._measurements(positions, [(0, 1), (0, 2), (1, 2)])
-        result = distributed_localize(
-            ms, 4, root=0, config=DistributedConfig(solver="batched"), rng=0
-        )
+        result = distributed_localize(ms, 4, root=0, rng=0)
         assert result.localized[:3].all()
         assert not result.localized[3]
         assert np.isnan(result.positions[3]).all()
@@ -347,9 +381,7 @@ class TestPaddingEdgeCases:
         # so the batch is three equal-size problems with no padding.
         positions = np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 8.0]])
         ms = self._measurements(positions, [(0, 1), (0, 2), (1, 2)])
-        result = distributed_localize(
-            ms, 3, root=0, config=DistributedConfig(solver="batched"), rng=0
-        )
+        result = distributed_localize(ms, 3, root=0, rng=0)
         assert result.localized.all()
         report = evaluate_localization(result.positions, positions, align=True)
         assert report.average_error < 0.5

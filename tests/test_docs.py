@@ -81,4 +81,4 @@ def test_cli_list_smoke():
     )
     assert result.returncode == 0, result.stderr
     assert "town-distributed-lss" in result.stdout
-    assert "ext-distributed" in result.stdout
+    assert "ext-campaign" in result.stdout

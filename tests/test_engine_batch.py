@@ -1,8 +1,11 @@
-"""Seeded equivalence tests: batched engine vs scalar reference paths.
+"""Seeded equivalence tests: batched engine vs scalar reference oracles.
 
 The engine's parity contract (see ``repro/engine/__init__.py``) says a
 batched solve and the scalar reference solve of the same problem follow
-identical per-problem update rules.  Unpadded LSS stacks are bytewise
+identical per-problem update rules.  The references are private oracles
+that no production path calls; the tests substitute them for the engine
+functions (``_scalar_multilateration`` below, ``lss._descend_scalar``
+for ``lss._descend``).  Unpadded LSS stacks are bytewise
 the scalar oracle; multilateration, the APS baselines and padded LSS
 objectives may differ only by floating-point reduction error.  These
 tests pin that contract on fixed-seed networks across grid, random, and
@@ -10,6 +13,7 @@ sparse layouts for multilateration (``localize_network``), LSS
 (``lss_localize`` / ``lss_localize_multistart``), and the APS baselines.
 """
 
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -19,7 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import LssConfig, dv_distance_localize, dv_hop_localize, localize_network, lss_localize
-from repro.core.multilateration import intersection_consistency_filter
+from repro.core.multilateration import _solve_batch_scalar, intersection_consistency_filter
 from repro.deploy import random_anchors, square_grid, uniform_random_layout
 from repro.engine import batch as engine_batch
 from repro.engine.batch import (
@@ -61,6 +65,14 @@ def _layout(kind: str, rng):
 LAYOUTS = ["grid", "random", "sparse"]
 
 
+def _scalar_multilateration():
+    """Run ``localize_network`` and the APS baselines on the per-node
+    reference: both look the engine function up at call time."""
+    return mock.patch.object(
+        engine_batch, "solve_multilateration_batch", _solve_batch_scalar
+    )
+
+
 class TestLocalizeNetworkParity:
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("seed", [0, 7])
@@ -71,7 +83,8 @@ class TestLocalizeNetworkParity:
         anchor_idx = random_anchors(n, max(3, n // 4), rng=rng)
         anchors = {int(i): positions[i] for i in anchor_idx}
         batched = localize_network(ranges, anchors, n)
-        scalar = localize_network(ranges, anchors, n, solver="scalar")
+        with _scalar_multilateration():
+            scalar = localize_network(ranges, anchors, n)
         assert np.array_equal(batched.localized, scalar.localized)
         assert np.array_equal(batched.anchors_per_node, scalar.anchors_per_node)
         mask = batched.localized & ~batched.is_anchor
@@ -81,10 +94,8 @@ class TestLocalizeNetworkParity:
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_progressive_coverage_matches_scalar(self, layout):
-        # Jacobi (batched, round-wise) vs Gauss-Seidel (scalar, in-round)
-        # promotion: intermediate estimates legitimately differ, but both
-        # must extend the plain coverage and land on (nearly) the same
-        # localized set within the round budget.
+        # Both paths promote a round's solutions together (Jacobi), so
+        # both extend the plain coverage to the same localized set.
         rng = np.random.default_rng(3)
         positions, ranges = _layout(layout, rng)
         n = len(positions)
@@ -92,28 +103,27 @@ class TestLocalizeNetworkParity:
         anchors = {int(i): positions[i] for i in anchor_idx}
         plain = localize_network(ranges, anchors, n)
         batched = localize_network(ranges, anchors, n, progressive=True)
-        scalar = localize_network(ranges, anchors, n, progressive=True, solver="scalar")
+        with _scalar_multilateration():
+            scalar = localize_network(ranges, anchors, n, progressive=True)
         assert np.all(batched.localized[plain.localized])
         assert np.all(scalar.localized[plain.localized])
-        assert int((batched.localized != scalar.localized).sum()) <= 2
-
-    def test_unknown_solver_rejected(self):
-        rng = np.random.default_rng(0)
-        positions, ranges = _layout("grid", rng)
-        with pytest.raises(ValidationError):
-            localize_network(ranges, {0: positions[0]}, len(positions), solver="sgd")
+        assert np.array_equal(batched.localized, scalar.localized)
+        mask = batched.localized & ~batched.is_anchor
+        assert batched.positions[mask] == pytest.approx(
+            scalar.positions[mask], abs=1e-5
+        )
 
     @pytest.mark.parametrize("solver", ["gradient", "scalar"])
     def test_min_anchors_below_three_rejected(self, solver):
         # The batched path must enforce the same planar-solvability
-        # floor as the scalar path (a 2-anchor fix is ambiguous).
+        # floor as the scalar oracle (a 2-anchor fix is ambiguous).
         rng = np.random.default_rng(0)
         positions, ranges = _layout("grid", rng)
-        with pytest.raises(ValidationError):
-            localize_network(
-                ranges, {0: positions[0]}, len(positions),
-                solver=solver, min_anchors=2,
-            )
+        with _scalar_multilateration() if solver == "scalar" else nullcontext():
+            with pytest.raises(ValidationError):
+                localize_network(
+                    ranges, {0: positions[0]}, len(positions), min_anchors=2
+                )
 
 
 class TestBatchKernelParity:
@@ -240,6 +250,31 @@ class TestConsistencyFilterIsThePaddedOracle:
             keep = engine_batch._batch_consistency_keep(anchors, dists, valid, radius)
         assert keep.dtype == expected.dtype and keep.shape == expected.shape
         assert keep.tobytes() == expected.tobytes()
+
+    def test_one_problem_over_the_bound_runs_in_row_tiles(self):
+        """A 60-anchor problem's (2P, 2P) block is ~12.5M elements, over
+        the bound: its rows run in tiles, so the call's peak traced
+        memory stays a small multiple of the bound's bytes (a whole
+        block is over 100 times them) and the keep mask is the
+        oracle's."""
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        anchors = rng.uniform(0.0, 60.0, (60, 2))
+        dists = np.abs(np.hypot(*(anchors - 30.0).T) + rng.normal(0.0, 0.33, 60))
+        expected = padded_consistency_keep(
+            anchors[None], dists[None], np.ones((1, 60), dtype=bool), 1.0
+        )[0]
+        limit = 250_000
+        with mock.patch.object(engine_batch, "_FILTER_CHUNK_ELEMENTS", limit):
+            tracemalloc.start()
+            try:
+                keep = consistency_filter_fast(anchors, dists)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert keep.tolist() == np.nonzero(expected)[0].tolist()
+        assert peak <= 4 * 8 * limit
 
     def test_counters_show_the_padding_is_gone(self):
         """One counter bundle per filter call: the problems, the
@@ -374,23 +409,15 @@ class TestApsParity:
         n = len(positions)
         anchor_idx = random_anchors(n, 6, rng=rng)
         anchors = {int(i): positions[i] for i in anchor_idx}
-        batched = localizer(ranges, anchors, n, solver="gradient")
-        scalar = localizer(ranges, anchors, n, solver="scalar")
+        batched = localizer(ranges, anchors, n)
+        with _scalar_multilateration():
+            scalar = localizer(ranges, anchors, n)
         assert np.array_equal(batched.localized, scalar.localized)
         assert np.array_equal(batched.anchors_per_node, scalar.anchors_per_node)
         mask = batched.localized & ~batched.is_anchor
         assert batched.positions[mask] == pytest.approx(
             scalar.positions[mask], abs=1e-5
         )
-
-    def test_unknown_solver_rejected(self):
-        rng = np.random.default_rng(13)
-        positions, ranges = _layout("grid", rng)
-        n = len(positions)
-        anchor_idx = random_anchors(n, 6, rng=rng)
-        anchors = {int(i): positions[i] for i in anchor_idx}
-        with pytest.raises(ValidationError):
-            dv_hop_localize(ranges, anchors, n, solver="sgd")
 
     def test_min_anchors_below_three_rejected(self):
         rng = np.random.default_rng(13)
@@ -402,17 +429,18 @@ class TestApsParity:
             dv_hop_localize(ranges, anchors, n, min_anchors=2)
 
 
-def _aps_outcome(localizer, edges, anchors, n_nodes, solver):
+def _aps_outcome(localizer, edges, anchors, n_nodes):
     """The localization, or the class of the InsufficientDataError raised."""
     try:
-        return localizer(edges, anchors, n_nodes, solver=solver)
+        return localizer(edges, anchors, n_nodes)
     except InsufficientDataError as exc:
         return type(exc)
 
 
 def _assert_aps_paths_agree(localizer, edges, anchors, n_nodes):
-    batched = _aps_outcome(localizer, edges, anchors, n_nodes, "gradient")
-    scalar = _aps_outcome(localizer, edges, anchors, n_nodes, "scalar")
+    batched = _aps_outcome(localizer, edges, anchors, n_nodes)
+    with _scalar_multilateration():
+        scalar = _aps_outcome(localizer, edges, anchors, n_nodes)
     if isinstance(scalar, type) or isinstance(batched, type):
         assert batched is scalar
         return

@@ -65,7 +65,7 @@ def test_registry_covers_all_figures():
         "fig22", "fig23", "fig24", "fig25",
         "text-range", "text-sync", "text-chirp",
         "ext-xsm", "ext-protocol", "ext-scaling", "ext-aps", "ext-campaign",
-        "ext-sweep", "ext-distributed",
+        "ext-sweep",
     }
     assert set(EXPERIMENT_IDS) == expected
 

@@ -79,10 +79,12 @@ class TestFig16Golden:
             1.300269178746, abs=ERROR_TOL
         )
 
-    def test_batched_and_scalar_paths_agree_on_golden_config(self):
-        """The pinned numbers hold on both engine paths."""
+    def test_batched_and_scalar_paths_agree_on_golden_config(self, monkeypatch):
+        """The pinned numbers hold on the per-node scalar oracle too."""
+        import repro.engine.batch
         from repro._validation import ensure_rng
         from repro.core import localize_network
+        from repro.core.multilateration import _solve_batch_scalar
         from repro.deploy import random_anchors
         from repro.experiments.localization_experiments import _grid_setup
         from repro.ranging import augment_with_gaussian_ranges
@@ -95,7 +97,10 @@ class TestFig16Golden:
         extended = augment_with_gaussian_ranges(
             edges, positions, max_range_m=22.0, sigma_m=0.33, rng=rng
         )
-        scalar = localize_network(extended, anchors, n, solver="scalar")
+        monkeypatch.setattr(
+            repro.engine.batch, "solve_multilateration_batch", _solve_batch_scalar
+        )
+        scalar = localize_network(extended, anchors, n)
         localized = scalar.localized & ~scalar.is_anchor
         report = evaluate_localization(
             scalar.positions[localized], positions[localized]
@@ -105,7 +110,8 @@ class TestFig16Golden:
 
 class TestUniformDvHopGolden:
     """The registered DV-hop baseline, 6 trials at master seed 0, on the
-    engine (its production path) and on the per-node scalar reference.
+    engine (its production path) and, with the per-node scalar oracle
+    substituted for the engine function, on the reference.
     Trial 4 localizes 13 of 28 non-anchors, so the coverage pin is not
     the trivial 1.0."""
 
@@ -113,13 +119,17 @@ class TestUniformDvHopGolden:
     MEAN_ERROR_M = 9.750100891997
 
     @pytest.mark.parametrize("backend", ["gradient", "scalar"])
-    def test_campaign_aggregates(self, backend):
+    def test_campaign_aggregates(self, backend, monkeypatch):
+        import repro.engine.batch
+        from repro.core.multilateration import _solve_batch_scalar
         from repro.scenarios import get_scenario, run_scenario
 
-        spec = get_scenario("uniform-dv-hop").with_overrides(
-            **{"solver.backend": backend}
-        )
-        result = run_scenario(spec, master_seed=0, n_trials=6)
+        if backend == "scalar":
+            monkeypatch.setattr(
+                repro.engine.batch, "solve_multilateration_batch", _solve_batch_scalar
+            )
+        # Inline (one worker, no store), so every trial runs under the patch.
+        result = run_scenario(get_scenario("uniform-dv-hop"), master_seed=0, n_trials=6)
         aggregate = result.aggregate()
         assert result.n_nan_trials == 0
         assert aggregate["fraction_localized"]["mean"] == self.FRACTION_LOCALIZED

@@ -143,6 +143,7 @@ class TestSingleSolverSurface:
         [
             ("LssConfig", {"backend": "gd"}),
             ("DistributedConfig", {"transform_method": "closed_form"}),
+            ("DistributedConfig", {"solver": "scalar"}),
         ],
     )
     def test_removed_config_field(self, name, kwargs):
@@ -177,6 +178,8 @@ class TestSingleSolverSurface:
         [
             ("repro.core.lss", "_descend_scalar"),
             ("repro.core.transforms", "estimate_transform_minimize"),
+            ("repro.core.multilateration", "_solve_batch_scalar"),
+            ("repro.core.distributed", "_solve_local_maps_scalar"),
         ],
     )
     def test_oracle_still_imports(self, module, name):
@@ -185,8 +188,7 @@ class TestSingleSolverSurface:
 
 class TestOneMultilaterationSolver:
     """Multilateration and the APS baselines have one solver, the
-    paper's gradient descent: the Levenberg-Marquardt path is gone, and
-    only the engine/scalar-reference selection survives."""
+    paper's gradient descent: the Levenberg-Marquardt path is gone."""
 
     ANCHORS = [[0.0, 0.0], [20.0, 0.0], [0.0, 20.0], [20.0, 20.0]]
 
@@ -197,10 +199,21 @@ class TestOneMultilaterationSolver:
         with pytest.raises(TypeError):
             multilaterate(self.ANCHORS, [10.0, 10.0, 10.0, 10.0], solver=solver)
 
+    def test_multilateration_imports_no_optimizer(self):
+        module = importlib.import_module("repro.core.multilateration")
+        assert not hasattr(module, "least_squares")
+
+
+class TestNoSolverSelector:
+    """Every localization algorithm has one production path: nothing
+    selects the scalar references, which survive as test oracles
+    (``TestSingleSolverSurface.test_oracle_still_imports``)."""
+
     @pytest.mark.parametrize(
         "localizer", ["localize_network", "dv_hop_localize", "dv_distance_localize"]
     )
-    def test_lm_solver_rejected(self, localizer):
+    @pytest.mark.parametrize("solver", ["gradient", "scalar", "lm"])
+    def test_localizer_takes_no_solver(self, localizer, solver):
         import repro.core as core
         from repro.core.measurements import EdgeList
 
@@ -209,16 +222,25 @@ class TestOneMultilaterationSolver:
             distances=np.array([14.0, 14.0, 14.0, 20.0]),
             weights=np.ones(4),
         )
-        anchors = {i: self.ANCHORS[i] for i in range(3)}
-        with pytest.raises(ValidationError, match="unknown solver"):
-            getattr(core, localizer)(edges, anchors, 4, solver="lm")
+        anchors = {0: [0.0, 0.0], 1: [20.0, 0.0], 2: [0.0, 20.0]}
+        with pytest.raises(TypeError):
+            getattr(core, localizer)(edges, anchors, 4, solver=solver)
 
-    def test_dv_hop_spec_rejects_lm(self):
+    @pytest.mark.parametrize("backend", ["gradient", "batched", "scalar", "lm"])
+    def test_solver_spec_takes_no_backend(self, backend):
         from repro.scenarios import SolverSpec
 
-        with pytest.raises(ValidationError):
-            SolverSpec(algorithm="dv-hop", backend="lm")
+        with pytest.raises(TypeError):
+            SolverSpec(algorithm="dv-hop", backend=backend)
 
-    def test_multilateration_imports_no_optimizer(self):
-        module = importlib.import_module("repro.core.multilateration")
-        assert not hasattr(module, "least_squares")
+    def test_canonical_solver_has_no_backend(self):
+        from repro.scenarios import all_scenarios
+
+        for spec in all_scenarios().values():
+            assert "backend" not in spec.canonical()["solver"]
+
+    def test_ext_distributed_not_registered(self):
+        import repro.experiments as experiments
+
+        assert "ext-distributed" not in experiments.all_experiments()
+        assert not hasattr(experiments, "ext_distributed_batched")

@@ -66,6 +66,12 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="min_separation_m"):
             DeploymentSpec(kind="uniform", n_nodes=10, min_separation_m=value)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_town_separation_must_be_finite_non_negative(self, value):
+        # Refused at construction, not at the first trial's town_layout.
+        with pytest.raises(ValidationError, match="min_separation_m"):
+            DeploymentSpec(kind="town", n_nodes=59, min_separation_m=value)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -10.0])
     def test_grid_spacing_must_be_finite_positive(self, value):
         with pytest.raises(ValidationError, match="spacing_m"):
@@ -104,32 +110,9 @@ class TestSpecValidation:
         spec = AnchorSpec(count=10)
         assert spec.fraction is None and spec.n_anchors(36) == 10
 
-    def test_dv_hop_backend_normalized_into_hash(self):
-        default = SolverSpec(algorithm="dv-hop")
-        explicit = SolverSpec(algorithm="dv-hop", backend="gradient")
-        assert default == explicit  # same physics, same hash
-        assert default.backend == "gradient"
-
-    @pytest.mark.parametrize(
-        "algorithm, backend",
-        [
-            ("multilateration", "batched"),
-            ("multilateration", "lm"),
-            ("dv-hop", "lm"),
-            ("dv-hop", "batched"),
-            ("lss", "scalar"),
-            ("lss", "batched"),
-            ("distributed-lss", "lm"),
-        ],
-    )
-    def test_backend_no_trial_can_run_rejected(self, algorithm, backend):
-        # Refused at construction: a backend its trial cannot run, or
-        # (lss) one that runs the same solver under a different hash.
-        with pytest.raises(ValidationError, match="backend"):
-            SolverSpec(algorithm=algorithm, backend=backend)
-
     def test_backend_rejected_through_overrides(self):
-        with pytest.raises(ValidationError, match="backend"):
+        # Each algorithm has one solver: the field is gone, not validated.
+        with pytest.raises(ValidationError, match="unknown spec field 'backend'"):
             get_scenario("town-lss").with_overrides(**{"solver.backend": "scalar"})
 
     def test_lss_must_be_anchor_free(self):
@@ -203,7 +186,7 @@ class TestSpecHashing:
             ("anchors.count", 7),
             ("ranging.sigma_m", 0.34),
             ("ranging.max_range_m", 21.0),
-            ("solver.backend", "scalar"),
+            ("solver.restarts", 5),
             ("n_trials", 4),
             ("target_metric", "median_error_m"),
         ],
@@ -412,14 +395,6 @@ class TestScenarioTrial:
         assert metrics["fraction_localized"] == 1.0
         assert metrics["n_local_maps"] == 16.0
         assert metrics["mean_error_m"] < 2.0
-
-    def test_distributed_lss_backend_normalized(self):
-        spec = SolverSpec(algorithm="distributed-lss")
-        assert spec.backend == "batched"
-        scalar = SolverSpec(algorithm="distributed-lss", backend="scalar")
-        assert scalar.backend == "scalar"
-        with pytest.raises(ValidationError):
-            SolverSpec(algorithm="distributed-lss", backend="lm")
 
     def test_distributed_lss_degenerate_draw_yields_nan(self):
         # Too sparse to build any local map at the root: nan metrics,

@@ -17,23 +17,23 @@ from repro.scenarios.runner import scenario_run_key
 from repro.store import ResultStore
 
 SPEC_HASHES = {
-    "uniform-multilateration": "fdc1471813ba84adb9784bdb692cafe8a7cf238f417e41ca1e67759a3d647519",
-    "town-multilateration": "3e18434e8b617148b7e8c282346e4e71b0f445f4ea9778ed4329ff628f939228",
-    "town-lss": "f3f69ea234cce58ed6d2e0dc658f0b1d89329f6f7714eb3880e331043158eae3",
-    "town-distributed-lss": "c217927425f09e1116204079e07580e630ff6a376c2be49135b4e123f0ff415b",
-    "grid-distributed-lss": "0fb3a95bf9e7d6b86899d6cb9ecf4057ed4090437ddea550430c51c0b6ad79c7",
-    "uniform-sparse-multilateration": "de792b18386ad1c072d0e324243e7cf159632670052a8b2818de79c5ce991f7c",
-    "uniform-dense-multilateration": "bc44f42e5f4f1cd96fb4991f07bbbcef452ce091910c41da3038c02a9c893a1d",
-    "uniform-noisy-multilateration": "ae0fddf61f01ed5bde6482ac041153b6538f15d570a2db6473d0b4b2948d062e",
-    "paper-grid-multilateration": "ab5df684cdc39504d88cab41a81ee96f993468c3bb144010d37ca6f0913baa45",
-    "uniform-dv-hop": "d5de0843e6c846f96bd00f3c29b562a9a6dd813f30bae24443c5c942478b7391",
-    "acoustic-grass-grid": "5f537183b5374a5a8a3ba81320b1536481afe977268391e6c77f0be27d4bf492",
-    "acoustic-urban-grid": "b6680078b31c0aeb8146e90a5dd54c333bf723e7d8633ba634665893aa8993ac",
+    "uniform-multilateration": "3b70991fa4a74b4bd51604e84ac3b25430e31625170def15dc47c723c7ebf67c",
+    "town-multilateration": "ccc2049190142536003daeebe12780bf734333ed5d161d6401373fbab90216ef",
+    "town-lss": "11c77091093fe62266570f6170c7156e2f34b1878713302961484cd0a8298265",
+    "town-distributed-lss": "c4ae9024c4709e0a3e6dc5e6dbde4ce592c6901c052dd7a50f03503adce01e41",
+    "grid-distributed-lss": "afcb7f20b1061b75a57339ccd9dd52f0baf106a3a91a2225bd51d421c65d8358",
+    "uniform-sparse-multilateration": "be75d0cb17f87a4f25e4734239322aa477f8c2a46fc2f0695d47a16023f18ce3",
+    "uniform-dense-multilateration": "90a1e3a50f168ecbe774698f7591e5dcaad54b3523232072e55c217a354fbe4d",
+    "uniform-noisy-multilateration": "ee9ecba6c2f49852cdb4a4947e274353fa87576e98ef7901989ab4973a9784ab",
+    "paper-grid-multilateration": "9d46f9d75bac3ea4fc25f0b7b00f7a3e9a3b2b288859a7e542f157a73d6d60be",
+    "uniform-dv-hop": "e9769bd09345e4d2ea5fcf7035d41b9403f45e5e5a4957f7c260d142504c3f0b",
+    "acoustic-grass-grid": "10b2fe431b138424aa2f40ff0865c38ed250f79c0a53a3bb1f4bbf3060a56d4a",
+    "acoustic-urban-grid": "434b147dc813c47c46cd47fd59ab00a3fea59df9024d9b7184e8feee470b5797",
 }
 
 #: Store key and SHA-256 of the stored bytes of ``uniform-multilateration``
 #: run for 2 trials at master seed 0 under code version "v1".
-CAMPAIGN_KEY = "9f17dedb20cd15b12d21cf4b568f99d1572350db1a8f89d63f96278f95fbbc46"
+CAMPAIGN_KEY = "2c19a8c6171425e6af2ce83ecd5c5535ed57b2b32a5ad3f0eb993dea535d875d"
 CAMPAIGN_BYTES_SHA256 = "401750545d46766262945996e66681f98779b8eef22ef420aae7917e6fbaab4b"
 
 
