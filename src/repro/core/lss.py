@@ -154,17 +154,18 @@ def _prepare_edges(measurements, n_nodes: int) -> EdgeList:
 
 
 def _constraint_pairs(n_nodes: int, measured_pairs: np.ndarray) -> np.ndarray:
-    """All undirected pairs with no measurement (the soft-constraint set)."""
-    measured = set(map(tuple, measured_pairs.tolist()))
-    iu = np.triu_indices(n_nodes, k=1)
-    unmeasured = [
-        (int(i), int(j))
-        for i, j in zip(iu[0], iu[1])
-        if (int(i), int(j)) not in measured
-    ]
-    if not unmeasured:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.asarray(unmeasured, dtype=np.int64)
+    """All undirected pairs with no measurement (the soft-constraint set),
+    as ``(i, j)`` rows with ``i < j`` in ``triu_indices`` order.
+
+    A measured pair counts in either orientation: ``(j, i)`` measures
+    ``(i, j)`` too.
+    """
+    measured = np.zeros((n_nodes, n_nodes), dtype=bool)
+    measured[measured_pairs[:, 0], measured_pairs[:, 1]] = True
+    measured[measured_pairs[:, 1], measured_pairs[:, 0]] = True
+    i, j = np.triu_indices(n_nodes, k=1)
+    unmeasured = ~measured[i, j]
+    return np.stack([i[unmeasured], j[unmeasured]], axis=1).astype(np.int64, copy=False)
 
 
 @dataclass

@@ -371,14 +371,35 @@ def _slot_pairs(n_slots: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n_slots, k=1)
 
 
-@lru_cache(maxsize=32)
+#: Largest anchor count whose :func:`_later_pair` mask is cached: its
+#: ``(2P, 2P)`` block is 506 x 506 (250 KB), and the masks of every
+#: cached count together stay under 1.5 MB.
+_LATER_PAIR_CACHE_MAX_K = 23
+
+
+def _later_rows(n_points: int, row0: int, rows: int) -> np.ndarray:
+    """Rows ``row0 .. row0 + rows`` of the ``(2P, 2P)`` mask over the
+    intersection points of a problem with ``2P = n_points`` points
+    (point ``t`` belongs to circle pair ``t // 2``): True where the
+    second point's pair comes after the first's.  Each unordered pair of
+    points from different circle pairs appears once."""
+    owner = np.arange(n_points) // 2
+    return owner[row0 : row0 + rows, None] < owner[None, :]
+
+
+@lru_cache(maxsize=None)
+def _cached_later_pair(k: int) -> np.ndarray:
+    return _later_rows(k * (k - 1), 0, k * (k - 1))
+
+
 def _later_pair(k: int) -> np.ndarray:
-    """``(2P, 2P)`` mask over the intersection points of a *k*-anchor
-    problem (point ``t`` belongs to circle pair ``t // 2``): True where
-    the second point's pair comes after the first's.  Each unordered
-    pair of points from different circle pairs appears once."""
-    owner = np.arange(k * (k - 1)) // 2
-    return owner[:, None] < owner[None, :]
+    """The whole :func:`_later_rows` mask of a *k*-anchor problem: cached
+    up to ``_LATER_PAIR_CACHE_MAX_K`` anchors and built per call above,
+    so the process does not keep a mask of every large count it has seen
+    (the largest whole block, ``k = 53``, is 7.6 MB)."""
+    if k <= _LATER_PAIR_CACHE_MAX_K:
+        return _cached_later_pair(k)
+    return _cached_later_pair.__wrapped__(k)
 
 
 def _vouch_block(
@@ -514,17 +535,17 @@ def _batch_consistency_keep(
             # One problem's block alone is over the bound: take the
             # problems one at a time and their point rows in tiles.
             chunk, tiles = 1, max(1, _FILTER_CHUNK_ELEMENTS // n_points)
+        whole = _later_pair(k) if tiles is None else None
         for start in range(0, m, chunk):
             c = min(chunk, m - start)
             hi = lo + c * n_pairs
             x = xs[lo:hi].reshape(c, n_points)
             y = ys[lo:hi].reshape(c, n_points)
             if tiles is None:
-                blocks = [(0, _later_pair(k))]
+                blocks = [(0, whole)]
             else:
-                owner = np.arange(n_points) // 2
                 blocks = (
-                    (r0, owner[r0 : r0 + tiles, None] < owner[None, :])
+                    (r0, _later_rows(n_points, r0, tiles))
                     for r0 in range(0, n_points, tiles)
                 )
             for row0, later in blocks:
@@ -710,18 +731,24 @@ def _use_candidates(n_valid: int, n_near: int) -> bool:
     return dropped > 0 and (n_near == 0 or dropped >= _VERLET_MIN_DROPPED)
 
 
-def _row_sums(terms: np.ndarray, slots: Optional[np.ndarray], shape) -> np.ndarray:
-    """Per-row pairwise sums of *terms* laid out on the dense *shape*.
+def _check_local_pairs(
+    pairs: np.ndarray, slots: np.ndarray, n_nodes: int, what: str
+) -> None:
+    """Raise unless every pair at the flat *slots* of the ``(B, S, 2)``
+    stack *pairs* indexes a node of its own problem, ``[0, n_nodes)``.
 
-    *slots* are the flat dense positions of *terms* (``None``: every
-    slot, in order).  Left-out slots read exact ``+0.0``, so the sum is
-    the dense ``sum(axis=1)`` of the same values, grouping included.
+    The body gathers flat rows ``b * n_nodes + i`` without bounds checks,
+    so an index past its problem would silently read the next problem's
+    node and a negative one the previous problem's.
     """
-    if slots is None:
-        return terms.reshape(shape).sum(axis=1)
-    dense = np.zeros(shape[0] * shape[1])
-    dense[slots] = terms
-    return dense.reshape(shape).sum(axis=1)
+    local = pairs.reshape(-1, 2)[slots]
+    bad = np.flatnonzero(((local < 0) | (local >= n_nodes)).any(axis=1))
+    if bad.size:
+        first = bad[0]
+        raise ValidationError(
+            f"{what} pair {local[first].tolist()} of problem "
+            f"{slots[first] // pairs.shape[1]} is outside [0, {n_nodes})"
+        )
 
 
 class _Lss:
@@ -754,11 +781,28 @@ class _Lss:
     sequential ``add.at`` calls in their order, and ``x + ±0.0 == x``
     makes the left-out ones immaterial.  The objective is the per-row
     pairwise ``sum(axis=1)`` of :func:`repro.core.lss.lss_error` over the
-    dense ``(B, E)`` and ``(B, C)`` layouts (:func:`_row_sums`).
+    dense ``(B, E)`` and ``(B, C)`` layouts, whose left-out slots hold
+    ``+0.0``.
 
-    Index arrays are built once per call, again at each :meth:`compact`,
-    and the constraint part at each candidate-list build.  ``rebuilds``
-    and ``terms`` count list builds and the term slots evaluated.
+    **Validated once.**  The constructor raises :class:`ValidationError`
+    for a read pair (a nonzero-weight edge slot or a valid constraint
+    slot) outside its problem's ``[0, N)``.  :meth:`compact` takes a
+    subset of validated rows and does not check again.
+
+    **Per epoch.**  Index arrays and the epoch's work buffers are built
+    at each selection (construction, :meth:`compact` and each candidate
+    list build), together with the views an epoch reads them through.
+    An epoch then gathers both endpoints of every term with one
+    ``take(..., mode="clip")`` (the indices are in range by
+    construction), runs every ufunc in place with ``out=``, and scatters
+    the one ``(2T, 2)`` weight buffer, laid out ``[edge i, edge j,
+    constraint i, constraint j]``, with one ``bincount``.  The operations
+    and their order are those of the allocating body they replaced, so
+    the bytes are too.  The returned objective and gradient are fresh
+    arrays; no buffer escapes the body.
+
+    ``rebuilds`` and ``terms`` count list builds and the term slots
+    evaluated.
     """
 
     def __init__(
@@ -772,6 +816,26 @@ class _Lss:
         constraint_weight: float,
         n_nodes: int,
     ) -> None:
+        self._index(
+            pairs, dists, weights, constraint_pairs, constraint_valid,
+            min_spacing_m, constraint_weight, n_nodes,
+        )
+        _check_local_pairs(self.pairs, self._edge_real, n_nodes, "edge")
+        if self.constrained:
+            _check_local_pairs(self.constraint_pairs, self._valid_slots, n_nodes, "constraint")
+
+    def _index(
+        self,
+        pairs: np.ndarray,
+        dists: np.ndarray,
+        weights: np.ndarray,
+        constraint_pairs: Optional[np.ndarray],
+        constraint_valid: Optional[np.ndarray],
+        min_spacing_m: Optional[float],
+        constraint_weight: float,
+        n_nodes: int,
+    ) -> None:
+        """Flat endpoints and slots of the read terms of the stacks."""
         self.pairs = np.asarray(pairs)
         self.dists = np.asarray(dists, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
@@ -787,7 +851,7 @@ class _Lss:
         rows = np.arange(n_batch, dtype=np.int64)[:, None, None] * n_nodes
 
         self._edge_shape = self.weights.shape
-        real = np.flatnonzero(self.weights)
+        real = self._edge_real = np.flatnonzero(self.weights)
         self._edge_slots = None if real.size == self.weights.size else real
         self._edge_ends = (rows + self.pairs).reshape(-1, 2)[real]
         self._edge_dists = self.dists.ravel()[real]
@@ -811,6 +875,7 @@ class _Lss:
             ]
             self._cutoff = min_spacing_m * (1.0 + _SKIN)
             self._limit = 0.5 * _SKIN * min_spacing_m * (1.0 - _REBUILD_SLACK)
+            self._constraint_weight2 = 2.0 * constraint_weight
         # A constrained body builds its candidate list at its first
         # evaluation, where the positions are known.
         self._built = not self.constrained
@@ -819,7 +884,8 @@ class _Lss:
 
     def compact(self, keep: np.ndarray) -> "_Lss":
         """The same body restricted to the problems where *keep* is set."""
-        body = _Lss(
+        body = object.__new__(type(self))
+        body._index(
             self.pairs[keep],
             self.dists[keep],
             self.weights[keep],
@@ -833,8 +899,9 @@ class _Lss:
         return body
 
     def _select(self, near: Optional[np.ndarray]) -> None:
-        """Gather indices and scatter bins for the real edges plus the
-        valid constraint pairs at *near* (``None``: every valid pair)."""
+        """Gather indices, scatter bins and work buffers for the real
+        edges plus the valid constraint pairs at *near* (``None``: every
+        valid pair)."""
         if self.constrained:
             slots = self._valid_slots
             self._con_ends = self._valid_ends
@@ -848,13 +915,62 @@ class _Lss:
         rows = np.concatenate([edge[:, 0], edge[:, 1], con[:, 0], con[:, 1]])
         self._bins = (2 * rows[:, None] + np.arange(2)).ravel()
 
+        self._allocate(edge.shape[0], con.shape[0])
+
+    def _allocate(self, n_edges: int, n_con: int) -> None:
+        """The epoch's work buffers for *n_edges* edge and *n_con*
+        constraint terms, and the views an epoch reads them through."""
+        n_terms = n_edges + n_con
+        self._n_con = n_con
+        self._gather = np.empty((2, n_terms, 2))
+        self._gather_i, self._gather_j = self._gather
+        diff = self._diff = np.empty((n_terms, 2))
+        self._dx, self._dy = diff[:, 0], diff[:, 1]
+        self._edge_diff, self._con_diff = diff[:n_edges], diff[n_edges:]
+        comp = self._comp = np.empty(n_terms)
+        self._edge_comp, self._con_comp = comp[:n_edges], comp[n_edges:]
+        safe = self._safe = np.empty(n_terms)
+        self._edge_safe, self._con_safe = safe[:n_edges], safe[n_edges:]
+        scatter = np.empty((2 * n_terms, 2))
+        self._scatter = scatter.reshape(-1)
+        self._edge_i = scatter[:n_edges]
+        self._edge_j = scatter[n_edges : 2 * n_edges]
+        self._con_i = scatter[2 * n_edges : 2 * n_edges + n_con]
+        self._con_j = scatter[2 * n_edges + n_con :]
+
+        self._resid = np.empty(n_edges)
+        self._coeff = np.empty(n_edges)
+        self._coeff_col = self._coeff[:, None]
+        # The objective sums the rows of the dense (B, E) layout, whose
+        # left-out slots stay +0.0; with none left out, that layout is
+        # the term buffer itself.
+        self._edge_term = np.empty(n_edges)
+        if self._edge_slots is None:
+            self._edge_rows = self._edge_term.reshape(self._edge_shape)
+            self._edge_dense = None
+        else:
+            self._edge_rows = np.zeros(self._edge_shape)
+            self._edge_dense = self._edge_rows.reshape(-1)
+        if n_con:
+            self._violation = np.empty(n_con)
+            if self._con_slots is None:
+                self._con_rows = self._violation.reshape(self._con_shape)
+                self._con_dense = None
+            else:
+                self._con_rows = np.zeros(self._con_shape)
+                self._con_dense = self._con_rows.reshape(-1)
+            self._con_coeff = np.empty(n_con)
+            self._con_coeff_col = self._con_coeff[:, None]
+            self._outside = np.empty(n_con, dtype=bool)
+
     def _stale(self, pts: np.ndarray) -> bool:
         """Whether the candidate list must be (re)built before *pts*."""
         if self._ref is None:
             return not self._built
-        moved = pts - self._ref
+        np.subtract(pts, self._ref, out=self._moved)
+        np.hypot(self._moved_x, self._moved_y, out=self._moved_norm)
         # ``not <`` so that a NaN displacement rebuilds too.
-        return not np.hypot(moved[..., 0], moved[..., 1]).max() < self._limit
+        return not np.maximum.reduce(self._moved_norm, axis=None) < self._limit
 
     def _build(self, pts: np.ndarray) -> None:
         """Build the Verlet candidate list at the stack *pts*."""
@@ -866,6 +982,9 @@ class _Lss:
         near = np.flatnonzero(~(np.hypot(diff[:, 0], diff[:, 1]) >= self._cutoff))
         if _use_candidates(ends.shape[0], near.size):
             self._ref = pts.copy()
+            self._moved = np.empty_like(self._ref)
+            self._moved_x, self._moved_y = self._moved[..., 0], self._moved[..., 1]
+            self._moved_norm = np.empty(self._ref.shape[:-1])
             self._select(near)
         else:
             self._ref = None
@@ -875,35 +994,54 @@ class _Lss:
         """Objective ``(B,)`` and gradient ``(B, N, 2)`` at the stack *pts*."""
         if self._stale(pts):
             self._build(pts)
-        n_edges = self._edge_ends.shape[0]
-        ends = np.take(pts.reshape(-1, 2), self._ends, axis=0)
-        diff = ends[0] - ends[1]
-        comp = np.hypot(diff[:, 0], diff[:, 1])
+        pts.reshape(-1, 2).take(self._ends, axis=0, out=self._gather, mode="clip")
+        diff, comp, safe = self._diff, self._comp, self._safe
+        np.subtract(self._gather_i, self._gather_j, out=diff)
+        np.hypot(self._dx, self._dy, out=comp)
         self.terms += comp.size
-        resid = comp[:n_edges] - self._edge_dists
-        value = _row_sums(self._edge_weights * resid**2, self._edge_slots, self._edge_shape)
-        safe = np.maximum(comp, 1e-12)
-        coeff = self._edge_weights2 * resid / safe[:n_edges]
-        contrib = coeff[:, None] * diff[:n_edges]
-        scatter = [contrib, -contrib]
-        if self._con_ends.shape[0]:
+        resid, term = self._resid, self._edge_term
+        np.subtract(self._edge_comp, self._edge_dists, out=resid)
+        np.square(resid, out=term)
+        np.multiply(self._edge_weights, term, out=term)
+        if self._edge_dense is not None:
+            self._edge_dense[self._edge_slots] = term
+        value = np.add.reduce(self._edge_rows, axis=1)
+        np.maximum(comp, 1e-12, out=safe)
+        coeff = self._coeff
+        np.multiply(self._edge_weights2, resid, out=coeff)
+        np.divide(coeff, self._edge_safe, out=coeff)
+        np.multiply(self._coeff_col, self._edge_diff, out=self._edge_i)
+        np.negative(self._edge_i, out=self._edge_j)
+        if self._n_con:
             d_min = self.min_spacing_m
-            ccomp = comp[n_edges:]
-            violation = np.minimum(ccomp, d_min) - d_min
-            value = value + self.constraint_weight * _row_sums(
-                violation**2, self._con_slots, self._con_shape
-            )
-            vcomp = safe[n_edges:]
-            vcoeff = 2.0 * self.constraint_weight * (vcomp - d_min) / vcomp
+            violation = self._violation
+            np.minimum(self._con_comp, d_min, out=violation)
+            np.subtract(violation, d_min, out=violation)
+            np.square(violation, out=violation)
+            if self._con_dense is not None:
+                self._con_dense[self._con_slots] = violation
+            penalty = np.add.reduce(self._con_rows, axis=1)
+            np.multiply(self.constraint_weight, penalty, out=penalty)
+            np.add(value, penalty, out=value)
+            vcoeff = self._con_coeff
+            np.subtract(self._con_safe, d_min, out=vcoeff)
+            np.multiply(self._constraint_weight2, vcoeff, out=vcoeff)
+            np.divide(vcoeff, self._con_safe, out=vcoeff)
             # Only violated pairs (estimate closer than d_min) exert force.
-            vcontrib = np.where(ccomp < d_min, vcoeff, 0.0)[:, None] * diff[n_edges:]
-            scatter += [vcontrib, -vcontrib]
-        grad = np.bincount(
-            self._bins,
-            weights=np.concatenate(scatter).ravel(),
-            minlength=self.n_bins,
-        )
+            outside = self._outside
+            np.less(self._con_comp, d_min, out=outside)
+            np.logical_not(outside, out=outside)
+            np.copyto(vcoeff, 0.0, where=outside)
+            np.multiply(self._con_coeff_col, self._con_diff, out=self._con_i)
+            np.negative(self._con_i, out=self._con_j)
+        grad = np.bincount(self._bins, weights=self._scatter, minlength=self.n_bins)
         return value, grad.reshape(pts.shape)
+
+
+def _check_configs(configs: np.ndarray) -> None:
+    """The body gathers flat ``(x, y)`` rows of a ``(B, N, 2)`` stack."""
+    if configs.ndim != 3 or configs.shape[2] != 2:
+        raise ValidationError(f"configs must have shape (B, N, 2), got {configs.shape}")
 
 
 def _shared_edge_body(
@@ -915,6 +1053,7 @@ def _shared_edge_body(
 ) -> _Lss:
     """The body for one edge list and constraint set shared by every
     configuration of *configs*: the broadcast special case of a stack."""
+    _check_configs(configs)
     n_batch, n_nodes = configs.shape[:2]
 
     def stack(a):
@@ -946,6 +1085,23 @@ def _padded_body(
 ) -> _Lss:
     """The body for per-problem (padded) edge and constraint stacks."""
     _require_constraint_mask(constraint_pairs, constraint_valid)
+    _check_configs(configs)
+    n_batch = configs.shape[0]
+    edge, con = np.shape(weights), np.shape(constraint_valid)
+    expected = [(pairs, edge + (2,)), (dists, edge)]
+    if constraint_pairs is not None:
+        expected.append((constraint_pairs, con + (2,)))
+    if (
+        edge[:1] != (n_batch,)
+        or len(edge) != 2
+        or (constraint_pairs is not None and (con[:1] != (n_batch,) or len(con) != 2))
+        or any(np.shape(stack) != shape for stack, shape in expected)
+    ):
+        raise ValidationError(
+            "padded stacks must be pairs (B, E, 2), dists and weights (B, E), "
+            f"constraint_pairs (B, C, 2) and constraint_valid (B, C), with B = {n_batch} "
+            "configurations"
+        )
     return _Lss(
         pairs,
         dists,
@@ -1110,24 +1266,36 @@ def _descend_one(
     pinned-row rules over the same body, with the objective, step size
     and stall count held as Python scalars: no masks, no per-problem
     bookkeeping.  Returns ``(pts, error, converged, epochs run)``.
+
+    The tail takes over *pts*, *grad* and *velocity* and writes into
+    them.  It computes ``momentum * velocity - alpha * grad`` in place
+    and the candidate into a spare buffer of its own.  An accepted step
+    swaps the point and spare buffers, so the returned points are one of
+    the two.  They stay untouched once the tail returns, and no body
+    keeps them (a candidate-list build keeps a copy).
     """
+    spare = np.empty_like(pts)
+    step = np.empty_like(pts)
     epoch = 0
     for epoch in range(1, epochs + 1):
         if pinned is not None:
             grad[:, pinned] = 0.0
-        velocity = momentum * velocity - alpha * grad
-        candidate = pts + velocity
-        value, candidate_grad = lss.value_and_grad(candidate)
+        np.multiply(momentum, velocity, out=velocity)
+        np.multiply(alpha, grad, out=step)
+        np.subtract(velocity, step, out=velocity)
+        np.add(pts, velocity, out=spare)
+        value, candidate_grad = lss.value_and_grad(spare)
         value = float(value[0])
         rejected = not value < current
         if rejected:
             # Overshoot kills the momentum (scalar rule).
-            velocity[...] = 0.0
+            velocity.fill(0.0)
             alpha *= 0.5
             stall += 1
         else:
             improvement = (current - value) / max(current, 1e-12)
-            pts, grad, current = candidate, candidate_grad, value
+            pts, spare = spare, pts
+            grad, current = candidate_grad, value
             alpha *= 1.05
             # A NaN improvement leaves the count alone, as in the stack.
             if improvement < tolerance:
@@ -1249,8 +1417,10 @@ def batch_lss_error_padded(
         Stacked configurations; problem ``b`` uses rows ``0..n_b`` and
         the rest is padding (never referenced by real edges).
     pairs : ndarray of int, shape (B, E, 2)
-        Per-problem edge endpoints in local indices; padded rows may
-        point anywhere valid (conventionally ``(0, 0)``).
+        Per-problem edge endpoints in local indices, each in ``[0, N)``
+        (:class:`ValidationError` names the first problem that is not);
+        zero-weight padded rows are never read (conventionally
+        ``(0, 0)``).
     dists, weights : ndarray of shape (B, E)
         Measured distances and weights; padded slots carry zero weight
         (and zero distance), so they contribute exactly ``0.0``.
@@ -1260,7 +1430,8 @@ def batch_lss_error_padded(
     constraint_valid : ndarray of bool, shape (B, C), optional
         Mask of real constraint slots; required when constraints are
         padded, because a padded ``(0, 0)`` pair has distance zero and
-        would otherwise register as a maximal violation.
+        would otherwise register as a maximal violation.  Masked slots
+        are never read; valid ones must index ``[0, N)``.
 
     Per problem this is :func:`repro.core.lss.lss_error` on the unpadded
     edge list, up to reduction order: zero-valued padding slots can

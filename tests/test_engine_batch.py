@@ -276,6 +276,28 @@ class TestConsistencyFilterIsThePaddedOracle:
         assert keep.tolist() == np.nonzero(expected)[0].tolist()
         assert peak <= 4 * 8 * limit
 
+    def test_mask_cache_keeps_small_anchor_counts_only(self):
+        """After a whole-block mask at every anchor count up to the
+        largest whole block (k = 53), the process keeps the masks of
+        k <= 23 only, about 1.3 MB; caching the last 32 counts kept
+        83 MB."""
+        import tracemalloc
+
+        engine_batch._cached_later_pair.cache_clear()
+        tracemalloc.start()
+        try:
+            for k in range(3, 54):
+                engine_batch._later_pair(k)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 2_000_000
+        assert engine_batch._cached_later_pair.cache_info().currsize == 21
+        # Built per call or cached, a mask is the same.
+        for k in (23, 24):
+            owner = np.arange(k * (k - 1)) // 2
+            assert np.array_equal(engine_batch._later_pair(k), owner[:, None] < owner)
+
     def test_counters_show_the_padding_is_gone(self):
         """One counter bundle per filter call: the problems, the
         anchor-count groups solved, and the point pairs that passed the

@@ -21,7 +21,7 @@ from repro.core.lss import (
     lss_localize,
     lss_localize_robust,
 )
-from repro.core.measurements import EdgeList, MeasurementSet
+from repro.core.measurements import EdgeList, MeasurementSet, as_edge_list
 from repro.deploy import paper_grid
 from repro.errors import InsufficientDataError, ValidationError
 from repro.ranging import gaussian_ranges
@@ -178,6 +178,51 @@ class TestErrorAndGradient:
             return
         stepped = pts - 1e-6 * grad
         assert lss_error(stepped, edges) <= value + 1e-12
+
+
+class TestConstraintPairs:
+    """The soft-constraint set is every unmeasured pair ``i < j``, in
+    ``triu_indices`` order."""
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [[0, 1], [1, 3], [2, 3]],
+            [[1, 0], [3, 1], [3, 2]],
+            [[1, 0], [1, 3], [3, 2], [0, 1]],
+        ],
+    )
+    def test_measured_pairs_count_in_either_orientation(self, pairs):
+        from repro.core.lss import _constraint_pairs
+
+        got = _constraint_pairs(4, np.array(pairs))
+        assert got.dtype == np.int64 and got.shape == (3, 2)
+        assert got.tolist() == [[0, 2], [0, 3], [1, 2]]
+
+    def test_reversed_edge_list_gets_the_canonical_set(self):
+        """A caller-built ``EdgeList`` with ``(j, i)`` rows constrains
+        the same pairs as its canonical twin: no measured pair is also
+        a soft-constraint pair."""
+        from repro.core.lss import _setup
+
+        rng = np.random.default_rng(1)
+        positions = rng.uniform(0.0, 30.0, size=(10, 2))
+        edges = as_edge_list(gaussian_ranges(positions, max_range_m=15.0, sigma_m=0.3, rng=rng))
+        reversed_edges = EdgeList(edges.pairs[:, ::-1].copy(), edges.distances, edges.weights)
+        config = LssConfig(min_spacing_m=3.0)
+        canonical = _setup(edges, 10, config, None, None).constraint_pairs
+        flipped = _setup(reversed_edges, 10, config, None, None).constraint_pairs
+        assert flipped.tobytes() == canonical.tobytes()
+        measured = {tuple(sorted(p)) for p in edges.pairs.tolist()}
+        assert measured.isdisjoint(map(tuple, flipped.tolist()))
+        assert len(measured) + len(flipped) == 10 * 9 // 2
+
+    def test_no_unmeasured_pair(self):
+        from repro.core.lss import _constraint_pairs
+
+        full = np.stack(np.triu_indices(4, k=1), axis=1)
+        empty = _constraint_pairs(4, full)
+        assert empty.shape == (0, 2) and empty.dtype == np.int64
 
 
 class TestLssLocalize:
