@@ -56,10 +56,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .. import telemetry
-from .._validation import ensure_rng
+from .._validation import check_positive, ensure_rng
 from ..errors import GraphDisconnectedError, InsufficientDataError, ValidationError
 from .geometry import apply_transform, compose_transforms
-from .lss import LssConfig, lss_localize
+from .lss import LssConfig, _trim_mask, lss_localize
 from .mds import mds_map, mds_map_stack
 from .measurements import EdgeList, as_edge_list, check_graph_edges
 from .transforms import TransformEstimate, estimate_transforms_closed_form_batch
@@ -106,6 +106,9 @@ class DistributedConfig:
         small neighborhood a single uncorroborated garbage range can
         warp the whole local frame; this is the local analogue of the
         paper's cross-node consistency checks.  ``None`` disables.
+
+    *min_spacing_m* and *residual_trim_m*, when set, must be positive
+    and finite (:class:`ValidationError` at construction).
     """
 
     local_lss: LssConfig = field(
@@ -121,6 +124,10 @@ class DistributedConfig:
             raise ValidationError("min_shared must be >= 2")
         if self.tree not in ("bfs", "best"):
             raise ValidationError("tree must be 'bfs' or 'best'")
+        if self.min_spacing_m is not None:
+            check_positive(self.min_spacing_m, "min_spacing_m")
+        if self.residual_trim_m is not None:
+            check_positive(self.residual_trim_m, "residual_trim_m")
 
     @property
     def effective_local_lss(self) -> LssConfig:
@@ -430,12 +437,7 @@ def _trim_local_edges(
     directions consistently, so even corroborated edges can be garbage,
     but they deserve more benefit of the doubt than one-shot ranges.
     """
-    diff = positions[edges.pairs[:, 0]] - positions[edges.pairs[:, 1]]
-    comp = np.hypot(diff[:, 0], diff[:, 1])
-    residuals = np.abs(comp - edges.distances)
-    drop = ((residuals > threshold_m) & (edges.weights < 1.0)) | (
-        residuals > 3.0 * threshold_m
-    )
+    drop = _trim_mask(edges, positions, threshold_m, 1.0)
     if not np.any(drop):
         return None
     keep = ~drop

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -80,9 +80,9 @@ class LssConfig:
 
     Gradient descent is the only solver: every round runs through the
     engine's batched kernel (:func:`repro.engine.batch.batch_lss_descend`
-    with a batch of one).  The scalar ``_descend_scalar`` and a scipy
-    L-BFGS-B run over :func:`lss_error`/:func:`lss_gradient` survive
-    only as oracles in the test suite.
+    with a batch of one).  A scalar descent and a scipy L-BFGS-B run
+    over :func:`lss_error`/:func:`lss_gradient` survive only as oracles
+    in the test suite (``tests/_oracles.py``, ``tests/test_lss.py``).
     """
 
     min_spacing_m: Optional[float] = None
@@ -186,6 +186,15 @@ class _LssSetup:
         return pts
 
 
+def _init_span(config: LssConfig, distances: np.ndarray, n_nodes: int) -> float:
+    """Side of the square random starts are drawn from: *init_span_m*,
+    or a square comfortably containing a configuration whose edges have
+    the measured lengths."""
+    if config.init_span_m is not None:
+        return config.init_span_m
+    return max(1.0, float(np.median(distances)) * math.sqrt(n_nodes))
+
+
 def _setup(
     measurements,
     n_nodes: int,
@@ -194,19 +203,15 @@ def _setup(
     fixed_positions: Optional[Dict[int, Sequence[float]]],
 ) -> _LssSetup:
     """Edge list, constraint pairs, init span, pins and starting
-    configuration shared by :func:`lss_localize` and
-    :func:`repro.engine.batch.lss_localize_multistart`."""
+    configuration of a shared-edge LSS stack (:func:`lss_localize` and
+    :func:`repro.engine.batch.lss_localize_multistart`)."""
     edges = _prepare_edges(measurements, n_nodes)
 
     constraint_pairs = None
     if config.min_spacing_m is not None:
         constraint_pairs = _constraint_pairs(n_nodes, edges.pairs)
 
-    span = config.init_span_m
-    if span is None:
-        # A square comfortably containing a configuration whose edges
-        # have the measured lengths.
-        span = max(1.0, float(np.median(edges.distances)) * math.sqrt(n_nodes))
+    span = _init_span(config, edges.distances, n_nodes)
 
     free_mask = np.ones(n_nodes, dtype=bool)
     pins: Dict[int, np.ndarray] = {}
@@ -216,8 +221,8 @@ def _setup(
             if not 0 <= node_id < n_nodes:
                 raise ValidationError(f"fixed node id {node_id} outside [0, {n_nodes})")
             arr = np.asarray(pos, dtype=float)
-            if arr.shape != (2,):
-                raise ValidationError("fixed positions must be (x, y) pairs")
+            if arr.shape != (2,) or not np.all(np.isfinite(arr)):
+                raise ValidationError("fixed positions must be finite (x, y) pairs")
             pins[node_id] = arr
             free_mask[node_id] = False
 
@@ -296,99 +301,6 @@ def lss_gradient(
     return grad
 
 
-def _descend(
-    pts: np.ndarray,
-    edges: EdgeList,
-    constraint_pairs: Optional[np.ndarray],
-    config: LssConfig,
-    trace: List[float],
-    free_mask: np.ndarray,
-) -> Tuple[np.ndarray, float, bool]:
-    """One gradient-descent round through the engine's batched kernel.
-
-    Runs :func:`repro.engine.batch.batch_lss_descend` with a batch of
-    one.  The kernel's descent loop runs a stack of one on its
-    single-problem tail from the first epoch, under the same rules and
-    over the same body as the stacked rounds of multi-seed campaigns
-    (whose last straggler takes the same tail), so a
-    single-configuration round and a stacked round follow identical
-    per-configuration trajectories.
-    """
-    from ..engine.batch import batch_lss_descend
-
-    traces: List[List[float]] = [trace]
-    out, errors, converged = batch_lss_descend(
-        pts[None, :, :],
-        edges,
-        constraint_pairs,
-        min_spacing_m=config.min_spacing_m,
-        constraint_weight=config.constraint_weight,
-        step_size=config.step_size,
-        max_epochs=config.max_epochs,
-        tolerance=config.tolerance,
-        free_mask=free_mask,
-        traces=traces,
-    )
-    return out[0], float(errors[0]), bool(converged[0])
-
-
-def _descend_scalar(
-    pts: np.ndarray,
-    edges: EdgeList,
-    constraint_pairs: Optional[np.ndarray],
-    config: LssConfig,
-    trace: List[float],
-    free_mask: np.ndarray,
-) -> Tuple[np.ndarray, float, bool]:
-    """One gradient-descent round from *pts*; returns (best, error, converged).
-
-    The pre-engine scalar implementation, kept verbatim as the test
-    oracle of the batched/scalar parity contract: :func:`_descend`
-    reproduces it byte for byte, and tests substitute it for
-    :func:`_descend` (which :func:`lss_localize` looks up at call time)
-    to run the reference path end to end.
-    """
-    kwargs = dict(
-        constraint_pairs=constraint_pairs,
-        min_spacing_m=config.min_spacing_m,
-        constraint_weight=config.constraint_weight,
-    )
-    current = lss_error(pts, edges, **kwargs)
-    alpha = config.step_size
-    momentum = 0.9
-    velocity = np.zeros_like(pts)
-    patience = 50
-    stall = 0
-    converged = False
-    for _ in range(config.max_epochs):
-        grad = lss_gradient(pts, edges, **kwargs)
-        grad[~free_mask] = 0.0
-        velocity = momentum * velocity - alpha * grad
-        candidate = pts + velocity
-        value = lss_error(candidate, edges, **kwargs)
-        if value < current:
-            improvement = (current - value) / max(current, 1e-12)
-            pts = candidate
-            current = value
-            alpha *= 1.05
-            stall = stall + 1 if improvement < config.tolerance else 0
-        else:
-            # Overshoot: damp the step and kill the momentum so the
-            # next step is a plain (smaller) gradient step.
-            alpha *= 0.5
-            velocity[:] = 0.0
-            stall += 1
-            if alpha < 1e-14:
-                converged = True
-                trace.append(current)
-                break
-        trace.append(current)
-        if stall >= patience:
-            converged = True
-            break
-    return pts, current, converged
-
-
 def lss_localize(
     measurements,
     n_nodes: int,
@@ -418,57 +330,32 @@ def lss_localize(
         an extension; the paper's runs are fully anchor-free).
     rng : None, int or Generator
         Randomness for initialization and perturbation restarts.
+
+    The rounds run on the engine's one restart driver as a stack of one
+    configuration, the driver :func:`repro.engine.lss_localize_multistart`
+    runs with one configuration per seed.
     """
-    config = config if config is not None else LssConfig()
-    rng = ensure_rng(rng)
-    setup = _setup(measurements, n_nodes, config, initial, fixed_positions)
-    edges, constraint_pairs = setup.edges, setup.constraint_pairs
-    if setup.initial is not None:
-        pts = setup.initial
-    else:
-        pts = rng.uniform(0.0, setup.span, size=(n_nodes, 2))
-    setup.pin(pts)
+    from ..engine.batch import _lss_stack
 
-    kwargs = dict(
-        constraint_pairs=constraint_pairs,
-        min_spacing_m=config.min_spacing_m,
-        constraint_weight=config.constraint_weight,
-    )
-    trace: List[float] = []
-    boundaries: List[int] = []
-    best_pts = pts
-    best_error = lss_error(pts, edges, **kwargs)
-    converged = False
-    for round_index in range(config.restarts):
-        boundaries.append(len(trace))
-        if round_index == 0:
-            seed = best_pts
-        else:
-            seed = setup.pin(
-                best_pts + rng.normal(0.0, config.perturbation_m, size=(n_nodes, 2))
-            )
-        out_pts, out_error, converged = _descend(
-            seed, edges, constraint_pairs, config, trace, setup.free_mask
-        )
-        if out_error < best_error:
-            best_pts = out_pts
-            best_error = out_error
+    rngs = [ensure_rng(rng)]
+    return _lss_stack(measurements, n_nodes, config, rngs, initial, fixed_positions)[0]
 
-    stress = lss_error(
-        best_pts,
-        edges,
-        constraint_pairs=None,
-        min_spacing_m=None,
-        constraint_weight=0.0,
-    )
-    return LssResult(
-        positions=np.asarray(best_pts, dtype=float),
-        error=float(best_error),
-        stress=float(stress),
-        error_trace=np.asarray(trace, dtype=float),
-        round_boundaries=boundaries,
-        epochs_run=len(trace),
-        converged=converged,
+
+def _trim_mask(
+    edges: EdgeList, positions: np.ndarray, threshold_m: float, max_weight: float
+) -> np.ndarray:
+    """Edges a residual trim drops after a fit at *positions*.
+
+    An edge goes when its fit residual exceeds *threshold_m* and its
+    weight is below *max_weight*, or when the residual exceeds three
+    times *threshold_m* whatever its weight: corroborated edges get more
+    benefit of the doubt, not immunity.
+    """
+    diff = positions[edges.pairs[:, 0]] - positions[edges.pairs[:, 1]]
+    comp = np.hypot(diff[:, 0], diff[:, 1])
+    residuals = np.abs(comp - edges.distances)
+    return ((residuals > threshold_m) & (edges.weights < max_weight)) | (
+        residuals > 3.0 * threshold_m
     )
 
 
@@ -494,23 +381,17 @@ def lss_localize_robust(
     configuration is more likely a noise-burst artifact than evidence.
 
     Corroborated edges (weight >= *trim_max_weight*) are held to a 3x
-    looser threshold, mirroring
-    :func:`repro.core.distributed.build_local_maps`.
+    looser threshold, the rule :func:`repro.core.distributed.build_local_maps`
+    applies too (:func:`_trim_mask`).
     """
-    if trim_residual_m <= 0:
-        raise ValidationError("trim_residual_m must be positive")
+    check_positive(trim_residual_m, "trim_residual_m")
     if max_trim_rounds < 0:
         raise ValidationError("max_trim_rounds must be non-negative")
     rng = ensure_rng(rng)
     edges = _prepare_edges(measurements, n_nodes)
     result = lss_localize(edges, n_nodes, config=config, rng=rng, **kwargs)
     for _ in range(max_trim_rounds):
-        diff = result.positions[edges.pairs[:, 0]] - result.positions[edges.pairs[:, 1]]
-        comp = np.hypot(diff[:, 0], diff[:, 1])
-        residuals = np.abs(comp - edges.distances)
-        drop = ((residuals > trim_residual_m) & (edges.weights < trim_max_weight)) | (
-            residuals > 3.0 * trim_residual_m
-        )
+        drop = _trim_mask(edges, result.positions, trim_residual_m, trim_max_weight)
         if not np.any(drop) or (~drop).sum() < 3:
             break
         edges = EdgeList(

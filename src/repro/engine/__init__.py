@@ -19,13 +19,16 @@ This subsystem provides the batched substrate those campaigns run on:
     only real edge slots and the constraint pairs of a Verlet candidate
     list (pairs within ``1.5 d_min``, rebuilt once a node has moved
     ``d_min / 4``); every term it leaves out is an exact zero, so the
-    results are the bytes of evaluating every slot.
+    results are the bytes of evaluating every slot.  One restart driver
+    runs the paper's perturbation rounds for both layouts: centralized
+    LSS (a stack of one), :func:`lss_localize_multistart` (one
+    configuration per seed) and the local maps below.
 :mod:`repro.engine.localmaps`
     The distributed-LSS local-map solver: every node's one-hop
-    neighborhood problem of a refinement round advances through its
-    perturbation-restart rounds in one stacked descent
-    (:func:`solve_local_lss_stack`), the path
-    ``repro.core.distributed`` routes through by default.
+    neighborhood problem of a refinement round is padded into one stack
+    that the shared restart driver advances through its
+    perturbation-restart rounds (:func:`solve_local_lss_stack`), the
+    path ``repro.core.distributed`` routes through by default.
 :mod:`repro.engine.campaign`
     A seeded Monte-Carlo campaign runner: independent trials fan out
     across ``multiprocessing`` workers, each trial drawing its own
@@ -59,10 +62,13 @@ as the scalar reference.  Each reference is a private test oracle that
 tests substitute for the production function, and no production path
 calls it: ``repro.core.multilateration._solve_batch_scalar`` for
 :func:`repro.engine.batch.solve_multilateration_batch` (the
-multilateration and APS callers), ``repro.core.lss._descend_scalar``
-for ``lss._descend``, and
+multilateration and APS callers), the scalar LSS round in
+``tests/_oracles.py`` for the restart driver's per-round seam
+``repro.engine.batch._lss_round``, and
 ``repro.core.distributed._solve_local_maps_scalar`` for
-``_solve_local_maps_batched``.  Batched and
+``_solve_local_maps_batched``.  The intersection consistency filter
+``repro.core.multilateration.intersection_consistency_filter`` is the
+reference of the batched keep mask, checked with batches of one.  Batched and
 scalar runs from the same seed must therefore agree to floating-point
 reduction tolerance, and unpadded LSS stacks go further: their
 objective, gradient and descent add every term in the scalar order, so
@@ -91,7 +97,6 @@ from .batch import (
     batch_lss_error_padded,
     batch_lss_gradient,
     batch_lss_gradient_padded,
-    consistency_filter_fast,
     lss_localize_multistart,
     solve_multilateration_batch,
 )
@@ -120,7 +125,6 @@ __all__ = [
     "batch_lss_error_padded",
     "batch_lss_gradient",
     "batch_lss_gradient_padded",
-    "consistency_filter_fast",
     "lss_localize_multistart",
     "solve_multilateration_batch",
     "LocalLssProblem",

@@ -1,20 +1,21 @@
 """Batched NumPy solver kernels (see :mod:`repro.engine` for layout).
 
 Every kernel here is the vectorized twin of a scalar reference
-implementation in :mod:`repro.core`:
+implementation, in :mod:`repro.core` or in the test suite:
 
 ====================================  =====================================
 batched kernel                        scalar reference
 ====================================  =====================================
 :func:`batch_gradient_descent`        ``multilateration._gradient_descent_solve``
-:func:`consistency_filter_fast`       ``multilateration.intersection_consistency_filter``
+:func:`_batch_consistency_keep`       ``multilateration.intersection_consistency_filter``
 :func:`solve_multilateration_batch`   ``multilateration._solve_batch_scalar``
 :func:`batch_lss_error`               ``lss.lss_error``
 :func:`batch_lss_gradient`            ``lss.lss_gradient``
-:func:`batch_lss_descend`             ``lss._descend_scalar``
+:func:`batch_lss_descend`             ``tests/_oracles.py``: ``descend_scalar``
 :func:`batch_lss_error_padded`        ``lss.lss_error`` (per problem)
 :func:`batch_lss_gradient_padded`     ``lss.lss_gradient`` (per problem)
-:func:`batch_lss_descend_padded`      ``lss._descend_scalar`` (per problem)
+:func:`batch_lss_descend_padded`      ``descend_scalar`` (per problem)
+:func:`_lss_restarts`                 ``tests/_restart_oracle.py``
 ====================================  =====================================
 
 All LSS kernels run one fused value-and-gradient body and one
@@ -29,12 +30,16 @@ local-map problem for a refinement round in one descent loop.  The
 *shared-edge* kernels (:func:`batch_lss_error` et al.) advance
 configurations of **one** problem — multi-seed/multi-restart campaigns
 and centralized LSS — and are the special case with no padding: the
-one edge list is broadcast over the stack.
+one edge list is broadcast over the stack.  Both layouts run the
+paper's perturbation restarts through one driver,
+:func:`_lss_restarts`: centralized LSS is a shared-edge stack of one,
+:func:`lss_localize_multistart` one configuration per seed, and
+:func:`repro.engine.localmaps.solve_local_lss_stack` a padded stack.
 
 The LSS body adds every objective and gradient term in the order of
 the scalar ``lss_error``/``lss_gradient``, so an unpadded stack is
 bytewise the scalar oracle and :func:`batch_lss_descend` is bytewise
-``lss._descend_scalar`` per configuration.  Padded stacks keep the
+``descend_scalar`` per configuration.  Padded stacks keep the
 gradient bytes; their objectives agree to reduction tolerance, because
 zero-valued padding slots can regroup the pairwise sum.  The body
 evaluates only the terms that can be nonzero — real edge slots and a
@@ -68,48 +73,9 @@ __all__ = [
     "batch_lss_error_padded",
     "batch_lss_gradient",
     "batch_lss_gradient_padded",
-    "consistency_filter_fast",
     "lss_localize_multistart",
     "solve_multilateration_batch",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Vectorized intersection consistency filter (Section 4.1.2)
-# ---------------------------------------------------------------------------
-
-
-def consistency_filter_fast(
-    anchor_positions: np.ndarray,
-    distances: np.ndarray,
-    *,
-    cluster_radius_m: float = 1.0,
-) -> np.ndarray:
-    """Vectorized intersection consistency filter for one problem.
-
-    Same semantics as
-    :func:`repro.core.multilateration.intersection_consistency_filter`
-    (anchors whose range circles produce no intersection point within
-    *cluster_radius_m* of a point from a *different* circle pair are
-    dropped; the full set is returned when fewer than three anchors
-    survive).  This is the batch-of-one view of the same
-    :func:`_batch_consistency_keep` kernel the network solver runs, so
-    parity tests against the scalar reference exercise exactly the hot
-    path.  Inputs are trusted; use the core function for validated
-    user-facing calls.
-    """
-    anchors = np.asarray(anchor_positions, dtype=float)
-    dists = np.asarray(distances, dtype=float)
-    n = anchors.shape[0]
-    if n < 3:
-        return np.arange(n)
-    keep = _batch_consistency_keep(
-        anchors[None, :, :],
-        dists[None, :],
-        np.ones((1, n), dtype=bool),
-        cluster_radius_m,
-    )[0]
-    return np.nonzero(keep)[0].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -1141,10 +1107,10 @@ def _descend(
     """One momentum-descent round over the stack *pts* (may be overwritten).
 
     Each problem follows the accept/reject schedule of the scalar round
-    (``repro.core.lss._descend_scalar``): x1.05 step on improvement, /2
-    with momentum reset on overshoot, early stop after *patience*
-    stalled epochs or when the step underflows, each problem on its own
-    step size.
+    (``descend_scalar`` in ``tests/_oracles.py``): x1.05 step on
+    improvement, /2 with momentum reset on overshoot, early stop after
+    *patience* stalled epochs or when the step underflows, each problem
+    on its own step size.
 
     Per epoch the objective and gradient are evaluated together at the
     candidate.  An accepted candidate's gradient is kept for the next
@@ -1362,11 +1328,11 @@ def batch_lss_descend(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One momentum-gradient-descent round over stacked configurations.
 
-    Per configuration this is bytewise ``repro.core.lss._descend_scalar``
-    (points, error, converged flag and trace): the stack shares one edge
-    list, so it runs the padded kernels' body and descent loop with no
-    padding at all.  Finished configurations leave the working stack
-    while the rest keep descending.
+    Per configuration this is bytewise the scalar oracle
+    ``descend_scalar`` (points, error, converged flag and trace): the
+    stack shares one edge list, so it runs the padded kernels' body and
+    descent loop with no padding at all.  Finished configurations leave
+    the working stack while the rest keep descending.
 
     Parameters
     ----------
@@ -1517,6 +1483,156 @@ def batch_lss_descend_padded(
     return run.configs, run.errors, run.converged
 
 
+# ---------------------------------------------------------------------------
+# Perturbation restarts (Section 4.2)
+# ---------------------------------------------------------------------------
+
+
+class _PaddedStack(NamedTuple):
+    """The per-problem edge and constraint stacks of padded problems
+    (layout: :func:`batch_lss_error_padded`)."""
+
+    pairs: np.ndarray
+    dists: np.ndarray
+    weights: np.ndarray
+    constraint_pairs: Optional[np.ndarray]
+    constraint_valid: Optional[np.ndarray]
+
+    def pin(self, pts: np.ndarray) -> np.ndarray:
+        """Padded problems pin no node."""
+        return pts
+
+
+def _lss_round(problem, seeds: np.ndarray, config, traces) -> Tuple[np.ndarray, ...]:
+    """One restart round: descend the stack *seeds* of *problem*.
+
+    A :class:`_PaddedStack` runs :func:`batch_lss_descend_padded`; a
+    shared-edge problem (``repro.core.lss._LssSetup``) runs
+    :func:`batch_lss_descend` with its pins and appends to *traces*.
+    Returns ``(configs, errors, converged)``.  :func:`_lss_restarts`
+    looks this function up at call time, so tests can substitute
+    another solver for every round.
+    """
+    if isinstance(problem, _PaddedStack):
+        return batch_lss_descend_padded(
+            seeds,
+            problem.pairs,
+            problem.dists,
+            problem.weights,
+            constraint_pairs=problem.constraint_pairs,
+            constraint_valid=problem.constraint_valid,
+            min_spacing_m=config.min_spacing_m,
+            constraint_weight=config.constraint_weight,
+            step_size=config.step_size,
+            max_epochs=config.max_epochs,
+            tolerance=config.tolerance,
+        )
+    return batch_lss_descend(
+        seeds,
+        problem.edges,
+        problem.constraint_pairs,
+        min_spacing_m=config.min_spacing_m,
+        constraint_weight=config.constraint_weight,
+        step_size=config.step_size,
+        max_epochs=config.max_epochs,
+        tolerance=config.tolerance,
+        free_mask=problem.free_mask,
+        traces=traces,
+    )
+
+
+def _lss_restarts(
+    problem,
+    best: np.ndarray,
+    best_error: np.ndarray,
+    noise: np.ndarray,
+    config,
+    traces: Optional[List[List[float]]] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[List[int]]]:
+    """The paper's perturbation restarts over the stack *best*.
+
+    "The gradient descent starts each round of minimization with seed
+    positions obtained by perturbing the best results so far": round 0
+    descends from *best* (errors *best_error*), and every later round
+    ``r`` from ``best + noise[r - 1]`` with the pins written back.  Each
+    problem keeps the better of its best and its round's result, so the
+    stack's problems never interact.  Descents draw nothing: callers
+    draw *noise*, shape ``(restarts - 1, B, N, 2)``, before the first
+    round, in the order their generators must be consumed.
+
+    Returns ``(best, best_error, converged, boundaries)``: *converged*
+    is the last round's flags and *boundaries* each problem's trace
+    length at the start of every round (empty lists without *traces*).
+    """
+    boundaries: List[List[int]] = [[] for _ in range(best.shape[0])]
+    converged = np.zeros(best.shape[0], dtype=bool)
+    for round_index in range(config.restarts):
+        if traces is not None:
+            for marks, trace in zip(boundaries, traces):
+                marks.append(len(trace))
+        if round_index == 0:
+            seeds = best.copy()
+        else:
+            seeds = problem.pin(best + noise[round_index - 1])
+        out, errors, converged = _lss_round(problem, seeds, config, traces)
+        better = errors < best_error
+        best = np.where(better[:, None, None], out, best)
+        best_error = np.where(better, errors, best_error)
+    return best, best_error, converged, boundaries
+
+
+def _lss_stack(measurements, n_nodes: int, config, rngs, initial, fixed_positions) -> list:
+    """Shared-edge LSS with one configuration per generator of *rngs*.
+
+    Each generator draws its configuration's random start (unless
+    *initial* is given) and then, round by round across the generators,
+    its restart perturbations: with distinct generators every
+    configuration is the run :func:`repro.core.lss.lss_localize` makes
+    with that generator alone, and one generator listed twice is
+    consumed in that interleaved order.  Returns one ``LssResult`` per
+    generator.
+    """
+    from ..core.lss import LssConfig, LssResult, _setup, lss_error
+
+    config = config if config is not None else LssConfig()
+    setup = _setup(measurements, n_nodes, config, initial, fixed_positions)
+    n_batch = len(rngs)
+    best = np.empty((n_batch, n_nodes, 2))
+    if setup.initial is not None:
+        best[:] = setup.initial
+    else:
+        for b, rng in enumerate(rngs):
+            best[b] = rng.uniform(0.0, setup.span, size=(n_nodes, 2))
+    setup.pin(best)
+    noise = np.empty((config.restarts - 1, n_batch, n_nodes, 2))
+    for draws in noise:
+        for b, rng in enumerate(rngs):
+            draws[b] = rng.normal(0.0, config.perturbation_m, size=(n_nodes, 2))
+
+    constraints = dict(
+        constraint_pairs=setup.constraint_pairs,
+        min_spacing_m=config.min_spacing_m,
+        constraint_weight=config.constraint_weight,
+    )
+    best_error = np.array([lss_error(pts, setup.edges, **constraints) for pts in best])
+    traces: List[List[float]] = [[] for _ in range(n_batch)]
+    best, best_error, converged, boundaries = _lss_restarts(
+        setup, best, best_error, noise, config, traces
+    )
+    return [
+        LssResult(
+            positions=best[b],
+            error=float(best_error[b]),
+            stress=lss_error(best[b], setup.edges),
+            error_trace=np.asarray(traces[b], dtype=float),
+            round_boundaries=boundaries[b],
+            epochs_run=len(traces[b]),
+            converged=bool(converged[b]),
+        )
+        for b in range(n_batch)
+    ]
+
+
 def lss_localize_multistart(
     measurements,
     n_nodes: int,
@@ -1536,82 +1652,9 @@ def lss_localize_multistart(
     :func:`batch_lss_descend` call.  Returns one ``LssResult`` per seed,
     in order.
     """
-    from ..core.lss import LssConfig, LssResult, _setup, lss_error
     from .._validation import ensure_rng
 
-    config = config if config is not None else LssConfig()
     if len(seeds) == 0:
         raise ValidationError("seeds must contain at least one entry")
     rngs = [ensure_rng(seed) for seed in seeds]
-    n_batch = len(rngs)
-    setup = _setup(measurements, n_nodes, config, initial, fixed_positions)
-    edges, constraint_pairs = setup.edges, setup.constraint_pairs
-
-    pts = np.empty((n_batch, n_nodes, 2))
-    if setup.initial is not None:
-        pts[:] = setup.initial
-    else:
-        for b, rng in enumerate(rngs):
-            pts[b] = rng.uniform(0.0, setup.span, size=(n_nodes, 2))
-    setup.pin(pts)
-
-    traces: List[List[float]] = [[] for _ in range(n_batch)]
-    boundaries: List[List[int]] = [[] for _ in range(n_batch)]
-    best_pts = pts.copy()
-    best_error = batch_lss_error(
-        pts,
-        edges,
-        constraint_pairs=constraint_pairs,
-        min_spacing_m=config.min_spacing_m,
-        constraint_weight=config.constraint_weight,
-    )
-    converged = np.zeros(n_batch, dtype=bool)
-    for round_index in range(config.restarts):
-        for b in range(n_batch):
-            boundaries[b].append(len(traces[b]))
-        if round_index == 0:
-            seed_pts = best_pts.copy()
-        else:
-            seed_pts = np.empty_like(best_pts)
-            for b, rng in enumerate(rngs):
-                seed_pts[b] = best_pts[b] + rng.normal(
-                    0.0, config.perturbation_m, size=(n_nodes, 2)
-                )
-            setup.pin(seed_pts)
-        out_pts, out_error, converged = batch_lss_descend(
-            seed_pts,
-            edges,
-            constraint_pairs,
-            min_spacing_m=config.min_spacing_m,
-            constraint_weight=config.constraint_weight,
-            step_size=config.step_size,
-            max_epochs=config.max_epochs,
-            tolerance=config.tolerance,
-            free_mask=setup.free_mask,
-            traces=traces,
-        )
-        better = out_error < best_error
-        best_pts = np.where(better[:, None, None], out_pts, best_pts)
-        best_error = np.where(better, out_error, best_error)
-
-    results = []
-    for b in range(n_batch):
-        stress = lss_error(
-            best_pts[b],
-            edges,
-            constraint_pairs=None,
-            min_spacing_m=None,
-            constraint_weight=0.0,
-        )
-        results.append(
-            LssResult(
-                positions=np.asarray(best_pts[b], dtype=float),
-                error=float(best_error[b]),
-                stress=float(stress),
-                error_trace=np.asarray(traces[b], dtype=float),
-                round_boundaries=boundaries[b],
-                epochs_run=len(traces[b]),
-                converged=bool(converged[b]),
-            )
-        )
-    return results
+    return _lss_stack(measurements, n_nodes, config, rngs, initial, fixed_positions)

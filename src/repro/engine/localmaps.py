@@ -8,9 +8,11 @@ rigid transforms.  The scalar reference
 oracle) solves those neighborhoods one at a time; this module is the
 production path: every local map of a refinement round is
 padded into the ``(n_problems, max_nodes, 2)`` masked stacks of
-:func:`repro.engine.batch.batch_lss_descend_padded` and all problems
-advance through each perturbation-restart round in one vectorized
-descent loop.  The caller supplies each problem's starting
+:func:`repro.engine.batch.batch_lss_descend_padded`, and the engine's
+one restart driver (``repro.engine.batch._lss_restarts``, the same
+rounds centralized LSS runs) advances all problems through each
+perturbation-restart round in one vectorized descent.  The caller
+supplies each problem's starting
 configuration: :func:`repro.core.distributed.build_local_maps` seeds
 them with MDS-MAP, stacked by node count through
 :func:`repro.core.mds.mds_map_stack` (bytewise the scalar
@@ -23,8 +25,9 @@ momentum, Gaussian perturbation restarts from the best configuration so
 far, and the paper's soft minimum-spacing constraint over unmeasured
 pairs.  Randomness is consumed from the supplied generator in
 *problem-major* order (problem 0's initialization and all of its
-restart perturbations are drawn before problem 1's), the same order the
-scalar loop consumes it, so a batched run is deterministic given the
+restart perturbations are drawn before problem 1's, all before the
+first descent), the same order the scalar loop consumes it, so a
+batched run is deterministic given the
 generator state.  Because the scalar oracle interleaves each map's
 residual-trim refit draws with the next map's fit draws while the
 batched path phases them (all fits, then all refits), the two paths see
@@ -34,7 +37,6 @@ bit-for-bit; ``tests/test_distributed.py`` pins that agreement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -43,7 +45,7 @@ import numpy as np
 from .. import telemetry
 from .._validation import ensure_rng
 from ..errors import ValidationError
-from .batch import batch_lss_descend_padded, batch_lss_error_padded
+from .batch import _lss_restarts, _PaddedStack, batch_lss_error_padded
 
 __all__ = ["LocalLssProblem", "LocalLssSolution", "solve_local_lss_stack"]
 
@@ -98,11 +100,11 @@ def solve_local_lss_stack(
     constraint slots (exact-zero contributions, see
     :mod:`repro.engine.batch`).  All problems advance through
     ``config.restarts`` perturbation rounds together; per round the
-    whole stack runs one :func:`batch_lss_descend_padded` call.
+    whole stack runs one ``batch_lss_descend_padded`` call.
 
     Returns one :class:`LocalLssSolution` per problem, in order.
     """
-    from ..core.lss import LssConfig, _constraint_pairs
+    from ..core.lss import LssConfig, _constraint_pairs, _init_span
 
     config = config if config is not None else LssConfig()
     rng = ensure_rng(rng)
@@ -117,47 +119,31 @@ def solve_local_lss_stack(
         if np.any(problem.edges.pairs < 0) or np.any(problem.edges.pairs >= sizes[k]):
             raise ValidationError(f"problem {k} has edge indices outside [0, n_nodes)")
 
-    constraints: List[Optional[np.ndarray]] = [None] * n_problems
-    if config.min_spacing_m is not None:
-        constraints = [
-            _constraint_pairs(sizes[k], problems[k].edges.pairs)
-            for k in range(n_problems)
-        ]
-
     # Problem-major RNG consumption (see module docstring): draw each
     # problem's initialization and restart perturbations before moving
-    # to the next problem's.
-    initials: List[np.ndarray] = []
-    perturbations: List[List[np.ndarray]] = []
+    # to the next problem's.  Padding rows stay zero.
+    max_nodes = max(sizes)
+    best = np.zeros((n_problems, max_nodes, 2))
+    noise = np.zeros((config.restarts - 1, n_problems, max_nodes, 2))
     for k, problem in enumerate(problems):
+        n_nodes = sizes[k]
         if problem.initial is not None:
             init = np.asarray(problem.initial, dtype=float)
-            if init.shape != (sizes[k], 2):
+            if init.shape != (n_nodes, 2):
                 raise ValidationError(
-                    f"problem {k} initial must have shape ({sizes[k]}, 2); "
+                    f"problem {k} initial must have shape ({n_nodes}, 2); "
                     f"got {init.shape}"
                 )
-            init = init.copy()
+            best[k, :n_nodes] = init
         else:
-            span = config.init_span_m
-            if span is None:
-                span = max(
-                    1.0,
-                    float(np.median(problem.edges.distances)) * math.sqrt(sizes[k]),
-                )
-            init = rng.uniform(0.0, span, size=(sizes[k], 2))
-        initials.append(init)
-        perturbations.append(
-            [
-                rng.normal(0.0, config.perturbation_m, size=(sizes[k], 2))
-                for _ in range(config.restarts - 1)
-            ]
-        )
+            span = _init_span(config, problem.edges.distances, n_nodes)
+            best[k, :n_nodes] = rng.uniform(0.0, span, size=(n_nodes, 2))
+        for draws in noise:
+            draws[k, :n_nodes] = rng.normal(0.0, config.perturbation_m, size=(n_nodes, 2))
 
     # Pad the stack: zero-weight edge slots and masked constraint slots
     # contribute exact zeros, so each padded problem is numerically the
     # unpadded one.
-    max_nodes = max(sizes)
     max_edges = max(len(p.edges) for p in problems)
     pairs = np.zeros((n_problems, max_edges, 2), dtype=np.int64)
     dists = np.zeros((n_problems, max_edges))
@@ -171,6 +157,9 @@ def solve_local_lss_stack(
     constraint_pairs = None
     constraint_valid = None
     if config.min_spacing_m is not None:
+        constraints = [
+            _constraint_pairs(sizes[k], problems[k].edges.pairs) for k in range(n_problems)
+        ]
         max_constraints = max(c.shape[0] for c in constraints)
         if max_constraints > 0:
             constraint_pairs = np.zeros(
@@ -181,38 +170,18 @@ def solve_local_lss_stack(
                 constraint_pairs[k, : c.shape[0]] = c
                 constraint_valid[k, : c.shape[0]] = True
 
-    kwargs = dict(
+    stack = _PaddedStack(pairs, dists, weights, constraint_pairs, constraint_valid)
+    best_error = batch_lss_error_padded(
+        best,
+        pairs,
+        dists,
+        weights,
         constraint_pairs=constraint_pairs,
         constraint_valid=constraint_valid,
         min_spacing_m=config.min_spacing_m,
         constraint_weight=config.constraint_weight,
     )
-
-    best = np.zeros((n_problems, max_nodes, 2))
-    for k, init in enumerate(initials):
-        best[k, : sizes[k]] = init
-    best_error = batch_lss_error_padded(best, pairs, dists, weights, **kwargs)
-    converged = np.zeros(n_problems, dtype=bool)
-    for round_index in range(config.restarts):
-        if round_index == 0:
-            seed_pts = best.copy()
-        else:
-            seed_pts = best.copy()
-            for k in range(n_problems):
-                seed_pts[k, : sizes[k]] += perturbations[k][round_index - 1]
-        out_pts, out_error, converged = batch_lss_descend_padded(
-            seed_pts,
-            pairs,
-            dists,
-            weights,
-            step_size=config.step_size,
-            max_epochs=config.max_epochs,
-            tolerance=config.tolerance,
-            **kwargs,
-        )
-        better = out_error < best_error
-        best = np.where(better[:, None, None], out_pts, best)
-        best_error = np.where(better, out_error, best_error)
+    best, best_error, converged, _ = _lss_restarts(stack, best, best_error, noise, config)
 
     telemetry.count("engine.localmaps.stacks", 1)
     telemetry.count("engine.localmaps.problems", n_problems)

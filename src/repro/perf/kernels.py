@@ -19,12 +19,11 @@ passes (including MDS starts and padding); the capture is not timed.
 The capture swaps the kernel's name, for the duration of the entry
 point, on the module the caller looks it up in (``KERNEL_STACKS`` names
 that module).  It therefore relies on that lookup happening at call
-time: a module global read when the caller runs (``engine.localmaps``
-and ``engine.batch``) or an import inside the calling function
-(``core.lss``).  A caller that binds the kernel earlier, e.g. as a
-default argument, would bypass the swap; ``capture_stack`` then raises
-instead of returning a stack (``tests/test_perf.py::TestKernelStacks``
-runs every capture).
+time: every LSS restart round, centralized or local-map, calls the
+kernel as a module global of ``engine.batch`` (in ``_lss_round``).  A
+caller that binds the kernel earlier, e.g. as a default argument, would
+bypass the swap; ``capture_stack`` then raises instead of returning a
+stack (``tests/test_perf.py::TestKernelStacks`` runs every capture).
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ KERNEL_STACKS: Dict[str, Tuple[Callable[[int], None], str, str]] = {
     "fig21-b3": (_fig21, "repro.engine.batch", "batch_lss_descend"),
     "town-distributed-lss-b49": (
         partial(_scenario_trial, "town-distributed-lss"),
-        "repro.engine.localmaps",
+        "repro.engine.batch",
         "batch_lss_descend_padded",
     ),
 }

@@ -73,6 +73,31 @@ class TestDistributedConfig:
         with pytest.raises(ValidationError):
             DistributedConfig(tree="dfs")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("residual_trim_m", -1.0),
+            ("residual_trim_m", 0.0),
+            ("residual_trim_m", float("nan")),
+            ("residual_trim_m", float("inf")),
+            ("min_spacing_m", -2.0),
+            ("min_spacing_m", 0.0),
+            ("min_spacing_m", float("nan")),
+            ("min_spacing_m", float("inf")),
+        ],
+    )
+    def test_spacing_and_trim_are_positive_and_finite(self, field, value):
+        """Rejected at construction: a negative trim used to drop every
+        low-weight edge and then skip the refit, a NaN trim silently
+        disabled trimming, and a bad spacing failed only later, in
+        ``effective_local_lss``."""
+        with pytest.raises(ValidationError, match=field):
+            DistributedConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["residual_trim_m", "min_spacing_m"])
+    def test_none_disables_spacing_and_trim(self, field):
+        assert getattr(DistributedConfig(**{field: None}), field) is None
+
     def test_no_array_backend_field(self):
         # Every kernel has one NumPy body; the namespace knob is gone.
         with pytest.raises(TypeError):

@@ -4,8 +4,9 @@ The engine's parity contract (see ``repro/engine/__init__.py``) says a
 batched solve and the scalar reference solve of the same problem follow
 identical per-problem update rules.  The references are private oracles
 that no production path calls; the tests substitute them for the engine
-functions (``_scalar_multilateration`` below, ``lss._descend_scalar``
-for ``lss._descend``).  Unpadded LSS stacks are bytewise
+functions (``_scalar_multilateration`` below, and ``scalar_round`` from
+``_oracles`` for the restart driver's per-round seam
+``batch._lss_round``).  Unpadded LSS stacks are bytewise
 the scalar oracle; multilateration, the APS baselines and padded LSS
 objectives may differ only by floating-point reduction error.  These
 tests pin that contract on fixed-seed networks across grid, random, and
@@ -30,7 +31,6 @@ from repro.engine.batch import (
     batch_gradient_descent,
     batch_lss_error,
     batch_lss_gradient,
-    consistency_filter_fast,
     lss_localize_multistart,
     solve_multilateration_batch,
 )
@@ -38,6 +38,7 @@ from repro.errors import InsufficientDataError, ValidationError
 from repro.ranging import gaussian_edges, gaussian_ranges
 
 from _filter_oracle import padded_consistency_keep
+from _oracles import descend_scalar, scalar_round
 from _kernel_fixtures import sha256_bytes
 
 
@@ -186,8 +187,10 @@ class TestConsistencyFilterParity:
         if rng.random() < 0.5:
             dists[int(rng.integers(k))] *= 1.5  # plant an outlier range
         reference = intersection_consistency_filter(anchors, dists)
-        fast = consistency_filter_fast(anchors, dists)
-        assert list(fast) == list(reference)
+        fast = engine_batch._batch_consistency_keep(
+            anchors[None], dists[None], np.ones((1, k), dtype=bool), 1.0
+        )[0]
+        assert list(np.flatnonzero(fast)) == list(reference)
 
 
 @st.composite
@@ -269,11 +272,13 @@ class TestConsistencyFilterIsThePaddedOracle:
         with mock.patch.object(engine_batch, "_FILTER_CHUNK_ELEMENTS", limit):
             tracemalloc.start()
             try:
-                keep = consistency_filter_fast(anchors, dists)
+                keep = engine_batch._batch_consistency_keep(
+                    anchors[None], dists[None], np.ones((1, 60), dtype=bool), 1.0
+                )[0]
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert keep.tolist() == np.nonzero(expected)[0].tolist()
+        assert keep.tolist() == expected.tolist()
         assert peak <= 4 * 8 * limit
 
     def test_mask_cache_keeps_small_anchor_counts_only(self):
@@ -350,14 +355,12 @@ def _assert_same_lss_result(result, reference):
 class TestLssParity:
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_gd_matches_scalar_oracle(self, layout, monkeypatch):
-        from repro.core import lss
-
         rng = np.random.default_rng(2)
         positions, ranges = _layout(layout, rng)
         n = len(positions)
         config = LssConfig(min_spacing_m=8.0, restarts=2, max_epochs=400)
         batched = lss_localize(ranges, n, config=config, rng=11)
-        monkeypatch.setattr(lss, "_descend", lss._descend_scalar)
+        monkeypatch.setattr(engine_batch, "_lss_round", scalar_round)
         scalar = lss_localize(ranges, n, config=config, rng=11)
         _assert_same_lss_result(batched, scalar)
 
@@ -689,7 +692,7 @@ class TestPaddedLssKernels:
 class TestLssDescentBytePins:
     """SHA-256 pins of descent paths the golden parity pins do not reach.
 
-    The shared-edge pins are the bytes of ``lss._descend_scalar`` per
+    The shared-edge pins are the bytes of ``descend_scalar`` per
     configuration; the padded pin's gradient bins add their terms in
     ``lss_gradient``'s order.  Any kernel rewrite must reproduce them
     byte for byte: trajectories, per-epoch traces and epoch/compaction
@@ -875,9 +878,8 @@ class TestLssKernelsAreTheScalarOracle:
         self, seed, n_nodes, n_configs, n_edges, n_constraints, min_spacing_m, pinned
     ):
         """Points, error, converged flag and trace of every configuration
-        are those of ``_descend_scalar``, with a pinned row, while the
+        are those of ``descend_scalar``, with a pinned row, while the
         stack compacts configurations that finish at different epochs."""
-        from repro.core.lss import _descend_scalar
         from repro.engine.batch import batch_lss_descend
 
         rng = np.random.default_rng(seed)
@@ -902,7 +904,7 @@ class TestLssKernelsAreTheScalarOracle:
         )
         for b in range(n_configs):
             trace = []
-            ref_pts, ref_error, ref_converged = _descend_scalar(
+            ref_pts, ref_error, ref_converged = descend_scalar(
                 configs[b].copy(), edges, constraints, config, trace, free_mask
             )
             assert pts[b].tobytes() == ref_pts.tobytes()
@@ -1238,7 +1240,7 @@ class TestSingleProblemTail:
         min_spacing_m, step_size, tolerance, max_epochs, pinned,
     ):
         """Per problem, points, error, converged flag and trace are those
-        of ``_descend_scalar``; epochs and compactions count the stack.
+        of ``descend_scalar``; epochs and compactions count the stack.
 
         A *still* problem starts on a translate of the layout its edges
         measured exactly.  Unless a constraint pair is violated, every
@@ -1247,7 +1249,6 @@ class TestSingleProblemTail:
         50.  Problems therefore finish at different epochs, on either side
         of the epoch budget.  Coordinates lie on a 1/16 m grid, so
         translates keep every difference, and so every distance, exact."""
-        from repro.core.lss import _descend_scalar
         from repro.core.measurements import EdgeList
         from repro.engine.batch import _descend, _padded_body, _shared_edge_body
 
@@ -1301,7 +1302,7 @@ class TestSingleProblemTail:
         )
         for b, (edges, constraints) in enumerate(problems):
             trace = []
-            ref_pts, ref_error, ref_converged = _descend_scalar(
+            ref_pts, ref_error, ref_converged = descend_scalar(
                 starts[b].copy(), edges, constraints, config, trace, free_mask
             )
             assert run.configs[b].tobytes() == ref_pts.tobytes()

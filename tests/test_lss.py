@@ -23,8 +23,11 @@ from repro.core.lss import (
 )
 from repro.core.measurements import EdgeList, MeasurementSet, as_edge_list
 from repro.deploy import paper_grid
+from repro.engine import batch
 from repro.errors import InsufficientDataError, ValidationError
 from repro.ranging import gaussian_ranges
+
+from _oracles import per_configuration
 
 
 def square_edges(side=10.0, with_diagonals=True):
@@ -49,7 +52,8 @@ def lbfgs_localize(measurements, n_nodes, *, config, rng):
     Runs :func:`lss_localize`'s own initialization and
     restart/perturbation rounds, but minimizes each round with scipy
     L-BFGS-B over :func:`lss_error` / :func:`lss_gradient` instead of
-    the engine's descent (substituted for ``lss._descend``).
+    the engine's descent (substituted for the restart driver's
+    per-round seam, ``batch._lss_round``).
     """
 
     def lbfgs_round(pts, edges, constraint_pairs, config, trace, free_mask):
@@ -81,7 +85,7 @@ def lbfgs_localize(measurements, n_nodes, *, config, rng):
         out[~free_mask] = frozen[~free_mask]
         return out, float(result.fun), bool(result.success)
 
-    with mock.patch.object(lss, "_descend", lbfgs_round):
+    with mock.patch.object(batch, "_lss_round", per_configuration(lbfgs_round)):
         return lss_localize(measurements, n_nodes, config=config, rng=rng)
 
 
@@ -305,6 +309,18 @@ class TestLssLocalize:
         with pytest.raises(ValidationError):
             lss_localize(edges, 4, fixed_positions={0: (0, 0, 0)})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_fixed_position_must_be_finite(self, bad):
+        """Centralized and multi-seed LSS share one setup, so both reject
+        a non-finite pin before any draw."""
+        from repro.engine import lss_localize_multistart
+
+        _, edges = square_edges()
+        with pytest.raises(ValidationError, match="finite"):
+            lss_localize(edges, 4, fixed_positions={0: (bad, 0.0)})
+        with pytest.raises(ValidationError, match="finite"):
+            lss_localize_multistart(edges, 4, seeds=[0, 1], fixed_positions={0: (0.0, bad)})
+
     def test_lbfgs_oracle_agrees(self):
         positions, edges = square_edges()
         result = lbfgs_localize(edges, 4, config=LssConfig(restarts=8), rng=0)
@@ -380,6 +396,46 @@ class TestRobustLss:
         _, edges = square_edges()
         with pytest.raises(ValidationError):
             lss_localize_robust(edges, 4, trim_residual_m=0.0)
+
+    @pytest.mark.parametrize("threshold", [-1.0, float("nan"), float("inf")])
+    def test_threshold_must_be_positive_and_finite(self, threshold):
+        """A NaN threshold used to pass the ``<= 0`` check and disable
+        trimming."""
+        _, edges = square_edges()
+        with pytest.raises(ValidationError, match="trim_residual_m"):
+            lss_localize_robust(edges, 4, trim_residual_m=threshold)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("threshold", [0.5, 2.0, 3.0])
+    def test_robust_and_local_maps_trim_the_same_edges(self, threshold, seed, monkeypatch):
+        """``lss_localize_robust`` (at its default ``trim_max_weight`` of
+        1) and the distributed local-map refit drop the same edges of the
+        same fit: one rule, ``lss._trim_mask``."""
+        from repro.core.distributed import _trim_local_edges
+
+        rng = np.random.default_rng(seed)
+        n_nodes = 10
+        positions = rng.uniform(0.0, 30.0, (n_nodes, 2))
+        i, j = np.triu_indices(n_nodes, k=1)
+        true = np.hypot(*(positions[i] - positions[j]).T)
+        edges = EdgeList(
+            pairs=np.stack([i, j], axis=1),
+            distances=np.abs(true + rng.normal(0.0, 2.0 * threshold, true.size)),
+            weights=rng.choice([0.15, 0.5, 1.0, 2.0], true.size),
+        )
+        fits = []
+
+        def fit(edges, n_nodes, **kwargs):
+            fits.append(edges)
+            return lss.LssResult(positions, 0.0, 0.0, np.zeros(0))
+
+        monkeypatch.setattr(lss, "lss_localize", fit)
+        lss_localize_robust(edges, n_nodes, trim_residual_m=threshold, max_trim_rounds=1)
+        local = _trim_local_edges(edges, positions, threshold)
+        assert local is not None and 3 <= len(local) < len(edges)
+        assert len(fits) == 2
+        for field in ("pairs", "distances", "weights"):
+            assert getattr(fits[1], field).tobytes() == getattr(local, field).tobytes()
 
     def test_invalid_rounds(self):
         _, edges = square_edges()

@@ -166,6 +166,10 @@ class TestSingleSolverSurface:
             ("repro.core.transforms", "estimate_transform"),
             ("repro.core.transforms", "estimate_transforms_minimize_batch"),
             ("repro.core.lss", "_lbfgs_round"),
+            ("repro.core.lss", "_descend"),
+            ("repro.core.lss", "_descend_scalar"),
+            ("repro.engine", "consistency_filter_fast"),
+            ("repro.engine.batch", "consistency_filter_fast"),
         ],
     )
     def test_removed_name_is_gone(self, module, name):
@@ -176,7 +180,8 @@ class TestSingleSolverSurface:
     @pytest.mark.parametrize(
         "module, name",
         [
-            ("repro.core.lss", "_descend_scalar"),
+            ("_oracles", "descend_scalar"),
+            ("_oracles", "scalar_round"),
             ("repro.core.transforms", "estimate_transform_minimize"),
             ("repro.core.multilateration", "_solve_batch_scalar"),
             ("repro.core.distributed", "_solve_local_maps_scalar"),
