@@ -17,20 +17,21 @@ measurements, with an optional *progressive* mode in which localized
 nodes are promoted to anchors for the remaining nodes (Section 4.1.1's
 proposed modification).  :func:`localize_network` solves all of a
 round's nodes in one stacked masked-array descent through
-:mod:`repro.engine.batch`.  :func:`_solve_batch_scalar` is that
-function's per-node reference, a test oracle only: tests substitute it
-for ``repro.engine.batch.solve_multilateration_batch``.
+:mod:`repro.engine.batch`, gathering the round's anchor problems from
+CSR arrays over the edge list.  That solver's per-node reference, a
+:func:`multilaterate` loop, lives in the test suite
+(``tests/_oracles.py``), which substitutes it for
+``repro.engine.batch.solve_multilateration_batch``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Set, Tuple
 
 import numpy as np
 
-from .._validation import as_positions, check_positive, ensure_rng
+from .._validation import as_positions, check_positive
 from ..errors import InsufficientDataError, ValidationError
 from .geometry import all_pairs_circle_intersections, is_collinear
 from .measurements import as_edge_list
@@ -290,46 +291,6 @@ class NetworkLocalization:
         return float(self.anchors_per_node[non_anchor].mean())
 
 
-def _solve_batch_scalar(
-    anchor_sets: Sequence[np.ndarray],
-    dist_sets: Sequence[np.ndarray],
-    weight_sets: Sequence[np.ndarray],
-    *,
-    min_anchors: int = 3,
-    consistency_check: bool = True,
-    cluster_radius_m: float = 1.0,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-node reference of ``engine.batch.solve_multilateration_batch``.
-
-    Loops :func:`multilaterate` over the problems and returns the same
-    ``(positions, solved, residuals)`` triple, nan where a problem is
-    unsolvable.  The descent runs at :func:`multilaterate`'s step size,
-    iteration cap and tolerance, which are the engine's defaults and the
-    only ones its callers use.  No production code calls this; tests
-    substitute it for the engine function to check the batched path.
-    """
-    n_problems = len(anchor_sets)
-    positions = np.full((n_problems, 2), np.nan)
-    residuals = np.full(n_problems, np.nan)
-    solved = np.zeros(n_problems, dtype=bool)
-    for b, (anchors, dists, weights) in enumerate(zip(anchor_sets, dist_sets, weight_sets)):
-        try:
-            result = multilaterate(
-                anchors,
-                dists,
-                weights=weights,
-                consistency_check=consistency_check,
-                cluster_radius_m=cluster_radius_m,
-                min_anchors=min_anchors,
-            )
-        except InsufficientDataError:
-            continue
-        positions[b] = result.position
-        residuals[b] = result.residual
-        solved[b] = True
-    return positions, solved, residuals
-
-
 def localize_network(
     measurements,
     anchor_positions: Dict[int, Sequence[float]],
@@ -374,74 +335,67 @@ def localize_network(
         if not 0 <= int(node_id) < n_nodes:
             raise ValidationError(f"anchor id {node_id} outside [0, {n_nodes})")
 
-    # Distance lookup per node: node -> list of (partner, distance, weight)
-    adjacency: Dict[int, List[Tuple[int, float, float]]] = {i: [] for i in range(n_nodes)}
-    for (i, j), d, w in zip(edges.pairs, edges.distances, edges.weights):
-        adjacency[int(i)].append((int(j), float(d), float(w)))
-        adjacency[int(j)].append((int(i), float(d), float(w)))
+    # Each node's partners, distances and weights as CSR arrays, in edge
+    # order: a stable sort of the interleaved endpoints (i0, j0, i1, j1,
+    # ...) keeps every node's edges in list order, which fixes each
+    # problem's anchor order and so its sums.
+    ends = np.asarray(edges.pairs, dtype=np.int64).reshape(-1)
+    if ends.size and (ends.min() < 0 or ends.max() >= n_nodes):
+        raise ValidationError(f"edge endpoints outside [0, {n_nodes})")
+    order = np.argsort(ends, kind="stable")
+    node_of = ends[order]
+    partner = ends[order ^ 1]
+    slot_dists = np.asarray(edges.distances, dtype=float)[order >> 1]
+    slot_weights = np.asarray(edges.weights, dtype=float)[order >> 1]
 
     positions = np.full((n_nodes, 2), np.nan)
-    known: Dict[int, np.ndarray] = {}
     is_anchor = np.zeros(n_nodes, dtype=bool)
     for node_id, pos in anchor_positions.items():
         arr = np.asarray(pos, dtype=float)
         if arr.shape != (2,):
             raise ValidationError("anchor positions must be (x, y) pairs")
-        known[int(node_id)] = arr
         positions[int(node_id)] = arr
         is_anchor[int(node_id)] = True
+    # Rows of *known* nodes in *positions* are the anchor coordinates
+    # the next round measures against.
+    known = is_anchor.copy()
 
     anchors_per_node = np.zeros(n_nodes)
     rounds = max_progressive_rounds if progressive else 1
     for _ in range(rounds):
-        progress = False
-        prob_nodes: List[int] = []
-        anchor_sets: List[np.ndarray] = []
-        dist_sets: List[np.ndarray] = []
-        weight_sets: List[np.ndarray] = []
-        for node in range(n_nodes):
-            if node in known:
-                continue
-            anchor_links = [
-                (partner, d, w)
-                for partner, d, w in adjacency[node]
-                if partner in known
-            ]
-            anchors_per_node[node] = len(anchor_links)
-            if len(anchor_links) < min_anchors:
-                continue
-            prob_nodes.append(node)
-            anchor_sets.append(np.asarray([known[p] for p, _, _ in anchor_links]))
-            dist_sets.append(np.asarray([d for _, d, _ in anchor_links]))
-            weight_sets.append(np.asarray([w for _, _, w in anchor_links]))
-        if prob_nodes:
-            solved_pos, solved, _ = solve_multilateration_batch(
-                anchor_sets,
-                dist_sets,
-                weight_sets,
-                min_anchors=min_anchors,
-                consistency_check=consistency_check,
-                cluster_radius_m=cluster_radius_m,
-            )
-            for node, pos, ok in zip(prob_nodes, solved_pos, solved):
-                if not ok:
-                    continue
-                positions[node] = pos
-                if progressive:
-                    known[node] = pos
-                    progress = True
-        if not progressive or not progress:
+        links = known[partner]
+        counts = np.bincount(node_of[links], minlength=n_nodes)
+        pending = ~known
+        anchors_per_node[pending] = counts[pending]
+        active = pending & (counts >= min_anchors)
+        prob_nodes = np.flatnonzero(active)
+        if prob_nodes.size == 0:
             break
-        # Re-count anchors for still-unlocalized nodes next round.
+        slots = np.flatnonzero(links & active[node_of])
+        bounds = np.cumsum(counts[prob_nodes]).tolist()
+        spans = list(zip([0] + bounds[:-1], bounds))
+        anchor_xy = positions[partner[slots]]
+        dists = slot_dists[slots]
+        weights = slot_weights[slots]
+        solved_pos, solved, _ = solve_multilateration_batch(
+            [anchor_xy[lo:hi] for lo, hi in spans],
+            [dists[lo:hi] for lo, hi in spans],
+            [weights[lo:hi] for lo, hi in spans],
+            min_anchors=min_anchors,
+            consistency_check=consistency_check,
+            cluster_radius_m=cluster_radius_m,
+        )
+        solved_nodes = prob_nodes[solved]
+        positions[solved_nodes] = solved_pos[solved]
+        if not progressive or solved_nodes.size == 0:
+            break
+        known[solved_nodes] = True
 
     localized = np.all(np.isfinite(positions), axis=1)
     if progressive:
         # Final per-node anchor counts reflect the end state.
-        for node in range(n_nodes):
-            if not is_anchor[node]:
-                anchors_per_node[node] = sum(
-                    1 for partner, _, _ in adjacency[node] if localized[partner]
-                )
+        final = np.bincount(node_of[localized[partner]], minlength=n_nodes)
+        anchors_per_node[~is_anchor] = final[~is_anchor]
     return NetworkLocalization(
         positions=positions,
         localized=localized,

@@ -11,6 +11,7 @@ qualitative topology (anisotropic, elongated clusters, moderate density,
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -19,6 +20,29 @@ from .._validation import check_non_negative, check_positive, ensure_rng
 from ..errors import ValidationError
 
 __all__ = ["uniform_random_layout", "town_layout", "parking_lot_layout"]
+
+
+#: Cap on the elements of one block's candidate-distance matrices
+#: (candidates x (placed + candidates)).
+_BLOCK_ELEMENTS = 1 << 20
+
+
+def _too_close(px, py, cx, cy, min_separation_m: float) -> np.ndarray:
+    """``hypot(px[i] - cx[j], py[i] - cy[j]) < min_separation_m`` as an
+    ``(i, j)`` mask.  The exact ``hypot`` runs only on pairs passing the
+    box test ``|dx|, |dy| < min_separation_m``: a (faithfully rounded)
+    ``hypot`` is never below ``|dx|`` or ``|dy|``, so the box cannot
+    change a verdict."""
+    dx = px[:, None] - cx
+    dy = py[:, None] - cy
+    box = np.flatnonzero(
+        (np.abs(dx) < min_separation_m) & (np.abs(dy) < min_separation_m)
+    )
+    close = np.zeros(dx.shape, dtype=bool)
+    close.reshape(-1)[box] = (
+        np.hypot(dx.reshape(-1)[box], dy.reshape(-1)[box]) < min_separation_m
+    )
+    return close
 
 
 def uniform_random_layout(
@@ -32,9 +56,19 @@ def uniform_random_layout(
 ) -> np.ndarray:
     """Uniform random positions with optional minimum separation.
 
-    Rejection-samples until *n_nodes* positions at least
-    *min_separation_m* apart are placed; raises after *max_attempts*
-    rejections (density too high).
+    Rejection-samples candidates uniformly over the field, in draw
+    order: a candidate is kept unless it lies closer than
+    *min_separation_m* to a node already placed.  With a positive
+    separation it raises once more than *max_attempts* candidates have
+    been drawn, kept or rejected, without placing *n_nodes* (density
+    too high).  At separation 0 nothing is rejected: the *n_nodes*
+    positions are drawn at once, with no attempt bound.
+
+    Candidates are drawn in blocks, and the keep rule runs in draw order
+    over each block's precomputed distance masks.  The generator is then
+    rewound and advanced by exactly the candidates consumed, so the
+    positions and the generator's end state are those of drawing one
+    candidate (two ``rng.uniform`` calls) at a time.
     """
     if n_nodes < 1:
         raise ValidationError("n_nodes must be >= 1")
@@ -42,23 +76,43 @@ def uniform_random_layout(
     check_positive(height_m, "height_m")
     check_non_negative(min_separation_m, "min_separation_m")
     rng = ensure_rng(rng)
-    placed = []
-    attempts = 0
-    while len(placed) < n_nodes:
-        if attempts > max_attempts:
-            raise ValidationError(
-                f"could not place {n_nodes} nodes with separation "
-                f"{min_separation_m} m in {width_m} x {height_m} m"
-            )
-        candidate = np.array([rng.uniform(0, width_m), rng.uniform(0, height_m)])
-        attempts += 1
-        if min_separation_m > 0 and placed:
-            existing = np.asarray(placed)
-            gaps = np.hypot(*(existing - candidate).T)
-            if np.any(gaps < min_separation_m):
+    extent = [width_m, height_m]
+    if not min_separation_m > 0:
+        return rng.uniform(0, extent, size=(n_nodes, 2))
+
+    budget = math.floor(max_attempts) + 1  # candidates drawn before the raise
+    saved = rng.bit_generator.state
+    placed = np.empty((0, 2))
+    used = 0
+    block = 2 * n_nodes
+    while used < budget:
+        m = min(budget - used, block, max(16, _BLOCK_ELEMENTS // (len(placed) + block)))
+        cand = rng.uniform(0, extent, size=(m, 2))
+        used += m
+        cx = np.ascontiguousarray(cand[:, 0])
+        cy = np.ascontiguousarray(cand[:, 1])
+        blocked = _too_close(
+            placed[:, 0], placed[:, 1], cx, cy, min_separation_m
+        ).any(axis=0)
+        close = _too_close(cx, cy, cx, cy, min_separation_m)
+        kept = []
+        for j in range(m):
+            if blocked[j]:
                 continue
-        placed.append(candidate)
-    return np.asarray(placed)
+            kept.append(j)
+            if len(placed) + len(kept) == n_nodes:
+                if j + 1 < m:
+                    # Rewind, then consume only the candidates up to this one.
+                    rng.bit_generator.state = saved
+                    rng.random(2 * (used - m + j + 1))
+                return np.concatenate([placed, cand[kept]])
+            blocked |= close[j]
+        placed = np.concatenate([placed, cand[kept]])
+        block *= 2
+    raise ValidationError(
+        f"could not place {n_nodes} nodes with separation "
+        f"{min_separation_m} m in {width_m} x {height_m} m"
+    )
 
 
 def town_layout(

@@ -60,10 +60,10 @@ For every batched kernel the per-problem update rule, acceptance test,
 and termination condition are *the same operations in the same order*
 as the scalar reference.  Each reference is a private test oracle that
 tests substitute for the production function, and no production path
-calls it: ``repro.core.multilateration._solve_batch_scalar`` for
+calls it: ``solve_batch_scalar`` in ``tests/_oracles.py`` for
 :func:`repro.engine.batch.solve_multilateration_batch` (the
-multilateration and APS callers), the scalar LSS round in
-``tests/_oracles.py`` for the restart driver's per-round seam
+multilateration and APS callers), the scalar LSS round there too for
+the restart driver's per-round seam
 ``repro.engine.batch._lss_round``, and
 ``repro.core.distributed._solve_local_maps_scalar`` for
 ``_solve_local_maps_batched``.  The intersection consistency filter

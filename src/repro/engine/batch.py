@@ -8,7 +8,7 @@ batched kernel                        scalar reference
 ====================================  =====================================
 :func:`batch_gradient_descent`        ``multilateration._gradient_descent_solve``
 :func:`_batch_consistency_keep`       ``multilateration.intersection_consistency_filter``
-:func:`solve_multilateration_batch`   ``multilateration._solve_batch_scalar``
+:func:`solve_multilateration_batch`   ``tests/_oracles.py``: ``solve_batch_scalar``
 :func:`batch_lss_error`               ``lss.lss_error``
 :func:`batch_lss_gradient`            ``lss.lss_gradient``
 :func:`batch_lss_descend`             ``tests/_oracles.py``: ``descend_scalar``
@@ -83,59 +83,54 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _batch_objective(
-    positions: np.ndarray,
-    anchors: np.ndarray,
-    dists: np.ndarray,
-    sqrt_w: np.ndarray,
-) -> np.ndarray:
-    """Weighted least-squares objective for each problem, shape (B,)."""
-    diff = positions[:, None, :] - anchors
-    ranges = np.hypot(diff[..., 0], diff[..., 1])
-    r = sqrt_w * (ranges - dists)
-    return np.einsum("bk,bk->b", r, r)
-
-
 def _finish_scalar(
     anchors: np.ndarray,
     dists: np.ndarray,
     weights2: np.ndarray,
     sqrt_w: np.ndarray,
     pos: np.ndarray,
+    diff: np.ndarray,
+    hyp: np.ndarray,
     current: float,
     alpha: float,
     iterations: int,
     tolerance: float,
-) -> Tuple[np.ndarray, float]:
+) -> Tuple[np.ndarray, float, int]:
     """Finish one problem's descent without batch overhead.
 
     Continues the identical accept/reject trajectory from the batched
-    loop's state (*weights2* is the pre-doubled ``2 w``); used once the
+    loop's state (*weights2* is the pre-doubled ``2 w``; *diff* and
+    *hyp* are ``pos - anchors`` and its unclamped ranges); used once the
     active batch has shrunk to a couple of stragglers, whose remaining
     iterations would otherwise each pay the full batched-op dispatch
-    cost.
+    cost.  An accepted candidate's offsets and ranges are the next
+    point's; after a rejected step the point has not moved, so its
+    gradient (already checked against *tolerance*) is reused.  Returns
+    ``(pos, residual, loop passes)``.
     """
-    pos = pos.copy()
-    for _ in range(iterations):
-        diff = pos - anchors
-        ranges = np.maximum(np.hypot(diff[:, 0], diff[:, 1]), 1e-12)
-        coeff = weights2 * (ranges - dists) / ranges
-        grad = (coeff[:, None] * diff).sum(axis=0)
-        if np.hypot(grad[0], grad[1]) < tolerance:
-            break
+    grad = None
+    for it in range(iterations):
+        if grad is None:
+            ranges = np.maximum(hyp, 1e-12)
+            coeff = weights2 * (ranges - dists) / ranges
+            grad = (coeff[:, None] * diff).sum(axis=0)
+            if np.hypot(grad[0], grad[1]) < tolerance:
+                return pos, current, it + 1
         candidate = pos - alpha * grad
         cdiff = candidate - anchors
-        r = sqrt_w * (np.hypot(cdiff[:, 0], cdiff[:, 1]) - dists)
+        chyp = np.hypot(cdiff[:, 0], cdiff[:, 1])
+        r = sqrt_w * (chyp - dists)
         value = float(np.dot(r, r))
         if value < current:
-            pos = candidate
+            pos, diff, hyp = candidate, cdiff, chyp
             current = value
             alpha *= 1.1
+            grad = None
         else:
             alpha *= 0.5
             if alpha < 1e-12:
-                break
-    return pos, current
+                return pos, current, it + 1
+    return pos, current, iterations
 
 
 @lru_cache(maxsize=None)
@@ -178,6 +173,21 @@ def _count_kernel(
         telemetry.count(evaluated, terms)
 
 
+def _count_gd(
+    n_problems: int,
+    iterations: int,
+    compactions: int,
+    tail_problems: int,
+    tail_iterations: int,
+) -> None:
+    """The multilateration descent's bundle: the batched loop's
+    iterations, plus the problems the straggler tail finished and its
+    loop passes, summed over them."""
+    _count_kernel("gd", n_problems, iterations, compactions)
+    telemetry.count("engine.batch.gd_tail_problems", tail_problems)
+    telemetry.count("engine.batch.gd_tail_iterations", tail_iterations)
+
+
 def batch_gradient_descent(
     anchors: np.ndarray,
     dists: np.ndarray,
@@ -207,7 +217,10 @@ def batch_gradient_descent(
     the identical accept/reject rule of the scalar solver (x1.1 step on
     improvement, /2 on overshoot, stop on gradient norm < *tolerance*
     or step < 1e-12) on its own adaptive step size; finished problems
-    are compacted out of the working batch.
+    are compacted out of the working batch.  Each problem's offsets
+    ``pos - anchors`` and unclamped ranges are kept across iterations:
+    an accepted candidate's are exactly the next point's, so each
+    iteration computes them once, at the candidate.
     """
     total = anchors.shape[0]
     pos_out = np.empty((total, 2))
@@ -223,25 +236,32 @@ def batch_gradient_descent(
 
     remaining = np.arange(total)
     pos = initial.astype(float).copy()
-    current = _batch_objective(pos, a, d, sqrt_w)
+    diff = pos[:, None, :] - a
+    hyp = np.hypot(diff[..., 0], diff[..., 1])
+    r = sqrt_w * (hyp - d)
+    current = np.einsum("bk,bk->b", r, r)
     alpha = np.full(total, float(step_size))
     iterations_run = 0
     compactions = 0
 
     for iteration in range(max_iterations):
         iterations_run = iteration + 1
-        diff = pos[:, None, :] - a
-        ranges = np.maximum(np.hypot(diff[..., 0], diff[..., 1]), 1e-12)
+        ranges = np.maximum(hyp, 1e-12)
         coeff = w2 * (ranges - d) / ranges
         grad = (coeff[:, None, :] @ diff)[:, 0, :]
         gnorm = np.hypot(grad[:, 0], grad[:, 1])
         not_converged = gnorm >= tolerance
 
         candidate = pos - alpha[:, None] * grad
-        value = _batch_objective(candidate, a, d, sqrt_w)
+        cdiff = candidate[:, None, :] - a
+        chyp = np.hypot(cdiff[..., 0], cdiff[..., 1])
+        r = sqrt_w * (chyp - d)
+        value = np.einsum("bk,bk->b", r, r)
         improved = not_converged & (value < current)
         np.copyto(pos, candidate, where=improved[:, None])
         np.copyto(current, value, where=improved)
+        np.copyto(diff, cdiff, where=improved[:, None, None])
+        np.copyto(hyp, chyp, where=improved[:, None])
         alpha *= np.where(improved, 1.1, 0.5)
         finished = ~improved & (~not_converged | (alpha < 1e-12))
 
@@ -252,7 +272,7 @@ def batch_gradient_descent(
             res_out[done_idx] = current[finished]
             keep = ~finished
             if not keep.any():
-                _count_kernel("gd", total, iterations_run, compactions)
+                _count_gd(total, iterations_run, compactions, 0, 0)
                 return pos_out, res_out
             remaining = remaining[keep]
             pos = pos[keep]
@@ -262,18 +282,23 @@ def batch_gradient_descent(
             d = d[keep]
             w2 = w2[keep]
             sqrt_w = sqrt_w[keep]
+            diff = diff[keep]
+            hyp = hyp[keep]
             if remaining.size <= 2:
                 # A couple of stragglers left: their remaining
                 # iterations cost less on the scalar fast path than
                 # under full batched-dispatch overhead.
                 iters_left = max_iterations - iteration - 1
+                tail_iterations = 0
                 for t in range(remaining.size):
-                    p, c = _finish_scalar(
+                    p, c, passes = _finish_scalar(
                         a[t],
                         d[t],
                         w2[t],
                         sqrt_w[t],
                         pos[t],
+                        diff[t],
+                        hyp[t],
                         float(current[t]),
                         float(alpha[t]),
                         iters_left,
@@ -281,12 +306,15 @@ def batch_gradient_descent(
                     )
                     pos_out[remaining[t]] = p
                     res_out[remaining[t]] = c
-                _count_kernel("gd", total, iterations_run, compactions)
+                    tail_iterations += passes
+                _count_gd(
+                    total, iterations_run, compactions, remaining.size, tail_iterations
+                )
                 return pos_out, res_out
 
     pos_out[remaining] = pos
     res_out[remaining] = current
-    _count_kernel("gd", total, iterations_run, compactions)
+    _count_gd(total, iterations_run, compactions, 0, 0)
     return pos_out, res_out
 
 
@@ -568,18 +596,16 @@ def solve_multilateration_batch(
     if n_problems == 0:
         return positions, solved, residuals
 
-    max_k = max(np.asarray(a).shape[0] for a in anchor_sets)
+    # One masked copy per input: problem b fills its first k_b slots.
+    sizes = np.fromiter(map(len, anchor_sets), dtype=np.intp, count=n_problems)
+    max_k = int(sizes.max())
+    valid = np.arange(max_k) < sizes[:, None]
     stacked_anchors = np.zeros((n_problems, max_k, 2))
     stacked_dists = np.zeros((n_problems, max_k))
     stacked_weights = np.zeros((n_problems, max_k))
-    valid = np.zeros((n_problems, max_k), dtype=bool)
-    for b in range(n_problems):
-        anchors = np.asarray(anchor_sets[b], dtype=float)
-        k = anchors.shape[0]
-        stacked_anchors[b, :k] = anchors
-        stacked_dists[b, :k] = np.asarray(dist_sets[b], dtype=float)
-        stacked_weights[b, :k] = np.asarray(weight_sets[b], dtype=float)
-        valid[b, :k] = True
+    stacked_anchors[valid] = np.concatenate(anchor_sets)
+    stacked_dists[valid] = np.concatenate(dist_sets)
+    stacked_weights[valid] = np.concatenate(weight_sets)
 
     if consistency_check:
         keep = _batch_consistency_keep(

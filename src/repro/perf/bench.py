@@ -149,8 +149,13 @@ def run_workload(
     if solves:
         metrics["solves_per_s"] = solves / median
     if workload.kind == "kernel":
-        epochs = counters.get("engine.batch.lss_iterations", 0) + counters.get(
-            "engine.batch.lss_padded_iterations", 0
+        epochs = sum(
+            counters.get(name, 0)
+            for name in (
+                "engine.batch.lss_iterations",
+                "engine.batch.lss_padded_iterations",
+                "engine.batch.gd_iterations",
+            )
         )
         metrics["us_per_epoch"] = median * 1e6 / max(epochs, 1)
     return make_workload_result(

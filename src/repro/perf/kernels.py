@@ -1,7 +1,7 @@
-"""Pinned LSS descent stacks for the ``kernels`` bench suite.
+"""Pinned descent stacks for the ``kernels`` bench suite.
 
-A ``kernel`` workload times one LSS descent call on a pinned stack, so
-a bench record shows the kernel's cost per epoch apart from the rest of
+A ``kernel`` workload times one descent call on a pinned stack, so a
+bench record shows the kernel's cost per epoch apart from the rest of
 a trial.  Each stack is the first descent a paper workload makes:
 
 - ``town-lss-b1`` — one trial of the registered ``town-lss`` scenario:
@@ -10,7 +10,11 @@ a trial.  Each stack is the first descent a paper workload makes:
   nodes with 1,400+ soft-constraint pairs each (B=3);
 - ``town-distributed-lss-b49`` — the local-map stack of one
   ``town-distributed-lss`` trial: every node's neighbourhood problem,
-  padded (B=49).
+  padded (B=49);
+- ``sweep-gd`` — the multilateration descent (``batch_gradient_descent``)
+  of one ``uniform-sparse-multilateration`` trial at 64 nodes, a 22 m
+  radio range and 40% anchors, the multilateration sweep's largest
+  cell: every non-anchor's anchor problem, padded (B=37 at seed 0).
 
 A stack is captured by running the workload's own entry point up to its
 first call of the descent kernel, so it is exactly what the pipeline
@@ -20,7 +24,9 @@ The capture swaps the kernel's name, for the duration of the entry
 point, on the module the caller looks it up in (``KERNEL_STACKS`` names
 that module).  It therefore relies on that lookup happening at call
 time: every LSS restart round, centralized or local-map, calls the
-kernel as a module global of ``engine.batch`` (in ``_lss_round``).  A
+kernel as a module global of ``engine.batch`` (in ``_lss_round``), and
+``solve_multilateration_batch`` calls ``batch_gradient_descent`` the
+same way.  A
 caller that binds the kernel earlier, e.g. as a default argument, would
 bypass the swap; ``capture_stack`` then raises instead of returning a
 stack (``tests/test_perf.py::TestKernelStacks`` runs every capture).
@@ -47,6 +53,20 @@ def _scenario_trial(scenario_id: str, seed: int) -> None:
     from ..scenarios import get_scenario, scenario_trial
 
     scenario_trial(ensure_rng(seed), spec=get_scenario(scenario_id))
+
+
+def _sweep_trial(seed: int) -> None:
+    from .._validation import ensure_rng
+    from ..scenarios import get_scenario, scenario_trial
+
+    spec = get_scenario("uniform-sparse-multilateration").with_overrides(
+        **{
+            "deployment.n_nodes": 64,
+            "ranging.max_range_m": 22.0,
+            "anchors.fraction": 0.4,
+        }
+    )
+    scenario_trial(ensure_rng(seed), spec=spec)
 
 
 def _fig21(seed: int) -> None:
@@ -81,6 +101,7 @@ KERNEL_STACKS: Dict[str, Tuple[Callable[[int], None], str, str]] = {
         "repro.engine.batch",
         "batch_lss_descend_padded",
     ),
+    "sweep-gd": (_sweep_trial, "repro.engine.batch", "batch_gradient_descent"),
 }
 
 

@@ -14,9 +14,10 @@ Four suites ship by default:
   every push.
 - ``full`` — the smoke workloads at larger trial budgets plus the
   remaining solver families; for local before/after comparisons.
-- ``kernels`` — one LSS descent per pinned stack (B=1, 3 and 49), timed
-  per epoch (``us_per_epoch``); shows where the kernel's cost moved
-  without the rest of a trial around it.
+- ``kernels`` — one descent per pinned stack (LSS at B=1, 3 and 49, and
+  the multilateration descent of a sweep trial), timed per epoch
+  (``us_per_epoch``); shows where the kernel's cost moved without the
+  rest of a trial around it.
 - ``paper`` — every registered experiment driver (each paper figure,
   in-text claim and extension claim) at ``DEFAULT_SEED``, one workload
   per registry id.
@@ -205,7 +206,10 @@ register_suite(
 
 # One descent per pinned stack, on both sides of the LSS body's
 # dense/sparse choice: B=1 stays dense, the B=3 and B=49 stacks leave
-# most constraint pairs (and, at B=49, most padded slots) out.
+# most constraint pairs (and, at B=49, most padded slots) out.  The
+# sweep-gd stack is the multilateration descent; its epochs are the
+# batched loop's iterations (``engine.batch.gd_iterations``), so the
+# straggler tail's cost is spread over them.
 register_suite(
     "kernels",
     (
@@ -218,6 +222,7 @@ register_suite(
             kind="kernel",
             target_id="town-distributed-lss-b49",
         ),
+        Workload(workload_id="sweep-gd", kind="kernel", target_id="sweep-gd"),
     ),
 )
 

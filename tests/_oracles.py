@@ -1,5 +1,12 @@
 """Scalar reference solvers that only the test suite runs.
 
+:func:`solve_batch_scalar` is the per-node reference of
+``repro.engine.batch.solve_multilateration_batch``: a
+:func:`~repro.core.multilateration.multilaterate` loop.  Tests
+substitute it (``mock.patch.object(batch,
+"solve_multilateration_batch", solve_batch_scalar)``) to run
+``localize_network`` and the APS baselines on the reference path.
+
 :func:`descend_scalar` is one LSS gradient-descent round on one
 configuration, the implementation the engine's batched descent
 replaced.  :func:`per_configuration` turns such a round into the
@@ -12,11 +19,52 @@ to run centralized LSS on the reference path end to end.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.lss import lss_error, lss_gradient
+from repro.core.multilateration import multilaterate
+from repro.errors import InsufficientDataError
+
+
+def solve_batch_scalar(
+    anchor_sets: Sequence[np.ndarray],
+    dist_sets: Sequence[np.ndarray],
+    weight_sets: Sequence[np.ndarray],
+    *,
+    min_anchors: int = 3,
+    consistency_check: bool = True,
+    cluster_radius_m: float = 1.0,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-node reference of ``engine.batch.solve_multilateration_batch``.
+
+    Loops :func:`multilaterate` over the problems and returns the same
+    ``(positions, solved, residuals)`` triple, nan where a problem is
+    unsolvable.  The descent runs at :func:`multilaterate`'s step size,
+    iteration cap and tolerance, which are the engine's defaults and the
+    only ones its callers use.
+    """
+    n_problems = len(anchor_sets)
+    positions = np.full((n_problems, 2), np.nan)
+    residuals = np.full(n_problems, np.nan)
+    solved = np.zeros(n_problems, dtype=bool)
+    for b, (anchors, dists, weights) in enumerate(zip(anchor_sets, dist_sets, weight_sets)):
+        try:
+            result = multilaterate(
+                anchors,
+                dists,
+                weights=weights,
+                consistency_check=consistency_check,
+                cluster_radius_m=cluster_radius_m,
+                min_anchors=min_anchors,
+            )
+        except InsufficientDataError:
+            continue
+        positions[b] = result.position
+        residuals[b] = result.residual
+        solved[b] = True
+    return positions, solved, residuals
 
 
 def descend_scalar(

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import LssConfig, dv_distance_localize, dv_hop_localize, localize_network, lss_localize
-from repro.core.multilateration import _solve_batch_scalar, intersection_consistency_filter
+from repro.core.multilateration import intersection_consistency_filter
 from repro.deploy import random_anchors, square_grid, uniform_random_layout
 from repro.engine import batch as engine_batch
 from repro.engine.batch import (
@@ -38,7 +38,7 @@ from repro.errors import InsufficientDataError, ValidationError
 from repro.ranging import gaussian_edges, gaussian_ranges
 
 from _filter_oracle import padded_consistency_keep
-from _oracles import descend_scalar, scalar_round
+from _oracles import descend_scalar, scalar_round, solve_batch_scalar
 from _kernel_fixtures import sha256_bytes
 
 
@@ -70,7 +70,7 @@ def _scalar_multilateration():
     """Run ``localize_network`` and the APS baselines on the per-node
     reference: both look the engine function up at call time."""
     return mock.patch.object(
-        engine_batch, "solve_multilateration_batch", _solve_batch_scalar
+        engine_batch, "solve_multilateration_batch", solve_batch_scalar
     )
 
 

@@ -84,7 +84,7 @@ class TestFig16Golden:
         import repro.engine.batch
         from repro._validation import ensure_rng
         from repro.core import localize_network
-        from repro.core.multilateration import _solve_batch_scalar
+        from _oracles import solve_batch_scalar
         from repro.deploy import random_anchors
         from repro.experiments.localization_experiments import _grid_setup
         from repro.ranging import augment_with_gaussian_ranges
@@ -98,7 +98,7 @@ class TestFig16Golden:
             edges, positions, max_range_m=22.0, sigma_m=0.33, rng=rng
         )
         monkeypatch.setattr(
-            repro.engine.batch, "solve_multilateration_batch", _solve_batch_scalar
+            repro.engine.batch, "solve_multilateration_batch", solve_batch_scalar
         )
         scalar = localize_network(extended, anchors, n)
         localized = scalar.localized & ~scalar.is_anchor
@@ -121,12 +121,12 @@ class TestUniformDvHopGolden:
     @pytest.mark.parametrize("backend", ["gradient", "scalar"])
     def test_campaign_aggregates(self, backend, monkeypatch):
         import repro.engine.batch
-        from repro.core.multilateration import _solve_batch_scalar
+        from _oracles import solve_batch_scalar
         from repro.scenarios import get_scenario, run_scenario
 
         if backend == "scalar":
             monkeypatch.setattr(
-                repro.engine.batch, "solve_multilateration_batch", _solve_batch_scalar
+                repro.engine.batch, "solve_multilateration_batch", solve_batch_scalar
             )
         # Inline (one worker, no store), so every trial runs under the patch.
         result = run_scenario(get_scenario("uniform-dv-hop"), master_seed=0, n_trials=6)
@@ -136,3 +136,36 @@ class TestUniformDvHopGolden:
         assert aggregate["mean_error_m"]["mean"] == pytest.approx(
             self.MEAN_ERROR_M, abs=ERROR_TOL
         )
+
+
+class TestMirrorSymmetricGolden:
+    """An exactly mirror-symmetric 3-anchor problem: anchors (8, 0),
+    (24, 8) and (16, 16), every distance 30.  The centroid start lies on
+    the symmetry axis, and the engine's descent stays there, at a saddle
+    with residual about 1174; the per-node scalar solver, summing in
+    another order, leaves the axis for a mirror minimum (about 57).
+    These are the engine's bytes: a descent change that moves them
+    moves every multilateration pin."""
+
+    ANCHORS = np.array([[8.0, 0.0], [24.0, 8.0], [16.0, 16.0]])
+    POSITION = (float.fromhex("0x1.3dad3e83404fep+3"), float.fromhex("0x1.ed69f43ecd6c8p+0"))
+    RESIDUAL = float.fromhex("0x1.259ee7235a8b1p+10")
+
+    def test_engine_stays_on_the_axis(self):
+        from repro.engine.batch import solve_multilateration_batch
+
+        pos, solved, res = solve_multilateration_batch(
+            [self.ANCHORS], [np.full(3, 30.0)], [np.ones(3)]
+        )
+        assert solved[0]
+        assert tuple(pos[0]) == self.POSITION
+        assert res[0] == self.RESIDUAL
+        # On the axis through (8, 0) and (20, 12), the line y = x - 8.
+        assert pos[0, 1] == pytest.approx(pos[0, 0] - 8.0, abs=1e-6)
+        assert res[0] == pytest.approx(1174.48, abs=0.01)
+
+    def test_scalar_solver_takes_a_mirror_minimum(self):
+        from repro.core import multilaterate
+
+        result = multilaterate(self.ANCHORS, np.full(3, 30.0))
+        assert result.residual == pytest.approx(56.78, abs=0.01)

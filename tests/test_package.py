@@ -170,6 +170,7 @@ class TestSingleSolverSurface:
             ("repro.core.lss", "_descend_scalar"),
             ("repro.engine", "consistency_filter_fast"),
             ("repro.engine.batch", "consistency_filter_fast"),
+            ("repro.core.multilateration", "_solve_batch_scalar"),
         ],
     )
     def test_removed_name_is_gone(self, module, name):
@@ -183,7 +184,7 @@ class TestSingleSolverSurface:
             ("_oracles", "descend_scalar"),
             ("_oracles", "scalar_round"),
             ("repro.core.transforms", "estimate_transform_minimize"),
-            ("repro.core.multilateration", "_solve_batch_scalar"),
+            ("_oracles", "solve_batch_scalar"),
             ("repro.core.distributed", "_solve_local_maps_scalar"),
         ],
     )

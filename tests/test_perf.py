@@ -154,7 +154,7 @@ class TestSuites:
         suite = get_suite("kernels")
         assert {w.kind for w in suite} == {"kernel"}
         assert [w.target_id for w in suite] == [
-            "town-lss-b1", "fig21-b3", "town-distributed-lss-b49",
+            "town-lss-b1", "fig21-b3", "town-distributed-lss-b49", "sweep-gd",
         ]
 
 
@@ -177,6 +177,26 @@ class TestKernelStacks:
         assert kernel.__name__ == kernel_name
         assert args[0].shape[0] == batch
         assert kwargs["min_spacing_m"] is not None
+
+    def test_capture_sweep_gd(self):
+        from repro.perf.kernels import capture_stack
+
+        kernel, args, kwargs = capture_stack("sweep-gd", 0)
+        assert kernel.__name__ == "batch_gradient_descent"
+        anchors, dists, weights, valid, initial = args
+        assert anchors.shape == (37, 12, 2) and initial.shape == (37, 2)
+        assert kwargs == {"step_size": 0.1, "max_iterations": 2000, "tolerance": 1e-9}
+
+    def test_gd_kernel_workload_counts_its_iterations(self):
+        workload = Workload(workload_id="k", kind="kernel", target_id="sweep-gd")
+        result = run_workload(workload, repeats=1)
+        counters = result["counters"]
+        assert counters["engine.batch.gd_solves"] == 1
+        assert counters["engine.batch.gd_problems"] == 37
+        epochs = counters["engine.batch.gd_iterations"]
+        assert result["metrics"]["us_per_epoch"] == pytest.approx(
+            result["median_s"] * 1e6 / epochs
+        )
 
     def test_kernel_workload_record(self):
         workload = Workload(workload_id="k", kind="kernel", target_id="town-lss-b1")
