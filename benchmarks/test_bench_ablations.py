@@ -20,7 +20,6 @@ from repro.core import (
     LssConfig,
     distributed_localize,
     estimate_transform_closed_form,
-    estimate_transform_minimize,
     evaluate_localization,
     lss_localize,
 )
@@ -28,6 +27,8 @@ from repro.core.geometry import apply_transform, rigid_transform_matrix
 from repro.deploy import paper_grid
 from repro.ranging import augment_with_gaussian_ranges, gaussian_ranges
 from repro.experiments.common import DEFAULT_SEED, grass_campaign_edges, grid_positions
+
+from _oracles import estimate_transform_minimize
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ The acceptance bar for the distributed-pipeline refactor:
 ``town-distributed-lss`` scenario's geometry at its default size class)
 must run at least 4x faster through the engine's stacked local-map
 kernels than with the one-map-at-a-time oracle
-(``distributed._solve_local_maps_scalar``) substituted for the batched
+(``solve_local_maps_scalar`` in ``tests/_oracles.py``) substituted for the batched
 solve, while producing the same node coverage and the same accuracy to
 solver tolerance.  Both sides fit the pairwise transforms in one
 vectorized pass.  Run with ``pytest benchmarks/test_bench_distributed.py
@@ -21,6 +21,7 @@ from repro.core import DistributedConfig, distributed, distributed_localize, eva
 from repro.deploy import town_layout
 from repro.ranging import gaussian_ranges
 
+from _oracles import solve_local_maps_scalar
 from _timing import interleaved_best_of, quiet_machine_only
 
 SPEEDUP_FLOOR = 4.0
@@ -46,9 +47,7 @@ def town_runs():
         results["batched"] = distributed_localize(ranges, n, root, config=config, rng=2)
 
     def scalar():
-        with mock.patch.object(
-            distributed, "_solve_local_maps_batched", distributed._solve_local_maps_scalar
-        ):
+        with mock.patch.object(distributed, "_solve_local_maps_batched", solve_local_maps_scalar):
             results["scalar"] = distributed_localize(ranges, n, root, config=config, rng=2)
 
     batched_s, scalar_s = interleaved_best_of([batched, scalar], repeats=3)

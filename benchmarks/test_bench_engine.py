@@ -9,8 +9,6 @@ CI).  Run with
 ``pytest benchmarks/test_bench_engine.py -s`` to see the measured ratio.
 """
 
-import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,12 +22,8 @@ from repro.experiments import DEFAULT_SEED
 from repro.experiments.localization_experiments import _grid_setup
 from repro.ranging import augment_with_gaussian_ranges
 
+from _oracles import solve_batch_scalar
 from _timing import interleaved_best_of, quiet_machine_only
-
-# The scalar oracle is test-suite code; put ``tests/`` on the path when
-# this module runs on its own.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from _oracles import solve_batch_scalar  # noqa: E402
 
 SPEEDUP_FLOOR = 5.0
 

@@ -8,7 +8,8 @@ on the mathematics.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+import math
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,6 +22,7 @@ __all__ = [
     "check_non_negative",
     "check_probability",
     "check_index_pairs",
+    "check_node_positions",
     "ensure_rng",
 ]
 
@@ -104,6 +106,28 @@ def check_index_pairs(
     if not allow_self and np.any(arr[:, 0] == arr[:, 1]):
         raise ValidationError(f"{name} contains self-pairs (i == j)")
     return arr
+
+
+def check_node_positions(
+    positions: Mapping[int, Sequence[float]], n: int, name: str
+) -> Dict[int, np.ndarray]:
+    """Validate known node positions (anchors, pins) against a node count *n*.
+
+    Returns ``{id: (x, y) float64 array}``.  Every id must lie in
+    ``[0, n)`` and every position be a finite ``(x, y)`` pair.
+    """
+    checked = {}
+    for node_id, pos in positions.items():
+        node_id = int(node_id)
+        if not 0 <= node_id < n:
+            raise ValidationError(f"{name} id {node_id} outside [0, {n})")
+        arr = np.asarray(pos, dtype=float)
+        # math.isfinite per coordinate: a tenth of np.isfinite's call
+        # cost, paid per anchor on every multilateration trial.
+        if arr.shape != (2,) or not (math.isfinite(arr[0]) and math.isfinite(arr[1])):
+            raise ValidationError(f"{name} positions must be finite (x, y) pairs")
+        checked[node_id] = arr
+    return checked
 
 
 def ensure_rng(rng=None) -> np.random.Generator:

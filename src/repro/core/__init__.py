@@ -59,7 +59,6 @@ from .multilateration import (
 from .transforms import (
     TransformEstimate,
     estimate_transform_closed_form,
-    estimate_transform_minimize,
     transform_residual,
 )
 
@@ -86,7 +85,6 @@ __all__ = [
     "TransformEstimate",
     "transform_residual",
     "estimate_transform_closed_form",
-    "estimate_transform_minimize",
     # evaluation
     "LocalizationReport",
     "align_to_reference",

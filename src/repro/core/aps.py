@@ -23,25 +23,18 @@ gradient descent, batched through the engine.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
+from .._validation import check_node_positions
 from ..errors import InsufficientDataError, ValidationError
-from .measurements import EdgeList, as_edge_list, check_edge_distances, check_graph_edges
+from .measurements import EdgeList, as_graph_edges, check_edge_distances
 from .multilateration import NetworkLocalization
 
 __all__ = ["dv_hop_localize", "dv_distance_localize"]
-
-
-def _edges_of(measurements, n_nodes: int) -> EdgeList:
-    edges = as_edge_list(measurements)
-    if len(edges) == 0:
-        raise InsufficientDataError("no measurements supplied")
-    check_graph_edges(edges.pairs, n_nodes)
-    return edges
 
 
 def _graph_matrix(edges: EdgeList, n_nodes: int, unit_weights: bool) -> csr_matrix:
@@ -54,21 +47,18 @@ def _graph_matrix(edges: EdgeList, n_nodes: int, unit_weights: bool) -> csr_matr
     return csr_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
 
 
-def _check_anchors(anchor_positions: Dict[int, Sequence[float]], n_nodes: int):
+def _inputs(
+    measurements, anchor_positions: Dict[int, Sequence[float]], n_nodes: int
+) -> Tuple[EdgeList, Dict[int, np.ndarray]]:
+    """The checked edge list and anchor positions of an APS run."""
+    edges = as_graph_edges(measurements, n_nodes)
+    if len(edges) == 0:
+        raise InsufficientDataError("no measurements supplied")
     if len(anchor_positions) < 3:
         raise InsufficientDataError(
             f"APS needs at least three anchors; got {len(anchor_positions)}"
         )
-    anchors = {}
-    for node_id, pos in anchor_positions.items():
-        node_id = int(node_id)
-        if not 0 <= node_id < n_nodes:
-            raise ValidationError(f"anchor id {node_id} outside [0, {n_nodes})")
-        arr = np.asarray(pos, dtype=float)
-        if arr.shape != (2,):
-            raise ValidationError("anchor positions must be (x, y) pairs")
-        anchors[node_id] = arr
-    return anchors
+    return edges, check_node_positions(anchor_positions, n_nodes, "anchor")
 
 
 def _aps_localize(
@@ -149,8 +139,7 @@ def dv_hop_localize(
     n_nodes : int
         Total node count.
     """
-    edges = _edges_of(measurements, n_nodes)
-    anchors = _check_anchors(anchor_positions, n_nodes)
+    edges, anchors = _inputs(measurements, anchor_positions, n_nodes)
     anchor_ids = sorted(anchors)
 
     hop_graph = _graph_matrix(edges, n_nodes, unit_weights=True)
@@ -205,9 +194,8 @@ def dv_distance_localize(
     estimates are upper bounds on the true Euclidean distance (paths
     bend), which is exactly the anisotropy failure mode.
     """
-    edges = _edges_of(measurements, n_nodes)
+    edges, anchors = _inputs(measurements, anchor_positions, n_nodes)
     check_edge_distances(edges.distances)
-    anchors = _check_anchors(anchor_positions, n_nodes)
     anchor_ids = sorted(anchors)
     dist_graph = _graph_matrix(edges, n_nodes, unit_weights=False)
     path_dist = shortest_path(

@@ -36,32 +36,32 @@ local maps advance through their perturbation-restart rounds in
 lockstep (:func:`repro.engine.localmaps.solve_local_lss_stack`) and all
 pairwise transforms are estimated in one vectorized pass
 (:func:`repro.core.transforms.estimate_transforms_closed_form_batch`).
-:func:`_solve_local_maps_scalar` is the one-map-at-a-time reference of
-step 1, a test oracle that no production path calls: tests substitute
-it for :func:`_solve_local_maps_batched`.  The two consume perturbation
-randomness in different orders (batched phases fits before trim-refits;
-the reference interleaves them per map), so they agree to solver
-tolerance rather than bit-for-bit — ``tests/test_distributed.py`` and
-``benchmarks/test_bench_distributed.py`` pin the agreement and the
-speedup.
+The one-map-at-a-time reference of step 1 lives in the test suite
+(``solve_local_maps_scalar`` in ``tests/_oracles.py``), which
+substitutes it for :func:`_solve_local_maps_batched`.  The two consume
+perturbation randomness in different orders (batched phases fits before
+trim-refits; the reference interleaves them per map), so they agree to
+solver tolerance rather than bit-for-bit — ``tests/test_distributed.py``
+and ``benchmarks/test_bench_distributed.py`` pin the agreement and the
+speedup.  Both trim through :func:`repro.core.lss._refit_edges`, the
+rule :func:`repro.core.lss.lss_localize_robust` applies.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .. import telemetry
 from .._validation import check_positive, ensure_rng
-from ..errors import GraphDisconnectedError, InsufficientDataError, ValidationError
+from ..errors import InsufficientDataError, ValidationError
 from .geometry import apply_transform, compose_transforms
-from .lss import LssConfig, _trim_mask, lss_localize
-from .mds import mds_map, mds_map_stack
-from .measurements import EdgeList, as_edge_list, check_graph_edges
+from .lss import LssConfig, _refit_edges
+from .mds import mds_map_stack
+from .measurements import EdgeList, as_graph_edges
 from .transforms import TransformEstimate, estimate_transforms_closed_form_batch
 
 __all__ = [
@@ -84,9 +84,9 @@ class DistributedConfig:
         Configuration for the per-node local LSS runs (smaller budgets
         than the centralized runs — neighborhoods are tiny).  Pairwise
         transforms always use the paper's mote-friendly closed-form
-        estimator; the heavier Nelder-Mead minimization
-        (:func:`repro.core.transforms.estimate_transform_minimize`) is
-        kept only as a reference for tests and the ablation benchmark.
+        estimator; the heavier Nelder-Mead minimization survives only
+        as a test and ablation-benchmark oracle
+        (``estimate_transform_minimize`` in ``tests/_oracles.py``).
     min_shared : int
         Minimum shared-map points required to trust a pairwise
         transform (2 is the geometric minimum; 3 rejects more bad
@@ -134,9 +134,7 @@ class DistributedConfig:
         """The local LSS config with the deployment spacing folded in."""
         if self.min_spacing_m is None:
             return self.local_lss
-        from dataclasses import replace as _replace
-
-        return _replace(self.local_lss, min_spacing_m=self.min_spacing_m)
+        return replace(self.local_lss, min_spacing_m=self.min_spacing_m)
 
 
 @dataclass
@@ -187,14 +185,6 @@ class DistributedResult:
     parents: Dict[int, Optional[int]]
 
 
-def _as_edges(measurements, n_nodes: int) -> EdgeList:
-    edges = as_edge_list(measurements)
-    if len(edges) == 0:
-        raise InsufficientDataError("no distance measurements supplied")
-    check_graph_edges(edges.pairs, n_nodes)
-    return edges
-
-
 def _neighborhood_problems(
     edges: EdgeList, n_nodes: int
 ) -> List[Tuple[int, List[int], EdgeList]]:
@@ -203,8 +193,8 @@ def _neighborhood_problems(
     Returns ``(owner, members, local_edges)`` triples in owner order;
     ``local_edges`` is indexed by position in ``members``.  Nodes with
     fewer than two neighbors (or fewer than three usable local edges)
-    yield no problem.  Shared by the scalar and batched solve paths, so
-    both see the identical problem set.
+    yield no problem.  The batched solve and its test oracle both take
+    this problem set.
     """
     neighbor_map: Dict[int, Set[int]] = {i: set() for i in range(n_nodes)}
     edge_lookup: Dict[Tuple[int, int], Tuple[float, float]] = {}
@@ -248,43 +238,29 @@ _SEED_MIN_WEIGHTS = (0.5, 0.0)
 
 
 def _edges_at_least(edges: EdgeList, min_weight: float) -> EdgeList:
-    keep = edges.weights >= min_weight
-    return EdgeList(
-        pairs=edges.pairs[keep],
-        distances=edges.distances[keep],
-        weights=edges.weights[keep],
-    )
-
-
-def _mds_initial(local_edges: EdgeList, n_members: int) -> Optional[np.ndarray]:
-    """MDS-MAP seed for one local minimization (None when impossible).
-
-    Neighborhood graphs are dense enough that shortest-path completion
-    plus classical MDS lands in the right basin nearly always, where a
-    random start folds ~15% of the time.  The init is built from
-    corroborated edges only — shortest-path completion amplifies a
-    single garbage underestimate into many wrong entries, so
-    uncorroborated ranges are excluded here (they still participate,
-    down-weighted, in the refinement).  When the corroborated edges do
-    not connect the neighborhood, every edge is tried.
-    """
-    for min_weight in _SEED_MIN_WEIGHTS:
-        try:
-            return mds_map(_edges_at_least(local_edges, min_weight), n_members)
-        except (GraphDisconnectedError, InsufficientDataError):
-            continue
-    return None
+    return edges.subset(edges.weights >= min_weight)
 
 
 def _mds_initials(
     problems: List[Tuple[int, List[int], EdgeList]],
 ) -> List[Optional[np.ndarray]]:
-    """:func:`_mds_initial` for every problem, stacked by node count.
+    """MDS-MAP seed of every local minimization (None when impossible).
+
+    Neighborhood graphs are dense enough that shortest-path completion
+    plus classical MDS lands in the right basin nearly always, where a
+    random start folds ~15% of the time.  A seed is built from
+    corroborated edges only — shortest-path completion amplifies a
+    single garbage underestimate into many wrong entries, so
+    uncorroborated ranges are excluded here (they still participate,
+    down-weighted, in the refinement).  When the corroborated edges do
+    not connect the neighborhood, every edge is tried.
 
     Each neighborhood size is one :func:`repro.core.mds.mds_map_stack`
     call per corroboration weight; the all-edges call takes only the
     problems the corroborated one left disconnected.  The seeds are
-    bytewise :func:`_mds_initial`'s.  Counts each seed's outcome under
+    bytewise one :func:`repro.core.mds.mds_map` call per problem and
+    weight (``mds_initial`` in ``tests/_oracles.py``).  Counts each
+    seed's outcome under
     ``core.distributed.seeds.{corroborated,all_edges,random}`` (random:
     no seed, the map starts from a uniform draw).
     """
@@ -315,42 +291,6 @@ def _mds_initials(
     return seeds
 
 
-def _solve_local_maps_scalar(
-    problems: List[Tuple[int, List[int], EdgeList]],
-    config: DistributedConfig,
-    rng,
-) -> List[np.ndarray]:
-    """Reference of :func:`_solve_local_maps_batched`, a test oracle only.
-
-    One LSS run (plus optional trim-refit) per map through
-    :func:`repro.core.lss.lss_localize`; tests substitute it for the
-    batched solve to check the engine against it.
-    """
-    positions: List[np.ndarray] = []
-    for owner, members, local_edges in problems:
-        result = lss_localize(
-            local_edges,
-            len(members),
-            config=config.effective_local_lss,
-            initial=_mds_initial(local_edges, len(members)),
-            rng=rng,
-        )
-        if config.residual_trim_m is not None:
-            trimmed = _trim_local_edges(
-                local_edges, result.positions, config.residual_trim_m
-            )
-            if trimmed is not None and len(trimmed) >= 3:
-                result = lss_localize(
-                    trimmed,
-                    len(members),
-                    config=config.effective_local_lss,
-                    initial=result.positions,
-                    rng=rng,
-                )
-        positions.append(result.positions)
-    return positions
-
-
 def _solve_local_maps_batched(
     problems: List[Tuple[int, List[int], EdgeList]],
     config: DistributedConfig,
@@ -359,11 +299,13 @@ def _solve_local_maps_batched(
     """Batched path: all maps descend in lockstep through the engine.
 
     The MDS-MAP seeds are computed stacked by neighborhood size
-    (:func:`_mds_initials`, bytewise :func:`_mds_initial`).  Phase 1
-    stacks every neighborhood's multistart LSS into one
+    (:func:`_mds_initials`).  Phase 1 stacks every neighborhood's
+    multistart LSS into one
     :func:`repro.engine.localmaps.solve_local_lss_stack` call; phase 2
-    re-runs the subset whose residual trim dropped edges, again as one
-    stack seeded from the phase-1 configurations.
+    re-runs the subset whose residual trim dropped edges
+    (:func:`repro.core.lss._refit_edges`, edges of weight below 1 held
+    to ``residual_trim_m``), again as one stack seeded from the phase-1
+    configurations.
     """
     from ..engine.localmaps import LocalLssProblem, solve_local_lss_stack
 
@@ -379,10 +321,8 @@ def _solve_local_maps_batched(
         refit_indices: List[int] = []
         refit_stack: List[LocalLssProblem] = []
         for k, (_, members, local_edges) in enumerate(problems):
-            trimmed = _trim_local_edges(
-                local_edges, positions[k], config.residual_trim_m
-            )
-            if trimmed is not None and len(trimmed) >= 3:
+            trimmed = _refit_edges(local_edges, positions[k], config.residual_trim_m, 1.0)
+            if trimmed is not None:
                 refit_indices.append(k)
                 refit_stack.append(
                     LocalLssProblem(
@@ -415,7 +355,9 @@ def build_local_maps(
     """
     config = config if config is not None else DistributedConfig()
     rng = ensure_rng(rng)
-    edges = _as_edges(measurements, n_nodes)
+    edges = as_graph_edges(measurements, n_nodes)
+    if len(edges) == 0:
+        raise InsufficientDataError("no distance measurements supplied")
     problems = _neighborhood_problems(edges, n_nodes)
     positions = _solve_local_maps_batched(problems, config, rng)
 
@@ -424,28 +366,6 @@ def build_local_maps(
         coordinates = {node: pts[k].copy() for k, node in enumerate(members)}
         maps[owner] = LocalMap(owner=owner, coordinates=coordinates)
     return maps
-
-
-def _trim_local_edges(
-    edges: EdgeList, positions: np.ndarray, threshold_m: float
-) -> Optional[EdgeList]:
-    """Drop low-confidence edges with large fit residuals.
-
-    Returns the trimmed edge list, or None when nothing was trimmed.
-    Full-confidence (bidirectionally corroborated) edges are held to a
-    3x looser threshold: a persistent echo path overestimates *both*
-    directions consistently, so even corroborated edges can be garbage,
-    but they deserve more benefit of the doubt than one-shot ranges.
-    """
-    drop = _trim_mask(edges, positions, threshold_m, 1.0)
-    if not np.any(drop):
-        return None
-    keep = ~drop
-    return EdgeList(
-        pairs=edges.pairs[keep],
-        distances=edges.distances[keep],
-        weights=edges.weights[keep],
-    )
 
 
 def build_transforms(

@@ -34,9 +34,15 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .._validation import as_positions, check_non_negative, check_positive, ensure_rng
+from .._validation import (
+    as_positions,
+    check_node_positions,
+    check_non_negative,
+    check_positive,
+    ensure_rng,
+)
 from ..errors import InsufficientDataError, ValidationError
-from .measurements import EdgeList, as_edge_list
+from .measurements import EdgeList, as_graph_edges
 
 __all__ = [
     "LssConfig",
@@ -144,15 +150,6 @@ class LssResult:
     converged: bool = False
 
 
-def _prepare_edges(measurements, n_nodes: int) -> EdgeList:
-    edges = as_edge_list(measurements)
-    if len(edges) == 0:
-        raise InsufficientDataError("no distance measurements supplied")
-    if np.any(edges.pairs < 0) or np.any(edges.pairs >= n_nodes):
-        raise ValidationError("edge indices outside [0, n_nodes)")
-    return edges
-
-
 def _constraint_pairs(n_nodes: int, measured_pairs: np.ndarray) -> np.ndarray:
     """All undirected pairs with no measurement (the soft-constraint set),
     as ``(i, j)`` rows with ``i < j`` in ``triu_indices`` order.
@@ -205,7 +202,9 @@ def _setup(
     """Edge list, constraint pairs, init span, pins and starting
     configuration of a shared-edge LSS stack (:func:`lss_localize` and
     :func:`repro.engine.batch.lss_localize_multistart`)."""
-    edges = _prepare_edges(measurements, n_nodes)
+    edges = as_graph_edges(measurements, n_nodes)
+    if len(edges) == 0:
+        raise InsufficientDataError("no distance measurements supplied")
 
     constraint_pairs = None
     if config.min_spacing_m is not None:
@@ -213,18 +212,9 @@ def _setup(
 
     span = _init_span(config, edges.distances, n_nodes)
 
+    pins = check_node_positions(fixed_positions or {}, n_nodes, "fixed node")
     free_mask = np.ones(n_nodes, dtype=bool)
-    pins: Dict[int, np.ndarray] = {}
-    if fixed_positions:
-        for node_id, pos in fixed_positions.items():
-            node_id = int(node_id)
-            if not 0 <= node_id < n_nodes:
-                raise ValidationError(f"fixed node id {node_id} outside [0, {n_nodes})")
-            arr = np.asarray(pos, dtype=float)
-            if arr.shape != (2,) or not np.all(np.isfinite(arr)):
-                raise ValidationError("fixed positions must be finite (x, y) pairs")
-            pins[node_id] = arr
-            free_mask[node_id] = False
+    free_mask[list(pins)] = False
 
     if initial is not None:
         initial = as_positions(initial, "initial").copy()
@@ -341,22 +331,28 @@ def lss_localize(
     return _lss_stack(measurements, n_nodes, config, rngs, initial, fixed_positions)[0]
 
 
-def _trim_mask(
+def _refit_edges(
     edges: EdgeList, positions: np.ndarray, threshold_m: float, max_weight: float
-) -> np.ndarray:
-    """Edges a residual trim drops after a fit at *positions*.
+) -> Optional[EdgeList]:
+    """The edges a residual-trim refit runs on after a fit at *positions*.
 
     An edge goes when its fit residual exceeds *threshold_m* and its
     weight is below *max_weight*, or when the residual exceeds three
     times *threshold_m* whatever its weight: corroborated edges get more
-    benefit of the doubt, not immunity.
+    benefit of the doubt, not immunity (a persistent echo path
+    overestimates both directions alike).  Returns None, meaning no
+    refit, when nothing goes or fewer than three edges stay.
     """
     diff = positions[edges.pairs[:, 0]] - positions[edges.pairs[:, 1]]
     comp = np.hypot(diff[:, 0], diff[:, 1])
     residuals = np.abs(comp - edges.distances)
-    return ((residuals > threshold_m) & (edges.weights < max_weight)) | (
-        residuals > 3.0 * threshold_m
+    keep = ~(
+        ((residuals > threshold_m) & (edges.weights < max_weight))
+        | (residuals > 3.0 * threshold_m)
     )
+    if keep.all() or np.count_nonzero(keep) < 3:
+        return None
+    return edges.subset(keep)
 
 
 def lss_localize_robust(
@@ -382,23 +378,18 @@ def lss_localize_robust(
 
     Corroborated edges (weight >= *trim_max_weight*) are held to a 3x
     looser threshold, the rule :func:`repro.core.distributed.build_local_maps`
-    applies too (:func:`_trim_mask`).
+    applies too (:func:`_refit_edges`).
     """
     check_positive(trim_residual_m, "trim_residual_m")
     if max_trim_rounds < 0:
         raise ValidationError("max_trim_rounds must be non-negative")
     rng = ensure_rng(rng)
-    edges = _prepare_edges(measurements, n_nodes)
+    edges = as_graph_edges(measurements, n_nodes)
     result = lss_localize(edges, n_nodes, config=config, rng=rng, **kwargs)
     for _ in range(max_trim_rounds):
-        drop = _trim_mask(edges, result.positions, trim_residual_m, trim_max_weight)
-        if not np.any(drop) or (~drop).sum() < 3:
+        edges = _refit_edges(edges, result.positions, trim_residual_m, trim_max_weight)
+        if edges is None:
             break
-        edges = EdgeList(
-            pairs=edges.pairs[~drop],
-            distances=edges.distances[~drop],
-            weights=edges.weights[~drop],
-        )
         result = lss_localize(
             edges,
             n_nodes,

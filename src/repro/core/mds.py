@@ -26,7 +26,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from .._validation import as_finite_array
 from ..errors import GraphDisconnectedError, InsufficientDataError, ValidationError
-from .measurements import EdgeList, as_edge_list, check_edge_distances, check_graph_edges
+from .measurements import EdgeList, as_graph_edges, check_edge_distances, check_graph_edges
 
 __all__ = ["classical_mds", "complete_distances", "mds_map", "mds_map_stack"]
 
@@ -74,12 +74,11 @@ def complete_distances(measurements, n_nodes: int) -> np.ndarray:
     does not connect all *n_nodes* nodes (shortest-path completion is
     then impossible for some pairs).
     """
-    edges = as_edge_list(measurements)
-    if len(edges) == 0:
-        raise InsufficientDataError("no measurements to complete")
     if n_nodes < 2:
         raise ValidationError("n_nodes must be >= 2")
-    check_graph_edges(edges.pairs, n_nodes)
+    edges = as_graph_edges(measurements, n_nodes)
+    if len(edges) == 0:
+        raise InsufficientDataError("no measurements to complete")
     check_edge_distances(edges.distances)
     rows = np.concatenate([edges.pairs[:, 0], edges.pairs[:, 1]])
     cols = np.concatenate([edges.pairs[:, 1], edges.pairs[:, 0]])

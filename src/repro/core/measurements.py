@@ -28,6 +28,7 @@ __all__ = [
     "EdgeList",
     "MeasurementSet",
     "as_edge_list",
+    "as_graph_edges",
     "check_edge_distances",
     "check_graph_edges",
 ]
@@ -87,6 +88,12 @@ class EdgeList:
 
     def __len__(self) -> int:
         return int(self.pairs.shape[0])
+
+    def subset(self, keep: np.ndarray) -> "EdgeList":
+        """The rows *keep* (a boolean mask or an index array) selects."""
+        return EdgeList(
+            pairs=self.pairs[keep], distances=self.distances[keep], weights=self.weights[keep]
+        )
 
     @classmethod
     def from_directed(cls, sources, receivers, distances, *, weight_fn=None) -> "EdgeList":
@@ -405,14 +412,28 @@ def check_graph_edges(pairs: np.ndarray, n_nodes: int) -> None:
     order, is an error rather than a choice.
     """
     if np.any(pairs < 0) or np.any(pairs >= n_nodes):
-        raise ValidationError("edge indices outside [0, n_nodes)")
-    lo = pairs.min(axis=1)
-    hi = pairs.max(axis=1)
+        raise ValidationError("edge endpoints outside [0, n_nodes)")
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
     if np.any(lo == hi):
         raise ValidationError("self-loop edge: a node cannot measure itself")
-    if np.unique(lo * n_nodes + hi).size != lo.size:
+    # A sort and a neighbor compare: a quarter of np.unique's cost on
+    # trial-sized lists, and every localizer call pays it.
+    keys = np.sort(lo * n_nodes + hi)
+    if np.any(keys[1:] == keys[:-1]):
         raise ValidationError("duplicate edge: each undirected pair may appear once")
 
+
+def as_graph_edges(measurements, n_nodes: int) -> EdgeList:
+    """*measurements* as an :class:`EdgeList` over nodes ``[0, n_nodes)``.
+
+    :func:`as_edge_list`, then :func:`check_graph_edges`.  Every
+    localizer takes its measurements through here; whether an empty
+    list is an error is each caller's rule.
+    """
+    edges = as_edge_list(measurements)
+    check_graph_edges(edges.pairs, n_nodes)
+    return edges
 
 
 def check_edge_distances(distances: np.ndarray) -> None:
@@ -424,6 +445,7 @@ def check_edge_distances(distances: np.ndarray) -> None:
     """
     if not np.all(np.isfinite(distances)) or np.any(distances < 0):
         raise ValidationError("edge distances must be finite and >= 0")
+
 
 def _binned_mode(values: np.ndarray, bin_width: float = 0.5) -> float:
     """Mode of *values* by densest 0.5 m bin, as used by the paper's

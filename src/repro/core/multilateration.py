@@ -31,10 +31,10 @@ from typing import Dict, Sequence, Set, Tuple
 
 import numpy as np
 
-from .._validation import as_positions, check_positive
+from .._validation import as_positions, check_node_positions, check_positive
 from ..errors import InsufficientDataError, ValidationError
 from .geometry import all_pairs_circle_intersections, is_collinear
-from .measurements import as_edge_list
+from .measurements import as_graph_edges
 
 __all__ = [
     "MultilaterationResult",
@@ -326,22 +326,18 @@ def localize_network(
     """
     from ..engine.batch import solve_multilateration_batch
 
-    edges = as_edge_list(measurements)
     if n_nodes < 1:
         raise ValidationError("n_nodes must be >= 1")
     if min_anchors < 3:
         raise ValidationError("min_anchors must be >= 3 for planar localization")
-    for node_id in anchor_positions:
-        if not 0 <= int(node_id) < n_nodes:
-            raise ValidationError(f"anchor id {node_id} outside [0, {n_nodes})")
+    anchors = check_node_positions(anchor_positions, n_nodes, "anchor")
+    edges = as_graph_edges(measurements, n_nodes)
 
     # Each node's partners, distances and weights as CSR arrays, in edge
     # order: a stable sort of the interleaved endpoints (i0, j0, i1, j1,
     # ...) keeps every node's edges in list order, which fixes each
     # problem's anchor order and so its sums.
     ends = np.asarray(edges.pairs, dtype=np.int64).reshape(-1)
-    if ends.size and (ends.min() < 0 or ends.max() >= n_nodes):
-        raise ValidationError(f"edge endpoints outside [0, {n_nodes})")
     order = np.argsort(ends, kind="stable")
     node_of = ends[order]
     partner = ends[order ^ 1]
@@ -350,12 +346,9 @@ def localize_network(
 
     positions = np.full((n_nodes, 2), np.nan)
     is_anchor = np.zeros(n_nodes, dtype=bool)
-    for node_id, pos in anchor_positions.items():
-        arr = np.asarray(pos, dtype=float)
-        if arr.shape != (2,):
-            raise ValidationError("anchor positions must be (x, y) pairs")
-        positions[int(node_id)] = arr
-        is_anchor[int(node_id)] = True
+    for node_id, arr in anchors.items():
+        positions[node_id] = arr
+        is_anchor[node_id] = True
     # Rows of *known* nodes in *positions* are the anchor coordinates
     # the next round measures against.
     known = is_anchor.copy()

@@ -42,7 +42,7 @@ from ..network.radio import RadioModel
 from ..network.simulator import NetworkSimulator
 from .distributed import DistributedConfig, LocalMap, build_local_maps
 from .geometry import apply_transform, compose_transforms
-from .measurements import EdgeList, as_edge_list
+from .measurements import EdgeList, as_graph_edges
 from .transforms import estimate_transform_closed_form
 
 __all__ = ["ProtocolResult", "run_distributed_protocol"]
@@ -117,7 +117,7 @@ def run_distributed_protocol(
     if not 0 <= root < n_nodes:
         raise ValidationError(f"root must be in [0, {n_nodes})")
 
-    edges = as_edge_list(measurements)
+    edges = as_graph_edges(measurements, n_nodes)
     neighbors = _acoustic_neighbors(edges, n_nodes)
 
     radio = radio if radio is not None else RadioModel(delivery_probability=1.0)

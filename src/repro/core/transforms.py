@@ -3,28 +3,24 @@
 Step 2 of the paper's distributed localization algorithm (Section 4.3.1)
 must map one node's local relative coordinate system onto a neighbor's,
 using the coordinates of their *shared* neighbors as correspondences.
-The paper presents two estimators, both implemented here:
+The paper presents two estimators.  :func:`estimate_transform_closed_form`
+is its lightweight one and the only one the pipeline uses: translate
+both point sets to their centers of mass, then solve for the rotation
+angle from the cross-covariances via
+``(C_xu + C_yv) sin(theta) + (C_xv - C_yu) cos(theta) = 0``, trying both
+roots (theta, theta + pi) and both reflection factors, keeping the
+combination with least error.  It returns a :class:`TransformEstimate`
+carrying the homogeneous matrix (the paper's row-vector convention), the
+residual error, and the chosen reflection — so the alignment step can
+propagate quality information.
 
-``estimate_transform_closed_form``
-    The paper's lightweight estimator and the only one the pipeline
-    uses: translate both point sets to their centers of mass, then
-    solve for the rotation angle from the cross-covariances via
-    ``(C_xu + C_yv) sin(theta) + (C_xv - C_yu) cos(theta) = 0``, trying
-    both roots (theta, theta + pi) and both reflection factors, keeping
-    the combination with least error.
-
-``estimate_transform_minimize``
-    The "straightforward" 4-parameter minimization of the squared
-    correspondence error over ``(theta, tx, ty)`` for each reflection
-    factor ``f in {+1, -1}``, keeping the better of the two.  Accurate
-    but, as the paper notes, too heavy for mote-class hardware; no
-    production path calls it.  It is kept as the reference that tests
-    and the transform ablation benchmark compare the closed form
-    against (the paper's "slightly less accurate" claim).
-
-Both return a :class:`TransformEstimate` carrying the homogeneous matrix
-(the paper's row-vector convention), the residual error, and the chosen
-reflection — so the alignment step can propagate quality information.
+The other is the "straightforward" minimization of the squared
+correspondence error over ``(theta, tx, ty)`` for each reflection factor
+``f in {+1, -1}``.  Accurate but, as the paper notes, too heavy for
+mote-class hardware, it survives only in the test suite
+(``estimate_transform_minimize`` in ``tests/_oracles.py``), as the
+reference that tests and the transform ablation benchmark compare the
+closed form against (the paper's "slightly less accurate" claim).
 
 :func:`estimate_transforms_closed_form_batch` is the vectorized form of
 the closed-form estimator: a whole refinement round's pairwise
@@ -32,8 +28,7 @@ transforms (one problem per neighboring-map pair and direction) are
 stacked into padded ``(n_problems, max_shared, 2)`` correspondence
 arrays with a validity mask and solved in one pass — the batched
 map-stitching step of the distributed pipeline
-(:func:`repro.core.distributed.build_transforms` with the default
-``solver="batched"``).
+(:func:`repro.core.distributed.build_transforms`).
 """
 
 from __future__ import annotations
@@ -43,7 +38,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .._validation import as_positions
 from ..errors import InsufficientDataError, ValidationError
@@ -52,7 +46,6 @@ from .geometry import apply_transform, rigid_transform_matrix
 __all__ = [
     "TransformEstimate",
     "transform_residual",
-    "estimate_transform_minimize",
     "estimate_transform_closed_form",
     "estimate_transforms_closed_form_batch",
 ]
@@ -113,54 +106,6 @@ def _validate_correspondences(source, target) -> Tuple[np.ndarray, np.ndarray]:
             f"transform; got {src.shape[0]}"
         )
     return src, tgt
-
-
-def estimate_transform_minimize(source, target) -> TransformEstimate:
-    """Estimate the transform by direct numerical minimization.
-
-    Solves ``argmin_{theta, tx, ty} E_f`` separately for ``f = +1`` and
-    ``f = -1`` (Section 4.3.1) and returns the solution with smaller
-    error.  Uses Nelder-Mead seeded from the closed-form solution, which
-    makes it robust without gradients.
-    """
-    src, tgt = _validate_correspondences(source, target)
-    seed = estimate_transform_closed_form(src, tgt)
-
-    best: Optional[TransformEstimate] = None
-    for reflect in (False, True):
-        # Seed each branch from the closed-form angle; translation seeds
-        # come from the centroid offset under that angle.
-        theta0 = seed.theta if reflect == seed.reflected else seed.theta + math.pi
-
-        def objective(params, reflect=reflect):
-            theta, tx, ty = params
-            matrix = rigid_transform_matrix(theta, tx, ty, reflect)
-            return transform_residual(src, tgt, matrix)
-
-        rot0 = rigid_transform_matrix(theta0, 0.0, 0.0, reflect)
-        mapped0 = apply_transform(src, rot0)
-        t0 = tgt.mean(axis=0) - mapped0.mean(axis=0)
-        result = minimize(
-            objective,
-            x0=np.array([theta0, t0[0], t0[1]]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-        )
-        theta, tx, ty = result.x
-        matrix = rigid_transform_matrix(theta, tx, ty, reflect)
-        error = transform_residual(src, tgt, matrix)
-        candidate = TransformEstimate(
-            matrix=matrix,
-            error=error,
-            rmse=math.sqrt(error / src.shape[0]),
-            theta=float(theta),
-            reflected=reflect,
-            n_correspondences=src.shape[0],
-        )
-        if best is None or candidate.error < best.error:
-            best = candidate
-    assert best is not None
-    return best
 
 
 def estimate_transform_closed_form(source, target) -> TransformEstimate:

@@ -64,9 +64,9 @@ calls it: ``solve_batch_scalar`` in ``tests/_oracles.py`` for
 :func:`repro.engine.batch.solve_multilateration_batch` (the
 multilateration and APS callers), the scalar LSS round there too for
 the restart driver's per-round seam
-``repro.engine.batch._lss_round``, and
-``repro.core.distributed._solve_local_maps_scalar`` for
-``_solve_local_maps_batched``.  The intersection consistency filter
+``repro.engine.batch._lss_round``, and ``solve_local_maps_scalar``
+there as well for ``repro.core.distributed._solve_local_maps_batched``.
+The intersection consistency filter
 ``repro.core.multilateration.intersection_consistency_filter`` is the
 reference of the batched keep mask, checked with batches of one.  Batched and
 scalar runs from the same seed must therefore agree to floating-point
@@ -86,7 +86,8 @@ its batched path phases residual-trim refits after all first fits
 instead of interleaving them per map, so it consumes perturbation
 randomness in a different order and agrees with the scalar loop to
 solver tolerance instead (``tests/test_distributed.py``).  The scalar
-oracles stay in the tree precisely to keep these contracts testable.
+oracles stay in the test suite precisely to keep these contracts
+testable.
 """
 
 from .batch import (

@@ -16,6 +16,7 @@ batched kernel                        scalar reference
 :func:`batch_lss_gradient_padded`     ``lss.lss_gradient`` (per problem)
 :func:`batch_lss_descend_padded`      ``descend_scalar`` (per problem)
 :func:`_lss_restarts`                 ``tests/_restart_oracle.py``
+``localmaps.solve_local_lss_stack``   ``tests/_oracles.py``: ``solve_local_maps_scalar``
 ====================================  =====================================
 
 All LSS kernels run one fused value-and-gradient body and one

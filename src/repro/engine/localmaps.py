@@ -3,11 +3,11 @@
 The distributed localization pipeline (paper Section 4.3) runs one
 small LSS minimization per node — its one-hop neighborhood in local
 relative coordinates — and then stitches the resulting local maps with
-rigid transforms.  The scalar reference
-(:func:`repro.core.distributed._solve_local_maps_scalar`, a test
-oracle) solves those neighborhoods one at a time; this module is the
-production path: every local map of a refinement round is
-padded into the ``(n_problems, max_nodes, 2)`` masked stacks of
+rigid transforms.  The scalar reference, a test oracle
+(``solve_local_maps_scalar`` in ``tests/_oracles.py``), solves those
+neighborhoods one at a time; this module is the production path:
+every local map of a refinement round is padded into the
+``(n_problems, max_nodes, 2)`` masked stacks of
 :func:`repro.engine.batch.batch_lss_descend_padded`, and the engine's
 one restart driver (``repro.engine.batch._lss_restarts``, the same
 rounds centralized LSS runs) advances all problems through each

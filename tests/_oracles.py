@@ -15,17 +15,40 @@ solving each configuration of a shared-edge stack in turn, and
 :data:`scalar_round` is that seam for :func:`descend_scalar`.  Tests
 substitute it (``mock.patch.object(batch, "_lss_round", scalar_round)``)
 to run centralized LSS on the reference path end to end.
+
+:func:`solve_local_maps_scalar` is the one-map-at-a-time reference of
+``repro.core.distributed._solve_local_maps_batched``: one
+:func:`~repro.core.lss.lss_localize` run, and its trim-refit, per local
+map, seeded by :func:`mds_initial` (one :func:`~repro.core.mds.mds_map`
+call per map and corroboration weight).  Tests substitute it
+(``mock.patch.object(distributed, "_solve_local_maps_batched",
+solve_local_maps_scalar)``).
+
+:func:`estimate_transform_minimize` is the paper's "straightforward"
+transform fit by numerical minimization, the reference the closed-form
+estimator the pipeline uses is compared against.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.optimize import minimize
 
-from repro.core.lss import lss_error, lss_gradient
+from repro.core.distributed import _SEED_MIN_WEIGHTS, _edges_at_least
+from repro.core.geometry import apply_transform, rigid_transform_matrix
+from repro.core.lss import _refit_edges, lss_error, lss_gradient, lss_localize
+from repro.core.mds import mds_map
 from repro.core.multilateration import multilaterate
-from repro.errors import InsufficientDataError
+from repro.core.transforms import (
+    TransformEstimate,
+    _validate_correspondences,
+    estimate_transform_closed_form,
+    transform_residual,
+)
+from repro.errors import GraphDisconnectedError, InsufficientDataError
 
 
 def solve_batch_scalar(
@@ -148,3 +171,95 @@ def per_configuration(descend: Callable) -> Callable:
 
 #: The restart driver's per-round seam on the scalar reference.
 scalar_round = per_configuration(descend_scalar)
+
+
+def mds_initial(local_edges, n_members: int) -> Optional[np.ndarray]:
+    """MDS-MAP seed for one local minimization (None when impossible).
+
+    Corroborated edges first, then every edge; the batched seeds of
+    ``repro.core.distributed._mds_initials`` are bytewise these.
+    """
+    for min_weight in _SEED_MIN_WEIGHTS:
+        try:
+            return mds_map(_edges_at_least(local_edges, min_weight), n_members)
+        except (GraphDisconnectedError, InsufficientDataError):
+            continue
+    return None
+
+
+def solve_local_maps_scalar(problems, config, rng) -> List[np.ndarray]:
+    """Reference of ``distributed._solve_local_maps_batched``.
+
+    One LSS run per map, and a refit on the trimmed edges when
+    ``config.residual_trim_m`` drops some, through
+    :func:`~repro.core.lss.lss_localize`.
+    """
+    positions: List[np.ndarray] = []
+    for owner, members, local_edges in problems:
+        result = lss_localize(
+            local_edges,
+            len(members),
+            config=config.effective_local_lss,
+            initial=mds_initial(local_edges, len(members)),
+            rng=rng,
+        )
+        if config.residual_trim_m is not None:
+            trimmed = _refit_edges(local_edges, result.positions, config.residual_trim_m, 1.0)
+            if trimmed is not None:
+                result = lss_localize(
+                    trimmed,
+                    len(members),
+                    config=config.effective_local_lss,
+                    initial=result.positions,
+                    rng=rng,
+                )
+        positions.append(result.positions)
+    return positions
+
+
+def estimate_transform_minimize(source, target) -> TransformEstimate:
+    """Estimate the transform by direct numerical minimization.
+
+    Solves ``argmin_{theta, tx, ty} E_f`` separately for ``f = +1`` and
+    ``f = -1`` (Section 4.3.1) and returns the solution with smaller
+    error.  Uses Nelder-Mead seeded from the closed-form solution, which
+    makes it robust without gradients.
+    """
+    src, tgt = _validate_correspondences(source, target)
+    seed = estimate_transform_closed_form(src, tgt)
+
+    best: Optional[TransformEstimate] = None
+    for reflect in (False, True):
+        # Seed each branch from the closed-form angle; translation seeds
+        # come from the centroid offset under that angle.
+        theta0 = seed.theta if reflect == seed.reflected else seed.theta + math.pi
+
+        def objective(params, reflect=reflect):
+            theta, tx, ty = params
+            matrix = rigid_transform_matrix(theta, tx, ty, reflect)
+            return transform_residual(src, tgt, matrix)
+
+        rot0 = rigid_transform_matrix(theta0, 0.0, 0.0, reflect)
+        mapped0 = apply_transform(src, rot0)
+        t0 = tgt.mean(axis=0) - mapped0.mean(axis=0)
+        result = minimize(
+            objective,
+            x0=np.array([theta0, t0[0], t0[1]]),
+            method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
+        )
+        theta, tx, ty = result.x
+        matrix = rigid_transform_matrix(theta, tx, ty, reflect)
+        error = transform_residual(src, tgt, matrix)
+        candidate = TransformEstimate(
+            matrix=matrix,
+            error=error,
+            rmse=math.sqrt(error / src.shape[0]),
+            theta=float(theta),
+            reflected=reflect,
+            n_correspondences=src.shape[0],
+        )
+        if best is None or candidate.error < best.error:
+            best = candidate
+    assert best is not None
+    return best

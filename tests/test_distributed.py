@@ -20,6 +20,8 @@ from repro.deploy import square_grid
 from repro.errors import InsufficientDataError, ValidationError
 from repro.ranging import gaussian_ranges
 
+from _oracles import solve_local_maps_scalar
+
 
 @pytest.fixture(scope="module")
 def grid_scenario():
@@ -30,9 +32,7 @@ def grid_scenario():
 
 def _scalar_local_maps():
     """Substitute the one-map-at-a-time oracle for the batched solve."""
-    return mock.patch.object(
-        distributed, "_solve_local_maps_batched", distributed._solve_local_maps_scalar
-    )
+    return mock.patch.object(distributed, "_solve_local_maps_batched", solve_local_maps_scalar)
 
 
 def _solver(name):
@@ -301,7 +301,7 @@ class TestDistributedLocalize:
 
 class TestBatchedScalarParity:
     """The acceptance contract: the batched path agrees with the scalar
-    oracles (``_solve_local_maps_scalar`` substituted for the batched
+    oracles (``solve_local_maps_scalar`` substituted for the batched
     solve, per-pair closed-form transform fits).
 
     The batched path consumes perturbation randomness in a different

@@ -712,12 +712,13 @@ class TestLssDescentBytePins:
 
     @staticmethod
     def _constrained_network():
-        from repro.core.lss import _constraint_pairs, _prepare_edges
+        from repro.core.lss import _constraint_pairs
+        from repro.core.measurements import as_graph_edges
 
         rng = np.random.default_rng(2005)
         n_nodes = 14
         positions = rng.uniform(0.0, 30.0, size=(n_nodes, 2))
-        edges = _prepare_edges(
+        edges = as_graph_edges(
             gaussian_ranges(positions, max_range_m=14.0, sigma_m=0.33, rng=rng),
             n_nodes,
         )

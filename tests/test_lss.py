@@ -375,14 +375,18 @@ class TestLssLocalize:
 
 class TestRobustLss:
     def test_trims_garbage_edge(self):
-        positions, edges = square_edges()
-        # Append a garbage low-confidence edge.
+        """The square plus its center, every pair measured once, and the
+        0-center range a low-confidence garbage one.  The garbage range
+        does not repeat a true one: a pair listed twice is an error."""
+        positions = np.vstack([square_edges()[0], [5.0, 5.0]])
+        i, j = np.triu_indices(5, k=1)
+        garbage = (i == 0) & (j == 4)  # true distance ~7.07
         bad = EdgeList(
-            pairs=np.vstack([edges.pairs, [[0, 2]]]),
-            distances=np.append(edges.distances, 1.0),  # true diagonal ~14.1
-            weights=np.append(edges.weights, 0.15),
+            pairs=np.stack([i, j], axis=1),
+            distances=np.where(garbage, 1.0, np.hypot(*(positions[i] - positions[j]).T)),
+            weights=np.where(garbage, 0.15, 1.0),
         )
-        result = lss_localize_robust(bad, 4, trim_residual_m=3.0, rng=0)
+        result = lss_localize_robust(bad, 5, trim_residual_m=3.0, rng=0)
         aligned = align_to_reference(result.positions, positions)
         assert localization_errors(aligned, positions).max() < 0.5
 
@@ -409,9 +413,12 @@ class TestRobustLss:
     @pytest.mark.parametrize("threshold", [0.5, 2.0, 3.0])
     def test_robust_and_local_maps_trim_the_same_edges(self, threshold, seed, monkeypatch):
         """``lss_localize_robust`` (at its default ``trim_max_weight`` of
-        1) and the distributed local-map refit drop the same edges of the
-        same fit: one rule, ``lss._trim_mask``."""
-        from repro.core.distributed import _trim_local_edges
+        1) and the distributed local-map refit refit the same fit on the
+        same edges: the one rule, ``lss._refit_edges``."""
+        from types import SimpleNamespace
+
+        from repro.core import distributed
+        from repro.engine import localmaps
 
         rng = np.random.default_rng(seed)
         n_nodes = 10
@@ -429,13 +436,27 @@ class TestRobustLss:
             fits.append(edges)
             return lss.LssResult(positions, 0.0, 0.0, np.zeros(0))
 
+        stacks = []
+
+        def solve_stack(stack, *, config, rng):
+            stacks.append(stack)
+            return [SimpleNamespace(positions=positions) for _ in stack]
+
         monkeypatch.setattr(lss, "lss_localize", fit)
+        monkeypatch.setattr(localmaps, "solve_local_lss_stack", solve_stack)
         lss_localize_robust(edges, n_nodes, trim_residual_m=threshold, max_trim_rounds=1)
-        local = _trim_local_edges(edges, positions, threshold)
-        assert local is not None and 3 <= len(local) < len(edges)
-        assert len(fits) == 2
+        distributed._solve_local_maps_batched(
+            [(0, list(range(n_nodes)), edges)],
+            distributed.DistributedConfig(residual_trim_m=threshold),
+            rng,
+        )
+        trimmed = lss._refit_edges(edges, positions, threshold, 1.0)
+        assert trimmed is not None and 3 <= len(trimmed) < len(edges)
+        assert len(fits) == 2 and len(stacks) == 2 and len(stacks[1]) == 1
         for field in ("pairs", "distances", "weights"):
-            assert getattr(fits[1], field).tobytes() == getattr(local, field).tobytes()
+            want = getattr(trimmed, field).tobytes()
+            assert getattr(fits[1], field).tobytes() == want
+            assert getattr(stacks[1][0].edges, field).tobytes() == want
 
     def test_invalid_rounds(self):
         _, edges = square_edges()

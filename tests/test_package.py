@@ -2,6 +2,10 @@
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +88,24 @@ def test_quickstart_docstring_example_runs():
     )
     report = core.evaluate_localization(result.positions, positions, align=True)
     assert report.average_error < 2.0
+
+
+def test_import_loads_no_optimizer():
+    """The Nelder-Mead transform fit was ``scipy.optimize``'s only
+    importer in the package; it lives in ``tests/_oracles.py`` now."""
+    src = Path(repro.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro, repro.scenarios; print('scipy.optimize' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 class TestSingleNumpyKernelSurface:
@@ -171,6 +193,16 @@ class TestSingleSolverSurface:
             ("repro.engine", "consistency_filter_fast"),
             ("repro.engine.batch", "consistency_filter_fast"),
             ("repro.core.multilateration", "_solve_batch_scalar"),
+            ("repro.core", "estimate_transform_minimize"),
+            ("repro.core.transforms", "estimate_transform_minimize"),
+            ("repro.core.distributed", "_solve_local_maps_scalar"),
+            ("repro.core.distributed", "_mds_initial"),
+            ("repro.core.distributed", "_trim_local_edges"),
+            ("repro.core.distributed", "_as_edges"),
+            ("repro.core.aps", "_edges_of"),
+            ("repro.core.aps", "_check_anchors"),
+            ("repro.core.lss", "_prepare_edges"),
+            ("repro.core.lss", "_trim_mask"),
         ],
     )
     def test_removed_name_is_gone(self, module, name):
@@ -183,9 +215,10 @@ class TestSingleSolverSurface:
         [
             ("_oracles", "descend_scalar"),
             ("_oracles", "scalar_round"),
-            ("repro.core.transforms", "estimate_transform_minimize"),
+            ("_oracles", "estimate_transform_minimize"),
             ("_oracles", "solve_batch_scalar"),
-            ("repro.core.distributed", "_solve_local_maps_scalar"),
+            ("_oracles", "solve_local_maps_scalar"),
+            ("_oracles", "mds_initial"),
         ],
     )
     def test_oracle_still_imports(self, module, name):
