@@ -9,7 +9,7 @@ on the mathematics.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_probability",
-    "check_index_pairs",
     "check_node_positions",
     "ensure_rng",
 ]
@@ -81,31 +80,6 @@ def check_probability(value: float, name: str) -> float:
     if not np.isfinite(value) or not 0.0 <= value <= 1.0:
         raise ValidationError(f"{name} must be a probability in [0, 1]; got {value!r}")
     return value
-
-
-def check_index_pairs(
-    pairs: Iterable[Tuple[int, int]],
-    n: int,
-    name: str = "pairs",
-    *,
-    allow_self: bool = False,
-) -> np.ndarray:
-    """Validate an iterable of index pairs against a node count *n*.
-
-    Returns an ``(m, 2)`` int64 array.  Self-pairs are rejected unless
-    *allow_self* is set.
-    """
-    arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs)
-    if arr.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValidationError(f"{name} must have shape (m, 2); got {arr.shape}")
-    arr = arr.astype(np.int64)
-    if np.any(arr < 0) or np.any(arr >= n):
-        raise ValidationError(f"{name} contains indices outside [0, {n})")
-    if not allow_self and np.any(arr[:, 0] == arr[:, 1]):
-        raise ValidationError(f"{name} contains self-pairs (i == j)")
-    return arr
 
 
 def check_node_positions(

@@ -68,14 +68,38 @@ class NoiseBurstProcess:
         Starts from *base_rate* everywhere and raises the probability to
         ``max(base_rate, fp_rate)`` inside each burst.
         """
+        self._check_window(n_samples, sampling_rate_hz, base_rate)
+        rng = ensure_rng(rng)
+        track = np.full(n_samples, base_rate)
+        self._write_bursts(track, sampling_rate_hz, base_rate, rng)
+        return track
+
+    @staticmethod
+    def _check_window(n_samples: int, sampling_rate_hz: float, base_rate: float) -> None:
         check_positive(sampling_rate_hz, "sampling_rate_hz")
         check_probability(base_rate, "base_rate")
         if n_samples < 0:
             raise ValueError("n_samples must be non-negative")
-        rng = ensure_rng(rng)
-        track = np.full(n_samples, base_rate)
+
+    def _write_bursts(
+        self,
+        track: np.ndarray,
+        sampling_rate_hz: float,
+        base_rate: float,
+        rng: np.random.Generator,
+    ) -> None:
+        """Draw one window's bursts and raise *track* inside each.
+
+        *track* holds *base_rate* everywhere on entry; the arguments
+        are already checked (:meth:`_check_window`).  Draws the burst
+        count, then each burst's start and length, in that order: the
+        link simulator calls this once per chirp on its own row of a
+        stacked buffer, and the draw order is part of its
+        reproducibility contract.
+        """
+        n_samples = track.shape[0]
         if self.rate_hz == 0.0 or n_samples == 0:
-            return track
+            return
         window_s = n_samples / sampling_rate_hz
         n_bursts = rng.poisson(self.rate_hz * window_s)
         for _ in range(int(n_bursts)):
@@ -84,4 +108,3 @@ class NoiseBurstProcess:
             start = int(start_s * sampling_rate_hz)
             stop = min(n_samples, start + max(1, int(length_s * sampling_rate_hz)))
             track[start:stop] = max(base_rate, self.fp_rate)
-        return track

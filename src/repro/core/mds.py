@@ -143,11 +143,7 @@ def mds_map_stack(
     problem = np.repeat(
         np.arange(n_problems), [len(edges) for edges in edge_lists]
     )
-    if np.any(pairs < 0) or np.any(pairs >= n_nodes):
-        raise ValidationError("edge indices outside [0, n_nodes)")
-    # Problem b's node i is node b * n_nodes + i of one disjoint union,
-    # so a repeat within a problem is a repeat in the union.
-    check_graph_edges(pairs + (problem * n_nodes)[:, None], n_problems * n_nodes)
+    check_graph_edges(pairs, n_nodes, problem)
     check_edge_distances(distances)
 
     weights = np.full((n_problems, n_nodes, n_nodes), np.inf)

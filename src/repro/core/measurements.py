@@ -401,7 +401,9 @@ def as_edge_list(measurements) -> EdgeList:
     )
 
 
-def check_graph_edges(pairs: np.ndarray, n_nodes: int) -> None:
+def check_graph_edges(
+    pairs: np.ndarray, n_nodes: int, problem: Optional[np.ndarray] = None
+) -> None:
     """Reject edge pairs that a graph over *n_nodes* nodes would misread.
 
     Every graph builder (a scipy CSR matrix, a dense weight stack, a
@@ -410,6 +412,10 @@ def check_graph_edges(pairs: np.ndarray, n_nodes: int) -> None:
     repeated pair means: CSR construction sums the entries, a dict keeps
     the last and a dense stack the last write.  So a repeat, in either
     order, is an error rather than a choice.
+
+    With *problem* (one id per pair), the pairs are the edges of a
+    stack of graphs over *n_nodes* nodes each: every id is checked
+    against its own graph, and a pair repeats only within one graph.
     """
     if np.any(pairs < 0) or np.any(pairs >= n_nodes):
         raise ValidationError("edge endpoints outside [0, n_nodes)")
@@ -417,9 +423,12 @@ def check_graph_edges(pairs: np.ndarray, n_nodes: int) -> None:
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     if np.any(lo == hi):
         raise ValidationError("self-loop edge: a node cannot measure itself")
+    keys = lo * n_nodes + hi
+    if problem is not None:
+        keys = keys + problem * (n_nodes * n_nodes)
     # A sort and a neighbor compare: a quarter of np.unique's cost on
     # trial-sized lists, and every localizer call pays it.
-    keys = np.sort(lo * n_nodes + hi)
+    keys.sort()
     if np.any(keys[1:] == keys[:-1]):
         raise ValidationError("duplicate edge: each undirected pair may appear once")
 

@@ -13,7 +13,8 @@ Four suites ship by default:
   figure driver; the CI perf gate (``tools/check_perf.py``) runs it on
   every push.
 - ``full`` — the smoke workloads at larger trial budgets plus the
-  remaining solver families; for local before/after comparisons.
+  remaining solver families and the signal-level acoustic ranging
+  campaign; for local before/after comparisons.
 - ``kernels`` — one descent per pinned stack (LSS at B=1, 3 and 49, and
   the multilateration descent of a sweep trial), timed per epoch
   (``us_per_epoch``); shows where the kernel's cost moved without the
@@ -188,6 +189,12 @@ register_suite(
             kind="scenario",
             target_id="uniform-dv-hop",
             n_trials=16,
+        ),
+        Workload(
+            workload_id="acoustic-grass-grid-2",
+            kind="scenario",
+            target_id="acoustic-grass-grid",
+            n_trials=2,
         ),
         Workload(
             workload_id="fig12-multilateration",

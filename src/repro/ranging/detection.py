@@ -70,6 +70,18 @@ def detect_signal(samples: np.ndarray, k: int, m: int, threshold: int) -> int:
     parameters (the field experiments used ``T = 2``, ``k = 6``,
     ``m = 32`` with 10 accumulated chirps — Section 3.6).
     """
+    starts = detect_all_windows(samples, k, m, threshold)
+    return int(starts[0]) if starts.size else -1
+
+
+def detect_all_windows(samples: np.ndarray, k: int, m: int, threshold: int) -> np.ndarray:
+    """All window-start indices satisfying the detection criterion.
+
+    Diagnostic companion to :func:`detect_signal` (which returns only
+    the first); useful for studying echo-induced secondary detections.
+    The window counts are differences of one integer prefix sum of the
+    hits, so they are exact.
+    """
     samples = np.asarray(samples)
     if samples.ndim != 1:
         raise ValidationError("samples must be 1-dimensional")
@@ -81,33 +93,13 @@ def detect_signal(samples: np.ndarray, k: int, m: int, threshold: int) -> int:
         raise ValidationError("threshold must be >= 1")
     n = samples.shape[0]
     if n < m:
-        return -1
-    hits = (samples >= threshold).astype(np.int64)
-    # counts[s] = number of hits in samples[s : s + m]
-    window_counts = np.convolve(hits, np.ones(m, dtype=np.int64), mode="valid")
-    candidates = np.nonzero((window_counts >= k) & (hits[: n - m + 1] == 1))[0]
-    if candidates.size == 0:
-        return -1
-    return int(candidates[0])
-
-
-def detect_all_windows(samples: np.ndarray, k: int, m: int, threshold: int) -> np.ndarray:
-    """All window-start indices satisfying the detection criterion.
-
-    Diagnostic companion to :func:`detect_signal` (which returns only
-    the first); useful for studying echo-induced secondary detections.
-    """
-    samples = np.asarray(samples)
-    if samples.ndim != 1:
-        raise ValidationError("samples must be 1-dimensional")
-    if m < 1 or k < 1 or k > m or threshold < 1:
-        raise ValidationError("invalid detection parameters")
-    n = samples.shape[0]
-    if n < m:
         return np.zeros(0, dtype=np.int64)
-    hits = (samples >= threshold).astype(np.int64)
-    window_counts = np.convolve(hits, np.ones(m, dtype=np.int64), mode="valid")
-    return np.nonzero((window_counts >= k) & (hits[: n - m + 1] == 1))[0]
+    hits = samples >= threshold
+    prefix = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(hits, out=prefix[1:])
+    # window_counts[s] = number of hits in samples[s : s + m]
+    window_counts = prefix[m:] - prefix[: n - m + 1]
+    return np.flatnonzero((window_counts >= k) & hits[: n - m + 1])
 
 
 def first_hit(samples: np.ndarray, threshold: int = 1) -> int:

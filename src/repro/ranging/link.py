@@ -21,6 +21,18 @@ paper enumerates in Section 3.4:
 6. *Echoes* — persistent multipath arrivals at a delayed offset.
 7. *Unreliable tone detection* — the binary detector's saturation < 1
    and SNR-dependent miss rate.
+
+A measurement is laid out as two ``(num_chirps, n)`` stacks, one row
+per chirp: the per-sample hit probability and the uniform draws it is
+compared with.  The chirp loop does only what moves the generator.
+Chirp ``c`` draws its burst count, then each burst's start and length
+(written into row ``c`` of the probability stack), then its timing
+jitter, then its ``n`` uniforms (straight into row ``c`` of the draw
+stack).  That per-chirp draw order is part of the reproducibility
+contract: the same seed gives the same buffer, and the generator ends
+in the same state, whatever the stacks' layout.  The signal and echo
+arrivals are then mixed into every row at once, signal before echo,
+and one comparison and one sum over the chirps give the counts.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ from ..acoustics.noise import NoiseBurstProcess
 from ..acoustics.propagation import LOUD_SPEAKER_SOURCE_LEVEL_DB, snr_db
 from ..acoustics.signal import ChirpPattern
 from ..acoustics.tone_detector import ToneDetectorModel
+from ..errors import ValidationError
 from .tdoa import TdoaConfig
 
 __all__ = ["LinkRealization", "AcousticLinkSimulator"]
@@ -169,15 +182,17 @@ class AcousticLinkSimulator:
         Each chirp is generated as an independent binary stream (the
         service re-synchronizes per chirp) and the streams are summed,
         mirroring ``record-signal``.  Returns the int64 count buffer of
-        length ``tdoa.buffer_length``.
+        length ``tdoa.buffer_length``, clipped at 15.  The draws follow
+        the per-chirp order in the module docstring.
         """
         check_non_negative(distance_m, "distance_m")
         rng = ensure_rng(rng)
         source_hw = source_hw if source_hw is not None else HardwareProfile()
         receiver_hw = receiver_hw if receiver_hw is not None else HardwareProfile()
         link = link if link is not None else self.draw_link(rng)
-        if num_chirps is None:
-            num_chirps = self.pattern.num_chirps
+        num_chirps = self.pattern.num_chirps if num_chirps is None else int(num_chirps)
+        if num_chirps < 0:
+            raise ValidationError("num_chirps must be >= 0")
 
         n = self.tdoa.buffer_length
         fs = self.tdoa.sampling_rate_hz
@@ -205,34 +220,51 @@ class AcousticLinkSimulator:
             1.0, np.arange(1, chirp_len + 1, dtype=float) / self.ramp_samples
         )
 
-        counts = np.zeros(n, dtype=np.int64)
-        for _ in range(int(num_chirps)):
-            p = self._bursts.false_positive_track(n, fs, base_fp, rng)
-            arrival = nominal_arrival + rng.normal(0.0, self.timing_jitter_samples)
-            self._add_signal(p, arrival, p_hit, ramp)
-            if link.has_echo:
-                echo_arrival = arrival + link.echo_delay_s * fs
-                self._add_signal(
-                    p, echo_arrival, p_hit * self.environment.echo_strength, ramp
-                )
-            counts += (rng.random(n) < p).astype(np.int64)
-        return np.minimum(counts, 15)
+        # Per chirp, only what moves the generator: the bursts, the
+        # jitter, then the chirp's n uniforms, each into its own row.
+        bursts = self._bursts
+        bursts._check_window(n, fs, base_fp)
+        probs = np.full((num_chirps, n), base_fp)
+        draws = np.empty((num_chirps, n))
+        jitter = np.empty(num_chirps)
+        for c in range(num_chirps):
+            bursts._write_bursts(probs[c], fs, base_fp, rng)
+            jitter[c] = rng.normal(0.0, self.timing_jitter_samples)
+            rng.random(out=draws[c])
+        arrivals = nominal_arrival + jitter
+        _mix_chirps(probs, arrivals, 1.0 - ramp * p_hit)
+        if link.has_echo:
+            _mix_chirps(
+                probs,
+                arrivals + link.echo_delay_s * fs,
+                1.0 - ramp * (p_hit * self.environment.echo_strength),
+            )
+        counts = np.add.reduce(draws < probs, axis=0, dtype=np.int32)
+        return np.minimum(counts, 15, dtype=np.int64)
 
-    @staticmethod
-    def _add_signal(p: np.ndarray, arrival: float, p_hit: float, ramp: np.ndarray) -> None:
-        """Mix a chirp's hit probability into the per-sample track *p*.
 
-        Combination is complementary (``1 - (1-p_noise)(1-p_signal)``):
-        noise and signal are independent chances of the detector firing.
-        """
-        n = p.shape[0]
-        start = int(round(arrival))
-        if start >= n:
-            return
-        chirp_len = ramp.shape[0]
-        lo = max(0, start)
-        hi = min(n, start + chirp_len)
-        if hi <= lo:
-            return
-        segment = ramp[lo - start : hi - start] * p_hit
-        p[lo:hi] = 1.0 - (1.0 - p[lo:hi]) * (1.0 - segment)
+def _mix_chirps(probs: np.ndarray, arrivals: np.ndarray, keep: np.ndarray) -> None:
+    """Mix one arrival per chirp into the rows of the probability stack.
+
+    Row ``c``'s arrival starts at sample ``s = round(arrivals[c])``
+    (half to even) and covers ``s + j`` for ``j < len(keep)``, clipped
+    to the buffer at either end.  Each covered sample becomes
+    ``1 - (1 - p) * keep[j]``, where ``keep = 1 - ramp * p_hit``:
+    noise and signal are independent chances of the detector firing.
+    Samples a row's arrival does not cover keep their bits.
+    """
+    n = probs.shape[1]
+    taps = keep.shape[0]
+    # Clipping first keeps the integer cast exact: a start at or past
+    # n, or at or before -taps, covers nothing either way.
+    starts = np.rint(np.clip(arrivals, -taps, n)).astype(np.int64)
+    lo = max(int(starts.min(initial=n)), 0)
+    hi = min(int(starts.max(initial=-taps)) + taps, n)
+    if hi <= lo:
+        return
+    # One band of columns holds every row's arrival; tap[c, i] is the
+    # ramp tap that lands on column lo + i of row c.
+    tap = np.arange(lo, hi) - starts[:, None]
+    band = probs[:, lo:hi]
+    mixed = 1.0 - (1.0 - band) * keep.take(tap, mode="clip")
+    np.copyto(band, mixed, where=(tap >= 0) & (tap < taps))

@@ -1,0 +1,154 @@
+"""Per-chirp reference for the acoustic link simulator and the detector.
+
+:func:`simulate_counts` is the body
+``repro.ranging.link.AcousticLinkSimulator.simulate_counts`` had before
+it stacked the chirps: every chirp builds its own false-positive track
+(:func:`false_positive_track`, validating its arguments each time),
+mixes the signal and then the echo into it (:func:`add_signal`), draws
+its uniforms with ``rng.random(n)`` and adds its hits to the counts.
+It takes the simulator as its first argument, so tests can substitute
+it for the method (``mock.patch.object(AcousticLinkSimulator,
+"simulate_counts", simulate_counts)``) or call it directly, and compare
+the count buffers and the generator's end state bit for bit.
+
+:func:`detect_signal` and :func:`detect_all_windows` are the detector
+as it was before the prefix-sum window count: each validates its
+arguments and counts the window hits with an ``m``-tap ``np.convolve``.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from repro._validation import check_non_negative, check_positive, check_probability, ensure_rng
+from repro.acoustics.hardware import HardwareProfile
+from repro.acoustics.noise import NoiseBurstProcess
+from repro.errors import ValidationError
+from repro.ranging.link import AcousticLinkSimulator, LinkRealization
+
+
+def false_positive_track(
+    process: NoiseBurstProcess,
+    n_samples: int,
+    sampling_rate_hz: float,
+    base_rate: float,
+    rng=None,
+) -> np.ndarray:
+    check_positive(sampling_rate_hz, "sampling_rate_hz")
+    check_probability(base_rate, "base_rate")
+    if n_samples < 0:
+        raise ValueError("n_samples must be non-negative")
+    rng = ensure_rng(rng)
+    track = np.full(n_samples, base_rate)
+    if process.rate_hz == 0.0 or n_samples == 0:
+        return track
+    window_s = n_samples / sampling_rate_hz
+    n_bursts = rng.poisson(process.rate_hz * window_s)
+    for _ in range(int(n_bursts)):
+        start_s = rng.uniform(0.0, window_s)
+        length_s = rng.exponential(process.duration_s)
+        start = int(start_s * sampling_rate_hz)
+        stop = min(n_samples, start + max(1, int(length_s * sampling_rate_hz)))
+        track[start:stop] = max(base_rate, process.fp_rate)
+    return track
+
+
+def add_signal(p: np.ndarray, arrival: float, p_hit: float, ramp: np.ndarray) -> None:
+    n = p.shape[0]
+    start = int(round(arrival))
+    if start >= n:
+        return
+    chirp_len = ramp.shape[0]
+    lo = max(0, start)
+    hi = min(n, start + chirp_len)
+    if hi <= lo:
+        return
+    segment = ramp[lo - start : hi - start] * p_hit
+    p[lo:hi] = 1.0 - (1.0 - p[lo:hi]) * (1.0 - segment)
+
+
+def simulate_counts(
+    sim: AcousticLinkSimulator,
+    distance_m: float,
+    *,
+    source_hw: Optional[HardwareProfile] = None,
+    receiver_hw: Optional[HardwareProfile] = None,
+    link: Optional[LinkRealization] = None,
+    num_chirps: Optional[int] = None,
+    rng=None,
+) -> np.ndarray:
+    check_non_negative(distance_m, "distance_m")
+    rng = ensure_rng(rng)
+    source_hw = source_hw if source_hw is not None else HardwareProfile()
+    receiver_hw = receiver_hw if receiver_hw is not None else HardwareProfile()
+    link = link if link is not None else sim.draw_link(rng)
+    if num_chirps is None:
+        num_chirps = sim.pattern.num_chirps
+
+    n = sim.tdoa.buffer_length
+    fs = sim.tdoa.sampling_rate_hz
+    chirp_len = sim.pattern.chirp_samples(fs)
+    snr = sim.link_snr_db(distance_m, source_hw, receiver_hw, link)
+    p_hit = float(sim.detector.hit_probability(snr))
+    if receiver_hw.faulty:
+        p_hit *= sim.faulty_hit_scale
+
+    base_fp = sim.environment.false_positive_rate
+    if receiver_hw.faulty:
+        base_fp = max(base_fp, sim.faulty_fp_rate)
+    long_noise = rng.random() < sim.long_noise_probability
+    if long_noise:
+        base_fp = max(base_fp, sim.long_noise_fp_rate)
+
+    latency_s = source_hw.latency_bias_s + receiver_hw.latency_bias_s
+    nominal_arrival = distance_m / sim.tdoa.meters_per_sample + latency_s * fs
+
+    ramp = np.minimum(1.0, np.arange(1, chirp_len + 1, dtype=float) / sim.ramp_samples)
+
+    counts = np.zeros(n, dtype=np.int64)
+    for _ in range(int(num_chirps)):
+        p = false_positive_track(sim._bursts, n, fs, base_fp, rng)
+        arrival = nominal_arrival + rng.normal(0.0, sim.timing_jitter_samples)
+        add_signal(p, arrival, p_hit, ramp)
+        if link.has_echo:
+            echo_arrival = arrival + link.echo_delay_s * fs
+            add_signal(p, echo_arrival, p_hit * sim.environment.echo_strength, ramp)
+        counts += (rng.random(n) < p).astype(np.int64)
+    return np.minimum(counts, 15)
+
+
+def detect_signal(samples: np.ndarray, k: int, m: int, threshold: int) -> int:
+    samples = np.asarray(samples)
+    if samples.ndim != 1:
+        raise ValidationError("samples must be 1-dimensional")
+    if m < 1 or k < 1:
+        raise ValidationError("k and m must be >= 1")
+    if k > m:
+        raise ValidationError(f"k ({k}) cannot exceed window size m ({m})")
+    if threshold < 1:
+        raise ValidationError("threshold must be >= 1")
+    n = samples.shape[0]
+    if n < m:
+        return -1
+    hits = (samples >= threshold).astype(np.int64)
+    window_counts = np.convolve(hits, np.ones(m, dtype=np.int64), mode="valid")
+    candidates = np.nonzero((window_counts >= k) & (hits[: n - m + 1] == 1))[0]
+    if candidates.size == 0:
+        return -1
+    return int(candidates[0])
+
+
+def detect_all_windows(samples: np.ndarray, k: int, m: int, threshold: int) -> np.ndarray:
+    samples = np.asarray(samples)
+    if samples.ndim != 1:
+        raise ValidationError("samples must be 1-dimensional")
+    if m < 1 or k < 1 or k > m or threshold < 1:
+        raise ValidationError("invalid detection parameters")
+    n = samples.shape[0]
+    if n < m:
+        return np.zeros(0, dtype=np.int64)
+    hits = (samples >= threshold).astype(np.int64)
+    window_counts = np.convolve(hits, np.ones(m, dtype=np.int64), mode="valid")
+    return np.nonzero((window_counts >= k) & (hits[: n - m + 1] == 1))[0]

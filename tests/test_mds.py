@@ -275,6 +275,12 @@ class TestMdsMapStack:
         with pytest.raises(ValidationError, match="outside"):
             mds_map_stack([_edges([(0, 3)], [3.0]), _edges([(0, 1)], [3.0])], 3)
 
+    def test_out_of_range_index_shares_the_graph_message(self):
+        # Problem 0 names node n_nodes; offset into one disjoint union it
+        # would be node 0 of problem 1, a valid id there.
+        with pytest.raises(ValidationError, match=r"edge endpoints outside \[0, n_nodes\)"):
+            mds_map_stack([_edges([(1, 3)], [3.0]), _edges([(0, 1), (1, 2)], [3.0, 4.0])], 3)
+
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_bad_distance_rejected(self, bad):
         with pytest.raises(ValidationError, match="finite and >= 0"):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _edge_oracle import assert_same_edges, per_pair_edge_list
-from repro.core.measurements import EdgeList, MeasurementSet, RangeMeasurement
+from repro.core.measurements import EdgeList, MeasurementSet, RangeMeasurement, check_graph_edges
 from repro.errors import ValidationError
 
 
@@ -229,6 +229,26 @@ class TestEdgeList:
                 distances=np.zeros(3),
                 weights=np.zeros(2),
             )
+
+
+class TestCheckGraphEdgesPerProblem:
+    """With problem ids, the pairs are a stack of graphs over n_nodes
+    nodes each: range per graph, repeats only within a graph."""
+
+    PAIRS = np.array([[0, 1], [1, 2], [0, 1]], dtype=np.int64)
+
+    def test_same_pair_in_two_problems_is_fine(self):
+        check_graph_edges(self.PAIRS, 3, np.array([0, 0, 1]))
+
+    def test_repeat_within_a_problem_rejected(self):
+        with pytest.raises(ValidationError, match="duplicate edge"):
+            check_graph_edges(self.PAIRS, 3, np.array([0, 0, 0]))
+
+    def test_id_past_its_problem_rejected(self):
+        # Node 3 of problem 0 is not node 0 of problem 1.
+        pairs = np.array([[0, 3], [0, 1]], dtype=np.int64)
+        with pytest.raises(ValidationError, match=r"edge endpoints outside \[0, n_nodes\)"):
+            check_graph_edges(pairs, 3, np.array([0, 1]))
 
 
 class TestFromEdgeArrays:

@@ -203,6 +203,7 @@ class TestSingleSolverSurface:
             ("repro.core.aps", "_check_anchors"),
             ("repro.core.lss", "_prepare_edges"),
             ("repro.core.lss", "_trim_mask"),
+            ("repro._validation", "check_index_pairs"),
         ],
     )
     def test_removed_name_is_gone(self, module, name):
@@ -219,6 +220,9 @@ class TestSingleSolverSurface:
             ("_oracles", "solve_batch_scalar"),
             ("_oracles", "solve_local_maps_scalar"),
             ("_oracles", "mds_initial"),
+            ("_acoustic_oracle", "simulate_counts"),
+            ("_acoustic_oracle", "detect_signal"),
+            ("_acoustic_oracle", "detect_all_windows"),
         ],
     )
     def test_oracle_still_imports(self, module, name):

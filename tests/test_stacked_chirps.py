@@ -1,0 +1,271 @@
+"""The stacked acoustic link simulator and the prefix-sum detector are
+bytewise their per-chirp and convolve references.
+
+``AcousticLinkSimulator.simulate_counts`` keeps each chirp's draws in
+the same order but moves everything else out of the chirp loop: the
+bursts and uniforms go into rows of ``(num_chirps, n)`` stacks, and the
+signal and echo are mixed into all rows afterwards.  The detector's two
+entry points share one integer prefix-sum window count in place of a
+``np.convolve`` each.  The references they replaced live in
+``tests/_acoustic_oracle.py``; here the count buffers, the generator's
+end states and the detection indices are compared with them bit for
+bit.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from repro.acoustics.environment import ENVIRONMENTS, get_environment
+from repro.acoustics.hardware import HardwarePopulation, HardwareProfile
+from repro.acoustics.noise import NoiseBurstProcess
+from repro.acoustics.signal import ChirpPattern
+from repro.deploy import paper_grid
+from repro.ranging import link as link_module, service as service_module
+from repro.ranging.campaign import run_campaign
+from repro.ranging.detection import detect_all_windows, detect_signal
+from repro.ranging.link import AcousticLinkSimulator, LinkRealization
+from repro.ranging.service import RangingService
+
+import _acoustic_oracle
+
+#: Every preset, a burst-free one (the writer draws nothing) and a
+#: burst-heavy one (several bursts per chirp, so their draws and
+#: overlaps are exercised on every example).
+ENVIRONMENT_CASES = {
+    **ENVIRONMENTS,
+    "grass-no-bursts": get_environment("grass").with_overrides(noise_burst_rate_hz=0.0),
+    "urban-bursty": get_environment("urban").with_overrides(noise_burst_rate_hz=60.0),
+}
+
+
+def _simulator(environment, jitter, ramp, long_noise, chirp_s):
+    return AcousticLinkSimulator(
+        environment=ENVIRONMENT_CASES[environment],
+        pattern=ChirpPattern(chirp_duration_s=chirp_s),
+        timing_jitter_samples=jitter,
+        ramp_samples=ramp,
+        long_noise_probability=long_noise,
+    )
+
+
+def _same_counts(sim, distance, rng_seed, **kwargs):
+    fast_rng = np.random.default_rng(rng_seed)
+    slow_rng = np.random.default_rng(rng_seed)
+    fast = sim.simulate_counts(distance, rng=fast_rng, **kwargs)
+    slow = _acoustic_oracle.simulate_counts(sim, distance, rng=slow_rng, **kwargs)
+    assert fast.dtype == slow.dtype == np.int64
+    assert fast.tobytes() == slow.tobytes()
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+#: Buffer geometry of the default simulator: n samples of about 2.1 cm,
+#: so the buffer ends near 26 m and an 8 ms chirp spans 128 samples.
+_TDOA = AcousticLinkSimulator(environment=ENVIRONMENTS["grass"]).tdoa
+_END_M = _TDOA.buffer_length * _TDOA.meters_per_sample
+
+distances = st.one_of(
+    # Near zero: a negative latency bias plus jitter clips the chirp
+    # (and a short echo) at the start of the buffer.
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 30.0),
+    # The chirp or its echo runs into, onto or past the buffer end.
+    st.floats(_END_M - 4.0, _END_M + 2.0),
+)
+hardware = st.builds(
+    HardwareProfile,
+    speaker_gain_db=st.floats(-6.0, 6.0),
+    mic_gain_db=st.floats(-6.0, 6.0),
+    latency_bias_s=st.floats(-0.006, 0.002),
+    faulty=st.booleans(),
+)
+links = st.builds(
+    LinkRealization,
+    link_gain_db=st.floats(-10.0, 10.0),
+    has_echo=st.booleans(),
+    # Up to 0.04 s: from echoes overlapping the chirp (under 128
+    # samples) to echoes pushed past the buffer end.
+    echo_delay_s=st.floats(0.0, 0.04),
+)
+
+
+class TestCountBuffers:
+    @given(
+        environment=st.sampled_from(sorted(ENVIRONMENT_CASES)),
+        distance=distances,
+        source_hw=hardware,
+        receiver_hw=hardware,
+        link=links,
+        num_chirps=st.integers(1, 15),
+        jitter=st.sampled_from([0.0, 1.5, 40.0]),
+        ramp=st.sampled_from([1, 64, 200]),
+        long_noise=st.sampled_from([0.0, 0.03, 1.0]),
+        chirp_s=st.sampled_from([0.004, 0.008, 0.016]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(  # urban echo, faulty receiver, one chirp (baseline mode)
+        environment="urban", distance=3.0, source_hw=HardwareProfile(),
+        receiver_hw=HardwareProfile(faulty=True),
+        link=LinkRealization(has_echo=True, echo_delay_s=0.004), num_chirps=1,
+        jitter=1.5, ramp=64, long_noise=1.0, chirp_s=0.008, seed=0,
+    )
+    @example(  # the chirp starts before the buffer
+        environment="grass-no-bursts", distance=0.0,
+        source_hw=HardwareProfile(latency_bias_s=-0.004),
+        receiver_hw=HardwareProfile(latency_bias_s=-0.002),
+        link=LinkRealization(has_echo=True, echo_delay_s=0.003), num_chirps=10,
+        jitter=1.5, ramp=64, long_noise=0.0, chirp_s=0.008, seed=1,
+    )
+    @example(  # the chirp starts past the buffer; nothing is mixed
+        environment="pavement", distance=_END_M + 2.0, source_hw=HardwareProfile(),
+        receiver_hw=HardwareProfile(), link=LinkRealization(), num_chirps=15,
+        jitter=1.5, ramp=64, long_noise=0.03, chirp_s=0.008, seed=2,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_buffer_and_generator_state_match_the_per_chirp_reference(
+        self, environment, distance, source_hw, receiver_hw, link, num_chirps,
+        jitter, ramp, long_noise, chirp_s, seed,
+    ):
+        sim = _simulator(environment, jitter, ramp, long_noise, chirp_s)
+        _same_counts(
+            sim, distance, seed, source_hw=source_hw, receiver_hw=receiver_hw,
+            link=link, num_chirps=num_chirps,
+        )
+
+    @given(
+        environment=st.sampled_from(["urban", "pavement", "urban-bursty"]),
+        distance=distances,
+        source_hw=hardware,
+        link=links,
+        num_chirps=st.integers(1, 15),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_probability_stack_matches_the_per_chirp_tracks(
+        self, environment, distance, source_hw, link, num_chirps, seed
+    ):
+        # The counts hide last-bit differences in the probabilities (a
+        # uniform rarely lands between two neighboring doubles), so the
+        # mixed stack itself is compared with the reference's tracks,
+        # each as it stood when its chirp's hits were drawn.
+        sim = AcousticLinkSimulator(environment=ENVIRONMENT_CASES[environment])
+        stack = []
+        tracks = []
+        mix_chirps = link_module._mix_chirps
+        add_signal = _acoustic_oracle.add_signal
+
+        def record_stack(probs, arrivals, keep):
+            mix_chirps(probs, arrivals, keep)
+            stack[:] = [probs.copy()]
+
+        def record_track(p, arrival, p_hit, ramp):
+            add_signal(p, arrival, p_hit, ramp)
+            if not tracks or tracks[-1] is not p:
+                tracks.append(p)
+
+        with mock.patch.object(link_module, "_mix_chirps", record_stack), mock.patch.object(
+            _acoustic_oracle, "add_signal", record_track
+        ):
+            _same_counts(sim, distance, seed, source_hw=source_hw, link=link, num_chirps=num_chirps)
+        assert stack[0].tobytes() == np.stack(tracks).tobytes()
+
+    @pytest.mark.parametrize("environment", sorted(ENVIRONMENT_CASES))
+    def test_defaults_draw_the_link_and_the_pattern(self, environment):
+        # No link, hardware or chirp count given: the link is drawn
+        # from the same generator first.
+        sim = AcousticLinkSimulator(environment=ENVIRONMENT_CASES[environment])
+        for seed in range(20):
+            _same_counts(sim, 0.5 * seed, seed)
+
+    def test_zero_chirps_draw_nothing_after_the_link(self):
+        sim = AcousticLinkSimulator(environment=ENVIRONMENTS["urban"])
+        _same_counts(sim, 5.0, 3, link=LinkRealization(has_echo=True), num_chirps=0)
+
+    def test_negative_chirp_count_rejected(self):
+        sim = AcousticLinkSimulator(environment=ENVIRONMENTS["grass"])
+        with pytest.raises(ValueError, match="num_chirps"):
+            sim.simulate_counts(5.0, link=LinkRealization(), num_chirps=-1, rng=0)
+
+
+class TestFalsePositiveTrack:
+    @given(
+        rate_hz=st.sampled_from([0.0, 0.08, 30.0, 400.0]),
+        n_samples=st.integers(0, 3000),
+        base_rate=st.floats(0.0, 1.0),
+        fp_rate=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_track_and_generator_state_match_the_reference(
+        self, rate_hz, n_samples, base_rate, fp_rate, seed
+    ):
+        process = NoiseBurstProcess(rate_hz=rate_hz, duration_s=0.01, fp_rate=fp_rate)
+        fast_rng = np.random.default_rng(seed)
+        slow_rng = np.random.default_rng(seed)
+        fast = process.false_positive_track(n_samples, 16_000.0, base_rate, fast_rng)
+        slow = _acoustic_oracle.false_positive_track(
+            process, n_samples, 16_000.0, base_rate, slow_rng
+        )
+        assert fast.tobytes() == slow.tobytes()
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+class TestCampaignEndToEnd:
+    @pytest.mark.parametrize("mode", ["refined", "baseline"])
+    @pytest.mark.parametrize("environment", ["grass", "urban"])
+    def test_campaign_matches_the_reference_pipeline(self, environment, mode):
+        # A faulty-heavy population on a 3 x 3 grid: every directed
+        # attempt of three rounds, through the radio and the detector.
+        positions = paper_grid(9)
+        population = HardwarePopulation(faulty_probability=0.3, latency_bias_std_s=0.002)
+        service = RangingService(environment=ENVIRONMENTS[environment], mode=mode)
+        fast = run_campaign(positions, service, rng=5, hardware_population=population)
+        with mock.patch.object(
+            AcousticLinkSimulator, "simulate_counts", _acoustic_oracle.simulate_counts
+        ), mock.patch.object(
+            service_module, "detect_signal", _acoustic_oracle.detect_signal
+        ):
+            slow = run_campaign(positions, service, rng=5, hardware_population=population)
+        assert len(fast) > 0
+        assert list(fast) == list(slow)
+
+
+count_buffers = hnp.arrays(
+    np.int64, st.integers(0, 80), elements=st.integers(0, 15)
+)
+
+
+class TestDetector:
+    @given(
+        samples=count_buffers,
+        m=st.integers(1, 40),
+        k_frac=st.floats(0.0, 1.0),
+        threshold=st.integers(1, 16),
+    )
+    @example(samples=np.full(10, 3, dtype=np.int64), m=32, k_frac=0.2, threshold=2)  # n < m
+    @example(samples=np.full(32, 3, dtype=np.int64), m=32, k_frac=0.2, threshold=2)  # n == m
+    @example(samples=np.full(40, 3, dtype=np.int64), m=32, k_frac=1.0, threshold=2)  # k == m
+    @example(samples=np.full(40, 15, dtype=np.int64), m=6, k_frac=0.5, threshold=16)  # none reach T
+    @settings(max_examples=300, deadline=None)
+    def test_indices_match_the_convolve_reference(self, samples, m, k_frac, threshold):
+        k = max(1, round(k_frac * m))
+        starts = detect_all_windows(samples, k, m, threshold)
+        expected = _acoustic_oracle.detect_all_windows(samples, k, m, threshold)
+        assert starts.dtype == expected.dtype
+        assert starts.tobytes() == expected.tobytes()
+        assert detect_signal(samples, k, m, threshold) == _acoustic_oracle.detect_signal(
+            samples, k, m, threshold
+        )
+
+    def test_both_entry_points_validate_alike(self):
+        # detect_signal goes through detect_all_windows: one set of messages.
+        for fn in (detect_signal, detect_all_windows):
+            with pytest.raises(ValueError, match="cannot exceed"):
+                fn(np.zeros(100, dtype=np.int64), 40, 32, 2)
+            with pytest.raises(ValueError, match="1-dimensional"):
+                fn(np.zeros((2, 50)), 6, 32, 2)
+

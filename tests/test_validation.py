@@ -6,7 +6,6 @@ import pytest
 from repro._validation import (
     as_finite_array,
     as_positions,
-    check_index_pairs,
     check_non_negative,
     check_positive,
     check_probability,
@@ -83,24 +82,6 @@ class TestFiniteArray:
     def test_inf_rejected(self):
         with pytest.raises(ValidationError):
             as_finite_array([1.0, float("inf")])
-
-
-class TestIndexPairs:
-    def test_valid(self):
-        out = check_index_pairs([(0, 1), (2, 3)], 4)
-        assert out.dtype == np.int64
-
-    def test_empty(self):
-        assert check_index_pairs([], 4).shape == (0, 2)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            check_index_pairs([(0, 4)], 4)
-
-    def test_self_pair(self):
-        with pytest.raises(ValidationError):
-            check_index_pairs([(1, 1)], 4)
-        assert check_index_pairs([(1, 1)], 4, allow_self=True).shape == (1, 2)
 
 
 class TestEnsureRng:
