@@ -1,27 +1,26 @@
-"""Benchmarks the stacked acoustic link simulator against its per-chirp
-reference.
+"""Benchmarks the acoustic ranging kernel against its per-attempt
+references.
 
-``AcousticLinkSimulator.simulate_counts`` keeps each chirp's draws but
-stacks everything else (bursts, uniforms, signal and echo mixing, hit
-counting) over the chirps, and the detector counts its windows with a
-prefix sum.  Here 300 refined ``RangingService.measure`` calls (10
-chirps each, grass and urban links drawn once) are timed through the
+``RangingService.measure`` is a block of one attempt through
+``LinkBlock``: each chirp's draws are made in order, and the rest is
+stacked over the chirps.  Here 300 refined ``measure`` calls (10 chirps
+each, grass and urban links drawn once) are timed through the
 production path and through the per-chirp simulator and convolve
-detector of ``tests/_acoustic_oracle.py``, after checking that both
-return the same estimates.  Run with
+detector of ``tests/_acoustic_oracle.py``.  ``RangingCampaign.run``
+stacks whole blocks of attempts; whole campaigns on 16-node grass and
+urban grids are timed against the frozen per-attempt campaign of the
+same module.  Both pairs are checked for equal results first.  Run with
 ``pytest benchmarks/test_bench_ranging.py -s`` to see the measured
-ratio.
+ratios.
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.acoustics.environment import ENVIRONMENTS
 from repro.acoustics.hardware import HardwarePopulation
-from repro.ranging import service as service_module
-from repro.ranging.link import AcousticLinkSimulator
+from repro.deploy import paper_grid
+from repro.ranging.campaign import run_campaign
 from repro.ranging.service import RangingService
 
 import _acoustic_oracle
@@ -30,7 +29,7 @@ from _timing import interleaved_best_of, quiet_machine_only
 #: Calls timed per side: 150 per environment.
 CALLS_PER_ENVIRONMENT = 150
 
-#: Measured at 1.52-1.65x on a 2-core VM, where per-call timings swung
+#: Measured at 1.32-1.52x on a 2-core VM, where per-call timings swung
 #: by about 30% with the host's load, so the floor sits well under it.
 SPEEDUP_FLOOR = 1.15
 
@@ -63,10 +62,11 @@ def measure_calls():
         ]
 
     def reference():
-        with mock.patch.object(
-            AcousticLinkSimulator, "simulate_counts", _acoustic_oracle.simulate_counts
-        ), mock.patch.object(service_module, "detect_signal", _acoustic_oracle.detect_signal):
-            return production()
+        rng = np.random.default_rng(0)
+        return [
+            _acoustic_oracle.measure(service, d, source_hw=s, receiver_hw=r, link=link, rng=rng)
+            for service, d, s, r, link in jobs
+        ]
 
     return production, reference, production(), reference()
 
@@ -90,4 +90,58 @@ def test_stacked_chirps_faster_than_per_chirp(measure_calls):
     assert ratio >= SPEEDUP_FLOOR, (
         f"stacked chirps only {ratio:.2f}x faster than per-chirp "
         f"(need >= {SPEEDUP_FLOOR}x)"
+    )
+
+
+#: Campaigns timed per side: one per environment, three rounds on a
+#: 16-node grid (about 700 directed attempts each).
+CAMPAIGN_ENVIRONMENTS = ("grass", "urban")
+
+#: Measured at 1.7-2.2x on a 2-core VM against the per-chirp,
+#: per-attempt campaign, where single timings swung by about 40% with
+#: the host's load, so the floor sits well under it.
+CAMPAIGN_SPEEDUP_FLOOR = 1.3
+
+
+@pytest.fixture(scope="module")
+def campaigns():
+    """The production and reference campaign loops, and one result of
+    each, computed once for the module."""
+    positions = paper_grid(16)
+    services = [
+        RangingService(environment=ENVIRONMENTS[name]).calibrate(rng=1)
+        for name in CAMPAIGN_ENVIRONMENTS
+    ]
+
+    def production():
+        return [list(run_campaign(positions, service, rng=7)) for service in services]
+
+    def reference():
+        return [
+            list(_acoustic_oracle.run_campaign(positions, service, rng=7))
+            for service in services
+        ]
+
+    return production, reference, production(), reference()
+
+
+def test_campaign_kernel_parity(campaigns):
+    _, _, fast, slow = campaigns
+    assert all(len(measurements) > 100 for measurements in fast)
+    assert fast == slow
+
+
+@quiet_machine_only
+def test_campaign_kernel_faster_than_per_attempt(campaigns):
+    production, reference, fast, slow = campaigns
+    assert fast == slow
+    kernel_t, per_attempt_t = interleaved_best_of([production, reference], repeats=3)
+    ratio = per_attempt_t / kernel_t
+    print(
+        f"\n{len(CAMPAIGN_ENVIRONMENTS)} campaigns: per-attempt {per_attempt_t * 1000:.1f} ms, "
+        f"block kernel {kernel_t * 1000:.1f} ms -> {ratio:.2f}x"
+    )
+    assert ratio >= CAMPAIGN_SPEEDUP_FLOOR, (
+        f"block campaign kernel only {ratio:.2f}x faster than per-attempt "
+        f"(need >= {CAMPAIGN_SPEEDUP_FLOOR}x)"
     )

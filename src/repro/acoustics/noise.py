@@ -87,24 +87,26 @@ class NoiseBurstProcess:
         sampling_rate_hz: float,
         base_rate: float,
         rng: np.random.Generator,
-    ) -> None:
-        """Draw one window's bursts and raise *track* inside each.
+    ) -> int:
+        """Draw one window's bursts, raise *track* inside each, and
+        return how many there were.
 
         *track* holds *base_rate* everywhere on entry; the arguments
         are already checked (:meth:`_check_window`).  Draws the burst
         count, then each burst's start and length, in that order: the
-        link simulator calls this once per chirp on its own row of a
-        stacked buffer, and the draw order is part of its
-        reproducibility contract.
+        link simulator calls this once per chirp, and the draw order is
+        part of its reproducibility contract.  A window without bursts
+        leaves *track* untouched.
         """
         n_samples = track.shape[0]
         if self.rate_hz == 0.0 or n_samples == 0:
-            return
+            return 0
         window_s = n_samples / sampling_rate_hz
-        n_bursts = rng.poisson(self.rate_hz * window_s)
-        for _ in range(int(n_bursts)):
+        n_bursts = int(rng.poisson(self.rate_hz * window_s))
+        for _ in range(n_bursts):
             start_s = rng.uniform(0.0, window_s)
             length_s = rng.exponential(self.duration_s)
             start = int(start_s * sampling_rate_hz)
             stop = min(n_samples, start + max(1, int(length_s * sampling_rate_hz)))
             track[start:stop] = max(base_rate, self.fp_rate)
+        return n_bursts

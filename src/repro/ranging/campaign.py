@@ -11,20 +11,28 @@ pipeline expects.
 The output is a :class:`~repro.core.measurements.MeasurementSet` with
 ground truth attached, ready for the filtering/consistency stages and
 for localization.
+
+:meth:`RangingCampaign.run` walks the attempts in their draw order
+(round, source, receiver) and makes each attempt's draws into a
+:class:`~repro.ranging.link.LinkBlock`: the radio delivery draw, the
+link at its first use, then the link simulator's own draws.  Each full
+block is then simulated and detected at once, without the generator,
+and its detections are added in attempt order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import telemetry
 from .._validation import as_positions, check_positive, ensure_rng
 from ..acoustics.hardware import HardwarePopulation, HardwareProfile
 from ..core.measurements import MeasurementSet
 from ..network.radio import RadioModel
-from .link import LinkRealization
+from .link import LinkBlock, LinkRealization
 from .service import RangingService
 
 __all__ = ["CampaignConfig", "RangingCampaign", "run_campaign"]
@@ -96,6 +104,10 @@ class RangingCampaign:
             i: population.sample(self._rng) for i in range(self.positions.shape[0])
         }
         self._links: Dict[Tuple[int, int], LinkRealization] = {}
+        diff = self.positions[:, None, :] - self.positions[None, :, :]
+        #: Pair distances, each the bytes of ``np.hypot`` on that pair's
+        #: coordinate differences.
+        self.distances = np.hypot(diff[..., 0], diff[..., 1])
 
     @property
     def n_nodes(self) -> int:
@@ -114,43 +126,63 @@ class RangingCampaign:
         return self._links[key]
 
     def true_distance(self, i: int, j: int) -> float:
-        diff = self.positions[i] - self.positions[j]
-        return float(np.hypot(diff[0], diff[1]))
+        return float(self.distances[i, j])
 
     def run(self) -> MeasurementSet:
         """Execute all rounds; returns the raw directed measurement set."""
         measurements = MeasurementSet()
         limit = self._attempt_range()
         n = self.n_nodes
+        distances = self.distances.tolist()
+        # Every directed pair within the attempt range, in loop order.
+        pairs = [
+            (source, receiver, distances[source][receiver])
+            for source in range(n)
+            for receiver in range(n)
+            if receiver != source and distances[source][receiver] <= limit
+        ]
+        block = self.service.new_block()
+        hardware = self.hardware
+        pending: List[Tuple[int, int, float, int]] = []
+        radio = self.config.radio
+        rng = self._rng
+        emitted: List[Tuple[int, int]] = []
         for round_index in range(self.config.rounds):
-            for source in range(n):
-                for receiver in range(n):
-                    if receiver == source:
-                        continue
-                    distance = self.true_distance(source, receiver)
-                    if distance > limit:
-                        continue
-                    # The per-chirp radio sync message must arrive for
-                    # the receiver to record this source's sequence.
-                    if not self.config.radio.delivers(distance, self._rng):
-                        continue
-                    estimate = self.service.measure(
-                        distance,
-                        source_hw=self.hardware[source],
-                        receiver_hw=self.hardware[receiver],
-                        link=self.link_for(source, receiver),
-                        rng=self._rng,
-                    )
-                    if estimate is None:
-                        continue
-                    measurements.add_distance(
-                        source,
-                        receiver,
-                        estimate,
-                        true_distance=distance,
-                        round_index=round_index,
-                    )
+            for source, receiver, distance in pairs:
+                # The per-chirp radio sync message must arrive for the
+                # receiver to record this source's sequence.
+                if not radio.delivers(distance, rng):
+                    continue
+                block.draw(
+                    distance, hardware[source], hardware[receiver],
+                    self.link_for(source, receiver), rng,
+                )
+                pending.append((source, receiver, distance, round_index))
+                if block.full:
+                    emitted.append(self._emit(block, pending, measurements))
+        if block.size:
+            emitted.append(self._emit(block, pending, measurements))
+        telemetry.count("ranging.campaign.attempts", sum(size for size, _ in emitted))
+        telemetry.count("ranging.campaign.blocks", len(emitted))
+        telemetry.count("ranging.campaign.dense_attempts", sum(dense for _, dense in emitted))
         return measurements
+
+    def _emit(
+        self, block: LinkBlock, pending: list, measurements: MeasurementSet
+    ) -> Tuple[int, int]:
+        """Detect a drawn block and add its detections in attempt order;
+        returns the block's attempt and dense-attempt counts."""
+        sizes = (block.size, len(block.dense))
+        for (source, receiver, distance, round_index), estimate in zip(
+            pending, self.service.estimates(block)
+        ):
+            if estimate is not None:
+                measurements.add_distance(
+                    source, receiver, estimate, true_distance=distance, round_index=round_index
+                )
+        pending.clear()
+        block.clear()
+        return sizes
 
 
 def run_campaign(

@@ -26,6 +26,7 @@ __all__ = [
     "detect_signal",
     "detect_all_windows",
     "first_hit",
+    "first_windows",
 ]
 
 
@@ -79,27 +80,58 @@ def detect_all_windows(samples: np.ndarray, k: int, m: int, threshold: int) -> n
 
     Diagnostic companion to :func:`detect_signal` (which returns only
     the first); useful for studying echo-induced secondary detections.
-    The window counts are differences of one integer prefix sum of the
-    hits, so they are exact.
+    The window counts are exact integer counts of the listed hits
+    (see :func:`_window_starts`).
     """
     samples = np.asarray(samples)
     if samples.ndim != 1:
         raise ValidationError("samples must be 1-dimensional")
+    return _window_starts(samples, k, m, threshold)
+
+
+def first_windows(counts: np.ndarray, k: int, m: int, threshold: int) -> np.ndarray:
+    """:func:`detect_signal` for every row of a ``(B, n)`` count stack.
+
+    Returns the int64 index of each row's first window start, or ``-1``
+    for a row without one.  The ranging service detects a whole block
+    of attempts with one call.
+    """
+    counts = np.asarray(counts)
+    if counts.ndim != 2:
+        raise ValidationError("counts must be 2-dimensional")
+    rows, n = counts.shape
+    # The flat starts are sorted; a sentinel past the last row makes
+    # every row's first start at or after its beginning well defined.
+    starts = np.concatenate((_window_starts(counts, k, m, threshold), [rows * n]))
+    row_begin = np.arange(0, rows * n, n)
+    first = starts[starts.searchsorted(row_begin)] - row_begin
+    first[first >= n] = -1
+    return first
+
+
+def _window_starts(samples: np.ndarray, k: int, m: int, threshold: int) -> np.ndarray:
+    """Flat indices of every window start over the last axis of *samples*.
+
+    A start ``s`` of a row qualifies when ``samples[..., s]`` reaches
+    the threshold and at least ``k`` of ``samples[..., s : s + m]`` do.
+    The hits are listed once, in flat order; a hit's window count is
+    the number of listed hits from it up to ``m`` samples on, one
+    ``searchsorted`` over the list (a prefix sum evaluated at the hits
+    only), so it is exact.  A window that fits its row (``s <= n - m``)
+    never reaches into the next row.
+    """
     if m < 1 or k < 1:
         raise ValidationError("k and m must be >= 1")
     if k > m:
         raise ValidationError(f"k ({k}) cannot exceed window size m ({m})")
     if threshold < 1:
         raise ValidationError("threshold must be >= 1")
-    n = samples.shape[0]
+    n = samples.shape[-1]
     if n < m:
         return np.zeros(0, dtype=np.int64)
-    hits = samples >= threshold
-    prefix = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(hits, out=prefix[1:])
-    # window_counts[s] = number of hits in samples[s : s + m]
-    window_counts = prefix[m:] - prefix[: n - m + 1]
-    return np.flatnonzero((window_counts >= k) & hits[: n - m + 1])
+    hits = (samples >= threshold).ravel().nonzero()[0]
+    window_counts = hits.searchsorted(hits + m) - np.arange(hits.size)
+    return hits[(window_counts >= k) & (hits % n <= n - m)]
 
 
 def first_hit(samples: np.ndarray, threshold: int = 1) -> int:

@@ -1,4 +1,4 @@
-"""Signal-level simulation of one acoustic ranging link.
+"""Signal-level simulation of acoustic ranging links.
 
 This module generates the binary tone-detector buffers that the
 detection algorithms of :mod:`repro.ranging.detection` consume.  For a
@@ -22,24 +22,37 @@ paper enumerates in Section 3.4:
 7. *Unreliable tone detection* — the binary detector's saturation < 1
    and SNR-dependent miss rate.
 
-A measurement is laid out as two ``(num_chirps, n)`` stacks, one row
-per chirp: the per-sample hit probability and the uniform draws it is
-compared with.  The chirp loop does only what moves the generator.
-Chirp ``c`` draws its burst count, then each burst's start and length
-(written into row ``c`` of the probability stack), then its timing
-jitter, then its ``n`` uniforms (straight into row ``c`` of the draw
-stack).  That per-chirp draw order is part of the reproducibility
-contract: the same seed gives the same buffer, and the generator ends
-in the same state, whatever the stacks' layout.  The signal and echo
-arrivals are then mixed into every row at once, signal before echo,
-and one comparison and one sum over the chirps give the counts.
+Attempts are simulated in blocks of up to :data:`BLOCK_ATTEMPTS`
+(:class:`LinkBlock`), in two passes.
+
+*Pass 1* makes only the draws, attempt by attempt, in the order the
+reproducibility contract fixes: the long-noise draw, then per chirp
+``c`` its burst count, each burst's start and length, its timing
+jitter, and its ``n`` uniforms, straight into row ``c`` of the
+attempt's slice of a ``(BLOCK_ATTEMPTS, num_chirps, n)`` draw stack.
+The same seed gives the same buffers, and the generator ends in the
+same state, whatever the block size.  Per attempt it records the
+distance, the pair's unit gain and latency, the link gain and echo,
+the false-positive floor ``base_fp`` and a faulty receiver's hit scale.
+
+*Pass 2* uses no generator.  It computes every attempt's SNR, hit
+probability and arrivals at once.  Away from the signal, a sample's hit
+probability is its attempt's floor, so the hits are one comparison
+``draws < base_fp``.  Then only the samples a chirp's arrival covers
+(sample ``s + j`` for the rounded arrival ``s`` and ``j`` below the
+chirp length, clipped to the buffer) are recomputed exactly, as
+``draws < 1 - (1 - base_fp) * (1 - ramp[j] * p_hit)``: noise and signal
+are independent chances of the detector firing.  An attempt that drew
+a burst, or whose link has an echo, gets dense ``(num_chirps, n)``
+probability rows instead: the floor with its bursts, the signal and
+then the echo mixed in (:func:`_mix_chirps`).  One sum over the chirps
+gives the counts, clipped at 15.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +66,12 @@ from ..acoustics.tone_detector import ToneDetectorModel
 from ..errors import ValidationError
 from .tdoa import TdoaConfig
 
-__all__ = ["LinkRealization", "AcousticLinkSimulator"]
+__all__ = ["LinkRealization", "AcousticLinkSimulator", "LinkBlock", "BLOCK_ATTEMPTS"]
+
+#: Attempts per block of a campaign.  Ten chirps over the default
+#: 1227-sample buffer make a 1.6 MB draw stack at 16 attempts, which
+#: stays in a 2 MiB L2 cache; 8 to 24 measured alike, 64 slower.
+BLOCK_ATTEMPTS = 16
 
 
 @dataclass(frozen=True)
@@ -129,6 +147,14 @@ class AcousticLinkSimulator:
         check_probability(self.faulty_fp_rate, "faulty_fp_rate")
         check_non_negative(self.faulty_hit_scale, "faulty_hit_scale")
         self._bursts = NoiseBurstProcess.from_environment(self.environment)
+        # The buffer geometry is fixed at construction and checked once.
+        fs = self.tdoa.sampling_rate_hz
+        self._buffer_length = self.tdoa.buffer_length
+        chirp_len = self.pattern.chirp_samples(fs)
+        # Speaker power-up ramp over the first ramp_samples of a chirp.
+        self._ramp = np.minimum(1.0, np.arange(1, chirp_len + 1, dtype=float) / self.ramp_samples)
+        self._taps = np.arange(chirp_len)
+        self._bursts._check_window(self._buffer_length, fs, self.environment.false_positive_rate)
 
     # ------------------------------------------------------------------
     # Link construction
@@ -185,62 +211,241 @@ class AcousticLinkSimulator:
         length ``tdoa.buffer_length``, clipped at 15.  The draws follow
         the per-chirp order in the module docstring.
         """
+        num_chirps = self.pattern.num_chirps if num_chirps is None else int(num_chirps)
+        block = self.one_attempt(
+            distance_m,
+            source_hw=source_hw,
+            receiver_hw=receiver_hw,
+            link=link,
+            num_chirps=num_chirps,
+            rng=rng,
+        )
+        return block.counts()[0]
+
+    def one_attempt(
+        self,
+        distance_m: float,
+        *,
+        source_hw: Optional[HardwareProfile],
+        receiver_hw: Optional[HardwareProfile],
+        link: Optional[LinkRealization],
+        num_chirps: int,
+        rng,
+    ) -> "LinkBlock":
+        """Pass 1 of a block of one attempt.
+
+        Missing hardware defaults to nominal units; a missing link is
+        drawn from *rng* first.
+        """
         check_non_negative(distance_m, "distance_m")
         rng = ensure_rng(rng)
         source_hw = source_hw if source_hw is not None else HardwareProfile()
         receiver_hw = receiver_hw if receiver_hw is not None else HardwareProfile()
         link = link if link is not None else self.draw_link(rng)
-        num_chirps = self.pattern.num_chirps if num_chirps is None else int(num_chirps)
+        block = LinkBlock(self, num_chirps, capacity=1)
+        block.draw(distance_m, source_hw, receiver_hw, link, rng)
+        return block
+
+
+class LinkBlock:
+    """Columns and draw stack of up to *capacity* directed attempts.
+
+    :meth:`draw` is pass 1 for one attempt, :meth:`hit_sums` (or
+    :meth:`counts`) pass 2 for the block (see the module docstring);
+    :meth:`clear` empties the block for the next one.
+
+    Parameters
+    ----------
+    simulator : AcousticLinkSimulator
+        The link simulator whose physics the block runs.
+    num_chirps : int
+        Chirps per attempt.
+    capacity : int or None
+        Attempts per block; :data:`BLOCK_ATTEMPTS` when None.
+    """
+
+    def __init__(
+        self,
+        simulator: AcousticLinkSimulator,
+        num_chirps: int,
+        capacity: Optional[int] = None,
+    ) -> None:
         if num_chirps < 0:
             raise ValidationError("num_chirps must be >= 0")
+        self.simulator = simulator
+        self.num_chirps = num_chirps
+        self.capacity = capacity = BLOCK_ATTEMPTS if capacity is None else int(capacity)
+        self.n = n = simulator._buffer_length
+        # The draw and hit stacks are views of flat buffers with one
+        # spare slot at the end: the samples of a signal window that
+        # runs off either end of its row are sent there.
+        rows = capacity * num_chirps
+        self._draws_flat = np.empty(rows * n + 1)
+        self._draws_flat[-1] = 0.0
+        self._hits_flat = np.empty(rows * n + 1, dtype=bool)
+        self.draws = self._draws_flat[:-1].reshape(capacity, num_chirps, n)
+        self._hits = self._hits_flat[:-1].reshape(capacity, num_chirps, n)
+        self._rows = list(self.draws.reshape(rows, n))
+        #: Every drawn chirp's timing jitter, in draw order.
+        self.jitter: List[float] = []
+        #: One tuple of columns per drawn attempt (see :meth:`draw`).
+        self.columns: List[Tuple[float, ...]] = []
+        #: Attempts that get dense rows: their burst rows (None for an
+        #: echo without bursts), in attempt order.
+        self.dense: Dict[int, Optional[np.ndarray]] = {}
+        # One row at the current floor, for the burst writer to draw
+        # into; refilled after each burst.
+        self._scratch = np.empty(n)
+        self._scratch_fp: Optional[float] = None
 
-        n = self.tdoa.buffer_length
-        fs = self.tdoa.sampling_rate_hz
-        chirp_len = self.pattern.chirp_samples(fs)
-        snr = self.link_snr_db(distance_m, source_hw, receiver_hw, link)
-        p_hit = float(self.detector.hit_probability(snr))
-        if receiver_hw.faulty:
-            p_hit *= self.faulty_hit_scale
+    @property
+    def size(self) -> int:
+        return len(self.columns)
 
-        base_fp = self.environment.false_positive_rate
+    @property
+    def full(self) -> bool:
+        return len(self.columns) == self.capacity
+
+    def clear(self) -> None:
+        self.columns.clear()
+        self.jitter.clear()
+        self.dense.clear()
+
+    def draw(
+        self,
+        distance_m: float,
+        source_hw: HardwareProfile,
+        receiver_hw: HardwareProfile,
+        link: LinkRealization,
+        rng: np.random.Generator,
+    ) -> None:
+        """Pass 1 for one attempt: its draws, in order, and its columns."""
+        a = len(self.columns)
+        sim = self.simulator
+        base_fp = sim.environment.false_positive_rate
         if receiver_hw.faulty:
-            base_fp = max(base_fp, self.faulty_fp_rate)
+            base_fp = max(base_fp, sim.faulty_fp_rate)
         # A long noise event (e.g. aircraft) covers the entire
         # measurement: all chirps see the elevated floor.
-        long_noise = rng.random() < self.long_noise_probability
-        if long_noise:
-            base_fp = max(base_fp, self.long_noise_fp_rate)
+        if rng.random() < sim.long_noise_probability:
+            base_fp = max(base_fp, sim.long_noise_fp_rate)
+        scratch = self._scratch
+        if base_fp != self._scratch_fp:
+            scratch.fill(base_fp)
+            self._scratch_fp = base_fp
 
-        # Latency biases shift the arrival by a constant per node pair.
-        latency_s = source_hw.latency_bias_s + receiver_hw.latency_bias_s
-        nominal_arrival = distance_m / self.tdoa.meters_per_sample + latency_s * fs
+        num_chirps = self.num_chirps
+        fs = sim.tdoa.sampling_rate_hz
+        write_bursts = sim._bursts._write_bursts
+        sigma = sim.timing_jitter_samples
+        jitter = self.jitter
+        rows = self._rows
+        first = a * num_chirps
+        burst_rows = None
+        for c in range(num_chirps):
+            if write_bursts(scratch, fs, base_fp, rng):
+                if burst_rows is None:
+                    burst_rows = np.full((num_chirps, self.n), base_fp)
+                burst_rows[c] = scratch
+                scratch.fill(base_fp)
+            jitter.append(rng.normal(0.0, sigma))
+            rng.random(out=rows[first + c])
 
-        # Speaker power-up ramp over the first ramp_samples of a chirp.
-        ramp = np.minimum(
-            1.0, np.arange(1, chirp_len + 1, dtype=float) / self.ramp_samples
+        if burst_rows is not None or link.has_echo:
+            self.dense[a] = burst_rows
+        self.columns.append(
+            (
+                distance_m,
+                source_hw.speaker_gain_db + receiver_hw.mic_gain_db,
+                source_hw.latency_bias_s + receiver_hw.latency_bias_s,
+                link.link_gain_db,
+                link.echo_delay_s,
+                base_fp,
+                # A faulty receiver scales the hit probability; 1.0
+                # leaves it exact.
+                sim.faulty_hit_scale if receiver_hw.faulty else 1.0,
+                link.has_echo,
+            )
         )
 
-        # Per chirp, only what moves the generator: the bursts, the
-        # jitter, then the chirp's n uniforms, each into its own row.
-        bursts = self._bursts
-        bursts._check_window(n, fs, base_fp)
-        probs = np.full((num_chirps, n), base_fp)
-        draws = np.empty((num_chirps, n))
-        jitter = np.empty(num_chirps)
-        for c in range(num_chirps):
-            bursts._write_bursts(probs[c], fs, base_fp, rng)
-            jitter[c] = rng.normal(0.0, self.timing_jitter_samples)
-            rng.random(out=draws[c])
-        arrivals = nominal_arrival + jitter
-        _mix_chirps(probs, arrivals, 1.0 - ramp * p_hit)
-        if link.has_echo:
-            _mix_chirps(
-                probs,
-                arrivals + link.echo_delay_s * fs,
-                1.0 - ramp * (p_hit * self.environment.echo_strength),
-            )
-        counts = np.add.reduce(draws < probs, axis=0, dtype=np.int32)
-        return np.minimum(counts, 15, dtype=np.int64)
+    def counts(self) -> np.ndarray:
+        """Pass 2: the ``(size, n)`` int64 count buffers, clipped at 15."""
+        return np.minimum(self.hit_sums(), 15, dtype=np.int64)
+
+    def hit_sums(self) -> np.ndarray:
+        """Pass 2: each attempt's hits summed over its chirps, ``(size,
+        n)``, unclipped.  A threshold of at most 15 finds the same
+        samples here as in :meth:`counts`."""
+        size = len(self.columns)
+        if size == 0:
+            return np.zeros((0, self.n), dtype=np.uint8)
+        sim = self.simulator
+        fs = sim.tdoa.sampling_rate_hz
+        columns = np.array(self.columns, dtype=float).T
+        distance, unit_gain, latency_s, link_gain, echo_delay, base_fp, hit_scale, has_echo = columns
+        snr = snr_db(
+            distance,
+            sim.environment,
+            source_level_db=sim.source_level_db,
+            unit_gain_db=unit_gain,
+            link_gain_db=link_gain,
+        )
+        p_hit = sim.detector.hit_probability(snr) * hit_scale
+        # Latency biases shift the arrival by a constant per node pair.
+        nominal = distance / sim.tdoa.meters_per_sample + latency_s * fs
+        arrivals = nominal[:, None] + np.array(self.jitter).reshape(size, self.num_chirps)
+        ramp = sim._ramp
+        keep = 1.0 - ramp * p_hit[:, None]
+
+        draws = self.draws[:size]
+        hits = self._hits[:size]
+        # Away from the signal a sample's probability is the floor;
+        # then the samples under a chirp are compared again.
+        np.less(draws, base_fp[:, None, None], out=hits)
+        if len(self.dense) < size:
+            index, probs = self._window(arrivals, base_fp, keep)
+            self._hits_flat[index] = self._draws_flat[index] < probs[:, None, :]
+        echo_strength = sim.environment.echo_strength
+        for a, burst_rows in self.dense.items():
+            probs = burst_rows if burst_rows is not None else np.full(draws.shape[1:], base_fp[a])
+            _mix_chirps(probs, arrivals[a], keep[a])
+            if has_echo[a]:
+                _mix_chirps(
+                    probs,
+                    arrivals[a] + echo_delay[a] * fs,
+                    1.0 - ramp * (p_hit[a] * echo_strength),
+                )
+            np.less(draws[a], probs, out=hits[a])
+        # A pattern has at most 15 chirps, so uint8 holds any sane sum.
+        dtype = np.uint8 if self.num_chirps < 256 else np.int64
+        return np.add.reduce(hits, axis=1, dtype=dtype)
+
+    def _window(
+        self, arrivals: np.ndarray, base_fp: np.ndarray, keep: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Where each chirp's arrival lands, and its probability there.
+
+        Chirp ``c`` of attempt ``a`` starts at ``s = round(arrivals[a,
+        c])`` (half to even, as in :func:`_mix_chirps`) and covers
+        sample ``s + j`` for ``j < keep.shape[1]``, with probability
+        ``1 - (1 - base_fp[a]) * keep[a, j]``.  Returns the flat index
+        of every ``(a, c, j)`` into the stacks, ``(size, num_chirps,
+        taps)``, and the probabilities, ``(size, taps)``.  Samples off
+        either end of their row index the spare slot.
+        """
+        size, num_chirps = arrivals.shape
+        n = self.n
+        taps = self.simulator._taps
+        # Clipping first keeps the integer cast exact, as in _mix_chirps.
+        starts = np.rint(np.minimum(np.maximum(arrivals, -taps.size), n)).astype(np.int64)
+        rows = np.arange(0, size * num_chirps * n, n).reshape(size, num_chirps, 1)
+        index = (starts[:, :, None] + rows) + taps
+        if starts.min(initial=0) < 0 or starts.max(initial=0) > n - taps.size:
+            # Negative samples wrap to huge unsigned values, so one
+            # comparison finds both ends.
+            samples = (index - rows).view(np.uint64)
+            np.putmask(index, samples >= n, self._draws_flat.size - 1)
+        return index, 1.0 - (1.0 - base_fp)[:, None] * keep
 
 
 def _mix_chirps(probs: np.ndarray, arrivals: np.ndarray, keep: np.ndarray) -> None:

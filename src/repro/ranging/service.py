@@ -19,7 +19,7 @@ orchestration (rounds, node pairs, persistent link draws) lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -28,8 +28,8 @@ from ..acoustics.environment import Environment
 from ..acoustics.hardware import HardwareProfile
 from ..acoustics.signal import ChirpPattern
 from ..errors import CalibrationError, ValidationError
-from .detection import detect_signal, first_hit
-from .link import AcousticLinkSimulator, LinkRealization
+from .detection import first_windows
+from .link import AcousticLinkSimulator, LinkBlock, LinkRealization
 from .tdoa import TdoaConfig
 
 __all__ = ["DetectionParams", "RangingService"]
@@ -42,7 +42,9 @@ class DetectionParams:
     The field experiments used ``threshold = 2`` with at least ``k = 6``
     of ``m = 32`` consecutive samples (Section 3.6): low thresholds suit
     high-attenuation environments at the cost of some false-positive
-    vulnerability.
+    vulnerability.  The threshold is at most 15: the counts are packed
+    into 4 bits per buffer offset (Section 3.6.2), so a higher one
+    could never be reached.
     """
 
     threshold: int = 2
@@ -52,6 +54,10 @@ class DetectionParams:
     def __post_init__(self):
         if self.threshold < 1 or self.k < 1 or self.m < 1:
             raise ValidationError("detection parameters must be >= 1")
+        if self.threshold > 15:
+            raise ValidationError(
+                f"threshold ({self.threshold}) cannot exceed 15, the largest count"
+            )
         if self.k > self.m:
             raise ValidationError("k cannot exceed m")
 
@@ -109,37 +115,45 @@ class RangingService:
         """One directed ranging attempt; returns a distance or None.
 
         ``None`` means no detection — the receiver never identified the
-        chirp (out of range, excessive attenuation, bad luck).
+        chirp (out of range, excessive attenuation, bad luck).  This is
+        a block of one attempt through :meth:`estimates`.
         """
-        rng = ensure_rng(rng)
-        sim = self.link_simulator
+        block = self.link_simulator.one_attempt(
+            distance_m,
+            source_hw=source_hw,
+            receiver_hw=receiver_hw,
+            link=link,
+            num_chirps=self.num_chirps,
+            rng=rng,
+        )
+        return self.estimates(block)[0]
+
+    @property
+    def num_chirps(self) -> int:
+        """Chirps per attempt: one in baseline mode."""
+        return 1 if self.mode == "baseline" else self.link_simulator.pattern.num_chirps
+
+    def new_block(self) -> LinkBlock:
+        """An empty block of attempts for :meth:`estimates`."""
+        return LinkBlock(self.link_simulator, self.num_chirps)
+
+    def estimates(self, block: LinkBlock) -> List[Optional[float]]:
+        """Detect every attempt of a drawn block.
+
+        Returns each attempt's distance estimate, or None where nothing
+        was detected, in attempt order.  The refined service takes the
+        first ``k``-of-``m`` window at the threshold; the baseline takes
+        the first hit, which is the window ``k = m = threshold = 1``.
+        """
         if self.mode == "baseline":
-            counts = sim.simulate_counts(
-                distance_m,
-                source_hw=source_hw,
-                receiver_hw=receiver_hw,
-                link=link,
-                num_chirps=1,
-                rng=rng,
-            )
-            index = first_hit(counts, threshold=1)
+            k, m, threshold = 1, 1, 1
         else:
-            counts = sim.simulate_counts(
-                distance_m,
-                source_hw=source_hw,
-                receiver_hw=receiver_hw,
-                link=link,
-                rng=rng,
-            )
-            index = detect_signal(
-                counts,
-                k=self.detection.k,
-                m=self.detection.m,
-                threshold=self.detection.threshold,
-            )
-        if index < 0:
-            return None
-        return self.tdoa.distance_from_index(index)
+            k, m, threshold = self.detection.k, self.detection.m, self.detection.threshold
+        # DetectionParams keeps the threshold at or under 15, where the
+        # unclipped sums and the 4-bit counts cross it at the same samples.
+        first = first_windows(block.hit_sums(), k=k, m=m, threshold=threshold)
+        to_distance = self.tdoa.distance_from_index
+        return [None if index < 0 else to_distance(index) for index in first.tolist()]
 
     def detection_probability(
         self,

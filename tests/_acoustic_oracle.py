@@ -14,19 +14,40 @@ the count buffers and the generator's end state bit for bit.
 :func:`detect_signal` and :func:`detect_all_windows` are the detector
 as it was before the prefix-sum window count: each validates its
 arguments and counts the window hits with an ``m``-tap ``np.convolve``.
+
+:func:`run_campaign` is the campaign as it was before the block kernel:
+it walks the attempts one at a time and measures each through
+:func:`measure`, the per-attempt service (:func:`simulate_counts`, then
+:func:`detect_signal` or the baseline's first hit, then
+``distance_from_index``).  Every distance is a scalar ``np.hypot`` per
+attempt per round (:func:`true_distance`).  :func:`calibrate` is the
+service's calibration over :func:`measure`.  None of them runs
+``LinkBlock``, the window detector or ``RangingCampaign.run``, so a test
+can compare those with them bit for bit without patching anything.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import replace
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._validation import check_non_negative, check_positive, check_probability, ensure_rng
-from repro.acoustics.hardware import HardwareProfile
+from repro._validation import (
+    as_positions,
+    check_non_negative,
+    check_positive,
+    check_probability,
+    ensure_rng,
+)
+from repro.acoustics.hardware import HardwarePopulation, HardwareProfile
 from repro.acoustics.noise import NoiseBurstProcess
-from repro.errors import ValidationError
+from repro.core.measurements import MeasurementSet
+from repro.errors import CalibrationError, ValidationError
+from repro.ranging.campaign import CampaignConfig
+from repro.ranging.detection import first_hit
 from repro.ranging.link import AcousticLinkSimulator, LinkRealization
+from repro.ranging.service import RangingService
 
 
 def false_positive_track(
@@ -152,3 +173,115 @@ def detect_all_windows(samples: np.ndarray, k: int, m: int, threshold: int) -> n
     hits = (samples >= threshold).astype(np.int64)
     window_counts = np.convolve(hits, np.ones(m, dtype=np.int64), mode="valid")
     return np.nonzero((window_counts >= k) & (hits[: n - m + 1] == 1))[0]
+
+
+def measure(
+    service: RangingService,
+    distance_m: float,
+    *,
+    source_hw: Optional[HardwareProfile] = None,
+    receiver_hw: Optional[HardwareProfile] = None,
+    link: Optional[LinkRealization] = None,
+    rng=None,
+) -> Optional[float]:
+    rng = ensure_rng(rng)
+    sim = service.link_simulator
+    if service.mode == "baseline":
+        counts = simulate_counts(
+            sim, distance_m, source_hw=source_hw, receiver_hw=receiver_hw, link=link,
+            num_chirps=1, rng=rng,
+        )
+        index = first_hit(counts, threshold=1)
+    else:
+        counts = simulate_counts(
+            sim, distance_m, source_hw=source_hw, receiver_hw=receiver_hw, link=link, rng=rng
+        )
+        index = detect_signal(
+            counts,
+            k=service.detection.k,
+            m=service.detection.m,
+            threshold=service.detection.threshold,
+        )
+    if index < 0:
+        return None
+    return service.tdoa.distance_from_index(index)
+
+
+def calibrate(
+    service: RangingService,
+    distances_m: Sequence[float] = (2.0, 4.0, 6.0, 8.0, 10.0),
+    *,
+    rounds: int = 10,
+    rng=None,
+) -> RangingService:
+    rng = ensure_rng(rng)
+    errors = []
+    for d in distances_m:
+        for _ in range(rounds):
+            link = service.link_simulator.draw_link(rng)
+            est = measure(service, d, link=link, rng=rng)
+            if est is not None:
+                errors.append(est - d)
+    if not errors:
+        raise CalibrationError("calibration produced no detections at any distance")
+    offset = float(np.median(errors)) + service.tdoa.calibration_offset_m
+    return replace(service, tdoa=service.tdoa.with_calibration(offset), link_simulator=None)
+
+
+def true_distance(positions: np.ndarray, i: int, j: int) -> float:
+    diff = positions[i] - positions[j]
+    return float(np.hypot(diff[0], diff[1]))
+
+
+def run_campaign(
+    positions,
+    service: RangingService,
+    *,
+    config: Optional[CampaignConfig] = None,
+    rounds: Optional[int] = None,
+    rng=None,
+    hardware_population: Optional[HardwarePopulation] = None,
+) -> MeasurementSet:
+    positions = as_positions(positions, "positions")
+    if config is None:
+        config = CampaignConfig() if rounds is None else CampaignConfig(rounds=rounds)
+    rng = ensure_rng(rng)
+    population = hardware_population if hardware_population is not None else HardwarePopulation()
+    n = positions.shape[0]
+    hardware = {i: population.sample(rng) for i in range(n)}
+    links: Dict[Tuple[int, int], LinkRealization] = {}
+
+    def link_for(i: int, j: int) -> LinkRealization:
+        key = (min(i, j), max(i, j))
+        if key not in links:
+            links[key] = service.link_simulator.draw_link(rng)
+        return links[key]
+
+    limit = config.attempt_range_m
+    if limit is None:
+        limit = 1.3 * service.tdoa.max_range_m
+    measurements = MeasurementSet()
+    for round_index in range(config.rounds):
+        for source in range(n):
+            for receiver in range(n):
+                if receiver == source:
+                    continue
+                distance = true_distance(positions, source, receiver)
+                if distance > limit:
+                    continue
+                if not config.radio.delivers(distance, rng):
+                    continue
+                estimate = measure(
+                    service,
+                    distance,
+                    source_hw=hardware[source],
+                    receiver_hw=hardware[receiver],
+                    link=link_for(source, receiver),
+                    rng=rng,
+                )
+                if estimate is None:
+                    continue
+                measurements.add_distance(
+                    source, receiver, estimate, true_distance=distance, round_index=round_index
+                )
+    return measurements

@@ -30,6 +30,14 @@ class TestDetectionParams:
         with pytest.raises(ValidationError):
             DetectionParams(k=40, m=32)
 
+    def test_threshold_above_the_count_ceiling_rejected(self):
+        # Counts are clipped at 15 (4-bit packing), so a higher
+        # threshold could never be reached: the service would never
+        # detect anything.
+        assert DetectionParams(threshold=15).threshold == 15
+        with pytest.raises(ValidationError, match="cannot exceed 15"):
+            DetectionParams(threshold=16)
+
 
 class TestServiceConstruction:
     def test_invalid_mode(self):

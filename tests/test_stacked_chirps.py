@@ -1,15 +1,16 @@
-"""The stacked acoustic link simulator and the prefix-sum detector are
-bytewise their per-chirp and convolve references.
+"""The block link simulator and the window detector are bytewise their
+per-chirp and convolve references.
 
-``AcousticLinkSimulator.simulate_counts`` keeps each chirp's draws in
-the same order but moves everything else out of the chirp loop: the
-bursts and uniforms go into rows of ``(num_chirps, n)`` stacks, and the
-signal and echo are mixed into all rows afterwards.  The detector's two
-entry points share one integer prefix-sum window count in place of a
-``np.convolve`` each.  The references they replaced live in
+``AcousticLinkSimulator.simulate_counts`` is a block of one attempt
+through ``LinkBlock``: each chirp's draws are made in the same order,
+and everything else runs afterwards, stacked (the floor comparison, the
+signal window, or dense rows with bursts and echoes).  The detector's
+entry points share one exact window count in place of a ``np.convolve``
+each.  The references they replaced live in
 ``tests/_acoustic_oracle.py``; here the count buffers, the generator's
-end states and the detection indices are compared with them bit for
-bit.
+end states, the probabilities and the detection indices are compared
+with them bit for bit, and whole campaigns with the per-attempt
+campaign.
 """
 
 from unittest import mock
@@ -25,10 +26,10 @@ from repro.acoustics.hardware import HardwarePopulation, HardwareProfile
 from repro.acoustics.noise import NoiseBurstProcess
 from repro.acoustics.signal import ChirpPattern
 from repro.deploy import paper_grid
-from repro.ranging import link as link_module, service as service_module
+from repro.ranging import link as link_module
 from repro.ranging.campaign import run_campaign
 from repro.ranging.detection import detect_all_windows, detect_signal
-from repro.ranging.link import AcousticLinkSimulator, LinkRealization
+from repro.ranging.link import AcousticLinkSimulator, LinkBlock, LinkRealization
 from repro.ranging.service import RangingService
 
 import _acoustic_oracle
@@ -137,41 +138,71 @@ class TestCountBuffers:
         )
 
     @given(
-        environment=st.sampled_from(["urban", "pavement", "urban-bursty"]),
+        environment=st.sampled_from(["urban", "pavement", "grass-no-bursts", "urban-bursty"]),
         distance=distances,
         source_hw=hardware,
         link=links,
         num_chirps=st.integers(1, 15),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=60, deadline=None)
+    @example(  # no bursts, no echo: the floor-and-window path
+        environment="grass-no-bursts", distance=6.0, source_hw=HardwareProfile(),
+        link=LinkRealization(), num_chirps=10, seed=0,
+    )
+    @example(  # the window runs off the start of the buffer
+        environment="grass-no-bursts", distance=0.0,
+        source_hw=HardwareProfile(latency_bias_s=-0.006),
+        link=LinkRealization(), num_chirps=10, seed=1,
+    )
+    @example(  # the window runs off the end of the buffer
+        environment="grass-no-bursts", distance=_END_M - 1.0, source_hw=HardwareProfile(),
+        link=LinkRealization(), num_chirps=10, seed=2,
+    )
+    @example(  # an echo: dense rows
+        environment="urban", distance=3.0, source_hw=HardwareProfile(),
+        link=LinkRealization(has_echo=True, echo_delay_s=0.004), num_chirps=10, seed=3,
+    )
+    @settings(max_examples=80, deadline=None)
     def test_probability_stack_matches_the_per_chirp_tracks(
         self, environment, distance, source_hw, link, num_chirps, seed
     ):
         # The counts hide last-bit differences in the probabilities (a
         # uniform rarely lands between two neighboring doubles), so the
-        # mixed stack itself is compared with the reference's tracks,
-        # each as it stood when its chirp's hits were drawn.
+        # probabilities themselves are compared with the reference's
+        # tracks, each as it stood when its chirp's hits were drawn.  A
+        # dense attempt's are its mixed rows; any other attempt's are
+        # its floor with the window's probabilities at the window's
+        # samples.
         sim = AcousticLinkSimulator(environment=ENVIRONMENT_CASES[environment])
-        stack = []
+        mixed = []
+        windows = []
         tracks = []
         mix_chirps = link_module._mix_chirps
+        window = LinkBlock._window
         add_signal = _acoustic_oracle.add_signal
 
-        def record_stack(probs, arrivals, keep):
+        def record_mix(probs, arrivals, keep):
             mix_chirps(probs, arrivals, keep)
-            stack[:] = [probs.copy()]
+            mixed[:] = [probs.copy()]
+
+        def record_window(block, arrivals, base_fp, keep):
+            index, probs = window(block, arrivals, base_fp, keep)
+            implied = np.full(block._draws_flat.shape, base_fp[0])
+            implied[index.reshape(-1)] = np.broadcast_to(probs[:, None, :], index.shape).reshape(-1)
+            windows[:] = [implied[:-1].reshape(block.num_chirps, block.n)]
+            return index, probs
 
         def record_track(p, arrival, p_hit, ramp):
             add_signal(p, arrival, p_hit, ramp)
             if not tracks or tracks[-1] is not p:
                 tracks.append(p)
 
-        with mock.patch.object(link_module, "_mix_chirps", record_stack), mock.patch.object(
-            _acoustic_oracle, "add_signal", record_track
-        ):
+        with mock.patch.object(link_module, "_mix_chirps", record_mix), mock.patch.object(
+            LinkBlock, "_window", record_window
+        ), mock.patch.object(_acoustic_oracle, "add_signal", record_track):
             _same_counts(sim, distance, seed, source_hw=source_hw, link=link, num_chirps=num_chirps)
-        assert stack[0].tobytes() == np.stack(tracks).tobytes()
+        stack = mixed[0] if mixed else windows[0]
+        assert stack.tobytes() == np.stack(tracks).tobytes()
 
     @pytest.mark.parametrize("environment", sorted(ENVIRONMENT_CASES))
     def test_defaults_draw_the_link_and_the_pattern(self, environment):
@@ -219,19 +250,21 @@ class TestCampaignEndToEnd:
     @pytest.mark.parametrize("environment", ["grass", "urban"])
     def test_campaign_matches_the_reference_pipeline(self, environment, mode):
         # A faulty-heavy population on a 3 x 3 grid: every directed
-        # attempt of three rounds, through the radio and the detector.
+        # attempt of three rounds, through the radio and the detector,
+        # against the frozen per-attempt campaign (which measures with
+        # the per-chirp simulator and the convolve detector).
         positions = paper_grid(9)
         population = HardwarePopulation(faulty_probability=0.3, latency_bias_std_s=0.002)
         service = RangingService(environment=ENVIRONMENTS[environment], mode=mode)
-        fast = run_campaign(positions, service, rng=5, hardware_population=population)
-        with mock.patch.object(
-            AcousticLinkSimulator, "simulate_counts", _acoustic_oracle.simulate_counts
-        ), mock.patch.object(
-            service_module, "detect_signal", _acoustic_oracle.detect_signal
-        ):
-            slow = run_campaign(positions, service, rng=5, hardware_population=population)
+        fast_rng = np.random.default_rng(5)
+        slow_rng = np.random.default_rng(5)
+        fast = run_campaign(positions, service, rng=fast_rng, hardware_population=population)
+        slow = _acoustic_oracle.run_campaign(
+            positions, service, rng=slow_rng, hardware_population=population
+        )
         assert len(fast) > 0
         assert list(fast) == list(slow)
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
 
 count_buffers = hnp.arrays(
