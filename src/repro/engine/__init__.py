@@ -52,7 +52,11 @@ carry zero weight, so they contribute exactly ``0.0`` to every
 objective, gradient, and centroid computation — the padded problem is
 numerically identical to the unpadded one.  Solved problems are
 compacted out of the working arrays, so stragglers near the iteration
-cap do not drag the whole batch's per-iteration cost with them.
+cap do not drag the whole batch's per-iteration cost with them.  The
+stacked LSS descent compacts lazily: a finished problem stays in its
+stack, frozen in place, until a quarter of the stack has finished, and
+a compaction filters the body's flat term arrays and keeps its Verlet
+candidate list instead of indexing the kept problems again.
 
 Scalar/batched parity contract
 ------------------------------

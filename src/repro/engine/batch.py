@@ -762,7 +762,7 @@ class _Lss:
     at least ``d_min`` apart until the next build.  Dense or sparse is
     chosen at each build from what it finds (:func:`_use_candidates`);
     a dense build keeps every valid pair and stops checking displacements
-    until the next compaction.
+    for good.
 
     Every left-out term is an exact zero: a zero weight makes ``+0.0``
     and ``±0.0`` terms, and a pair at distance ``>= d_min`` has
@@ -782,9 +782,18 @@ class _Lss:
     slot) outside its problem's ``[0, N)``.  :meth:`compact` takes a
     subset of validated rows and does not check again.
 
-    **Per epoch.**  Index arrays and the epoch's work buffers are built
-    at each selection (construction, :meth:`compact` and each candidate
-    list build), together with the views an epoch reads them through.
+    **Indexed once.**  The constructor flattens the stacks into the flat
+    term arrays: the real edge slots with their endpoint rows ``b * N +
+    i``, distances and weights, and the valid constraint slots with
+    their endpoint rows.  :meth:`compact` filters those arrays by the
+    kept problems and shifts their rows, and keeps the live candidate
+    list, so a compaction neither re-indexes the stacks nor forces a
+    list build.
+
+    **Per epoch.**  Gather indices, scatter bins and the epoch's work
+    buffers are built at each selection (construction, :meth:`compact`
+    and each candidate list build), together with the views an epoch
+    reads them through.
     An epoch then gathers both endpoints of every term with one
     ``take(..., mode="clip")`` (the indices are in range by
     construction), runs every ufunc in place with ``out=``, and scatters
@@ -809,63 +818,40 @@ class _Lss:
         constraint_weight: float,
         n_nodes: int,
     ) -> None:
-        self._index(
-            pairs, dists, weights, constraint_pairs, constraint_valid,
-            min_spacing_m, constraint_weight, n_nodes,
-        )
-        _check_local_pairs(self.pairs, self._edge_real, n_nodes, "edge")
-        if self.constrained:
-            _check_local_pairs(self.constraint_pairs, self._valid_slots, n_nodes, "constraint")
-
-    def _index(
-        self,
-        pairs: np.ndarray,
-        dists: np.ndarray,
-        weights: np.ndarray,
-        constraint_pairs: Optional[np.ndarray],
-        constraint_valid: Optional[np.ndarray],
-        min_spacing_m: Optional[float],
-        constraint_weight: float,
-        n_nodes: int,
-    ) -> None:
-        """Flat endpoints and slots of the read terms of the stacks."""
-        self.pairs = np.asarray(pairs)
-        self.dists = np.asarray(dists, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
+        pairs = np.asarray(pairs)
+        weights = np.asarray(weights, dtype=float)
         self.n_nodes = n_nodes
         self.min_spacing_m = min_spacing_m
         self.constraint_weight = constraint_weight
         self.constrained = _has_constraints(constraint_pairs, min_spacing_m)
-        self.constraint_pairs = self.constraint_valid = None
         self.rebuilds = self.terms = 0
-        self._ref = None
-        n_batch = self.weights.shape[0]
-        self.n_bins = 2 * n_batch * n_nodes
+        self._ref = self._near = None
+        n_batch = weights.shape[0]
         rows = np.arange(n_batch, dtype=np.int64)[:, None, None] * n_nodes
 
-        self._edge_shape = self.weights.shape
-        real = self._edge_real = np.flatnonzero(self.weights)
-        self._edge_slots = None if real.size == self.weights.size else real
-        self._edge_ends = (rows + self.pairs).reshape(-1, 2)[real]
-        self._edge_dists = self.dists.ravel()[real]
-        self._edge_weights = self.weights.ravel()[real]
+        # Flat endpoints and slots of the read terms of the stacks.
+        self._edge_shape = weights.shape
+        real = self._edge_real = np.flatnonzero(weights)
+        self._edge_ends = (rows + pairs).reshape(-1, 2)[real]
+        self._edge_dists = np.asarray(dists, dtype=float).ravel()[real]
+        self._edge_weights = weights.ravel()[real]
         self._edge_weights2 = 2.0 * self._edge_weights
+        _check_local_pairs(pairs, real, n_nodes, "edge")
 
         self._con_ends = np.zeros((0, 2), dtype=np.int64)
         self._con_slots = None
         if self.constrained:
-            self.constraint_pairs = np.asarray(constraint_pairs)
+            constraint_pairs = np.asarray(constraint_pairs)
             if constraint_valid is None:
-                valid = np.ones(self.constraint_pairs.shape[:2], dtype=bool)
+                valid = np.ones(constraint_pairs.shape[:2], dtype=bool)
             else:
-                valid = self.constraint_valid = np.asarray(constraint_valid, dtype=bool)
+                valid = np.asarray(constraint_valid, dtype=bool)
             self._con_shape = valid.shape
             # Padded slots reference node 0 twice (distance 0 = maximal
             # "violation"), so only the masked-in slots are ever read.
             self._valid_slots = np.flatnonzero(valid)
-            self._valid_ends = (rows + self.constraint_pairs).reshape(-1, 2)[
-                self._valid_slots
-            ]
+            self._valid_ends = (rows + constraint_pairs).reshape(-1, 2)[self._valid_slots]
+            _check_local_pairs(constraint_pairs, self._valid_slots, n_nodes, "constraint")
             self._cutoff = min_spacing_m * (1.0 + _SKIN)
             self._limit = 0.5 * _SKIN * min_spacing_m * (1.0 - _REBUILD_SLACK)
             self._constraint_weight2 = 2.0 * constraint_weight
@@ -876,25 +862,59 @@ class _Lss:
             self._select(None)
 
     def compact(self, keep: np.ndarray) -> "_Lss":
-        """The same body restricted to the problems where *keep* is set."""
+        """The same body restricted to the problems where *keep* is set.
+
+        The flat term arrays keep the entries of the kept rows, with
+        their row offsets shifted down past the dropped rows: the arrays
+        the constructor would index from the kept rows' stacks, without
+        indexing or validating again.  A live candidate list carries
+        over, remapped to the kept valid pairs, with its reference
+        points: a kept node's displacement since the build is unchanged,
+        so the Verlet guarantee still holds for every kept pair.  A
+        dense build stays dense.  Counters carry over.
+        """
         body = object.__new__(type(self))
-        body._index(
-            self.pairs[keep],
-            self.dists[keep],
-            self.weights[keep],
-            self.constraint_pairs[keep] if self.constrained else None,
-            None if self.constraint_valid is None else self.constraint_valid[keep],
-            self.min_spacing_m,
-            self.constraint_weight,
-            self.n_nodes,
-        )
-        body.rebuilds, body.terms = self.rebuilds, self.terms
+        vars(body).update(vars(self))
+        n_slots = self._edge_shape[1]
+        n_kept = int(np.count_nonzero(keep))
+        # Rows dropped before each kept row: its offset shifts down by
+        # that many problems.
+        dropped = np.cumsum(~keep)
+        node_shift = dropped * self.n_nodes
+
+        row = self._edge_real // n_slots
+        on = keep[row]
+        row = row[on]
+        body._edge_shape = (n_kept, n_slots)
+        body._edge_real = self._edge_real[on] - dropped[row] * n_slots
+        body._edge_ends = self._edge_ends[on] - node_shift[row][:, None]
+        body._edge_dists = self._edge_dists[on]
+        body._edge_weights = self._edge_weights[on]
+        body._edge_weights2 = self._edge_weights2[on]
+        if self.constrained:
+            n_con = self._con_shape[1]
+            row = self._valid_slots // n_con
+            on = keep[row]
+            row = row[on]
+            body._con_shape = (n_kept, n_con)
+            body._valid_slots = self._valid_slots[on] - dropped[row] * n_con
+            body._valid_ends = self._valid_ends[on] - node_shift[row][:, None]
+            if self._near is not None:
+                position = np.cumsum(on) - 1
+                body._near = position[self._near[on[self._near]]]
+                body._track(self._ref[keep])
+        if body._built:
+            body._select(body._near)
         return body
 
     def _select(self, near: Optional[np.ndarray]) -> None:
         """Gather indices, scatter bins and work buffers for the real
         edges plus the valid constraint pairs at *near* (``None``: every
         valid pair)."""
+        n_batch, n_slots = self._edge_shape
+        self.n_bins = 2 * n_batch * self.n_nodes
+        real = self._edge_real
+        self._edge_slots = None if real.size == n_batch * n_slots else real
         if self.constrained:
             slots = self._valid_slots
             self._con_ends = self._valid_ends
@@ -974,14 +994,18 @@ class _Lss:
         diff = flat[ends[:, 0]] - flat[ends[:, 1]]
         near = np.flatnonzero(~(np.hypot(diff[:, 0], diff[:, 1]) >= self._cutoff))
         if _use_candidates(ends.shape[0], near.size):
-            self._ref = pts.copy()
-            self._moved = np.empty_like(self._ref)
-            self._moved_x, self._moved_y = self._moved[..., 0], self._moved[..., 1]
-            self._moved_norm = np.empty(self._ref.shape[:-1])
-            self._select(near)
+            self._near = near
+            self._track(pts.copy())
         else:
-            self._ref = None
-            self._select(None)
+            self._near = self._ref = None
+        self._select(self._near)
+
+    def _track(self, ref: np.ndarray) -> None:
+        """Check displacements from the points *ref* of the list's build."""
+        self._ref = ref
+        self._moved = np.empty_like(ref)
+        self._moved_x, self._moved_y = self._moved[..., 0], self._moved[..., 1]
+        self._moved_norm = np.empty(ref.shape[:-1])
 
     def value_and_grad(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Objective ``(B,)`` and gradient ``(B, N, 2)`` at the stack *pts*."""
@@ -1148,16 +1172,27 @@ def _descend(
     problem) get the problem's error appended every epoch it is still
     descending.
 
-    Finished problems are compacted out of the working stack (the same
-    straggler treatment as :func:`batch_gradient_descent`), so a few
-    slow problems do not drag the whole stack's per-epoch cost.  Once a
-    single problem is left to descend (a stack of one from the start,
-    or the last straggler), :func:`_descend_one` runs its remaining
-    epochs on the same body and rules with scalar step state.
+    A finished problem's result is recorded at once, and its row stays
+    in the working stack, frozen: its gradient, velocity and step size
+    are zeroed, so its candidate is exactly its point, it is never
+    accepted again, and a Verlet list sees it stand still.  Frozen rows
+    are left out of the finish test, the traces and the final
+    write-back.  The stack is compacted (the same straggler treatment
+    as :func:`batch_gradient_descent`) once a quarter of it is frozen,
+    so a few slow problems do not drag the whole stack's per-epoch
+    cost; at once when a finished row is not finite, whose
+    displacement would be NaN and rebuild the list every epoch; and
+    when one problem is left to descend.  That problem (or a stack of
+    one from the start) runs its remaining epochs in
+    :func:`_descend_one`, on the same body and rules with scalar step
+    state.  Rows are independent, so freezing and compacting move no
+    other row's bytes.
 
     Returns a :class:`_Descent`: the configurations, errors, converged
-    flags, epochs run, compactions, and the body's candidate-list builds
-    and evaluated term slots.  An empty stack returns at once.
+    flags, epochs run, compactions (each time the stack shrank, plus
+    the last finish: the one that empties the stack or the tail's), and
+    the body's candidate-list builds and evaluated term slots.  An
+    empty stack returns at once.
     """
     total = pts.shape[0]
     pts_out = pts.copy()
@@ -1166,6 +1201,8 @@ def _descend(
     if total == 0:
         return _Descent(pts_out, err_out, conv_out, 0, 0, 0, 0)
     remaining = np.arange(total)
+    active = np.ones(total, dtype=bool)
+    n_active, n_frozen = total, 0
     current, grad = lss.value_and_grad(pts)
     alpha = np.full(total, float(step_size))
     velocity = np.zeros_like(pts)
@@ -1173,7 +1210,7 @@ def _descend(
     epochs_run = 0
     compactions = 0
 
-    while remaining.size > 1 and epochs_run < max_epochs:
+    while n_active > 1 and epochs_run < max_epochs:
         epochs_run += 1
         if pinned is not None:
             grad[:, pinned] = 0.0
@@ -1194,32 +1231,49 @@ def _descend(
         stall += rejected | (improved & (improvement < tolerance))
         np.copyto(stall, 0, where=improved & (improvement >= tolerance))
         if traces is not None:
-            for b, error in zip(remaining.tolist(), current.tolist()):
+            rows = remaining[active] if n_frozen else remaining
+            errors = current[active] if n_frozen else current
+            for b, error in zip(rows.tolist(), errors.tolist()):
                 traces[b].append(error)
 
         finished = (rejected & (alpha < 1e-14)) | (stall >= patience)
-        if finished.any():
+        if n_frozen:
+            finished &= active
+        if not finished.any():
+            continue
+        done = remaining[finished]
+        pts_out[done] = pts[finished]
+        err_out[done] = current[finished]
+        conv_out[done] = True
+        n_active -= done.size
+        if n_active == 0:
+            return _Descent(
+                pts_out, err_out, conv_out, epochs_run, compactions + 1,
+                lss.rebuilds, lss.terms,
+            )
+        active &= ~finished
+        n_frozen += done.size
+        finite = np.isfinite(pts_out[done]).all()
+        if 4 * n_frozen >= remaining.size or n_active == 1 or not finite:
             compactions += 1
-            done = remaining[finished]
-            pts_out[done] = pts[finished]
-            err_out[done] = current[finished]
-            conv_out[done] = True
-            keep = ~finished
-            if not keep.any():
-                return _Descent(
-                    pts_out, err_out, conv_out, epochs_run, compactions,
-                    lss.rebuilds, lss.terms,
-                )
-            remaining = remaining[keep]
-            pts = pts[keep]
-            grad = grad[keep]
-            current = current[keep]
-            alpha = alpha[keep]
-            velocity = velocity[keep]
-            stall = stall[keep]
-            lss = lss.compact(keep)
+            remaining = remaining[active]
+            pts = pts[active]
+            grad = grad[active]
+            current = current[active]
+            alpha = alpha[active]
+            velocity = velocity[active]
+            stall = stall[active]
+            lss = lss.compact(active)
+            active = np.ones(n_active, dtype=bool)
+            n_frozen = 0
+        else:
+            # Freeze: the candidate is the point itself.  A zero step
+            # alone would turn an infinite gradient into NaN.
+            grad[finished] = 0.0
+            velocity[finished] = 0.0
+            alpha[finished] = 0.0
 
-    if remaining.size == 1:
+    if n_active == 1:
         b = remaining[0]
         pts, current, converged, epochs = _descend_one(
             lss, pts, grad, float(current[0]), float(alpha[0]), velocity, int(stall[0]),
@@ -1230,6 +1284,8 @@ def _descend(
         epochs_run += epochs
         compactions += converged
         conv_out[b] = converged
+    elif n_frozen:
+        remaining, pts, current = remaining[active], pts[active], current[active]
     pts_out[remaining] = pts
     err_out[remaining] = current
     return _Descent(

@@ -5,7 +5,7 @@ statistical filtering, consistency checks and synthetic generators."""
 from .campaign import CampaignConfig, RangingCampaign, run_campaign
 from .constraints import feasible_distance_filter, grid_distance_set, min_spacing_filter
 from .consistency import bidirectional_filter, consistency_pipeline, triangle_filter
-from .detection import accumulate_chirps, detect_all_windows, detect_signal, first_hit
+from .detection import accumulate_chirps, detect_all_windows, detect_signal
 from .dft import SlidingToneFilter, filter_waveform, tone_detect_waveform
 from .filtering import (
     confidence_weighted_edges,
@@ -33,7 +33,6 @@ __all__ = [
     "accumulate_chirps",
     "detect_signal",
     "detect_all_windows",
-    "first_hit",
     "SlidingToneFilter",
     "filter_waveform",
     "tone_detect_waveform",

@@ -25,7 +25,6 @@ __all__ = [
     "accumulate_chirps",
     "detect_signal",
     "detect_all_windows",
-    "first_hit",
     "first_windows",
 ]
 
@@ -132,22 +131,3 @@ def _window_starts(samples: np.ndarray, k: int, m: int, threshold: int) -> np.nd
     hits = (samples >= threshold).ravel().nonzero()[0]
     window_counts = hits.searchsorted(hits + m) - np.arange(hits.size)
     return hits[(window_counts >= k) & (hits % n <= n - m)]
-
-
-def first_hit(samples: np.ndarray, threshold: int = 1) -> int:
-    """Index of the first sample reaching *threshold*, or -1.
-
-    This is the *baseline* service's naive detection (Section 3.3): the
-    hardware tone detector's first positive output is taken as the
-    beginning of the chirp — the behaviour whose unreliability motivates
-    the refined algorithm.
-    """
-    samples = np.asarray(samples)
-    if samples.ndim != 1:
-        raise ValidationError("samples must be 1-dimensional")
-    if threshold < 1:
-        raise ValidationError("threshold must be >= 1")
-    hits = np.nonzero(samples >= threshold)[0]
-    if hits.size == 0:
-        return -1
-    return int(hits[0])

@@ -171,24 +171,6 @@ class AcousticLinkSimulator:
             echo_delay_s=float(rng.uniform(lo, hi)) if has_echo else 0.0,
         )
 
-    def link_snr_db(
-        self,
-        distance_m: float,
-        source_hw: HardwareProfile,
-        receiver_hw: HardwareProfile,
-        link: LinkRealization,
-    ) -> float:
-        """SNR at the receiver for this link."""
-        return float(
-            snr_db(
-                distance_m,
-                self.environment,
-                source_level_db=self.source_level_db,
-                unit_gain_db=source_hw.speaker_gain_db + receiver_hw.mic_gain_db,
-                link_gain_db=link.link_gain_db,
-            )
-        )
-
     # ------------------------------------------------------------------
     # Buffer simulation
     # ------------------------------------------------------------------

@@ -11,9 +11,14 @@ it for the method (``mock.patch.object(AcousticLinkSimulator,
 "simulate_counts", simulate_counts)``) or call it directly, and compare
 the count buffers and the generator's end state bit for bit.
 
+:func:`link_snr_db` is the simulator's scalar per-link SNR, which
+:func:`simulate_counts` calls once per attempt.
+
 :func:`detect_signal` and :func:`detect_all_windows` are the detector
 as it was before the prefix-sum window count: each validates its
 arguments and counts the window hits with an ``m``-tap ``np.convolve``.
+:func:`first_hit` is the baseline service's detection as it was before
+the block detector: the first sample at the threshold, per buffer.
 
 :func:`run_campaign` is the campaign as it was before the block kernel:
 it walks the attempts one at a time and measures each through
@@ -42,10 +47,10 @@ from repro._validation import (
 )
 from repro.acoustics.hardware import HardwarePopulation, HardwareProfile
 from repro.acoustics.noise import NoiseBurstProcess
+from repro.acoustics.propagation import snr_db
 from repro.core.measurements import MeasurementSet
 from repro.errors import CalibrationError, ValidationError
 from repro.ranging.campaign import CampaignConfig
-from repro.ranging.detection import first_hit
 from repro.ranging.link import AcousticLinkSimulator, LinkRealization
 from repro.ranging.service import RangingService
 
@@ -90,6 +95,25 @@ def add_signal(p: np.ndarray, arrival: float, p_hit: float, ramp: np.ndarray) ->
     p[lo:hi] = 1.0 - (1.0 - p[lo:hi]) * (1.0 - segment)
 
 
+def link_snr_db(
+    sim: AcousticLinkSimulator,
+    distance_m: float,
+    source_hw: HardwareProfile,
+    receiver_hw: HardwareProfile,
+    link: LinkRealization,
+) -> float:
+    """SNR at the receiver for one link, as one scalar."""
+    return float(
+        snr_db(
+            distance_m,
+            sim.environment,
+            source_level_db=sim.source_level_db,
+            unit_gain_db=source_hw.speaker_gain_db + receiver_hw.mic_gain_db,
+            link_gain_db=link.link_gain_db,
+        )
+    )
+
+
 def simulate_counts(
     sim: AcousticLinkSimulator,
     distance_m: float,
@@ -111,7 +135,7 @@ def simulate_counts(
     n = sim.tdoa.buffer_length
     fs = sim.tdoa.sampling_rate_hz
     chirp_len = sim.pattern.chirp_samples(fs)
-    snr = sim.link_snr_db(distance_m, source_hw, receiver_hw, link)
+    snr = link_snr_db(sim, distance_m, source_hw, receiver_hw, link)
     p_hit = float(sim.detector.hit_probability(snr))
     if receiver_hw.faulty:
         p_hit *= sim.faulty_hit_scale
@@ -159,6 +183,20 @@ def detect_signal(samples: np.ndarray, k: int, m: int, threshold: int) -> int:
     if candidates.size == 0:
         return -1
     return int(candidates[0])
+
+
+def first_hit(samples: np.ndarray, threshold: int = 1) -> int:
+    """Index of the first sample reaching *threshold*, or -1: the
+    baseline service's detection (Section 3.3), one buffer at a time."""
+    samples = np.asarray(samples)
+    if samples.ndim != 1:
+        raise ValidationError("samples must be 1-dimensional")
+    if threshold < 1:
+        raise ValidationError("threshold must be >= 1")
+    hits = np.nonzero(samples >= threshold)[0]
+    if hits.size == 0:
+        return -1
+    return int(hits[0])
 
 
 def detect_all_windows(samples: np.ndarray, k: int, m: int, threshold: int) -> np.ndarray:

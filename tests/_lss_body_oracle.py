@@ -7,7 +7,10 @@ the four scatter segments and sums the objective rows through
 :func:`row_sums`.  :func:`descend_one` is the single-problem tail of the
 same time, which rebinds a fresh velocity and candidate every epoch.
 Index selection, Verlet builds and compaction are inherited from the
-production class.
+production class: ``OracleLss.compact`` is ``_Lss.compact``, which
+filters the flat term arrays and keeps the candidate list.  The
+compaction it replaced, which indexed the kept rows again and dropped
+the list, is ``_descend_oracle.ReindexedLss.compact``.
 
 Tests substitute them for the production names (``batch._Lss`` and
 ``batch._descend_one``, which the body builders and ``_descend`` look up

@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import ValidationError
 from repro.ranging.detection import (
     accumulate_chirps,
     detect_all_windows,
     detect_signal,
-    first_hit,
+    first_windows,
 )
+
+from _acoustic_oracle import first_hit
 
 
 class TestAccumulateChirps:
@@ -159,18 +162,25 @@ class TestDetectAllWindows:
             detect_all_windows(np.zeros(100), 0, 32, 2)
 
 
-class TestFirstHit:
-    def test_first_index(self):
-        assert first_hit(np.array([0, 0, 1, 0, 1])) == 2
+class TestBaselineDetectionIsTheFirstHit:
+    """The baseline service detects a block of attempts with
+    ``first_windows(k=m=1)``: each row's first sample at the threshold,
+    which the per-buffer ``first_hit`` of ``tests/_acoustic_oracle.py``
+    finds one buffer at a time."""
 
-    def test_threshold(self):
-        assert first_hit(np.array([1, 2, 3]), threshold=3) == 2
-
-    def test_none(self):
-        assert first_hit(np.zeros(10, dtype=int)) == -1
-
-    def test_invalid(self):
-        with pytest.raises(ValidationError):
-            first_hit(np.zeros(10), threshold=0)
-        with pytest.raises(ValidationError):
-            first_hit(np.zeros((2, 5)))
+    @given(
+        counts=hnp.arrays(
+            np.int64,
+            st.tuples(st.integers(1, 6), st.integers(1, 60)),
+            elements=st.sampled_from([0, 0, 0, 1, 2, 3, 15]),
+        ),
+        threshold=st.sampled_from([1, 2, 3]),
+    )
+    @example(counts=np.array([[0, 0, 1, 0, 1]]), threshold=1)
+    @example(counts=np.array([[1, 2, 3]]), threshold=3)
+    @example(counts=np.zeros((2, 10), dtype=np.int64), threshold=1)
+    @settings(max_examples=200, deadline=None)
+    def test_rows_are_the_first_hits(self, counts, threshold):
+        first = first_windows(counts, k=1, m=1, threshold=threshold)
+        assert first.dtype == np.int64
+        assert first.tolist() == [first_hit(row, threshold=threshold) for row in counts]

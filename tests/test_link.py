@@ -8,6 +8,8 @@ from repro.acoustics.hardware import HardwareProfile
 from repro.ranging.link import AcousticLinkSimulator, LinkRealization
 from repro.ranging.tdoa import TdoaConfig
 
+from _acoustic_oracle import link_snr_db
+
 
 @pytest.fixture
 def sim():
@@ -55,22 +57,22 @@ class TestBufferGeometry:
 class TestSnrBehaviour:
     def test_snr_decreases_with_distance(self, sim):
         hw = HardwareProfile()
-        snr_near = sim.link_snr_db(5.0, hw, hw, CLEAN_LINK)
-        snr_far = sim.link_snr_db(18.0, hw, hw, CLEAN_LINK)
+        snr_near = link_snr_db(sim, 5.0, hw, hw, CLEAN_LINK)
+        snr_far = link_snr_db(sim, 18.0, hw, hw, CLEAN_LINK)
         assert snr_near > snr_far
 
     def test_unit_gains_add(self, sim):
         hw = HardwareProfile()
         loud = HardwareProfile(speaker_gain_db=5.0)
-        base = sim.link_snr_db(10.0, hw, hw, CLEAN_LINK)
-        boosted = sim.link_snr_db(10.0, loud, hw, CLEAN_LINK)
+        base = link_snr_db(sim, 10.0, hw, hw, CLEAN_LINK)
+        boosted = link_snr_db(sim, 10.0, loud, hw, CLEAN_LINK)
         assert boosted == pytest.approx(base + 5.0)
 
     def test_link_gain_applied(self, sim):
         hw = HardwareProfile()
         attenuated = LinkRealization(link_gain_db=-10.0)
-        base = sim.link_snr_db(10.0, hw, hw, CLEAN_LINK)
-        shadowed = sim.link_snr_db(10.0, hw, hw, attenuated)
+        base = link_snr_db(sim, 10.0, hw, hw, CLEAN_LINK)
+        shadowed = link_snr_db(sim, 10.0, hw, hw, attenuated)
         assert shadowed == pytest.approx(base - 10.0)
 
     def test_weak_signal_fewer_detections(self, sim):

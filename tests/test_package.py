@@ -204,11 +204,19 @@ class TestSingleSolverSurface:
             ("repro.core.lss", "_prepare_edges"),
             ("repro.core.lss", "_trim_mask"),
             ("repro._validation", "check_index_pairs"),
+            ("repro.ranging", "first_hit"),
+            ("repro.ranging.detection", "first_hit"),
+            ("repro.ranging.link", "AcousticLinkSimulator.link_snr_db"),
         ],
     )
     def test_removed_name_is_gone(self, module, name):
+        """*name* may be dotted: a method of a class of *module*."""
         mod = importlib.import_module(module)
-        assert not hasattr(mod, name)
+        *path, attr = name.split(".")
+        owner = mod
+        for part in path:
+            owner = getattr(owner, part)
+        assert not hasattr(owner, attr)
         assert name not in getattr(mod, "__all__", ())
 
     @pytest.mark.parametrize(
@@ -223,6 +231,8 @@ class TestSingleSolverSurface:
             ("_acoustic_oracle", "simulate_counts"),
             ("_acoustic_oracle", "detect_signal"),
             ("_acoustic_oracle", "detect_all_windows"),
+            ("_acoustic_oracle", "first_hit"),
+            ("_acoustic_oracle", "link_snr_db"),
         ],
     )
     def test_oracle_still_imports(self, module, name):

@@ -11,7 +11,7 @@ from repro.core.lss import lss_error, lss_gradient
 from repro.core.measurements import EdgeList, MeasurementSet
 from repro.core.mds import classical_mds
 from repro.ranging.consistency import bidirectional_filter, triangle_filter
-from repro.ranging.detection import detect_signal, first_hit
+from repro.ranging.detection import detect_signal, first_windows
 
 coords = st.floats(-100.0, 100.0, allow_nan=False)
 angles = st.floats(-3.14159, 3.14159, allow_nan=False)
@@ -169,7 +169,8 @@ class TestDetectionProperties:
     @settings(max_examples=50, deadline=None)
     def test_first_hit_is_first(self, data):
         buf = np.asarray(data, dtype=np.int64)
-        idx = first_hit(buf, threshold=2)
+        # The baseline service's detection: windows of one sample.
+        idx = int(first_windows(buf[None], k=1, m=1, threshold=2)[0])
         if idx >= 0:
             assert buf[idx] >= 2
             assert np.all(buf[:idx] < 2)
