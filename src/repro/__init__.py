@@ -32,7 +32,7 @@ Subpackages
 ``repro.acoustics``
     Acoustic physics: environments, propagation, tone detectors.
 ``repro.network``
-    Clocks, radio, discrete-event simulator, flooding.
+    Clocks, radio, nodes, discrete-event simulator.
 ``repro.deploy``
     Deployment and anchor-selection generators.
 ``repro.engine``
@@ -53,7 +53,6 @@ Subpackages
 from . import acoustics, core, deploy, engine, network, ranging, scenarios, store
 from .errors import (
     CalibrationError,
-    ConvergenceError,
     GraphDisconnectedError,
     InsufficientDataError,
     ReproError,
@@ -93,7 +92,6 @@ __all__ = [
     "store",
     "ReproError",
     "ValidationError",
-    "ConvergenceError",
     "InsufficientDataError",
     "GraphDisconnectedError",
     "CalibrationError",

@@ -9,7 +9,6 @@ from .propagation import (
     REFERENCE_DISTANCE_M,
     SPEED_OF_SOUND,
     STOCK_BUZZER_SOURCE_LEVEL_DB,
-    propagation_delay_s,
     received_level_db,
     snr_db,
     spreading_loss_db,
@@ -36,7 +35,6 @@ __all__ = [
     "spreading_loss_db",
     "received_level_db",
     "snr_db",
-    "propagation_delay_s",
     "ChirpPattern",
     "synthesize_waveform",
     "DEFAULT_SAMPLING_RATE_HZ",

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._validation import check_non_negative, check_positive, check_probability, ensure_rng
+from ..errors import ValidationError
 from .environment import Environment
 
 __all__ = ["NoiseBurstProcess"]
@@ -79,7 +80,7 @@ class NoiseBurstProcess:
         check_positive(sampling_rate_hz, "sampling_rate_hz")
         check_probability(base_rate, "base_rate")
         if n_samples < 0:
-            raise ValueError("n_samples must be non-negative")
+            raise ValidationError("n_samples must be non-negative")
 
     def _write_bursts(
         self,

@@ -18,12 +18,11 @@ SNR(d) = RL(d) - noise_floor feeds the tone-detector hit probability.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import check_non_negative, check_positive
+from .._validation import check_positive
 from .environment import Environment
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "spreading_loss_db",
     "received_level_db",
     "snr_db",
-    "propagation_delay_s",
 ]
 
 #: Speed of sound used throughout the paper (Section 3): 340 m/s.
@@ -101,11 +99,3 @@ def snr_db(
         - environment.noise_floor_db
     )
 
-
-def propagation_delay_s(distance_m, speed_of_sound: float = SPEED_OF_SOUND):
-    """Acoustic propagation delay for a distance, in seconds."""
-    speed_of_sound = check_positive(speed_of_sound, "speed_of_sound")
-    d = np.asarray(distance_m, dtype=float)
-    if np.any(d < 0):
-        raise ValueError("distances must be non-negative")
-    return d / speed_of_sound

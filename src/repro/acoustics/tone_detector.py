@@ -17,12 +17,12 @@ noise bursts).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .._validation import check_positive, check_probability, ensure_rng
+from ..errors import ValidationError
 
 __all__ = ["ToneDetectorModel", "hit_probability"]
 
@@ -48,7 +48,7 @@ def hit_probability(
     saturation = check_probability(saturation, "saturation")
     floor = check_probability(floor, "floor")
     if floor > saturation:
-        raise ValueError("floor must not exceed saturation")
+        raise ValidationError("floor must not exceed saturation")
     snr = np.asarray(snr_db, dtype=float)
     sigmoid = 1.0 / (1.0 + np.exp(-(snr - threshold_db) / width_db))
     return floor + (saturation - floor) * sigmoid

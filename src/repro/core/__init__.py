@@ -28,14 +28,9 @@ from .geometry import (
     centroid,
     circle_intersections,
     compose_transforms,
-    decompose_transform,
-    distances_for_pairs,
-    euclidean,
-    invert_transform,
     is_collinear,
     pairwise_distances,
     rigid_transform_matrix,
-    triangle_inequality_holds,
 )
 from .lss import (
     LssConfig,
@@ -68,17 +63,12 @@ __all__ = [
     "EdgeList",
     "MeasurementSet",
     # geometry
-    "euclidean",
     "pairwise_distances",
-    "distances_for_pairs",
     "circle_intersections",
     "all_pairs_circle_intersections",
     "rigid_transform_matrix",
     "apply_transform",
-    "invert_transform",
     "compose_transforms",
-    "decompose_transform",
-    "triangle_inequality_holds",
     "centroid",
     "is_collinear",
     # transforms

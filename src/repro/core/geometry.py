@@ -13,35 +13,23 @@ translation (Section 4.3.1 of the paper).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .._validation import as_positions, check_non_negative, check_positive
+from .._validation import as_positions, check_non_negative
 from ..errors import ValidationError
 
 __all__ = [
     "pairwise_distances",
-    "distances_for_pairs",
-    "euclidean",
     "circle_intersections",
     "all_pairs_circle_intersections",
     "rigid_transform_matrix",
     "apply_transform",
-    "invert_transform",
     "compose_transforms",
-    "decompose_transform",
-    "triangle_inequality_holds",
     "centroid",
     "is_collinear",
 ]
-
-
-def euclidean(p, q) -> float:
-    """Euclidean distance between two planar points."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return float(np.hypot(p[0] - q[0], p[1] - q[1]))
 
 
 def pairwise_distances(points) -> np.ndarray:
@@ -49,16 +37,6 @@ def pairwise_distances(points) -> np.ndarray:
     pts = as_positions(points, "points", allow_empty=True)
     diff = pts[:, None, :] - pts[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
-def distances_for_pairs(points, pairs) -> np.ndarray:
-    """Euclidean distances for an ``(m, 2)`` array of index pairs."""
-    pts = as_positions(points, "points", allow_empty=True)
-    pairs = np.asarray(pairs, dtype=np.int64)
-    if pairs.size == 0:
-        return np.zeros(0)
-    diff = pts[pairs[:, 0]] - pts[pairs[:, 1]]
-    return np.hypot(diff[:, 0], diff[:, 1])
 
 
 def circle_intersections(
@@ -172,14 +150,6 @@ def apply_transform(points, transform) -> np.ndarray:
     return out[:, :2]
 
 
-def invert_transform(transform) -> np.ndarray:
-    """Inverse of a homogeneous rigid transform (still 3x3)."""
-    transform = np.asarray(transform, dtype=float)
-    if transform.shape != (3, 3):
-        raise ValidationError(f"transform must be 3x3; got {transform.shape}")
-    return np.linalg.inv(transform)
-
-
 def compose_transforms(first, second) -> np.ndarray:
     """Compose two row-vector transforms: apply *first*, then *second*."""
     first = np.asarray(first, dtype=float)
@@ -187,50 +157,6 @@ def compose_transforms(first, second) -> np.ndarray:
     if first.shape != (3, 3) or second.shape != (3, 3):
         raise ValidationError("transforms must both be 3x3 matrices")
     return first @ second
-
-
-def decompose_transform(transform) -> Tuple[float, float, float, bool]:
-    """Recover ``(theta, tx, ty, reflect)`` from a rigid transform matrix.
-
-    The inverse of :func:`rigid_transform_matrix`.  Raises
-    :class:`ValidationError` if the matrix is not (close to) a rigid
-    transform in the paper's row-vector convention.
-    """
-    t = np.asarray(transform, dtype=float)
-    if t.shape != (3, 3):
-        raise ValidationError(f"transform must be 3x3; got {t.shape}")
-    linear = t[:2, :2]
-    det = float(np.linalg.det(linear))
-    if not math.isclose(abs(det), 1.0, rel_tol=0, abs_tol=1e-6):
-        raise ValidationError(
-            f"transform linear part has |det|={abs(det):.6f}; not rigid"
-        )
-    reflect = det < 0
-    c = t[0, 0]
-    s = -t[0, 1]
-    theta = math.atan2(s, c)
-    tx, ty = float(t[2, 0]), float(t[2, 1])
-    return theta, tx, ty, reflect
-
-
-def triangle_inequality_holds(a: float, b: float, c: float, *, slack: float = 0.0) -> bool:
-    """Check whether side lengths *a*, *b*, *c* can form a triangle.
-
-    The paper's consistency check (Section 3.5) discards triples of
-    measurements where "the estimates of two sides of the triangle add up
-    to less than the third".  A non-negative *slack* loosens the check to
-    tolerate measurement noise: each pairwise sum may fall short of the
-    third side by up to *slack* before the triple is rejected.
-    """
-    if min(a, b, c) < 0:
-        raise ValidationError("side lengths must be non-negative")
-    if slack < 0:
-        raise ValidationError("slack must be non-negative")
-    return (
-        a + b + slack >= c
-        and b + c + slack >= a
-        and a + c + slack >= b
-    )
 
 
 def centroid(points) -> np.ndarray:

@@ -17,11 +17,6 @@ class ValidationError(ReproError, ValueError):
     """Raised when an input fails validation (shape, range, type)."""
 
 
-class ConvergenceError(ReproError, RuntimeError):
-    """Raised when an iterative solver fails to converge and the caller
-    requested strict behaviour."""
-
-
 class InsufficientDataError(ReproError, ValueError):
     """Raised when an algorithm does not have enough measurements to
     produce a solution (e.g. fewer than three non-collinear anchors for

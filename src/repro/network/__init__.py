@@ -1,13 +1,7 @@
-"""Network substrate: clocks, radio links, nodes, the discrete-event
-simulator and flooding."""
+"""Network substrate: clocks, radio links, nodes and the discrete-event
+simulator that the distributed localization protocol runs on."""
 
-from .clock import (
-    MAX_CLOCK_RATE_DIFFERENCE,
-    DriftingClock,
-    FtspSyncModel,
-    sync_ranging_error_m,
-)
-from .flooding import FloodResult, flood
+from .clock import MAX_CLOCK_RATE_DIFFERENCE, DriftingClock, sync_ranging_error_m
 from .node import SensorNode
 from .radio import RadioModel
 from .simulator import Message, NetworkSimulator, SimulationStats
@@ -15,13 +9,10 @@ from .simulator import Message, NetworkSimulator, SimulationStats
 __all__ = [
     "MAX_CLOCK_RATE_DIFFERENCE",
     "DriftingClock",
-    "FtspSyncModel",
     "sync_ranging_error_m",
     "SensorNode",
     "RadioModel",
     "Message",
     "NetworkSimulator",
     "SimulationStats",
-    "FloodResult",
-    "flood",
 ]

@@ -5,23 +5,21 @@ of time using the very same radio message used for TDoA ranging",
 relying on the MAC-layer timestamping of the Flooding Time
 Synchronization Protocol (Section 3.1).  The paper bounds the residual
 clock-rate difference at 50 microseconds per second, which translates to
-at most ~0.15 cm ranging error over 30 m — negligible.  We model it
-anyway so that claim is *verified* by the ``text-sync`` experiment
-driver instead of assumed.
+at most ~0.15 cm ranging error over 30 m — negligible.
+:func:`sync_ranging_error_m` computes that bound, so the ``text-sync``
+experiment driver *verifies* the claim instead of assuming it;
+:class:`DriftingClock` is each simulated node's clock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .._validation import check_non_negative, ensure_rng
 
 __all__ = [
     "MAX_CLOCK_RATE_DIFFERENCE",
     "DriftingClock",
-    "FtspSyncModel",
     "sync_ranging_error_m",
 ]
 
@@ -65,31 +63,6 @@ class DriftingClock:
         rng = ensure_rng(rng)
         check_non_negative(max_skew, "max_skew")
         return cls(skew=float(rng.uniform(-max_skew, max_skew)), offset=float(rng.uniform(0.0, 1.0)))
-
-
-@dataclass(frozen=True)
-class FtspSyncModel:
-    """Residual error model for FTSP-style MAC-layer timestamp sync.
-
-    Attributes
-    ----------
-    timestamp_jitter_s : float
-        Standard deviation of the one-shot timestamping error (radio
-        stack nondeterminism that MAC-layer stamping does not remove).
-    max_rate_difference : float
-        Bound on the pairwise clock rate difference.
-    """
-
-    timestamp_jitter_s: float = 5e-6
-    max_rate_difference: float = MAX_CLOCK_RATE_DIFFERENCE
-
-    def sample_sync_error_s(self, elapsed_s: float, rng=None) -> float:
-        """Residual time error *elapsed_s* after a sync exchange."""
-        check_non_negative(elapsed_s, "elapsed_s")
-        rng = ensure_rng(rng)
-        jitter = float(rng.normal(0.0, self.timestamp_jitter_s))
-        rate = float(rng.uniform(-self.max_rate_difference, self.max_rate_difference))
-        return jitter + rate * elapsed_s
 
 
 def sync_ranging_error_m(

@@ -3,19 +3,18 @@
 A deliberately small event-driven core: nodes exchange messages through
 a :class:`RadioModel`, message handlers run at delivery time, and the
 simulation advances through a priority queue of timestamped events.  It
-is the substrate for the flooding protocol and for the message-passing
-formulation of the distributed localization algorithm (Section 4.3),
-whose cost we account in messages sent/received.
+is the substrate for the message-passing formulation of the distributed
+localization algorithm (Section 4.3, :mod:`repro.core.protocol`: the
+local data exchanges and the alignment flood), whose cost we account in
+messages sent/received.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from .._validation import ensure_rng
 from ..errors import ValidationError

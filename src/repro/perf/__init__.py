@@ -43,7 +43,7 @@ from .record import (
     write_bench_record,
 )
 from .regression import BenchComparison, compare_records
-from .suites import Workload, all_suites, get_suite, register_suite
+from .suites import Workload, get_suite, register_suite
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -54,7 +54,6 @@ __all__ = [
     "validate_bench_record",
     "write_bench_record",
     "Workload",
-    "all_suites",
     "get_suite",
     "register_suite",
     "run_suite",

@@ -37,7 +37,7 @@ from ..errors import ValidationError
 from ..experiments import DEFAULT_SEED, all_experiments
 from .record import _LABEL_RE
 
-__all__ = ["Workload", "register_suite", "get_suite", "all_suites"]
+__all__ = ["Workload", "register_suite", "get_suite"]
 
 _WORKLOAD_KINDS = ("scenario", "experiment", "kernel")
 
@@ -108,11 +108,6 @@ def get_suite(name: str) -> Tuple[Workload, ...]:
         raise ValidationError(
             f"unknown bench suite {name!r}; registered suites: {known}"
         ) from None
-
-
-def all_suites() -> Dict[str, Tuple[Workload, ...]]:
-    """All registered suites, by name."""
-    return dict(_SUITES)
 
 
 # -- shipped suites ------------------------------------------------------

@@ -31,6 +31,7 @@ from .. import telemetry
 from .._validation import as_positions, check_positive, ensure_rng
 from ..acoustics.hardware import HardwarePopulation, HardwareProfile
 from ..core.measurements import MeasurementSet
+from ..errors import ValidationError
 from ..network.radio import RadioModel
 from .link import LinkBlock, LinkRealization
 from .service import RangingService
@@ -64,7 +65,7 @@ class CampaignConfig:
 
     def __post_init__(self):
         if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+            raise ValidationError("rounds must be >= 1")
         if self.attempt_range_m is not None:
             check_positive(self.attempt_range_m, "attempt_range_m")
 

@@ -31,7 +31,6 @@ from ..errors import ValidationError
 __all__ = [
     "bidirectional_filter",
     "triangle_filter",
-    "consistency_pipeline",
 ]
 
 
@@ -162,19 +161,3 @@ def triangle_filter(
 
     return measurements.filter(edge_ok)
 
-
-def consistency_pipeline(
-    measurements: MeasurementSet,
-    *,
-    bidirectional_tolerance_m: float = 1.0,
-    keep_unpaired: bool = True,
-    triangle_slack_m: float = 1.0,
-) -> MeasurementSet:
-    """The paper's full filtering pipeline: statistical reduction,
-    bidirectional check, then triangle check."""
-    filtered = bidirectional_filter(
-        measurements,
-        tolerance_m=bidirectional_tolerance_m,
-        keep_unpaired=keep_unpaired,
-    )
-    return triangle_filter(filtered, slack_m=triangle_slack_m)

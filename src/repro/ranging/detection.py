@@ -8,51 +8,23 @@ random noise does not).  Threshold detection then finds the beginning of
 the chirp: a sample's accumulated count must reach the threshold ``T``,
 and at least ``k`` of ``m`` consecutive samples must do so.
 
-``accumulate_chirps`` is the paper's ``record-signal`` and
-``detect_signal`` its ``detect-signal``; both are faithful 0-indexed
-translations of the pseudocode, vectorized with numpy.
+The paper's ``record-signal`` is
+:meth:`~repro.ranging.link.LinkBlock.counts`, which sums a block of
+attempts' chirps at once.  Its ``detect-signal`` is
+:func:`first_windows`, a 0-indexed translation of the pseudocode over
+every row of a count stack; :func:`detect_signal` is one row of it.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from ..errors import ValidationError
 
 __all__ = [
-    "accumulate_chirps",
     "detect_signal",
-    "detect_all_windows",
     "first_windows",
 ]
-
-
-def accumulate_chirps(chirp_streams: Iterable[np.ndarray]) -> np.ndarray:
-    """Sum per-chirp binary detector streams into one count buffer.
-
-    Equivalent of ``record-signal``: each stream is the tone detector's
-    binary output for one chirp, already aligned to the chirp's own
-    radio sync message.  All streams must have equal length.  Counts are
-    clipped at 15 — the service packs accumulation counts into 4 bits
-    per buffer offset (Section 3.6.2).
-    """
-    streams = [np.asarray(s) for s in chirp_streams]
-    if not streams:
-        raise ValidationError("at least one chirp stream is required")
-    length = streams[0].shape[0]
-    for s in streams:
-        if s.ndim != 1:
-            raise ValidationError("chirp streams must be 1-dimensional")
-        if s.shape[0] != length:
-            raise ValidationError("chirp streams must have equal length")
-        if np.any((s != 0) & (s != 1)):
-            raise ValidationError("chirp streams must be binary (0/1)")
-    counts = np.zeros(length, dtype=np.int64)
-    for s in streams:
-        counts += s.astype(np.int64)
-    return np.minimum(counts, 15)
 
 
 def detect_signal(samples: np.ndarray, k: int, m: int, threshold: int) -> int:
@@ -68,28 +40,17 @@ def detect_signal(samples: np.ndarray, k: int, m: int, threshold: int) -> int:
     or ``-1`` when no such window exists.  ``k``, ``m`` and
     ``threshold`` correspond to the paper's pattern-identification
     parameters (the field experiments used ``T = 2``, ``k = 6``,
-    ``m = 32`` with 10 accumulated chirps — Section 3.6).
-    """
-    starts = detect_all_windows(samples, k, m, threshold)
-    return int(starts[0]) if starts.size else -1
-
-
-def detect_all_windows(samples: np.ndarray, k: int, m: int, threshold: int) -> np.ndarray:
-    """All window-start indices satisfying the detection criterion.
-
-    Diagnostic companion to :func:`detect_signal` (which returns only
-    the first); useful for studying echo-induced secondary detections.
-    The window counts are exact integer counts of the listed hits
-    (see :func:`_window_starts`).
+    ``m = 32`` with 10 accumulated chirps — Section 3.6).  This is
+    :func:`first_windows` for a stack of one row.
     """
     samples = np.asarray(samples)
     if samples.ndim != 1:
         raise ValidationError("samples must be 1-dimensional")
-    return _window_starts(samples, k, m, threshold)
+    return int(first_windows(samples[None, :], k, m, threshold)[0])
 
 
 def first_windows(counts: np.ndarray, k: int, m: int, threshold: int) -> np.ndarray:
-    """:func:`detect_signal` for every row of a ``(B, n)`` count stack.
+    """The paper's ``detect-signal`` for every row of a ``(B, n)`` count stack.
 
     Returns the int64 index of each row's first window start, or ``-1``
     for a row without one.  The ranging service detects a whole block
@@ -102,7 +63,7 @@ def first_windows(counts: np.ndarray, k: int, m: int, threshold: int) -> np.ndar
     # The flat starts are sorted; a sentinel past the last row makes
     # every row's first start at or after its beginning well defined.
     starts = np.concatenate((_window_starts(counts, k, m, threshold), [rows * n]))
-    row_begin = np.arange(0, rows * n, n)
+    row_begin = np.arange(rows) * n
     first = starts[starts.searchsorted(row_begin)] - row_begin
     first[first >= n] = -1
     return first

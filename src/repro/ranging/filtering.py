@@ -2,10 +2,11 @@
 
 Section 3.5 ("Statistical Filtering"): assuming uncorrelated errors,
 multiple measurements per node pair are collapsed with the median or the
-mode — "the mode operation is more resistant to the effects of
-uncorrelated outliers than the median, but it needs more measurements to
-be effective".  Figure 4 shows the baseline service with median
-filtering of up to five measurements.
+mode.  The median is the one the paper's figures use: Figure 4 shows the
+baseline service with median filtering of up to five measurements, and
+:func:`confidence_weighted_edges` keeps each pair's median.
+:meth:`~repro.core.measurements.MeasurementSet.reduce` also offers the
+binned mode.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from ..errors import ValidationError
 
 __all__ = [
     "median_filter",
-    "mode_filter",
-    "statistical_filter",
     "limit_rounds",
     "confidence_weighted_edges",
 ]
@@ -42,37 +41,6 @@ def median_filter(measurements: MeasurementSet, *, max_rounds: Optional[int] = N
     if max_rounds is not None:
         measurements = limit_rounds(measurements, max_rounds)
     return measurements.reduce("median")
-
-
-def mode_filter(measurements: MeasurementSet, *, max_rounds: Optional[int] = None) -> MeasurementSet:
-    """Collapse each directed pair's estimates to their (binned) mode."""
-    if max_rounds is not None:
-        measurements = limit_rounds(measurements, max_rounds)
-    return measurements.reduce("mode")
-
-
-def statistical_filter(
-    measurements: MeasurementSet,
-    *,
-    mode_threshold: int = 5,
-) -> MeasurementSet:
-    """Paper-style adaptive filter: median for few estimates, mode for many.
-
-    "Depending on the number of measurements, we take the median or mode
-    value of the measurements" — pairs with at least *mode_threshold*
-    estimates use the mode, the rest the median.
-    """
-    if mode_threshold < 1:
-        raise ValidationError("mode_threshold must be >= 1")
-    out = MeasurementSet()
-    for (i, j) in measurements.directed_pairs:
-        values = measurements.distances(i, j)
-        subset = MeasurementSet(measurements.get(i, j))
-        statistic = "mode" if values.size >= mode_threshold else "median"
-        reduced = subset.reduce(statistic)
-        for m in reduced:
-            out.add(m)
-    return out
 
 
 def confidence_weighted_edges(

@@ -141,7 +141,7 @@ class AcousticLinkSimulator:
     def __post_init__(self):
         check_non_negative(self.timing_jitter_samples, "timing_jitter_samples")
         if self.ramp_samples < 1:
-            raise ValueError("ramp_samples must be >= 1")
+            raise ValidationError("ramp_samples must be >= 1")
         check_probability(self.long_noise_probability, "long_noise_probability")
         check_probability(self.long_noise_fp_rate, "long_noise_fp_rate")
         check_probability(self.faulty_fp_rate, "faulty_fp_rate")

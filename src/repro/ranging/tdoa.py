@@ -20,14 +20,14 @@ offset).  :class:`TdoaConfig` carries the conversion constants.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .._validation import check_non_negative, check_positive
 from ..acoustics.propagation import SPEED_OF_SOUND
 from ..acoustics.signal import DEFAULT_SAMPLING_RATE_HZ
+from ..errors import ValidationError
 
-__all__ = ["TdoaConfig", "tdoa_distance"]
+__all__ = ["TdoaConfig"]
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class TdoaConfig:
         (a detection cannot imply negative distance).
         """
         if index < 0:
-            raise ValueError("index must be non-negative")
+            raise ValidationError("index must be non-negative")
         return max(0.0, index * self.meters_per_sample - self.calibration_offset_m)
 
     def with_calibration(self, offset_m: float) -> "TdoaConfig":
@@ -100,20 +100,3 @@ class TdoaConfig:
             buffer_margin_samples=self.buffer_margin_samples,
         )
 
-
-def tdoa_distance(
-    t_detect: float,
-    t_recv: float,
-    delta_xmit: float,
-    delta_const: float,
-    speed_of_sound: float = SPEED_OF_SOUND,
-) -> float:
-    """The paper's explicit distance formula (Section 3.1).
-
-    ``d_ij = Vs * (t_detect - (t_recv - delta_xmit) - delta_const)``.
-    All times are on the receiver's clock, in seconds.  Negative results
-    (possible when noise triggers detection before the chirp could have
-    arrived) are clamped to zero.
-    """
-    check_positive(speed_of_sound, "speed_of_sound")
-    return max(0.0, speed_of_sound * (t_detect - (t_recv - delta_xmit) - delta_const))

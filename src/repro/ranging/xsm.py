@@ -30,7 +30,7 @@ import numpy as np
 from .._validation import check_non_negative, check_positive, ensure_rng
 from ..acoustics.environment import Environment
 from ..acoustics.propagation import LOUD_SPEAKER_SOURCE_LEVEL_DB, received_level_db
-from ..acoustics.signal import DEFAULT_SAMPLING_RATE_HZ
+from ..errors import ValidationError
 from .dft import tone_detect_waveform
 from .tdoa import TdoaConfig
 
@@ -78,7 +78,7 @@ class XsmRangingService:
     def __post_init__(self):
         check_positive(self.chirp_duration_s, "chirp_duration_s")
         if self.tone_fraction not in (0.25, 1.0 / 6.0):
-            raise ValueError(
+            raise ValidationError(
                 "tone_fraction must be 0.25 or 1/6 (the Figure 9 filter's bands)"
             )
         check_positive(self.threshold_factor, "threshold_factor")
@@ -169,7 +169,7 @@ class XsmRangingService:
         path's Monte-Carlo protocol.
         """
         if attempts < 1:
-            raise ValueError("attempts must be >= 1")
+            raise ValidationError("attempts must be >= 1")
         rng = ensure_rng(rng)
         hits = 0
         for _ in range(attempts):
@@ -195,12 +195,12 @@ class XsmRangingService:
         reduced precision; default assumes 16-bit samples.
         """
         if bits_per_sample < 1:
-            raise ValueError("bits_per_sample must be >= 1")
+            raise ValidationError("bits_per_sample must be >= 1")
         return (self.tdoa.buffer_length * bits_per_sample + 7) // 8
 
     @staticmethod
     def hardware_buffer_bytes(buffer_length: int, bits_per_offset: int = 4) -> int:
         """RAM for the MICA hardware-detector path (4-bit counters)."""
         if buffer_length < 0 or bits_per_offset < 1:
-            raise ValueError("invalid buffer parameters")
+            raise ValidationError("invalid buffer parameters")
         return (buffer_length * bits_per_offset + 7) // 8

@@ -14,7 +14,6 @@ from .registry import all_scenarios, get_scenario, register_scenario
 from .runner import (
     merge_scenario_shards,
     run_scenario,
-    run_scenario_by_id,
     run_scenario_shard,
     scenario_run_key,
     scenario_shard_key,
@@ -45,7 +44,6 @@ __all__ = [
     "draw_ranges",
     "select_anchors",
     "run_scenario",
-    "run_scenario_by_id",
     "run_scenario_shard",
     "scenario_run_key",
     "scenario_shard_key",

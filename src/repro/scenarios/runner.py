@@ -53,13 +53,11 @@ from ..store import (
     shard_from_payload,
     shard_to_payload,
 )
-from .registry import get_scenario
 from .spec import ScenarioSpec
 from .trial import scenario_trial
 
 __all__ = [
     "run_scenario",
-    "run_scenario_by_id",
     "scenario_run_key",
     "scenario_shard_key",
     "run_scenario_shard",
@@ -411,7 +409,3 @@ def merge_scenario_shards(
         store.put(key, campaign_to_payload(merged))
     return merged
 
-
-def run_scenario_by_id(scenario_id: str, **kwargs) -> CampaignResult:
-    """Convenience wrapper: look up a registered scenario and run it."""
-    return run_scenario(get_scenario(scenario_id), **kwargs)

@@ -14,9 +14,9 @@ the count buffers and the generator's end state bit for bit.
 :func:`link_snr_db` is the simulator's scalar per-link SNR, which
 :func:`simulate_counts` calls once per attempt.
 
-:func:`detect_signal` and :func:`detect_all_windows` are the detector
-as it was before the prefix-sum window count: each validates its
-arguments and counts the window hits with an ``m``-tap ``np.convolve``.
+:func:`detect_signal` is the detector as it was before the prefix-sum
+window count: it validates its arguments and counts the window hits
+with an ``m``-tap ``np.convolve``.
 :func:`first_hit` is the baseline service's detection as it was before
 the block detector: the first sample at the threshold, per buffer.
 
@@ -197,20 +197,6 @@ def first_hit(samples: np.ndarray, threshold: int = 1) -> int:
     if hits.size == 0:
         return -1
     return int(hits[0])
-
-
-def detect_all_windows(samples: np.ndarray, k: int, m: int, threshold: int) -> np.ndarray:
-    samples = np.asarray(samples)
-    if samples.ndim != 1:
-        raise ValidationError("samples must be 1-dimensional")
-    if m < 1 or k < 1 or k > m or threshold < 1:
-        raise ValidationError("invalid detection parameters")
-    n = samples.shape[0]
-    if n < m:
-        return np.zeros(0, dtype=np.int64)
-    hits = (samples >= threshold).astype(np.int64)
-    window_counts = np.convolve(hits, np.ones(m, dtype=np.int64), mode="valid")
-    return np.nonzero((window_counts >= k) & (hits[: n - m + 1] == 1))[0]
 
 
 def measure(

@@ -13,7 +13,6 @@ from repro.acoustics import (
     ToneDetectorModel,
     get_environment,
     hit_probability,
-    propagation_delay_s,
     received_level_db,
     snr_db,
     spreading_loss_db,
@@ -82,6 +81,9 @@ class TestPropagation:
         assert spreading_loss_db(1.0) == pytest.approx(20.0)
         assert spreading_loss_db(10.0) == pytest.approx(40.0)
 
+    def test_doubling_distance_costs_six_db(self):
+        assert spreading_loss_db(8.0) - spreading_loss_db(4.0) == pytest.approx(6.0206, abs=1e-4)
+
     def test_below_reference_clamped(self):
         assert spreading_loss_db(0.01) == pytest.approx(0.0)
 
@@ -113,14 +115,6 @@ class TestPropagation:
         loud = range_at_threshold(LOUD_SPEAKER_SOURCE_LEVEL_DB)
         stock = range_at_threshold(STOCK_BUZZER_SOURCE_LEVEL_DB)
         assert loud >= 1.5 * stock
-
-    def test_propagation_delay(self):
-        assert propagation_delay_s(340.0) == pytest.approx(1.0)
-        assert propagation_delay_s(34.0) == pytest.approx(0.1)
-
-    def test_negative_distance_rejected(self):
-        with pytest.raises(ValueError):
-            propagation_delay_s(-1.0)
 
 
 class TestToneDetector:

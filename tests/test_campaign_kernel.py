@@ -196,6 +196,23 @@ class TestBlockCounts:
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
 
+    def test_counts_clip_hit_sums_at_15(self):
+        # Twenty chirps at 5 m: most signal samples are hit more than
+        # 15 times, and the count buffer clips them there.
+        def block():
+            sim = AcousticLinkSimulator(environment=get_environment("grass"))
+            rng = np.random.default_rng(1)
+            b = LinkBlock(sim, 20, capacity=1)
+            link = LinkRealization(link_gain_db=0.0, has_echo=False, echo_delay_s=0.0)
+            b.draw(5.0, HardwareProfile(), HardwareProfile(), link, rng)
+            return b
+
+        sums, counts = block().hit_sums(), block().counts()
+        assert sums.max() > 15 and counts.max() == 15
+        assert counts.dtype == np.int64
+        assert counts.tobytes() == np.minimum(sums, 15).astype(np.int64).tobytes()
+
+
 class TestCalibration:
     @given(
         environment=st.sampled_from(sorted(ENVIRONMENT_CASES)),

@@ -5,11 +5,7 @@ import pytest
 
 from repro.core.measurements import MeasurementSet
 from repro.errors import ValidationError
-from repro.ranging.consistency import (
-    bidirectional_filter,
-    consistency_pipeline,
-    triangle_filter,
-)
+from repro.ranging.consistency import bidirectional_filter, triangle_filter
 
 
 def triangle_set(d01=10.0, d02=10.0, d12=10.0):
@@ -116,6 +112,19 @@ class TestTriangleFilter:
         out = triangle_filter(ms)
         assert len(out) == 2
 
+    def test_degenerate_triangle_kept_at_zero_slack(self):
+        # Collinear nodes: 10 + 10 == 20 satisfies the inequality.
+        out = triangle_filter(triangle_set(d12=20.0), slack_m=0.0)
+        assert len(out) == 3
+
+    def test_violation_beyond_slack_dropped(self):
+        out = triangle_filter(triangle_set(d12=21.5), slack_m=1.0)
+        assert (1, 2) not in out and len(out) == 2
+
+    @pytest.mark.parametrize("policy", ["greedy", "suspect", "all"])
+    def test_empty_set(self, policy):
+        assert len(triangle_filter(MeasurementSet(), drop_policy=policy)) == 0
+
     def test_invalid_policy(self):
         with pytest.raises(ValidationError):
             triangle_filter(MeasurementSet(), drop_policy="random")
@@ -125,23 +134,23 @@ class TestTriangleFilter:
             triangle_filter(MeasurementSet(), slack_m=-1.0)
 
 
-class TestConsistencyPipeline:
-    def test_combined(self):
+class TestBidirectionalThenTriangle:
+    """The ranging service's consistency stage: the bidirectional check
+    first, then the triangle check on what it kept."""
+
+    def test_dropped_pair_no_longer_closes_a_triangle(self):
         ms = MeasurementSet()
-        # Good bidirectional pair.
-        ms.add_distance(0, 1, 10.0)
-        ms.add_distance(1, 0, 10.2)
-        # Inconsistent bidirectional pair.
-        ms.add_distance(2, 3, 8.0)
-        ms.add_distance(3, 2, 12.0)
-        out = consistency_pipeline(ms)
-        assert (0, 1) in out
-        assert (2, 3) not in out and (3, 2) not in out
+        for i, j, d in [(0, 1, 10.0), (0, 2, 10.0)]:
+            ms.add_distance(i, j, d)
+            ms.add_distance(j, i, d)
+        # 1 -> 2 overestimated: it would break the triangle, but the
+        # two directions disagree, so the bidirectional check takes it.
+        ms.add_distance(1, 2, 25.0)
+        ms.add_distance(2, 1, 10.0)
+        kept = bidirectional_filter(ms, tolerance_m=1.0)
+        assert (1, 2) not in kept and (2, 1) not in kept
+        out = triangle_filter(kept, slack_m=1.0)
+        assert len(out) == len(kept) == 4
 
-    def test_triangle_applied_after_bidirectional(self):
-        ms = triangle_set(d12=25.0)
-        out = consistency_pipeline(ms)
-        assert (1, 2) not in out
-
-    def test_empty(self):
-        assert len(consistency_pipeline(MeasurementSet())) == 0
+    def test_empty_set(self):
+        assert len(triangle_filter(bidirectional_filter(MeasurementSet()))) == 0

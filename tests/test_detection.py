@@ -7,46 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import ValidationError
-from repro.ranging.detection import (
-    accumulate_chirps,
-    detect_all_windows,
-    detect_signal,
-    first_windows,
-)
+from repro.ranging.detection import detect_signal, first_windows
 
 from _acoustic_oracle import first_hit
-
-
-class TestAccumulateChirps:
-    def test_sums_binary_streams(self):
-        streams = [np.array([0, 1, 0, 1]), np.array([0, 1, 1, 0])]
-        counts = accumulate_chirps(streams)
-        assert list(counts) == [0, 2, 1, 1]
-
-    def test_clips_at_15(self):
-        streams = [np.ones(3, dtype=np.uint8)] * 20
-        counts = accumulate_chirps(streams)
-        assert list(counts) == [15, 15, 15]
-
-    def test_single_stream(self):
-        counts = accumulate_chirps([np.array([1, 0, 1])])
-        assert list(counts) == [1, 0, 1]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            accumulate_chirps([])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            accumulate_chirps([np.zeros(3), np.zeros(4)])
-
-    def test_non_binary_rejected(self):
-        with pytest.raises(ValidationError):
-            accumulate_chirps([np.array([0, 2, 1])])
-
-    def test_non_1d_rejected(self):
-        with pytest.raises(ValidationError):
-            accumulate_chirps([np.zeros((2, 2))])
 
 
 def buffer_with_signal(n=200, start=80, length=40, count=8, noise_at=()):
@@ -106,6 +69,10 @@ class TestDetectSignal:
     def test_buffer_shorter_than_window(self):
         assert detect_signal(np.ones(10, dtype=int), k=2, m=32, threshold=1) == -1
 
+    def test_empty_buffer(self):
+        assert detect_signal(np.zeros(0, dtype=int), k=6, m=32, threshold=2) == -1
+        assert list(first_windows(np.zeros((2, 0), dtype=int), 6, 32, 2)) == [-1, -1]
+
     def test_invalid_parameters(self):
         buf = np.zeros(100, dtype=int)
         with pytest.raises(ValidationError):
@@ -139,27 +106,35 @@ class TestDetectSignal:
             assert not (buf[s] >= 2 and (w >= 2).sum() >= 6)
 
 
-class TestDetectAllWindows:
-    def test_contiguous_signal_block(self):
-        buf = buffer_with_signal(start=80, length=40)
-        starts = detect_all_windows(buf, k=6, m=32, threshold=2)
-        assert starts[0] == 80
-        assert np.all(np.diff(starts) >= 1)
+class TestFirstWindows:
+    """``first_windows`` runs ``detect-signal`` over every row of a count
+    stack with one scan of the flattened stack."""
 
-    def test_echo_produces_second_cluster(self):
-        buf = np.zeros(400, dtype=int)
-        buf[100:140] = 6
-        buf[300:340] = 6
-        starts = detect_all_windows(buf, k=6, m=32, threshold=2)
-        assert 100 in starts
-        assert 300 in starts
+    def test_each_row_detected_independently(self):
+        rows = [buffer_with_signal(start=s) for s in (10, 80, 150)] + [np.zeros(200, dtype=np.int64)]
+        assert first_windows(np.stack(rows), 6, 32, 2).tolist() == [10, 80, 150, -1]
 
-    def test_empty(self):
-        assert detect_all_windows(np.zeros(100, dtype=int), 6, 32, 2).size == 0
+    def test_window_never_spans_two_rows(self):
+        # Five hits at the end of row 0 and five at the start of row 1
+        # make ten in one flat window of 32, but neither row has six.
+        counts = np.zeros((2, 100), dtype=np.int64)
+        counts[0, -5:] = 8
+        counts[1, :5] = 8
+        assert first_windows(counts, 6, 32, 2).tolist() == [-1, -1]
+        assert [detect_signal(row, 6, 32, 2) for row in counts] == [-1, -1]
 
-    def test_invalid_parameters(self):
-        with pytest.raises(ValidationError):
-            detect_all_windows(np.zeros(100), 0, 32, 2)
+    def test_echo_keeps_the_first_cluster(self):
+        buf = buffer_with_signal(start=60, length=40)
+        buf[140:180] = 5  # the echo: a second, later block of hits
+        assert first_windows(buf[None, :], 6, 32, 2).tolist() == [60]
+
+    def test_empty_stack(self):
+        first = first_windows(np.zeros((0, 200), dtype=np.int64), 6, 32, 2)
+        assert first.dtype == np.int64 and first.shape == (0,)
+
+    def test_rows_shorter_than_window(self):
+        counts = np.full((3, 20), 8, dtype=np.int64)
+        assert first_windows(counts, 6, 32, 2).tolist() == [-1, -1, -1]
 
 
 class TestBaselineDetectionIsTheFirstHit:

@@ -5,13 +5,7 @@ import pytest
 
 from repro.core.measurements import MeasurementSet
 from repro.errors import ValidationError
-from repro.ranging.filtering import (
-    confidence_weighted_edges,
-    limit_rounds,
-    median_filter,
-    mode_filter,
-    statistical_filter,
-)
+from repro.ranging.filtering import confidence_weighted_edges, limit_rounds, median_filter
 
 
 def multi_round_set():
@@ -48,28 +42,6 @@ class TestMedianFilter:
     def test_one_measurement_per_pair_after(self):
         filtered = median_filter(multi_round_set())
         assert len(filtered) == 2
-
-
-class TestModeFilter:
-    def test_mode_resists_outliers(self):
-        ms = MeasurementSet()
-        for d in (8.0, 8.1, 7.9, 8.05, 30.0, 31.0):
-            ms.add_distance(0, 1, d)
-        filtered = mode_filter(ms)
-        assert filtered.distances(0, 1)[0] == pytest.approx(8.0, abs=0.3)
-
-
-class TestStatisticalFilter:
-    def test_adaptive_choice(self):
-        ms = multi_round_set()
-        filtered = statistical_filter(ms, mode_threshold=5)
-        # Pair (0,1) has 5 estimates -> mode; pair (2,3) has 2 -> median.
-        assert filtered.distances(0, 1)[0] == pytest.approx(10.0, abs=0.3)
-        assert filtered.distances(2, 3)[0] == pytest.approx(5.1, abs=0.15)
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValidationError):
-            statistical_filter(multi_round_set(), mode_threshold=0)
 
 
 class TestConfidenceWeightedEdges:

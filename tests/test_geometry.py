@@ -13,33 +13,14 @@ from repro.core.geometry import (
     centroid,
     circle_intersections,
     compose_transforms,
-    decompose_transform,
-    distances_for_pairs,
-    euclidean,
-    invert_transform,
     is_collinear,
     pairwise_distances,
     rigid_transform_matrix,
-    triangle_inequality_holds,
 )
 from repro.errors import ValidationError
 
 finite_coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 angle = st.floats(-math.pi, math.pi, allow_nan=False)
-
-
-class TestEuclidean:
-    def test_unit_distance(self):
-        assert euclidean((0, 0), (1, 0)) == 1.0
-
-    def test_pythagorean(self):
-        assert euclidean((0, 0), (3, 4)) == 5.0
-
-    def test_symmetric(self):
-        assert euclidean((1, 2), (5, -3)) == euclidean((5, -3), (1, 2))
-
-    def test_zero(self):
-        assert euclidean((2, 2), (2, 2)) == 0.0
 
 
 class TestPairwiseDistances:
@@ -74,27 +55,6 @@ class TestPairwiseDistances:
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
             pairwise_distances(np.array([[0.0, np.nan]]))
-
-
-class TestDistancesForPairs:
-    def test_basic(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-        pairs = np.array([[0, 1], [1, 2], [0, 2]])
-        out = distances_for_pairs(pts, pairs)
-        assert out == pytest.approx([1.0, 1.0, math.sqrt(2)])
-
-    def test_empty_pairs(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-        assert distances_for_pairs(pts, np.zeros((0, 2), dtype=int)).size == 0
-
-    def test_matches_pairwise_matrix(self):
-        rng = np.random.default_rng(2)
-        pts = rng.uniform(0, 50, (10, 2))
-        full = pairwise_distances(pts)
-        pairs = np.array([[i, j] for i in range(10) for j in range(i + 1, 10)])
-        out = distances_for_pairs(pts, pairs)
-        expected = np.array([full[i, j] for i, j in pairs])
-        assert np.allclose(out, expected)
 
 
 class TestCircleIntersections:
@@ -201,12 +161,6 @@ class TestRigidTransforms:
         out = apply_transform(pts, t)
         assert np.allclose(pairwise_distances(pts), pairwise_distances(out))
 
-    def test_invert_roundtrip(self):
-        t = rigid_transform_matrix(1.1, 4.0, 5.0)
-        pts = np.array([[1.0, 2.0], [3.0, -4.0]])
-        back = apply_transform(apply_transform(pts, t), invert_transform(t))
-        assert np.allclose(back, pts)
-
     def test_compose_order(self):
         t1 = rigid_transform_matrix(0.0, 1.0, 0.0)  # translate x+1
         t2 = rigid_transform_matrix(math.pi / 2, 0.0, 0.0)  # rotate
@@ -215,17 +169,18 @@ class TestRigidTransforms:
         step = apply_transform(apply_transform(pts, t1), t2)
         assert np.allclose(apply_transform(pts, combined), step)
 
-    def test_decompose_roundtrip(self):
-        for reflect in (False, True):
-            t = rigid_transform_matrix(0.8, -2.0, 3.5, reflect)
-            theta, tx, ty, got_reflect = decompose_transform(t)
-            rebuilt = rigid_transform_matrix(theta, tx, ty, got_reflect)
-            assert got_reflect == reflect
-            assert np.allclose(rebuilt, t)
+    def test_rotation_undone_by_opposite_turn(self):
+        # Row vectors: p' = p R + t, so p = p' R^T - t R^T, and R^T is
+        # the turn by -theta.
+        theta, t = 0.7, np.array([2.0, -5.0])
+        forward = rigid_transform_matrix(theta, *t)
+        back = rigid_transform_matrix(-theta, *(-t @ forward[:2, :2].T))
+        assert np.allclose(compose_transforms(forward, back), np.eye(3), atol=1e-12)
 
-    def test_decompose_rejects_scaling(self):
-        with pytest.raises(ValidationError):
-            decompose_transform(np.diag([2.0, 2.0, 1.0]))
+    @pytest.mark.parametrize("theta", [0.0, 0.7, -2.5])
+    def test_reflection_without_translation_is_an_involution(self, theta):
+        mirror = rigid_transform_matrix(theta, 0.0, 0.0, reflect=True)
+        assert np.allclose(compose_transforms(mirror, mirror), np.eye(3), atol=1e-12)
 
     def test_apply_rejects_bad_matrix(self):
         with pytest.raises(ValidationError):
@@ -237,37 +192,6 @@ class TestRigidTransforms:
         t = rigid_transform_matrix(theta, tx, ty, reflect)
         linear = t[:2, :2]
         assert abs(abs(np.linalg.det(linear)) - 1.0) < 1e-9
-
-
-class TestTriangleInequality:
-    def test_valid_triangle(self):
-        assert triangle_inequality_holds(3, 4, 5)
-
-    def test_degenerate_boundary(self):
-        assert triangle_inequality_holds(1, 2, 3)
-
-    def test_violation(self):
-        assert not triangle_inequality_holds(1, 1, 3)
-
-    def test_slack_tolerates(self):
-        assert triangle_inequality_holds(1, 1, 3, slack=1.0)
-
-    def test_negative_side_rejected(self):
-        with pytest.raises(ValidationError):
-            triangle_inequality_holds(-1, 2, 2)
-
-    def test_negative_slack_rejected(self):
-        with pytest.raises(ValidationError):
-            triangle_inequality_holds(1, 2, 2, slack=-0.5)
-
-    @given(
-        a=st.floats(0.1, 100),
-        b=st.floats(0.1, 100),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_two_points_always_satisfy(self, a, b):
-        # Sides a, b, a+b always form a (degenerate) triangle.
-        assert triangle_inequality_holds(a, b, a + b)
 
 
 class TestCentroidAndCollinearity:

@@ -16,7 +16,7 @@ from repro import (
 from repro.acoustics import get_environment
 from repro.core import DistributedConfig, align_to_reference, mds_map
 from repro.deploy import paper_grid, random_anchors, square_grid
-from repro.ranging import consistency_pipeline
+from repro.ranging import bidirectional_filter, triangle_filter
 from repro.ranging.filtering import confidence_weighted_edges
 
 
@@ -46,7 +46,7 @@ class TestRangingToLocalizationPipeline:
 
     def test_campaign_to_multilateration(self, field_data):
         positions, raw = field_data
-        filtered = consistency_pipeline(raw)
+        filtered = triangle_filter(bidirectional_filter(raw))
         anchors_idx = random_anchors(len(positions), 8, rng=5)
         anchor_positions = {int(i): positions[i] for i in anchors_idx}
         result = localize_network(filtered, anchor_positions, len(positions))

@@ -1,16 +1,10 @@
-"""Tests for the network substrate (clock, radio, simulator, flooding)."""
+"""Tests for the network substrate (clock, radio, nodes, simulator)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.network.clock import (
-    MAX_CLOCK_RATE_DIFFERENCE,
-    DriftingClock,
-    FtspSyncModel,
-    sync_ranging_error_m,
-)
-from repro.network.flooding import flood
+from repro.network.clock import MAX_CLOCK_RATE_DIFFERENCE, DriftingClock, sync_ranging_error_m
 from repro.network.node import SensorNode
 from repro.network.radio import RadioModel
 from repro.network.simulator import NetworkSimulator
@@ -58,12 +52,13 @@ class TestSyncModels:
         with pytest.raises(ValidationError):
             sync_ranging_error_m(-1.0)
 
-    def test_ftsp_error_grows_with_elapsed(self):
-        model = FtspSyncModel()
-        rng = np.random.default_rng(0)
-        short = [abs(model.sample_sync_error_s(0.01, rng)) for _ in range(300)]
-        long = [abs(model.sample_sync_error_s(100.0, rng)) for _ in range(300)]
-        assert np.mean(long) > np.mean(short)
+    def test_error_is_rate_times_distance(self):
+        # The flight time d / v is mistimed by r * d / v seconds, which
+        # is r * d meters whatever the speed of sound.
+        for speed in (331.0, 340.0, 343.0):
+            assert sync_ranging_error_m(
+                20.0, speed_of_sound=speed, rate_difference=1e-4
+            ) == pytest.approx(2e-3)
 
 
 class TestRadioModel:
@@ -194,53 +189,3 @@ class TestNetworkSimulator:
         assert sim.radio_neighbors(0) == [1]
         assert sorted(sim.radio_neighbors(2)) == [1, 3]
 
-
-class TestFlooding:
-    def test_reaches_all_connected(self):
-        sim = line_network(comm_range_m=15.0)
-        result = flood(sim, root=0, payload="config")
-        assert result.reached == 5
-        assert result.covers(range(5))
-
-    def test_hops_count(self):
-        sim = line_network(comm_range_m=10.5)
-        result = flood(sim, root=0, payload=0)
-        assert result.hops[0] == 0
-        assert result.hops[4] == 4
-
-    def test_parents_form_tree(self):
-        sim = line_network(comm_range_m=10.5)
-        result = flood(sim, root=2, payload=0)
-        assert result.parents[2] is None
-        assert result.parents[1] == 2
-        assert result.parents[0] == 1
-
-    def test_transform_hook_applied_per_hop(self):
-        sim = line_network(comm_range_m=10.5)
-        result = flood(
-            sim, root=0, payload=0, transform=lambda nid, sender, p: p + 1
-        )
-        assert result.payloads[0] == 0
-        assert result.payloads[3] == 3  # incremented at each hop
-
-    def test_disconnected_partial_coverage(self):
-        nodes = [
-            SensorNode(0, (0.0, 0.0)),
-            SensorNode(1, (10.0, 0.0)),
-            SensorNode(2, (500.0, 0.0)),
-        ]
-        sim = NetworkSimulator(
-            nodes, radio=RadioModel(comm_range_m=15.0, delivery_probability=1.0), rng=0
-        )
-        result = flood(sim, root=0, payload="x")
-        assert result.covers([0, 1])
-        assert 2 not in result.payloads
-
-    def test_handlers_restored_after_flood(self):
-        sim = line_network(comm_range_m=15.0)
-        marker = []
-        sim.register_handler(1, lambda s, nid, msg: marker.append(msg.payload))
-        flood(sim, root=0, payload="flood")
-        sim.send(0, 1, "direct")
-        sim.run()
-        assert "direct" in marker

@@ -134,7 +134,13 @@ class TestSingleNumpyKernelSurface:
 
     @pytest.mark.parametrize(
         "module",
-        ["repro.engine.backend", "repro.engine.xp_kernels", "repro.engine.trials"],
+        [
+            "repro.engine.backend",
+            "repro.engine.xp_kernels",
+            "repro.engine.trials",
+            "repro.ranging.constraints",
+            "repro.network.flooding",
+        ],
     )
     def test_deleted_module_is_not_importable(self, module):
         with pytest.raises(ModuleNotFoundError):
@@ -207,6 +213,47 @@ class TestSingleSolverSurface:
             ("repro.ranging", "first_hit"),
             ("repro.ranging.detection", "first_hit"),
             ("repro.ranging.link", "AcousticLinkSimulator.link_snr_db"),
+            ("repro.ranging", "min_spacing_filter"),
+            ("repro.ranging", "feasible_distance_filter"),
+            ("repro.ranging", "grid_distance_set"),
+            ("repro.ranging", "StatisticalErrorModel"),
+            ("repro.ranging", "statistical_campaign"),
+            ("repro.ranging.synthetic", "StatisticalErrorModel"),
+            ("repro.ranging.synthetic", "statistical_campaign"),
+            ("repro.ranging", "mode_filter"),
+            ("repro.ranging", "statistical_filter"),
+            ("repro.ranging.filtering", "mode_filter"),
+            ("repro.ranging.filtering", "statistical_filter"),
+            ("repro.ranging", "accumulate_chirps"),
+            ("repro.ranging", "detect_all_windows"),
+            ("repro.ranging.detection", "accumulate_chirps"),
+            ("repro.ranging.detection", "detect_all_windows"),
+            ("repro.ranging", "consistency_pipeline"),
+            ("repro.ranging.consistency", "consistency_pipeline"),
+            ("repro.ranging", "tdoa_distance"),
+            ("repro.ranging.tdoa", "tdoa_distance"),
+            ("repro.core", "euclidean"),
+            ("repro.core", "distances_for_pairs"),
+            ("repro.core", "invert_transform"),
+            ("repro.core", "decompose_transform"),
+            ("repro.core", "triangle_inequality_holds"),
+            ("repro.core.geometry", "euclidean"),
+            ("repro.core.geometry", "distances_for_pairs"),
+            ("repro.core.geometry", "invert_transform"),
+            ("repro.core.geometry", "decompose_transform"),
+            ("repro.core.geometry", "triangle_inequality_holds"),
+            ("repro.network", "flood"),
+            ("repro.network", "FloodResult"),
+            ("repro.network", "FtspSyncModel"),
+            ("repro.network.clock", "FtspSyncModel"),
+            ("repro.acoustics", "propagation_delay_s"),
+            ("repro.acoustics.propagation", "propagation_delay_s"),
+            ("repro.scenarios", "run_scenario_by_id"),
+            ("repro.scenarios.runner", "run_scenario_by_id"),
+            ("repro.perf", "all_suites"),
+            ("repro.perf.suites", "all_suites"),
+            ("repro", "ConvergenceError"),
+            ("repro.errors", "ConvergenceError"),
         ],
     )
     def test_removed_name_is_gone(self, module, name):
@@ -230,7 +277,6 @@ class TestSingleSolverSurface:
             ("_oracles", "mds_initial"),
             ("_acoustic_oracle", "simulate_counts"),
             ("_acoustic_oracle", "detect_signal"),
-            ("_acoustic_oracle", "detect_all_windows"),
             ("_acoustic_oracle", "first_hit"),
             ("_acoustic_oracle", "link_snr_db"),
         ],

@@ -27,7 +27,6 @@ from repro.scenarios import (
     get_scenario,
     register_scenario,
     run_scenario,
-    run_scenario_by_id,
     scenario_trial,
 )
 from repro.store import ResultStore
@@ -495,8 +494,8 @@ class TestRunScenario:
 
     def test_run_by_id(self, tmp_path):
         store = ResultStore(tmp_path, code_version="v1")
-        result = run_scenario_by_id(
-            "uniform-multilateration", master_seed=1, n_trials=2, store=store
+        result = run_scenario(
+            get_scenario("uniform-multilateration"), master_seed=1, n_trials=2, store=store
         )
         assert result.n_trials == 2
 

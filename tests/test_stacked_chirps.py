@@ -28,7 +28,7 @@ from repro.acoustics.signal import ChirpPattern
 from repro.deploy import paper_grid
 from repro.ranging import link as link_module
 from repro.ranging.campaign import run_campaign
-from repro.ranging.detection import detect_all_windows, detect_signal
+from repro.ranging.detection import detect_signal, first_windows
 from repro.ranging.link import AcousticLinkSimulator, LinkBlock, LinkRealization
 from repro.ranging.service import RangingService
 
@@ -286,19 +286,27 @@ class TestDetector:
     @settings(max_examples=300, deadline=None)
     def test_indices_match_the_convolve_reference(self, samples, m, k_frac, threshold):
         k = max(1, round(k_frac * m))
-        starts = detect_all_windows(samples, k, m, threshold)
-        expected = _acoustic_oracle.detect_all_windows(samples, k, m, threshold)
-        assert starts.dtype == expected.dtype
-        assert starts.tobytes() == expected.tobytes()
         assert detect_signal(samples, k, m, threshold) == _acoustic_oracle.detect_signal(
             samples, k, m, threshold
         )
 
-    def test_both_entry_points_validate_alike(self):
-        # detect_signal goes through detect_all_windows: one set of messages.
-        for fn in (detect_signal, detect_all_windows):
-            with pytest.raises(ValueError, match="cannot exceed"):
-                fn(np.zeros(100, dtype=np.int64), 40, 32, 2)
-            with pytest.raises(ValueError, match="1-dimensional"):
-                fn(np.zeros((2, 50)), 6, 32, 2)
+    @pytest.mark.parametrize(
+        "k, m, threshold, message",
+        [
+            (0, 32, 2, "k and m must be >= 1"),
+            (6, 0, 2, "k and m must be >= 1"),
+            (40, 32, 2, "cannot exceed"),
+            (6, 32, 0, "threshold must be >= 1"),
+        ],
+    )
+    def test_both_entry_points_validate_alike(self, k, m, threshold, message):
+        # detect_signal is one row of first_windows: one set of messages.
+        with pytest.raises(ValueError, match=message):
+            detect_signal(np.zeros(100, dtype=np.int64), k, m, threshold)
+        with pytest.raises(ValueError, match=message):
+            first_windows(np.zeros((1, 100), dtype=np.int64), k, m, threshold)
+        with pytest.raises(ValueError, match="1-dimensional"):
+            detect_signal(np.zeros((2, 50)), 6, 32, 2)
+        with pytest.raises(ValueError, match="2-dimensional"):
+            first_windows(np.zeros(50), 6, 32, 2)
 

@@ -10,12 +10,10 @@ from repro.core.measurements import EdgeList, MeasurementSet
 from repro.deploy import square_grid
 from repro.errors import ValidationError
 from repro.ranging.synthetic import (
-    StatisticalErrorModel,
     augment_with_gaussian_ranges,
     eligible_pairs,
     gaussian_edges,
     gaussian_ranges,
-    statistical_campaign,
 )
 from repro.scenarios import (
     AnchorSpec,
@@ -123,84 +121,6 @@ class TestAugmentation:
     def test_invalid_type(self, grid):
         with pytest.raises(ValidationError):
             augment_with_gaussian_ranges([(0, 1, 5.0)], grid)
-
-
-class TestStatisticalErrorModel:
-    def test_detection_probability_monotone(self):
-        model = StatisticalErrorModel()
-        probs = [model.detection_probability(d) for d in (5.0, 15.0, 20.0, 25.0)]
-        assert all(a >= b for a, b in zip(probs, probs[1:]))
-
-    def test_detection_half_point(self):
-        model = StatisticalErrorModel(detect_50_m=20.0)
-        assert model.detection_probability(20.0) == pytest.approx(0.5)
-
-    def test_sample_close_range_accuracy(self):
-        model = StatisticalErrorModel()
-        rng = np.random.default_rng(0)
-        estimates = [model.sample(8.0, rng) for _ in range(300)]
-        estimates = np.array([e for e in estimates if e is not None])
-        errors = estimates - 8.0
-        # Core behaviour: median error small.
-        assert abs(np.median(errors)) < 0.1
-
-    def test_sample_none_beyond_range(self):
-        model = StatisticalErrorModel()
-        rng = np.random.default_rng(1)
-        results = [model.sample(35.0, rng) for _ in range(50)]
-        assert sum(r is None for r in results) >= 45
-
-    def test_outliers_exist(self):
-        model = StatisticalErrorModel(outlier_probability=0.5)
-        rng = np.random.default_rng(2)
-        estimates = np.array(
-            [e for e in (model.sample(15.0, rng) for _ in range(200)) if e is not None]
-        )
-        assert (np.abs(estimates - 15.0) > 2.0).mean() > 0.2
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValidationError):
-            StatisticalErrorModel(outlier_probability=1.5)
-        with pytest.raises(ValidationError):
-            StatisticalErrorModel(detect_50_m=-1.0)
-
-
-class TestStatisticalCampaign:
-    def test_produces_measurement_set(self, grid):
-        ms = statistical_campaign(grid, rounds=2, rng=0)
-        assert len(ms) > 0
-        rounds = {m.round_index for m in ms}
-        assert rounds <= {0, 1}
-
-    def test_invalid_rounds(self, grid):
-        with pytest.raises(ValidationError):
-            statistical_campaign(grid, rounds=0)
-
-    def test_error_shape_matches_signal_level_service(self, grid):
-        """Calibration check: the statistical abstraction's core error
-        spread matches the signal-level simulator's (same order)."""
-        from repro.acoustics import get_environment
-        from repro.ranging.link import LinkRealization
-        from repro.ranging.service import RangingService
-
-        service = RangingService(environment=get_environment("grass")).calibrate(rng=0)
-        rng = np.random.default_rng(3)
-        link = LinkRealization()
-        signal_errors = []
-        for _ in range(60):
-            est = service.measure(8.0, link=link, rng=rng)
-            if est is not None:
-                signal_errors.append(est - 8.0)
-        model = StatisticalErrorModel()
-        model_errors = []
-        for _ in range(200):
-            est = model.sample(8.0, rng)
-            if est is not None:
-                model_errors.append(est - 8.0)
-        sig_core = np.percentile(np.abs(signal_errors), 75)
-        mod_core = np.percentile(np.abs(model_errors), 75)
-        assert mod_core < 5 * max(sig_core, 0.02)
-        assert sig_core < 5 * max(mod_core, 0.02)
 
 
 @given(sigma=st.floats(0.0, 2.0), seed=st.integers(0, 500))

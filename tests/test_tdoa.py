@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ValidationError
-from repro.ranging.tdoa import TdoaConfig, tdoa_distance
+from repro.ranging.tdoa import TdoaConfig
 
 
 class TestTdoaConfig:
@@ -17,6 +17,17 @@ class TestTdoaConfig:
             idx = config.index_from_distance(d)
             back = config.distance_from_index(idx)
             assert back == pytest.approx(d, abs=config.meters_per_sample)
+
+    @pytest.mark.parametrize(
+        "fs, speed, offset",
+        [(16_000.0, 340.0, 0.0), (8_000.0, 343.0, 0.12), (44_100.0, 331.0, 0.5)],
+    )
+    def test_distance_is_the_paper_formula(self, fs, speed, offset):
+        # Index 0 is the zero-distance arrival, so Section 3.1's
+        # d = Vs * (t_detect - ...) is d = index * Vs / fs - offset.
+        config = TdoaConfig(sampling_rate_hz=fs, speed_of_sound=speed, calibration_offset_m=offset)
+        for index in (100, 400, 1000):
+            assert config.distance_from_index(index) == pytest.approx(index * speed / fs - offset)
 
     def test_calibration_offset_subtracted(self):
         config = TdoaConfig(calibration_offset_m=0.5)
@@ -54,27 +65,3 @@ class TestTdoaConfig:
         with pytest.raises(ValidationError):
             TdoaConfig(max_range_m=0.0)
 
-
-class TestTdoaDistanceFormula:
-    def test_paper_formula(self):
-        # Sound flight time for 17 m at 340 m/s is 50 ms.  With zero
-        # hardware delay and delta_const, t_detect - t_recv = 0.05 s.
-        d = tdoa_distance(t_detect=1.05, t_recv=1.0, delta_xmit=0.0, delta_const=0.0)
-        assert d == pytest.approx(17.0)
-
-    def test_delta_const_accounted(self):
-        d = tdoa_distance(t_detect=1.07, t_recv=1.0, delta_xmit=0.0, delta_const=0.02)
-        assert d == pytest.approx(17.0)
-
-    def test_delta_xmit_accounted(self):
-        # The radio message arrived late by delta_xmit; adding it back
-        # recovers the true send time.
-        d = tdoa_distance(t_detect=1.05, t_recv=1.002, delta_xmit=0.002, delta_const=0.0)
-        assert d == pytest.approx(17.0)
-
-    def test_negative_clamped(self):
-        assert tdoa_distance(1.0, 1.1, 0.0, 0.0) == 0.0
-
-    def test_bad_speed(self):
-        with pytest.raises(ValidationError):
-            tdoa_distance(1.0, 1.0, 0.0, 0.0, speed_of_sound=0.0)

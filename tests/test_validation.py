@@ -11,14 +11,15 @@ from repro._validation import (
     check_probability,
     ensure_rng,
 )
+from repro.acoustics import NoiseBurstProcess, get_environment, hit_probability
 from repro.errors import (
     CalibrationError,
-    ConvergenceError,
     GraphDisconnectedError,
     InsufficientDataError,
     ReproError,
     ValidationError,
 )
+from repro.ranging import AcousticLinkSimulator, CampaignConfig, TdoaConfig, XsmRangingService
 
 
 class TestAsPositions:
@@ -106,7 +107,6 @@ class TestExceptionHierarchy:
     def test_all_derive_from_repro_error(self):
         for exc in (
             ValidationError,
-            ConvergenceError,
             InsufficientDataError,
             GraphDisconnectedError,
             CalibrationError,
@@ -118,9 +118,51 @@ class TestExceptionHierarchy:
         assert issubclass(InsufficientDataError, ValueError)
 
     def test_runtime_flavors(self):
-        assert issubclass(ConvergenceError, RuntimeError)
         assert issubclass(GraphDisconnectedError, RuntimeError)
+        assert issubclass(CalibrationError, RuntimeError)
 
     def test_catchable_as_base(self):
         with pytest.raises(ReproError):
             raise InsufficientDataError("not enough anchors")
+
+
+GRASS = get_environment("grass")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: CampaignConfig(rounds=0), id="campaign-rounds"),
+        pytest.param(
+            lambda: AcousticLinkSimulator(environment=GRASS, ramp_samples=0),
+            id="link-ramp-samples",
+        ),
+        pytest.param(
+            lambda: XsmRangingService(environment=GRASS, tone_fraction=0.3),
+            id="xsm-tone-fraction",
+        ),
+        pytest.param(
+            lambda: XsmRangingService(environment=GRASS).detection_probability(5.0, attempts=0),
+            id="xsm-attempts",
+        ),
+        pytest.param(
+            lambda: XsmRangingService(environment=GRASS).buffer_bytes(bits_per_sample=0),
+            id="xsm-bits-per-sample",
+        ),
+        pytest.param(lambda: XsmRangingService.hardware_buffer_bytes(-1), id="xsm-hardware-buffer"),
+        pytest.param(lambda: TdoaConfig().distance_from_index(-1), id="tdoa-negative-index"),
+        pytest.param(
+            lambda: hit_probability(0.0, saturation=0.5, floor=0.6), id="tone-detector-floor"
+        ),
+        pytest.param(
+            lambda: NoiseBurstProcess(rate_hz=1.0, duration_s=0.01, fp_rate=0.1)
+            .false_positive_track(-1, 16_000.0, 0.01),
+            id="noise-window",
+        ),
+    ],
+)
+def test_input_checks_raise_repro_errors(call):
+    """The documented contract: every library-raised exception derives
+    from ReproError, so one ``except ReproError`` catches input checks."""
+    with pytest.raises(ReproError):
+        call()
