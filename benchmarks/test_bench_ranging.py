@@ -9,9 +9,11 @@ production path and through the per-chirp simulator and convolve
 detector of ``tests/_acoustic_oracle.py``.  ``RangingCampaign.run``
 stacks whole blocks of attempts; whole campaigns on 16-node grass and
 urban grids are timed against the frozen per-attempt campaign of the
-same module.  Both pairs are checked for equal results first.  Run with
-``pytest benchmarks/test_bench_ranging.py -s`` to see the measured
-ratios.
+same module.  The triangle and confidence filters read a set's columns;
+on those campaigns' measurements they are timed against the per-pair
+filters of ``tests/_consistency_oracle.py``.  Every pair is checked for
+equal results first.  Run with ``pytest benchmarks/test_bench_ranging.py
+-s`` to see the measured ratios.
 """
 
 import numpy as np
@@ -19,11 +21,15 @@ import pytest
 
 from repro.acoustics.environment import ENVIRONMENTS
 from repro.acoustics.hardware import HardwarePopulation
+from repro.core.measurements import MeasurementSet
 from repro.deploy import paper_grid
 from repro.ranging.campaign import run_campaign
+from repro.ranging.consistency import triangle_filter
+from repro.ranging.filtering import confidence_weighted_edges
 from repro.ranging.service import RangingService
 
 import _acoustic_oracle
+import _consistency_oracle
 from _timing import interleaved_best_of, quiet_machine_only
 
 #: Calls timed per side: 150 per environment.
@@ -144,4 +150,64 @@ def test_campaign_kernel_faster_than_per_attempt(campaigns):
     assert ratio >= CAMPAIGN_SPEEDUP_FLOOR, (
         f"block campaign kernel only {ratio:.2f}x faster than per-attempt "
         f"(need >= {CAMPAIGN_SPEEDUP_FLOOR}x)"
+    )
+
+
+#: Filter passes timed per call of each side: each filters both
+#: campaigns' measurements, so one call is a few milliseconds.
+FILTER_PASSES = 20
+
+#: Measured at 6.6-8.5x on a 2-core VM against the per-pair filters, so
+#: the floor sits well under it.
+FILTER_SPEEDUP_FLOOR = 3.0
+
+
+def _edge_bytes(edges):
+    return edges.pairs.tobytes(), edges.distances.tobytes(), edges.weights.tobytes()
+
+
+@pytest.fixture(scope="module")
+def filter_calls(campaigns):
+    """The columnar and per-pair filter loops over the campaigns'
+    measurements, and one result of each."""
+    _, _, measured, _ = campaigns
+    sets = [MeasurementSet(measurements) for measurements in measured]
+
+    def production():
+        for _ in range(FILTER_PASSES):
+            edges = [confidence_weighted_edges(triangle_filter(ms)) for ms in sets]
+        return [_edge_bytes(e) for e in edges]
+
+    def reference():
+        for _ in range(FILTER_PASSES):
+            edges = [
+                _consistency_oracle.confidence_weighted_edges(
+                    _consistency_oracle.triangle_filter(ms)
+                )
+                for ms in sets
+            ]
+        return [_edge_bytes(e) for e in edges]
+
+    return production, reference, production(), reference()
+
+
+def test_columnar_filters_parity(filter_calls):
+    _, _, fast, slow = filter_calls
+    assert all(len(pairs) > 0 for pairs, _, _ in fast)
+    assert fast == slow
+
+
+@quiet_machine_only
+def test_columnar_filters_faster_than_per_pair(filter_calls):
+    production, reference, fast, slow = filter_calls
+    assert fast == slow
+    columnar_t, per_pair_t = interleaved_best_of([production, reference], repeats=5)
+    ratio = per_pair_t / columnar_t
+    print(
+        f"\n{FILTER_PASSES} filter passes: per-pair {per_pair_t * 1000:.1f} ms, "
+        f"columnar {columnar_t * 1000:.1f} ms -> {ratio:.2f}x"
+    )
+    assert ratio >= FILTER_SPEEDUP_FLOOR, (
+        f"columnar filters only {ratio:.2f}x faster than per-pair "
+        f"(need >= {FILTER_SPEEDUP_FLOOR}x)"
     )

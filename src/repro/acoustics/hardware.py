@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .._validation import check_non_negative, check_probability, ensure_rng
 
 __all__ = ["HardwareProfile", "HardwarePopulation"]

@@ -8,13 +8,19 @@ false-positive probability for their duration and — crucially — are
 *uncorrelated across ranging attempts*, which is exactly why the paper's
 multi-chirp accumulation defeats them.
 
-:class:`NoiseBurstProcess` is a Poisson process of bursts; the ranging
-simulator asks it for a per-sample false-positive-probability track.
+:class:`NoiseBurstProcess` is a Poisson process of bursts.
+:meth:`~NoiseBurstProcess.false_positive_track` gives one window's
+per-sample false-positive probability; the ranging simulator draws each
+chirp's burst count itself from :meth:`~NoiseBurstProcess._mean_count`
+and places the bursts of a chirp that drew any with
+:meth:`~NoiseBurstProcess._place_bursts`, the one placement path both
+share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -72,7 +78,9 @@ class NoiseBurstProcess:
         self._check_window(n_samples, sampling_rate_hz, base_rate)
         rng = ensure_rng(rng)
         track = np.full(n_samples, base_rate)
-        self._write_bursts(track, sampling_rate_hz, base_rate, rng)
+        lam = self._mean_count(n_samples, sampling_rate_hz)
+        if lam is not None:
+            self._place_bursts(track, rng.poisson(lam), sampling_rate_hz, base_rate, rng)
         return track
 
     @staticmethod
@@ -82,32 +90,39 @@ class NoiseBurstProcess:
         if n_samples < 0:
             raise ValidationError("n_samples must be non-negative")
 
-    def _write_bursts(
+    def _mean_count(self, n_samples: int, sampling_rate_hz: float) -> Optional[float]:
+        """The Poisson mean of a window's burst count, or None when the
+        window can hold no burst (a zero rate or an empty window), where
+        no count is drawn at all."""
+        if self.rate_hz == 0.0 or n_samples == 0:
+            return None
+        return self.rate_hz * (n_samples / sampling_rate_hz)
+
+    def _place_bursts(
         self,
         track: np.ndarray,
+        n_bursts: int,
         sampling_rate_hz: float,
         base_rate: float,
         rng: np.random.Generator,
-    ) -> int:
-        """Draw one window's bursts, raise *track* inside each, and
-        return how many there were.
+    ) -> None:
+        """Draw *n_bursts* bursts' starts and lengths and raise *track*
+        inside each.
 
-        *track* holds *base_rate* everywhere on entry; the arguments
-        are already checked (:meth:`_check_window`).  Draws the burst
-        count, then each burst's start and length, in that order: the
-        link simulator calls this once per chirp, and the draw order is
-        part of its reproducibility contract.  A window without bursts
-        leaves *track* untouched.
+        *track* holds *base_rate* everywhere on entry; the arguments are
+        already checked (:meth:`_check_window`).  Each burst draws its
+        start, then its length, in that order: the link simulator draws
+        each chirp's count as ``rng.poisson`` of :meth:`_mean_count` and
+        calls this for a chirp that drew one or more, and the draw order
+        is part of its reproducibility contract.
         """
         n_samples = track.shape[0]
-        if self.rate_hz == 0.0 or n_samples == 0:
-            return 0
         window_s = n_samples / sampling_rate_hz
-        n_bursts = int(rng.poisson(self.rate_hz * window_s))
+        level = max(base_rate, self.fp_rate)
+        uniform = rng.uniform
+        exponential = rng.exponential
         for _ in range(n_bursts):
-            start_s = rng.uniform(0.0, window_s)
-            length_s = rng.exponential(self.duration_s)
-            start = int(start_s * sampling_rate_hz)
+            start = int(uniform(0.0, window_s) * sampling_rate_hz)
+            length_s = exponential(self.duration_s)
             stop = min(n_samples, start + max(1, int(length_s * sampling_rate_hz)))
-            track[start:stop] = max(base_rate, self.fp_rate)
-        return n_bursts
+            track[start:stop] = level

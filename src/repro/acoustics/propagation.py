@@ -18,8 +18,6 @@ SNR(d) = RL(d) - noise_floor feeds the tone-detector hit probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .._validation import check_positive

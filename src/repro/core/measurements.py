@@ -15,8 +15,8 @@ library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -126,11 +126,7 @@ class EdgeList:
         # One group per ordered pair; its median is read off the sorted run.
         new_pair = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
         starts = np.flatnonzero(np.concatenate(([True], new_pair | (backward[1:] != backward[:-1]))))
-        counts = np.diff(np.append(starts, values.size))
-        middle = starts + counts // 2
-        medians = values[middle]
-        even = counts % 2 == 0
-        medians[even] = (values[middle[even] - 1] + values[middle[even]]) / 2
+        medians = _run_medians(values, starts)
         # One group per unordered pair: its one or two direction medians.
         edge_starts = np.flatnonzero(np.concatenate(([True], new_pair[starts[1:] - 1])))
         collapsed = medians[edge_starts]
@@ -265,51 +261,32 @@ class MeasurementSet:
     # Reduction / export
     # ------------------------------------------------------------------
 
-    def reduce(self, statistic: str = "median") -> "MeasurementSet":
-        """Collapse multi-round estimates per directed pair to one value.
+    def reduce(self) -> "MeasurementSet":
+        """Collapse multi-round estimates per directed pair to their median.
 
-        ``statistic`` is ``"median"``, ``"mode"`` or ``"mean"``; the
-        paper uses the median for few measurements and the mode when
-        many are available (Section 3.5, Statistical Filtering).  The
-        mode here is the paper's coarse-bin variant: estimates are
-        quantized to 0.5 m bins and the densest bin's member mean wins.
+        The paper filters a few estimates per pair with the median
+        (Section 3.5, Statistical Filtering).  A pair's ground truth
+        survives when all its estimates agree on it.
         """
         reduced = MeasurementSet()
         for (i, j), measurements in self._directed.items():
             values = np.array([m.distance for m in measurements])
             truths = [m.true_distance for m in measurements]
             truth = truths[0] if all(t == truths[0] for t in truths) else None
-            if statistic == "median":
-                value = float(np.median(values))
-            elif statistic == "mean":
-                value = float(values.mean())
-            elif statistic == "mode":
-                value = _binned_mode(values)
-            else:
-                raise ValidationError(f"unknown statistic {statistic!r}")
-            reduced.add_distance(i, j, value, true_distance=truth)
+            reduced.add_distance(i, j, float(np.median(values)), true_distance=truth)
         return reduced
 
-    def symmetrized(self) -> "MeasurementSet":
-        """Average the two directions of bidirectional pairs.
-
-        Pairs with only one direction keep their single estimate.  The
-        result contains exactly one directed measurement per undirected
-        pair, stored as (min, max).
-        """
-        single = self.reduce("median")
-        out = MeasurementSet()
-        for (i, j) in single.undirected_pairs:
-            forward = single.distances(i, j)
-            backward = single.distances(j, i)
-            values = np.concatenate([forward, backward])
-            truth = None
-            for m in single.get(i, j) + single.get(j, i):
-                if m.true_distance is not None:
-                    truth = m.true_distance
-                    break
-            out.add_distance(i, j, float(values.mean()), true_distance=truth)
-        return out
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every estimate's ``(source, receiver, distance)``, in
+        iteration order, as int64, int64 and float64 arrays."""
+        counts = [len(group) for group in self._directed.values()]
+        directed = np.array(list(self._directed), dtype=np.int64).reshape(-1, 2)
+        distances = np.fromiter(
+            (m.distance for group in self._directed.values() for m in group),
+            dtype=float,
+            count=sum(counts),
+        )
+        return np.repeat(directed[:, 0], counts), np.repeat(directed[:, 1], counts), distances
 
     def to_edge_list(
         self,
@@ -318,30 +295,29 @@ class MeasurementSet:
     ) -> EdgeList:
         """Export the undirected edge list for localization.
 
-        Multi-round and bidirectional estimates collapse as in
-        :meth:`symmetrized`: the median per direction, then the mean of
-        the two directions (see :meth:`EdgeList.from_directed`).
-        *weight_fn*, if given, maps an undirected pair's collapsed
-        distance to a weight; the default assigns the paper's constant
-        weight 1.
+        Multi-round estimates collapse to their median per direction,
+        and the two directions of a pair then average (see
+        :meth:`EdgeList.from_directed`).  *weight_fn*, if given, maps an
+        undirected pair's collapsed distance to a weight; the default
+        assigns the paper's constant weight 1.
         """
-        counts = [len(group) for group in self._directed.values()]
-        directed = np.array(list(self._directed), dtype=np.int64).reshape(-1, 2)
-        distances = np.fromiter(
-            (m.distance for group in self._directed.values() for m in group),
-            dtype=float,
-            count=sum(counts),
-        )
-        return EdgeList.from_directed(
-            np.repeat(directed[:, 0], counts),
-            np.repeat(directed[:, 1], counts),
-            distances,
-            weight_fn=weight_fn,
-        )
+        return EdgeList.from_directed(*self.columns(), weight_fn=weight_fn)
 
     def filter(self, predicate) -> "MeasurementSet":
         """New set keeping measurements for which *predicate(m)* is true."""
         return MeasurementSet(m for m in self if predicate(m))
+
+    def without_pairs(self, pairs: Set[Tuple[int, int]]) -> "MeasurementSet":
+        """New set without the estimates of the undirected *pairs*
+        (``(i, j)`` with ``i < j``), in either direction; the others keep
+        their order."""
+        out = MeasurementSet()
+        out._directed = {
+            key: list(group)
+            for key, group in self._directed.items()
+            if (min(key), max(key)) not in pairs
+        }
+        return out
 
     def restrict_to_nodes(self, nodes: Iterable[int]) -> "MeasurementSet":
         """New set keeping measurements whose endpoints are both in *nodes*."""
@@ -456,13 +432,13 @@ def check_edge_distances(distances: np.ndarray) -> None:
         raise ValidationError("edge distances must be finite and >= 0")
 
 
-def _binned_mode(values: np.ndarray, bin_width: float = 0.5) -> float:
-    """Mode of *values* by densest 0.5 m bin, as used by the paper's
-    statistical filter when many estimates are available."""
-    if values.size == 1:
-        return float(values[0])
-    bins = np.floor(values / bin_width).astype(np.int64)
-    unique, counts = np.unique(bins, return_counts=True)
-    best_bin = unique[np.argmax(counts)]
-    members = values[bins == best_bin]
-    return float(members.mean())
+def _run_medians(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The median of each run of *values*, runs sorted and starting at
+    *starts*: the middle value, or for an even count the mean of the two
+    middle values, the bytes ``np.median`` gives."""
+    counts = np.diff(np.append(starts, values.size))
+    middle = starts + counts // 2
+    medians = values[middle]
+    even = counts % 2 == 0
+    medians[even] = (values[middle[even] - 1] + values[middle[even]]) / 2
+    return medians

@@ -30,8 +30,8 @@ message counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from ..errors import InsufficientDataError, ValidationError
 from ..network.node import SensorNode
 from ..network.radio import RadioModel
 from ..network.simulator import NetworkSimulator
-from .distributed import DistributedConfig, LocalMap, build_local_maps
+from .distributed import DistributedConfig, build_local_maps
 from .geometry import apply_transform, compose_transforms
 from .measurements import EdgeList, as_graph_edges
 from .transforms import estimate_transform_closed_form

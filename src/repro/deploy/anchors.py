@@ -10,8 +10,6 @@ strategy used in ablation studies of anchor placement.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
 from .._validation import as_positions, ensure_rng

@@ -10,8 +10,6 @@ in the paper ((9, 18), (18, 4.5), (27, 36), ...) confirm this layout.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
 from .._validation import check_positive, ensure_rng

@@ -12,7 +12,6 @@ qualitative topology (anisotropic, elongated clusters, moderate density,
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
 
 import numpy as np
 

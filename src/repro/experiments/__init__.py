@@ -5,9 +5,9 @@ Importing this package populates the experiment registry; use
 (e.g. ``experiments.fig18_lss_constrained()``).
 """
 
-from typing import Dict, Optional
+from typing import Dict
 
-from . import common, extension_experiments, localization_experiments, ranging_experiments  # noqa: F401 (registry)
+from . import common, localization_experiments
 from .base import ExperimentResult, ShapeCheck, all_experiments, get_experiment
 from .report import render_markdown, render_text, summary_counts
 from .common import DEFAULT_SEED

@@ -11,7 +11,7 @@ print the paper-vs-measured table; tests assert the checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List
 
 __all__ = ["ShapeCheck", "ExperimentResult", "register", "get_experiment", "all_experiments"]
 

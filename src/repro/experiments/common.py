@@ -23,8 +23,7 @@ from typing import Tuple
 import numpy as np
 
 from ..acoustics import get_environment
-from ..core.measurements import EdgeList
-from ..deploy import paper_grid, random_anchors
+from ..deploy import paper_grid
 from ..ranging import RangingService, run_campaign, triangle_filter
 from ..ranging.filtering import confidence_weighted_edges
 from ..store import (

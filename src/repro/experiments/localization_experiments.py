@@ -16,8 +16,6 @@ fig25 — distributed LSS with 370 extra synthetic ranges
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
 import numpy as np
 
 from .._validation import ensure_rng
@@ -28,7 +26,6 @@ from ..core import (
     evaluate_localization,
     intersection_consistency_filter,
     localize_network,
-    lss_localize,
     lss_localize_robust,
     trimmed_mean_error,
 )

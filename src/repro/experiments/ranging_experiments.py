@@ -29,7 +29,7 @@ from ..ranging import (
     tone_detect_waveform,
 )
 from .base import ExperimentResult, ShapeCheck, register
-from .common import DEFAULT_SEED, grass_campaign_edges, grid_positions
+from .common import DEFAULT_SEED, grass_campaign_edges
 
 
 def _signed_errors(measurements) -> np.ndarray:

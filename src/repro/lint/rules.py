@@ -753,3 +753,91 @@ class EagerTelemetryFormatRule(LintRule):
                     )
                 )
         return findings
+
+
+# ---------------------------------------------------------------------------
+# RPL009 — no unused module-level imports
+# ---------------------------------------------------------------------------
+
+
+def _module_level_imports(body: List[ast.stmt]):
+    """The import statements a module runs at import time: its top-level
+    statements and those inside top-level ``if``/``try`` blocks."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If):
+            yield from _module_level_imports(node.body)
+            yield from _module_level_imports(node.orelse)
+        elif isinstance(node, ast.Try):
+            for block in (node.body, node.orelse, node.finalbody):
+                yield from _module_level_imports(block)
+            for handler in node.handlers:
+                yield from _module_level_imports(handler.body)
+
+
+def _string_names(node: ast.AST) -> Set[str]:
+    """Names in the string constants under *node* that parse as Python
+    expressions (quoted annotations such as ``"EdgeList"``)."""
+    names: Set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                parsed = ast.parse(sub.value, mode="eval")
+            except SyntaxError:
+                continue
+            names.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return names
+
+
+@register
+class UnusedImportRule(LintRule):
+    """An import nothing reads misstates what a module depends on, and
+    an unused module import still runs on every ``import repro`` (the
+    setup path every worker pays).  A module-level binding counts as
+    used when any name expression reads it, when a quoted annotation
+    names it, or when ``__all__`` lists it (a package re-export)."""
+
+    code = "RPL009"
+    name = "no-unused-imports"
+    summary = (
+        "every module-level import must be used, quoted in an "
+        "annotation, or listed in __all__"
+    )
+
+    def check(self, tree, source, relpath):
+        used: Set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+                used |= _string_names(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+                used |= _string_names(node.returns)
+            elif isinstance(node, (ast.Assign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                    used.update(
+                        sub.value
+                        for sub in ast.walk(node.value)
+                        if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                    )
+        findings: List[RawFinding] = []
+        for node in _module_level_imports(tree.body):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    findings.append(
+                        RawFinding(
+                            node.lineno,
+                            node.col_offset,
+                            f"`{bound}` is imported but never used; remove the "
+                            "import (or list the name in __all__ if it is a "
+                            "re-export)",
+                        )
+                    )
+        return findings

@@ -24,7 +24,7 @@ import json
 import os
 import re
 import statistics
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from ..errors import ValidationError
 

@@ -19,13 +19,10 @@ hence the ``keep_unpaired`` and ``drop_policy`` knobs.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Dict, List, Set, Tuple
-
 import numpy as np
 
 from .._validation import check_non_negative
-from ..core.measurements import MeasurementSet
+from ..core.measurements import EdgeList, MeasurementSet
 from ..errors import ValidationError
 
 __all__ = [
@@ -56,7 +53,7 @@ def bidirectional_filter(
         it restricts the histogram to bidirectional pairs only.
     """
     check_non_negative(tolerance_m, "tolerance_m")
-    reduced = measurements.reduce("median")
+    reduced = measurements.reduce()
     out = MeasurementSet()
     for (i, j) in reduced.undirected_pairs:
         forward = reduced.distances(i, j)
@@ -99,65 +96,50 @@ def triangle_filter(
     check_non_negative(slack_m, "slack_m")
     if drop_policy not in ("greedy", "suspect", "all"):
         raise ValidationError("drop_policy must be 'greedy', 'suspect' or 'all'")
-    reduced = measurements.symmetrized()
-    pairs = reduced.undirected_pairs
-    dist: Dict[Tuple[int, int], float] = {
-        (i, j): float(reduced.distances(i, j)[0]) for (i, j) in pairs
-    }
-    nodes = reduced.node_ids
-    neighbor_map: Dict[int, Set[int]] = {n: set() for n in nodes}
-    for (i, j) in pairs:
-        neighbor_map[i].add(j)
-        neighbor_map[j].add(i)
-
-    # Enumerate all triangles (triples with all three edges measured).
-    triangles: List[Tuple[Tuple[int, int], Tuple[int, int], Tuple[int, int]]] = []
-    for a in nodes:
-        for b, c in combinations(sorted(neighbor_map[a]), 2):
-            if a >= b:  # each triangle once, via its smallest vertex
-                continue
-            if c not in neighbor_map[b]:
-                continue
-            triangles.append(
-                (
-                    (min(a, b), max(a, b)),
-                    (min(a, c), max(a, c)),
-                    (min(b, c), max(b, c)),
-                )
-            )
-
-    def violating(triple) -> bool:
-        lengths = sorted(dist[e] for e in triple)
-        return lengths[0] + lengths[1] + slack_m < lengths[2]
-
-    bad_edges: Set[Tuple[int, int]] = set()
+    # One distance per undirected pair: the median of each direction,
+    # then the mean of the two; pairs sorted by (min, max) node id.
+    edges = EdgeList.from_directed(*measurements.columns())
+    triangles = _triangles(edges.pairs)
+    lengths = edges.distances[triangles]
+    ordered = np.sort(lengths, axis=1)
+    violating = ordered[:, 0] + ordered[:, 1] + slack_m < ordered[:, 2]
+    bad = np.zeros(len(edges), dtype=bool)
     if drop_policy == "greedy":
-        active = list(triangles)
-        while True:
-            votes: Dict[Tuple[int, int], int] = {}
-            for triple in active:
-                if any(e in bad_edges for e in triple):
-                    continue
-                if violating(triple):
-                    for e in triple:
-                        votes[e] = votes.get(e, 0) + 1
-            if not votes:
-                break
-            worst = max(votes, key=lambda e: (votes[e], e))
-            bad_edges.add(worst)
-    else:
-        for triple in triangles:
-            if not violating(triple):
-                continue
-            if drop_policy == "suspect":
-                longest = max(triple, key=lambda e: dist[e])
-                bad_edges.add(longest)
-            else:  # "all"
-                bad_edges.update(triple)
+        # Edge ids follow the (min, max) order, so among the edges with
+        # the most votes the largest id is the largest pair.
+        active = triangles[violating]
+        while active.size:
+            votes = np.bincount(active.ravel(), minlength=len(edges))
+            worst = votes.size - 1 - int(np.argmax(votes[::-1]))
+            bad[worst] = True
+            active = active[(active != worst).all(axis=1)]
+    elif drop_policy == "suspect":
+        longest = np.argmax(lengths[violating], axis=1)
+        bad[triangles[violating, longest]] = True
+    else:  # "all"
+        bad[triangles[violating]] = True
+    return measurements.without_pairs(set(map(tuple, edges.pairs[bad].tolist())))
 
-    def edge_ok(m) -> bool:
-        key = (min(m.source, m.receiver), max(m.source, m.receiver))
-        return key not in bad_edges
 
-    return measurements.filter(edge_ok)
+def _triangles(pairs: np.ndarray) -> np.ndarray:
+    """Every triangle of the graph with edges *pairs* (``(m, 2)``, rows
+    ``i < j`` sorted), as ``(t, 3)`` edge ids ``(a, b), (a, c), (b, c)``
+    for ``a < b < c``, in ``(a, b, c)`` order.
 
+    The candidates for edge ``(a, b)`` are the edges ``(a, c)`` after it
+    in ``a``'s run; a candidate closes a triangle when ``(b, c)`` is an
+    edge, found by a binary search of the sorted pair keys.  Memory grows
+    with the candidates, not with the square of the node count.
+    """
+    if pairs.shape[0] == 0:
+        return np.zeros((0, 3), dtype=np.int64)
+    nodes, local = np.unique(pairs, return_inverse=True)
+    a, b = local.reshape(pairs.shape).T
+    keys = a * nodes.size + b
+    later = np.searchsorted(a, a, side="right") - np.arange(a.size) - 1
+    ab = np.repeat(np.arange(a.size), later)
+    ac = ab + 1 + np.arange(ab.size) - np.repeat(np.cumsum(later) - later, later)
+    wanted = b[ab] * nodes.size + b[ac]
+    bc = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    found = keys[bc] == wanted
+    return np.stack([ab[found], ac[found], bc[found]], axis=1)

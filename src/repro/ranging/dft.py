@@ -16,8 +16,7 @@ clean/noisy demonstration of Figure 10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

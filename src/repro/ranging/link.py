@@ -30,6 +30,11 @@ reproducibility contract fixes: the long-noise draw, then per chirp
 ``c`` its burst count, each burst's start and length, its timing
 jitter, and its ``n`` uniforms, straight into row ``c`` of the
 attempt's slice of a ``(BLOCK_ATTEMPTS, num_chirps, n)`` draw stack.
+The burst count is one ``rng.poisson`` of a mean fixed at construction
+(none is drawn when the environment has no bursts or the buffer is
+empty), and only a chirp that drew a burst places any
+(:meth:`~repro.acoustics.noise.NoiseBurstProcess._place_bursts`, into
+the attempt's burst rows).
 The same seed gives the same buffers, and the generator ends in the
 same state, whatever the block size.  Per attempt it records the
 distance, the pair's unit gain and latency, the link gain and echo,
@@ -44,9 +49,10 @@ chirp length, clipped to the buffer) are recomputed exactly, as
 ``draws < 1 - (1 - base_fp) * (1 - ramp[j] * p_hit)``: noise and signal
 are independent chances of the detector firing.  An attempt that drew
 a burst, or whose link has an echo, gets dense ``(num_chirps, n)``
-probability rows instead: the floor with its bursts, the signal and
-then the echo mixed in (:func:`_mix_chirps`).  One sum over the chirps
-gives the counts, clipped at 15.
+probability rows instead: a copy of the floor with its bursts, the
+signal and then the echo mixed in (:func:`_mix_chirps`).  The copy
+leaves the block as drawn, so pass 2 may run again.  One sum over the
+chirps gives the counts, clipped at 15.
 """
 
 from __future__ import annotations
@@ -155,6 +161,9 @@ class AcousticLinkSimulator:
         self._ramp = np.minimum(1.0, np.arange(1, chirp_len + 1, dtype=float) / self.ramp_samples)
         self._taps = np.arange(chirp_len)
         self._bursts._check_window(self._buffer_length, fs, self.environment.false_positive_rate)
+        #: Each chirp's Poisson mean burst count, None where no count is
+        #: drawn (see NoiseBurstProcess._mean_count).
+        self._burst_mean = self._bursts._mean_count(self._buffer_length, fs)
 
     # ------------------------------------------------------------------
     # Link construction
@@ -268,6 +277,11 @@ class LinkBlock:
         self.draws = self._draws_flat[:-1].reshape(capacity, num_chirps, n)
         self._hits = self._hits_flat[:-1].reshape(capacity, num_chirps, n)
         self._rows = list(self.draws.reshape(rows, n))
+        # Every chirp-long window of every row, as views (none when a
+        # chirp outlasts the buffer).
+        taps = min(simulator._taps.size, n)
+        self._draw_windows = _windows(self._draws_flat, rows, n, taps)
+        self._hit_windows = _windows(self._hits_flat, rows, n, taps)
         #: Every drawn chirp's timing jitter, in draw order.
         self.jitter: List[float] = []
         #: One tuple of columns per drawn attempt (see :meth:`draw`).
@@ -275,10 +289,7 @@ class LinkBlock:
         #: Attempts that get dense rows: their burst rows (None for an
         #: echo without bursts), in attempt order.
         self.dense: Dict[int, Optional[np.ndarray]] = {}
-        # One row at the current floor, for the burst writer to draw
-        # into; refilled after each burst.
-        self._scratch = np.empty(n)
-        self._scratch_fp: Optional[float] = None
+        self._probs = np.empty((num_chirps, n))
 
     @property
     def size(self) -> int:
@@ -311,27 +322,25 @@ class LinkBlock:
         # measurement: all chirps see the elevated floor.
         if rng.random() < sim.long_noise_probability:
             base_fp = max(base_fp, sim.long_noise_fp_rate)
-        scratch = self._scratch
-        if base_fp != self._scratch_fp:
-            scratch.fill(base_fp)
-            self._scratch_fp = base_fp
-
         num_chirps = self.num_chirps
         fs = sim.tdoa.sampling_rate_hz
-        write_bursts = sim._bursts._write_bursts
         sigma = sim.timing_jitter_samples
         jitter = self.jitter
         rows = self._rows
         first = a * num_chirps
+        lam = sim._burst_mean
+        # Bound once: the loop below runs once per chirp.
+        poisson, normal, random = rng.poisson, rng.normal, rng.random
         burst_rows = None
         for c in range(num_chirps):
-            if write_bursts(scratch, fs, base_fp, rng):
-                if burst_rows is None:
-                    burst_rows = np.full((num_chirps, self.n), base_fp)
-                burst_rows[c] = scratch
-                scratch.fill(base_fp)
-            jitter.append(rng.normal(0.0, sigma))
-            rng.random(out=rows[first + c])
+            if lam is not None:
+                n_bursts = poisson(lam)
+                if n_bursts:
+                    if burst_rows is None:
+                        burst_rows = np.full((num_chirps, self.n), base_fp)
+                    sim._bursts._place_bursts(burst_rows[c], n_bursts, fs, base_fp, rng)
+            jitter.append(normal(0.0, sigma))
+            random(out=rows[first + c])
 
         if burst_rows is not None or link.has_echo:
             self.dense[a] = burst_rows
@@ -385,11 +394,16 @@ class LinkBlock:
         # then the samples under a chirp are compared again.
         np.less(draws, base_fp[:, None, None], out=hits)
         if len(self.dense) < size:
-            index, probs = self._window(arrivals, base_fp, keep)
-            self._hits_flat[index] = self._draws_flat[index] < probs[:, None, :]
+            self._compare_windows(*self._window(arrivals, base_fp, keep))
         echo_strength = sim.environment.echo_strength
+        # The chirps mix into a copy: the stored burst rows stay as drawn,
+        # so a second call gives the same sums.
+        probs = self._probs
         for a, burst_rows in self.dense.items():
-            probs = burst_rows if burst_rows is not None else np.full(draws.shape[1:], base_fp[a])
+            if burst_rows is None:
+                probs.fill(base_fp[a])
+            else:
+                np.copyto(probs, burst_rows)
             _mix_chirps(probs, arrivals[a], keep[a])
             if has_echo[a]:
                 _mix_chirps(
@@ -409,25 +423,50 @@ class LinkBlock:
 
         Chirp ``c`` of attempt ``a`` starts at ``s = round(arrivals[a,
         c])`` (half to even, as in :func:`_mix_chirps`) and covers
-        sample ``s + j`` for ``j < keep.shape[1]``, with probability
-        ``1 - (1 - base_fp[a]) * keep[a, j]``.  Returns the flat index
-        of every ``(a, c, j)`` into the stacks, ``(size, num_chirps,
-        taps)``, and the probabilities, ``(size, taps)``.  Samples off
-        either end of their row index the spare slot.
+        sample ``s + j`` for ``j < keep.shape[1]``, clipped to the row,
+        with probability ``1 - (1 - base_fp[a]) * keep[a, j]``.  Returns
+        the starts, ``(size, num_chirps)`` int64, and the
+        probabilities, ``(size, taps)``.
         """
-        size, num_chirps = arrivals.shape
         n = self.n
-        taps = self.simulator._taps
+        taps = keep.shape[1]
         # Clipping first keeps the integer cast exact, as in _mix_chirps.
-        starts = np.rint(np.minimum(np.maximum(arrivals, -taps.size), n)).astype(np.int64)
-        rows = np.arange(0, size * num_chirps * n, n).reshape(size, num_chirps, 1)
-        index = (starts[:, :, None] + rows) + taps
-        if starts.min(initial=0) < 0 or starts.max(initial=0) > n - taps.size:
+        starts = np.rint(np.minimum(np.maximum(arrivals, -taps), n)).astype(np.int64)
+        return starts, 1.0 - (1.0 - base_fp)[:, None] * keep
+
+    def _compare_windows(self, starts: np.ndarray, probs: np.ndarray) -> None:
+        """Compare again the samples under each chirp (see
+        :meth:`_window`).  A window inside its row is one row of the
+        stacks' sliding-window views; the few that run off either end
+        take flat indices, with their samples off the row sent to the
+        spare slot."""
+        num_chirps = starts.shape[1]
+        n = self.n
+        inside = (starts >= 0) & (starts <= n - probs.shape[1])
+        attempt, chirp = np.nonzero(inside)
+        if attempt.size:
+            row = attempt * num_chirps + chirp
+            start = starts[attempt, chirp]
+            self._hit_windows[row, start] = self._draw_windows[row, start] < probs[attempt]
+        if attempt.size < inside.size:
+            attempt, chirp = np.nonzero(~inside)
+            samples = starts[attempt, chirp][:, None] + self.simulator._taps
+            index = samples + ((attempt * num_chirps + chirp) * n)[:, None]
             # Negative samples wrap to huge unsigned values, so one
             # comparison finds both ends.
-            samples = (index - rows).view(np.uint64)
-            np.putmask(index, samples >= n, self._draws_flat.size - 1)
-        return index, 1.0 - (1.0 - base_fp)[:, None] * keep
+            np.putmask(index, samples.view(np.uint64) >= n, self._draws_flat.size - 1)
+            self._hits_flat[index] = self._draws_flat[index] < probs[attempt]
+
+
+def _windows(flat: np.ndarray, rows: int, n: int, taps: int) -> np.ndarray:
+    """Every *taps*-long window of the first *rows* rows of length *n*
+    in *flat*, ``(rows, n - taps + 1, taps)``: the view
+    ``sliding_window_view`` gives, writing through, for a small part of
+    its set-up cost (a block of one is built per ``measure`` call)."""
+    step = flat.itemsize
+    return np.ndarray(
+        (rows, n - taps + 1, taps), flat.dtype, flat, strides=(n * step, step, step)
+    )
 
 
 def _mix_chirps(probs: np.ndarray, arrivals: np.ndarray, keep: np.ndarray) -> None:

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .._validation import check_positive, ensure_rng
+from .._validation import ensure_rng
 from ..acoustics.environment import Environment
 from ..acoustics.hardware import HardwareProfile
 from ..acoustics.signal import ChirpPattern

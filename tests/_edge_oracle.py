@@ -2,8 +2,9 @@
 
 :func:`per_pair_edge_list` is the body ``MeasurementSet.to_edge_list``
 had before it was vectorized: symmetrize with one ``np.median`` per
-directed pair and one ``np.mean`` per undirected pair, then look each
-collapsed distance up pair by pair.  :func:`per_pair_gaussian_ranges`
+directed pair and one ``np.mean`` per undirected pair (the frozen
+``symmetrized`` of ``_consistency_oracle``), then look each collapsed
+distance up pair by pair.  :func:`per_pair_gaussian_ranges`
 is the Gaussian generator as it was before it drew in columns: one
 scalar ``rng.normal`` per pair, in pair order.  Tests compare the
 production code with them byte for byte.
@@ -15,9 +16,11 @@ import numpy as np
 
 from repro.core.measurements import EdgeList, MeasurementSet
 
+from _consistency_oracle import symmetrized
+
 
 def per_pair_edge_list(ms, *, weight_fn=None) -> EdgeList:
-    sym = ms.symmetrized()
+    sym = symmetrized(ms)
     pairs = sym.undirected_pairs
     if not pairs:
         return EdgeList(

@@ -24,7 +24,7 @@ from repro.acoustics.hardware import HardwarePopulation, HardwareProfile
 from repro.errors import CalibrationError
 from repro.network.radio import RadioModel
 from repro.ranging import link as link_module
-from repro.ranging.campaign import CampaignConfig, RangingCampaign
+from repro.ranging.campaign import CampaignConfig, RangingCampaign, run_campaign
 from repro.ranging.consistency import triangle_filter
 from repro.ranging.filtering import confidence_weighted_edges
 from repro.ranging.link import AcousticLinkSimulator, LinkBlock, LinkRealization
@@ -131,6 +131,25 @@ class TestCampaignKernel:
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
         assert _edge_bytes(fast) == _edge_bytes(slow)
 
+    @pytest.mark.parametrize(
+        "environment",
+        [
+            get_environment("urban").with_overrides(noise_burst_rate_hz=60.0),
+            get_environment("grass").with_overrides(noise_burst_rate_hz=0.0),
+        ],
+        ids=["bursts", "no-bursts"],
+    )
+    def test_run_campaign_leaves_the_generator_where_the_oracle_does(self, environment):
+        service = RangingService(environment=environment)
+        points = [(8.0 * i, 8.0 * j) for i in range(3) for j in range(3)]
+        fast_rng = np.random.default_rng(21)
+        slow_rng = np.random.default_rng(21)
+        fast = run_campaign(points, service, rounds=2, rng=fast_rng)
+        slow = _acoustic_oracle.run_campaign(points, service, rounds=2, rng=slow_rng)
+        assert len(fast) > 0
+        assert _rows(fast) == _rows(slow)
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
     def test_pair_distances_are_the_per_attempt_hypot(self):
         rng = np.random.default_rng(3)
         points = rng.uniform(-40.0, 40.0, size=(25, 2))
@@ -195,6 +214,40 @@ class TestBlockCounts:
         assert block.counts().tobytes() == np.stack(expected).tobytes()
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
+
+    def test_hit_sums_leave_the_block_as_drawn(self):
+        # Bursts in most chirps and an echo: the chirps mix into dense
+        # rows, and a second call must see the rows as they were drawn.
+        sim = AcousticLinkSimulator(environment=ENVIRONMENT_CASES["urban-bursty"])
+        rng = np.random.default_rng(5)
+        block = LinkBlock(sim, 10, capacity=2)
+        echo = LinkRealization(link_gain_db=0.0, has_echo=True, echo_delay_s=0.004)
+        for distance in (6.0, 11.0):
+            block.draw(distance, HardwareProfile(), HardwareProfile(), echo, rng)
+        assert all(rows is not None for rows in block.dense.values())
+        first = block.hit_sums()
+        assert block.hit_sums().tobytes() == first.tobytes()
+        assert block.counts().tobytes() == np.minimum(first, 15).astype(np.int64).tobytes()
+
+    def test_windows_at_the_row_ends_compare_only_their_covered_samples(self):
+        # Starts on both sides of each row end: the windows inside a row
+        # take the window views, the others the flat indices.
+        sim = AcousticLinkSimulator(environment=get_environment("grass"))
+        n, taps = sim._buffer_length, sim._taps.size
+        ends = [-taps - 1, -taps, -taps + 1, -1, 0, 1, n - taps - 1, n - taps, n - taps + 1, n]
+        block = LinkBlock(sim, len(ends), capacity=2)
+        rng = np.random.default_rng(0)
+        block.draws[...] = rng.random(block.draws.shape)
+        block._hits[...] = False
+        starts = np.array([ends, ends[::-1]], dtype=np.int64)
+        probs = rng.random((2, taps))
+        block._compare_windows(starts, probs)
+        expected = np.zeros(block._hits.shape, dtype=bool)
+        for a, c in np.ndindex(starts.shape):
+            samples = starts[a, c] + np.arange(taps)
+            covered = (samples >= 0) & (samples < n)
+            expected[a, c, samples[covered]] = block.draws[a, c, samples[covered]] < probs[a, covered]
+        assert block._hits.tobytes() == expected.tobytes()
 
     def test_counts_clip_hit_sums_at_15(self):
         # Twenty chirps at 5 m: most signal samples are hit more than

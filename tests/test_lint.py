@@ -37,8 +37,8 @@ def check(source, relpath="module.py", config=STRICT):
 
 
 class TestRegistry:
-    def test_ships_the_seven_documented_rules(self):
-        assert sorted(RULES) == [f"RPL00{i}" for i in (1, 3, 4, 5, 6, 7, 8)]
+    def test_ships_the_documented_rules(self):
+        assert sorted(RULES) == [f"RPL00{i}" for i in (1, 3, 4, 5, 6, 7, 8, 9)]
 
     def test_every_rule_has_name_and_summary(self):
         for code, rule in RULES.items():
@@ -57,11 +57,11 @@ class TestRPL001GlobalRNG:
         assert codes(check(bad)) == ["RPL001"]
 
     def test_flags_stdlib_random_import(self):
-        assert codes(check("import random\n")) == ["RPL001"]
-        assert codes(check("from random import shuffle\n")) == ["RPL001"]
+        assert codes(check("import random\nrandom.seed(7)\n")) == ["RPL001"]
+        assert codes(check("from random import shuffle\nshuffle([])\n")) == ["RPL001"]
 
     def test_flags_from_numpy_random_import_of_banned_name(self):
-        bad = "from numpy.random import normal\n"
+        bad = "from numpy.random import normal\nx = normal()\n"
         assert codes(check(bad)) == ["RPL001"]
 
     def test_allows_generator_seedsequence_surface(self):
@@ -69,6 +69,7 @@ class TestRPL001GlobalRNG:
             "import numpy as np\n"
             "from numpy.random import SeedSequence, default_rng\n"
             "rng = np.random.default_rng(np.random.SeedSequence(7))\n"
+            "other = default_rng(SeedSequence(8))\n"
             "gen = np.random.Generator(np.random.PCG64(3))\n"
         )
         assert codes(check(good)) == []
@@ -324,9 +325,58 @@ class TestRPL008EagerTelemetryFormat:
         assert codes(check(source, "store/result_store.py")) == []
 
 
+class TestRPL009UnusedImports:
+    def test_flags_unused_module_and_from_imports(self):
+        bad = (
+            "import numpy as np\n"
+            "import os.path\n"
+            "from typing import List, Optional\n"
+            "def f(x: Optional[int]) -> int:\n"
+            "    return x\n"
+        )
+        report = check(bad)
+        assert codes(report) == ["RPL009", "RPL009", "RPL009"]
+        assert [f.line for f in report.findings] == [1, 2, 3]
+        for finding, name in zip(report.findings, ("np", "os", "List")):
+            assert f"`{name}`" in finding.message
+
+    def test_flags_imports_inside_module_level_if_and_try(self):
+        bad = (
+            "try:\n"
+            "    import json\n"
+            "except ImportError:\n"
+            "    json = None\n"
+            "if True:\n"
+            "    from math import pi\n"
+        )
+        assert codes(check(bad)) == ["RPL009"]
+
+    def test_used_names_are_clean(self):
+        good = (
+            "from __future__ import annotations\n"
+            "import os.path\n"
+            "import numpy as np\n"
+            "from typing import TYPE_CHECKING, Dict\n"
+            "from .core import EdgeList, LssConfig, run\n"
+            "__all__ = ['run']\n"
+            "def f(d: Dict[str, 'EdgeList']) -> 'Optional[LssConfig]':\n"
+            "    return np.asarray(os.path.sep)\n"
+            "x: 'TYPE_CHECKING' = 1\n"
+        )
+        assert codes(check(good)) == []
+
+    def test_function_level_imports_are_not_checked(self):
+        good = "def f():\n    import numpy as np\n    return 1\n"
+        assert codes(check(good)) == []
+
+    def test_future_and_star_imports_are_exempt(self):
+        good = "from __future__ import annotations\nfrom math import *\n"
+        assert codes(check(good)) == []
+
+
 class TestSuppressionsAndAllowlist:
     def test_inline_suppression_moves_finding_to_suppressed(self):
-        source = "import random  # repro-lint: disable=RPL001\n"
+        source = "import random  # repro-lint: disable=RPL001\nrandom.seed(7)\n"
         report = check(source)
         assert report.clean
         assert [finding.code for finding in report.suppressed] == ["RPL001"]
@@ -335,6 +385,7 @@ class TestSuppressionsAndAllowlist:
         source = (
             "import random  # repro-lint: disable=RPL001\n"
             "from random import shuffle\n"
+            "shuffle([random.random()])\n"
         )
         report = check(source)
         assert codes(report) == ["RPL001"]
@@ -371,7 +422,7 @@ class TestSuppressionsAndAllowlist:
         config = LintConfig(
             allowlist=(AllowEntry("RPL003", "store/gc.py", "clock"),)
         )
-        source = "import random\n"
+        source = "import random\nrandom.seed(7)\n"
         assert codes(check(source, "store/gc.py", config=config)) == ["RPL001"]
 
     def test_directory_scope_matches_anywhere_in_path(self):
@@ -439,7 +490,7 @@ class TestJsonReport:
         assert parsed == report
 
     def test_json_carries_schema_and_counts(self):
-        report = check("import random\n")
+        report = check("import random\nrandom.seed(7)\n")
         payload = json.loads(report.to_json())
         assert payload["schema"] == LINT_SCHEMA_VERSION
         assert payload["counts"] == {"findings": 1, "suppressed": 0, "allowed": 0}

@@ -132,70 +132,55 @@ class TestReduce:
         ms = MeasurementSet()
         for d in (5.0, 100.0, 5.2):
             ms.add_distance(0, 1, d)
-        reduced = ms.reduce("median")
+        reduced = ms.reduce()
         assert len(reduced) == 1
         assert reduced.distances(0, 1)[0] == pytest.approx(5.2)
 
-    def test_mean(self):
+    def test_even_count_takes_mean_of_middle_values(self):
         ms = MeasurementSet()
-        for d in (4.0, 6.0):
+        for d in (9.0, 1.0, 4.0, 2.0):
             ms.add_distance(0, 1, d)
-        assert ms.reduce("mean").distances(0, 1)[0] == pytest.approx(5.0)
-
-    def test_mode_resists_outliers(self):
-        ms = MeasurementSet()
-        for d in (5.0, 5.1, 5.2, 4.9, 17.0, 18.0):
-            ms.add_distance(0, 1, d)
-        value = ms.reduce("mode").distances(0, 1)[0]
-        assert 4.8 <= value <= 5.3
-
-    def test_mode_single_value(self):
-        ms = MeasurementSet()
-        ms.add_distance(0, 1, 7.7)
-        assert ms.reduce("mode").distances(0, 1)[0] == pytest.approx(7.7)
-
-    def test_unknown_statistic(self):
-        ms = MeasurementSet()
-        ms.add_distance(0, 1, 1.0)
-        with pytest.raises(ValidationError):
-            ms.reduce("max")
+        assert ms.reduce().distances(0, 1)[0] == 3.0
 
     def test_truth_preserved_when_consistent(self):
         ms = MeasurementSet()
         ms.add_distance(0, 1, 5.0, true_distance=5.5)
         ms.add_distance(0, 1, 5.4, true_distance=5.5)
-        reduced = ms.reduce("median")
+        reduced = ms.reduce()
         assert reduced.get(0, 1)[0].true_distance == pytest.approx(5.5)
 
     def test_reduce_idempotent(self):
         ms = MeasurementSet()
         for d in (1.0, 2.0, 3.0):
             ms.add_distance(0, 1, d)
-        once = ms.reduce("median")
-        twice = once.reduce("median")
+        once = ms.reduce()
+        twice = once.reduce()
         assert once.distances(0, 1)[0] == twice.distances(0, 1)[0]
 
 
-class TestSymmetrize:
-    def test_averages_directions(self):
+class TestColumns:
+    def test_columns_follow_iteration_order(self):
         ms = MeasurementSet()
-        ms.add_distance(0, 1, 10.0)
-        ms.add_distance(1, 0, 12.0)
-        sym = ms.symmetrized()
-        assert len(sym) == 1
-        assert sym.distances(0, 1)[0] == pytest.approx(11.0)
+        ms.add_distance(3, 1, 2.5)
+        ms.add_distance(0, 2, 4.0)
+        ms.add_distance(3, 1, 1.5)
+        sources, receivers, distances = ms.columns()
+        assert [(m.source, m.receiver, m.distance) for m in ms] == list(
+            zip(sources.tolist(), receivers.tolist(), distances.tolist())
+        )
+        assert (sources.dtype, receivers.dtype, distances.dtype) == (np.int64, np.int64, float)
 
-    def test_keeps_one_way(self):
-        ms = MeasurementSet()
-        ms.add_distance(1, 0, 7.0)
-        sym = ms.symmetrized()
-        assert sym.distances(0, 1)[0] == pytest.approx(7.0)
+    def test_empty_columns(self):
+        assert [c.shape for c in MeasurementSet().columns()] == [(0,), (0,), (0,)]
 
-    def test_stores_as_min_max(self):
+    def test_without_pairs_drops_both_directions_and_keeps_order(self):
         ms = MeasurementSet()
-        ms.add_distance(5, 2, 3.0)
-        sym = ms.symmetrized()
-        assert sym.directed_pairs == [(2, 5)]
+        for source, receiver, d in ((2, 0, 1.0), (0, 1, 2.0), (0, 2, 3.0), (1, 0, 4.0), (2, 1, 5.0)):
+            ms.add_distance(source, receiver, d)
+        out = ms.without_pairs({(0, 2)})
+        assert [m.distance for m in out] == [2.0, 4.0, 5.0]
+        out.add_distance(0, 1, 9.0)
+        assert len(ms.get(0, 1)) == 1  # the copy does not share its lists
 
 
 class TestEdgeList:
@@ -280,7 +265,7 @@ def test_median_reduce_between_min_and_max(distances):
     ms = MeasurementSet()
     for d in distances:
         ms.add_distance(0, 1, d)
-    value = ms.reduce("median").distances(0, 1)[0]
+    value = ms.reduce().distances(0, 1)[0]
     assert min(distances) - 1e-9 <= value <= max(distances) + 1e-9
 
 
@@ -289,13 +274,13 @@ def test_median_reduce_between_min_and_max(distances):
     backward=st.lists(st.floats(0.1, 50.0), min_size=1, max_size=5),
 )
 @settings(max_examples=50, deadline=None)
-def test_symmetrized_between_direction_medians(forward, backward):
+def test_edge_distance_between_direction_medians(forward, backward):
     ms = MeasurementSet()
     for d in forward:
         ms.add_distance(0, 1, d)
     for d in backward:
         ms.add_distance(1, 0, d)
-    value = ms.symmetrized().distances(0, 1)[0]
+    value = ms.to_edge_list().distances[0]
     lo = min(np.median(forward), np.median(backward))
     hi = max(np.median(forward), np.median(backward))
     assert lo - 1e-9 <= value <= hi + 1e-9

@@ -186,11 +186,14 @@ class TestCountBuffers:
             mixed[:] = [probs.copy()]
 
         def record_window(block, arrivals, base_fp, keep):
-            index, probs = window(block, arrivals, base_fp, keep)
-            implied = np.full(block._draws_flat.shape, base_fp[0])
-            implied[index.reshape(-1)] = np.broadcast_to(probs[:, None, :], index.shape).reshape(-1)
-            windows[:] = [implied[:-1].reshape(block.num_chirps, block.n)]
-            return index, probs
+            starts, probs = window(block, arrivals, base_fp, keep)
+            samples = starts[0][:, None] + np.arange(probs.shape[1])
+            chirps = np.broadcast_to(np.arange(block.num_chirps)[:, None], samples.shape)
+            covered = (samples >= 0) & (samples < block.n)
+            implied = np.full((block.num_chirps, block.n), base_fp[0])
+            implied[chirps[covered], samples[covered]] = np.broadcast_to(probs[0], samples.shape)[covered]
+            windows[:] = [implied]
+            return starts, probs
 
         def record_track(p, arrival, p_hit, ramp):
             add_signal(p, arrival, p_hit, ramp)
