@@ -26,25 +26,13 @@ from __future__ import annotations
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .._validation import check_node_positions
 from ..errors import InsufficientDataError, ValidationError
-from .measurements import EdgeList, as_graph_edges, check_edge_distances
+from .measurements import EdgeList, _shortest_paths, as_graph_edges, check_edge_distances
 from .multilateration import NetworkLocalization
 
 __all__ = ["dv_hop_localize", "dv_distance_localize"]
-
-
-def _graph_matrix(edges: EdgeList, n_nodes: int, unit_weights: bool) -> csr_matrix:
-    rows = np.concatenate([edges.pairs[:, 0], edges.pairs[:, 1]])
-    cols = np.concatenate([edges.pairs[:, 1], edges.pairs[:, 0]])
-    if unit_weights:
-        vals = np.ones(rows.shape[0])
-    else:
-        vals = np.concatenate([edges.distances, edges.distances])
-    return csr_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
 
 
 def _inputs(
@@ -142,9 +130,8 @@ def dv_hop_localize(
     edges, anchors = _inputs(measurements, anchor_positions, n_nodes)
     anchor_ids = sorted(anchors)
 
-    hop_graph = _graph_matrix(edges, n_nodes, unit_weights=True)
-    hops = shortest_path(
-        hop_graph, method="D", directed=False, indices=anchor_ids
+    hops = _shortest_paths(
+        edges, n_nodes, unit_lengths=True, sources=anchor_ids
     )  # (n_anchors, n_nodes)
 
     # Per-anchor meters-per-hop correction from anchor-anchor geometry.
@@ -197,9 +184,6 @@ def dv_distance_localize(
     edges, anchors = _inputs(measurements, anchor_positions, n_nodes)
     check_edge_distances(edges.distances)
     anchor_ids = sorted(anchors)
-    dist_graph = _graph_matrix(edges, n_nodes, unit_weights=False)
-    path_dist = shortest_path(
-        dist_graph, method="D", directed=False, indices=anchor_ids
-    )
+    path_dist = _shortest_paths(edges, n_nodes, sources=anchor_ids)
     distances = np.where(np.isfinite(path_dist.T), path_dist.T, np.nan)
     return _aps_localize(distances, anchors, n_nodes, min_anchors)

@@ -21,12 +21,16 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .._validation import as_finite_array
 from ..errors import GraphDisconnectedError, InsufficientDataError, ValidationError
-from .measurements import EdgeList, as_graph_edges, check_edge_distances, check_graph_edges
+from .measurements import (
+    EdgeList,
+    _shortest_paths,
+    as_graph_edges,
+    check_edge_distances,
+    check_graph_edges,
+)
 
 __all__ = ["classical_mds", "complete_distances", "mds_map", "mds_map_stack"]
 
@@ -80,11 +84,7 @@ def complete_distances(measurements, n_nodes: int) -> np.ndarray:
     if len(edges) == 0:
         raise InsufficientDataError("no measurements to complete")
     check_edge_distances(edges.distances)
-    rows = np.concatenate([edges.pairs[:, 0], edges.pairs[:, 1]])
-    cols = np.concatenate([edges.pairs[:, 1], edges.pairs[:, 0]])
-    vals = np.concatenate([edges.distances, edges.distances])
-    graph = csr_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
-    full = shortest_path(graph, method="D", directed=False)
+    full = _shortest_paths(edges, n_nodes)
     if np.any(np.isinf(full)):
         raise GraphDisconnectedError(
             "measurement graph is disconnected; cannot complete the "

@@ -15,8 +15,9 @@ library.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -65,6 +66,10 @@ class RangeMeasurement:
         if self.source < 0 or self.receiver < 0:
             raise ValidationError("node ids must be non-negative")
         check_non_negative(self.distance, "distance")
+        if self.distance == 0 and math.copysign(1.0, self.distance) < 0:
+            # -0.0 sorts equal to 0.0, so a median over both would pick
+            # a zero by sort order; keep only +0.0.
+            object.__setattr__(self, "distance", self.distance + 0.0)
 
     @property
     def error(self) -> Optional[float]:
@@ -430,6 +435,38 @@ def check_edge_distances(distances: np.ndarray) -> None:
     """
     if not np.all(np.isfinite(distances)) or np.any(distances < 0):
         raise ValidationError("edge distances must be finite and >= 0")
+
+
+def _shortest_paths(
+    edges: EdgeList,
+    n_nodes: int,
+    *,
+    unit_lengths: bool = False,
+    sources: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """Dijkstra path lengths over the undirected graph of *edges*.
+
+    Each edge's length is its distance, or 1 with *unit_lengths* (hop
+    counts).  Returns ``(len(sources), n_nodes)``, or ``(n_nodes,
+    n_nodes)`` for every source; ``inf`` marks an unreachable node.
+    Callers check the edges first (:func:`check_graph_edges`, and
+    :func:`check_edge_distances` for measured lengths).
+
+    scipy is imported here, on the first search, not with the package:
+    ``scipy.sparse`` loads about 400 modules, and only the MDS-MAP and
+    APS baselines search paths.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    rows = np.concatenate([edges.pairs[:, 0], edges.pairs[:, 1]])
+    cols = np.concatenate([edges.pairs[:, 1], edges.pairs[:, 0]])
+    if unit_lengths:
+        vals = np.ones(rows.shape[0])
+    else:
+        vals = np.concatenate([edges.distances, edges.distances])
+    graph = csr_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
+    return shortest_path(graph, method="D", directed=False, indices=sources)
 
 
 def _run_medians(values: np.ndarray, starts: np.ndarray) -> np.ndarray:

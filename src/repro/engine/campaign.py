@@ -34,6 +34,13 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+# numpy imports these two on first use, and every trial uses both: its
+# Generator, and np.median, which reads np.ma on each call.  Import them
+# with the runner, so the cost stays in set-up rather than in the first
+# timed trial and in every forked worker.
+import numpy.ma  # repro-lint: disable=RPL009
+import numpy.random  # repro-lint: disable=RPL009
+
 from .. import telemetry
 from ..errors import ValidationError
 

@@ -170,9 +170,9 @@ class TestEdgeDistanceValidation:
         from repro.core import aps
 
         def no_search(*args, **kwargs):
-            raise AssertionError("shortest_path reached with an unusable length")
+            raise AssertionError("shortest-path search reached with an unusable length")
 
-        monkeypatch.setattr(aps, "shortest_path", no_search)
+        monkeypatch.setattr(aps, "_shortest_paths", no_search)
         with pytest.raises(ValidationError, match="finite and >= 0"):
             dv_distance_localize(self._edges(bad), self.ANCHORS, 5)
 

@@ -22,15 +22,16 @@ from repro.ranging.consistency import triangle_filter
 from repro.ranging.filtering import confidence_weighted_edges
 
 import _consistency_oracle
+import _edge_oracle
 
 POLICIES = ("greedy", "suspect", "all")
 
 #: A coarse grid makes ties, equal middle values and violated
-#: triangles common; the float range covers everything else.  No -0.0:
-#: the sorts order it equal to 0.0, so which of the two a median picks
-#: is not fixed.
+#: triangles common; the float range covers everything else.  -0.0 is
+#: drawn too: a measurement stores it as 0.0, so no sort can pick
+#: between two zeros.
 _distance = st.one_of(
-    st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0]),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0]),
     st.floats(0.0, 40.0, allow_nan=False),
 )
 
@@ -117,6 +118,20 @@ class TestColumnarFilters:
     @settings(max_examples=200, deadline=None)
     def test_reduce_matches_the_per_pair_reduction(self, ms):
         assert _rows(ms.reduce()) == _rows(_consistency_oracle.reduce_median(ms))
+
+    def test_signed_zeros_collapse_to_the_oracle_zero(self):
+        # Sorted equal, the three zeros once left -0.0 in the middle of
+        # the columnar median and 0.0 in the per-pair one.
+        ms = _from_rows([(0, 1, 0.0), (0, 1, -0.0), (0, 1, 0.0)])
+        assert [m.distance.hex() for m in ms] == ["0x0.0p+0"] * 3
+        assert _edge_bytes(ms.to_edge_list()) == _edge_bytes(
+            _edge_oracle.per_pair_edge_list(ms)
+        )
+        assert _rows(ms.reduce()) == _rows(_consistency_oracle.reduce_median(ms))
+        assert _rows(triangle_filter(ms)) == _rows(_consistency_oracle.triangle_filter(ms))
+        assert _edge_bytes(confidence_weighted_edges(ms)) == _edge_bytes(
+            _consistency_oracle.confidence_weighted_edges(ms)
+        )
 
     def test_vote_tie_drops_the_largest_pair(self):
         out = triangle_filter(_VOTE_TIE, slack_m=0.0)

@@ -35,6 +35,15 @@ class TestRangeMeasurement:
         # Garbage detections at buffer start produce 0.0 estimates.
         assert RangeMeasurement(0, 1, 0.0).distance == 0.0
 
+    @pytest.mark.parametrize("zero", [-0.0, np.float64(-0.0)], ids=["float", "float64"])
+    def test_negative_zero_stored_as_zero(self, zero):
+        distance = RangeMeasurement(0, 1, zero).distance
+        assert not np.signbit(distance)
+        assert type(distance) is type(zero)
+
+    def test_integer_zero_kept(self):
+        assert type(RangeMeasurement(0, 1, 0).distance) is int
+
 
 class TestMeasurementSetBasics:
     def test_empty(self):

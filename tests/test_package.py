@@ -90,22 +90,48 @@ def test_quickstart_docstring_example_runs():
     assert report.average_error < 2.0
 
 
-def test_import_loads_no_optimizer():
-    """The Nelder-Mead transform fit was ``scipy.optimize``'s only
-    importer in the package; it lives in ``tests/_oracles.py`` now."""
+def _fresh_interpreter(code: str) -> str:
+    """Standard output of *code* run in a new interpreter on this tree."""
     src = Path(repro.__file__).resolve().parent.parent
     result = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, repro, repro.scenarios; print('scipy.optimize' in sys.modules)",
-        ],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+_LOADED_SCIPY = "any(name.split('.')[0] == 'scipy' for name in sys.modules)"
+
+
+def test_import_loads_no_scipy():
+    """scipy loads only inside the calls that need it: the baselines'
+    shortest-path search and the adaptive scheduler's z-value."""
+    code = f"import sys, repro, repro.scenarios; print({_LOADED_SCIPY})"
+    assert _fresh_interpreter(code) == "False"
+
+
+def test_trials_import_nothing_but_the_dv_hop_search():
+    """A trial of every registered scenario imports no module, so no
+    timed trial and no forked sweep worker pays for an import; only
+    ``uniform-dv-hop``'s shortest-path search loads scipy."""
+    code = f"""
+import sys
+import numpy as np
+from repro.scenarios import all_scenarios, scenario_trial
+specs = all_scenarios()
+for scenario_id, spec in specs.items():
+    if scenario_id != "uniform-dv-hop":
+        rng = np.random.default_rng(0)
+        loaded = set(sys.modules)
+        scenario_trial(rng, spec=spec)
+        assert set(sys.modules) == loaded, (scenario_id, sorted(set(sys.modules) - loaded))
+scenario_trial(np.random.default_rng(0), spec=specs["uniform-dv-hop"])
+print({_LOADED_SCIPY})
+"""
+    assert _fresh_interpreter(code) == "True"
 
 
 class TestSingleNumpyKernelSurface:
