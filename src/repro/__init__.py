@@ -50,7 +50,7 @@ Subpackages
     One driver per paper figure (used by benchmarks and examples).
 """
 
-from . import acoustics, core, deploy, engine, network, ranging, scenarios, store
+from ._lazy import lazy_surface
 from .errors import (
     CalibrationError,
     GraphDisconnectedError,
@@ -59,22 +59,39 @@ from .errors import (
     ValidationError,
 )
 
-# Convenience re-exports of the most-used entry points.
-from .core import (
-    EdgeList,
-    LssConfig,
-    LssResult,
-    MeasurementSet,
-    RangeMeasurement,
-    distributed_localize,
-    evaluate_localization,
-    localize_network,
-    lss_localize,
-    multilaterate,
+# The subpackages and the convenience re-exports of the most-used entry
+# points import on first use: ``import repro`` loads only the errors, so
+# a process pays for the simulator only when it reaches for it.
+__getattr__, __dir__ = lazy_surface(
+    globals(),
+    submodules=(
+        "acoustics",
+        "core",
+        "deploy",
+        "engine",
+        "network",
+        "ranging",
+        "scenarios",
+        "store",
+    ),
+    exports={
+        ".core": (
+            "EdgeList",
+            "LssConfig",
+            "LssResult",
+            "MeasurementSet",
+            "RangeMeasurement",
+            "distributed_localize",
+            "evaluate_localization",
+            "localize_network",
+            "lss_localize",
+            "multilaterate",
+        ),
+        ".ranging": ("RangingService", "gaussian_ranges", "run_campaign"),
+        ".scenarios": ("ScenarioSpec", "get_scenario", "run_scenario"),
+        ".store": ("ResultStore",),
+    },
 )
-from .ranging import RangingService, gaussian_ranges, run_campaign
-from .scenarios import ScenarioSpec, get_scenario, run_scenario
-from .store import ResultStore
 
 #: Participates in every result-store key (see
 #: :func:`repro.store.default_code_version`): bumping it invalidates all

@@ -80,27 +80,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import telemetry
-from .engine.campaign import CampaignResult
-from .engine.scheduler import ConfidenceStop, ScheduledCampaignResult
-from .engine.sharding import ShardSpec
 from .errors import ValidationError
-from .experiments import all_experiments, get_experiment
-from .scenarios import (
-    all_scenarios,
-    get_scenario,
-    merge_scenario_shards,
-    run_scenario,
-    run_scenario_shard,
-    scenario_run_key,
-    scenario_shard_status,
-)
-from .store import ResultStore, default_store_root
-from .store.gc import DEFAULT_GRACE_SECONDS, collect
-from .store.result_store import default_code_version
-from .store.sync import diff, migrate, push
+from .store.gc import DEFAULT_GRACE_SECONDS
+
+# Each handler imports what it runs: `lint`, `trace`, `bench check`,
+# `store` and `--help` load no simulator module.
+if TYPE_CHECKING:
+    from .engine.campaign import CampaignResult
+    from .store import ResultStore
 
 #: Environment variable naming a trace file to write for every
 #: ``repro run`` (the ``--trace`` flag takes precedence when both are
@@ -530,6 +520,8 @@ def _cmd_store_ls(args, store: ResultStore) -> int:
 
 
 def _cmd_store_gc(args, store: ResultStore) -> int:
+    from .store.gc import collect
+
     try:
         max_bytes = None if args.max_bytes is None else _parse_size(args.max_bytes)
         report = collect(
@@ -560,12 +552,16 @@ def _open_source_store(path: str) -> ResultStore:
     an empty store and 'successfully' copying nothing."""
     from pathlib import Path
 
+    from .store import ResultStore
+
     if not Path(path).exists():
         raise ValidationError(f"source store {path!r} does not exist")
     return ResultStore(path)
 
 
 def _cmd_store_sync(args) -> int:
+    from .store import ResultStore, diff, push
+
     try:
         src = _open_source_store(args.src)
     except ValidationError as exc:
@@ -595,6 +591,8 @@ def _cmd_store_sync(args) -> int:
 
 
 def _cmd_store_migrate(args) -> int:
+    from .store import ResultStore, migrate
+
     try:
         src = _open_source_store(args.src)
     except ValidationError as exc:
@@ -623,6 +621,8 @@ def _shard_status_lines(store: ResultStore) -> list:
     never address, so pooling them with current-version shards would
     misreport completeness.  Stale groups are flagged instead.
     """
+    from .scenarios import get_scenario, scenario_run_key
+
     groups = {}
     for meta in store.list_shards():
         shard = meta.get("shard", {})
@@ -684,6 +684,9 @@ def _shard_status_lines(store: ResultStore) -> list:
 
 
 def _cmd_list(args) -> int:
+    from .experiments import all_experiments
+    from .scenarios import all_scenarios
+
     experiments = all_experiments()
     scenarios = all_scenarios()
     print(f"experiments ({len(experiments)}):")
@@ -711,6 +714,8 @@ def _cmd_list(args) -> int:
 
 
 def _open_store(args) -> Optional[ResultStore]:
+    from .store import ResultStore, default_store_root
+
     if args.no_store:
         return None
     if args.store is not None:
@@ -752,6 +757,8 @@ def _cmd_run(args, run_parser) -> int:
     trace_path = _resolve_trace_path(args)
     if trace_path is None:
         return _cmd_run_inner(args, run_parser)
+    from .store import default_code_version
+
     with telemetry.recording() as recorder:
         recorder.set_manifest(
             argv=["run", args.id], code_version=default_code_version()
@@ -763,11 +770,13 @@ def _cmd_run(args, run_parser) -> int:
 
 
 def _cmd_run_inner(args, run_parser) -> int:
+    from .engine import ConfidenceStop, ScheduledCampaignResult
+    from .experiments import DEFAULT_SEED, all_experiments, get_experiment
+    from .scenarios import all_scenarios, get_scenario, run_scenario
+
     experiments = all_experiments()
     scenarios = all_scenarios()
     if args.id in experiments:
-        from .experiments import DEFAULT_SEED
-
         offending = [
             flag
             for flag, attr in _SCENARIO_ONLY_FLAGS
@@ -952,6 +961,9 @@ def _cmd_bench_check(args) -> int:
 
 
 def _run_scenario_shard(args, spec, store: Optional[ResultStore]) -> int:
+    from .engine import ShardSpec
+    from .scenarios import run_scenario_shard, scenario_shard_status
+
     if args.adaptive:
         print(
             "--shard cannot combine with --adaptive: the stopping rule "
@@ -1010,6 +1022,9 @@ def _run_scenario_shard(args, spec, store: Optional[ResultStore]) -> int:
 
 
 def _cmd_merge(args) -> int:
+    from .experiments import all_experiments
+    from .scenarios import all_scenarios, get_scenario, merge_scenario_shards
+
     scenarios = all_scenarios()
     if args.id not in scenarios:
         hint = (

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .._validation import check_non_negative, check_positive, ensure_rng
-from ..errors import ValidationError
+from ..errors import DeploymentInfeasibleError, ValidationError
 
 __all__ = ["uniform_random_layout", "town_layout", "parking_lot_layout"]
 
@@ -58,10 +58,11 @@ def uniform_random_layout(
     Rejection-samples candidates uniformly over the field, in draw
     order: a candidate is kept unless it lies closer than
     *min_separation_m* to a node already placed.  With a positive
-    separation it raises once more than *max_attempts* candidates have
-    been drawn, kept or rejected, without placing *n_nodes* (density
-    too high).  At separation 0 nothing is rejected: the *n_nodes*
-    positions are drawn at once, with no attempt bound.
+    separation it raises :class:`~repro.errors.DeploymentInfeasibleError`
+    once more than *max_attempts* candidates have been drawn, kept or
+    rejected, without placing *n_nodes* (density too high).  At
+    separation 0 nothing is rejected: the *n_nodes* positions are drawn
+    at once, with no attempt bound.
 
     Candidates are drawn in blocks, and the keep rule runs in draw order
     over each block's precomputed distance masks.  The generator is then
@@ -108,7 +109,7 @@ def uniform_random_layout(
             blocked |= close[j]
         placed = np.concatenate([placed, cand[kept]])
         block *= 2
-    raise ValidationError(
+    raise DeploymentInfeasibleError(
         f"could not place {n_nodes} nodes with separation "
         f"{min_separation_m} m in {width_m} x {height_m} m"
     )
@@ -130,7 +131,9 @@ def town_layout(
     square blocks.  Each node is placed at a random point along a random
     street segment, displaced laterally by up to *street_jitter_m*
     (sensors sit on verges and building fronts, not lane centers), and
-    must keep *min_separation_m* from already-placed nodes.
+    must keep *min_separation_m* from already-placed nodes.  After
+    20,000 candidates without placing *n_nodes* it raises
+    :class:`~repro.errors.DeploymentInfeasibleError`.
     """
     if n_nodes < 1:
         raise ValidationError("n_nodes must be >= 1")
@@ -154,7 +157,7 @@ def town_layout(
     attempts = 0
     while len(placed) < n_nodes:
         if attempts > 20_000:
-            raise ValidationError(
+            raise DeploymentInfeasibleError(
                 f"could not place {n_nodes} nodes along streets with "
                 f"separation {min_separation_m} m; lower the density"
             )

@@ -28,6 +28,13 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+
+# multiprocessing imports these when the first pool starts, which is
+# inside a timed campaign.  Import them with the runner instead.
+import multiprocessing.pool  # repro-lint: disable=RPL009
+import multiprocessing.popen_fork  # repro-lint: disable=RPL009
+import multiprocessing.queues  # repro-lint: disable=RPL009
+import multiprocessing.synchronize  # repro-lint: disable=RPL009
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple

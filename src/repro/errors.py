@@ -17,6 +17,13 @@ class ValidationError(ReproError, ValueError):
     """Raised when an input fails validation (shape, range, type)."""
 
 
+class DeploymentInfeasibleError(ValidationError):
+    """Raised when a placement sampler gives up: it drew its whole
+    candidate budget without placing every node at the requested
+    separation.  The arguments were valid; that draw was too dense for
+    random sequential placement."""
+
+
 class InsufficientDataError(ReproError, ValueError):
     """Raised when an algorithm does not have enough measurements to
     produce a solution (e.g. fewer than three non-collinear anchors for

@@ -30,8 +30,8 @@ unbenched run, and trace analytics never mutates the trace it reads.
 
 from __future__ import annotations
 
+from .._lazy import lazy_surface
 from .analytics import build_span_forest, chrome_trace, critical_path
-from .bench import run_suite, run_workload
 from .history import append_record, history_filename, list_records
 from .record import (
     BENCH_SCHEMA_VERSION,
@@ -43,7 +43,18 @@ from .record import (
     write_bench_record,
 )
 from .regression import BenchComparison, compare_records
-from .suites import Workload, get_suite, register_suite
+
+# The suites name every experiment driver, so they and the harness load
+# on first use: reading, checking and rendering records stays clear of
+# the simulator.
+__getattr__, __dir__ = lazy_surface(
+    globals(),
+    submodules=("bench", "suites"),
+    exports={
+        ".bench": ("run_suite", "run_workload"),
+        ".suites": ("Workload", "get_suite", "register_suite"),
+    },
+)
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",

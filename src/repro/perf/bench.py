@@ -14,7 +14,9 @@
 - runs under its own :func:`repro.telemetry.recording` scope, so the
   run's counters (solves, cache misses/puts, committed trials) ride
   into the record without perturbing any ambient recorder;
-- is timed with ``time.perf_counter`` around the whole workload call.
+- is timed with ``time.perf_counter`` around the whole workload call,
+  whose imports and registry lookups were all made before the first
+  repeat (a scenario workload also runs one untimed warm-up trial).
 
 A ``kernel`` workload captures its pinned stack once, untimed, and each
 repeat times one descent on it; its record adds ``us_per_epoch``.
@@ -38,7 +40,7 @@ import statistics
 import tempfile
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .. import telemetry
 from ..errors import ValidationError
@@ -68,14 +70,33 @@ def _store_env(root: str):
             os.environ["REPRO_STORE_DIR"] = saved
 
 
-def _execute(workload: Workload, store) -> None:
-    """Run one repeat of *workload* against *store* (scenarios) or the
-    ambient default store (experiments)."""
-    if workload.kind == "scenario":
-        from ..scenarios import get_scenario, run_scenario
+def _prepare(workload: Workload) -> Callable[[Any], None]:
+    """The call one repeat of *workload* times, given the repeat's store.
 
+    Every import and registry lookup the call needs happens here, before
+    any timer starts.  A scenario workload also runs one untimed trial
+    into a throwaway store with telemetry off, so the first timed repeat
+    pays for no import made inside a trial (scipy's, for one) either.
+    """
+    if workload.kind == "kernel":
+        from .kernels import kernel_descent
+
+        descend = kernel_descent(workload.target_id, workload.seed)
+        return lambda store: descend()
+    if workload.kind == "experiment":
+        from ..experiments import get_experiment
+
+        driver = get_experiment(workload.target_id)
+        return lambda store: driver(workload.seed)
+
+    from ..scenarios import get_scenario, run_scenario
+    from ..store import ResultStore
+
+    spec = get_scenario(workload.target_id)
+
+    def execute(store) -> None:
         run_scenario(
-            get_scenario(workload.target_id),
+            spec,
             master_seed=workload.seed,
             n_trials=workload.n_trials,
             store=store,
@@ -85,10 +106,17 @@ def _execute(workload: Workload, store) -> None:
             # is what the guarantee-#10 byte-identity pin inspects.
             use_cache=False,
         )
-    else:
-        from ..experiments import get_experiment
 
-        get_experiment(workload.target_id)(workload.seed)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
+        with telemetry.recording(telemetry.NULL_RECORDER):
+            run_scenario(
+                spec,
+                master_seed=workload.seed,
+                n_trials=1,
+                store=ResultStore(os.path.join(tmp, "store")),
+                use_cache=False,
+            )
+    return execute
 
 
 def run_workload(
@@ -108,11 +136,7 @@ def run_workload(
         raise ValidationError(f"repeats must be >= 1; got {repeats}")
     timings: List[float] = []
     counters: Dict[str, float] = {}
-    descend = None
-    if workload.kind == "kernel":
-        from .kernels import kernel_descent
-
-        descend = kernel_descent(workload.target_id, workload.seed)
+    execute = _prepare(workload)
     for _ in range(repeats):
         with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
             rep_store = store
@@ -128,10 +152,7 @@ def run_workload(
             with _store_env(env_root):
                 with telemetry.recording() as recorder:
                     start = perf_counter()
-                    if descend is not None:
-                        descend()
-                    else:
-                        _execute(workload, rep_store)
+                    execute(rep_store)
                     timings.append(perf_counter() - start)
         # Last repeat wins: the counters are deterministic functions of
         # (workload, seed), so any repeat reports the same values.

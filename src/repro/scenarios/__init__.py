@@ -10,15 +10,8 @@ canonically hashable dataclasses, decoupled from *how* campaigns execute
 the early-stopping scheduler, memoized by content address.
 """
 
+from .._lazy import lazy_surface
 from .registry import all_scenarios, get_scenario, register_scenario
-from .runner import (
-    merge_scenario_shards,
-    run_scenario,
-    run_scenario_shard,
-    scenario_run_key,
-    scenario_shard_key,
-    scenario_shard_status,
-)
 from .spec import (
     AnchorSpec,
     DeploymentSpec,
@@ -27,7 +20,25 @@ from .spec import (
     SolverSpec,
     expand_grid,
 )
-from .trial import draw_deployment, draw_ranges, scenario_trial, select_anchors
+
+# Specs and the registry are eager; the trial and the campaign runner,
+# which between them import everything a trial reaches, load on first
+# use.
+__getattr__, __dir__ = lazy_surface(
+    globals(),
+    submodules=("runner", "trial"),
+    exports={
+        ".runner": (
+            "merge_scenario_shards",
+            "run_scenario",
+            "run_scenario_shard",
+            "scenario_run_key",
+            "scenario_shard_key",
+            "scenario_shard_status",
+        ),
+        ".trial": ("draw_deployment", "draw_ranges", "scenario_trial", "select_anchors"),
+    },
+)
 
 __all__ = [
     "AnchorSpec",

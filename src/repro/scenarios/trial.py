@@ -21,6 +21,8 @@ from typing import Dict
 
 import numpy as np
 
+from .. import telemetry
+from ..acoustics import get_environment
 from ..core import (
     DistributedConfig,
     EdgeList,
@@ -31,7 +33,6 @@ from ..core import (
     lss_localize,
 )
 from ..core.aps import dv_hop_localize
-from ..errors import GraphDisconnectedError, InsufficientDataError
 from ..deploy import (
     boundary_anchors,
     paper_grid,
@@ -42,7 +43,20 @@ from ..deploy import (
     town_layout,
     uniform_random_layout,
 )
-from ..ranging import gaussian_edges
+
+# core imports these inside its functions.  Importing them here keeps
+# every import out of the trials: no timed trial and no forked worker
+# pays for one.
+from ..engine import batch, localmaps  # repro-lint: disable=RPL009
+from ..errors import DeploymentInfeasibleError, GraphDisconnectedError, InsufficientDataError
+from ..ranging import (
+    RangingService,
+    TdoaConfig,
+    gaussian_edges,
+    run_campaign,
+    triangle_filter,
+)
+from ..ranging.filtering import confidence_weighted_edges
 from .spec import DeploymentSpec, AnchorSpec, RangingSpec, ScenarioSpec
 
 __all__ = ["scenario_trial", "draw_deployment", "draw_ranges", "select_anchors"]
@@ -87,10 +101,6 @@ def draw_ranges(spec: RangingSpec, positions, rng) -> EdgeList:
     # Full signal-level acoustic campaign (Section 3): calibrate a
     # ranging service for the environment, run chirp rounds, and keep
     # the triangle-consistent confidence-weighted edges.
-    from ..acoustics import get_environment
-    from ..ranging import RangingService, TdoaConfig, run_campaign, triangle_filter
-    from ..ranging.filtering import confidence_weighted_edges
-
     env = get_environment(spec.environment)
     service = RangingService(
         environment=env, tdoa=TdoaConfig(max_range_m=spec.max_range_m)
@@ -174,12 +184,17 @@ def scenario_trial(rng, *, spec: ScenarioSpec) -> Dict[str, float]:
     """One randomized trial of *spec*: deploy, range, localize, score.
 
     Returns at least ``fraction_localized`` / ``mean_error_m`` /
-    ``median_error_m`` (nan on degenerate draws — no edges, nothing to
-    localize, too few reachable anchors for DV-hop — so campaigns
-    aggregate rather than crash), plus
-    algorithm-specific extras.
+    ``median_error_m`` (nan on degenerate draws — a deployment the
+    placement sampler gives up on, no edges, nothing to localize, too
+    few reachable anchors for DV-hop — so campaigns aggregate rather
+    than crash), plus algorithm-specific extras.  A deployment given up
+    on counts ``trial.failed.deployment-infeasible``.
     """
-    positions = draw_deployment(spec.deployment, rng)
+    try:
+        positions = draw_deployment(spec.deployment, rng)
+    except DeploymentInfeasibleError:
+        telemetry.count("trial.failed.deployment-infeasible")
+        return _nan_metrics()
     ranges = draw_ranges(spec.ranging, positions, rng)
     anchor_idx = select_anchors(spec.anchors, positions, rng)
     if len(ranges) == 0:

@@ -13,6 +13,7 @@ separate hosts, and :mod:`repro.store.gc` for size-budget eviction and
 staging-file cleanup.
 """
 
+from .._lazy import lazy_surface
 from .backends import (
     EntryInfo,
     FilesystemBackend,
@@ -32,17 +33,27 @@ from .result_store import (
     encode_payload,
     open_default_store,
 )
-from .serialization import (
-    aggregates_equal,
-    campaign_from_payload,
-    campaign_to_payload,
-    measurement_set_from_payload,
-    measurement_set_to_payload,
-    records_equal,
-    shard_from_payload,
-    shard_to_payload,
-)
 from .sync import StoreDiff, SyncReport, diff, migrate, pull, push
+
+# The payload codecs import the engine's and core's result types, so
+# they load on first use: opening, syncing or collecting a store stays
+# clear of the simulator.
+__getattr__, __dir__ = lazy_surface(
+    globals(),
+    submodules=("serialization",),
+    exports={
+        ".serialization": (
+            "aggregates_equal",
+            "campaign_from_payload",
+            "campaign_to_payload",
+            "measurement_set_from_payload",
+            "measurement_set_to_payload",
+            "records_equal",
+            "shard_from_payload",
+            "shard_to_payload",
+        ),
+    },
+)
 
 __all__ = [
     "ResultStore",

@@ -15,7 +15,7 @@ from repro.deploy import (
     town_layout,
     uniform_random_layout,
 )
-from repro.errors import ValidationError
+from repro.errors import DeploymentInfeasibleError, ValidationError
 
 
 class TestOffsetGrid:
@@ -136,6 +136,39 @@ class TestRandomLayouts:
             uniform_random_layout(0)
         with pytest.raises(ValidationError):
             town_layout(0)
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda: uniform_random_layout(
+                160, width_m=60.0, height_m=60.0, min_separation_m=4.0, rng=1
+            ),
+            lambda: parking_lot_layout(45, rng=0),
+            lambda: town_layout(300, rng=0),
+        ],
+        ids=["uniform", "parking-lot", "town"],
+    )
+    def test_sampler_give_up_is_deployment_infeasible(self, layout):
+        """Valid arguments past the sampler's reach: the give-up has its
+        own error, still a ValidationError for existing callers."""
+        with pytest.raises(DeploymentInfeasibleError, match="could not place"):
+            layout()
+        assert issubclass(DeploymentInfeasibleError, ValidationError)
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda: uniform_random_layout(0),
+            lambda: uniform_random_layout(5, width_m=-1.0),
+            lambda: town_layout(0),
+            lambda: town_layout(5, blocks_x=0),
+            lambda: town_layout(5, min_separation_m=-1.0),
+        ],
+    )
+    def test_bad_arguments_stay_plain_validation_errors(self, layout):
+        with pytest.raises(ValidationError) as info:
+            layout()
+        assert not isinstance(info.value, DeploymentInfeasibleError)
 
 
 class TestAnchors:

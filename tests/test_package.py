@@ -369,3 +369,122 @@ class TestNoSolverSelector:
 
         assert "ext-distributed" not in experiments.all_experiments()
         assert not hasattr(experiments, "ext_distributed_batched")
+
+
+# -- lazy package surfaces ------------------------------------------------
+
+_SIMULATOR = ("acoustics", "core", "deploy", "engine", "network", "ranging")
+
+
+def _loaded_under(subpackages) -> str:
+    """Code printing the sorted modules loaded under repro.<subpackages>."""
+    heads = [["repro", name] for name in subpackages]
+    return f"sorted(m for m in sys.modules if m.split('.')[:2] in {heads!r})"
+
+
+def test_spec_layer_imports_no_simulator():
+    """``import repro.scenarios`` and a registry lookup load the spec
+    layer only: no simulator, store or telemetry module, no
+    multiprocessing and no sqlite3."""
+    code = f"""
+import sys
+import repro, repro.scenarios
+repro.scenarios.get_scenario("town-distributed-lss")
+print({_loaded_under(_SIMULATOR + ("store", "telemetry"))})
+print(sorted(m for m in ("multiprocessing", "sqlite3") if m in sys.modules))
+"""
+    assert _fresh_interpreter(code) == "[]\n[]"
+
+
+def test_spec_layer_loads_at_most_eight_repro_modules():
+    code = """
+import sys
+import numpy
+before = set(sys.modules)
+import repro.scenarios
+print(*sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'repro'))
+"""
+    loaded = _fresh_interpreter(code).split()
+    assert len(loaded) <= 8, loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lint"],
+        ["--help"],
+        ["store", "stats", "--store", "{tmp}"],
+        ["bench", "check", "{tmp}/a.json", "--baseline", "{tmp}/b.json"],
+        ["trace", "summarize", "{tmp}/t.jsonl"],
+    ],
+    ids=["lint", "help", "store", "bench-check", "trace"],
+)
+def test_cli_commands_import_no_simulator(argv, tmp_path):
+    """``python -m repro`` imports per subcommand: the commands that do
+    not simulate load no simulator module (their exit codes do not
+    matter here)."""
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code = f"""
+import contextlib, io, sys
+from repro.__main__ import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        main({argv!r})
+    except (SystemExit, Exception):
+        pass
+print({_loaded_under(_SIMULATOR + ("experiments", "scenarios"))})
+"""
+    assert _fresh_interpreter(code) == "[]"
+
+
+_LAZY_PACKAGES = ["repro", "repro.scenarios", "repro.store", "repro.perf"]
+
+
+@pytest.mark.parametrize("module_name", _LAZY_PACKAGES)
+class TestLazySurface:
+    """Names a package loads on first use behave as eager ones did."""
+
+    def test_dir_covers_all(self, module_name):
+        module = importlib.import_module(module_name)
+        assert set(module.__all__) <= set(dir(module))
+
+    def test_star_import_binds_all(self, module_name):
+        namespace = {}
+        exec(f"from {module_name} import *", namespace)
+        module = importlib.import_module(module_name)
+        assert set(module.__all__) <= set(namespace)
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name), name
+
+    def test_unknown_name_raises_attribute_error(self, module_name):
+        module = importlib.import_module(module_name)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+
+
+@pytest.mark.parametrize("package", _LAZY_PACKAGES)
+def test_lazy_names_are_the_defining_modules_objects(package):
+    """Every ``__all__`` name is the object its defining module exports;
+    a subpackage name is the subpackage itself."""
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        value = getattr(module, name)
+        if inspect.ismodule(value):
+            assert value is importlib.import_module(f"{package}.{name}"), name
+        elif inspect.isclass(value) or inspect.isfunction(value):
+            defining = importlib.import_module(value.__module__)
+            assert getattr(defining, name) is value, name
+
+
+def test_pooled_campaign_imports_nothing_in_the_parent():
+    """Once ``run_scenario`` is imported, a 2-worker campaign imports no
+    module in the parent: starting the pool imports nothing either."""
+    code = """
+import sys
+from repro.scenarios import get_scenario, run_scenario
+spec = get_scenario("uniform-multilateration")
+loaded = set(sys.modules)
+run_scenario(spec, master_seed=0, n_trials=4, n_workers=2, store=None)
+print(sorted(set(sys.modules) - loaded))
+"""
+    assert _fresh_interpreter(code) == "[]"

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro.scenarios.runner as runner_module
+from repro import telemetry
 from repro.engine import ConfidenceStop
 from repro.errors import ValidationError
 from repro.scenarios import (
@@ -418,6 +419,33 @@ class TestScenarioTrial:
             spec = DeploymentSpec(kind=kind, n_nodes=n, width_m=50.0, height_m=50.0,
                                   min_separation_m=3.0)
             assert draw_deployment(spec, rng).shape == (n, 2)
+
+
+class TestInfeasibleDeployment:
+    """A draw the placement sampler gives up on is a counted NaN trial,
+    not an aborted campaign."""
+
+    @pytest.mark.parametrize(
+        "kind, n_nodes, master_seed",
+        # Seed 1 for `uniform`: 160 nodes is near the sampler's jamming
+        # limit, and at seed 0 one of the four draws still places them.
+        [("parking-lot", 45, 0), ("uniform", 160, 1)],
+    )
+    def test_campaign_finishes_with_counted_nan_trials(self, kind, n_nodes, master_seed):
+        spec = get_scenario("uniform-multilateration").with_overrides(
+            **{"deployment.kind": kind, "deployment.n_nodes": n_nodes}
+        )
+        with telemetry.recording() as recorder:
+            result = run_scenario(spec, master_seed=master_seed, n_trials=4, store=None)
+        assert result.n_trials == 4
+        assert result.n_nan_trials == 4
+        assert all(np.isnan(record.metrics["mean_error_m"]) for record in result.records)
+        assert recorder.counters["trial.failed.deployment-infeasible"] == 4
+
+    def test_feasible_campaign_counts_no_failure(self):
+        with telemetry.recording() as recorder:
+            run_scenario(get_scenario("uniform-multilateration"), n_trials=2, store=None)
+        assert "trial.failed.deployment-infeasible" not in recorder.counters
 
 
 class TestRunScenario:
