@@ -50,6 +50,8 @@ Subpackages
     One driver per paper figure (used by benchmarks and examples).
 """
 
+from itertools import chain
+
 from ._lazy import lazy_surface
 from .errors import (
     CalibrationError,
@@ -62,43 +64,7 @@ from .errors import (
 # The subpackages and the convenience re-exports of the most-used entry
 # points import on first use: ``import repro`` loads only the errors, so
 # a process pays for the simulator only when it reaches for it.
-__getattr__, __dir__ = lazy_surface(
-    globals(),
-    submodules=(
-        "acoustics",
-        "core",
-        "deploy",
-        "engine",
-        "network",
-        "ranging",
-        "scenarios",
-        "store",
-    ),
-    exports={
-        ".core": (
-            "EdgeList",
-            "LssConfig",
-            "LssResult",
-            "MeasurementSet",
-            "RangeMeasurement",
-            "distributed_localize",
-            "evaluate_localization",
-            "localize_network",
-            "lss_localize",
-            "multilaterate",
-        ),
-        ".ranging": ("RangingService", "gaussian_ranges", "run_campaign"),
-        ".scenarios": ("ScenarioSpec", "get_scenario", "run_scenario"),
-        ".store": ("ResultStore",),
-    },
-)
-
-#: Participates in every result-store key (see
-#: :func:`repro.store.default_code_version`): bumping it invalidates all
-#: cached simulation results.
-__version__ = "1.1.0"
-
-__all__ = [
+_SUBPACKAGES = (
     "acoustics",
     "core",
     "deploy",
@@ -107,27 +73,38 @@ __all__ = [
     "ranging",
     "scenarios",
     "store",
+)
+_EXPORTS = {
+    ".core": (
+        "MeasurementSet",
+        "RangeMeasurement",
+        "EdgeList",
+        "LssConfig",
+        "LssResult",
+        "lss_localize",
+        "multilaterate",
+        "localize_network",
+        "distributed_localize",
+        "evaluate_localization",
+    ),
+    ".ranging": ("RangingService", "gaussian_ranges", "run_campaign"),
+    ".scenarios": ("ScenarioSpec", "get_scenario", "run_scenario"),
+    ".store": ("ResultStore",),
+}
+__getattr__, __dir__ = lazy_surface(globals(), _SUBPACKAGES, _EXPORTS)
+
+#: Participates in every result-store key (see
+#: :func:`repro.store.default_code_version`): bumping it invalidates all
+#: cached simulation results.
+__version__ = "1.1.0"
+
+__all__ = [
+    *_SUBPACKAGES,
     "ReproError",
     "ValidationError",
     "InsufficientDataError",
     "GraphDisconnectedError",
     "CalibrationError",
-    "MeasurementSet",
-    "RangeMeasurement",
-    "EdgeList",
-    "LssConfig",
-    "LssResult",
-    "lss_localize",
-    "multilaterate",
-    "localize_network",
-    "distributed_localize",
-    "evaluate_localization",
-    "RangingService",
-    "gaussian_ranges",
-    "run_campaign",
-    "ScenarioSpec",
-    "get_scenario",
-    "run_scenario",
-    "ResultStore",
+    *chain.from_iterable(_EXPORTS.values()),
     "__version__",
 ]

@@ -30,6 +30,8 @@ unbenched run, and trace analytics never mutates the trace it reads.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .._lazy import lazy_surface
 from .analytics import build_span_forest, chrome_trace, critical_path
 from .history import append_record, history_filename, list_records
@@ -47,14 +49,11 @@ from .regression import BenchComparison, compare_records
 # The suites name every experiment driver, so they and the harness load
 # on first use: reading, checking and rendering records stays clear of
 # the simulator.
-__getattr__, __dir__ = lazy_surface(
-    globals(),
-    submodules=("bench", "suites"),
-    exports={
-        ".bench": ("run_suite", "run_workload"),
-        ".suites": ("Workload", "get_suite", "register_suite"),
-    },
-)
+_EXPORTS = {
+    ".suites": ("Workload", "get_suite", "register_suite"),
+    ".bench": ("run_suite", "run_workload"),
+}
+__getattr__, __dir__ = lazy_surface(globals(), ("bench", "suites"), _EXPORTS)
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -64,11 +63,7 @@ __all__ = [
     "read_bench_record",
     "validate_bench_record",
     "write_bench_record",
-    "Workload",
-    "get_suite",
-    "register_suite",
-    "run_suite",
-    "run_workload",
+    *chain.from_iterable(_EXPORTS.values()),
     "append_record",
     "history_filename",
     "list_records",

@@ -74,9 +74,9 @@ def _prepare(workload: Workload) -> Callable[[Any], None]:
     """The call one repeat of *workload* times, given the repeat's store.
 
     Every import and registry lookup the call needs happens here, before
-    any timer starts.  A scenario workload also runs one untimed trial
-    into a throwaway store with telemetry off, so the first timed repeat
-    pays for no import made inside a trial (scipy's, for one) either.
+    any timer starts.  A scenario workload also runs one untimed trial,
+    with no store and telemetry off, so the first timed repeat pays for
+    no import made inside a trial (scipy's, for one) either.
     """
     if workload.kind == "kernel":
         from .kernels import kernel_descent
@@ -90,7 +90,6 @@ def _prepare(workload: Workload) -> Callable[[Any], None]:
         return lambda store: driver(workload.seed)
 
     from ..scenarios import get_scenario, run_scenario
-    from ..store import ResultStore
 
     spec = get_scenario(workload.target_id)
 
@@ -107,15 +106,8 @@ def _prepare(workload: Workload) -> Callable[[Any], None]:
             use_cache=False,
         )
 
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        with telemetry.recording(telemetry.NULL_RECORDER):
-            run_scenario(
-                spec,
-                master_seed=workload.seed,
-                n_trials=1,
-                store=ResultStore(os.path.join(tmp, "store")),
-                use_cache=False,
-            )
+    with telemetry.recording(telemetry.NULL_RECORDER):
+        run_scenario(spec, master_seed=workload.seed, n_trials=1, store=None)
     return execute
 
 

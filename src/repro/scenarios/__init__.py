@@ -10,6 +10,8 @@ canonically hashable dataclasses, decoupled from *how* campaigns execute
 the early-stopping scheduler, memoized by content address.
 """
 
+from itertools import chain
+
 from .._lazy import lazy_surface
 from .registry import all_scenarios, get_scenario, register_scenario
 from .spec import (
@@ -24,21 +26,18 @@ from .spec import (
 # Specs and the registry are eager; the trial and the campaign runner,
 # which between them import everything a trial reaches, load on first
 # use.
-__getattr__, __dir__ = lazy_surface(
-    globals(),
-    submodules=("runner", "trial"),
-    exports={
-        ".runner": (
-            "merge_scenario_shards",
-            "run_scenario",
-            "run_scenario_shard",
-            "scenario_run_key",
-            "scenario_shard_key",
-            "scenario_shard_status",
-        ),
-        ".trial": ("draw_deployment", "draw_ranges", "scenario_trial", "select_anchors"),
-    },
-)
+_EXPORTS = {
+    ".trial": ("scenario_trial", "draw_deployment", "draw_ranges", "select_anchors"),
+    ".runner": (
+        "run_scenario",
+        "run_scenario_shard",
+        "scenario_run_key",
+        "scenario_shard_key",
+        "scenario_shard_status",
+        "merge_scenario_shards",
+    ),
+}
+__getattr__, __dir__ = lazy_surface(globals(), ("runner", "trial"), _EXPORTS)
 
 __all__ = [
     "AnchorSpec",
@@ -50,14 +49,5 @@ __all__ = [
     "register_scenario",
     "get_scenario",
     "all_scenarios",
-    "scenario_trial",
-    "draw_deployment",
-    "draw_ranges",
-    "select_anchors",
-    "run_scenario",
-    "run_scenario_shard",
-    "scenario_run_key",
-    "scenario_shard_key",
-    "scenario_shard_status",
-    "merge_scenario_shards",
+    *chain.from_iterable(_EXPORTS.values()),
 ]

@@ -13,6 +13,8 @@ separate hosts, and :mod:`repro.store.gc` for size-budget eviction and
 staging-file cleanup.
 """
 
+from itertools import chain
+
 from .._lazy import lazy_surface
 from .backends import (
     EntryInfo,
@@ -38,22 +40,19 @@ from .sync import StoreDiff, SyncReport, diff, migrate, pull, push
 # The payload codecs import the engine's and core's result types, so
 # they load on first use: opening, syncing or collecting a store stays
 # clear of the simulator.
-__getattr__, __dir__ = lazy_surface(
-    globals(),
-    submodules=("serialization",),
-    exports={
-        ".serialization": (
-            "aggregates_equal",
-            "campaign_from_payload",
-            "campaign_to_payload",
-            "measurement_set_from_payload",
-            "measurement_set_to_payload",
-            "records_equal",
-            "shard_from_payload",
-            "shard_to_payload",
-        ),
-    },
-)
+_EXPORTS = {
+    ".serialization": (
+        "campaign_to_payload",
+        "campaign_from_payload",
+        "measurement_set_to_payload",
+        "measurement_set_from_payload",
+        "records_equal",
+        "aggregates_equal",
+        "shard_to_payload",
+        "shard_from_payload",
+    ),
+}
+__getattr__, __dir__ = lazy_surface(globals(), ("serialization",), _EXPORTS)
 
 __all__ = [
     "ResultStore",
@@ -83,12 +82,5 @@ __all__ = [
     "collect",
     "DEFAULT_GRACE_SECONDS",
     # serialization
-    "campaign_to_payload",
-    "campaign_from_payload",
-    "measurement_set_to_payload",
-    "measurement_set_from_payload",
-    "records_equal",
-    "aggregates_equal",
-    "shard_to_payload",
-    "shard_from_payload",
+    *chain.from_iterable(_EXPORTS.values()),
 ]

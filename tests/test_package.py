@@ -12,6 +12,9 @@ import pytest
 
 import repro
 from repro.errors import ValidationError
+from repro.perf import make_bench_record, make_workload_result, write_bench_record
+from repro.store import ResultStore
+from repro.telemetry import TraceRecorder
 
 
 class TestTopLevelApi:
@@ -408,33 +411,54 @@ print(*sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'repro'
     assert len(loaded) <= 8, loaded
 
 
+def _bench_records(tmp_path) -> None:
+    """A bench record at ``a.json`` and the same record at ``b.json``."""
+    timings = make_workload_result(workload_id="w", kind="scenario", timings_s=[0.1] * 3)
+    record = make_bench_record("cli", [timings], now=0.0)
+    for name in ("a.json", "b.json"):
+        write_bench_record(tmp_path / name, record)
+
+
+def _store(tmp_path) -> None:
+    store = ResultStore(tmp_path / "store")
+    store.put(store.key_for("cli"), {"value": 1})
+
+
+def _trace(tmp_path) -> None:
+    recorder = TraceRecorder()
+    with recorder.span("scenario"):
+        recorder.count("engine.campaign.trials")
+    recorder.write(tmp_path / "t.jsonl", now=0.0)
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, setup",
     [
-        ["lint"],
-        ["--help"],
-        ["store", "stats", "--store", "{tmp}"],
-        ["bench", "check", "{tmp}/a.json", "--baseline", "{tmp}/b.json"],
-        ["trace", "summarize", "{tmp}/t.jsonl"],
+        (["lint"], None),
+        (["--help"], None),
+        (["store", "stats", "--store", "{tmp}/store"], _store),
+        (["bench", "check", "{tmp}/a.json", "--baseline", "{tmp}/b.json"], _bench_records),
+        (["trace", "summarize", "{tmp}/t.jsonl"], _trace),
     ],
     ids=["lint", "help", "store", "bench-check", "trace"],
 )
-def test_cli_commands_import_no_simulator(argv, tmp_path):
+def test_cli_commands_import_no_simulator(argv, setup, tmp_path):
     """``python -m repro`` imports per subcommand: the commands that do
-    not simulate load no simulator module (their exit codes do not
-    matter here)."""
+    not simulate run to a zero exit and load no simulator module."""
+    if setup is not None:
+        setup(tmp_path)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     code = f"""
 import contextlib, io, sys
 from repro.__main__ import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
-        main({argv!r})
-    except (SystemExit, Exception):
-        pass
-print({_loaded_under(_SIMULATOR + ("experiments", "scenarios"))})
+        status = main({argv!r})
+    except SystemExit as exc:
+        status = exc.code
+print(status, {_loaded_under(_SIMULATOR + ("experiments", "scenarios"))})
 """
-    assert _fresh_interpreter(code) == "[]"
+    assert _fresh_interpreter(code) == "0 []"
 
 
 _LAZY_PACKAGES = ["repro", "repro.scenarios", "repro.store", "repro.perf"]
