@@ -1064,6 +1064,22 @@ def _cmd_merge(args) -> int:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _dispatch(argv)
+        # Flush here, not at interpreter exit, so a closed pipe is
+        # caught below instead of printed as an ignored exception.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro list | head``).  Point stdout
+        # at devnull so the interpreter's own final flush cannot raise
+        # again, and exit quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _dispatch(argv) -> int:
     import sqlite3
 
     parser, run_parser = _build_parser()

@@ -76,6 +76,11 @@ HASH_EXCLUDED_FIELDS = ("scenario_id",)
 #: Deployment generators a :class:`DeploymentSpec` may name.
 DEPLOYMENT_KINDS = ("uniform", "grid", "paper-grid", "town", "parking-lot")
 
+#: The fixed (width_m, height_m, min_separation_m) of a "parking-lot"
+#: deployment: the defaults of :func:`repro.deploy.parking_lot_layout`,
+#: which ignores the spec's own field sizes.
+PARKING_LOT_FIELD = (25.0, 25.0, 4.0)
+
 #: Anchor selection strategies (see :mod:`repro.deploy.anchors`).
 ANCHOR_STRATEGIES = ("random", "spread", "boundary", "none")
 
@@ -105,7 +110,9 @@ class DeploymentSpec:
     a finite positive size and a finite ``min_separation_m >= 0``, with
     ``n_nodes`` within the packing bound of :func:`_packing_bound`; a
     "town" needs the same finite ``min_separation_m >= 0``; a "grid"
-    needs a finite positive ``spacing_m``.
+    needs a finite positive ``spacing_m``; a "parking-lot" needs
+    ``n_nodes`` within the same bound for its fixed field,
+    :data:`PARKING_LOT_FIELD` (at most 58 nodes).
     """
 
     kind: str = "uniform"
@@ -138,13 +145,18 @@ class DeploymentSpec:
             check_positive(self.width_m, "width_m")
             check_positive(self.height_m, "height_m")
             if self.min_separation_m > 0:
-                bound = _packing_bound(self.width_m, self.height_m, self.min_separation_m)
-                if self.n_nodes > bound:
-                    raise ValidationError(
-                        f"{self.n_nodes} nodes cannot be {self.min_separation_m} m "
-                        f"apart in a {self.width_m} x {self.height_m} m field "
-                        f"(at most {int(bound)} fit)"
-                    )
+                self._check_packing(self.width_m, self.height_m, self.min_separation_m)
+        if self.kind == "parking-lot":
+            self._check_packing(*PARKING_LOT_FIELD)
+
+    def _check_packing(self, width_m: float, height_m: float, separation_m: float) -> None:
+        bound = _packing_bound(width_m, height_m, separation_m)
+        if self.n_nodes > bound:
+            raise ValidationError(
+                f"{self.n_nodes} nodes cannot be {separation_m} m "
+                f"apart in a {width_m} x {height_m} m field "
+                f"(at most {int(bound)} fit)"
+            )
 
 
 def _packing_bound(width_m: float, height_m: float, separation_m: float) -> float:
@@ -258,6 +270,21 @@ class SolverSpec:
             raise ValidationError("max_epochs must be >= 1")
 
 
+#: Instance attribute holding :meth:`ScenarioSpec.canonical`'s memo.
+#: It is not a dataclass field, so equality, ``repr`` and ``asdict``
+#: never see it.
+_CANONICAL_MEMO = "_canonical_memo"
+
+
+def _fresh(form: Dict[str, Any]) -> Dict[str, Any]:
+    """Copy of a canonical form's nested dicts (the field values, all
+    scalars, are shared)."""
+    return {
+        key: _fresh(item) if isinstance(item, dict) else item
+        for key, item in form.items()
+    }
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One complete Monte-Carlo workload description.
@@ -296,10 +323,18 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
 
     def canonical(self) -> Dict[str, Any]:
-        """Nested plain-dict form with the cosmetic id stripped."""
-        payload = dataclasses.asdict(self)
-        payload.pop("scenario_id")
-        return payload
+        """Nested plain-dict form with the cosmetic id stripped.
+
+        The form is built once per instance (the spec is frozen, so it
+        cannot go stale); every call returns a fresh copy the caller may
+        mutate.
+        """
+        payload = self.__dict__.get(_CANONICAL_MEMO)
+        if payload is None:
+            payload = dataclasses.asdict(self)
+            payload.pop("scenario_id")
+            object.__setattr__(self, _CANONICAL_MEMO, payload)
+        return _fresh(payload)
 
     def canonical_json(self) -> str:
         """Deterministic JSON rendering of :meth:`canonical`."""
@@ -308,6 +343,13 @@ class ScenarioSpec:
     def spec_hash(self) -> str:
         """SHA-256 hex digest of the canonical JSON (the content address)."""
         return sha256_hex(self.canonical_json())
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The memo is derived state: pickles carry the fields only, as
+        # they did before it existed.
+        state = dict(self.__dict__)
+        state.pop(_CANONICAL_MEMO, None)
+        return state
 
     # ------------------------------------------------------------------
     # Derived / override helpers

@@ -38,10 +38,12 @@ from __future__ import annotations
 import gzip
 import json
 import os
+import re
 import sqlite3
 import threading
 import time
 import uuid
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional
@@ -62,13 +64,24 @@ __all__ = [
 #: Exceptions that mean "these bytes are not a readable gzip-JSON
 #: payload" — the corruption signature shared by the read and heal
 #: paths (json.JSONDecodeError subclasses ValueError; gzip raises
-#: OSError/EOFError on torn streams).
-CORRUPT_ERRORS = (OSError, EOFError, json.JSONDecodeError, UnicodeDecodeError)
+#: OSError/EOFError on torn streams, and zlib.error on a damaged
+#: deflate body).
+CORRUPT_ERRORS = (
+    OSError,
+    EOFError,
+    zlib.error,
+    json.JSONDecodeError,
+    UnicodeDecodeError,
+)
 
 #: Entries younger than this keep their recorded access time on reads —
 #: LRU eviction needs second-scale ordering, not a metadata write per
 #: cache hit.
 ACCESS_GRANULARITY_S = 1.0
+
+
+#: A store key: 64 lowercase hex characters (a sha256 digest).
+_KEY_PATTERN = re.compile(r"[0-9a-f]{64}")
 
 
 def check_key(key: str) -> None:
@@ -78,11 +91,7 @@ def check_key(key: str) -> None:
     :class:`ResultStore`) because a malformed key would otherwise become
     a path or SQL parameter.
     """
-    if not (
-        isinstance(key, str)
-        and len(key) == 64
-        and all(c in "0123456789abcdef" for c in key)
-    ):
+    if not (isinstance(key, str) and _KEY_PATTERN.fullmatch(key)):
         raise ValidationError(f"store keys are 64-char sha256 hex; got {key!r}")
 
 
@@ -234,32 +243,39 @@ class FilesystemBackend(StoreBackend):
 
     def __init__(self, root) -> None:
         self.location = Path(root)
+        # Entry paths are joined as strings: the pathlib objects a cache
+        # hit would otherwise build cost more than the read itself.
+        self._root_str = os.fspath(self.location)
 
     @property
     def root(self) -> Path:
         return self.location
 
     def path_for(self, key: str) -> Path:
+        return Path(self._entry_path(key))
+
+    def _entry_path(self, key: str) -> str:
         check_key(key)
-        return self.location / key[:2] / f"{key}.json.gz"
+        return os.path.join(self._root_str, key[:2], f"{key}.json.gz")
 
     def read_bytes(self, key: str, *, touch: bool = True) -> Optional[bytes]:
-        path = self.path_for(key)
+        path = self._entry_path(key)
         try:
-            data = path.read_bytes()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
             return None
         if touch:
             self._touch(path)
         return data
 
-    def _touch(self, path: Path) -> None:
+    def _touch(self, path: str) -> None:
         """Refresh *path*'s mtime (the LRU access stamp), throttled to
         :data:`ACCESS_GRANULARITY_S` and best-effort: a vanished or
         read-only entry must never turn a cache hit into an error."""
         now = time.time()
         try:
-            if now - path.stat().st_mtime > ACCESS_GRANULARITY_S:
+            if now - os.stat(path).st_mtime > ACCESS_GRANULARITY_S:
                 os.utime(path, (now, now))
         except OSError:
             pass
@@ -306,8 +322,7 @@ class FilesystemBackend(StoreBackend):
             if not (shard.is_dir() and len(shard.name) == 2):
                 continue
             for path in sorted(shard.glob("*.json.gz")):
-                name = path.name[: -len(".json.gz")]
-                if len(name) == 64 and all(c in "0123456789abcdef" for c in name):
+                if _KEY_PATTERN.fullmatch(path.name[: -len(".json.gz")]):
                     yield path
 
     def iter_keys(self) -> Iterator[str]:

@@ -30,6 +30,7 @@ every backend receives the same encoded bytes, entries survive
 
 from __future__ import annotations
 
+import functools
 import gzip
 import io
 import json
@@ -37,7 +38,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .. import telemetry
 from .._canonical import canonical_json, sha256_hex
@@ -128,9 +129,20 @@ def encode_payload(payload: Dict[str, Any]) -> bytes:
 
 def decode_payload(data: bytes) -> Dict[str, Any]:
     """Parse stored entry bytes; raises one of
-    :data:`repro.store.backends.CORRUPT_ERRORS` on damage."""
-    with gzip.open(io.BytesIO(data), "rt", encoding="utf-8") as fh:
-        return json.load(fh)
+    :data:`repro.store.backends.CORRUPT_ERRORS` on damage.
+
+    One pass over the whole entry: decompress every gzip member (zero
+    padding between members is skipped, as a streaming reader does),
+    then decode and parse the text.
+    """
+    return json.loads(gzip.decompress(data).decode("utf-8"))
+
+
+@functools.lru_cache(maxsize=None)
+def _get_metric_names(kind: str) -> Tuple[str, str, str]:
+    """The telemetry names of :meth:`ResultStore.get` for one backend
+    kind: hit counter, miss counter, latency histogram."""
+    return (f"store.{kind}.hit", f"store.{kind}.miss", f"store.{kind}.get_ms")
 
 
 @dataclass
@@ -249,9 +261,9 @@ class ResultStore:
 
     def _record_get(self, outcome: str, t0: float) -> None:
         """Per-backend-kind get telemetry (hit/miss counter + latency)."""
-        kind = self.backend.kind
-        telemetry.count(f"store.{kind}.{outcome}", 1)
-        telemetry.observe(f"store.{kind}.get_ms", (time.perf_counter() - t0) * 1000.0)
+        hit, miss, get_ms = _get_metric_names(self.backend.kind)
+        telemetry.count(hit if outcome == "hit" else miss, 1)
+        telemetry.observe(get_ms, (time.perf_counter() - t0) * 1000.0)
 
     def put(self, key: str, payload: Dict[str, Any]) -> Path:
         """Atomically publish *payload* under *key*; returns the path

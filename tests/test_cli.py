@@ -1,6 +1,13 @@
 """Tests for the ``python -m repro`` command-line entry point."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.__main__ import main
 from repro.scenarios import get_scenario, scenario_run_key
@@ -15,6 +22,25 @@ class TestList:
         assert "ext-sweep" in out
         assert "town-multilateration" in out
         assert "experiments (" in out and "scenarios (" in out
+
+    def test_closed_stdout_pipe_exits_quietly(self):
+        """``repro list | head -3``: the reader is gone before the
+        output is written.  Handing the child a pipe whose read end is
+        already closed makes that happen on every run."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "list"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parent.parent)},
+            )
+        finally:
+            os.close(write_end)
+        assert result.stderr == ""
+        assert result.returncode == 1
 
 
 class TestRun:

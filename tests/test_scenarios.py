@@ -89,6 +89,27 @@ class TestSpecValidation:
         # No separation, no bound.
         DeploymentSpec(kind="uniform", n_nodes=10_000, width_m=1.0, height_m=1.0, min_separation_m=0.0)
 
+    def test_parking_lot_packing_bound(self):
+        # The lot is a fixed 25 x 25 m at 4 m separation whatever the
+        # spec's own field says: 2*625/(sqrt(3)*16) + 50/4 + 1 = 58.6.
+        DeploymentSpec(kind="parking-lot", n_nodes=58)
+        DeploymentSpec(kind="parking-lot", n_nodes=58, width_m=1.0, min_separation_m=9.0)
+        with pytest.raises(ValidationError, match="at most 58 fit"):
+            DeploymentSpec(kind="parking-lot", n_nodes=59)
+        with pytest.raises(ValidationError, match="at most 58 fit"):
+            DeploymentSpec(kind="parking-lot", n_nodes=59, width_m=1000.0, height_m=1000.0)
+
+    def test_parking_lot_field_is_the_layouts(self):
+        import inspect
+
+        from repro.deploy import parking_lot_layout
+        from repro.scenarios.spec import PARKING_LOT_FIELD
+
+        defaults = inspect.signature(parking_lot_layout).parameters
+        assert PARKING_LOT_FIELD == tuple(
+            defaults[name].default for name in ("width_m", "height_m", "min_separation_m")
+        )
+
     def test_uniform_checks_only_uniform_fields(self):
         DeploymentSpec(kind="grid", n_nodes=16, width_m=-1.0, min_separation_m=float("nan"))
         DeploymentSpec(kind="town", n_nodes=12, width_m=0.0, spacing_m=-1.0)

@@ -194,16 +194,16 @@ class TestConcurrency:
         payload = {"values": [1.5, 2.5]}
         store.put(key, payload)
 
-        real_open = rs.gzip.open
+        real_decompress = rs.gzip.decompress
         failed = {"done": False}
 
         def torn_first_read(*args, **kwargs):
             if not failed["done"]:
                 failed["done"] = True
                 raise OSError("simulated torn read of a corrupt entry")
-            return real_open(*args, **kwargs)
+            return real_decompress(*args, **kwargs)
 
-        monkeypatch.setattr(rs.gzip, "open", torn_first_read)
+        monkeypatch.setattr(rs.gzip, "decompress", torn_first_read)
         assert store.get(key) == payload  # verified healthy and restored
         monkeypatch.undo()
         assert store.contains(key)
