@@ -1100,6 +1100,10 @@ def _dispatch(argv) -> int:
         if args.command == "store":
             try:
                 return _cmd_store(args)
+            except BrokenPipeError:
+                # A closed stdout (`repro store ls | head`) is not a
+                # store fault: main exits quietly.
+                raise
             except OSError as exc:
                 # Environmental I/O failures on store maintenance
                 # (read-only mount, permission denied, disk full) get a

@@ -18,6 +18,11 @@ that shape of workload:
 * **Aggregation.**  Trial metrics are collected in trial order into
   per-metric arrays with mean/median/std/min/max summaries.
 
+The seeding and fan-out above live once, in the private trial stream
+``_trial_records``: this runner, the adaptive scheduler
+(:mod:`repro.engine.scheduler`) and the shard runner
+(:mod:`repro.engine.sharding`) all run their trials through it.
+
 Trial functions must be module-level callables (picklable for the
 pool) with signature ``trial_fn(rng, **trial_kwargs) -> Mapping[str,
 float]``; :func:`repro.scenarios.scenario_trial` is the one every
@@ -26,6 +31,7 @@ registered scenario runs through.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 
@@ -37,7 +43,7 @@ import multiprocessing.queues  # repro-lint: disable=RPL009
 import multiprocessing.synchronize  # repro-lint: disable=RPL009
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -204,55 +210,63 @@ def _execute_trial_traced(payload):
     return record, cap.worker_data()
 
 
-def _merge_traced_results(results, *, under=None) -> list:
-    """Fold ``(record, worker_data)`` pairs into the parent recorder.
+def _trial_records(
+    trial_fn: Callable[..., Mapping[str, float]],
+    n_trials: int,
+    indices: range,
+    *,
+    master_seed: int,
+    n_workers: int,
+    trial_kwargs: Optional[Mapping[str, object]],
+    mp_context: Optional[str],
+    chunksize: Optional[int] = None,
+    under: Optional[str] = None,
+) -> Iterator[TrialRecord]:
+    """Yield the records of the trials in *indices*, in index order.
 
-    *results* must be in trial-index order (both ``Pool.map`` and the
-    inline loop preserve submission order), so the merged trace is
-    worker-count independent.
-    """
-    rec = telemetry.current()
-    records = []
-    for record, data in results:
-        rec.merge_worker(data, under=under)
-        rec.observe("engine.campaign.trial_wall_s", data["busy_s"])
-        records.append(record)
-    return records
+    The one execution path of every campaign driver (fixed, adaptive,
+    shard).  Trial ``i`` draws from child ``i`` of
+    ``SeedSequence(master_seed).spawn(n_trials)``, whichever driver,
+    worker or shard runs it.  ``n_workers == 1`` runs the trials inline;
+    more stream them through one ``multiprocessing`` pool (``imap``
+    with *chunksize*; by default each worker takes about four chunks).
 
-
-def _execute_payloads(
-    payloads, n_workers: int, mp_context: Optional[str], *, traced: bool = False
-) -> list:
-    """Run trial payloads inline (``n_workers == 1``) or over a pool.
-
-    The single execution path for both the full campaign runner and the
-    shard runner (:mod:`repro.engine.sharding`): worker fan-out, start-
-    method fallback, and pool chunking live here once, so the two paths
-    cannot drift apart.
-
-    With ``traced`` (the caller checks the active recorder), each trial
-    runs under a worker-local telemetry capture whose snapshot is merged
-    back into the parent recorder in trial-index order.
+    Under an active recorder each trial runs in a worker-local capture
+    whose snapshot is merged beneath *under* as its record is yielded,
+    so the trace is worker-count independent.  Closing the generator
+    early terminates the pool and any trials it ran ahead.
     """
     if n_workers < 1:
         raise ValidationError("n_workers must be >= 1")
-    if n_workers == 1:
-        if traced:
-            return _merge_traced_results(
-                [_execute_trial_traced(payload) for payload in payloads]
-            )
-        return [_execute_trial(payload) for payload in payloads]
-    if mp_context is None:
-        methods = multiprocessing.get_all_start_methods()
-        mp_context = "fork" if "fork" in methods else "spawn"
-    ctx = multiprocessing.get_context(mp_context)
-    chunksize = max(1, len(payloads) // (4 * n_workers))
-    with ctx.Pool(processes=n_workers) as pool:
-        if traced:
-            return _merge_traced_results(
-                pool.map(_execute_trial_traced, payloads, chunksize=chunksize)
-            )
-        return pool.map(_execute_trial, payloads, chunksize=chunksize)
+    kwargs = dict(trial_kwargs or {})
+    # Spawn the full child list and take *indices* from it: spawn keys
+    # children by index alone, so a shard's trial i is seeded exactly
+    # like single-host trial i.
+    children = np.random.SeedSequence(master_seed).spawn(n_trials)
+    payloads = [(trial_fn, i, children[i], kwargs) for i in indices]
+    rec = telemetry.current()
+    traced = rec.active
+    run = _execute_trial_traced if traced else _execute_trial
+    with contextlib.ExitStack() as stack:
+        if n_workers == 1:
+            results = map(run, payloads)
+        else:
+            if mp_context is None:
+                methods = multiprocessing.get_all_start_methods()
+                mp_context = "fork" if "fork" in methods else "spawn"
+            ctx = multiprocessing.get_context(mp_context)
+            pool = stack.enter_context(ctx.Pool(processes=n_workers))
+            if chunksize is None:
+                chunksize = max(1, len(payloads) // (4 * n_workers))
+            results = pool.imap(run, payloads, chunksize=chunksize)
+        for result in results:
+            if not traced:
+                yield result
+                continue
+            record, data = result
+            rec.merge_worker(data, under=under)
+            rec.observe("engine.campaign.trial_wall_s", data["busy_s"])
+            yield record
 
 
 def run_monte_carlo(
@@ -286,16 +300,21 @@ def run_monte_carlo(
     """
     if n_trials < 1:
         raise ValidationError("n_trials must be >= 1")
-    kwargs = dict(trial_kwargs or {})
-    children = np.random.SeedSequence(master_seed).spawn(n_trials)
-    payloads = [(trial_fn, i, children[i], kwargs) for i in range(n_trials)]
     rec = telemetry.current()
     wall0 = time.perf_counter()
     with rec.span(
         "campaign", mode="fixed", n_trials=int(n_trials), n_workers=int(n_workers)
     ):
-        records = _execute_payloads(
-            payloads, n_workers, mp_context, traced=rec.active
+        records = list(
+            _trial_records(
+                trial_fn,
+                n_trials,
+                range(n_trials),
+                master_seed=master_seed,
+                n_workers=n_workers,
+                trial_kwargs=trial_kwargs,
+                mp_context=mp_context,
+            )
         )
     if rec.active:
         _record_campaign_metrics(rec, len(records), n_workers, wall0)

@@ -2,10 +2,12 @@
 
 :func:`run_adaptive` is the adaptive sibling of
 :func:`repro.engine.campaign.run_monte_carlo`: instead of committing to a
-fixed trial count, it streams trial chunks through the worker pool and
-stops as soon as a statistical stopping criterion on the target metric
-is satisfied — typically long before the worst-case budget on
-well-behaved scenarios, while hard scenarios run to the cap.
+fixed trial count, it commits the campaign's one trial stream
+(``campaign._trial_records``, which also owns seeding, the worker pool
+and its start method) chunk by chunk, and stops as soon as a
+statistical stopping criterion on the target metric is satisfied —
+typically long before the worst-case budget on well-behaved scenarios,
+while hard scenarios run to the cap.
 
 Early-stopping criterion
 ------------------------
@@ -31,17 +33,18 @@ The scheduler preserves PR 1's seed discipline exactly:
   in-order record prefix, so the number of committed trials is a pure
   function of ``(master_seed, trial_kwargs, stopping, chunk_size)`` —
   never of worker count or scheduling luck.  Workers may speculatively
-  execute trials beyond the stopping point (that work is discarded);
-  the *committed* records of an early-stopped campaign are therefore a
-  bit-identical prefix of the same-seed fixed-count campaign
-  (``tests/test_scheduler.py`` pins this).
+  execute trials beyond the stopping point; an early stop closes the
+  stream, which terminates the pool and discards that work before the
+  run returns.  The *committed* records of an early-stopped campaign
+  are therefore a bit-identical prefix of the same-seed fixed-count
+  campaign (``tests/test_scheduler.py`` pins this).
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, Mapping, Optional, Tuple
@@ -53,9 +56,8 @@ from ..errors import ValidationError
 from .campaign import (
     CampaignResult,
     TrialRecord,
-    _execute_trial,
-    _execute_trial_traced,
     _record_campaign_metrics,
+    _trial_records,
 )
 
 __all__ = [
@@ -216,15 +218,9 @@ def run_adaptive(
     """
     if max_trials < 1:
         raise ValidationError("max_trials must be >= 1")
-    if n_workers < 1:
-        raise ValidationError("n_workers must be >= 1")
     if not isinstance(stopping, ConfidenceStop):
         raise ValidationError("stopping must be a ConfidenceStop")
     chunk_size = resolve_chunk_size(stopping, chunk_size)
-
-    kwargs = dict(trial_kwargs or {})
-    children = np.random.SeedSequence(master_seed).spawn(max_trials)
-    payloads = [(trial_fn, i, children[i], kwargs) for i in range(max_trials)]
 
     records: List[TrialRecord] = []
     half_widths: List[float] = []
@@ -252,12 +248,6 @@ def run_adaptive(
         )
         return ok
 
-    def run_traced_trial(payload) -> TrialRecord:
-        record, data = _execute_trial_traced(payload)
-        rec.merge_worker(data, under=chunk_under)
-        rec.observe("engine.campaign.trial_wall_s", data["busy_s"])
-        return record
-
     wall_start = time.perf_counter()
     with rec.span(
         "campaign",
@@ -266,18 +256,29 @@ def run_adaptive(
         chunk_size=int(chunk_size),
         n_workers=int(n_workers),
     ):
-        # Worker solve spans re-root under an explicit "chunk" segment in
-        # both execution paths, so the trace's span tree is identical for
-        # any worker count (the telemetry face of the prefix property).
-        chunk_under = f"{rec.current_path()}/chunk" if traced else None
-        if n_workers == 1:
-            for start in range(0, max_trials, chunk_size):
-                wall0, cpu0 = time.perf_counter(), time.process_time()
-                for payload in payloads[start : start + chunk_size]:
-                    records.append(
-                        run_traced_trial(payload) if traced
-                        else _execute_trial(payload)
-                    )
+        # Worker solve spans re-root under an explicit "chunk" segment
+        # whatever the worker count, so the trace's span tree is
+        # identical for any worker count (the telemetry face of the
+        # prefix property).  chunksize=1 keeps a pool's workers busy
+        # ahead of the in-order commit; closing the stream at an early
+        # stop terminates the pool and its speculative trials.
+        stream = _trial_records(
+            trial_fn,
+            max_trials,
+            range(max_trials),
+            master_seed=master_seed,
+            n_workers=n_workers,
+            trial_kwargs=trial_kwargs,
+            mp_context=mp_context,
+            chunksize=1,
+            under=f"{rec.current_path()}/chunk" if traced else None,
+        )
+        wall0, cpu0 = time.perf_counter(), time.process_time()
+        with closing(stream):
+            for record in stream:
+                records.append(record)
+                if len(records) % chunk_size and len(records) < max_trials:
+                    continue
                 if traced:
                     rec.add_span(
                         "chunk",
@@ -289,41 +290,7 @@ def run_adaptive(
                 if check_boundary():
                     converged = True
                     break
-        else:
-            if mp_context is None:
-                methods = multiprocessing.get_all_start_methods()
-                mp_context = "fork" if "fork" in methods else "spawn"
-            ctx = multiprocessing.get_context(mp_context)
-            with ctx.Pool(processes=n_workers) as pool:
-                # imap keeps the pool saturated ahead of the consumer while
-                # results are committed strictly in trial order; leaving the
-                # context manager terminates any speculative trials past the
-                # stopping point.
-                mapper = _execute_trial_traced if traced else _execute_trial
                 wall0, cpu0 = time.perf_counter(), time.process_time()
-                for item in pool.imap(mapper, payloads, chunksize=1):
-                    if traced:
-                        record, data = item
-                        rec.merge_worker(data, under=chunk_under)
-                        rec.observe(
-                            "engine.campaign.trial_wall_s", data["busy_s"]
-                        )
-                        records.append(record)
-                    else:
-                        records.append(item)
-                    if len(records) % chunk_size == 0 or len(records) == max_trials:
-                        if traced:
-                            rec.add_span(
-                                "chunk",
-                                time.perf_counter() - wall0,
-                                time.process_time() - cpu0,
-                                index=len(half_widths),
-                                committed=len(records),
-                            )
-                            wall0, cpu0 = time.perf_counter(), time.process_time()
-                        if check_boundary():
-                            converged = True
-                            break
 
     if converged:
         reason = (

@@ -27,20 +27,26 @@ class TestList:
         """``repro list | head -3``: the reader is gone before the
         output is written.  Handing the child a pipe whose read end is
         already closed makes that happen on every run."""
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            result = subprocess.run(
-                [sys.executable, "-m", "repro", "list"],
-                stdout=write_end,
-                stderr=subprocess.PIPE,
-                text=True,
-                env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parent.parent)},
-            )
-        finally:
-            os.close(write_end)
+        result = _run_into_closed_pipe(["list"])
         assert result.stderr == ""
         assert result.returncode == 1
+
+
+def _run_into_closed_pipe(argv):
+    """Run ``python -m repro *argv*`` with stdout a pipe whose read end
+    is already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parent.parent)},
+        )
+    finally:
+        os.close(write_end)
 
 
 class TestRun:
@@ -236,6 +242,14 @@ class TestStoreCommands:
         out = capsys.readouterr().out
         assert "entries (1," in out
         assert " B" in out
+
+    def test_ls_into_closed_pipe_exits_quietly(self, tmp_path):
+        """``repro store ls | head``: the store group's I/O handler must
+        let a closed pipe through to ``list``'s quiet exit."""
+        self._populate(tmp_path / "store")
+        result = _run_into_closed_pipe(["store", "ls", "--store", str(tmp_path / "store")])
+        assert result.stderr == ""
+        assert result.returncode == 1
 
     def test_ls_shards_uses_the_shard_index(self, tmp_path, capsys):
         store = str(tmp_path / "store.sqlite")

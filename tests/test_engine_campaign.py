@@ -9,7 +9,16 @@ or the order workers finish in.
 import numpy as np
 import pytest
 
-from repro.engine import CampaignResult, TrialRecord, run_monte_carlo
+from repro.engine import (
+    CampaignResult,
+    ConfidenceStop,
+    ShardSpec,
+    TrialRecord,
+    merge_shards,
+    run_adaptive,
+    run_campaign_shard,
+    run_monte_carlo,
+)
 from repro.errors import ValidationError
 from repro.scenarios import (
     AnchorSpec,
@@ -17,8 +26,10 @@ from repro.scenarios import (
     RangingSpec,
     ScenarioSpec,
     SolverSpec,
+    get_scenario,
     scenario_trial,
 )
+from repro.store.serialization import records_equal
 
 #: Small, fast multilateration scenario shared by the campaign tests.
 SMALL_SPEC = ScenarioSpec(
@@ -95,6 +106,34 @@ class TestWorkerDeterminism:
                 serial.metric(name), parallel.metric(name), equal_nan=True
             ), name
         assert serial.aggregate() == parallel.aggregate()
+
+    @pytest.mark.slow
+    def test_spawn_start_method_matches_inline(self):
+        """Spawned workers import everything afresh and receive each
+        trial's payload pickled; every driver must still reproduce the
+        inline records."""
+        common = dict(
+            master_seed=7,
+            trial_kwargs={"spec": get_scenario("uniform-multilateration")},
+        )
+        pooled = dict(common, n_workers=2, mp_context="spawn")
+        fixed = run_monte_carlo(scenario_trial, 6, **common)
+        assert records_equal(run_monte_carlo(scenario_trial, 6, **pooled), fixed)
+
+        stop = ConfidenceStop(metric="mean_error_m", tolerance=1e-9, min_trials=2)
+        adaptive = dict(stopping=stop, chunk_size=2)
+        inline = run_adaptive(scenario_trial, 6, **adaptive, **common)
+        spawned = run_adaptive(scenario_trial, 6, **adaptive, **pooled)
+        assert records_equal(spawned, inline)
+        assert spawned.half_width_trace == inline.half_width_trace
+
+        shards = [
+            run_campaign_shard(
+                scenario_trial, 6, shard=ShardSpec(k, 2), **pooled
+            )
+            for k in range(2)
+        ]
+        assert records_equal(merge_shards(shards), fixed)
 
 
 class TestAggregation:

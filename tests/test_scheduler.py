@@ -7,9 +7,12 @@ the stopping rule is evaluated only at fixed chunk boundaries on the
 in-order record prefix.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.engine import (
     CampaignResult,
     ConfidenceStop,
@@ -19,6 +22,7 @@ from repro.engine import (
     run_monte_carlo,
 )
 from repro.errors import ValidationError
+from repro.telemetry import TraceRecorder
 
 
 def _tight_trial(rng):
@@ -29,6 +33,18 @@ def _tight_trial(rng):
 def _wild_trial(rng):
     """High-variance metric: never converges within small budgets."""
     return {"x": float(rng.normal(0.0, 100.0))}
+
+
+class _StopWitness(TraceRecorder):
+    """Notes the live child processes when the scheduler reports its
+    stop, which is after the commit loop and before it returns."""
+
+    children_at_stop = None
+
+    def event(self, name, **fields):
+        if name == "scheduler.stop":
+            self.children_at_stop = multiprocessing.active_children()
+        super().event(name, **fields)
 
 
 def _sometimes_nan_trial(rng):
@@ -193,6 +209,21 @@ class TestWorkerIndependence:
         assert parallel.records == serial.records
         assert parallel.aggregate() == serial.aggregate()
         assert parallel.half_width_trace == serial.half_width_trace
+
+    def test_early_stop_tears_down_the_pool(self):
+        """A stop at the first boundary ends the pool's speculative
+        trials before the scheduler reports the stop, not when the
+        trial stream is garbage collected."""
+        stop = ConfidenceStop(metric="x", tolerance=1.0, min_trials=4)
+        inline = run_adaptive(_tight_trial, 200, stopping=stop, chunk_size=4)
+        with telemetry.recording(_StopWitness()) as witness:
+            pooled = run_adaptive(
+                _tight_trial, 200, stopping=stop, chunk_size=4, n_workers=2
+            )
+        assert inline.n_trials == 4 and len(inline.half_width_trace) == 1
+        assert pooled.records == inline.records
+        assert witness.children_at_stop == []
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.slow
     def test_parallel_prefix_of_parallel_fixed_run(self):

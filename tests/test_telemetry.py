@@ -18,7 +18,13 @@ import math
 import pytest
 
 from repro import telemetry
-from repro.engine import ConfidenceStop, run_adaptive, run_monte_carlo
+from repro.engine import (
+    ConfidenceStop,
+    ShardSpec,
+    run_adaptive,
+    run_campaign_shard,
+    run_monte_carlo,
+)
 from repro.engine.campaign import CampaignResult, TrialRecord
 from repro.errors import ValidationError
 from repro.scenarios import (
@@ -41,7 +47,9 @@ from repro.telemetry.schema import validate_record
 
 
 def _echo_trial(rng):
-    """Minimal deterministic trial; must be module-level (picklable)."""
+    """Minimal deterministic trial; must be module-level (picklable).
+    Its counter is written in the worker and merged into the parent."""
+    telemetry.count("test.echo_trials", 1)
     return {"draw": float(rng.random())}
 
 
@@ -170,18 +178,30 @@ class TestTraceRecorder:
         assert event["path"] == "campaign/solve"
 
 
-class TestWorkerCountInvariance:
-    def _traced_run(self, n_workers):
-        with telemetry.recording() as rec:
-            result = run_monte_carlo(
-                _echo_trial, 6, master_seed=11, n_workers=n_workers
-            )
-        return result, rec
+def _fixed_run(n_workers):
+    return run_monte_carlo(_echo_trial, 6, master_seed=11, n_workers=n_workers)
 
+
+def _shard_run(n_workers):
+    return run_campaign_shard(
+        _echo_trial, 9, shard=ShardSpec(1, 2), master_seed=11, n_workers=n_workers
+    )
+
+
+class TestWorkerCountInvariance:
     @pytest.mark.slow
-    def test_fixed_campaign_trace_is_worker_count_independent(self):
-        res1, rec1 = self._traced_run(1)
-        res2, rec2 = self._traced_run(2)
+    @pytest.mark.parametrize(
+        "run, root, n_solves",
+        [(_fixed_run, "campaign", 6), (_shard_run, "shard", 4)],
+        ids=["fixed", "shard"],
+    )
+    def test_campaign_trace_is_worker_count_independent(self, run, root, n_solves):
+        traced = []
+        for n_workers in (1, 2):
+            with telemetry.recording() as rec:
+                result = run(n_workers)
+            traced.append((result, rec))
+        (res1, rec1), (res2, rec2) = traced
         assert [r.metrics for r in res1.records] == [
             r.metrics for r in res2.records
         ]
@@ -189,6 +209,12 @@ class TestWorkerCountInvariance:
         assert sorted(s["path"] for s in rec1.spans) == sorted(
             s["path"] for s in rec2.spans
         )
+        paths = [s["path"] for s in rec1.spans]
+        assert paths.count(root) == 1
+        assert paths.count(f"{root}/solve") == n_solves
+        assert rec1.counters["test.echo_trials"] == n_solves
+        if root == "shard":
+            assert rec1.counters["engine.shard.trials"] == n_solves
 
     @pytest.mark.slow
     def test_adaptive_campaign_trace_is_worker_count_independent(self):

@@ -4,8 +4,10 @@
 Drives the real CLI (``python -m repro run --shard K/N`` three times,
 then ``python -m repro merge``) against a temporary store, runs the same
 campaign single-host into a second temporary store, and asserts the two
-canonical campaign entries are byte-identical.  Exits non-zero with a
-diagnostic on any mismatch.
+canonical campaign entries are byte-identical.  The first shard and the
+single-host run use two worker processes, so the round trip crosses the
+pooled trial stream in both the shard and the fixed-count runner.
+Exits non-zero with a diagnostic on any mismatch.
 
 Usage::
 
@@ -36,7 +38,8 @@ def main() -> int:
         sharded = Path(tmp) / "sharded"
         single = Path(tmp) / "single"
         for k in range(1, args.shards + 1):
-            run_cli([*base, "--shard", f"{k}/{args.shards}"], sharded)
+            workers = ["--workers", "2"] if k == 1 else []
+            run_cli([*base, "--shard", f"{k}/{args.shards}", *workers], sharded)
         # Auto-merge published the canonical entry with the last shard;
         # the explicit merge must agree (and is the CI path under test).
         run_cli(
@@ -52,7 +55,7 @@ def main() -> int:
             ],
             sharded,
         )
-        run_cli(base, single)
+        run_cli([*base, "--workers", "2"], single)
         merged = entry_bytes(sharded, args.scenario, args.seed, args.trials)
         golden = entry_bytes(single, args.scenario, args.seed, args.trials)
     if merged != golden:
