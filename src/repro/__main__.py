@@ -724,16 +724,6 @@ def _open_store(args) -> Optional[ResultStore]:
     return None if root is None else ResultStore(root)
 
 
-def _print_store_line(store: ResultStore) -> None:
-    """Completion line surfacing the run's cache behavior directly
-    (previously visible only through `repro store stats`)."""
-    stats = store.stats
-    print(
-        f"store: {store.root} ({store.backend.kind} backend) "
-        f"hits={stats.hits} misses={stats.misses} puts={stats.puts}"
-    )
-
-
 def _print_nan_warning(result: CampaignResult) -> None:
     """Flag silently-degraded campaigns: trials whose metrics include a
     non-finite value would otherwise surface only in the per-metric
@@ -742,6 +732,27 @@ def _print_nan_warning(result: CampaignResult) -> None:
         print(
             f"warning: {result.n_nan_trials} of {result.n_trials} trials "
             f"reported non-finite metrics (see the nan= columns above)"
+        )
+
+
+def _print_campaign_report(
+    spec, result: CampaignResult, store: Optional[ResultStore], *, head=(), tail=()
+) -> None:
+    """What `run`, `run --shard` and `merge` print for a campaign: the
+    scenario line, *head*, the summary, the non-finite warning, *tail*,
+    and with a store the line showing the run's cache behavior."""
+    print(f"scenario: {spec.scenario_id} [{spec.spec_hash()[:12]}]")
+    for line in head:
+        print(line)
+    print(result.summary())
+    _print_nan_warning(result)
+    for line in tail:
+        print(line)
+    if store is not None:
+        stats = store.stats
+        print(
+            f"store: {store.root} ({store.backend.kind} backend) "
+            f"hits={stats.hits} misses={stats.misses} puts={stats.puts}"
         )
 
 
@@ -820,16 +831,13 @@ def _cmd_run_inner(args, run_parser) -> int:
             store=store,
             use_cache=not args.no_cache,
         )
-        print(f"scenario: {spec.scenario_id} [{spec.spec_hash()[:12]}]")
-        print(result.summary())
-        _print_nan_warning(result)
+        tail = []
         if isinstance(result, ScheduledCampaignResult):
-            print(
+            tail.append(
                 f"scheduler: {result.stop_reason} (early stop saved "
                 f"{result.trials_saved} of {result.max_trials} budgeted trials)"
             )
-        if store is not None:
-            _print_store_line(store)
+        _print_campaign_report(spec, result, store, tail=tail)
         return 0
     print(
         f"unknown id {args.id!r}; run `python -m repro list` for "
@@ -998,12 +1006,8 @@ def _run_scenario_shard(args, spec, store: Optional[ResultStore]) -> int:
         # e.g. more shards than trials: no non-empty contiguous split.
         print(str(exc), file=sys.stderr)
         return 2
-    print(f"scenario: {spec.scenario_id} [{spec.spec_hash()[:12]}]")
-    print(shard_result.describe())
-    print(shard_result.summary())
-    _print_nan_warning(shard_result)
     if merged is not None:
-        print(
+        merge_line = (
             f"merge: all {shard.n_shards} shards present; canonical "
             f"campaign entry published ({merged.n_trials} trials)"
         )
@@ -1016,12 +1020,15 @@ def _run_scenario_shard(args, spec, store: Optional[ResultStore]) -> int:
             store=store,
         )
         missing = [s.cli_form for s, present in status if not present]
-        print(f"merge: waiting on shards {', '.join(missing)}")
-    _print_store_line(store)
+        merge_line = f"merge: waiting on shards {', '.join(missing)}"
+    _print_campaign_report(
+        spec, shard_result, store, head=[shard_result.describe()], tail=[merge_line]
+    )
     return 0
 
 
 def _cmd_merge(args) -> int:
+    from .engine.sharding import plan_shards
     from .experiments import all_experiments
     from .scenarios import all_scenarios, get_scenario, merge_scenario_shards
 
@@ -1037,11 +1044,14 @@ def _cmd_merge(args) -> int:
     if args.shards < 1:
         print("--shards must be >= 1", file=sys.stderr)
         return 2
+    spec = get_scenario(args.id)
+    # A split with an empty shard cannot exist: its ValidationError is a
+    # usage error (exit 2 in _dispatch), not a report of missing shards.
+    plan_shards(spec.n_trials if args.trials is None else args.trials, args.shards)
     store = _open_store(args)
     if store is None:
         print("merge requires a result store; pass --store DIR", file=sys.stderr)
         return 2
-    spec = get_scenario(args.id)
     try:
         merged = merge_scenario_shards(
             spec,
@@ -1053,13 +1063,12 @@ def _cmd_merge(args) -> int:
     except ValidationError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    print(f"scenario: {spec.scenario_id} [{spec.spec_hash()[:12]}]")
-    print(
-        f"merge: {args.shards} shards -> canonical campaign entry published"
+    _print_campaign_report(
+        spec,
+        merged,
+        store,
+        head=[f"merge: {args.shards} shards -> canonical campaign entry published"],
     )
-    print(merged.summary())
-    _print_nan_warning(merged)
-    _print_store_line(store)
     return 0
 
 

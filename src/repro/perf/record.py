@@ -27,6 +27,7 @@ import statistics
 from typing import Any, Dict, Optional, Sequence
 
 from ..errors import ValidationError
+from ..telemetry.schema import _NUMBER, _require
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -45,8 +46,6 @@ BENCH_SCHEMA_VERSION = 1
 #: Labels become file names (``BENCH_<label>.json``), so they are
 #: restricted to a filesystem- and shell-safe alphabet.
 _LABEL_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-
-_NUMBER = (int, float)
 
 
 def bench_filename(label: str) -> str:
@@ -126,21 +125,6 @@ def make_bench_record(
     }
     validate_bench_record(record)
     return record
-
-
-def _require(record: Dict[str, Any], field: str, types, where: str) -> Any:
-    if field not in record:
-        raise ValidationError(f"{where}: missing required field {field!r}")
-    value = record[field]
-    if isinstance(value, bool) and bool not in (
-        types if isinstance(types, tuple) else (types,)
-    ):
-        raise ValidationError(f"{where}: field {field!r} must not be a bool")
-    if not isinstance(value, types):
-        raise ValidationError(
-            f"{where}: field {field!r} has type {type(value).__name__}"
-        )
-    return value
 
 
 def _validate_result(entry: Any, where: str) -> None:

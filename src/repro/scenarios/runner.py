@@ -7,13 +7,15 @@ sweep drivers all use: it turns a :class:`ScenarioSpec` into a campaign
 given), memoized in a :class:`repro.store.ResultStore` keyed on the
 spec's content hash, the master seed, and the scheduling mode.  A cache
 hit reconstructs the campaign bit-identically from disk and does zero
-simulation work.
+simulation work.  Every cached run and merge here goes through one
+step, ``_recall_or_run``: key, get, decode; else run, encode, put.
 
 Cross-host sharding
 -------------------
-A fixed-count campaign can be split across hosts: ``shard=ShardSpec(k,
-N)`` runs only shard *k*'s contiguous trial range and publishes it under
-a shard-addressed key (:func:`scenario_shard_key`).  The store is the
+A fixed-count campaign can be split across hosts:
+:func:`run_scenario_shard` (``python -m repro run <id> --shard K/N``)
+runs only shard *K*'s contiguous trial range and publishes it under a
+shard-addressed key (:func:`scenario_shard_key`).  The store is the
 exchange point — once all N shard entries exist, the shards are merged
 (automatically by whichever host publishes last, or explicitly via
 :func:`merge_scenario_shards` / ``python -m repro merge``) into the
@@ -27,14 +29,14 @@ combine with adaptive early stopping, whose rule needs the global record
 prefix.
 
 Everything here talks to the store through its backend-agnostic surface
-(``get``/``put``/``contains``/``missing_keys``), so campaigns memoize
-identically whether the store is the filesystem layout or the
-SQLite-indexed single file (:mod:`repro.store.backends`).
+(``get``/``put``/``missing_keys``), so campaigns memoize identically
+whether the store is the filesystem layout or the SQLite-indexed single
+file (:mod:`repro.store.backends`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
 from ..engine.campaign import CampaignResult, run_monte_carlo
@@ -43,6 +45,7 @@ from ..engine.sharding import (
     ShardCampaignResult,
     ShardSpec,
     merge_shards,
+    plan_shards,
     run_campaign_shard,
 )
 from ..errors import ValidationError
@@ -119,6 +122,49 @@ def scenario_shard_key(
     }
 
 
+def _budget(spec: ScenarioSpec, n_trials: Optional[int]) -> int:
+    """The trial budget: *n_trials* when given, else the spec's."""
+    return int(spec.n_trials if n_trials is None else n_trials)
+
+
+def _set_manifest(spec: ScenarioSpec, master_seed: int, budget: int, **mode) -> None:
+    rec = telemetry.current()
+    if rec.active:
+        rec.set_manifest(
+            scenario_id=spec.scenario_id,
+            spec_hash=spec.spec_hash(),
+            master_seed=int(master_seed),
+            n_trials=budget,
+            **mode,
+        )
+
+
+def _recall_or_run(
+    store: Optional[ResultStore],
+    description: Dict[str, Any],
+    *,
+    use_cache: bool,
+    run: Callable[[], Any],
+    decode: Callable[[Dict[str, Any]], Any] = campaign_from_payload,
+    encode: Callable[[Any], Dict[str, Any]] = campaign_to_payload,
+) -> Any:
+    """The one cache protocol: key, ``get``, *decode* on a hit; else
+    *run*, *encode*, ``put``.  Without a store it only runs;
+    ``use_cache=False`` skips the lookup but still publishes; a *run*
+    that returns ``None`` publishes nothing."""
+    if store is None:
+        return run()
+    key = store.key_for(description)
+    if use_cache:
+        payload = store.get(key)
+        if payload is not None:
+            return decode(payload)
+    result = run()
+    if result is not None:
+        store.put(key, encode(result))
+    return result
+
+
 def run_scenario(
     spec: ScenarioSpec,
     *,
@@ -130,7 +176,6 @@ def run_scenario(
     store: Optional[ResultStore] = None,
     use_cache: bool = True,
     mp_context: Optional[str] = None,
-    shard: Optional[ShardSpec] = None,
 ) -> CampaignResult:
     """Run (or recall) one scenario campaign.
 
@@ -150,89 +195,45 @@ def run_scenario(
     use_cache : bool
         ``False`` skips the lookup but still publishes (a forced
         recompute that heals the cache).
-    shard : ShardSpec, optional
-        Run only this shard of the fixed-count campaign (see
-        :func:`run_scenario_shard`, which this delegates to); mutually
-        exclusive with ``stopping``.
     """
-    if shard is not None:
-        if stopping is not None:
-            raise ValidationError(
-                "sharding requires a fixed trial count; it cannot combine "
-                "with adaptive early stopping (the stopping rule is a "
-                "function of the global record prefix no shard can see)"
-            )
-        result, _ = run_scenario_shard(
-            spec,
-            shard,
-            master_seed=master_seed,
-            n_trials=n_trials,
-            n_workers=n_workers,
-            store=store,
-            use_cache=use_cache,
-            mp_context=mp_context,
-        )
-        return result
-    budget = int(spec.n_trials if n_trials is None else n_trials)
-    rec = telemetry.current()
-    if rec.active:
-        rec.set_manifest(
-            scenario_id=spec.scenario_id,
-            spec_hash=spec.spec_hash(),
-            master_seed=int(master_seed),
-            n_trials=budget,
-            mode="adaptive" if stopping is not None else "fixed",
-        )
-    with rec.span("scenario", id=spec.scenario_id, seed=int(master_seed)):
-        key = None
-        if store is not None:
-            key = store.key_for(
-                scenario_run_key(
-                    spec,
-                    master_seed=master_seed,
-                    n_trials=budget,
-                    stopping=stopping,
-                    chunk_size=chunk_size,
-                )
-            )
-            if use_cache:
-                payload = store.get(key)
-                if payload is not None:
-                    return campaign_from_payload(payload)
+    budget = _budget(spec, n_trials)
+    _set_manifest(
+        spec, master_seed, budget, mode="adaptive" if stopping is not None else "fixed"
+    )
+    common = {
+        "master_seed": master_seed,
+        "n_workers": n_workers,
+        "trial_kwargs": {"spec": spec},
+        "mp_context": mp_context,
+    }
 
+    def run() -> CampaignResult:
+        # ``scenario_trial`` is looked up here, at call time: perfbench
+        # rebinds this module's global to time inline trials.
         if stopping is None:
-            result: CampaignResult = run_monte_carlo(
-                scenario_trial,
-                budget,
-                master_seed=master_seed,
-                n_workers=n_workers,
-                trial_kwargs={"spec": spec},
-                mp_context=mp_context,
-            )
-        else:
-            result = run_adaptive(
-                scenario_trial,
-                budget,
-                stopping=stopping,
-                master_seed=master_seed,
-                n_workers=n_workers,
-                chunk_size=chunk_size,
-                trial_kwargs={"spec": spec},
-                mp_context=mp_context,
-            )
+            return run_monte_carlo(scenario_trial, budget, **common)
+        return run_adaptive(
+            scenario_trial, budget, stopping=stopping, chunk_size=chunk_size, **common
+        )
 
-        if store is not None and key is not None:
-            store.put(key, campaign_to_payload(result))
-        return result
+    rec = telemetry.current()
+    with rec.span("scenario", id=spec.scenario_id, seed=int(master_seed)):
+        description = scenario_run_key(
+            spec,
+            master_seed=master_seed,
+            n_trials=budget,
+            stopping=stopping,
+            chunk_size=chunk_size,
+        )
+        return _recall_or_run(store, description, use_cache=use_cache, run=run)
 
 
 def _shard_context(spec: ScenarioSpec, store: ResultStore) -> Dict[str, Any]:
-    """Display metadata embedded in shard payloads so store scans
-    (``ResultStore.list_shards``, the CLI status listing) can group
-    shard entries into campaigns without knowing any keys.  The code
-    version is included so shards published by different repro versions
-    — which live under different keys and can never merge together —
-    are never pooled into one campaign by the status listing."""
+    """Display metadata in shard payloads: store scans
+    (``ResultStore.list_shards``, the CLI status listing) group shard
+    entries into campaigns by it, without knowing any keys.  The code
+    version keeps shards of different repro versions, which live under
+    different keys and can never merge, out of one campaign."""
     return {
         "scenario_id": spec.scenario_id,
         "spec_hash": spec.spec_hash(),
@@ -250,46 +251,27 @@ def run_scenario_shard(
     store: Optional[ResultStore] = None,
     use_cache: bool = True,
     mp_context: Optional[str] = None,
-    auto_merge: bool = True,
 ) -> Tuple[ShardCampaignResult, Optional[CampaignResult]]:
     """Run (or recall) one shard of a scenario campaign on this host.
 
     Executes only *shard*'s contiguous trial range — trial *i* still
     draws child *i* of ``SeedSequence(master_seed)``, so shards need no
     coordination — and publishes the shard payload under
-    :func:`scenario_shard_key`.  With ``auto_merge`` (the default) and a
-    store, the completeness probe runs after publication: when this was
-    the last missing shard, the canonical full-campaign entry is merged
-    and published immediately.
+    :func:`scenario_shard_key`.  With a store, the completeness probe
+    runs after publication: when this was the last missing shard, the
+    canonical full-campaign entry is merged and published immediately.
 
     Returns ``(shard_result, merged)`` where ``merged`` is the full
     :class:`CampaignResult` if the campaign became (or already was)
     complete, else ``None``.
     """
-    budget = int(spec.n_trials if n_trials is None else n_trials)
-    rec = telemetry.current()
-    if rec.active:
-        rec.set_manifest(
-            scenario_id=spec.scenario_id,
-            spec_hash=spec.spec_hash(),
-            master_seed=int(master_seed),
-            n_trials=budget,
-            shard=shard.cli_form,
-        )
-    key = None
-    shard_result: Optional[ShardCampaignResult] = None
-    if store is not None:
-        key = store.key_for(
-            scenario_shard_key(
-                spec, master_seed=master_seed, n_trials=budget, shard=shard
-            )
-        )
-        if use_cache:
-            payload = store.get(key)
-            if payload is not None:
-                shard_result = shard_from_payload(payload)
-    if shard_result is None:
-        shard_result = run_campaign_shard(
+    budget = _budget(spec, n_trials)
+    _set_manifest(spec, master_seed, budget, shard=shard.cli_form)
+    shard_result = _recall_or_run(
+        store,
+        scenario_shard_key(spec, master_seed=master_seed, n_trials=budget, shard=shard),
+        use_cache=use_cache,
+        run=lambda: run_campaign_shard(
             scenario_trial,
             budget,
             shard=shard,
@@ -297,43 +279,63 @@ def run_scenario_shard(
             n_workers=n_workers,
             trial_kwargs={"spec": spec},
             mp_context=mp_context,
-        )
-        if store is not None and key is not None:
-            store.put(
-                key, shard_to_payload(shard_result, context=_shard_context(spec, store))
-            )
+        ),
+        decode=shard_from_payload,
+        encode=lambda result: shard_to_payload(
+            result, context=_shard_context(spec, store)
+        ),
+    )
+    if store is None:
+        return shard_result, None
 
-    merged: Optional[CampaignResult] = None
-    if store is not None and auto_merge:
-        # An already-published canonical entry means some earlier run
-        # completed the merge; re-reading it is one small get instead of
-        # loading all N shard payloads and republishing identical bytes.
-        # (--no-cache recomputes the merge too, healing a suspect entry.)
-        if use_cache:
-            canonical = store.get(
-                store.key_for(
-                    scenario_run_key(spec, master_seed=master_seed, n_trials=budget)
-                )
-            )
-            if canonical is not None:
-                merged = campaign_from_payload(canonical)
-        if merged is None:
-            status = scenario_shard_status(
-                spec,
-                master_seed=master_seed,
-                n_trials=budget,
-                n_shards=shard.n_shards,
-                store=store,
-            )
-            if all(present for _, present in status):
-                merged = merge_scenario_shards(
-                    spec,
-                    master_seed=master_seed,
-                    n_trials=budget,
-                    n_shards=shard.n_shards,
-                    store=store,
-                )
-    return shard_result, merged
+    def merge_when_complete() -> Optional[CampaignResult]:
+        pairs = _shard_keys(spec, store, master_seed, budget, shard.n_shards)
+        if store.missing_keys([key for _, key in pairs]):
+            return None
+        return _merge_stored(spec, store, pairs, master_seed, budget)
+
+    # A published canonical entry means an earlier run completed the
+    # merge: one small get instead of loading all N shard payloads and
+    # republishing the same bytes (--no-cache merges again, healing it).
+    return shard_result, _recall_or_run(
+        store,
+        scenario_run_key(spec, master_seed=master_seed, n_trials=budget),
+        use_cache=use_cache,
+        run=merge_when_complete,
+    )
+
+
+def _shard_keys(
+    spec: ScenarioSpec, store: ResultStore, master_seed: int, budget: int, n_shards: int
+) -> List[Tuple[ShardSpec, str]]:
+    """``[(shard, store key), ...]`` of an N-shard campaign in shard
+    order.  A split with an empty shard cannot exist, so it raises
+    :func:`plan_shards`'s :class:`ValidationError` before any entry is
+    read instead of reporting shards as missing."""
+    plan_shards(budget, n_shards)
+    pairs = []
+    for index in range(n_shards):
+        shard = ShardSpec(index=index, n_shards=n_shards)
+        description = scenario_shard_key(
+            spec, master_seed=master_seed, n_trials=budget, shard=shard
+        )
+        pairs.append((shard, store.key_for(description)))
+    return pairs
+
+
+def _merge_stored(
+    spec: ScenarioSpec, store: ResultStore, pairs: list, master_seed: int, budget: int
+) -> CampaignResult:
+    """Load and merge the shard entries of *pairs*; raises naming the
+    missing shards when the set is incomplete."""
+    payloads = [(shard, store.get(key)) for shard, key in pairs]
+    missing = [shard.cli_form for shard, payload in payloads if payload is None]
+    if missing:
+        raise ValidationError(
+            f"cannot merge {spec.scenario_id!r} (seed={master_seed}, "
+            f"trials={budget}): missing shard entries {', '.join(missing)}"
+        )
+    return merge_shards([shard_from_payload(payload) for _, payload in payloads])
 
 
 def scenario_shard_status(
@@ -346,21 +348,13 @@ def scenario_shard_status(
 ) -> List[Tuple[ShardSpec, bool]]:
     """Which of an N-shard campaign's entries are published.
 
-    Returns ``[(shard, present), ...]`` in shard order — the
-    completeness probe behind auto-merge and the CLI's shard status.
+    Returns ``[(shard, present), ...]`` in shard order — the completeness
+    probe behind the CLI's shard status.  Raises :class:`ValidationError`
+    when *n_shards* cannot split the budget into non-empty shards.
     """
-    budget = int(spec.n_trials if n_trials is None else n_trials)
-    shards = [ShardSpec(index=index, n_shards=n_shards) for index in range(n_shards)]
-    keys = [
-        store.key_for(
-            scenario_shard_key(
-                spec, master_seed=master_seed, n_trials=budget, shard=shard
-            )
-        )
-        for shard in shards
-    ]
-    missing = set(store.missing_keys(keys))
-    return [(shard, key not in missing) for shard, key in zip(shards, keys)]
+    pairs = _shard_keys(spec, store, master_seed, _budget(spec, n_trials), n_shards)
+    missing = set(store.missing_keys([key for _, key in pairs]))
+    return [(shard, key not in missing) for shard, key in pairs]
 
 
 def merge_scenario_shards(
@@ -370,42 +364,21 @@ def merge_scenario_shards(
     n_trials: Optional[int] = None,
     n_shards: int,
     store: ResultStore,
-    publish: bool = True,
 ) -> CampaignResult:
     """Merge an N-shard campaign's store entries into the canonical one.
 
     Loads every shard payload, validates the partition, concatenates
-    records in trial-index order, and (with ``publish``) publishes the
-    merged campaign under the same :func:`scenario_run_key` a
-    single-host run uses — producing a byte-identical entry.  Raises
-    :class:`ValidationError` naming the missing shards when the set is
-    incomplete.
+    records in trial-index order, and publishes the merged campaign
+    under the same :func:`scenario_run_key` a single-host run uses —
+    producing a byte-identical entry.  Raises :class:`ValidationError`
+    when *n_shards* cannot split the budget into non-empty shards, or
+    naming the missing shards when the set is incomplete.
     """
-    budget = int(spec.n_trials if n_trials is None else n_trials)
-    shards: List[ShardCampaignResult] = []
-    missing: List[str] = []
-    for index in range(n_shards):
-        shard = ShardSpec(index=index, n_shards=n_shards)
-        key = store.key_for(
-            scenario_shard_key(
-                spec, master_seed=master_seed, n_trials=budget, shard=shard
-            )
-        )
-        payload = store.get(key)
-        if payload is None:
-            missing.append(shard.cli_form)
-        else:
-            shards.append(shard_from_payload(payload))
-    if missing:
-        raise ValidationError(
-            f"cannot merge {spec.scenario_id!r} (seed={master_seed}, "
-            f"trials={budget}): missing shard entries {', '.join(missing)}"
-        )
-    merged = merge_shards(shards)
-    if publish:
-        key = store.key_for(
-            scenario_run_key(spec, master_seed=master_seed, n_trials=budget)
-        )
-        store.put(key, campaign_to_payload(merged))
-    return merged
-
+    budget = _budget(spec, n_trials)
+    pairs = _shard_keys(spec, store, master_seed, budget, n_shards)
+    return _recall_or_run(
+        store,
+        scenario_run_key(spec, master_seed=master_seed, n_trials=budget),
+        use_cache=False,
+        run=lambda: _merge_stored(spec, store, pairs, master_seed, budget),
+    )

@@ -10,7 +10,7 @@ close (``tests/test_store.py`` pins this).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .._canonical import canonical_json
 from ..core.measurements import MeasurementSet
@@ -49,15 +49,32 @@ def aggregates_equal(a: CampaignResult, b: CampaignResult) -> bool:
     return canonical_json(a.aggregate()) == canonical_json(b.aggregate())
 
 
+def _encode_records(records: Sequence[TrialRecord]) -> List[Dict[str, Any]]:
+    """The payload entries of *records*, shared by both campaign codecs."""
+    return [
+        {"index": record.index, "metrics": dict(record.metrics)} for record in records
+    ]
+
+
+def _decode_records(entries: List[Dict[str, Any]]) -> Tuple[TrialRecord, ...]:
+    """The records of payload entries.  JSON object keys are always
+    ``str``; values go through ``float`` because a stored entry is input
+    from outside the program."""
+    return tuple(
+        TrialRecord(
+            index=int(entry["index"]),
+            metrics={k: float(v) for k, v in entry["metrics"].items()},
+        )
+        for entry in entries
+    )
+
+
 def campaign_to_payload(result: CampaignResult) -> Dict[str, Any]:
     """JSON-safe dict capturing *result* exactly (records in trial order)."""
     payload: Dict[str, Any] = {
         "type": "campaign",
         "master_seed": result.master_seed,
-        "records": [
-            {"index": record.index, "metrics": dict(record.metrics)}
-            for record in result.records
-        ],
+        "records": _encode_records(result.records),
     }
     if isinstance(result, ScheduledCampaignResult):
         payload["scheduler"] = {
@@ -75,13 +92,7 @@ def campaign_from_payload(payload: Dict[str, Any]) -> CampaignResult:
     :func:`campaign_to_payload` dict describes."""
     if payload.get("type") != "campaign":
         raise ValidationError(f"not a campaign payload: type={payload.get('type')!r}")
-    records = tuple(
-        TrialRecord(
-            index=int(entry["index"]),
-            metrics={str(k): float(v) for k, v in entry["metrics"].items()},
-        )
-        for entry in payload["records"]
-    )
+    records = _decode_records(payload["records"])
     master_seed = int(payload["master_seed"])
     scheduler = payload.get("scheduler")
     if scheduler is None:
@@ -113,10 +124,7 @@ def shard_to_payload(
         "master_seed": result.master_seed,
         "campaign_trials": result.campaign_trials,
         "shard": result.shard.describe(),
-        "records": [
-            {"index": record.index, "metrics": dict(record.metrics)}
-            for record in result.records
-        ],
+        "records": _encode_records(result.records),
     }
     if context:
         payload["context"] = dict(context)
@@ -131,16 +139,9 @@ def shard_from_payload(payload: Dict[str, Any]) -> ShardCampaignResult:
             f"not a campaign-shard payload: type={payload.get('type')!r}"
         )
     shard = payload["shard"]
-    records = tuple(
-        TrialRecord(
-            index=int(entry["index"]),
-            metrics={str(k): float(v) for k, v in entry["metrics"].items()},
-        )
-        for entry in payload["records"]
-    )
     return ShardCampaignResult(
         master_seed=int(payload["master_seed"]),
-        records=records,
+        records=_decode_records(payload["records"]),
         campaign_trials=int(payload["campaign_trials"]),
         shard=ShardSpec(index=int(shard["index"]), n_shards=int(shard["n_shards"])),
     )

@@ -409,6 +409,26 @@ class TestSharding:
         assert code == 1
         assert "missing shard entries 2/3, 3/3" in capsys.readouterr().err
 
+    def test_merge_of_impossible_split_exits_2(self, tmp_path, capsys):
+        """Six shards of four trials cannot exist; `run --shard` refuses
+        the split, and `merge` must too rather than call them missing."""
+        code = main(
+            [
+                "merge",
+                "uniform-multilateration",
+                "--trials",
+                "4",
+                "--shards",
+                "6",
+                "--store",
+                str(tmp_path),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot split 4 trials into 6 non-empty shards" in err
+        assert "missing" not in err
+
     def test_merge_unknown_or_experiment_id_exits_2(self, tmp_path, capsys):
         assert main(["merge", "nope", "--shards", "2", "--store", str(tmp_path)]) == 2
         assert "unknown scenario id" in capsys.readouterr().err
@@ -479,20 +499,13 @@ class TestSharding:
         """All shards present but no canonical entry (interrupted
         auto-merge, or shard entries copied in from per-host stores):
         `list` must point at the merge command, not stay silent."""
-        from repro.engine.sharding import ShardSpec
-        from repro.scenarios import run_scenario_shard
-
+        for k in (1, 2):
+            assert self._run_shard(tmp_path, k, 2) == 0
         spec = get_scenario("uniform-multilateration")
         store = ResultStore(tmp_path)
-        for k in range(2):
-            run_scenario_shard(
-                spec,
-                ShardSpec(index=k, n_shards=2),
-                master_seed=3,
-                n_trials=6,
-                store=store,
-                auto_merge=False,
-            )
+        assert store.invalidate(
+            store.key_for(scenario_run_key(spec, master_seed=3, n_trials=6))
+        )
         assert main(["list", "--store", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "all 2 shards present, unmerged" in out

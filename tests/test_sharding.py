@@ -24,7 +24,6 @@ from repro.engine import (
     run_monte_carlo,
     shard_bounds,
 )
-from repro.engine.scheduler import ConfidenceStop
 from repro.errors import ValidationError
 from repro.scenarios import (
     get_scenario,
@@ -287,6 +286,15 @@ class TestScenarioSharding:
         with pytest.raises(ValidationError, match="2/3, 3/3"):
             merge_scenario_shards(spec, n_trials=6, n_shards=3, store=store)
 
+    @pytest.mark.parametrize("probe", [merge_scenario_shards, scenario_shard_status])
+    def test_impossible_split_is_refused_before_any_read(self, tmp_path, spec, probe):
+        """Six shards of four trials cannot exist: the plan's error, not
+        a report of six missing shards, and no entry is read."""
+        store = ResultStore(tmp_path, code_version="t")
+        with pytest.raises(ValidationError, match="cannot split 4 trials into 6"):
+            probe(spec, n_trials=4, n_shards=6, store=store)
+        assert (store.stats.hits, store.stats.misses) == (0, 0)
+
     def test_shard_cache_hit_skips_simulation(self, tmp_path, spec):
         store = ResultStore(tmp_path, code_version="t")
         shard = ShardSpec(index=0, n_shards=2)
@@ -329,15 +337,6 @@ class TestScenarioSharding:
         assert listed[0]["campaign_trials"] == 6
         assert listed[0]["context"]["scenario_id"] == spec.scenario_id
         assert listed[0]["context"]["spec_hash"] == spec.spec_hash()
-
-    def test_sharding_rejects_adaptive(self, spec):
-        with pytest.raises(ValidationError, match="adaptive"):
-            run_scenario(
-                spec,
-                n_trials=8,
-                shard=ShardSpec(index=0, n_shards=2),
-                stopping=ConfidenceStop(),
-            )
 
 
 class TestShardMergeDeterminismProperty:

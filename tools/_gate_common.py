@@ -35,17 +35,22 @@ def run_cli_output(args: List[str], store: Optional[Path] = None) -> str:
     return result.stdout
 
 
+def canonical_key(result_store, scenario_id: str, seed: int, trials: int) -> str:
+    """The store key of a fixed-count campaign's canonical entry."""
+    from repro.scenarios import get_scenario, scenario_run_key
+
+    return result_store.key_for(
+        scenario_run_key(get_scenario(scenario_id), master_seed=seed, n_trials=trials)
+    )
+
+
 def entry_bytes(store: Path, scenario_id: str, seed: int, trials: int) -> bytes:
     """The canonical campaign entry's stored bytes (any backend), or a
     gate failure when the entry is missing."""
-    from repro.scenarios import get_scenario, scenario_run_key
     from repro.store import ResultStore
 
     result_store = ResultStore(store)
-    key = result_store.key_for(
-        scenario_run_key(get_scenario(scenario_id), master_seed=seed, n_trials=trials)
-    )
-    data = result_store.get_bytes(key)
+    data = result_store.get_bytes(canonical_key(result_store, scenario_id, seed, trials))
     if data is None:
         sys.exit(f"no canonical campaign entry for {scenario_id} in {store}")
     return data

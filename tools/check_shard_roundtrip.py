@@ -4,7 +4,9 @@
 Drives the real CLI (``python -m repro run --shard K/N`` three times,
 then ``python -m repro merge``) against a temporary store, runs the same
 campaign single-host into a second temporary store, and asserts the two
-canonical campaign entries are byte-identical.  The first shard and the
+canonical campaign entries are byte-identical.  The entry the last shard
+auto-merged is removed before the explicit merge, so the compared bytes
+are the ones ``merge`` published.  The first shard and the
 single-host run use two worker processes, so the round trip crosses the
 pooled trial stream in both the shard and the fixed-count runner.
 Exits non-zero with a diagnostic on any mismatch.
@@ -22,7 +24,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from _gate_common import entry_bytes, run_cli
+from _gate_common import canonical_key, entry_bytes, run_cli
+
+from repro.store import ResultStore
 
 
 def main() -> int:
@@ -40,8 +44,15 @@ def main() -> int:
         for k in range(1, args.shards + 1):
             workers = ["--workers", "2"] if k == 1 else []
             run_cli([*base, "--shard", f"{k}/{args.shards}", *workers], sharded)
-        # Auto-merge published the canonical entry with the last shard;
-        # the explicit merge must agree (and is the CI path under test).
+        # Auto-merge published the canonical entry with the last shard.
+        # Remove it, so the bytes compared below come from the explicit
+        # merge (the CI path under test) alone.
+        store = ResultStore(sharded)
+        if not store.invalidate(
+            canonical_key(store, args.scenario, args.seed, args.trials)
+        ):
+            print("FAIL: the last shard published no canonical entry", file=sys.stderr)
+            return 1
         run_cli(
             [
                 "merge",
