@@ -58,6 +58,7 @@ the kernels' output bytes.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -691,9 +692,16 @@ def _require_constraint_mask(constraint_pairs, constraint_valid) -> None:
 #: constraint pairs closer than ``d_min * (1 + _SKIN)``.
 _SKIN = 0.5
 
-#: Relative slack under the ``skin / 2`` rebuild displacement.  Every
-#: distance here is a correctly rounded difference followed by ``hypot``,
-#: so rounding is relative (a few ulps); this margin dwarfs it.
+#: Relative slack under the rebuild margin ``(D - d_min) / 2``, where
+#: ``D`` is the closest left-out pair's distance at the build.  Every
+#: distance and displacement here is a correctly rounded difference
+#: followed by ``hypot``, so its rounding is relative: a few ulps.  The
+#: margin's own rounding (``D - d_min``, the halving) is relative too,
+#: and ``D >= d_min * (1 + skin)`` keeps ``D - d_min`` at least a third
+#: of ``D``, so a few ulps of ``D`` are a few ulps of the margin.  The
+#: prefilter's bound ``margin / sqrt(2)`` adds the ulps of the rounded
+#: root, and takes the slack once more, so that it passes only where the
+#: exact test would; ``abs`` is exact.  The sum stays far below 1e-9.
 _REBUILD_SLACK = 1e-9
 
 #: The fewest valid constraint pairs a non-empty candidate list must
@@ -709,16 +717,20 @@ def _use_candidates(n_valid: int, n_near: int) -> bool:
     skips the constraint terms outright, which always pays.  Otherwise
     the per-epoch displacement check and the rebuilds must be paid for
     by the pairs left out, and the break-even moves with the rebuild
-    rate.  Timed per epoch on the single-problem loop with each path
-    forced on the same B=1 stacks: the captured town-lss stacks (about
-    250 pairs left out, lists of 9-15) ran 2% faster to 10% slower on
-    the list; grids started 6 m off their layout (a build every 9-12
-    epochs) ran 27% faster from about 220 left out; grids from a random
-    start (a build every 4-7 epochs) broke even only between about 950
-    and 1,300.  The town workloads' builds leave out either at most
-    about 260 (town-lss, B=1) or, with a non-empty list, 1,300 and more
-    (fig21, B=3).  The local-map stacks (B=49) mostly build empty lists,
-    and their trial time does not move with this constant.
+    rate.  Timed as whole descents with each path forced, the two runs
+    interleaved, median sparse/dense time ratio of 21-41 pairs: the
+    captured ``town-lss-b1`` stack (B=1, 252 pairs left out, a build
+    every 12 epochs on the list) ran 0.99x on the list, a wash;
+    ``fig21-b3`` (B=3, 1,339-4,211 left out) 0.64x; the empty lists of
+    ``town-distributed-lss-b49`` 0.80x.  B=1 grids started about 6 m off
+    their layout (a build every 11-16 epochs) ran 0.75x from 179 left
+    out; grids from a random start (a build every 3-6 epochs) broke
+    even between 382 (1.18x) and 773 (0.92x) left out.  So the constant
+    sits between the two starts' break-evens.  The town workloads'
+    builds leave out either at most about 260 (town-lss, B=1) or, with
+    a non-empty list, 1,300 and more (fig21, B=3).  The local-map
+    stacks (B=49) mostly build empty lists, and their trial time does
+    not move with this constant.
     """
     dropped = n_valid - n_near
     return dropped > 0 and (n_near == 0 or dropped >= _VERLET_MIN_DROPPED)
@@ -757,12 +769,24 @@ class _Lss:
     constraint pairs are narrowed to a Verlet candidate list (L. Verlet,
     Phys. Rev. 159, 98, 1967): the pairs closer than ``d_min + skin``
     with ``skin = d_min / 2``.  The list is rebuilt once any node has
-    moved ``skin / 2`` (less a rounding slack) since it was built: two
-    nodes then close in by less than ``skin``, so a pair left out stays
-    at least ``d_min`` apart until the next build.  Dense or sparse is
-    chosen at each build from what it finds (:func:`_use_candidates`);
-    a dense build keeps every valid pair and stops checking displacements
-    for good.
+    moved the build's margin ``(D - d_min) / 2`` (less a rounding slack)
+    since it was built, where ``D >= d_min + skin`` is the distance of
+    the closest pair left out: two nodes then close in by less than
+    ``D - d_min``, so a pair left out stays at least ``d_min`` apart
+    until the next build.  Dense or sparse is chosen at each build from
+    what it finds (:func:`_use_candidates`); a dense build keeps every
+    valid pair and stops checking displacements for good.
+
+    The displacement check is cheap first and exact after: while the
+    largest coordinate of any displacement stays under
+    ``margin / sqrt(2)`` no node can have moved ``margin``, so one
+    ``abs`` and one reduction over the contiguous displacement buffer
+    decide.  Once that bound fails, the exact Euclidean test runs at
+    every evaluation until the next build.  The prefilter passes only
+    where the exact test would, so builds happen exactly where the
+    exact test puts them; a NaN displacement fails both and rebuilds.
+    A build that finds the list it already holds keeps its gather plan
+    and buffers, and only takes the new reference points and margin.
 
     Every left-out term is an exact zero: a zero weight makes ``+0.0``
     and ``±0.0`` terms, and a pair at distance ``>= d_min`` has
@@ -792,8 +816,8 @@ class _Lss:
 
     **Per epoch.**  Gather indices, scatter bins and the epoch's work
     buffers are built at each selection (construction, :meth:`compact`
-    and each candidate list build), together with the views an epoch
-    reads them through.
+    and each candidate list build that finds a new list), together with
+    the views an epoch reads them through.
     An epoch then gathers both endpoints of every term with one
     ``take(..., mode="clip")`` (the indices are in range by
     construction), runs every ufunc in place with ``out=``, and scatters
@@ -851,9 +875,9 @@ class _Lss:
             # "violation"), so only the masked-in slots are ever read.
             self._valid_slots = np.flatnonzero(valid)
             self._valid_ends = (rows + constraint_pairs).reshape(-1, 2)[self._valid_slots]
+            self._valid_cols = self._valid_ends.T.copy()
             _check_local_pairs(constraint_pairs, self._valid_slots, n_nodes, "constraint")
             self._cutoff = min_spacing_m * (1.0 + _SKIN)
-            self._limit = 0.5 * _SKIN * min_spacing_m * (1.0 - _REBUILD_SLACK)
             self._constraint_weight2 = 2.0 * constraint_weight
         # A constrained body builds its candidate list at its first
         # evaluation, where the positions are known.
@@ -869,9 +893,11 @@ class _Lss:
         the constructor would index from the kept rows' stacks, without
         indexing or validating again.  A live candidate list carries
         over, remapped to the kept valid pairs, with its reference
-        points: a kept node's displacement since the build is unchanged,
-        so the Verlet guarantee still holds for every kept pair.  A
-        dense build stays dense.  Counters carry over.
+        points and margin: a kept node's displacement since the build is
+        unchanged, and no kept pair left out is closer than the closest
+        pair the margin was taken from, so the Verlet guarantee still
+        holds for every kept pair.  A dense build stays dense.  Counters
+        carry over.
         """
         body = object.__new__(type(self))
         vars(body).update(vars(self))
@@ -899,6 +925,7 @@ class _Lss:
             body._con_shape = (n_kept, n_con)
             body._valid_slots = self._valid_slots[on] - dropped[row] * n_con
             body._valid_ends = self._valid_ends[on] - node_shift[row][:, None]
+            body._valid_cols = body._valid_ends.T.copy()
             if self._near is not None:
                 position = np.cumsum(on) - 1
                 body._near = position[self._near[on[self._near]]]
@@ -980,25 +1007,47 @@ class _Lss:
         """Whether the candidate list must be (re)built before *pts*."""
         if self._ref is None:
             return not self._built
-        np.subtract(pts, self._ref, out=self._moved)
+        moved = self._moved
+        np.subtract(pts, self._ref, out=moved)
+        if not self._exact:
+            np.abs(moved, out=moved)
+            if np.maximum.reduce(moved, axis=None) < self._chebyshev:
+                return False
+            self._exact = True
+        # ``hypot`` ignores signs; ``not <`` so that NaN rebuilds too.
         np.hypot(self._moved_x, self._moved_y, out=self._moved_norm)
-        # ``not <`` so that a NaN displacement rebuilds too.
         return not np.maximum.reduce(self._moved_norm, axis=None) < self._limit
 
     def _build(self, pts: np.ndarray) -> None:
         """Build the Verlet candidate list at the stack *pts*."""
         self.rebuilds += 1
         self._built = True
-        flat = pts.reshape(-1, 2)
-        ends = self._valid_ends
-        diff = flat[ends[:, 0]] - flat[ends[:, 1]]
-        near = np.flatnonzero(~(np.hypot(diff[:, 0], diff[:, 1]) >= self._cutoff))
-        if _use_candidates(ends.shape[0], near.size):
-            self._near = near
-            self._track(pts.copy())
-        else:
+        # Both endpoints of every valid pair in one gather, as an epoch
+        # gathers its terms.
+        ends = pts.reshape(-1, 2).take(self._valid_cols, axis=0, mode="clip")
+        diff = np.subtract(ends[0], ends[1], out=ends[0])
+        dist = np.hypot(diff[:, 0], diff[:, 1])
+        # A pair at a NaN or infinite distance is listed: its dense
+        # terms are not zeros (``0 * inf`` is NaN).
+        left_out = dist >= self._cutoff
+        left_out &= dist < np.inf
+        near = np.flatnonzero(~left_out)
+        if not _use_candidates(dist.size, near.size):
             self._near = self._ref = None
-        self._select(self._near)
+            self._select(None)
+            return
+        # The closest pair left out (inf: none is).
+        dist[near] = np.inf
+        closest = float(dist.min(initial=np.inf))
+        self._limit = 0.5 * (closest - self.min_spacing_m) * (1.0 - _REBUILD_SLACK)
+        self._chebyshev = self._limit / math.sqrt(2.0) * (1.0 - _REBUILD_SLACK)
+        self._exact = False
+        if self._near is not None and np.array_equal(near, self._near):
+            np.copyto(self._ref, pts)
+            return
+        self._near = near
+        self._track(pts.copy())
+        self._select(near)
 
     def _track(self, ref: np.ndarray) -> None:
         """Check displacements from the points *ref* of the list's build."""

@@ -81,6 +81,11 @@ DEPLOYMENT_KINDS = ("uniform", "grid", "paper-grid", "town", "parking-lot")
 #: which ignores the spec's own field sizes.
 PARKING_LOT_FIELD = (25.0, 25.0, 4.0)
 
+#: The fixed (blocks_x, blocks_y, block_size_m, street_jitter_m) of a
+#: "town" deployment: the defaults of :func:`repro.deploy.town_layout`,
+#: which takes only the spec's ``n_nodes`` and ``min_separation_m``.
+TOWN_STREETS = (3, 3, 24.0, 4.0)
+
 #: Anchor selection strategies (see :mod:`repro.deploy.anchors`).
 ANCHOR_STRATEGIES = ("random", "spread", "boundary", "none")
 
@@ -109,10 +114,12 @@ class DeploymentSpec:
     Construction rejects what no draw can place: a "uniform" field needs
     a finite positive size and a finite ``min_separation_m >= 0``, with
     ``n_nodes`` within the packing bound of :func:`_packing_bound`; a
-    "town" needs the same finite ``min_separation_m >= 0``; a "grid"
-    needs a finite positive ``spacing_m``; a "parking-lot" needs
-    ``n_nodes`` within the same bound for its fixed field,
-    :data:`PARKING_LOT_FIELD` (at most 58 nodes).
+    "town" needs the same finite ``min_separation_m >= 0``, with
+    ``n_nodes`` within the street-band bound of :func:`_street_bound`
+    for its fixed :data:`TOWN_STREETS` (at most 262 nodes at the
+    registered 6 m); a "grid" needs a finite positive ``spacing_m``; a
+    "parking-lot" needs ``n_nodes`` within the packing bound for its
+    fixed field, :data:`PARKING_LOT_FIELD` (at most 58 nodes).
     """
 
     kind: str = "uniform"
@@ -141,6 +148,13 @@ class DeploymentSpec:
             raise ValidationError("paper-grid supports at most 49 nodes")
         if self.kind in ("uniform", "town"):
             check_non_negative(self.min_separation_m, "min_separation_m")
+        if self.kind == "town" and self.min_separation_m > 0:
+            bound = _street_bound(*TOWN_STREETS, self.min_separation_m)
+            if self.n_nodes > bound:
+                raise ValidationError(
+                    f"{self.n_nodes} nodes cannot be {self.min_separation_m} m "
+                    f"apart along the town's streets (at most {int(bound)} fit)"
+                )
         if self.kind == "uniform":
             check_positive(self.width_m, "width_m")
             check_positive(self.height_m, "height_m")
@@ -171,6 +185,29 @@ def _packing_bound(width_m: float, height_m: float, separation_m: float) -> floa
     s = separation_m
     bound = 2.0 * width_m * height_m / (math.sqrt(3.0) * s * s) + (width_m + height_m) / s + 1.0
     return bound * (1.0 + 1e-12)
+
+
+def _street_bound(
+    blocks_x: int, blocks_y: int, block_size_m: float, street_jitter_m: float,
+    separation_m: float,
+) -> float:
+    """Most points at least *separation_m* apart along a town's streets.
+
+    ``town_layout`` places every node on one of ``blocks_y + 1``
+    horizontal and ``blocks_x + 1`` vertical streets, each a full side
+    of the block grid long and moved off its centerline by at most
+    *street_jitter_m*: inside one of those closed rectangles.  Each
+    rectangle is convex, so :func:`_packing_bound` holds for the points
+    inside it, and the sum over the rectangles bounds the points in
+    their union (a point at a crossing counts once, in any rectangle
+    that holds it).  The rectangles overlap at the crossings, so the
+    bound is not tight.
+    """
+    width, height = blocks_x * block_size_m, blocks_y * block_size_m
+    band = 2.0 * street_jitter_m
+    return (blocks_y + 1) * _packing_bound(width, band, separation_m) + (
+        blocks_x + 1
+    ) * _packing_bound(band, height, separation_m)
 
 
 @dataclass(frozen=True)

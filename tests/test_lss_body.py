@@ -212,6 +212,216 @@ class TestBodyIsTheOracle:
             assert _bits(run.configs[:, pins]) == _bits(pts[:, pins])
 
 
+#: Multiples of a boundary a move is drawn at: inside, a few ulps either
+#: side of it, and past it.
+BOUNDARY = [0.0, 0.5, 1.0 - 1e-6, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-6, 1.5]
+
+
+def _closest_left_out(body) -> int:
+    """The valid pair left out of *body*'s list that was closest at its
+    build (-1 when none is finite)."""
+    flat = body._ref.reshape(-1, 2)
+    ends = body._valid_ends
+    diff = flat[ends[:, 0]] - flat[ends[:, 1]]
+    dist = np.hypot(diff[:, 0], diff[:, 1])
+    dist[body._near] = np.inf
+    k = int(np.argmin(dist)) if dist.size else -1
+    return k if k >= 0 and np.isfinite(dist[k]) else -1
+
+
+def _around_the_margin(rng, body, pts):
+    """Points displaced from the list's reference points by about its
+    margin: each node by a multiple of :data:`BOUNDARY` (or, half the
+    time, of its values below 1) along an axis, a diagonal (where the prefilter's ``margin / sqrt(2)`` bound meets
+    the Euclidean one) or a random direction, and the two ends of the
+    closest pair left out head-on toward each other, so that they land
+    about ``d_min`` apart.  Bodies without a list move at random."""
+    if body._ref is None:
+        return pts + rng.normal(0.0, 1.0, pts.shape)
+    ref, margin = body._ref, body._limit
+    kind = rng.integers(0, 3, size=pts.shape[:2])
+    angle = np.where(
+        kind == 0,
+        rng.integers(0, 4, pts.shape[:2]) * (np.pi / 2),
+        np.where(
+            kind == 1,
+            np.pi / 4 + rng.integers(0, 4, pts.shape[:2]) * (np.pi / 2),
+            rng.uniform(0.0, 2.0 * np.pi, pts.shape[:2]),
+        ),
+    )
+    # Half the time every node stays inside the boundary, so that only
+    # the head-on pair below can force a rebuild.
+    factors = BOUNDARY if rng.random() < 0.5 else [f for f in BOUNDARY if f < 1.0]
+    step = margin * rng.choice(factors, size=pts.shape[:2])
+    moved = ref + step[..., None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    k = _closest_left_out(body)
+    if k >= 0:
+        flat_ref, flat = ref.reshape(-1, 2), moved.reshape(-1, 2)
+        i, j = body._valid_ends[k]
+        toward = flat_ref[j] - flat_ref[i]
+        toward = toward / np.hypot(*toward)
+        step = margin * rng.choice(BOUNDARY)
+        flat[i] = flat_ref[i] + step * toward
+        flat[j] = flat_ref[j] - step * toward
+    return moved
+
+
+def _assert_close_pairs_listed(body, pts):
+    """Every valid constraint pair closer than ``d_min`` at *pts* is in
+    the list the body evaluates, or the body evaluates every valid pair."""
+    if not body.constrained:
+        return
+    ends = body._valid_ends
+    if body._near is None:
+        assert body._ref is None
+        assert body._con_ends.tobytes() == ends.tobytes()
+        return
+    flat = pts.reshape(-1, 2)
+    diff = flat[ends[:, 0]] - flat[ends[:, 1]]
+    close = np.flatnonzero(np.hypot(diff[:, 0], diff[:, 1]) < body.min_spacing_m)
+    assert np.isin(close, body._near).all()
+    assert body._con_ends.tobytes() == ends[body._near].tobytes()
+
+
+class TestCloseValidPairsAreListed:
+    """The Verlet invariant itself: after every evaluation, each valid
+    constraint pair closer than ``d_min`` is in the live list, or the
+    body is dense.  Moves sit around the build's margin and around the
+    prefilter's ``margin / sqrt(2)`` per coordinate, on shared-edge and
+    padded stacks, through compactions and non-finite rows; each
+    evaluation is also bit for bit the dense body's."""
+
+    @given(
+        **{
+            **STACK,
+            "n_constraints": st.integers(1, 15),
+            "min_spacing_m": st.sampled_from([1e-13, 0.5, 4.0, 40.0]),
+            "path": st.sampled_from([None, "sparse"]),
+        },
+        n_moves=st.integers(1, 8),
+        compact_at=st.integers(0, 8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_close_pairs_are_listed_after_every_evaluation(
+        self, seed, shared, n_problems, n_nodes, n_edges, n_constraints,
+        zero_frac, mask_frac, min_spacing_m, degenerate, path, n_moves, compact_at,
+    ):
+        rng = np.random.default_rng(seed)
+        stacks = _stacks(
+            rng, shared, n_problems, n_nodes, n_edges, n_constraints, zero_frac, mask_frac
+        )
+        pts = _degenerate(rng, rng.uniform(0.0, 12.0, (n_problems, n_nodes, 2)), degenerate)
+        with _forced(path):
+            body = _body(pts, shared, stacks, min_spacing_m)
+        with _forced("dense"):
+            dense = _body(pts, shared, stacks, min_spacing_m)
+        for step in range(n_moves + 1):
+            if step:
+                pts = _around_the_margin(rng, body, pts)
+            if step == compact_at and pts.shape[0] > 1:
+                keep = rng.random(pts.shape[0]) < 0.6
+                keep[rng.integers(pts.shape[0])] = True
+                body, dense, pts = body.compact(keep), dense.compact(keep), pts[keep]
+            with _forced(path):
+                value, grad = body.value_and_grad(pts)
+            _assert_close_pairs_listed(body, pts)
+            with _forced("dense"):
+                expected_value, expected_grad = dense.value_and_grad(pts)
+            assert _bits(value) == _bits(expected_value)
+            assert _bits(grad) == _bits(expected_grad)
+
+
+class TestRebuildMargin:
+    """The margin comes from the closest pair left out, the prefilter
+    only ever defers to the exact test, and a build that finds the list
+    it holds keeps its plan."""
+
+    D_MIN = 4.0
+
+    @staticmethod
+    def _points(gap, move0=(0.0, 0.0), move1=(0.0, 0.0)):
+        """Nodes 0 and 1 *gap* apart on the x axis, moved by *move0* and
+        *move1*; nodes 2 and 3 stay put."""
+        pts = np.array([[[-gap / 2, 0.0], [gap / 2, 0.0], [10.0, 0.0], [10.0, 1.0]]])
+        pts[0, 0] += move0
+        pts[0, 1] += move1
+        return pts
+
+    @classmethod
+    def _pair_body(cls, gap):
+        """Nodes 0 and 1 form the only constraint pair, *gap* apart at
+        the first evaluation; the one edge joins nodes 2 and 3."""
+        pts = cls._points(gap)
+        body = _padded_body(
+            pts, np.array([[[2, 3]]]), np.array([[1.0]]), np.array([[1.0]]),
+            np.array([[[0, 1]]]), np.array([[True]]), cls.D_MIN, 10.0,
+        )
+        body.value_and_grad(pts)
+        return body
+
+    def test_margin_is_half_the_closest_gap_to_d_min(self):
+        body = self._pair_body(10.0)
+        assert body._near.size == 0
+        assert body._limit == pytest.approx(3.0, rel=1e-8)
+        assert body._limit < 3.0
+        # A pair at the cutoff gives the fixed skin / 2.
+        assert self._pair_body(6.0)._limit == pytest.approx(1.0, rel=1e-8)
+
+    @pytest.mark.parametrize("overshoot", [-1e-7, 5e-7])
+    def test_pair_closing_in_by_the_margin(self, overshoot):
+        """A pair 10 m apart is left out with margin 3 (three times the
+        fixed ``skin / 2``).  Both nodes move ``3 + x`` toward each
+        other: for x > 0 the pair lands ``2x`` inside ``d_min``, and the
+        list is rebuilt and pushes back on that very evaluation."""
+        body = self._pair_body(10.0)
+        _, grad = body.value_and_grad(self._points(10.0, (2.9, 0.0), (-2.9, 0.0)))
+        assert body.rebuilds == 1 and not np.any(grad[0, :2])
+        shift = 3.0 + overshoot
+        _, grad = body.value_and_grad(self._points(10.0, (shift, 0.0), (-shift, 0.0)))
+        assert body.rebuilds == 1 + (overshoot > 0)
+        assert bool(np.any(grad[0, :2] != 0.0)) == (overshoot > 0)
+
+    def test_prefilter_defers_to_the_exact_test(self):
+        """A move inside ``margin / sqrt(2)`` per coordinate passes the
+        prefilter.  One along an axis past it, but inside the margin,
+        fails the prefilter and not the exact test: no rebuild, and the
+        exact test runs from then on."""
+        body = self._pair_body(10.0)
+        inside = 0.999 * body._chebyshev
+        body.value_and_grad(self._points(10.0, (inside, inside)))
+        assert (body.rebuilds, body._exact) == (1, False)
+        body.value_and_grad(self._points(10.0, (0.0, 0.9 * body._limit)))
+        assert (body.rebuilds, body._exact) == (1, True)
+        body.value_and_grad(self._points(10.0))
+        assert (body.rebuilds, body._exact) == (1, True)
+        body.value_and_grad(self._points(10.0, (0.0, 1.01 * body._limit)))
+        assert (body.rebuilds, body._exact) == (2, False)
+
+    def test_nan_rebuilds(self):
+        body = self._pair_body(10.0)
+        pts = self._points(10.0)
+        pts[0, 2] = np.nan
+        body.value_and_grad(pts)
+        assert body.rebuilds == 2
+
+    def test_a_build_that_finds_its_list_keeps_its_plan(self):
+        """A rebuild that finds the same (here: empty) list keeps the
+        gather plan and buffers and takes the new reference points and
+        margin; a list that changes gets a new plan."""
+        body = self._pair_body(20.0)
+        plan, buffers = body._ends, body._gather
+        # Apart by 9 m: past the margin of 8, and still left out.
+        pts = self._points(20.0, (-9.0, 0.0))
+        body.value_and_grad(pts)
+        assert body.rebuilds == 2 and body._near.size == 0
+        assert body._ends is plan and body._gather is buffers
+        assert _bits(body._ref) == _bits(pts)
+        assert body._limit == pytest.approx(12.5, rel=1e-8)
+        # 3.8 m apart: listed, and the list keeps every pair.
+        body.value_and_grad(self._points(20.0, (3.1, 0.0), (-13.1, 0.0)))
+        assert body.rebuilds == 3 and body._near is None and body._ends is not plan
+
+
 class TestReturnedPointsAreNotReused:
     def test_round_results_survive_later_lss_rounds(self, monkeypatch):
         """Every restart round's returned configuration of

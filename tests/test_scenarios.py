@@ -110,6 +110,56 @@ class TestSpecValidation:
             defaults[name].default for name in ("width_m", "height_m", "min_separation_m")
         )
 
+    def test_town_street_band_bound(self):
+        # Four 72 x 8 m horizontal and four 8 x 72 m vertical street
+        # bands at 6 m: 8 * (2*576/(sqrt(3)*36) + 80/6 + 1) = 262.5.
+        DeploymentSpec(kind="town", n_nodes=262, min_separation_m=6.0)
+        with pytest.raises(ValidationError, match="at most 262 fit"):
+            DeploymentSpec(kind="town", n_nodes=263, min_separation_m=6.0)
+        # The spec's own field sizes play no part.
+        with pytest.raises(ValidationError, match="at most 262 fit"):
+            DeploymentSpec(
+                kind="town", n_nodes=263, min_separation_m=6.0, width_m=1e4, height_m=1e4
+            )
+        # No separation, no bound.
+        DeploymentSpec(kind="town", n_nodes=10_000, min_separation_m=0.0)
+
+    @pytest.mark.parametrize("separation", [4.0, 6.0, 12.0, 40.0])
+    def test_town_bound_holds_for_placed_layouts(self, separation):
+        """The bound is proven, so no placement can beat it: a greedy
+        fill of a fine lattice over the street bands never exceeds it."""
+        from repro.scenarios.spec import TOWN_STREETS, _street_bound
+
+        blocks_x, blocks_y, size, jitter = TOWN_STREETS
+        step = separation / 8.0
+        xs = np.arange(-jitter, blocks_x * size + jitter + step / 2, step)
+        ys = np.arange(-jitter, blocks_y * size + jitter + step / 2, step)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        lattice = np.stack([gx.ravel(), gy.ravel()], axis=1)
+        near_x = np.abs(lattice[:, 0] - size * np.round(lattice[:, 0] / size)) <= jitter
+        near_y = np.abs(lattice[:, 1] - size * np.round(lattice[:, 1] / size)) <= jitter
+        inside = (
+            (near_x & (lattice[:, 1] >= 0) & (lattice[:, 1] <= blocks_y * size))
+            | (near_y & (lattice[:, 0] >= 0) & (lattice[:, 0] <= blocks_x * size))
+        )
+        placed = []
+        for point in lattice[inside]:
+            if not placed or np.hypot(*(np.asarray(placed) - point).T).min() >= separation:
+                placed.append(point)
+        assert len(placed) <= _street_bound(*TOWN_STREETS, separation)
+
+    def test_town_streets_are_the_layouts(self):
+        import inspect
+
+        from repro.deploy import town_layout
+        from repro.scenarios.spec import TOWN_STREETS
+
+        defaults = inspect.signature(town_layout).parameters
+        assert TOWN_STREETS == tuple(
+            defaults[name].default
+            for name in ("blocks_x", "blocks_y", "block_size_m", "street_jitter_m")
+        )
+
     def test_uniform_checks_only_uniform_fields(self):
         DeploymentSpec(kind="grid", n_nodes=16, width_m=-1.0, min_separation_m=float("nan"))
         DeploymentSpec(kind="town", n_nodes=12, width_m=0.0, spacing_m=-1.0)
