@@ -30,6 +30,7 @@ from ..store import (
     measurement_set_from_payload,
     measurement_set_to_payload,
     open_default_store,
+    recall_or_run,
 )
 
 __all__ = [
@@ -66,26 +67,20 @@ def _simulate_grass_campaign(n_nodes: int, seed: int, rounds: int):
 
 @lru_cache(maxsize=8)
 def _campaign_cached(n_nodes: int, seed: int, rounds: int):
-    store = open_default_store()
-    raw = None
-    key = None
-    if store is not None:
-        key = store.key_for(
-            {
-                "workload": "grass-campaign",
-                "environment": "grass",
-                "n_nodes": n_nodes,
-                "seed": seed,
-                "rounds": rounds,
-            }
-        )
-        payload = store.get(key)
-        if payload is not None:
-            raw = measurement_set_from_payload(payload)
-    if raw is None:
-        raw = _simulate_grass_campaign(n_nodes, seed, rounds)
-        if store is not None and key is not None:
-            store.put(key, measurement_set_to_payload(raw))
+    description = {
+        "workload": "grass-campaign",
+        "environment": "grass",
+        "n_nodes": n_nodes,
+        "seed": seed,
+        "rounds": rounds,
+    }
+    raw = recall_or_run(
+        open_default_store(),
+        description,
+        run=lambda: _simulate_grass_campaign(n_nodes, seed, rounds),
+        decode=measurement_set_from_payload,
+        encode=measurement_set_to_payload,
+    )
     filtered = triangle_filter(raw)
     edges = confidence_weighted_edges(filtered)
     return raw, edges

@@ -7,8 +7,9 @@ sweep drivers all use: it turns a :class:`ScenarioSpec` into a campaign
 given), memoized in a :class:`repro.store.ResultStore` keyed on the
 spec's content hash, the master seed, and the scheduling mode.  A cache
 hit reconstructs the campaign bit-identically from disk and does zero
-simulation work.  Every cached run and merge here goes through one
-step, ``_recall_or_run``: key, get, decode; else run, encode, put.
+simulation work.  Every cached run and merge here goes through the
+store's one cache protocol, :func:`repro.store.recall_or_run`: key, get,
+decode; else run, encode, put.
 
 Cross-host sharding
 -------------------
@@ -36,7 +37,7 @@ file (:mod:`repro.store.backends`).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .. import telemetry
 from ..engine.campaign import CampaignResult, run_monte_carlo
@@ -53,6 +54,7 @@ from ..store import (
     ResultStore,
     campaign_from_payload,
     campaign_to_payload,
+    recall_or_run,
     shard_from_payload,
     shard_to_payload,
 )
@@ -82,8 +84,8 @@ def scenario_run_key(
     Everything that can change the committed trial records participates:
     the spec's canonical form, the master seed, the trial budget, and —
     for adaptive runs — the stopping rule and evaluation chunk size.
-    Worker count and mp context are deliberately absent: they cannot
-    change results (the engine's determinism contract).
+    Worker count is deliberately absent: it cannot change results (the
+    engine's determinism contract).
     """
     mode: Dict[str, Any] = {"kind": "fixed", "n_trials": int(n_trials)}
     if stopping is not None:
@@ -139,32 +141,6 @@ def _set_manifest(spec: ScenarioSpec, master_seed: int, budget: int, **mode) -> 
         )
 
 
-def _recall_or_run(
-    store: Optional[ResultStore],
-    description: Dict[str, Any],
-    *,
-    use_cache: bool,
-    run: Callable[[], Any],
-    decode: Callable[[Dict[str, Any]], Any] = campaign_from_payload,
-    encode: Callable[[Any], Dict[str, Any]] = campaign_to_payload,
-) -> Any:
-    """The one cache protocol: key, ``get``, *decode* on a hit; else
-    *run*, *encode*, ``put``.  Without a store it only runs;
-    ``use_cache=False`` skips the lookup but still publishes; a *run*
-    that returns ``None`` publishes nothing."""
-    if store is None:
-        return run()
-    key = store.key_for(description)
-    if use_cache:
-        payload = store.get(key)
-        if payload is not None:
-            return decode(payload)
-    result = run()
-    if result is not None:
-        store.put(key, encode(result))
-    return result
-
-
 def run_scenario(
     spec: ScenarioSpec,
     *,
@@ -175,7 +151,6 @@ def run_scenario(
     chunk_size: Optional[int] = None,
     store: Optional[ResultStore] = None,
     use_cache: bool = True,
-    mp_context: Optional[str] = None,
 ) -> CampaignResult:
     """Run (or recall) one scenario campaign.
 
@@ -204,7 +179,6 @@ def run_scenario(
         "master_seed": master_seed,
         "n_workers": n_workers,
         "trial_kwargs": {"spec": spec},
-        "mp_context": mp_context,
     }
 
     def run() -> CampaignResult:
@@ -225,7 +199,14 @@ def run_scenario(
             stopping=stopping,
             chunk_size=chunk_size,
         )
-        return _recall_or_run(store, description, use_cache=use_cache, run=run)
+        return recall_or_run(
+            store,
+            description,
+            use_cache=use_cache,
+            run=run,
+            decode=campaign_from_payload,
+            encode=campaign_to_payload,
+        )
 
 
 def _shard_context(spec: ScenarioSpec, store: ResultStore) -> Dict[str, Any]:
@@ -250,7 +231,6 @@ def run_scenario_shard(
     n_workers: int = 1,
     store: Optional[ResultStore] = None,
     use_cache: bool = True,
-    mp_context: Optional[str] = None,
 ) -> Tuple[ShardCampaignResult, Optional[CampaignResult]]:
     """Run (or recall) one shard of a scenario campaign on this host.
 
@@ -267,7 +247,7 @@ def run_scenario_shard(
     """
     budget = _budget(spec, n_trials)
     _set_manifest(spec, master_seed, budget, shard=shard.cli_form)
-    shard_result = _recall_or_run(
+    shard_result = recall_or_run(
         store,
         scenario_shard_key(spec, master_seed=master_seed, n_trials=budget, shard=shard),
         use_cache=use_cache,
@@ -278,7 +258,6 @@ def run_scenario_shard(
             master_seed=master_seed,
             n_workers=n_workers,
             trial_kwargs={"spec": spec},
-            mp_context=mp_context,
         ),
         decode=shard_from_payload,
         encode=lambda result: shard_to_payload(
@@ -297,11 +276,13 @@ def run_scenario_shard(
     # A published canonical entry means an earlier run completed the
     # merge: one small get instead of loading all N shard payloads and
     # republishing the same bytes (--no-cache merges again, healing it).
-    return shard_result, _recall_or_run(
+    return shard_result, recall_or_run(
         store,
         scenario_run_key(spec, master_seed=master_seed, n_trials=budget),
         use_cache=use_cache,
         run=merge_when_complete,
+        decode=campaign_from_payload,
+        encode=campaign_to_payload,
     )
 
 
@@ -376,9 +357,11 @@ def merge_scenario_shards(
     """
     budget = _budget(spec, n_trials)
     pairs = _shard_keys(spec, store, master_seed, budget, n_shards)
-    return _recall_or_run(
+    return recall_or_run(
         store,
         scenario_run_key(spec, master_seed=master_seed, n_trials=budget),
         use_cache=False,
         run=lambda: _merge_stored(spec, store, pairs, master_seed, budget),
+        decode=campaign_from_payload,
+        encode=campaign_to_payload,
     )

@@ -7,8 +7,15 @@ measures ranges under the spec's noise model, selects anchors, runs the
 configured localization algorithm, and returns scalar metrics.  Being a
 module-level function whose only argument beyond ``rng`` is a frozen
 dataclass, it pickles cleanly and fans out across the
-:mod:`multiprocessing` workers of both the fixed-count campaign runner
-and the adaptive scheduler.
+:mod:`multiprocessing` workers of the one trial stream that fixed-count,
+adaptive and sharded campaigns all run through.
+
+A trial is a pipeline of named steps: deploy, measure (ranges, then
+anchors), then one localize and one evaluate step per algorithm family
+(:data:`_FAMILIES`).  A step returns its value or raises
+:class:`TrialFailure`, whose class names why the trial cannot finish;
+:func:`scenario_trial` is the one place that turns a failure into NaN
+metrics and counts it as ``trial.failed.<class>``.
 
 The draw order (deployment, then ranges, then anchors) is fixed and part
 of the reproducibility contract: a scenario's trial stream is a pure
@@ -17,7 +24,7 @@ function of the spec and the trial's seed, so cached results stay valid.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -48,7 +55,7 @@ from ..deploy import (
 # every import out of the trials: no timed trial and no forked worker
 # pays for one.
 from ..engine import batch, localmaps  # repro-lint: disable=RPL009
-from ..errors import DeploymentInfeasibleError, GraphDisconnectedError, InsufficientDataError
+from ..errors import DeploymentInfeasibleError, InsufficientDataError
 from ..ranging import (
     RangingService,
     TdoaConfig,
@@ -124,31 +131,83 @@ def select_anchors(spec: AnchorSpec, positions, rng) -> np.ndarray:
     raise AssertionError(f"unreachable anchor strategy {spec.strategy!r}")
 
 
-def _fraction(numerator, denominator) -> float:
-    denominator = float(denominator)
-    if denominator == 0.0:
-        return float("nan")
-    return float(numerator) / denominator
+class TrialFailure(Exception):
+    """A trial step that cannot go on: *cls* names why (one of
+    :data:`FAILURE_CLASSES`), and *partial* holds the metrics the trial
+    still reports.  :func:`scenario_trial` turns it into the trial's
+    metrics."""
+
+    def __init__(self, cls: str, **partial: float) -> None:
+        super().__init__(cls)
+        self.cls = cls
+        self.partial = partial
 
 
-def _nan_metrics() -> Dict[str, float]:
+#: Why a trial returns NaN metrics, in pipeline order.
+FAILURE_CLASSES = (
+    "deployment-infeasible",
+    "no-edges",
+    "root-unmapped",
+    "too-few-localized",
+    "too-few-anchors",
+    "no-unknowns",
+    "none-localized",
+)
+# Built once: the sparse multilateration scenarios take the failure exit
+# in most of their trials.
+_FAILURE_COUNTERS = {cls: f"trial.failed.{cls}" for cls in FAILURE_CLASSES}
+_NAN = float("nan")
+
+
+def _deploy(spec: DeploymentSpec, rng) -> np.ndarray:
+    """The deployment step: :func:`draw_deployment`, or a failure when
+    the placement sampler gives up on the draw."""
+    try:
+        return draw_deployment(spec, rng)
+    except DeploymentInfeasibleError:
+        raise TrialFailure("deployment-infeasible") from None
+
+
+def _measure(spec: ScenarioSpec, positions, rng) -> Tuple[EdgeList, np.ndarray]:
+    """The ranging and anchor steps, in draw order.  A draw with no
+    edge fails only after its anchors are selected, so every trial
+    consumes the generator alike."""
+    ranges = draw_ranges(spec.ranging, positions, rng)
+    anchor_idx = select_anchors(spec.anchors, positions, rng)
+    if len(ranges) == 0:
+        raise TrialFailure("no-edges")
+    return ranges, anchor_idx
+
+
+def _localize_lss(spec: ScenarioSpec, positions, ranges, anchor_idx, rng):
+    """Centralized anchor-free LSS (Section 4.3) over every node."""
+    config = LssConfig(
+        min_spacing_m=spec.solver.min_spacing_m,
+        constraint_weight=spec.solver.constraint_weight,
+        restarts=spec.solver.restarts,
+        max_epochs=spec.solver.max_epochs,
+    )
+    return lss_localize(ranges, int(positions.shape[0]), config=config, rng=rng)
+
+
+def _evaluate_lss(spec: ScenarioSpec, result, positions) -> Dict[str, float]:
+    report = evaluate_localization(result.positions, positions, align=True)
     return {
-        "fraction_localized": float("nan"),
-        "mean_error_m": float("nan"),
-        "median_error_m": float("nan"),
+        "fraction_localized": 1.0,
+        "mean_error_m": report.average_error,
+        "median_error_m": report.median_error,
+        "final_objective": result.error,
+        "epochs_run": float(result.epochs_run),
     }
 
 
-def _distributed_lss_trial(positions, ranges, spec: ScenarioSpec, rng) -> Dict[str, float]:
-    """One distributed-LSS draw (Section 4.3): local maps, stitch, flood.
+def _localize_distributed(spec: ScenarioSpec, positions, ranges, anchor_idx, rng):
+    """Distributed LSS (Section 4.3): local maps, stitch, flood.
 
     The root is the node nearest the deployment centroid (a stable,
-    spec-independent choice mirroring the paper's central root).  Draws
-    whose root has no local map, or whose measurement graph cannot
-    support the pipeline at all, yield nan metrics so campaigns
-    aggregate rather than crash.
+    spec-independent choice mirroring the paper's central root).  A
+    root without a local map fails the trial.
     """
-    n_nodes = int(positions.shape[0])
     config = DistributedConfig(
         local_lss=LssConfig(
             constraint_weight=spec.solver.constraint_weight,
@@ -161,85 +220,104 @@ def _distributed_lss_trial(positions, ranges, spec: ScenarioSpec, rng) -> Dict[s
     centroid = positions.mean(axis=0)
     root = int(np.argmin(np.hypot(*(positions - centroid).T)))
     try:
-        result = distributed_localize(ranges, n_nodes, root, config=config, rng=rng)
-    except (InsufficientDataError, GraphDisconnectedError):
-        return {**_nan_metrics(), "n_local_maps": float("nan")}
+        return distributed_localize(
+            ranges, int(positions.shape[0]), root, config=config, rng=rng
+        )
+    except InsufficientDataError:
+        raise TrialFailure("root-unmapped", n_local_maps=_NAN) from None
+
+
+def _evaluate_distributed(spec: ScenarioSpec, result, positions) -> Dict[str, float]:
+    n_localized = result.localized.sum()
     metrics = {
-        "fraction_localized": _fraction(result.localized.sum(), n_nodes),
+        "fraction_localized": float(n_localized) / float(positions.shape[0]),
         "n_local_maps": float(len(result.local_maps)),
     }
-    if result.localized.sum() >= 3:
-        report = evaluate_localization(
-            result.positions, positions, localized_mask=result.localized, align=True
-        )
-        metrics["mean_error_m"] = report.average_error
-        metrics["median_error_m"] = report.median_error
-    else:
-        metrics["mean_error_m"] = float("nan")
-        metrics["median_error_m"] = float("nan")
+    if n_localized < 3:
+        raise TrialFailure("too-few-localized", **metrics)
+    report = evaluate_localization(
+        result.positions, positions, localized_mask=result.localized, align=True
+    )
+    metrics["mean_error_m"] = report.average_error
+    metrics["median_error_m"] = report.median_error
     return metrics
+
+
+def _anchor_positions(positions, anchor_idx) -> Dict[int, np.ndarray]:
+    return {int(i): positions[i] for i in anchor_idx}
+
+
+def _localize_multilateration(spec: ScenarioSpec, positions, ranges, anchor_idx, rng):
+    """Anchored iterative multilateration (Section 4.1)."""
+    return localize_network(
+        ranges, _anchor_positions(positions, anchor_idx), int(positions.shape[0])
+    )
+
+
+def _localize_dv_hop(spec: ScenarioSpec, positions, ranges, anchor_idx, rng):
+    """The DV-hop baseline.  Fewer than three anchors, or no anchor
+    reaching another, leaves it no hop length to calibrate."""
+    try:
+        return dv_hop_localize(
+            ranges, _anchor_positions(positions, anchor_idx), int(positions.shape[0])
+        )
+    except InsufficientDataError:
+        raise TrialFailure("too-few-anchors") from None
+
+
+def _evaluate_anchored(spec: ScenarioSpec, result, positions) -> Dict[str, float]:
+    """Scores the non-anchor nodes an anchored localizer placed."""
+    extras = {}
+    if spec.solver.algorithm == "multilateration":
+        extras["average_anchors_per_node"] = result.average_anchors_per_node
+    non_anchor = ~result.is_anchor
+    n_unknown = non_anchor.sum()
+    if n_unknown == 0:
+        raise TrialFailure("no-unknowns", **extras)
+    localized = result.localized & non_anchor
+    fraction = float(localized.sum()) / float(n_unknown)
+    report = evaluate_localization(result.positions[localized], positions[localized])
+    if report.n_localized == 0:
+        raise TrialFailure("none-localized", fraction_localized=fraction, **extras)
+    return {
+        "fraction_localized": fraction,
+        "mean_error_m": report.average_error,
+        "median_error_m": report.median_error,
+        **extras,
+    }
+
+
+#: algorithm -> (localize step, evaluate step)
+_FAMILIES = {
+    "lss": (_localize_lss, _evaluate_lss),
+    "distributed-lss": (_localize_distributed, _evaluate_distributed),
+    "multilateration": (_localize_multilateration, _evaluate_anchored),
+    "dv-hop": (_localize_dv_hop, _evaluate_anchored),
+}
 
 
 def scenario_trial(rng, *, spec: ScenarioSpec) -> Dict[str, float]:
     """One randomized trial of *spec*: deploy, range, localize, score.
 
     Returns at least ``fraction_localized`` / ``mean_error_m`` /
-    ``median_error_m`` (nan on degenerate draws — a deployment the
-    placement sampler gives up on, no edges, nothing to localize, too
-    few reachable anchors for DV-hop — so campaigns aggregate rather
-    than crash), plus algorithm-specific extras.  A deployment given up
-    on counts ``trial.failed.deployment-infeasible``.
+    ``median_error_m``, plus algorithm-specific extras.  A step that
+    cannot go on raises :class:`TrialFailure`; this function is its one
+    exit: it counts ``trial.failed.<cls>`` and returns those three as
+    NaN, overlaid with the failure's partial metrics, so campaigns
+    aggregate rather than crash.  ``docs/observability.md`` lists each
+    class with the metrics it returns.
     """
     try:
-        positions = draw_deployment(spec.deployment, rng)
-    except DeploymentInfeasibleError:
-        telemetry.count("trial.failed.deployment-infeasible")
-        return _nan_metrics()
-    ranges = draw_ranges(spec.ranging, positions, rng)
-    anchor_idx = select_anchors(spec.anchors, positions, rng)
-    if len(ranges) == 0:
-        return _nan_metrics()
-    n_nodes = int(positions.shape[0])
-    algorithm = spec.solver.algorithm
-
-    if algorithm == "lss":
-        config = LssConfig(
-            min_spacing_m=spec.solver.min_spacing_m,
-            constraint_weight=spec.solver.constraint_weight,
-            restarts=spec.solver.restarts,
-            max_epochs=spec.solver.max_epochs,
-        )
-        result = lss_localize(ranges, n_nodes, config=config, rng=rng)
-        report = evaluate_localization(result.positions, positions, align=True)
+        positions = _deploy(spec.deployment, rng)
+        ranges, anchor_idx = _measure(spec, positions, rng)
+        localize, evaluate = _FAMILIES[spec.solver.algorithm]
+        result = localize(spec, positions, ranges, anchor_idx, rng)
+        return evaluate(spec, result, positions)
+    except TrialFailure as failure:
+        telemetry.count(_FAILURE_COUNTERS[failure.cls])
         return {
-            "fraction_localized": 1.0,
-            "mean_error_m": report.average_error,
-            "median_error_m": report.median_error,
-            "final_objective": result.error,
-            "epochs_run": float(result.epochs_run),
+            "fraction_localized": _NAN,
+            "mean_error_m": _NAN,
+            "median_error_m": _NAN,
+            **failure.partial,
         }
-
-    if algorithm == "distributed-lss":
-        return _distributed_lss_trial(positions, ranges, spec, rng)
-
-    anchor_positions = {int(i): positions[i] for i in anchor_idx}
-    if algorithm == "multilateration":
-        result = localize_network(ranges, anchor_positions, n_nodes)
-    else:  # dv-hop
-        try:
-            result = dv_hop_localize(ranges, anchor_positions, n_nodes)
-        except InsufficientDataError:
-            # Fewer than three anchors, or no anchor reaches another:
-            # DV-hop cannot calibrate its hop length on this draw.
-            return _nan_metrics()
-    non_anchor = ~result.is_anchor
-    localized = result.localized & non_anchor
-    report = evaluate_localization(result.positions[localized], positions[localized])
-    metrics = {
-        "fraction_localized": _fraction(localized.sum(), non_anchor.sum()),
-        "mean_error_m": report.average_error,
-        "median_error_m": report.median_error,
-    }
-    if algorithm == "multilateration":
-        metrics["average_anchors_per_node"] = result.average_anchors_per_node
-    return metrics

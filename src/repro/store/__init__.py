@@ -34,6 +34,7 @@ from .result_store import (
     default_store_root,
     encode_payload,
     open_default_store,
+    recall_or_run,
 )
 from .sync import StoreDiff, SyncReport, diff, migrate, pull, push
 
@@ -64,6 +65,7 @@ __all__ = [
     "open_default_store",
     "encode_payload",
     "decode_payload",
+    "recall_or_run",
     # backends
     "StoreBackend",
     "FilesystemBackend",

@@ -38,7 +38,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .. import telemetry
 from .._canonical import canonical_json, sha256_hex
@@ -61,6 +61,7 @@ __all__ = [
     "open_default_store",
     "encode_payload",
     "decode_payload",
+    "recall_or_run",
 ]
 
 #: Bump when the *store payload schema* changes (how results are
@@ -407,3 +408,30 @@ class ResultStore:
             f"backend={self.backend.kind!r}, "
             f"code_version={self.code_version!r}, entries={len(self)})"
         )
+
+
+def recall_or_run(
+    store: Optional[ResultStore],
+    description: Any,
+    *,
+    run: Callable[[], Any],
+    decode: Callable[[Dict[str, Any]], Any],
+    encode: Callable[[Any], Dict[str, Any]],
+    use_cache: bool = True,
+) -> Any:
+    """The one cache protocol: key, ``get``, *decode* on a hit; else
+    *run*, *encode*, ``put``.  Without a store it only runs;
+    ``use_cache=False`` skips the lookup but still publishes; a *run*
+    that returns ``None`` publishes nothing.  The codecs are arguments,
+    so this module stays clear of the result types they build."""
+    if store is None:
+        return run()
+    key = store.key_for(description)
+    if use_cache:
+        payload = store.get(key)
+        if payload is not None:
+            return decode(payload)
+    result = run()
+    if result is not None:
+        store.put(key, encode(result))
+    return result
